@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize
 
 from .gammainc import lower_incomplete_gamma_reg
 from .model import (
@@ -25,7 +24,7 @@ from .model import (
     mrt_beamformer,
     project_positions,
 )
-from .outage import secrecy_outage_closed_form
+from .outage import moment_match, secrecy_outage_closed_form
 from .surrogate import LinearFitTable, default_table, surrogate_lookup
 
 FloatArray = NDArray[np.floating]
@@ -50,28 +49,6 @@ class OptimizerParams:
     obj_tol: float = 1e-8
     tau: float = 0.01
     min_step: float = 1e-15
-
-
-@dataclass(frozen=True)
-class PhaseWorkspace:
-    """Shared factors of the position gradient of every LoS power gain.
-
-    Direction index 0 is the legitimate user, 1..M the eavesdroppers.
-    ``outer_sym``/``outer_skew`` are the symmetric and antisymmetric outer
-    products of the beamformer's real and imaginary parts; ``cos_phase``
-    and ``neg_sin_phase`` hold the element phases per direction, and
-    ``rate_sin``/``rate_cos`` the corresponding derivative diagonals, whose
-    entries are bounded by 2 pi |sin theta| / wavelength.
-    """
-
-    re_w: FloatArray
-    im_w: FloatArray
-    outer_sym: FloatArray        # (N, N), symmetric
-    outer_skew: FloatArray       # (N, N), antisymmetric
-    cos_phase: FloatArray        # (M+1, N)
-    neg_sin_phase: FloatArray    # (M+1, N)
-    rate_sin: FloatArray         # (M+1, N)
-    rate_cos: FloatArray         # (M+1, N)
 
 
 @dataclass
@@ -122,19 +99,16 @@ class BisectionResult:
 
 
 class _Scenario:
-    """Precomputed constants of the margin objective for one config."""
+    """Precomputed constants of the margin objective for one config.
+
+    Direction 0 is the legitimate user, 1..M the eavesdroppers; the margin
+    depends on (w, x) only through the M+1 LoS power gains |s_d w|^2.
+    """
 
     def __init__(self, cfg: SystemConfig):
-        self.cfg = cfg
         self.sines = np.concatenate(([np.sin(cfg.theta0)], np.sin(cfg.thetas_arr)))
         self.wave_rate = TWO_PI / cfg.wavelength
-        c = cfg.betas_arr / (cfg.ks_arr + 1.0)
-        self.ck = c * cfg.ks_arr
-        self.c2k = c**2 * cfg.ks_arr
-        self.c_sum = float(np.sum(c))
-        self.c2_sum = float(np.sum(c**2))
-        self.rate_pow = 2.0**cfg.rs
-        self.noise_off = cfg.sigma2 / cfg.pa * (1.0 / self.rate_pow - 1.0)
+        self.mm = moment_match(cfg)
         self.beta0 = cfg.beta0
 
     def steer_rows(self, x: FloatArray) -> ComplexArray:
@@ -143,61 +117,34 @@ class _Scenario:
 
     def margin(self, rows: ComplexArray, w: ComplexArray,
                slope: float, intercept: float) -> float:
+        gains = np.abs(rows @ w) ** 2
+        lin, quad = self.mm.moments(gains[1:])
+        thr = self.mm.threshold(self.beta0 * gains[0])
+        return float(lin * thr - slope * lin**2 - intercept * quad)
+
+    def _gain_weights(self, rows: ComplexArray, w: ComplexArray,
+                      slope: float, intercept: float):
+        """v = rows @ w and the margin's partials in the M+1 gains |v_d|^2."""
         v = rows @ w
         gains = np.abs(v) ** 2
-        bob = self.beta0 * gains[0]
-        lin = self.ck @ gains[1:] + self.c_sum
-        quad = 2.0 * (self.c2k @ gains[1:]) + self.c2_sum
-        thr = bob / self.rate_pow + self.noise_off
-        return float(lin * thr - slope * lin**2 - intercept * quad)
+        lin, _ = self.mm.moments(gains[1:])
+        thr = self.mm.threshold(self.beta0 * gains[0])
+        eve = (thr - 2.0 * slope * lin) * self.mm.lin_coef \
+            - intercept * self.mm.quad_coef
+        return v, np.concatenate(([lin * self.beta0 / self.mm.rate_pow], eve))
 
     def margin_grad_w(self, rows: ComplexArray, w: ComplexArray,
                       slope: float, intercept: float) -> ComplexArray:
-        v = rows @ w
-        gains = np.abs(v) ** 2
-        bob = self.beta0 * gains[0]
-        lin = self.ck @ gains[1:] + self.c_sum
-        thr = bob / self.rate_pow + self.noise_off
-        # per-eve h_i^H (h_i w) rows
-        proj = v[1:, None] * rows[1:].conj()
-        lin_grad = self.ck @ proj
-        quad_grad = 2.0 * (self.c2k @ proj)
-        bob_grad = self.beta0 * v[0] * rows[0].conj()
-        return (thr - 2.0 * slope * lin) * lin_grad \
-            + lin / self.rate_pow * bob_grad - intercept * quad_grad
-
-    def workspace(self, rows: ComplexArray, w: ComplexArray) -> PhaseWorkspace:
-        re_w, im_w = w.real, w.imag
-        sym = np.outer(re_w, re_w) + np.outer(im_w, im_w)
-        skew = np.outer(re_w, im_w) - np.outer(im_w, re_w)
-        cos_p, sin_p = rows.real, rows.imag
-        rate = (self.wave_rate * self.sines)[:, None]
-        return PhaseWorkspace(
-            re_w=re_w, im_w=im_w, outer_sym=sym, outer_skew=skew,
-            cos_phase=cos_p, neg_sin_phase=-sin_p,
-            rate_sin=rate * sin_p, rate_cos=rate * cos_p)
-
-    def los_gain_grads(self, ws: PhaseWorkspace) -> FloatArray:
-        """d|s_d w|^2 / dx per direction, stacked (M+1, N); no beta factors."""
-        out = np.empty_like(ws.cos_phase)
-        c2, d2 = 2.0 * ws.outer_sym, 2.0 * ws.outer_skew
-        for d in range(out.shape[0]):
-            g, q = ws.cos_phase[d], ws.neg_sin_phase[d]
-            out[d] = -ws.rate_sin[d] * (c2 @ g + d2 @ q) \
-                - ws.rate_cos[d] * (c2 @ q - d2 @ g)
-        return out
+        # d|v_d|^2 / d conj(w) = v_d conj(s_d)
+        v, weights = self._gain_weights(rows, w, slope, intercept)
+        return (weights * v) @ rows.conj()
 
     def margin_grad_x(self, rows: ComplexArray, w: ComplexArray,
                       slope: float, intercept: float) -> FloatArray:
-        v = rows @ w
-        gains = np.abs(v) ** 2
-        bob = self.beta0 * gains[0]
-        lin = self.ck @ gains[1:] + self.c_sum
-        thr = bob / self.rate_pow + self.noise_off
-        grads = self.los_gain_grads(self.workspace(rows, w))
-        return (thr - 2.0 * slope * lin) * (self.ck @ grads[1:]) \
-            - 2.0 * intercept * (self.c2k @ grads[1:]) \
-            + lin * self.beta0 / self.rate_pow * grads[0]
+        # d|v_d|^2 / dx = -2 k_d Im(conj(v_d) s_d * w), k_d = 2 pi sin_d / lambda
+        v, weights = self._gain_weights(rows, w, slope, intercept)
+        k = self.wave_rate * self.sines
+        return -2.0 * np.imag(((weights * k) * v.conj()) @ rows * w)
 
 
 def margin_objective(w, x, eps: float, table: LinearFitTable,
@@ -224,11 +171,6 @@ def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
     sc = _Scenario(cfg)
     return sc.margin_grad_x(sc.steer_rows(np.asarray(x, float)), np.asarray(w),
                             slope, intercept)
-
-
-def build_phase_workspace(w, x, cfg: SystemConfig) -> PhaseWorkspace:
-    sc = _Scenario(cfg)
-    return sc.workspace(sc.steer_rows(np.asarray(x, float)), np.asarray(w))
 
 
 def _normalize(w: ComplexArray) -> ComplexArray:
@@ -411,6 +353,8 @@ def maximize_gamma_objective(
     Returns the certified confidence level, the maximizing point, and the
     exact objective value there.
     """
+    from scipy import optimize   # imported here: it dominates import time
+
     table = table or default_table()
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)

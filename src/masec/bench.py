@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -26,7 +25,7 @@ from .model import (
     mrt_beamformer,
     random_feasible_positions,
 )
-from .surrogate import LinearFitTable, default_table
+from .surrogate import LinearFitTable
 from .zf import pgd_solve, zf_beamformer, zf_outage
 
 PI = np.pi
@@ -204,47 +203,33 @@ def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     raise ValueError(f"unknown sweep variable {name!r}")
 
 
-def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None,
-              max_workers: int = 4) -> SweepResult:
-    """Run every scheme at every grid point; deterministic given seeds.
+def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResult:
+    """Run every scheme at every grid point, in grid order; deterministic
+    given seeds.
 
-    Jobs run on a thread pool and are merged back in grid order, so the
-    output never depends on scheduling.  Scheme/point combinations whose
-    preconditions fail (e.g. zero-forcing without a spare antenna) are
-    skipped and reported instead of raising.
+    ``table`` is handed to each scheme as is, so without one only the
+    optimized-beam schemes fit the default table, once per process.
+    Scheme/point combinations whose preconditions fail (e.g. zero-forcing
+    without a spare antenna) are skipped and reported instead of raising.
     """
-    table = table or default_table()
-    jobs = []
+    result = SweepResult(rows=[])
     for i, value in enumerate(spec.grid):
         cfg = apply_variable(spec.base, spec.variable, value)
         seed = spec.seeds[i % len(spec.seeds)]
         for scheme in spec.schemes:
-            jobs.append((scheme, cfg, value, seed))
-
-    def work(job):
-        scheme, cfg, value, seed = job
-        if scheme in (SchemeId.MA_ZF, SchemeId.RAP_ZF, SchemeId.FPA_ZF) \
-                and cfg.n_antennas < cfg.n_eves + 1:
-            return ("skip", scheme, value, "needs n_antennas >= n_eves + 1")
-        start = time.perf_counter()
-        res = run_scheme(scheme, cfg, seed=seed, restarts=spec.restarts,
-                         params=spec.params, table=table)
-        elapsed = time.perf_counter() - start
-        return ("row", SweepRow(
-            scheme=SchemeId(scheme).value, variable_name=spec.variable,
-            variable_value=float(value), p_out=res.p_out, seed=seed,
-            iterations=res.iterations, seconds=elapsed))
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        outcomes = list(pool.map(work, jobs))
-
-    result = SweepResult(rows=[])
-    for outcome in outcomes:
-        if outcome[0] == "row":
-            result.rows.append(outcome[1])
-        else:
-            result.skipped.append((SchemeId(outcome[1]).value,
-                                   float(outcome[2]), outcome[3]))
+            if scheme in (SchemeId.MA_ZF, SchemeId.RAP_ZF, SchemeId.FPA_ZF) \
+                    and cfg.n_antennas < cfg.n_eves + 1:
+                result.skipped.append((SchemeId(scheme).value, float(value),
+                                       "needs n_antennas >= n_eves + 1"))
+                continue
+            start = time.perf_counter()
+            res = run_scheme(scheme, cfg, seed=seed, restarts=spec.restarts,
+                             params=spec.params, table=table)
+            result.rows.append(SweepRow(
+                scheme=SchemeId(scheme).value, variable_name=spec.variable,
+                variable_value=float(value), p_out=res.p_out, seed=seed,
+                iterations=res.iterations,
+                seconds=time.perf_counter() - start))
     return result
 
 

@@ -87,7 +87,7 @@ def _cmd_sweep(args) -> int:
         restarts=int(raw.get("restarts", 100)),
     )
     table = load_table(args.table) if args.table else None
-    result = run_sweep(spec, table=table, max_workers=args.workers)
+    result = run_sweep(spec, table=table)
     emit_results(result.rows, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for scheme, value, reason in result.skipped:
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--table")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("mc-check",

@@ -62,6 +62,10 @@ class SystemConfig:
         for name in ("thetas", "betas", "ks"):
             if len(getattr(self, name)) != self.n_eves:
                 raise ValueError(f"{name} must have length n_eves={self.n_eves}")
+        for name in ("theta0", "thetas", "beta0", "betas", "ks", "pa",
+                     "sigma2", "rs", "wavelength", "span", "dmin"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if len(set(self.thetas)) != self.n_eves:
             raise ValueError("eavesdropper angles must be pairwise distinct")
         if any(b <= 0 for b in self.betas) or self.beta0 <= 0:

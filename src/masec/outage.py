@@ -45,6 +45,64 @@ class GammaMoments:
     scale: float
 
 
+@dataclass(frozen=True)
+class MomentMatch:
+    """The Gamma moment match of one config, affine in the LoS power gains.
+
+    With c_i = beta_i / (K_i + 1) and g_i the LoS power gain |a_i w|^2 of
+    eavesdropper i, the collusion sum has mean lin = sum_i c_i (K_i g_i + 1)
+    and moment term quad = sum_i mean_i^2 / m_i = sum_i c_i^2 (2 K_i g_i + 1),
+    so shape = lin^2 / quad and scale = quad / lin.  Both moments are affine
+    in the gains, lin = g @ lin_coef + lin_const and likewise quad; the
+    coefficients are what the gradients of any function of them need.
+
+    ``threshold`` maps the legitimate gain |h_0 w|^2 (beta0 included) to
+    the largest tolerable collusion power at secrecy rate rs.
+    """
+
+    lin_coef: FloatArray     # c_i K_i, (M,)
+    lin_const: float         # sum_i c_i
+    quad_coef: FloatArray    # 2 c_i^2 K_i, (M,)
+    quad_const: float        # sum_i c_i^2
+    rate_pow: float          # 2^rs
+    noise_off: float         # sigma2 / pa (2^-rs - 1)
+
+    def moments(self, gains):
+        """(lin, quad) of the LoS gains, batched over leading axes (..., M)."""
+        gains = np.asarray(gains, dtype=float)
+        return (gains @ self.lin_coef + self.lin_const,
+                gains @ self.quad_coef + self.quad_const)
+
+    def threshold(self, bob_gain):
+        """bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); negative when the
+        legitimate link is too weak for rate rs at any eavesdropper power."""
+        return bob_gain / self.rate_pow + self.noise_off
+
+
+def moment_match(cfg: SystemConfig) -> MomentMatch:
+    """Coefficients of the Gamma moment match for ``cfg``."""
+    c = cfg.betas_arr / (cfg.ks_arr + 1.0)
+    rate_pow = 2.0**cfg.rs
+    return MomentMatch(
+        lin_coef=c * cfg.ks_arr, lin_const=float(np.sum(c)),
+        quad_coef=2.0 * c**2 * cfg.ks_arr, quad_const=float(np.sum(c**2)),
+        rate_pow=rate_pow,
+        noise_off=cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0))
+
+
+def gamma_outage(lin: float, quad: float, thr: float) -> float:
+    """1 - P(lin^2 / quad, thr lin / quad) clamped to [0, 1].
+
+    The outage of a collusion sum with moments (lin, quad) at threshold
+    ``thr``; a nonpositive threshold means certain outage.
+    """
+    t = lin / quad * thr
+    if t <= 0.0:
+        return 1.0
+    p = 1.0 - lower_incomplete_gamma_reg(lin**2 / quad, t)
+    return float(min(max(p, 0.0), 1.0))
+
+
 def _los_power_gains(w, x, cfg: SystemConfig) -> FloatArray:
     proj = eve_los_matrix(x, cfg) @ np.asarray(w)
     return np.abs(proj) ** 2
@@ -96,27 +154,20 @@ def outage_threshold(w, x, cfg: SystemConfig) -> float:
     Equals bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); may be negative
     when the legitimate link is too weak, in which case outage is certain.
     """
-    rate_pow = 2.0**cfg.rs
-    bob = _bob_power_gain(w, x, cfg)
-    return bob / rate_pow + cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0)
+    return float(moment_match(cfg).threshold(_bob_power_gain(w, x, cfg)))
 
 
 def outage_shape(w, x, cfg: SystemConfig) -> float:
     """Gamma shape of the collusion sum, written directly in LoS gains."""
-    gains = _los_power_gains(w, x, cfg)
-    c = cfg.betas_arr / (cfg.ks_arr + 1.0)
-    lin = np.sum(c * (cfg.ks_arr * gains + 1.0))
-    quad = np.sum(c**2 * (2.0 * cfg.ks_arr * gains + 1.0))
+    lin, quad = moment_match(cfg).moments(_los_power_gains(w, x, cfg))
     return float(lin**2 / quad)
 
 
 def outage_scaled_threshold(w, x, cfg: SystemConfig) -> float:
     """Outage threshold divided by the Gamma scale of the collusion sum."""
-    gains = _los_power_gains(w, x, cfg)
-    c = cfg.betas_arr / (cfg.ks_arr + 1.0)
-    lin = np.sum(c * (cfg.ks_arr * gains + 1.0))
-    quad = np.sum(c**2 * (2.0 * cfg.ks_arr * gains + 1.0))
-    return float(lin / quad * outage_threshold(w, x, cfg))
+    mm = moment_match(cfg)
+    lin, quad = mm.moments(_los_power_gains(w, x, cfg))
+    return float(lin / quad * mm.threshold(_bob_power_gain(w, x, cfg)))
 
 
 def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float:
@@ -125,11 +176,9 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float:
     Returns 1 - P(shape, scaled_threshold) clamped to [0, 1]; a nonpositive
     threshold means certain outage.
     """
-    t = outage_scaled_threshold(w, x, cfg)
-    if t <= 0.0:
-        return 1.0
-    p = 1.0 - lower_incomplete_gamma_reg(outage_shape(w, x, cfg), t)
-    return float(min(max(p, 0.0), 1.0))
+    mm = moment_match(cfg)
+    lin, quad = mm.moments(_los_power_gains(w, x, cfg))
+    return gamma_outage(lin, quad, mm.threshold(_bob_power_gain(w, x, cfg)))
 
 
 def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> float:

@@ -46,6 +46,10 @@ class LinearFitTable:
     tau: float
     n_fit_points: int
 
+    def __post_init__(self) -> None:
+        if np.size(self.eps_grid) == 0:
+            raise ValueError("surrogate table has no eps rows")
+
     @property
     def max_eps(self) -> float:
         return float(self.eps_grid[-1])
@@ -121,7 +125,7 @@ def load_table(path: str | Path) -> LinearFitTable:
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
     meta = dict(item.split("=") for item in text[1].lstrip("# ").split())
     rows = [line.split() for line in text[3:] if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), 3)
     return LinearFitTable(
         eps_grid=data[:, 0], slope=data[:, 1], intercept=data[:, 2],
         fit_lo=float(meta["fit_lo"]), fit_hi=float(meta["fit_hi"]),

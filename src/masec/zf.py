@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
 
 from .ascent import OptimizerParams
-from .gammainc import lower_incomplete_gamma_reg
 from .model import (
     SystemConfig,
     eve_los_matrix,
@@ -25,6 +23,7 @@ from .model import (
     main_channel,
     project_positions,
 )
+from .outage import gamma_outage, moment_match
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
@@ -46,8 +45,10 @@ def _require_zf(cfg: SystemConfig) -> None:
             f"(got N={cfg.n_antennas}, M={cfg.n_eves})")
 
 
-def _gram_factor(x: FloatArray, cfg: SystemConfig):
-    """Cholesky factor of the steering Gram matrix, with a condition check."""
+def _steering_gram(x: FloatArray, cfg: SystemConfig):
+    """Steering stack (N, M) and the Cholesky factor of its Gram matrix,
+    after a condition check."""
+    _require_zf(cfg)
     stack = eve_los_matrix(x, cfg).conj().T        # columns h_i^H, (N, M)
     gram = stack.conj().T @ stack
     cond = np.linalg.cond(gram)
@@ -57,7 +58,12 @@ def _gram_factor(x: FloatArray, cfg: SystemConfig):
             f"eavesdropper steering matrix ill-conditioned (cond={cond:.2e}); "
             f"closest angles: theta_{worst[0]+1}={worst[2]:.6f} and "
             f"theta_{worst[1]+1}={worst[3]:.6f} rad")
-    return stack, cho_factor(gram, lower=True)
+    return stack, np.linalg.cholesky(gram)
+
+
+def _gram_solve(chol: ComplexArray, y):
+    """A^{-1} y for the Gram matrix A = chol chol^H."""
+    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, y))
 
 
 def _closest_pair(cfg: SystemConfig):
@@ -72,34 +78,6 @@ def _closest_pair(cfg: SystemConfig):
     return best
 
 
-@dataclass(frozen=True)
-class ZfProblem:
-    """Placement-dependent pieces of the zero-forcing outage objective.
-
-    ``psi_shape`` and ``psi_scale`` are the Gamma shape of the nulled
-    collusion sum and the companion scale factor sigma2/pa-weighted; both
-    are placement independent.
-    """
-
-    steering_stack: ComplexArray   # (N, M), columns are conjugated eve rows
-    cross_row: ComplexArray        # (1, M) couplings between Bob and eves
-    psi_shape: float
-    psi_scale: float
-
-
-def build_zf_problem(x: FloatArray, cfg: SystemConfig) -> ZfProblem:
-    _require_zf(cfg)
-    stack, _ = _gram_factor(np.asarray(x, float), cfg)
-    h0 = main_channel(x, cfg)
-    c = cfg.betas_arr / (cfg.ks_arr + 1.0)
-    return ZfProblem(
-        steering_stack=stack,
-        cross_row=h0 @ stack,
-        psi_shape=float(np.sum(c) ** 2 / np.sum(c**2)),
-        psi_scale=float(np.sum(c) / np.sum(c**2) * cfg.sigma2 / cfg.pa),
-    )
-
-
 def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     """Unit-norm beamformer orthogonal to every eavesdropper LoS row.
 
@@ -107,13 +85,12 @@ def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     eavesdropper steering span; the projection is applied twice to push the
     nulling residual to machine-noise level.
     """
-    _require_zf(cfg)
     x = np.asarray(x, dtype=float)
-    stack, factor = _gram_factor(x, cfg)
+    stack, chol = _steering_gram(x, cfg)
     h0h = main_channel(x, cfg).conj()
 
     def reject(v):
-        return v - stack @ cho_solve(factor, stack.conj().T @ v)
+        return v - stack @ _gram_solve(chol, stack.conj().T @ v)
 
     w = reject(reject(h0h))
     norm = np.linalg.norm(w)
@@ -130,10 +107,9 @@ def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float:
     zero-forced gain is beta0 * N - Theta, so Theta lies in [0, beta0 * N].
     """
     x = np.asarray(x, dtype=float)
-    prob = build_zf_problem(x, cfg)
-    _, factor = _gram_factor(x, cfg)
-    h = prob.cross_row
-    val = h @ cho_solve(factor, h.conj())
+    stack, chol = _steering_gram(x, cfg)
+    h = main_channel(x, cfg) @ stack
+    val = h @ _gram_solve(chol, h.conj())
     assert abs(val.imag) <= 1e-10
     return float(val.real)
 
@@ -152,10 +128,10 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
     sin0 = np.sin(cfg.theta0)
     rate = TWO_PI / cfg.wavelength
 
-    stack, factor = _gram_factor(x, cfg)
+    stack, chol = _steering_gram(x, cfg)
     h0 = main_channel(x, cfg)
     h = h0 @ stack                       # (M,)
-    v = cho_solve(factor, h.conj())      # A^{-1} h^H
+    v = _gram_solve(chol, h.conj())     # A^{-1} h^H
     t = stack @ v                        # H A^{-1} h^H, (N,)
 
     # dh/dx_n: one term of the coupling sum moves per coordinate
@@ -243,14 +219,12 @@ def pgd_solve(x0, cfg: SystemConfig, params=None,
 
 
 def zf_outage(x: FloatArray, cfg: SystemConfig) -> float:
-    """Closed-form secrecy outage with the zero-forcing beamformer at x."""
-    x = np.asarray(x, dtype=float)
-    prob = build_zf_problem(x, cfg)
+    """Closed-form secrecy outage with the zero-forcing beamformer at x.
+
+    Nulling zeroes every eavesdropper LoS gain, so the collusion sum keeps
+    only its scattered part and the legitimate gain is beta0 * N - Theta.
+    """
+    mm = moment_match(cfg)
+    lin, quad = mm.moments(np.zeros(cfg.n_eves))
     gain = cfg.beta0 * cfg.n_antennas - bob_gain_loss(x, cfg)
-    rate_pow = 2.0**cfg.rs
-    arg = prob.psi_scale * (cfg.pa * gain / (cfg.sigma2 * rate_pow)
-                            + 1.0 / rate_pow - 1.0)
-    if arg <= 0.0:
-        return 1.0
-    p = 1.0 - lower_incomplete_gamma_reg(prob.psi_shape, arg)
-    return float(min(max(p, 0.0), 1.0))
+    return gamma_outage(lin, quad, mm.threshold(gain))

@@ -1,7 +1,13 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import masec
 from masec.ascent import (
     OptimizerParams,
     apga_solve,
@@ -277,3 +283,13 @@ def test_params_are_frozen():
     p = OptimizerParams()
     with pytest.raises(AttributeError):
         p.delta0 = 2.0
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only the toy maximizer needs scipy.optimize, and it costs most of
+    # the package's import time
+    env = dict(os.environ, PYTHONPATH=str(Path(masec.__file__).parents[1]))
+    code = "import sys, masec; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from masec import surrogate
 from masec.bench import (
     SchemeId,
     SweepSpec,
@@ -119,7 +120,7 @@ class TestSweep:
         spec = SweepSpec(base=base_config(), variable="k",
                          grid=[0.0, 2.0], restarts=2,
                          schemes=[SchemeId.FPA_OB, SchemeId.FPA_ZF])
-        res = run_sweep(spec, table=table, max_workers=2)
+        res = run_sweep(spec, table=table)
         assert len(res.rows) == 4
         assert [r.variable_value for r in res.rows] == [0.0, 0.0, 2.0, 2.0]
         assert not res.skipped
@@ -131,7 +132,7 @@ class TestSweep:
         spec = SweepSpec(base=base, variable="k", grid=[1.0],
                          schemes=[SchemeId.FPA_ZF, SchemeId.FPA_OB],
                          restarts=1)
-        res = run_sweep(spec, table=table, max_workers=1)
+        res = run_sweep(spec, table=table)
         assert len(res.rows) == 1
         assert res.rows[0].scheme == "FPA_OB"
         assert len(res.skipped) == 1
@@ -142,17 +143,20 @@ class TestSweep:
         spec = SweepSpec(base=base_config(), variable="k",
                          grid=[1.0, 2.0, 3.0], seeds=[10, 20],
                          schemes=[SchemeId.RAP_ZF], restarts=1)
-        res = run_sweep(spec, table=table, max_workers=2)
+        res = run_sweep(spec, table=table)
         assert [r.seed for r in res.rows] == [10, 20, 10]
 
-    def test_deterministic_across_worker_counts(self, table):
+    def test_zf_only_sweep_never_fits_the_table(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("the surrogate table was fitted")
+
+        monkeypatch.setattr(surrogate, "fit_linear_surrogate", no_fit)
+        surrogate.default_table.cache_clear()
         spec = SweepSpec(base=base_config(), variable="k", grid=[1.0, 4.0],
                          schemes=[SchemeId.RAP_ZF, SchemeId.FPA_ZF],
-                         seeds=[3], restarts=2)
-        r1 = run_sweep(spec, table=table, max_workers=1)
-        r4 = run_sweep(spec, table=table, max_workers=4)
-        assert [(a.scheme, a.variable_value, a.p_out) for a in r1.rows] == \
-               [(b.scheme, b.variable_value, b.p_out) for b in r4.rows]
+                         restarts=2)
+        rows = run_sweep(spec).rows
+        assert [r.scheme for r in rows] == ["RAP_ZF", "FPA_ZF"] * 2
 
 
 class TestCsv:

@@ -57,6 +57,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="pa"):
             small_config(pa=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("pa", np.nan), ("span", np.nan), ("sigma2", np.inf),
+        ("ks", (np.inf, 1.0)), ("thetas", (0.3, np.nan)), ("theta0", np.inf),
+        ("beta0", np.nan), ("rs", np.inf), ("dmin", np.nan),
+    ])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
+
 
 def test_steering_vector_matches_elementwise_oracle():
     # rebuild every entry with scalar cmath to cross-check the vectorization

@@ -60,6 +60,10 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_linear_surrogate(fit_range=(5.0, 2.0))
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="no eps rows"):
+            fit_linear_surrogate(tau=0.7)
+
     def test_coarse_table(self):
         coarse = fit_linear_surrogate(tau=0.1, n_fit_points=50)
         assert coarse.eps_grid.size == 9
@@ -119,4 +123,12 @@ class TestPersistence:
         path = tmp_path / "junk.txt"
         path.write_text("not a table\n1 2 3\n")
         with pytest.raises(ValueError, match="masec-surrogate"):
+            load_table(path)
+
+    def test_rejects_header_only_file(self, table, tmp_path):
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        header = path.read_text().splitlines()[:3]
+        path.write_text("\n".join(header) + "\n")
+        with pytest.raises(ValueError, match="no eps rows"):
             load_table(path)
