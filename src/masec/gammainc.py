@@ -4,18 +4,31 @@ P(a, t) = gamma(a, t) / Gamma(a) is evaluated with the classic split: a
 power series for t < a + 1 and a continued fraction (modified Lentz)
 otherwise.  Both routines are vectorized over broadcast inputs and target
 about 1e-14 relative accuracy, which the inverse needs to hit its own
-tolerance reliably.  Only the log-gamma prefactor is delegated to scipy.
+tolerance reliably.
+
+Every iterative loop works on the lanes that have not converged yet and
+drops each lane as soon as it finishes.  A lane's arithmetic never depends
+on the other lanes, so an element of a batched call is bit-identical to the
+same element computed alone.  The log-gamma prefactor comes from
+``math.lgamma``; the module needs nothing beyond numpy and the standard
+library.
 """
 from __future__ import annotations
 
+import math
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaln
 
 _EPS = 1e-15
 _TINY = 1e-300
 _MAX_ITER = 4000
+
+
+def _per_distinct(fn, x):
+    """``fn`` applied elementwise to ``x``, called once per distinct value."""
+    values, where = np.unique(x, return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[where].reshape(np.shape(x))
 
 
 def lower_incomplete_gamma_reg(a, t):
@@ -28,49 +41,55 @@ def lower_incomplete_gamma_reg(a, t):
     if np.any(a_arr <= 0.0):
         raise ValueError("shape parameter must be positive")
     out = np.zeros(a_arr.shape, dtype=float)
-
     pos = t_arr > 0.0
-    series = pos & (t_arr < a_arr + 1.0)
-    tail = pos & ~series
-    if np.any(series):
-        out[series] = _series(a_arr[series], t_arr[series])
-    if np.any(tail):
-        out[tail] = 1.0 - _cont_frac(a_arr[tail], t_arr[tail])
+    a_pos = a_arr[pos]
+    out[pos] = _reg_positive(a_pos, t_arr[pos], _per_distinct(math.lgamma, a_pos))
     if np.isscalar(a) and np.isscalar(t):
         return float(out)
     return out
 
 
-def _log_prefactor(a, t):
+def _reg_positive(a, t, log_gam):
+    """P(a, t) on flat arrays with t > 0, given log_gam = ln Gamma(a)."""
     # exp(-t + a ln t - ln Gamma(a)), kept in log space against overflow
-    return a * np.log(t) - t - gammaln(a)
+    prefactor = np.exp(a * np.log(t) - t - log_gam)
+    series = t < a + 1.0
+    tail = ~series
+    out = np.empty(a.shape)
+    out[series] = _series(a[series], t[series]) * prefactor[series]
+    out[tail] = 1.0 - prefactor[tail] * _cont_frac(a[tail], t[tail])
+    return out
 
 
 def _series(a, t):
-    """Power series sum_n t^n / (a (a+1) ... (a+n)), times the prefactor."""
+    """Power series sum_n t^n / (a (a+1) ... (a+n)) on flat arrays."""
+    out = np.empty(a.shape)
+    lane = np.arange(a.size)
+    ap = a.copy()
     term = 1.0 / a
     total = term.copy()
-    ap = a.copy()
-    active = np.ones(a.shape, dtype=bool)
     for _ in range(_MAX_ITER):
-        ap[active] += 1.0
-        term[active] *= t[active] / ap[active]
-        total[active] += term[active]
-        active &= np.abs(term) > np.abs(total) * _EPS
-        if not active.any():
-            break
-    else:
-        raise RuntimeError("incomplete gamma series failed to converge")
-    return total * np.exp(_log_prefactor(a, t))
+        ap += 1.0
+        term *= t / ap
+        total += term
+        live = np.abs(term) > np.abs(total) * _EPS
+        if not live.all():
+            out[lane[~live]] = total[~live]
+            lane, t, ap, term, total = (v[live] for v in (lane, t, ap, term, total))
+        if not lane.size:
+            return out
+    raise RuntimeError("incomplete gamma series failed to converge")
 
 
 def _cont_frac(a, t):
-    """Upper-tail continued fraction via modified Lentz iteration."""
+    """Upper-tail continued fraction via modified Lentz iteration, on flat
+    arrays."""
+    out = np.empty(a.shape)
+    lane = np.arange(a.size)
     b = t + 1.0 - a
     c = np.full(a.shape, 1.0 / _TINY)
     d = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
     h = d.copy()
-    active = np.ones(a.shape, dtype=bool)
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b = b + 2.0
@@ -80,73 +99,79 @@ def _cont_frac(a, t):
         c = np.where(np.abs(c) < _TINY, _TINY, c)
         d = 1.0 / d
         delta = d * c
-        h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) > _EPS
-        if not active.any():
-            break
-    else:
-        raise RuntimeError("incomplete gamma continued fraction failed to converge")
-    return np.exp(_log_prefactor(a, t)) * h
+        h = h * delta
+        live = np.abs(delta - 1.0) > _EPS
+        if not live.all():
+            out[lane[~live]] = h[~live]
+            lane, a, b, c, d, h = (v[live] for v in (lane, a, b, c, d, h))
+        if not lane.size:
+            return out
+    raise RuntimeError("incomplete gamma continued fraction failed to converge")
 
 
-def _initial_guess(eps: float, a):
+def _initial_guess(eps, a):
     """Wilson-Hilferty start point for the quantile, clipped to be positive."""
-    z = NormalDist().inv_cdf(eps)
+    z = _per_distinct(NormalDist().inv_cdf, eps)
     cube = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     guess = a * np.maximum(cube, 0.05) ** 3
     return np.maximum(guess, 1e-8)
 
 
-def inverse_lower_incomplete_gamma(eps: float, a):
-    """Solve P(a, t) = eps for t >= 0.
+def inverse_lower_incomplete_gamma(eps, a):
+    """Solve P(a, t) = eps for t >= 0, elementwise over broadcast eps and a.
 
     Uses a bracket [0, a + 20 sqrt(a) + 20] (grown if ever too short) and
     safeguarded Newton iterations on the forward function: any Newton step
     that leaves the bracket, or stalls, is replaced by bisection.  The
     result satisfies |P(a, t) - eps| <= 1e-12 in well-scaled regions and
-    always better than 1e-10.
+    always better than 1e-10.  Scalars in, scalar out.
     """
-    if not 0.0 <= eps < 1.0:
+    eps_arr, a_arr = np.broadcast_arrays(np.asarray(eps, float), np.asarray(a, float))
+    if not np.all((eps_arr >= 0.0) & (eps_arr < 1.0)):
         raise ValueError("probability must lie in [0, 1)")
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
     if np.any(a_arr <= 0.0):
         raise ValueError("shape parameter must be positive")
-    scalar = np.isscalar(a) or np.ndim(a) == 0
-    if eps == 0.0:
-        t = np.zeros_like(a_arr)
-        return float(t[0]) if scalar else t.reshape(np.shape(a))
+    t = np.zeros(a_arr.shape)
+    solve = eps_arr > 0.0
+    t[solve] = _quantile(eps_arr[solve], a_arr[solve])
+    return float(t) if t.ndim == 0 else t
 
-    lo = np.zeros_like(a_arr)
-    hi = a_arr + 20.0 * np.sqrt(a_arr) + 20.0
-    while True:
-        short = lower_incomplete_gamma_reg(a_arr, hi) < eps
-        if not short.any():
-            break
+
+def _quantile(eps, a):
+    """The safeguarded Newton solve on flat arrays with eps in (0, 1)."""
+    log_gam = _per_distinct(math.lgamma, a)
+    hi = a + 20.0 * np.sqrt(a) + 20.0
+    short = np.arange(a.size)
+    while short.size:
+        short = short[_reg_positive(a[short], hi[short], log_gam[short]) < eps[short]]
         hi[short] *= 2.0
 
-    t = np.clip(_initial_guess(eps, a_arr), lo + _TINY, hi)
-    log_gam = gammaln(a_arr)
-    done = np.zeros(a_arr.shape, dtype=bool)
+    lo = np.zeros(a.shape)
+    t = np.clip(_initial_guess(eps, a), lo + _TINY, hi)
+    out = np.empty(a.shape)
+    lane = np.arange(a.size)
     for _ in range(200):
-        f = lower_incomplete_gamma_reg(a_arr, t) - eps
+        f = _reg_positive(a, t, log_gam) - eps
         below = f < 0.0
-        lo = np.where(below & ~done, t, lo)
-        hi = np.where(~below & ~done, t, hi)
-        done |= np.abs(f) <= 1e-12
-        if done.all():
-            break
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        done = np.abs(f) <= 1e-12
+        if done.any():
+            out[lane[done]] = t[done]
+            keep = ~done
+            lane, eps, a, log_gam, lo, hi, t, f = (
+                v[keep] for v in (lane, eps, a, log_gam, lo, hi, t, f))
+        if not lane.size:
+            return out
         # regularized density; underflows far in the tails
-        pdf = np.exp((a_arr - 1.0) * np.log(t) - t - log_gam)
+        pdf = np.exp((a - 1.0) * np.log(t) - t - log_gam)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(pdf > 0.0, f / pdf, np.inf)
         t_new = t - step
         bad = ~np.isfinite(t_new) | (t_new <= lo) | (t_new >= hi)
-        t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        t = np.where(done, t, t_new)
-    else:
-        resid = np.max(np.abs(lower_incomplete_gamma_reg(a_arr, t) - eps))
-        if resid > 1e-10:
-            raise RuntimeError(f"quantile iteration stalled, residual {resid:.2e}")
-    if scalar:
-        return float(t[0])
-    return t.reshape(np.shape(a))
+        t = np.where(bad, 0.5 * (lo + hi), t_new)
+    resid = np.max(np.abs(_reg_positive(a, t, log_gam) - eps))
+    if resid > 1e-10:
+        raise RuntimeError(f"quantile iteration stalled, residual {resid:.2e}")
+    out[lane] = t
+    return out

@@ -11,6 +11,7 @@ as plain text and linearly interpolated between grid points.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,8 +70,8 @@ def fit_linear_surrogate(
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     lo, hi = fit_range
-    if not 0.0 < lo < hi:
-        raise ValueError("fit_range must be positive and increasing")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError("fit_range must be finite, positive and increasing")
     if n_fit_points < 2:
         raise ValueError("need at least two fit points")
 
@@ -79,11 +80,8 @@ def fit_linear_surrogate(
     eps_grid = eps_grid[eps_grid < 1.0]
     a_grid = np.linspace(lo, hi, n_fit_points)
 
-    slopes = np.empty(eps_grid.size)
-    intercepts = np.empty(eps_grid.size)
-    for j, eps in enumerate(eps_grid):
-        target = inverse_lower_incomplete_gamma(float(eps), a_grid)
-        slopes[j], intercepts[j] = np.polyfit(a_grid, target, 1)
+    target = inverse_lower_incomplete_gamma(eps_grid[:, None], a_grid[None, :])
+    slopes, intercepts = np.polyfit(a_grid, target.T, 1)
     return LinearFitTable(
         eps_grid=eps_grid, slope=slopes, intercept=intercepts,
         fit_lo=float(lo), fit_hi=float(hi), tau=float(tau),
@@ -123,13 +121,17 @@ def load_table(path: str | Path) -> LinearFitTable:
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != f"# {_FORMAT_TAG}":
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
-    meta = dict(item.split("=") for item in text[1].lstrip("# ").split())
+    try:
+        meta = dict(item.split("=") for item in text[1].lstrip("# ").split())
+        fit_lo, fit_hi = float(meta["fit_lo"]), float(meta["fit_hi"])
+        tau, n_fit_points = float(meta["tau"]), int(meta["n_fit_points"])
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or malformed fit header") from exc
     rows = [line.split() for line in text[3:] if line.strip()]
     data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), 3)
     return LinearFitTable(
         eps_grid=data[:, 0], slope=data[:, 1], intercept=data[:, 2],
-        fit_lo=float(meta["fit_lo"]), fit_hi=float(meta["fit_hi"]),
-        tau=float(meta["tau"]), n_fit_points=int(meta["n_fit_points"]))
+        fit_lo=fit_lo, fit_hi=fit_hi, tau=tau, n_fit_points=n_fit_points)
 
 
 @functools.lru_cache(maxsize=1)

@@ -288,6 +288,22 @@ class TestCli:
         code = main(["solve", "--preset", "zzz", "--scheme", "FPA_ZF"])
         assert code == 2
 
+    def test_tag_only_table_is_error_exit(self, tmp_path, capsys):
+        tab = tmp_path / "table.txt"
+        tab.write_text("# masec-surrogate-v1\n")
+        code = main(["solve", "--preset", "ob-demo", "--scheme", "FPA_OB",
+                     "--table", str(tab)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [["--hi", "inf"], ["--lo", "nan"]])
+    def test_non_finite_fit_range_is_error_exit(self, bound, tmp_path, capsys):
+        tab = tmp_path / "table.txt"
+        code = main(["fit-table", "--out", str(tab)] + bound)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not tab.exists()
+
     def test_trace_output(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
         code = main(["solve", "--preset", "ob-demo", "--scheme", "MA_OB",

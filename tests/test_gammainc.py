@@ -115,8 +115,22 @@ class TestInverse:
         out = inverse_lower_incomplete_gamma(0.5, 2.0)
         assert isinstance(out, float)
 
+    def test_batched_call_matches_scalar_calls_bit_for_bit(self):
+        # each lane's arithmetic is independent of the other lanes
+        eps = np.array([0.0, 0.001, 0.01, 0.3, 0.5, 0.77, 0.99])
+        a = np.array([0.3, 1.0, 2.5, 7.0, 40.0, 100.0, 150.0, 1e3])
+        grid = inverse_lower_incomplete_gamma(eps[:, None], a[None, :])
+        assert grid.shape == (eps.size, a.size)
+        for i, e in enumerate(eps):
+            row = inverse_lower_incomplete_gamma(float(e), a)
+            assert np.array_equal(grid[i], row)
+            for j, s in enumerate(a):
+                one = inverse_lower_incomplete_gamma(float(e), float(s))
+                assert isinstance(one, float)
+                assert one == grid[i, j]
+
     def test_rejects_bad_probability(self):
-        for eps in (-0.1, 1.0, 1.5):
+        for eps in (-0.1, 1.0, 1.5, np.nan, np.array([0.5, 1.0])):
             with pytest.raises(ValueError):
                 inverse_lower_incomplete_gamma(eps, 2.0)
 

@@ -1,9 +1,13 @@
 """Quantile surrogate table: fit quality, lookup, persistence."""
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from masec.gammainc import inverse_lower_incomplete_gamma
 from masec.surrogate import (
+    default_table,
     fit_linear_surrogate,
     load_table,
     save_table,
@@ -56,9 +60,36 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_linear_surrogate(tau=1.0)
 
+    def test_default_table_matches_scipy_least_squares(self):
+        # every row is the least-squares line through the exact quantiles,
+        # here taken from scipy, to the 1e-8 bound of the benchmark oracle
+        table = default_table()
+        a = np.linspace(table.fit_lo, table.fit_hi, table.n_fit_points)
+        q = special.gammaincinv(a[None, :], table.eps_grid[:, None])
+        ref_slope, ref_intercept = np.polyfit(a, q.T, 1)
+        for got, ref in ((table.slope, ref_slope),
+                         (table.intercept, ref_intercept)):
+            assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-8
+
+    def test_matches_row_by_row_fit(self, table):
+        # reference: one quantile solve and one line fit per eps row; the
+        # batched least-squares solve may round differently in the last bits
+        a = np.linspace(table.fit_lo, table.fit_hi, table.n_fit_points)
+        for j in range(0, table.eps_grid.size, 7):
+            target = inverse_lower_incomplete_gamma(float(table.eps_grid[j]), a)
+            slope, intercept = np.polyfit(a, target, 1)
+            assert table.slope[j] == pytest.approx(slope, rel=1e-13)
+            assert table.intercept[j] == pytest.approx(intercept, rel=1e-13)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             fit_linear_surrogate(fit_range=(5.0, 2.0))
+
+    @pytest.mark.parametrize("fit_range", [(1.0, math.inf), (math.nan, 100.0),
+                                           (1.0, math.nan), (-math.inf, 100.0)])
+    def test_rejects_non_finite_range(self, fit_range):
+        with pytest.raises(ValueError, match="finite"):
+            fit_linear_surrogate(fit_range=fit_range)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="no eps rows"):
@@ -131,4 +162,19 @@ class TestPersistence:
         header = path.read_text().splitlines()[:3]
         path.write_text("\n".join(header) + "\n")
         with pytest.raises(ValueError, match="no eps rows"):
+            load_table(path)
+
+    def test_rejects_tag_only_file(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("# masec-surrogate-v1\n")
+        with pytest.raises(ValueError, match="fit header"):
+            load_table(path)
+
+    def test_rejects_malformed_fit_header(self, table, tmp_path):
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("tau=", "step=")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="fit header"):
             load_table(path)

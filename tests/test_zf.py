@@ -4,7 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from masec import zf
 from masec.bench import apply_variable, base_config, preset
+from masec.cli import main
 from masec.model import (
     eve_los_matrix,
     feasible_region,
@@ -179,3 +181,28 @@ class TestZfOutage:
         outs = [zf_outage(x, dataclasses.replace(cfg, pa=float(10 ** (db / 10))))
                 for db in np.arange(0.0, 40.0, 2.5)]
         assert np.all(np.diff(outs) <= 1e-12)
+
+
+
+def _skew_gram_solve(monkeypatch):
+    solve = zf._gram_solve
+    monkeypatch.setattr(zf, "_gram_solve", lambda chol, y: 1j * solve(chol, y))
+
+
+class TestResidueCheck:
+    """An inaccurate Gram solve is reported as a SingularSteeringError,
+    also under ``python -O``."""
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        cfg = two_eve_config()
+        x = feasible_region(cfg).midpoints()
+        assert bob_gain_loss(x, cfg) > 1e-6
+        _skew_gram_solve(monkeypatch)
+        with pytest.raises(SingularSteeringError, match="imaginary residue"):
+            bob_gain_loss(x, cfg)
+
+    def test_cli_reports_residue(self, monkeypatch, capsys):
+        _skew_gram_solve(monkeypatch)
+        code = main(["solve", "--preset", "zf-demo-far", "--scheme", "FPA_ZF"])
+        assert code == 2
+        assert "imaginary residue" in capsys.readouterr().err
