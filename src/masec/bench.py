@@ -26,7 +26,7 @@ from .model import (
     random_feasible_positions,
 )
 from .surrogate import LinearFitTable
-from .zf import pgd_solve, zf_beamformer, zf_outage
+from .zf import pgd_solve, well_conditioned, zf_beamformer, zf_outage
 
 PI = np.pi
 
@@ -69,7 +69,9 @@ def run_scheme(
     """Evaluate one benchmark scheme on one scenario.
 
     ``seed`` only matters for the random-placement schemes, which draw
-    ``restarts`` independent feasible placements and keep the best outage.
+    ``restarts`` independent feasible placements and keep the best outage
+    (the first best on ties); RAP_ZF drops draws whose steering Gram matrix
+    fails the zero-forcing condition check and raises only if none is left.
     Schemes that run the confidence bisection report its certified eps.
     """
     scheme = SchemeId(scheme)
@@ -107,12 +109,13 @@ def run_scheme(
                             iterations=res.n_iter,
                             trace=res.trace if keep_trace else None)
 
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
         best: SchemeResult | None = None
         total = 0
-        for _ in range(restarts):
-            x = random_feasible_positions(region, rng)
+        for x in random_feasible_positions(region, rng, restarts):
             res = bisection_outage_min(cfg, table, params,
                                        w0=mrt_beamformer(x, cfg), x0=x,
                                        mode="beam_only")
@@ -124,14 +127,15 @@ def run_scheme(
         return best
 
     if scheme is SchemeId.RAP_ZF:
-        best_p, best_x = np.inf, None
-        for _ in range(restarts):
-            x = random_feasible_positions(region, rng)
-            p = zf_outage(x, cfg)
-            if p < best_p:
-                best_p, best_x = p, x
-        return SchemeResult(p_out=float(best_p), w=zf_beamformer(best_x, cfg),
-                            x=best_x, iterations=0)
+        xs = random_feasible_positions(region, rng, restarts)
+        usable = well_conditioned(xs, cfg)
+        if usable.any():
+            xs = xs[usable]
+        # with no usable draw, zf_outage reports the first singular one
+        p = zf_outage(xs, cfg)
+        i = int(np.argmin(p))
+        return SchemeResult(p_out=float(p[i]), w=zf_beamformer(xs[i], cfg),
+                            x=xs[i], iterations=0)
 
     raise ValueError(f"unhandled scheme {scheme}")
 

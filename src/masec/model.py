@@ -138,10 +138,13 @@ def main_channel(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
 
 
 def eve_los_matrix(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
-    """Unit-magnitude LoS responses of all eavesdroppers, stacked (M, N)."""
+    """Unit-magnitude LoS responses of all eavesdroppers, stacked (M, N).
+
+    Positions of shape (..., N) give responses of shape (..., M, N).
+    """
     x = np.asarray(x, dtype=float)
     sines = np.sin(cfg.thetas_arr)
-    phase = TWO_PI / cfg.wavelength * np.outer(sines, x)
+    phase = TWO_PI / cfg.wavelength * (sines[:, None] * x[..., None, :])
     return np.exp(1j * phase)
 
 
@@ -215,10 +218,15 @@ def project_positions(x_raw: FloatArray, region: FeasibleRegion) -> FloatArray:
 
 
 def random_feasible_positions(
-    region: FeasibleRegion, rng: np.random.Generator
+    region: FeasibleRegion, rng: np.random.Generator, count: int | None = None
 ) -> FloatArray:
-    """Uniform draw from the per-element intervals (always feasible)."""
-    return rng.uniform(region.lo, region.hi)
+    """Uniform draw from the per-element intervals (always feasible).
+
+    With ``count``, draws a (count, N) block whose rows are the same numbers
+    as ``count`` single draws made one after another.
+    """
+    size = None if count is None else (count, region.lo.size)
+    return rng.uniform(region.lo, region.hi, size=size)
 
 
 def mrt_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:

@@ -90,17 +90,16 @@ def moment_match(cfg: SystemConfig) -> MomentMatch:
         noise_off=cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0))
 
 
-def gamma_outage(lin: float, quad: float, thr: float) -> float:
+def gamma_outage(lin, quad, thr) -> float | FloatArray:
     """1 - P(lin^2 / quad, thr lin / quad) clamped to [0, 1].
 
     The outage of a collusion sum with moments (lin, quad) at threshold
-    ``thr``; a nonpositive threshold means certain outage.
+    ``thr``; a nonpositive threshold means certain outage.  Arguments
+    broadcast; scalars in, float out.
     """
     t = lin / quad * thr
-    if t <= 0.0:
-        return 1.0
-    p = 1.0 - lower_incomplete_gamma_reg(lin**2 / quad, t)
-    return float(min(max(p, 0.0), 1.0))
+    p = np.clip(1.0 - lower_incomplete_gamma_reg(lin**2 / quad, t), 0.0, 1.0)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def _los_power_gains(w, x, cfg: SystemConfig) -> FloatArray:

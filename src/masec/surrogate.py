@@ -48,8 +48,22 @@ class LinearFitTable:
     n_fit_points: int
 
     def __post_init__(self) -> None:
-        if np.size(self.eps_grid) == 0:
+        eps = np.asarray(self.eps_grid, dtype=float)
+        if eps.size == 0:
             raise ValueError("surrogate table has no eps rows")
+        columns = (eps, np.asarray(self.slope, dtype=float),
+                   np.asarray(self.intercept, dtype=float))
+        if any(c.shape != (eps.size,) for c in columns):
+            raise ValueError(
+                "eps grid, slopes and intercepts must be 1-D of equal length")
+        if not all(np.all(np.isfinite(c)) for c in columns):
+            raise ValueError("surrogate table entries must be finite")
+        if not (eps[0] > 0.0 and eps[-1] < 1.0 and np.all(np.diff(eps) > 0.0)):
+            raise ValueError(
+                "eps grid must be strictly increasing inside (0, 1)")
+        if not (math.isfinite(self.fit_hi) and 0.0 < self.fit_lo < self.fit_hi):
+            raise ValueError(
+                "fit range must be finite, positive and increasing")
 
     @property
     def max_eps(self) -> float:
@@ -129,9 +143,12 @@ def load_table(path: str | Path) -> LinearFitTable:
         raise ValueError(f"{path}: missing or malformed fit header") from exc
     rows = [line.split() for line in text[3:] if line.strip()]
     data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), 3)
-    return LinearFitTable(
-        eps_grid=data[:, 0], slope=data[:, 1], intercept=data[:, 2],
-        fit_lo=fit_lo, fit_hi=fit_hi, tau=tau, n_fit_points=n_fit_points)
+    try:
+        return LinearFitTable(
+            eps_grid=data[:, 0], slope=data[:, 1], intercept=data[:, 2],
+            fit_lo=fit_lo, fit_hi=fit_hi, tau=tau, n_fit_points=n_fit_points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=1)

@@ -7,6 +7,13 @@ term Theta(x) that depends only on the antenna positions.  Minimizing that
 loss by projected gradient descent decouples the placement from the power
 and fading parameters, and the outage of the resulting scheme has the same
 Gamma closed form with all LoS eavesdropper gains zeroed.
+
+``bob_gain_loss`` and ``zf_outage`` take one placement (N,) or a stack of
+placements (R, N) and return a float or one value per row.  A stack costs
+one batched Gram factorization and one incomplete-gamma call, so the
+random-placement baseline scores all its draws at once; every check (the
+Gram condition number, the imaginary residue) still applies per row, and
+``well_conditioned`` says which rows pass the first one.
 """
 from __future__ import annotations
 
@@ -45,25 +52,40 @@ def _require_zf(cfg: SystemConfig) -> None:
             f"(got N={cfg.n_antennas}, M={cfg.n_eves})")
 
 
-def _steering_gram(x: FloatArray, cfg: SystemConfig):
-    """Steering stack (N, M) and the Cholesky factor of its Gram matrix,
-    after a condition check."""
+def _steering(x: FloatArray, cfg: SystemConfig):
+    """Steering stacks (..., N, M), their Gram matrices (..., M, M) and the
+    Gram condition numbers (...)."""
     _require_zf(cfg)
-    stack = eve_los_matrix(x, cfg).conj().T        # columns h_i^H, (N, M)
-    gram = stack.conj().T @ stack
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    stack = np.swapaxes(eve_los_matrix(x, cfg).conj(), -1, -2)  # columns h_i^H
+    gram = np.swapaxes(stack.conj(), -1, -2) @ stack
+    return stack, gram, np.linalg.cond(gram)
+
+
+def well_conditioned(x: FloatArray, cfg: SystemConfig):
+    """Per placement in ``x`` (..., N): whether its steering Gram matrix
+    passes the condition check that every zero-forcing routine applies."""
+    return _steering(x, cfg)[2] <= _COND_LIMIT
+
+
+def _steering_gram(x: FloatArray, cfg: SystemConfig):
+    """Steering stacks (..., N, M) and the Cholesky factors of their Gram
+    matrices, after a condition check of every placement."""
+    stack, gram, cond = _steering(x, cfg)
+    bad = ~(cond <= _COND_LIMIT)
+    if np.any(bad):
         worst = _closest_pair(cfg)
         raise SingularSteeringError(
-            f"eavesdropper steering matrix ill-conditioned (cond={cond:.2e}); "
+            "eavesdropper steering matrix ill-conditioned "
+            f"(cond={np.asarray(cond)[bad][0]:.2e}); "
             f"closest angles: theta_{worst[0]+1}={worst[2]:.6f} and "
             f"theta_{worst[1]+1}={worst[3]:.6f} rad")
     return stack, np.linalg.cholesky(gram)
 
 
 def _gram_solve(chol: ComplexArray, y):
-    """A^{-1} y for the Gram matrix A = chol chol^H."""
-    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, y))
+    """A^{-1} y for the Gram matrices A = chol chol^H and vectors y (..., M)."""
+    lower = np.linalg.solve(chol, y[..., None])
+    return np.linalg.solve(np.swapaxes(chol.conj(), -1, -2), lower)[..., 0]
 
 
 def _closest_pair(cfg: SystemConfig):
@@ -100,21 +122,24 @@ def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     return w / norm
 
 
-def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float:
+def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     """Loss Theta(x) of the legitimate gain caused by exact nulling.
 
     Theta = h (H^H H)^{-1} h^H with h the Bob/eve coupling row; the
     zero-forced gain is beta0 * N - Theta, so Theta lies in [0, beta0 * N].
+    Positions (N,) give a float, a stack (R, N) one loss per row.
     """
     x = np.asarray(x, dtype=float)
     stack, chol = _steering_gram(x, cfg)
-    h = main_channel(x, cfg) @ stack
-    val = h @ _gram_solve(chol, h.conj())
-    if not abs(val.imag) <= 1e-10:
+    h = (main_channel(x, cfg)[..., None, :] @ stack)[..., 0, :]
+    val = (h[..., None, :] @ _gram_solve(chol, h.conj())[..., :, None])[..., 0, 0]
+    bad = ~(np.abs(val.imag) <= 1e-10)
+    if np.any(bad):
         raise SingularSteeringError(
-            f"nulling loss has imaginary residue {val.imag:.2e}; "
+            "nulling loss has imaginary residue "
+            f"{np.asarray(val.imag)[bad][0]:.2e}; "
             "the steering Gram solve is inaccurate")
-    return float(val.real)
+    return float(val.real) if val.ndim == 0 else val.real
 
 
 def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
@@ -219,11 +244,13 @@ def pgd_solve(x0, cfg: SystemConfig, params=None,
                      trace=trace)
 
 
-def zf_outage(x: FloatArray, cfg: SystemConfig) -> float:
+def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     """Closed-form secrecy outage with the zero-forcing beamformer at x.
 
     Nulling zeroes every eavesdropper LoS gain, so the collusion sum keeps
     only its scattered part and the legitimate gain is beta0 * N - Theta.
+    Positions (N,) give a float; a stack (R, N) gives one outage per row
+    from one Gram factorization and one incomplete-gamma call.
     """
     mm = moment_match(cfg)
     lin, quad = mm.moments(np.zeros(cfg.n_eves))

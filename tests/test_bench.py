@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from masec import surrogate
+from masec import bench, surrogate
 from masec.bench import (
     SchemeId,
     SweepSpec,
@@ -20,9 +20,10 @@ from masec.bench import (
     run_scheme,
     run_sweep,
 )
+from masec.ascent import OptimizerParams, bisection_outage_min
 from masec.cli import main
-from masec.model import feasible_region
-from masec.ascent import OptimizerParams
+from masec.model import feasible_region, mrt_beamformer
+from masec.zf import SingularSteeringError, zf_outage
 
 
 class TestSchemes:
@@ -77,6 +78,69 @@ class TestSchemes:
     def test_unknown_scheme_rejected(self, table):
         with pytest.raises(ValueError):
             run_scheme("NOT_A_SCHEME", base_config(), table=table)
+
+
+def reference_random_placement(scheme, cfg, seed, restarts, table):
+    """Best of ``restarts`` placements drawn and evaluated one at a time."""
+    rng = np.random.default_rng(seed)
+    region = feasible_region(cfg)
+    best_p, best_x = np.inf, None
+    for _ in range(restarts):
+        x = rng.uniform(region.lo, region.hi)
+        if scheme is SchemeId.RAP_ZF:
+            p = zf_outage(x, cfg)
+        else:
+            p = bisection_outage_min(cfg, table, w0=mrt_beamformer(x, cfg),
+                                     x0=x, mode="beam_only").p_out
+        if p < best_p:
+            best_p, best_x = p, x
+    return best_p, best_x
+
+
+class TestRandomPlacement:
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "k-sweep"])
+    @pytest.mark.parametrize("scheme,restarts", [(SchemeId.RAP_ZF, 1),
+                                                 (SchemeId.RAP_ZF, 150),
+                                                 (SchemeId.RAP_OB, 4)])
+    def test_matches_per_restart_loop(self, name, scheme, restarts, table):
+        cfg = preset(name)
+        res = run_scheme(scheme, cfg, seed=3, restarts=restarts, table=table)
+        p, x = reference_random_placement(scheme, cfg, 3, restarts, table)
+        assert np.array_equal(res.x, x)
+        assert res.p_out == pytest.approx(p, rel=1e-14, abs=1e-15)
+
+    def test_rap_zf_skips_singular_draws(self, monkeypatch):
+        cfg = base_config(n_eves=2, thetas=(0.0, np.pi / 2), betas=(1.0, 1.0),
+                          ks=(4.0, 4.0))
+        draw = bench.random_feasible_positions
+
+        def plant_singular_draw(region, rng, count=None):
+            xs = draw(region, rng, count)
+            xs[1] = np.arange(5.0)    # both eves see the same LoS row
+            return xs
+
+        monkeypatch.setattr(bench, "random_feasible_positions",
+                            plant_singular_draw)
+        res = run_scheme(SchemeId.RAP_ZF, cfg, seed=4, restarts=6)
+        xs = plant_singular_draw(feasible_region(cfg),
+                                 np.random.default_rng(4), 6)
+        with pytest.raises(SingularSteeringError):
+            zf_outage(xs[1], cfg)
+        usable = np.delete(xs, 1, axis=0)
+        outs = [zf_outage(x, cfg) for x in usable]
+        assert np.array_equal(res.x, usable[int(np.argmin(outs))])
+        assert res.p_out == pytest.approx(min(outs), rel=1e-14)
+
+    def test_rap_zf_raises_when_no_draw_is_usable(self):
+        cfg = base_config(n_eves=2, thetas=(0.5, 0.5 + 1e-9), betas=(1.0, 1.0),
+                          ks=(4.0, 4.0))
+        with pytest.raises(SingularSteeringError, match="ill-conditioned"):
+            run_scheme(SchemeId.RAP_ZF, cfg, seed=0, restarts=5)
+
+    @pytest.mark.parametrize("scheme", [SchemeId.RAP_ZF, SchemeId.RAP_OB])
+    def test_needs_a_restart(self, scheme, table):
+        with pytest.raises(ValueError, match="restarts"):
+            run_scheme(scheme, base_config(), table=table, restarts=0)
 
 
 class TestApplyVariable:
@@ -292,6 +356,17 @@ class TestCli:
         tab = tmp_path / "table.txt"
         tab.write_text("# masec-surrogate-v1\n")
         code = main(["solve", "--preset", "ob-demo", "--scheme", "FPA_OB",
+                     "--table", str(tab)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_table_is_error_exit(self, tmp_path, capsys):
+        tab = tmp_path / "table.txt"
+        assert main(["fit-table", "--tau", "0.1", "--out", str(tab)]) == 0
+        lines = tab.read_text().splitlines()
+        lines[4] = "nan " + lines[4].split(maxsplit=1)[1]
+        tab.write_text("\n".join(lines) + "\n")
+        code = main(["solve", "--preset", "ob-demo", "--scheme", "MA_OB",
                      "--table", str(tab)])
         assert code == 2
         assert "error:" in capsys.readouterr().err

@@ -94,6 +94,16 @@ def test_eve_los_matrix_rows_are_steering_vectors():
         assert np.allclose(mat[i], steering_vector(x, theta, cfg))
 
 
+def test_eve_los_matrix_stacks_over_leading_axes():
+    cfg = small_config()
+    xs = random_feasible_positions(feasible_region(cfg),
+                                   np.random.default_rng(2), 6)
+    mats = eve_los_matrix(xs.reshape(2, 3, 5), cfg)
+    assert mats.shape == (2, 3, 2, 5)
+    for x, mat in zip(xs, mats.reshape(6, 2, 5)):
+        assert np.array_equal(mat, eve_los_matrix(x, cfg))
+
+
 class TestFeasibleRegion:
     def test_frozen_partition_for_default_geometry(self):
         # N=5, span 4, dmin 0.5: five width-0.4 intervals, gaps exactly 0.5
@@ -150,6 +160,16 @@ def test_random_positions_feasible_and_seeded():
     b = random_feasible_positions(reg, np.random.default_rng(5))
     assert np.array_equal(a, b)
     assert reg.contains(a)
+
+
+@pytest.mark.parametrize("n_antennas", [2, 5, 8])
+def test_random_position_block_equals_sequential_draws(n_antennas):
+    reg = feasible_region(small_config(n_antennas=n_antennas))
+    rng = np.random.default_rng(9)
+    block = random_feasible_positions(reg, np.random.default_rng(9), 40)
+    assert block.shape == (40, n_antennas)
+    for row in block:
+        assert np.array_equal(row, random_feasible_positions(reg, rng))
 
 
 class TestChannelSampling:

@@ -15,6 +15,7 @@ from masec.model import (
 from masec.outage import (
     collusion_power_samples,
     gamma_moments,
+    gamma_outage,
     link_stats,
     monte_carlo_outage,
     outage_scaled_threshold,
@@ -207,3 +208,28 @@ class TestMonteCarlo:
         closed = secrecy_outage_closed_form(w, x, cfg)
         mc = monte_carlo_outage(w, x, cfg, n_trials=100_000, seed=17)
         assert abs(closed - mc) < 0.02
+
+
+class TestGammaOutage:
+    def test_array_matches_elementwise(self):
+        lin = np.array([1.0, 2.5, 0.7, 3.0, 2.0])
+        quad = np.array([0.8, 3.0, 0.4, 2.0, 1.5])
+        thr = np.array([1.2, -0.5, 0.0, 40.0, 2.2])
+        out = gamma_outage(lin, quad, thr)
+        want = [gamma_outage(*args) for args in zip(lin, quad, thr)]
+        assert np.array_equal(out, want)
+        assert out[1] == out[2] == 1.0
+
+    def test_broadcasts_thresholds_against_scalar_moments(self):
+        thr = np.linspace(-1.0, 6.0, 8)
+        out = gamma_outage(1.5, 1.1, thr)
+        assert out.shape == (8,)
+        assert np.array_equal(out, [gamma_outage(1.5, 1.1, t) for t in thr])
+        assert np.all((0.0 <= out) & (out <= 1.0))
+
+    def test_scalar_in_float_out(self):
+        assert type(gamma_outage(1.5, 1.1, 2.0)) is float
+        assert gamma_outage(1.5, 1.1, -2.0) == 1.0
+        assert gamma_outage(1.5, 1.1, 2.0) == pytest.approx(
+            1.0 - lower_incomplete_gamma_reg(1.5**2 / 1.1, 1.5 / 1.1 * 2.0),
+            abs=1e-15)

@@ -1,4 +1,5 @@
 """Quantile surrogate table: fit quality, lookup, persistence."""
+import dataclasses
 import math
 
 import numpy as np
@@ -129,6 +130,59 @@ class TestLookup:
             surrogate_lookup(table, -0.01)
         with pytest.raises(ValueError):
             surrogate_lookup(table, 0.999)
+
+
+def _with_entry(column, index, value):
+    def edit(table):
+        values = getattr(table, column).copy()
+        values[index] = value
+        return {column: values}
+    return edit
+
+
+BAD_TABLES = {
+    "nan eps row": (_with_entry("eps_grid", 4, math.nan), "finite"),
+    "inf intercept": (_with_entry("intercept", 0, math.inf), "finite"),
+    "nan slope": (_with_entry("slope", -1, math.nan), "finite"),
+    "short slopes": (lambda t: {"slope": t.slope[:-1]}, "equal length"),
+    "long intercepts": (lambda t: {"intercept": np.append(t.intercept, 1.0)},
+                        "equal length"),
+    "2-D eps grid": (lambda t: {"eps_grid": t.eps_grid[:, None]},
+                     "equal length"),
+    "repeated eps": (_with_entry("eps_grid", 3, 0.03), "increasing"),
+    "eps of one": (_with_entry("eps_grid", -1, 1.0), "increasing"),
+    "eps of zero": (_with_entry("eps_grid", 0, 0.0), "increasing"),
+    "infinite fit_hi": (lambda t: {"fit_hi": math.inf}, "fit range"),
+    "nan fit_lo": (lambda t: {"fit_lo": math.nan}, "fit range"),
+    "zero fit_lo": (lambda t: {"fit_lo": 0.0}, "fit range"),
+    "reversed fit range": (lambda t: {"fit_lo": 200.0}, "fit range"),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_TABLES))
+    def test_rejects_bad_table(self, case, table):
+        edit, message = BAD_TABLES[case]
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(table, **edit(table))
+
+    @pytest.mark.parametrize("row,field,text,message", [
+        (7, 0, "nan", "finite"),            # an eps row of nan
+        (3, 2, "inf", "finite"),            # an infinite intercept
+        (1, 2, "fit_hi=inf", "fit range"),  # header: an infinite fit range
+    ])
+    def test_load_rejects_bad_table(self, row, field, text, message, table,
+                                    tmp_path):
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        lines = path.read_text().splitlines()
+        words = lines[row].split()
+        words[field] = text
+        lines[row] = " ".join(words)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_table(path)
+        assert str(path) in str(err.value)
 
 
 class TestPersistence:

@@ -19,6 +19,7 @@ from masec.zf import (
     bob_gain_loss,
     bob_gain_loss_grad,
     pgd_solve,
+    well_conditioned,
     zf_beamformer,
     zf_outage,
 )
@@ -181,6 +182,52 @@ class TestZfOutage:
         outs = [zf_outage(x, dataclasses.replace(cfg, pa=float(10 ** (db / 10))))
                 for db in np.arange(0.0, 40.0, 2.5)]
         assert np.all(np.diff(outs) <= 1e-12)
+
+
+class TestStacks:
+    """A (R, N) stack of placements gives, row for row, the values of R
+    single calls; one placement is a stack with no leading axis."""
+
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far",
+                                      "zf-demo-near", "k-sweep"])
+    def test_rows_match_single_calls(self, name):
+        cfg = preset(name)
+        xs = random_feasible_positions(feasible_region(cfg),
+                                       np.random.default_rng(6), 60)
+        losses = bob_gain_loss(xs, cfg)
+        outs = zf_outage(xs, cfg)
+        assert losses.shape == outs.shape == (60,)
+        single_losses = [bob_gain_loss(x, cfg) for x in xs]
+        single_outs = [zf_outage(x, cfg) for x in xs]
+        if cfg.n_eves == 1:
+            assert np.array_equal(losses, single_losses)
+            assert np.array_equal(outs, single_outs)
+        else:
+            np.testing.assert_allclose(losses, single_losses, rtol=1e-14)
+            np.testing.assert_allclose(outs, single_outs, rtol=1e-14)
+
+    def test_scalar_in_float_out(self):
+        cfg = two_eve_config()
+        x = feasible_region(cfg).midpoints()
+        assert type(zf_outage(x, cfg)) is float
+        assert type(bob_gain_loss(x, cfg)) is float
+
+    def test_any_singular_lane_raises(self):
+        cfg = two_eve_config(thetas=(0.0, np.pi / 2))
+        xs = random_feasible_positions(feasible_region(cfg),
+                                       np.random.default_rng(1), 4)
+        assert well_conditioned(xs, cfg).all()
+        xs[2] = np.arange(5.0)    # both eves see the same LoS row
+        assert well_conditioned(xs, cfg).tolist() == [True, True, False, True]
+        for fn in (zf_outage, bob_gain_loss):
+            with pytest.raises(SingularSteeringError, match="ill-conditioned"):
+                fn(xs, cfg)
+
+    def test_power_starved_lanes_are_certain_outage(self):
+        cfg = two_eve_config(pa=1e-4)
+        xs = random_feasible_positions(feasible_region(cfg),
+                                       np.random.default_rng(2), 5)
+        assert np.array_equal(zf_outage(xs, cfg), np.ones(5))
 
 
 
