@@ -10,6 +10,7 @@ backtracking against a quadratic model.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,6 +178,30 @@ def _normalize(w: ComplexArray) -> ComplexArray:
     return w / np.linalg.norm(w)
 
 
+def line_search(value, point, obj: float, direction, slope, project,
+                params: OptimizerParams):
+    """One projected backtracking step of an ascent on ``value``.
+
+    Tries ``cand = project(point + delta * direction)`` for delta = delta0,
+    delta0 * shrink, ... down to min_step and accepts the first candidate
+    whose value reaches the quadratic model
+    ``obj + slope(step) - |step|^2 / delta`` with ``step = cand - point``;
+    ``slope(step)`` is the directional derivative of the objective at
+    ``point``.  Returns ``(delta, cand, value, value - model)`` for the
+    accepted candidate, which is the last one evaluated, or None.
+    """
+    delta = params.delta0
+    while delta >= params.min_step:
+        cand = project(point + delta * direction)
+        step = cand - point
+        model = obj + slope(step) - float(np.vdot(step, step).real) / delta
+        val = value(cand)
+        if val >= model:
+            return delta, cand, val, val - model
+        delta *= params.shrink
+    return None
+
+
 def apga_solve(
     w0, x0, eps: float, table: LinearFitTable, cfg: SystemConfig,
     params: OptimizerParams | None = None, mode: str = "joint",
@@ -191,11 +216,12 @@ def apga_solve(
     monotone, since the matched filter maximizes the legitimate gain, not
     the margin).
 
-    Beamformer candidates are renormalized to the unit sphere and position
-    candidates clamped into the movement region; a candidate is accepted
-    once the objective at it reaches the quadratic model built from the
-    step's gradient, which for these projections implies the objective
-    never decreases within a block.
+    Each block is one ``line_search``: beamformer candidates are
+    renormalized to the unit sphere and position candidates clamped into
+    the movement region, and a candidate is accepted once the objective at
+    it reaches the quadratic model built from the block's gradient, which
+    for these projections implies the objective never decreases within a
+    block.  A block that accepts no step leaves its variable unchanged.
     """
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -207,7 +233,16 @@ def apga_solve(
     w = _normalize(np.asarray(w0, dtype=complex))
     x = np.asarray(x0, dtype=float)
     rows = sc.steer_rows(x)
+    cand_rows = rows
     obj = sc.margin(rows, w, slope, intercept)
+
+    def beam_margin(cand):
+        return sc.margin(rows, cand, slope, intercept)
+
+    def pos_margin(cand):
+        nonlocal cand_rows   # kept for the accepted (last evaluated) candidate
+        cand_rows = sc.steer_rows(cand)
+        return sc.margin(cand_rows, w, slope, intercept)
 
     trace: list[TraceRecord] = []
     converged = False
@@ -217,45 +252,27 @@ def apga_solve(
         rec = TraceRecord(iteration=it, delta_beam=None, delta_pos=None,
                           objective=obj)
 
+        obj_w = obj
         if mode == "positions_mrt":
             w = mrt_beamformer(x, cfg)
             obj_w = sc.margin(rows, w, slope, intercept)
-        elif mode in ("joint", "beam_only"):
-            grad = sc.margin_grad_w(rows, w, slope, intercept)
-            delta = params.delta0
-            obj_w = obj
-            while delta >= params.min_step:
-                cand = _normalize(w + delta * grad)
-                step = cand - w
-                model = obj + 2.0 * float(np.real(np.vdot(grad, step))) \
-                    - float(np.real(np.vdot(step, step))) / delta
-                value = sc.margin(rows, cand, slope, intercept)
-                if value >= model:
-                    rec.delta_beam, rec.beam_gap = delta, value - model
-                    w, obj_w = cand, value
-                    break
-                delta *= params.shrink
         else:
-            obj_w = obj
+            g = sc.margin_grad_w(rows, w, slope, intercept)
+            found = line_search(beam_margin, w, obj, g,
+                                lambda s: 2.0 * float(np.vdot(g, s).real),
+                                _normalize, params)
+            if found is not None:
+                rec.delta_beam, w, obj_w, rec.beam_gap = found
 
-        if mode in ("joint", "positions_mrt"):
-            grad = sc.margin_grad_x(rows, w, slope, intercept)
-            delta = params.delta0
-            obj_x = obj_w
-            while delta >= params.min_step:
-                cand = project_positions(x + delta * grad, region)
-                step = cand - x
-                cand_rows = sc.steer_rows(cand)
-                model = obj_w + float(grad @ step) \
-                    - float(step @ step) / delta
-                value = sc.margin(cand_rows, w, slope, intercept)
-                if value >= model:
-                    rec.delta_pos, rec.pos_gap = delta, value - model
-                    x, rows, obj_x = cand, cand_rows, value
-                    break
-                delta *= params.shrink
-        else:
-            obj_x = obj_w
+        obj_x = obj_w
+        if mode != "beam_only":
+            g = sc.margin_grad_x(rows, w, slope, intercept)
+            found = line_search(pos_margin, x, obj_w, g,
+                                lambda s: float(g @ s),
+                                lambda c: project_positions(c, region), params)
+            if found is not None:
+                rec.delta_pos, x, obj_x, rec.pos_gap = found
+                rows = cand_rows
 
         improvement = obj_x - obj
         obj = obj_x
@@ -270,6 +287,39 @@ def apga_solve(
                       converged=converged, trace=trace)
 
 
+def bisect_confidence(probe, eps_max: float, tau: float) -> list[tuple]:
+    """Bisect the confidence level eps over [0, eps_max].
+
+    ``probe(eps)`` returns ``(feasible, payload)``.  Probing starts at
+    min(0.5, eps_max), moves up after a feasible level and down after an
+    infeasible one, and stops once the bracket is at most ``tau`` wide.
+    Returns every probe as ``(eps, feasible, payload)`` in order; the last
+    feasible one is the certified level.
+    """
+    eps_lo, eps_hi = 0.0, eps_max
+    eps = min(0.5, eps_max)
+    probes = []
+    while True:
+        feasible, payload = probe(eps)
+        probes.append((eps, feasible, payload))
+        if feasible:
+            eps_lo = eps
+            eps = 0.5 * (eps + eps_hi)
+        else:
+            eps_hi = eps
+            eps = 0.5 * (eps_lo + eps)
+        if eps_hi - eps_lo <= tau:
+            return probes
+
+
+def _certified(probes: list[tuple]) -> tuple[float, bool, object]:
+    """The last feasible probe, or eps 0 with the last probe's payload."""
+    for eps, feasible, payload in reversed(probes):
+        if feasible:
+            return eps, True, payload
+    return 0.0, False, probes[-1][2]
+
+
 def bisection_outage_min(
     cfg: SystemConfig,
     table: LinearFitTable | None = None,
@@ -279,11 +329,12 @@ def bisection_outage_min(
 ) -> BisectionResult:
     """Minimize the secrecy outage by bisection on the confidence level.
 
-    Starts probing at eps = 0.5 over [0, min(1, table max)]; each probe
-    solves the margin maximization (warm-started from the previous probe)
-    and the sign of the attained maximum steers the bisection, which stops
-    once the bracket is narrower than params.tau.  The reported outage is
-    the closed-form value at the best feasible solution.
+    ``bisect_confidence`` probes over [0, min(1, table max)], starting at
+    min(0.5, that bound); each probe solves the margin maximization
+    (warm-started from the previous probe) and the sign of the attained
+    maximum steers the bisection, which stops once the bracket is narrower
+    than params.tau.  The reported outage is the closed-form value at the
+    best feasible solution.
     """
     table = table or default_table()
     params = params or OptimizerParams()
@@ -291,44 +342,21 @@ def bisection_outage_min(
     x = np.asarray(x0, dtype=float) if x0 is not None else region.midpoints()
     w = np.asarray(w0, dtype=complex) if w0 is not None else mrt_beamformer(x, cfg)
 
-    eps_lo, eps_hi = 0.0, min(1.0, table.max_eps)
-    eps = 0.5
-    best: tuple[float, ApgaResult] | None = None
-    last: ApgaResult | None = None
-    probes: list[tuple[float, bool, float]] = []
-    rounds = 0
-    total_iter = 0
-    while True:
-        rounds += 1
+    def probe(eps: float):
+        nonlocal w, x
         res = apga_solve(w, x, eps, table, cfg, params, mode=mode,
                          keep_trace=keep_trace)
-        total_iter += res.n_iter
-        last = res
         w, x = res.w, res.x
-        feasible = res.objective > 0.0
-        probes.append((eps, feasible, res.objective))
-        if feasible:
-            eps_lo = eps
-            best = (eps, res)
-            eps = 0.5 * (eps + eps_hi)
-        else:
-            eps_hi = eps
-            eps = 0.5 * (eps_lo + eps)
-        if eps_hi - eps_lo <= params.tau:
-            break
+        return res.objective > 0.0, res
 
-    if best is not None:
-        eps_star, sol = best
-        p_out = secrecy_outage_closed_form(sol.w, sol.x, cfg)
-        return BisectionResult(eps=eps_star, p_out=p_out, w=sol.w, x=sol.x,
-                               feasible=True, rounds=rounds,
-                               total_iterations=total_iter, probes=probes,
-                               best_trace=sol.trace if keep_trace else None)
-    p_out = secrecy_outage_closed_form(last.w, last.x, cfg)
-    return BisectionResult(eps=0.0, p_out=p_out, w=last.w, x=last.x,
-                           feasible=False, rounds=rounds,
-                           total_iterations=total_iter, probes=probes,
-                           best_trace=last.trace if keep_trace else None)
+    runs = bisect_confidence(probe, min(1.0, table.max_eps), params.tau)
+    eps_star, feasible, sol = _certified(runs)
+    return BisectionResult(
+        eps=eps_star, p_out=secrecy_outage_closed_form(sol.w, sol.x, cfg),
+        w=sol.w, x=sol.x, feasible=feasible, rounds=len(runs),
+        total_iterations=sum(res.n_iter for _, _, res in runs),
+        probes=[(eps, feas, res.objective) for eps, feas, res in runs],
+        best_trace=sol.trace if keep_trace else None)
 
 
 @dataclass
@@ -358,13 +386,8 @@ def maximize_gamma_objective(
     table = table or default_table()
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    fracs = [0.15, 0.5, 0.85]
-    if len(bounds) == 1:
-        starts = [lo + f * (hi - lo) for f in fracs]
-    else:
-        mesh = np.meshgrid(*[[f for f in fracs]] * len(bounds), indexing="ij")
-        starts = [lo + np.array(pt) * (hi - lo)
-                  for pt in zip(*[m.ravel() for m in mesh])]
+    starts = [lo + np.array(f) * (hi - lo)
+              for f in itertools.product((0.15, 0.5, 0.85), repeat=len(bounds))]
 
     def inner_max(slope: float, intercept: float):
         def neg(v):
@@ -377,24 +400,12 @@ def maximize_gamma_objective(
                 best_v, best_val = r.x, r.fun
         return best_v, -best_val
 
-    eps_lo, eps_hi = 0.0, min(1.0, table.max_eps)
-    eps = 0.5
-    best = None
-    last_v = 0.5 * (lo + hi)
-    while True:
-        slope, intercept = surrogate_lookup(table, eps)
-        v, margin = inner_max(slope, intercept)
-        last_v = v
-        if margin > 0.0:
-            eps_lo, best = eps, (eps, v)
-            eps = 0.5 * (eps + eps_hi)
-        else:
-            eps_hi = eps
-            eps = 0.5 * (eps_lo + eps)
-        if eps_hi - eps_lo <= tau:
-            break
+    def probe(eps: float):
+        v, margin = inner_max(*surrogate_lookup(table, eps))
+        return margin > 0.0, v
 
-    eps_star, v_star = best if best is not None else (0.0, last_v)
+    eps_star, _, v_star = _certified(
+        bisect_confidence(probe, min(1.0, table.max_eps), tau))
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))
     return ToyResult(eps=eps_star, point=np.asarray(v_star), value=value)

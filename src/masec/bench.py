@@ -113,17 +113,12 @@ def run_scheme(
         raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
-        best: SchemeResult | None = None
-        total = 0
-        for x in random_feasible_positions(region, rng, restarts):
-            res = bisection_outage_min(cfg, table, params,
-                                       w0=mrt_beamformer(x, cfg), x0=x,
-                                       mode="beam_only")
-            total += res.total_iterations
-            if best is None or res.p_out < best.p_out:
-                best = SchemeResult(p_out=res.p_out, w=res.w, x=res.x,
-                                    iterations=0, eps=res.eps, detail=res)
-        best.iterations = total
+        runs = [bisection_outage_min(cfg, table, params,
+                                     w0=mrt_beamformer(x, cfg), x0=x,
+                                     mode="beam_only")
+                for x in random_feasible_positions(region, rng, restarts)]
+        best = from_bisection(min(runs, key=lambda r: r.p_out))  # first wins ties
+        best.iterations = sum(r.total_iterations for r in runs)
         return best
 
     if scheme is SchemeId.RAP_ZF:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .ascent import OptimizerParams
+from .ascent import OptimizerParams, TraceRecord, line_search
 from .model import (
     SystemConfig,
     eve_los_matrix,
@@ -180,64 +180,48 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
 
 
 @dataclass
-class PgdTraceRecord:
-    iteration: int
-    delta: float | None
-    objective: float
-    gap: float | None = None
-
-
-@dataclass
 class PgdResult:
     x: FloatArray
     loss: float
     n_iter: int
     converged: bool
-    trace: list[PgdTraceRecord] = field(default_factory=list)
+    trace: list[TraceRecord] = field(default_factory=list)
 
 
 def pgd_solve(x0, cfg: SystemConfig, params=None,
               keep_trace: bool = True) -> PgdResult:
     """Minimize the nulling loss by projected gradient descent.
 
-    Mirrors the ascent solver's backtracking: a candidate is accepted once
-    the loss is no larger than the quadratic model around the current point,
+    Each iteration is the ascent solver's ``line_search`` on the negated
+    loss, which IEEE negation keeps exact: a candidate is accepted once the
+    loss is no larger than the quadratic model around the current point,
     which together with the box projection guarantees a nonincreasing loss
-    trace.  Step size resets to delta0 every iteration.
+    trace.  Step size resets to delta0 every iteration.  Trace records hold
+    the loss as ``objective`` and the accepted step and model gap as
+    ``delta_pos`` and ``pos_gap``.
     """
     params = params or OptimizerParams()
     region = feasible_region(cfg)
     x = np.asarray(x0, dtype=float)
     loss = bob_gain_loss(x, cfg)
-    trace: list[PgdTraceRecord] = []
+    trace: list[TraceRecord] = []
     converged = False
     n_iter = 0
     for it in range(1, params.max_outer + 1):
         n_iter = it
-        grad = bob_gain_loss_grad(x, cfg)
-        delta = params.delta0
-        accepted = None
-        while delta >= params.min_step:
-            cand = project_positions(x - delta * grad, region)
-            step = cand - x
-            model = loss + float(grad @ step) + float(step @ step) / delta
-            value = bob_gain_loss(cand, cfg)
-            if value <= model:
-                accepted = (delta, cand, value, model - value)
-                break
-            delta *= params.shrink
-        if accepted is None:
-            if keep_trace:
-                trace.append(PgdTraceRecord(iteration=it, delta=None,
-                                            objective=loss))
-            converged = True
-            break
-        improvement = loss - accepted[2]
-        x, loss = accepted[1], accepted[2]
+        d = -bob_gain_loss_grad(x, cfg)
+        found = line_search(lambda c: -bob_gain_loss(c, cfg), x, -loss, d,
+                            lambda s: float(d @ s),
+                            lambda c: project_positions(c, region), params)
+        rec = TraceRecord(iteration=it, delta_beam=None, delta_pos=None,
+                          objective=loss)
+        if found is not None:
+            rec.delta_pos, x, neg_loss, rec.pos_gap = found
+            improvement = loss + neg_loss
+            loss = rec.objective = -neg_loss
         if keep_trace:
-            trace.append(PgdTraceRecord(iteration=it, delta=accepted[0],
-                                        objective=loss, gap=accepted[3]))
-        if improvement < params.obj_tol:
+            trace.append(rec)
+        if found is None or improvement < params.obj_tol:
             converged = True
             break
     return PgdResult(x=x, loss=loss, n_iter=n_iter, converged=converged,

@@ -11,7 +11,9 @@ import masec
 from masec.ascent import (
     OptimizerParams,
     apga_solve,
+    bisect_confidence,
     bisection_outage_min,
+    line_search,
     margin_grad_beamformer,
     margin_grad_positions,
     margin_objective,
@@ -33,7 +35,7 @@ from masec.outage import (
     outage_scaled_threshold,
     secrecy_outage_closed_form,
 )
-from masec.surrogate import surrogate_lookup
+from masec.surrogate import fit_linear_surrogate, surrogate_lookup
 
 
 def cfg_two_eves():
@@ -240,6 +242,75 @@ class TestBisection:
     def test_trace_absent_by_default(self, table):
         res = bisection_outage_min(preset("ob-demo"), table)
         assert res.best_trace is None
+
+
+class TestLineSearch:
+    def test_first_step_reaching_the_model(self):
+        # ascend -3 (p - 3)^2 on [0, 10] from p = 0 (value -27, slope 18):
+        # delta = 1 lands on the clamp at 10 and delta = 0.5 on 9, both
+        # below the model; delta = 0.25 reaches 4.5, value -6.75 >= -27
+        calls = []
+
+        def value(c):
+            calls.append(c[0])
+            return float(-3.0 * (c[0] - 3.0) ** 2)
+        grad = np.array([18.0])
+        delta, cand, val, gap = line_search(
+            value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
+            lambda c: np.clip(c, 0.0, 10.0), OptimizerParams())
+        assert calls == [10.0, 9.0, 4.5]
+        assert (delta, cand[0], val) == (0.25, 4.5, -6.75)
+        assert gap == 20.25
+
+    def test_none_when_no_step_is_accepted(self):
+        calls = []
+
+        def value(c):
+            calls.append(c)
+            return -1.0      # always below the model, which starts at 0
+        res = line_search(value, np.zeros(2), 0.0, np.ones(2),
+                          lambda s: float(np.sum(s)), lambda c: c,
+                          OptimizerParams(min_step=0.1))
+        assert res is None
+        # delta = 1, 0.5, 0.25, 0.125 are tried; 0.0625 < min_step is not
+        assert len(calls) == 4
+
+
+class TestBisectConfidence:
+    def test_always_feasible_ends_near_top(self):
+        probes = bisect_confidence(lambda e: (True, e), 0.9, 0.01)
+        assert probes[0][0] == 0.5
+        assert probes[-1][0] >= 0.9 - 0.01
+        assert all(f and e == p for e, f, p in probes)
+
+    def test_never_feasible_ends_near_zero(self):
+        probes = bisect_confidence(lambda e: (False, None), 1.0, 0.01)
+        assert probes[-1][0] <= 0.01
+        assert len(probes) == 7
+
+    def test_starts_at_top_below_half(self):
+        probes = bisect_confidence(lambda e: (True, None), 0.4, 0.01)
+        assert [e for e, _, _ in probes] == [0.4]
+
+
+class TestShortTable:
+    @pytest.fixture(scope="class")
+    def short_table(self):
+        return fit_linear_surrogate(tau=0.4)
+
+    def test_bisection_certifies_table_top(self, short_table):
+        res = bisection_outage_min(preset("ob-demo"), short_table)
+        assert res.probes[0][0] == 0.4
+        assert res.feasible
+        assert res.eps == 0.4
+        assert res.rounds == 1
+
+    def test_toy_maximizer_runs(self, short_table):
+        res = maximize_gamma_objective(
+            lambda v: v[0] + 1.0, lambda v: 2.0 * np.sqrt(v[0]),
+            [(0.0, 2.0)], table=short_table)
+        assert res.eps in (0.0, 0.4)
+        assert 0.0 <= res.point[0] <= 2.0
 
 
 class TestToyMaximizer:

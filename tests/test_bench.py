@@ -380,11 +380,24 @@ class TestCli:
         assert not tab.exists()
 
     def test_trace_output(self, tmp_path, capsys):
-        trace = tmp_path / "trace.txt"
+        for preset_name, scheme in [("ob-demo", "MA_OB"),
+                                    ("zf-demo-far", "MA_ZF")]:
+            trace = tmp_path / f"{scheme}.txt"
+            code = main(["solve", "--preset", preset_name, "--scheme", scheme,
+                         "--trace", str(trace)])
+            assert code == 0
+            lines = trace.read_text().splitlines()
+            assert lines[0].startswith("#")
+            assert len(lines) > 1
+
+    def test_table_below_half_is_usable(self, tmp_path, capsys):
+        # one row at eps 0.4: the bisection starts at the table's top
+        tab = tmp_path / "table.txt"
+        surrogate.save_table(surrogate.fit_linear_surrogate(tau=0.4), tab)
         code = main(["solve", "--preset", "ob-demo", "--scheme", "MA_OB",
-                     "--trace", str(trace)])
+                     "--table", str(tab)])
         assert code == 0
-        assert trace.read_text().startswith("#")
+        assert "eps=0.4000" in capsys.readouterr().out
 
 
 def test_scheme_result_carries_eps_only_for_bisection(table):

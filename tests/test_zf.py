@@ -120,6 +120,11 @@ class TestDescent:
         objs = [r.objective for r in res.trace]
         assert np.all(np.diff(objs) <= 1e-12)
         assert res.converged
+        # every record but a final rejected search holds an accepted step
+        accepted = [r for r in res.trace if r.delta_pos is not None]
+        assert len(accepted) >= max(1, len(res.trace) - 1)
+        assert all(r.pos_gap >= -1e-12 for r in accepted)
+        assert all(r.delta_beam is None for r in res.trace)
 
     def test_far_pair_reaches_low_loss(self):
         cfg = preset("zf-demo-far")
