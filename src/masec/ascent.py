@@ -38,9 +38,12 @@ TWO_PI = 2.0 * np.pi
 class OptimizerParams:
     """Shared knobs of the ascent/descent loops.
 
-    delta0 is the initial step size of every backtracking line search and is
-    reset at the start of each beamformer block and each position block;
-    shrink multiplies it on rejection.  tau is both the surrogate grid
+    delta0 caps the step size a backtracking line search starts from: each
+    block of a loop starts at min(delta0, 2 x its last accepted step), and
+    the first search of a solve at delta0.  shrink multiplies the step on
+    rejection.  A loop stops once one iteration changes its objective by
+    less than obj_tol x max(1, |objective|), a relative test that reads the
+    same at every scale of the objective.  tau is both the surrogate grid
     spacing and the bisection termination width.
     """
 
@@ -85,7 +88,10 @@ class BisectionResult:
     ``eps`` is the largest confidence level certified feasible; ``p_out``
     is the closed-form outage at the returned solution.  When no probed
     level was feasible, ``feasible`` is False and the best-effort iterate
-    of the last probe is returned with eps = 0.
+    of the last probe is returned with eps = 0.  When the closed form rules
+    out every level before any probe (the legitimate gain cannot reach a
+    positive outage threshold), ``rounds`` is 0, ``probes`` is empty and
+    the start point is returned with p_out 1.
     """
 
     eps: float
@@ -179,18 +185,17 @@ def _normalize(w: ComplexArray) -> ComplexArray:
 
 
 def line_search(value, point, obj: float, direction, slope, project,
-                params: OptimizerParams):
+                params: OptimizerParams, delta: float):
     """One projected backtracking step of an ascent on ``value``.
 
-    Tries ``cand = project(point + delta * direction)`` for delta = delta0,
-    delta0 * shrink, ... down to min_step and accepts the first candidate
-    whose value reaches the quadratic model
+    Tries ``cand = project(point + delta * direction)`` for the given start
+    delta, delta * shrink, ... down to params.min_step and accepts the
+    first candidate whose value reaches the quadratic model
     ``obj + slope(step) - |step|^2 / delta`` with ``step = cand - point``;
     ``slope(step)`` is the directional derivative of the objective at
     ``point``.  Returns ``(delta, cand, value, value - model)`` for the
     accepted candidate, which is the last one evaluated, or None.
     """
-    delta = params.delta0
     while delta >= params.min_step:
         cand = project(point + delta * direction)
         step = cand - point
@@ -222,6 +227,10 @@ def apga_solve(
     it reaches the quadratic model built from the block's gradient, which
     for these projections implies the objective never decreases within a
     block.  A block that accepts no step leaves its variable unchanged.
+    Each block carries its step forward: its search starts at
+    min(delta0, 2 x the block's last accepted delta).  The solve stops as
+    converged once an iteration moves the objective by less than
+    obj_tol x max(1, |objective|), and otherwise after max_outer iterations.
     """
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -247,6 +256,7 @@ def apga_solve(
     trace: list[TraceRecord] = []
     converged = False
     n_iter = 0
+    delta_w = delta_x = params.delta0    # last accepted step of each block
     for it in range(1, params.max_outer + 1):
         n_iter = it
         rec = TraceRecord(iteration=it, delta_beam=None, delta_pos=None,
@@ -260,18 +270,22 @@ def apga_solve(
             g = sc.margin_grad_w(rows, w, slope, intercept)
             found = line_search(beam_margin, w, obj, g,
                                 lambda s: 2.0 * float(np.vdot(g, s).real),
-                                _normalize, params)
+                                _normalize, params,
+                                min(params.delta0, 2.0 * delta_w))
             if found is not None:
                 rec.delta_beam, w, obj_w, rec.beam_gap = found
+                delta_w = rec.delta_beam
 
         obj_x = obj_w
         if mode != "beam_only":
             g = sc.margin_grad_x(rows, w, slope, intercept)
             found = line_search(pos_margin, x, obj_w, g,
                                 lambda s: float(g @ s),
-                                lambda c: project_positions(c, region), params)
+                                lambda c: project_positions(c, region), params,
+                                min(params.delta0, 2.0 * delta_x))
             if found is not None:
                 rec.delta_pos, x, obj_x, rec.pos_gap = found
+                delta_x = rec.delta_pos
                 rows = cand_rows
 
         improvement = obj_x - obj
@@ -279,7 +293,7 @@ def apga_solve(
         rec.objective = obj
         if keep_trace:
             trace.append(rec)
-        if abs(improvement) < params.obj_tol:
+        if abs(improvement) < params.obj_tol * max(1.0, abs(obj)):
             converged = True
             break
 
@@ -335,12 +349,25 @@ def bisection_outage_min(
     maximum steers the bisection, which stops once the bracket is narrower
     than params.tau.  The reported outage is the closed-form value at the
     best feasible solution.
+
+    Before any probe, the closed form is checked for certain outage: a
+    unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
+    beta0 N leaves the outage threshold nonpositive, no (w, x) certifies any
+    level.  The start (w, x) is then returned at once with eps 0, no probes
+    and no iterations.
     """
     table = table or default_table()
     params = params or OptimizerParams()
     region = feasible_region(cfg)
     x = np.asarray(x0, dtype=float) if x0 is not None else region.midpoints()
     w = np.asarray(w0, dtype=complex) if w0 is not None else mrt_beamformer(x, cfg)
+
+    if moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0:
+        w = _normalize(w)
+        return BisectionResult(
+            eps=0.0, p_out=secrecy_outage_closed_form(w, x, cfg), w=w, x=x,
+            feasible=False, rounds=0, total_iterations=0, probes=[],
+            best_trace=[] if keep_trace else None)
 
     def probe(eps: float):
         nonlocal w, x

@@ -26,7 +26,7 @@ from .model import (
     random_feasible_positions,
 )
 from .surrogate import LinearFitTable
-from .zf import pgd_solve, well_conditioned, zf_beamformer, zf_outage
+from .zf import pgd_solve, screened_outage, zf_beamformer, zf_outage
 
 PI = np.pi
 
@@ -123,11 +123,8 @@ def run_scheme(
 
     if scheme is SchemeId.RAP_ZF:
         xs = random_feasible_positions(region, rng, restarts)
-        usable = well_conditioned(xs, cfg)
-        if usable.any():
-            xs = xs[usable]
-        # with no usable draw, zf_outage reports the first singular one
-        p = zf_outage(xs, cfg)
+        usable, p = screened_outage(xs, cfg)
+        xs = xs[usable]
         i = int(np.argmin(p))
         return SchemeResult(p_out=float(p[i]), w=zf_beamformer(xs[i], cfg),
                             x=xs[i], iterations=0)

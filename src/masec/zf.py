@@ -12,8 +12,9 @@ Gamma closed form with all LoS eavesdropper gains zeroed.
 placements (R, N) and return a float or one value per row.  A stack costs
 one batched Gram factorization and one incomplete-gamma call, so the
 random-placement baseline scores all its draws at once; every check (the
-Gram condition number, the imaginary residue) still applies per row, and
-``well_conditioned`` says which rows pass the first one.
+Gram condition number, the imaginary residue) still applies per row.
+``screened_outage`` builds and checks each row's Gram matrix once, drops
+the rows that fail the condition check and scores the rest.
 """
 from __future__ import annotations
 
@@ -61,10 +62,13 @@ def _steering(x: FloatArray, cfg: SystemConfig):
     return stack, gram, np.linalg.cond(gram)
 
 
-def well_conditioned(x: FloatArray, cfg: SystemConfig):
-    """Per placement in ``x`` (..., N): whether its steering Gram matrix
-    passes the condition check that every zero-forcing routine applies."""
-    return _steering(x, cfg)[2] <= _COND_LIMIT
+def _ill_conditioned(cond: float, cfg: SystemConfig) -> SingularSteeringError:
+    worst = _closest_pair(cfg)
+    return SingularSteeringError(
+        "eavesdropper steering matrix ill-conditioned "
+        f"(cond={cond:.2e}); "
+        f"closest angles: theta_{worst[0]+1}={worst[2]:.6f} and "
+        f"theta_{worst[1]+1}={worst[3]:.6f} rad")
 
 
 def _steering_gram(x: FloatArray, cfg: SystemConfig):
@@ -73,12 +77,7 @@ def _steering_gram(x: FloatArray, cfg: SystemConfig):
     stack, gram, cond = _steering(x, cfg)
     bad = ~(cond <= _COND_LIMIT)
     if np.any(bad):
-        worst = _closest_pair(cfg)
-        raise SingularSteeringError(
-            "eavesdropper steering matrix ill-conditioned "
-            f"(cond={np.asarray(cond)[bad][0]:.2e}); "
-            f"closest angles: theta_{worst[0]+1}={worst[2]:.6f} and "
-            f"theta_{worst[1]+1}={worst[3]:.6f} rad")
+        raise _ill_conditioned(np.asarray(cond)[bad][0], cfg)
     return stack, np.linalg.cholesky(gram)
 
 
@@ -130,7 +129,11 @@ def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     Positions (N,) give a float, a stack (R, N) one loss per row.
     """
     x = np.asarray(x, dtype=float)
-    stack, chol = _steering_gram(x, cfg)
+    return _loss(x, *_steering_gram(x, cfg), cfg)
+
+
+def _loss(x: FloatArray, stack, chol, cfg: SystemConfig):
+    """``bob_gain_loss`` from the steering stacks and Gram factors of x."""
     h = (main_channel(x, cfg)[..., None, :] @ stack)[..., 0, :]
     val = (h[..., None, :] @ _gram_solve(chol, h.conj())[..., :, None])[..., 0, 0]
     bad = ~(np.abs(val.imag) <= 1e-10)
@@ -196,9 +199,11 @@ def pgd_solve(x0, cfg: SystemConfig, params=None,
     loss, which IEEE negation keeps exact: a candidate is accepted once the
     loss is no larger than the quadratic model around the current point,
     which together with the box projection guarantees a nonincreasing loss
-    trace.  Step size resets to delta0 every iteration.  Trace records hold
-    the loss as ``objective`` and the accepted step and model gap as
-    ``delta_pos`` and ``pos_gap``.
+    trace.  Each search starts at min(delta0, 2 x the last accepted step),
+    and the descent stops once no step is accepted or one lowers the loss
+    by less than obj_tol x max(1, |loss|).  Trace records hold the loss as
+    ``objective`` and the accepted step and model gap as ``delta_pos`` and
+    ``pos_gap``.
     """
     params = params or OptimizerParams()
     region = feasible_region(cfg)
@@ -207,21 +212,24 @@ def pgd_solve(x0, cfg: SystemConfig, params=None,
     trace: list[TraceRecord] = []
     converged = False
     n_iter = 0
+    delta = params.delta0
     for it in range(1, params.max_outer + 1):
         n_iter = it
         d = -bob_gain_loss_grad(x, cfg)
         found = line_search(lambda c: -bob_gain_loss(c, cfg), x, -loss, d,
                             lambda s: float(d @ s),
-                            lambda c: project_positions(c, region), params)
+                            lambda c: project_positions(c, region), params,
+                            min(params.delta0, 2.0 * delta))
         rec = TraceRecord(iteration=it, delta_beam=None, delta_pos=None,
                           objective=loss)
         if found is not None:
             rec.delta_pos, x, neg_loss, rec.pos_gap = found
+            delta = rec.delta_pos
             improvement = loss + neg_loss
             loss = rec.objective = -neg_loss
         if keep_trace:
             trace.append(rec)
-        if found is None or improvement < params.obj_tol:
+        if found is None or improvement < params.obj_tol * max(1.0, abs(loss)):
             converged = True
             break
     return PgdResult(x=x, loss=loss, n_iter=n_iter, converged=converged,
@@ -236,7 +244,29 @@ def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     Positions (N,) give a float; a stack (R, N) gives one outage per row
     from one Gram factorization and one incomplete-gamma call.
     """
+    return _outage(bob_gain_loss(x, cfg), cfg)
+
+
+def _outage(loss, cfg: SystemConfig):
     mm = moment_match(cfg)
     lin, quad = mm.moments(np.zeros(cfg.n_eves))
-    gain = cfg.beta0 * cfg.n_antennas - bob_gain_loss(x, cfg)
-    return gamma_outage(lin, quad, mm.threshold(gain))
+    return gamma_outage(lin, quad,
+                        mm.threshold(cfg.beta0 * cfg.n_antennas - loss))
+
+
+def screened_outage(xs: FloatArray, cfg: SystemConfig):
+    """Zero-forcing outage of the usable placements of a stack (R, N).
+
+    Each row's steering Gram matrix is built and condition-checked once;
+    the rows that fail the check are dropped and only the rest are
+    factored.  Returns the usable mask (R,) and the outages of
+    ``xs[usable]``, equal to ``zf_outage(xs[usable], cfg)``.  Raises the
+    first row's ``SingularSteeringError`` when no row is usable.
+    """
+    xs = np.asarray(xs, dtype=float)
+    stack, gram, cond = _steering(xs, cfg)
+    usable = cond <= _COND_LIMIT
+    if not usable.any():
+        raise _ill_conditioned(cond[0], cfg)
+    chol = np.linalg.cholesky(gram[usable])
+    return usable, _outage(_loss(xs[usable], stack[usable], chol, cfg), cfg)

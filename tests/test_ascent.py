@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import masec
+from masec import ascent
 from masec.ascent import (
     OptimizerParams,
     apga_solve,
@@ -20,7 +21,7 @@ from masec.ascent import (
     maximize_gamma_objective,
     write_trace,
 )
-from masec.bench import base_config, preset
+from masec.bench import apply_variable, base_config, preset, run_scheme
 from masec.gammainc import lower_incomplete_gamma_reg
 from masec.model import (
     eve_los_matrix,
@@ -197,6 +198,40 @@ class TestAscent:
         assert res.objective >= start - 1e-12
         assert res.converged
 
+    @pytest.mark.parametrize("name,mode,delta0", [
+        ("ob-demo", "joint", 1.0), ("m-sweep", "joint", 1.0),
+        ("zf-demo-far", "beam_only", 1.0), ("ob-demo", "positions_mrt", 1.0),
+        ("zf-demo-near", "joint", 0.25)])
+    def test_block_steps_grow_at_most_twofold(self, table, name, mode, delta0):
+        cfg = preset(name)
+        x0 = feasible_region(cfg).midpoints()
+        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.3, table, cfg,
+                         OptimizerParams(delta0=delta0), mode=mode)
+        blocks = {"joint": ("delta_beam", "delta_pos"),
+                  "beam_only": ("delta_beam",),
+                  "positions_mrt": ("delta_pos",)}[mode]
+        for block in blocks:
+            steps = [getattr(r, block) for r in res.trace
+                     if getattr(r, block) is not None]
+            assert len(steps) > 3
+            last = delta0
+            for step in steps:
+                assert step <= min(delta0, 2.0 * last)
+                last = step
+
+    def test_relative_stop_ends_a_large_objective(self, table):
+        # a starved power budget makes the margin about -sigma2/pa * lin,
+        # thousands in magnitude, so an absolute 1e-8 change is out of reach
+        cfg = base_config(pa=1e-3)
+        x0 = feasible_region(cfg).midpoints()
+        params = OptimizerParams()
+        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg, params)
+        assert abs(res.objective) > 100.0
+        assert res.converged
+        assert res.n_iter < 100
+        last, prev = res.trace[-1].objective, res.trace[-2].objective
+        assert abs(last - prev) < params.obj_tol * abs(last)
+
 
 class TestBisection:
     def test_demo_scenario_bands(self, table):
@@ -224,14 +259,25 @@ class TestBisection:
             abs=1e-14)
 
     def test_infeasible_everywhere(self, table):
-        # starved power budget: threshold ~ -sigma2/pa dominates every
-        # surrogate term, so no confidence level can be certified
+        # starved power budget: the outage threshold is negative even at
+        # the largest legitimate gain beta0 * N, so the closed form rules
+        # out every level before any probe
         cfg = base_config(pa=1e-3)
         res = bisection_outage_min(cfg, table)
         assert not res.feasible
         assert res.eps == 0.0
         assert res.p_out == 1.0
-        assert all(not p[1] for p in res.probes)
+        assert res.probes == []
+        assert (res.rounds, res.total_iterations) == (0, 0)
+
+    def test_all_probes_infeasible_above_the_exit(self, table):
+        # a positive threshold at beta0 * N skips the closed-form exit, and
+        # here the matched filter still fails every probed level
+        res = bisection_outage_min(base_config(pa=1.5), table,
+                                   mode="positions_mrt")
+        assert res.rounds == 7
+        assert not any(feasible for _, feasible, _ in res.probes)
+        assert (res.eps, res.feasible) == (0.0, False)
 
     def test_trace_kept_on_request(self, table):
         res = bisection_outage_min(preset("ob-demo"), table, keep_trace=True)
@@ -244,7 +290,74 @@ class TestBisection:
         assert res.best_trace is None
 
 
+def _no_probe(*args, **kwargs):
+    raise AssertionError("apga_solve called on a provably infeasible case")
+
+
+class TestInfeasibilityExit:
+    """Certain outage at every (w, x) returns before any probe runs."""
+
+    CASES = {"pa=1e-3": base_config(pa=1e-3),
+             "ob-demo@-20dB": apply_variable(preset("ob-demo"), "pa_db", -20.0)}
+
+    @pytest.mark.parametrize("scheme", ["MA_OB", "FPA_OB", "MA_MRT", "RAP_OB"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_schemes_skip_the_ascent(self, monkeypatch, table, scheme, case):
+        cfg = self.CASES[case]
+        monkeypatch.setattr(ascent, "apga_solve", _no_probe)
+        res = run_scheme(scheme, cfg, table=table, restarts=3,
+                         keep_trace=True)
+        assert (res.eps, res.p_out, res.iterations) == (0.0, 1.0, 0)
+        assert not res.detail.feasible
+        assert (res.detail.rounds, res.detail.probes) == (0, [])
+        assert np.linalg.norm(res.w) == pytest.approx(1.0, abs=1e-12)
+        x = res.x
+        assert 0.0 <= x.min() and x.max() <= cfg.span
+        assert np.all(np.diff(x) >= cfg.dmin - 1e-12)
+        if scheme != "RAP_OB":
+            assert res.trace == []
+
+    def test_returns_the_start(self, monkeypatch, table):
+        cfg = base_config(pa=1e-3)
+        monkeypatch.setattr(ascent, "apga_solve", _no_probe)
+        w0, x0 = rand_point(cfg, 4)
+        res = bisection_outage_min(cfg, table, w0=3.0 * w0, x0=x0)
+        assert np.array_equal(res.x, x0)
+        assert np.allclose(res.w, w0, rtol=0.0, atol=1e-15)
+        assert res.best_trace is None
+
+    @pytest.mark.parametrize("factor,exits", [(0.99, True), (1.01, False)])
+    def test_fires_exactly_below_the_critical_power(self, monkeypatch, table,
+                                                    factor, exits):
+        # beta0 N / 2^rs + sigma2 / pa (2^-rs - 1) = 0 at
+        # pa = (2^rs - 1) sigma2 / (beta0 N) = 7 / 5 for base_config
+        cfg = base_config(pa=1.4 * factor)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return apga_solve(*args, **kwargs)
+        monkeypatch.setattr(ascent, "apga_solve", counting)
+        res = bisection_outage_min(cfg, table)
+        assert res.rounds == len(calls) == (0 if exits else 7)
+
+
 class TestLineSearch:
+    @pytest.mark.parametrize("start,first", [(0.25, 4.5), (0.125, 2.25)])
+    def test_tries_the_given_start_first(self, start, first):
+        # same quadratic as below; both starts already reach the model
+        calls = []
+
+        def value(c):
+            calls.append(c[0])
+            return float(-3.0 * (c[0] - 3.0) ** 2)
+        grad = np.array([18.0])
+        delta, cand, _, _ = line_search(
+            value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
+            lambda c: np.clip(c, 0.0, 10.0), OptimizerParams(), start)
+        assert calls == [first]
+        assert (delta, cand[0]) == (start, first)
+
     def test_first_step_reaching_the_model(self):
         # ascend -3 (p - 3)^2 on [0, 10] from p = 0 (value -27, slope 18):
         # delta = 1 lands on the clamp at 10 and delta = 0.5 on 9, both
@@ -257,7 +370,7 @@ class TestLineSearch:
         grad = np.array([18.0])
         delta, cand, val, gap = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
-            lambda c: np.clip(c, 0.0, 10.0), OptimizerParams())
+            lambda c: np.clip(c, 0.0, 10.0), OptimizerParams(), 1.0)
         assert calls == [10.0, 9.0, 4.5]
         assert (delta, cand[0], val) == (0.25, 4.5, -6.75)
         assert gap == 20.25
@@ -270,7 +383,7 @@ class TestLineSearch:
             return -1.0      # always below the model, which starts at 0
         res = line_search(value, np.zeros(2), 0.0, np.ones(2),
                           lambda s: float(np.sum(s)), lambda c: c,
-                          OptimizerParams(min_step=0.1))
+                          OptimizerParams(min_step=0.1), 1.0)
         assert res is None
         # delta = 1, 0.5, 0.25, 0.125 are tried; 0.0625 < min_step is not
         assert len(calls) == 4
@@ -334,6 +447,25 @@ class TestToyMaximizer:
             2.0 * gx + 1.6 * gy + 2.1,
             2.1 * np.sqrt(gx) + 1.8 * np.sqrt(gy) + 0.2)
         assert abs(res.value - np.max(vals)) <= 0.02
+
+
+# Certified eps of (MA_OB, FPA_OB, MA_MRT) with the default table; the
+# step warm start and the relative stop must leave every one unchanged.
+CERTIFIED_EPS = {
+    "ob-demo": (0.50765625, 0.4375, 0.0),
+    "zf-demo-far": (0.6684375, 0.5995312500000001, 0.6607812500000001),
+    "zf-demo-near": (0.6607812500000001, 0.53828125, 0.6531250000000001),
+    "k-sweep": (0.453125, 0.421875, 0.0),
+    "m-sweep": (0.046875, 0.015625, 0.0),
+    "cdf-demo": (0.1484375, 0.1484375, 0.0546875),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_EPS))
+def test_certified_eps_pinned(table, name):
+    got = tuple(run_scheme(s, preset(name), table=table).eps
+                for s in ("MA_OB", "FPA_OB", "MA_MRT"))
+    assert got == CERTIFIED_EPS[name]
 
 
 def test_write_trace_format(tmp_path, table):

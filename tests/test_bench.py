@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from masec import bench, surrogate
+from masec import bench, surrogate, zf
 from masec.bench import (
     SchemeId,
     SweepSpec,
@@ -130,6 +130,18 @@ class TestRandomPlacement:
         outs = [zf_outage(x, cfg) for x in usable]
         assert np.array_equal(res.x, usable[int(np.argmin(outs))])
         assert res.p_out == pytest.approx(min(outs), rel=1e-14)
+
+    def test_rap_zf_checks_each_draw_once(self, monkeypatch):
+        rows = []
+        steering = zf._steering
+
+        def counting(x, cfg):
+            rows.append(np.asarray(x).reshape(-1, cfg.n_antennas).shape[0])
+            return steering(x, cfg)
+        monkeypatch.setattr(zf, "_steering", counting)
+        run_scheme(SchemeId.RAP_ZF, preset("zf-demo-far"), seed=3,
+                   restarts=150)
+        assert rows == [150, 1]    # every draw, then the chosen beamformer
 
     def test_rap_zf_raises_when_no_draw_is_usable(self):
         cfg = base_config(n_eves=2, thetas=(0.5, 0.5 + 1e-9), betas=(1.0, 1.0),

@@ -19,7 +19,7 @@ from masec.zf import (
     bob_gain_loss,
     bob_gain_loss_grad,
     pgd_solve,
-    well_conditioned,
+    screened_outage,
     zf_beamformer,
     zf_outage,
 )
@@ -221,9 +221,11 @@ class TestStacks:
         cfg = two_eve_config(thetas=(0.0, np.pi / 2))
         xs = random_feasible_positions(feasible_region(cfg),
                                        np.random.default_rng(1), 4)
-        assert well_conditioned(xs, cfg).all()
+        assert screened_outage(xs, cfg)[0].all()
         xs[2] = np.arange(5.0)    # both eves see the same LoS row
-        assert well_conditioned(xs, cfg).tolist() == [True, True, False, True]
+        usable, outs = screened_outage(xs, cfg)
+        assert usable.tolist() == [True, True, False, True]
+        assert np.array_equal(outs, zf_outage(xs[usable], cfg))
         for fn in (zf_outage, bob_gain_loss):
             with pytest.raises(SingularSteeringError, match="ill-conditioned"):
                 fn(xs, cfg)
