@@ -24,7 +24,6 @@ from .bench import (
 )
 from .gammainc import inverse_lower_incomplete_gamma, lower_incomplete_gamma_reg
 from .model import (
-    ChannelRealization,
     FeasibleRegion,
     SystemConfig,
     eve_los_matrix,
@@ -33,10 +32,7 @@ from .model import (
     mrt_beamformer,
     project_positions,
     random_feasible_positions,
-    sample_wiretap_channels,
-    snr_bob,
     steering_vector,
-    sum_eve_power,
 )
 from .outage import (
     EveLinkStats,

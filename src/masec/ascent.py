@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 from .gammainc import lower_incomplete_gamma_reg
 from .model import (
     SystemConfig,
-    FeasibleRegion,
     feasible_region,
     mrt_beamformer,
     project_positions,
@@ -393,6 +392,20 @@ class ToyResult:
     value: float
 
 
+def _box_gradient(f, v: FloatArray, lo: FloatArray, hi: FloatArray,
+                  h: float = 1e-6) -> FloatArray:
+    """Central differences of f at v with both probes clipped into the box;
+    one-sided at a face, where a function like sqrt may not extend."""
+    grad = np.zeros_like(v)
+    for i in range(v.size):
+        step = np.zeros_like(v)
+        step[i] = h
+        up, down = np.clip(v + step, lo, hi), np.clip(v - step, lo, hi)
+        if up[i] > down[i]:
+            grad[i] = (f(up) - f(down)) / (up[i] - down[i])
+    return grad
+
+
 def maximize_gamma_objective(
     shape_fn, threshold_fn, bounds: list[tuple[float, float]],
     table: LinearFitTable | None = None, tau: float = 0.01,
@@ -400,36 +413,48 @@ def maximize_gamma_objective(
     """Bisection framework for box-constrained gamma-CDF maximization.
 
     Maximizes P(shape_fn(v), threshold_fn(v)) over the box ``bounds`` by the
-    same confidence bisection used for the outage problem; the inner margin
-    maximization threshold_fn - slope * shape_fn - intercept is concave for
-    the intended toys and is handed to a bounded quasi-Newton solver from a
-    deterministic grid of starts.
+    same confidence bisection used for the outage problem.  The inner margin
+    threshold_fn - slope * shape_fn - intercept is concave for the intended
+    toys and is maximized by projected ascent from each point of a
+    deterministic 3^d grid of starts: ``line_search`` steps along its
+    finite-difference gradient, clipped into the box, with the warm step and
+    relative stop of ``apga_solve`` under the default ``OptimizerParams``.
 
     Returns the certified confidence level, the maximizing point, and the
     exact objective value there.
     """
-    from scipy import optimize   # imported here: it dominates import time
-
     table = table or default_table()
+    params = OptimizerParams()
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     starts = [lo + np.array(f) * (hi - lo)
               for f in itertools.product((0.15, 0.5, 0.85), repeat=len(bounds))]
 
-    def inner_max(slope: float, intercept: float):
-        def neg(v):
-            return -(threshold_fn(v) - slope * shape_fn(v) - intercept)
-        best_v, best_val = None, np.inf
-        for s in starts:
-            r = optimize.minimize(neg, s, method="L-BFGS-B",
-                                  bounds=list(zip(lo, hi)))
-            if r.fun < best_val:
-                best_v, best_val = r.x, r.fun
-        return best_v, -best_val
+    def ascend(margin, v):
+        obj = margin(v)
+        delta = params.delta0
+        for _ in range(params.max_outer):
+            g = _box_gradient(margin, v, lo, hi)
+            found = line_search(margin, v, obj, g, lambda s: float(g @ s),
+                                lambda c: np.clip(c, lo, hi), params,
+                                min(params.delta0, 2.0 * delta))
+            if found is None:
+                break
+            delta, v, new_obj, _ = found
+            improvement, obj = new_obj - obj, new_obj
+            if abs(improvement) < params.obj_tol * max(1.0, abs(obj)):
+                break
+        return v, obj
 
     def probe(eps: float):
-        v, margin = inner_max(*surrogate_lookup(table, eps))
-        return margin > 0.0, v
+        slope, intercept = surrogate_lookup(table, eps)
+
+        def margin(v):
+            return threshold_fn(v) - slope * shape_fn(v) - intercept
+
+        # max keeps the first of equal margins, so the first start wins ties
+        v, best = max((ascend(margin, s) for s in starts), key=lambda r: r[1])
+        return best > 0.0, v
 
     eps_star, _, v_star = _certified(
         bisect_confidence(probe, min(1.0, table.max_eps), tau))

@@ -305,24 +305,43 @@ def cdf_check_case(k: float = 1.0):
     return cfg, x, w1 / np.linalg.norm(w1)
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def config_from_dict(raw: dict) -> SystemConfig:
     """Scenario from a mapping with keys named as SystemConfig fields.
 
     Angles (theta0, thetas) are given as multiples of pi; everything else
-    is taken verbatim.  Lists become tuples.
+    is taken verbatim.  Lists become tuples.  A value of the wrong JSON type
+    or a missing or unknown key raises a one-line ValueError.
     """
+    if not isinstance(raw, dict):
+        raise ValueError("a scenario must be a JSON object")
     raw = dict(raw)
-    known = {f.name for f in dataclasses.fields(SystemConfig)}
-    unknown = set(raw) - known
+    fields = dataclasses.fields(SystemConfig)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "theta0" in raw:
-        raw["theta0"] = float(raw["theta0"]) * PI
-    if "thetas" in raw:
-        raw["thetas"] = tuple(float(v) * PI for v in raw["thetas"])
+    for name, value in raw.items():
+        if name in ("thetas", "betas", "ks"):
+            if not (isinstance(value, (list, tuple))
+                    and all(map(is_number, value))):
+                raise ValueError(f"{name} must be a list of numbers")
+        elif name in ("n_antennas", "n_eves"):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        elif not is_number(value):
+            raise ValueError(f"{name} must be a number")
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
+    raw["theta0"] = float(raw["theta0"]) * PI
+    raw["thetas"] = tuple(float(v) * PI for v in raw["thetas"])
     for name in ("betas", "ks"):
-        if name in raw:
-            raw[name] = tuple(float(v) for v in raw[name])
+        raw[name] = tuple(float(v) for v in raw[name])
     return SystemConfig(**raw)
 
 

@@ -13,13 +13,14 @@ import json
 import sys
 from pathlib import Path
 
-from .ascent import OptimizerParams, write_trace
+from .ascent import write_trace
 from .bench import (
     SchemeId,
     SweepRow,
     SweepSpec,
     config_from_dict,
     emit_results,
+    is_number,
     load_config,
     preset,
     run_scheme,
@@ -78,6 +79,15 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     raw = json.loads(Path(args.spec).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError("a sweep spec must be a JSON object")
+    missing = [key for key in ("base", "variable", "grid") if key not in raw]
+    if missing:
+        raise ValueError(f"sweep spec lacks keys: {missing}")
+    for key in ("grid", "seeds"):
+        values = raw.get(key, [])
+        if not (isinstance(values, list) and all(map(is_number, values))):
+            raise ValueError(f"sweep spec {key} must be a list of numbers")
     spec = SweepSpec(
         base=config_from_dict(raw["base"]),
         variable=raw["variable"],

@@ -114,14 +114,6 @@ class FeasibleRegion:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of all links: deterministic Bob channel, faded eve channels."""
-
-    h_bob: ComplexArray      # shape (N,)
-    h_eves: ComplexArray     # shape (M, N)
-
-
 def steering_vector(x: FloatArray, theta: float, cfg: SystemConfig) -> ComplexArray:
     """Array response for positions ``x`` toward direction ``theta``.
 
@@ -146,47 +138,6 @@ def eve_los_matrix(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     sines = np.sin(cfg.thetas_arr)
     phase = TWO_PI / cfg.wavelength * (sines[:, None] * x[..., None, :])
     return np.exp(1j * phase)
-
-
-def sample_wiretap_channels(
-    x: FloatArray, cfg: SystemConfig, seed: int
-) -> ChannelRealization:
-    """Draw one realization of every eavesdropper channel.
-
-    Reproducibility contract: the PCG64 generator from
-    ``numpy.random.default_rng(seed)`` first yields the real parts as one
-    (M, N) standard-normal block, then the imaginary parts as a second
-    block; each scatter entry is scaled by 1/sqrt(2) so its variance is one.
-    The LoS component of eve i has weight sqrt(K_i beta_i / (K_i + 1)) and
-    the scattered component sqrt(beta_i / (K_i + 1)).
-    """
-    rng = np.random.default_rng(seed)
-    m, n = cfg.n_eves, cfg.n_antennas
-    re = rng.standard_normal((m, n))
-    im = rng.standard_normal((m, n))
-    scatter = (re + 1j * im) / np.sqrt(2.0)
-
-    los = eve_los_matrix(x, cfg)
-    k = cfg.ks_arr[:, None]
-    b = cfg.betas_arr[:, None]
-    h_eves = np.sqrt(k * b / (k + 1.0)) * los + np.sqrt(b / (k + 1.0)) * scatter
-    return ChannelRealization(h_bob=main_channel(x, cfg), h_eves=h_eves)
-
-
-def snr_bob(w: ComplexArray, x: FloatArray, cfg: SystemConfig) -> float:
-    """Receive SNR of the legitimate user for a unit-norm beamformer."""
-    gain = abs(np.dot(main_channel(x, cfg), w)) ** 2
-    return cfg.pa * gain / cfg.sigma2
-
-
-def sum_eve_power(w: ComplexArray, channels: ChannelRealization) -> float:
-    """Aggregate signal power collected by the colluding eavesdroppers.
-
-    Returns sum_i |h_i w|^2; the caller applies the pa/sigma2 factor when an
-    SNR is needed.
-    """
-    proj = channels.h_eves @ np.asarray(w)
-    return float(np.sum(np.abs(proj) ** 2))
 
 
 def feasible_region(cfg: SystemConfig) -> FeasibleRegion:

@@ -156,19 +156,6 @@ def outage_threshold(w, x, cfg: SystemConfig) -> float:
     return float(moment_match(cfg).threshold(_bob_power_gain(w, x, cfg)))
 
 
-def outage_shape(w, x, cfg: SystemConfig) -> float:
-    """Gamma shape of the collusion sum, written directly in LoS gains."""
-    lin, quad = moment_match(cfg).moments(_los_power_gains(w, x, cfg))
-    return float(lin**2 / quad)
-
-
-def outage_scaled_threshold(w, x, cfg: SystemConfig) -> float:
-    """Outage threshold divided by the Gamma scale of the collusion sum."""
-    mm = moment_match(cfg)
-    lin, quad = mm.moments(_los_power_gains(w, x, cfg))
-    return float(lin / quad * mm.threshold(_bob_power_gain(w, x, cfg)))
-
-
 def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float:
     """Closed-form secrecy outage probability under the Gamma approximation.
 

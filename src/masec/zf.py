@@ -88,15 +88,14 @@ def _gram_solve(chol: ComplexArray, y):
 
 
 def _closest_pair(cfg: SystemConfig):
+    """Indices and angles of the first eavesdropper pair with the closest
+    sines, in row-major pair order."""
     thetas = cfg.thetas_arr
     sines = np.sin(thetas)
-    best = (0, 1, thetas[0], thetas[1], np.inf)
-    for i in range(len(thetas)):
-        for j in range(i + 1, len(thetas)):
-            gap = abs(sines[i] - sines[j])
-            if gap < best[4]:
-                best = (i, j, thetas[i], thetas[j], gap)
-    return best
+    i, j = np.triu_indices(thetas.size, k=1)
+    best = np.argmin(np.abs(sines[i] - sines[j]))
+    i, j = i[best], j[best]
+    return i, j, thetas[i], thetas[j]
 
 
 def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
@@ -148,38 +147,27 @@ def _loss(x: FloatArray, stack, chol, cfg: SystemConfig):
 def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
     """Exact gradient of the nulling loss in the antenna positions.
 
-    Differentiates Theta = h A^{-1} h^H with A the steering Gram matrix,
-    using d(A^{-1}) = -A^{-1} dA A^{-1}; each position only enters one row
-    of the steering stack, so the per-coordinate terms assemble cheaply.
-    Each term enters together with its conjugate, so every derivative is
-    twice a real part and exactly real.
+    Differentiates Theta = h A^{-1} h^H with A = S^H S the Gram matrix of
+    the steering stack S[n, i] = exp(-j k s_i x_n), k = 2 pi / lambda, using
+    d(A^{-1}) = -A^{-1} dA A^{-1}.  Position x_n moves row n of S only:
+    dS[n, i]/dx_n = -j k s_i S[n, i] and dh_i/dx_n = j k (sin theta0 - s_i)
+    h0_n S[n, i].  With v = A^{-1} h^H and t = S v this stacks into
+
+        dTheta/dx = 2 k Re(j [(h0 S (sin theta0 - s)) v + conj(t) (S s) v]),
+
+    each term entering with its conjugate, so the gradient is exactly real.
     """
     x = np.asarray(x, dtype=float)
-    cfg_sines = np.sin(cfg.thetas_arr)
-    sin0 = np.sin(cfg.theta0)
+    sines = np.sin(cfg.thetas_arr)
     rate = TWO_PI / cfg.wavelength
 
     stack, chol = _steering_gram(x, cfg)
     h0 = main_channel(x, cfg)
-    h = h0 @ stack                       # (M,)
-    v = _gram_solve(chol, h.conj())     # A^{-1} h^H
-    t = stack @ v                        # H A^{-1} h^H, (N,)
-
-    # dh/dx_n: one term of the coupling sum moves per coordinate
-    diff = sin0 - cfg_sines
-    dh = np.sqrt(cfg.beta0) * rate * diff \
-        * np.exp(1j * (rate * np.outer(x, diff) + 0.5 * np.pi))   # (N, M)
-    # row n of dH/dx_n (times 1/rate): conjugated eve phase derivatives
-    db = cfg_sines * np.exp(-1j * (rate * np.outer(x, cfg_sines) + 0.5 * np.pi))
-
-    grad = np.empty_like(x)
-    for n in range(x.size):
-        first = dh[n] @ v
-        row = rate * db[n]
-        # v^H (dH^H H + H^H dH) v with dH supported on row n
-        mixed = np.conj(t[n]) * (row @ v)
-        grad[n] = 2.0 * (first - mixed).real
-    return grad
+    v = _gram_solve(chol, (h0 @ stack).conj())     # A^{-1} h^H, (M,)
+    t = stack @ v                                  # S A^{-1} h^H, (N,)
+    z = (h0[:, None] * stack * (np.sin(cfg.theta0) - sines)) @ v \
+        + t.conj() * ((stack * sines) @ v)
+    return -2.0 * rate * z.imag                    # 2 k Re(j z)
 
 
 @dataclass

@@ -32,8 +32,9 @@ from masec.model import (
     steering_vector,
 )
 from masec.outage import (
-    outage_shape,
-    outage_scaled_threshold,
+    gamma_moments,
+    link_stats,
+    outage_threshold,
     secrecy_outage_closed_form,
 )
 from masec.surrogate import fit_linear_surrogate, surrogate_lookup
@@ -79,8 +80,9 @@ class TestMarginObjective:
         cfg = cfg_two_eves()
         for seed in range(10):
             w, x = rand_point(cfg, seed)
-            f1 = outage_shape(w, x, cfg)
-            f2 = outage_scaled_threshold(w, x, cfg)
+            mom = gamma_moments(link_stats(w, x, cfg))
+            f1 = mom.shape
+            f2 = outage_threshold(w, x, cfg) / mom.scale
             for eps in (0.1, 0.5, 0.9):
                 slope, intercept = surrogate_lookup(table, eps)
                 cond = f2 - slope * f1 - intercept
@@ -435,6 +437,7 @@ class TestToyMaximizer:
         grid_best = np.max(lower_incomplete_gamma_reg(g + 1.0, 2.0 * np.sqrt(g)))
         assert abs(res.value - grid_best) <= 0.02
         assert 0.0 <= res.point[0] <= 2.0
+        assert res.eps == 0.53828125
 
     def test_planar_toy_matches_grid(self, table):
         res = maximize_gamma_objective(
@@ -447,6 +450,15 @@ class TestToyMaximizer:
             2.0 * gx + 1.6 * gy + 2.1,
             2.1 * np.sqrt(gx) + 1.8 * np.sqrt(gy) + 0.2)
         assert abs(res.value - np.max(vals)) <= 0.02
+        assert res.eps == 0.421875
+
+    def test_gradient_is_one_sided_at_the_box_faces(self):
+        # sqrt has no left neighbour at 0: the probe below is clipped away
+        lo, hi = np.zeros(2), np.full(2, 2.0)
+        g = ascent._box_gradient(lambda v: np.sqrt(v[0]) + np.sqrt(v[1]),
+                                 np.array([0.0, 2.0]), lo, hi)
+        assert g[0] == pytest.approx(1e3, rel=1e-12)
+        assert g[1] == pytest.approx(0.5 / np.sqrt(2.0), rel=1e-6)
 
 
 # Certified eps of (MA_OB, FPA_OB, MA_MRT) with the default table; the
@@ -488,12 +500,42 @@ def test_params_are_frozen():
         p.delta0 = 2.0
 
 
-def test_import_leaves_out_scipy_optimize():
-    # only the toy maximizer needs scipy (optimize), and importing any of
-    # scipy costs more than the rest of the package's start-up
+# Runs the package's scipy-free paths with every scipy import refused:
+# argv[1] is the table file that fit-table writes.
+_SCIPY_BLOCKED_RUN = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import numpy as np
+from masec import default_table, maximize_gamma_objective, preset, run_scheme
+from masec.cli import main
+
+table = default_table()
+maximize_gamma_objective(lambda v: float(v[0]) + 1.0,
+                         lambda v: 2.0 * np.sqrt(float(v[0])),
+                         [(0.0, 2.0)], table=table)
+maximize_gamma_objective(
+    lambda v: 2.0 * float(v[0]) + 1.6 * float(v[1]) + 2.1,
+    lambda v: 2.1 * np.sqrt(float(v[0])) + 1.8 * np.sqrt(float(v[1])) + 0.2,
+    [(0.0, 2.0), (0.0, 2.0)], table=table)
+for scheme in ("MA_OB", "MA_ZF", "RAP_ZF"):
+    run_scheme(scheme, preset("zf-demo-far"), table=table)
+assert main(["fit-table", "--out", sys.argv[1]]) == 0
+assert main(["mc-check", "--preset", "cdf-demo", "--trials", "2000"]) == 0
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(masec.__file__).parents[1]))
-    code = ("import sys, masec, masec.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_RUN, str(tmp_path / "t.txt")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "t.txt").exists()

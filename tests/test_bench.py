@@ -391,6 +391,29 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not tab.exists()
 
+    @pytest.mark.parametrize("command, content, message", [
+        ("sweep", {"variable": "k", "grid": [1.0]}, "lacks keys: ['base']"),
+        ("sweep", [1, 2], "must be a JSON object"),
+        ("sweep", {"base": {"n_antennas": "5"}, "variable": "k",
+                   "grid": [1.0]}, "n_antennas must be an integer"),
+        ("solve", {"n_antennas": 5, "n_eves": 1, "theta0": 0.25,
+                   "thetas": 0.3, "beta0": 1.0, "betas": [1.0], "ks": [4.0],
+                   "pa": 31.6, "sigma2": 1.0, "rs": 3.0},
+         "thetas must be a list of numbers"),
+        ("solve", {"n_antennas": 5}, "missing config keys: ['n_eves'"),
+    ])
+    def test_malformed_json_is_error_exit(self, command, content, message,
+                                          tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        args = (["sweep", "--spec", str(path), "--out",
+                 str(tmp_path / "rows.csv")] if command == "sweep" else
+                ["solve", "--config", str(path), "--scheme", "FPA_ZF"])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_trace_output(self, tmp_path, capsys):
         for preset_name, scheme in [("ob-demo", "MA_OB"),
                                     ("zf-demo-far", "MA_ZF")]:

@@ -18,8 +18,6 @@ from masec.outage import (
     gamma_outage,
     link_stats,
     monte_carlo_outage,
-    outage_scaled_threshold,
-    outage_shape,
     outage_threshold,
     secrecy_outage_closed_form,
     sum_power_cdf,
@@ -76,16 +74,10 @@ class TestGammaMoments:
         assert np.var(samples) == pytest.approx(mom.shape * mom.scale**2,
                                                 rel=0.03)
 
-    def test_shape_formula_and_duplicate(self, case):
-        # outage_shape is the same quantity written without the stats layer
-        cfg, x, w = case
-        mom = gamma_moments(link_stats(w, x, cfg))
-        assert outage_shape(w, x, cfg) == pytest.approx(mom.shape, rel=1e-12)
-
     def test_shape_never_below_one(self):
         for k in (0.0, 0.5, 3.0, 25.0):
             cfg, x, w = cdf_check_case(k)
-            assert outage_shape(w, x, cfg) >= 1.0
+            assert gamma_moments(link_stats(w, x, cfg)).shape >= 1.0
 
 
 class TestCdf:
@@ -127,13 +119,6 @@ class TestThreshold:
         assert outage_threshold(w, x, weak) < 0.0
         assert secrecy_outage_closed_form(w, x, weak) == 1.0
         assert monte_carlo_outage(w, x, weak, n_trials=1000, seed=0) == 1.0
-
-    def test_scaled_threshold_relation(self, case):
-        cfg, x, w = case
-        mom = gamma_moments(link_stats(w, x, cfg))
-        want = outage_threshold(w, x, cfg) / mom.scale
-        assert outage_scaled_threshold(w, x, cfg) == pytest.approx(
-            want, rel=1e-12)
 
 
 class TestClosedForm:

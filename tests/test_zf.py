@@ -1,5 +1,6 @@
 """Null-steering beamformer, the gain-loss objective, and its descent."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ class TestGainLoss:
         x = feasible_region(cfg).midpoints()
         with pytest.raises(SingularSteeringError, match="theta"):
             bob_gain_loss(x, cfg)
+
+    def test_message_names_the_closest_pair(self):
+        # eves 1 and 3 nearly coincide; the pair order is (1, 2), (1, 3), ...
+        cfg = two_eve_config(n_eves=3, thetas=(0.3, 0.9, 0.30000001),
+                             betas=(1.0,) * 3, ks=(4.0,) * 3)
+        with pytest.raises(SingularSteeringError) as exc:
+            bob_gain_loss(feasible_region(cfg).midpoints(), cfg)
+        assert re.fullmatch(
+            r"eavesdropper steering matrix ill-conditioned "
+            r"\(cond=\d\.\d\de\+\d\d\); closest angles: "
+            r"theta_1=0\.300000 and theta_3=0\.300000 rad", str(exc.value))
 
 
 class TestDescent:
