@@ -25,36 +25,33 @@ from .model import (
     project_positions,
 )
 from .outage import moment_match, secrecy_outage_closed_form
-from .surrogate import LinearFitTable, default_table, surrogate_lookup
+from .surrogate import (DEFAULT_TAU, LinearFitTable, default_table,
+                        surrogate_lookup)
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
 
 TWO_PI = 2.0 * np.pi
+DELTA0 = 1.0       # largest step a line search starts from
+SHRINK = 0.5       # step factor after each rejected candidate
+MIN_STEP = 1e-15   # a line search gives up below this step
+OBJ_TOL = 1e-8     # relative objective change that ends a loop
 
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """Shared knobs of the ascent/descent loops.
+    """The one solver setting: max_outer caps the outer iterations of every
+    ascent and descent loop.
 
-    delta0 caps the step size a backtracking line search starts from: each
-    block of a loop starts at min(delta0, 2 x its last accepted step), and
-    the first search of a solve at delta0.  shrink multiplies the step on
-    rejection.  A loop stops once one iteration changes its objective by
-    less than obj_tol x max(1, |objective|), a relative test that reads the
-    same at every scale of the objective.  tau is both the surrogate grid
-    spacing and the bisection termination width.
+    The step and stop policy that ``ascend`` applies to all of them is
+    fixed by the module constants DELTA0, SHRINK, MIN_STEP and OBJ_TOL, and
+    the confidence bisection stops at ``surrogate.DEFAULT_TAU``.
     """
 
-    delta0: float = 1.0
-    shrink: float = 0.5
     max_outer: int = 2000
-    obj_tol: float = 1e-8
-    tau: float = 0.01
-    min_step: float = 1e-15
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One outer iteration: accepted steps, objective, model gaps.
 
@@ -87,10 +84,12 @@ class BisectionResult:
     ``eps`` is the largest confidence level certified feasible; ``p_out``
     is the closed-form outage at the returned solution.  When no probed
     level was feasible, ``feasible`` is False and the best-effort iterate
-    of the last probe is returned with eps = 0.  When the closed form rules
-    out every level before any probe (the legitimate gain cannot reach a
-    positive outage threshold), ``rounds`` is 0, ``probes`` is empty and
-    the start point is returned with p_out 1.
+    of the last probe is returned with eps = 0.  ``best_trace`` is the
+    iteration trace of the solve that produced the returned solution.  When
+    the closed form rules out every level before any probe (the legitimate
+    gain cannot reach a positive outage threshold), ``rounds`` is 0,
+    ``probes`` and ``best_trace`` are empty and the start point is returned
+    with p_out 1.
     """
 
     eps: float
@@ -101,7 +100,7 @@ class BisectionResult:
     rounds: int
     total_iterations: int
     probes: list[tuple[float, bool, float]] = field(default_factory=list)
-    best_trace: list[TraceRecord] | None = None
+    best_trace: list[TraceRecord] = field(default_factory=list)
 
 
 class _Scenario:
@@ -184,41 +183,67 @@ def _normalize(w: ComplexArray) -> ComplexArray:
 
 
 def line_search(value, point, obj: float, direction, slope, project,
-                params: OptimizerParams, delta: float):
+                delta: float):
     """One projected backtracking step of an ascent on ``value``.
 
     Tries ``cand = project(point + delta * direction)`` for the given start
-    delta, delta * shrink, ... down to params.min_step and accepts the
-    first candidate whose value reaches the quadratic model
+    delta, delta * SHRINK, ... down to MIN_STEP and accepts the first
+    candidate whose value reaches the quadratic model
     ``obj + slope(step) - |step|^2 / delta`` with ``step = cand - point``;
     ``slope(step)`` is the directional derivative of the objective at
     ``point``.  Returns ``(delta, cand, value, value - model)`` for the
     accepted candidate, which is the last one evaluated, or None.
     """
-    while delta >= params.min_step:
+    while delta >= MIN_STEP:
         cand = project(point + delta * direction)
         step = cand - point
         model = obj + slope(step) - float(np.vdot(step, step).real) / delta
         val = value(cand)
         if val >= model:
             return delta, cand, val, val - model
-        delta *= params.shrink
+        delta *= SHRINK
     return None
+
+
+def ascend(obj: float, max_outer: int, beam=None, pos=None):
+    """The outer loop of every projected ascent, from objective ``obj``.
+
+    Each iteration calls the blocks ``beam`` then ``pos`` that are given as
+    ``block(obj, delta)``, with the objective so far and the block's start
+    step min(DELTA0, 2 x its last accepted delta).  A block moves its own
+    variable and returns the new objective and its ``line_search`` result,
+    None when it accepted no step.  The loop stops as converged once an
+    iteration moves the objective by less than OBJ_TOL x max(1, |objective|),
+    and otherwise after max_outer iterations.  Returns the objective, one
+    TraceRecord per iteration and whether the loop converged.
+    """
+    blocks, last, trace = (beam, pos), [DELTA0, DELTA0], []
+    for it in range(1, max_outer + 1):
+        start, delta, gap = obj, [None, None], [None, None]
+        for i, block in enumerate(blocks):
+            if block is not None:
+                obj, found = block(obj, min(DELTA0, 2.0 * last[i]))
+                if found is not None:
+                    last[i] = delta[i] = found[0]
+                    gap[i] = found[3]
+        trace.append(TraceRecord(it, delta[0], delta[1], obj, gap[0], gap[1]))
+        if abs(obj - start) < OBJ_TOL * max(1.0, abs(obj)):
+            return obj, trace, True
+    return obj, trace, False
 
 
 def apga_solve(
     w0, x0, eps: float, table: LinearFitTable, cfg: SystemConfig,
     params: OptimizerParams | None = None, mode: str = "joint",
-    keep_trace: bool = True,
 ) -> ApgaResult:
     """Maximize the margin objective by alternating projected ascent.
 
     mode "joint" runs a beamformer block then a position block per outer
     iteration; "beam_only" holds the positions fixed; "positions_mrt"
-    replaces the beamformer block by the closed-form matched filter and only
-    ascends in the positions (the objective trace is then not guaranteed
-    monotone, since the matched filter maximizes the legitimate gain, not
-    the margin).
+    resets the beamformer to the closed-form matched filter at the start of
+    each position block and only ascends in the positions (the objective
+    trace is then not guaranteed monotone, since the matched filter
+    maximizes the legitimate gain, not the margin).
 
     Each block is one ``line_search``: beamformer candidates are
     renormalized to the unit sphere and position candidates clamped into
@@ -226,10 +251,8 @@ def apga_solve(
     it reaches the quadratic model built from the block's gradient, which
     for these projections implies the objective never decreases within a
     block.  A block that accepts no step leaves its variable unchanged.
-    Each block carries its step forward: its search starts at
-    min(delta0, 2 x the block's last accepted delta).  The solve stops as
-    converged once an iteration moves the objective by less than
-    obj_tol x max(1, |objective|), and otherwise after max_outer iterations.
+    ``ascend`` runs the blocks with its warm steps and relative stop, up to
+    params.max_outer iterations, and the result keeps its trace.
     """
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -240,9 +263,7 @@ def apga_solve(
 
     w = _normalize(np.asarray(w0, dtype=complex))
     x = np.asarray(x0, dtype=float)
-    rows = sc.steer_rows(x)
-    cand_rows = rows
-    obj = sc.margin(rows, w, slope, intercept)
+    rows = cand_rows = sc.steer_rows(x)
 
     def beam_margin(cand):
         return sc.margin(rows, cand, slope, intercept)
@@ -252,51 +273,34 @@ def apga_solve(
         cand_rows = sc.steer_rows(cand)
         return sc.margin(cand_rows, w, slope, intercept)
 
-    trace: list[TraceRecord] = []
-    converged = False
-    n_iter = 0
-    delta_w = delta_x = params.delta0    # last accepted step of each block
-    for it in range(1, params.max_outer + 1):
-        n_iter = it
-        rec = TraceRecord(iteration=it, delta_beam=None, delta_pos=None,
-                          objective=obj)
+    def beam_block(obj, delta):
+        nonlocal w
+        g = sc.margin_grad_w(rows, w, slope, intercept)
+        found = line_search(beam_margin, w, obj, g,
+                            lambda s: 2.0 * float(np.vdot(g, s).real),
+                            _normalize, delta)
+        if found is not None:
+            _, w, obj, _ = found
+        return obj, found
 
-        obj_w = obj
+    def pos_block(obj, delta):
+        nonlocal w, x, rows
         if mode == "positions_mrt":
             w = mrt_beamformer(x, cfg)
-            obj_w = sc.margin(rows, w, slope, intercept)
-        else:
-            g = sc.margin_grad_w(rows, w, slope, intercept)
-            found = line_search(beam_margin, w, obj, g,
-                                lambda s: 2.0 * float(np.vdot(g, s).real),
-                                _normalize, params,
-                                min(params.delta0, 2.0 * delta_w))
-            if found is not None:
-                rec.delta_beam, w, obj_w, rec.beam_gap = found
-                delta_w = rec.delta_beam
+            obj = sc.margin(rows, w, slope, intercept)
+        g = sc.margin_grad_x(rows, w, slope, intercept)
+        found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
+                            lambda c: project_positions(c, region), delta)
+        if found is not None:
+            _, x, obj, _ = found
+            rows = cand_rows
+        return obj, found
 
-        obj_x = obj_w
-        if mode != "beam_only":
-            g = sc.margin_grad_x(rows, w, slope, intercept)
-            found = line_search(pos_margin, x, obj_w, g,
-                                lambda s: float(g @ s),
-                                lambda c: project_positions(c, region), params,
-                                min(params.delta0, 2.0 * delta_x))
-            if found is not None:
-                rec.delta_pos, x, obj_x, rec.pos_gap = found
-                delta_x = rec.delta_pos
-                rows = cand_rows
-
-        improvement = obj_x - obj
-        obj = obj_x
-        rec.objective = obj
-        if keep_trace:
-            trace.append(rec)
-        if abs(improvement) < params.obj_tol * max(1.0, abs(obj)):
-            converged = True
-            break
-
-    return ApgaResult(w=w, x=x, objective=obj, n_iter=n_iter,
+    obj, trace, converged = ascend(
+        sc.margin(rows, w, slope, intercept), params.max_outer,
+        beam=None if mode == "positions_mrt" else beam_block,
+        pos=None if mode == "beam_only" else pos_block)
+    return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
                       converged=converged, trace=trace)
 
 
@@ -337,8 +341,7 @@ def bisection_outage_min(
     cfg: SystemConfig,
     table: LinearFitTable | None = None,
     params: OptimizerParams | None = None,
-    w0=None, x0=None, mode: str = "joint",
-    keep_trace: bool = False,
+    w0=None, x0=None, mode: str = "joint", keep_trace: bool = True,
 ) -> BisectionResult:
     """Minimize the secrecy outage by bisection on the confidence level.
 
@@ -346,8 +349,9 @@ def bisection_outage_min(
     min(0.5, that bound); each probe solves the margin maximization
     (warm-started from the previous probe) and the sign of the attained
     maximum steers the bisection, which stops once the bracket is narrower
-    than params.tau.  The reported outage is the closed-form value at the
-    best feasible solution.
+    than ``surrogate.DEFAULT_TAU``.  The reported outage is the closed-form
+    value at the best feasible solution.  Traces are always kept;
+    ``keep_trace`` is accepted for older callers and has no effect.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
@@ -356,7 +360,6 @@ def bisection_outage_min(
     and no iterations.
     """
     table = table or default_table()
-    params = params or OptimizerParams()
     region = feasible_region(cfg)
     x = np.asarray(x0, dtype=float) if x0 is not None else region.midpoints()
     w = np.asarray(w0, dtype=complex) if w0 is not None else mrt_beamformer(x, cfg)
@@ -365,24 +368,22 @@ def bisection_outage_min(
         w = _normalize(w)
         return BisectionResult(
             eps=0.0, p_out=secrecy_outage_closed_form(w, x, cfg), w=w, x=x,
-            feasible=False, rounds=0, total_iterations=0, probes=[],
-            best_trace=[] if keep_trace else None)
+            feasible=False, rounds=0, total_iterations=0)
 
     def probe(eps: float):
         nonlocal w, x
-        res = apga_solve(w, x, eps, table, cfg, params, mode=mode,
-                         keep_trace=keep_trace)
+        res = apga_solve(w, x, eps, table, cfg, params, mode=mode)
         w, x = res.w, res.x
         return res.objective > 0.0, res
 
-    runs = bisect_confidence(probe, min(1.0, table.max_eps), params.tau)
+    runs = bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU)
     eps_star, feasible, sol = _certified(runs)
     return BisectionResult(
         eps=eps_star, p_out=secrecy_outage_closed_form(sol.w, sol.x, cfg),
         w=sol.w, x=sol.x, feasible=feasible, rounds=len(runs),
         total_iterations=sum(res.n_iter for _, _, res in runs),
         probes=[(eps, feas, res.objective) for eps, feas, res in runs],
-        best_trace=sol.trace if keep_trace else None)
+        best_trace=sol.trace)
 
 
 @dataclass
@@ -408,42 +409,37 @@ def _box_gradient(f, v: FloatArray, lo: FloatArray, hi: FloatArray,
 
 def maximize_gamma_objective(
     shape_fn, threshold_fn, bounds: list[tuple[float, float]],
-    table: LinearFitTable | None = None, tau: float = 0.01,
+    table: LinearFitTable | None = None,
 ) -> ToyResult:
     """Bisection framework for box-constrained gamma-CDF maximization.
 
     Maximizes P(shape_fn(v), threshold_fn(v)) over the box ``bounds`` by the
     same confidence bisection used for the outage problem.  The inner margin
     threshold_fn - slope * shape_fn - intercept is concave for the intended
-    toys and is maximized by projected ascent from each point of a
-    deterministic 3^d grid of starts: ``line_search`` steps along its
-    finite-difference gradient, clipped into the box, with the warm step and
-    relative stop of ``apga_solve`` under the default ``OptimizerParams``.
+    toys and is maximized by ``ascend`` from each point of a deterministic
+    3^d grid of starts, with one block: a ``line_search`` along the
+    margin's finite-difference gradient, clipped into the box.
 
     Returns the certified confidence level, the maximizing point, and the
     exact objective value there.
     """
     table = table or default_table()
-    params = OptimizerParams()
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     starts = [lo + np.array(f) * (hi - lo)
               for f in itertools.product((0.15, 0.5, 0.85), repeat=len(bounds))]
 
-    def ascend(margin, v):
-        obj = margin(v)
-        delta = params.delta0
-        for _ in range(params.max_outer):
+    def ascend_from(margin, v):
+        def block(obj, delta):
+            nonlocal v
             g = _box_gradient(margin, v, lo, hi)
             found = line_search(margin, v, obj, g, lambda s: float(g @ s),
-                                lambda c: np.clip(c, lo, hi), params,
-                                min(params.delta0, 2.0 * delta))
-            if found is None:
-                break
-            delta, v, new_obj, _ = found
-            improvement, obj = new_obj - obj, new_obj
-            if abs(improvement) < params.obj_tol * max(1.0, abs(obj)):
-                break
+                                lambda c: np.clip(c, lo, hi), delta)
+            if found is not None:
+                _, v, obj, _ = found
+            return obj, found
+
+        obj = ascend(margin(v), OptimizerParams().max_outer, pos=block)[0]
         return v, obj
 
     def probe(eps: float):
@@ -453,11 +449,12 @@ def maximize_gamma_objective(
             return threshold_fn(v) - slope * shape_fn(v) - intercept
 
         # max keeps the first of equal margins, so the first start wins ties
-        v, best = max((ascend(margin, s) for s in starts), key=lambda r: r[1])
+        v, best = max((ascend_from(margin, s) for s in starts),
+                      key=lambda r: r[1])
         return best > 0.0, v
 
     eps_star, _, v_star = _certified(
-        bisect_confidence(probe, min(1.0, table.max_eps), tau))
+        bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU))
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))
     return ToyResult(eps=eps_star, point=np.asarray(v_star), value=value)

@@ -64,7 +64,6 @@ def run_scheme(
     restarts: int = 100,
     params: OptimizerParams | None = None,
     table: LinearFitTable | None = None,
-    keep_trace: bool = False,
 ) -> SchemeResult:
     """Evaluate one benchmark scheme on one scenario.
 
@@ -72,10 +71,10 @@ def run_scheme(
     ``restarts`` independent feasible placements and keep the best outage
     (the first best on ties); RAP_ZF drops draws whose steering Gram matrix
     fails the zero-forcing condition check and raises only if none is left.
-    Schemes that run the confidence bisection report its certified eps.
+    Schemes that run the confidence bisection report its certified eps;
+    those and MA_ZF also return the iteration trace of their final solve.
     """
     scheme = SchemeId(scheme)
-    params = params or OptimizerParams()
     region = feasible_region(cfg)
 
     def from_bisection(res: BisectionResult) -> SchemeResult:
@@ -85,17 +84,17 @@ def run_scheme(
 
     if scheme is SchemeId.MA_OB:
         return from_bisection(bisection_outage_min(
-            cfg, table, params, mode="joint", keep_trace=keep_trace))
+            cfg, table, params, mode="joint"))
 
     if scheme is SchemeId.MA_MRT:
         return from_bisection(bisection_outage_min(
-            cfg, table, params, mode="positions_mrt", keep_trace=keep_trace))
+            cfg, table, params, mode="positions_mrt"))
 
     if scheme is SchemeId.FPA_OB:
         x = fpa_positions(cfg)
         return from_bisection(bisection_outage_min(
             cfg, table, params, w0=mrt_beamformer(x, cfg), x0=x,
-            mode="beam_only", keep_trace=keep_trace))
+            mode="beam_only"))
 
     if scheme is SchemeId.FPA_ZF:
         x = fpa_positions(cfg)
@@ -103,11 +102,10 @@ def run_scheme(
                             x=x, iterations=0)
 
     if scheme is SchemeId.MA_ZF:
-        res = pgd_solve(region.midpoints(), cfg, params, keep_trace=keep_trace)
+        res = pgd_solve(region.midpoints(), cfg, params)
         return SchemeResult(p_out=zf_outage(res.x, cfg),
                             w=zf_beamformer(res.x, cfg), x=res.x,
-                            iterations=res.n_iter,
-                            trace=res.trace if keep_trace else None)
+                            iterations=res.n_iter, trace=res.trace)
 
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -148,7 +146,6 @@ class SweepSpec:
         default_factory=lambda: list(SchemeId))
     seeds: list[int] = field(default_factory=lambda: [0])
     restarts: int = 100
-    params: OptimizerParams = field(default_factory=OptimizerParams)
 
 
 @dataclass
@@ -220,7 +217,7 @@ def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResu
                 continue
             start = time.perf_counter()
             res = run_scheme(scheme, cfg, seed=seed, restarts=spec.restarts,
-                             params=spec.params, table=table)
+                             table=table)
             result.rows.append(SweepRow(
                 scheme=SchemeId(scheme).value, variable_name=spec.variable,
                 variable_value=float(value), p_out=res.p_out, seed=seed,
@@ -310,6 +307,11 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_dict(raw: dict) -> SystemConfig:
     """Scenario from a mapping with keys named as SystemConfig fields.
 
@@ -330,7 +332,7 @@ def config_from_dict(raw: dict) -> SystemConfig:
                     and all(map(is_number, value))):
                 raise ValueError(f"{name} must be a list of numbers")
         elif name in ("n_antennas", "n_eves"):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer")
         elif not is_number(value):
             raise ValueError(f"{name} must be a number")

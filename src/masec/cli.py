@@ -20,6 +20,7 @@ from .bench import (
     SweepSpec,
     config_from_dict,
     emit_results,
+    is_integer,
     is_number,
     load_config,
     preset,
@@ -28,7 +29,8 @@ from .bench import (
 )
 from .model import SystemConfig, feasible_region, mrt_beamformer
 from .outage import monte_carlo_outage, secrecy_outage_closed_form
-from .surrogate import fit_linear_surrogate, load_table, save_table
+from .surrogate import (DEFAULT_FIT_RANGE, DEFAULT_N_FIT_POINTS, DEFAULT_TAU,
+                        fit_linear_surrogate, load_table, save_table)
 from .zf import SingularSteeringError
 
 
@@ -57,7 +59,7 @@ def _cmd_solve(args) -> int:
     cfg = _scenario(args)
     table = load_table(args.table) if args.table else None
     res = run_scheme(args.scheme, cfg, seed=args.seed, restarts=args.restarts,
-                     table=table, keep_trace=bool(args.trace))
+                     table=table)
     print(f"scheme={args.scheme} p_out={res.p_out:.6f}"
           + (f" eps={res.eps:.4f}" if res.eps is not None else "")
           + f" iterations={res.iterations}")
@@ -84,18 +86,22 @@ def _cmd_sweep(args) -> int:
     missing = [key for key in ("base", "variable", "grid") if key not in raw]
     if missing:
         raise ValueError(f"sweep spec lacks keys: {missing}")
-    for key in ("grid", "seeds"):
-        values = raw.get(key, [])
-        if not (isinstance(values, list) and all(map(is_number, values))):
-            raise ValueError(f"sweep spec {key} must be a list of numbers")
+    grid, seeds = raw["grid"], raw.get("seeds", [0])
+    if not (isinstance(grid, list) and all(map(is_number, grid))):
+        raise ValueError("sweep spec grid must be a list of numbers")
+    if not (isinstance(seeds, list) and seeds and all(map(is_integer, seeds))):
+        raise ValueError("sweep spec seeds must be a non-empty list of integers")
+    names = [s.value for s in SchemeId]
+    schemes = raw.get("schemes", names)
+    if not (isinstance(schemes, list) and all(s in names for s in schemes)):
+        raise ValueError(f"sweep spec schemes must be a list of names from {names}")
+    restarts = raw.get("restarts", 100)
+    if not (is_integer(restarts) and restarts >= 1):
+        raise ValueError("sweep spec restarts must be a positive integer")
     spec = SweepSpec(
-        base=config_from_dict(raw["base"]),
-        variable=raw["variable"],
-        grid=[float(v) for v in raw["grid"]],
-        schemes=[SchemeId(s) for s in raw.get("schemes", [s.value for s in SchemeId])],
-        seeds=[int(s) for s in raw.get("seeds", [0])],
-        restarts=int(raw.get("restarts", 100)),
-    )
+        base=config_from_dict(raw["base"]), variable=raw["variable"],
+        grid=[float(v) for v in grid], schemes=[SchemeId(s) for s in schemes],
+        seeds=seeds, restarts=restarts)
     table = load_table(args.table) if args.table else None
     result = run_sweep(spec, table=table)
     emit_results(result.rows, args.out)
@@ -126,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-table", help="build the quantile surrogate table")
     p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--lo", type=float, default=1.0)
-    p.add_argument("--hi", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p.add_argument("--lo", type=float, default=DEFAULT_FIT_RANGE[0])
+    p.add_argument("--hi", type=float, default=DEFAULT_FIT_RANGE[1])
+    p.add_argument("--points", type=int, default=DEFAULT_N_FIT_POINTS)
     p.set_defaults(func=_cmd_fit_table)
 
     p = sub.add_parser("solve", help="run one scheme on one scenario")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .ascent import OptimizerParams, TraceRecord, line_search
+from .ascent import OptimizerParams, TraceRecord, ascend, line_search
 from .model import (
     SystemConfig,
     eve_los_matrix,
@@ -179,49 +179,39 @@ class PgdResult:
     trace: list[TraceRecord] = field(default_factory=list)
 
 
-def pgd_solve(x0, cfg: SystemConfig, params=None,
-              keep_trace: bool = True) -> PgdResult:
+def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     """Minimize the nulling loss by projected gradient descent.
 
-    Each iteration is the ascent solver's ``line_search`` on the negated
-    loss, which IEEE negation keeps exact: a candidate is accepted once the
-    loss is no larger than the quadratic model around the current point,
-    which together with the box projection guarantees a nonincreasing loss
-    trace.  Each search starts at min(delta0, 2 x the last accepted step),
-    and the descent stops once no step is accepted or one lowers the loss
-    by less than obj_tol x max(1, |loss|).  Trace records hold the loss as
-    ``objective`` and the accepted step and model gap as ``delta_pos`` and
-    ``pos_gap``.
+    The descent is ``ascent.ascend`` with one position block, a
+    ``line_search`` on the negated loss, which IEEE negation keeps exact: a
+    candidate is accepted once the loss is no larger than the quadratic
+    model around the current point, which together with the box projection
+    guarantees a nonincreasing loss trace.  The loop's warm steps and
+    relative stop apply, up to params.max_outer iterations; a search that
+    accepts no step ends it as converged.  Trace records hold the loss
+    itself as ``objective`` and the accepted step and model gap as
+    ``delta_pos`` and ``pos_gap``.
     """
     params = params or OptimizerParams()
     region = feasible_region(cfg)
     x = np.asarray(x0, dtype=float)
-    loss = bob_gain_loss(x, cfg)
-    trace: list[TraceRecord] = []
-    converged = False
-    n_iter = 0
-    delta = params.delta0
-    for it in range(1, params.max_outer + 1):
-        n_iter = it
+
+    def block(neg_loss, delta):
+        nonlocal x
         d = -bob_gain_loss_grad(x, cfg)
-        found = line_search(lambda c: -bob_gain_loss(c, cfg), x, -loss, d,
+        found = line_search(lambda c: -bob_gain_loss(c, cfg), x, neg_loss, d,
                             lambda s: float(d @ s),
-                            lambda c: project_positions(c, region), params,
-                            min(params.delta0, 2.0 * delta))
-        rec = TraceRecord(iteration=it, delta_beam=None, delta_pos=None,
-                          objective=loss)
+                            lambda c: project_positions(c, region), delta)
         if found is not None:
-            rec.delta_pos, x, neg_loss, rec.pos_gap = found
-            delta = rec.delta_pos
-            improvement = loss + neg_loss
-            loss = rec.objective = -neg_loss
-        if keep_trace:
-            trace.append(rec)
-        if found is None or improvement < params.obj_tol * max(1.0, abs(loss)):
-            converged = True
-            break
-    return PgdResult(x=x, loss=loss, n_iter=n_iter, converged=converged,
-                     trace=trace)
+            _, x, neg_loss, _ = found
+        return neg_loss, found
+
+    neg_loss, trace, converged = ascend(-bob_gain_loss(x, cfg),
+                                        params.max_outer, pos=block)
+    for rec in trace:
+        rec.objective = -rec.objective
+    return PgdResult(x=x, loss=-neg_loss, n_iter=len(trace),
+                     converged=converged, trace=trace)
 
 
 def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:

@@ -204,11 +204,13 @@ class TestAscent:
         ("ob-demo", "joint", 1.0), ("m-sweep", "joint", 1.0),
         ("zf-demo-far", "beam_only", 1.0), ("ob-demo", "positions_mrt", 1.0),
         ("zf-demo-near", "joint", 0.25)])
-    def test_block_steps_grow_at_most_twofold(self, table, name, mode, delta0):
+    def test_block_steps_grow_at_most_twofold(self, monkeypatch, table, name,
+                                              mode, delta0):
+        monkeypatch.setattr(ascent, "DELTA0", delta0)
         cfg = preset(name)
         x0 = feasible_region(cfg).midpoints()
         res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.3, table, cfg,
-                         OptimizerParams(delta0=delta0), mode=mode)
+                         mode=mode)
         blocks = {"joint": ("delta_beam", "delta_pos"),
                   "beam_only": ("delta_beam",),
                   "positions_mrt": ("delta_pos",)}[mode]
@@ -226,13 +228,12 @@ class TestAscent:
         # thousands in magnitude, so an absolute 1e-8 change is out of reach
         cfg = base_config(pa=1e-3)
         x0 = feasible_region(cfg).midpoints()
-        params = OptimizerParams()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg, params)
+        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg)
         assert abs(res.objective) > 100.0
         assert res.converged
         assert res.n_iter < 100
         last, prev = res.trace[-1].objective, res.trace[-2].objective
-        assert abs(last - prev) < params.obj_tol * abs(last)
+        assert abs(last - prev) < ascent.OBJ_TOL * abs(last)
 
 
 class TestBisection:
@@ -282,14 +283,19 @@ class TestBisection:
         assert (res.eps, res.feasible) == (0.0, False)
 
     def test_trace_kept_on_request(self, table):
+        # keep_trace is still accepted, as acceptance check 04 passes it
         res = bisection_outage_min(preset("ob-demo"), table, keep_trace=True)
         assert res.best_trace
         objs = [r.objective for r in res.best_trace]
         assert np.all(np.diff(objs) >= -1e-12)
 
-    def test_trace_absent_by_default(self, table):
+    def test_trace_kept_by_default(self, table):
+        # the trace is the certified probe's solve, ending at its margin
         res = bisection_outage_min(preset("ob-demo"), table)
-        assert res.best_trace is None
+        margin = [obj for _, feasible, obj in res.probes if feasible][-1]
+        assert [r.iteration for r in res.best_trace] == \
+            list(range(1, len(res.best_trace) + 1))
+        assert res.best_trace[-1].objective == margin > 0.0
 
 
 def _no_probe(*args, **kwargs):
@@ -307,8 +313,7 @@ class TestInfeasibilityExit:
     def test_schemes_skip_the_ascent(self, monkeypatch, table, scheme, case):
         cfg = self.CASES[case]
         monkeypatch.setattr(ascent, "apga_solve", _no_probe)
-        res = run_scheme(scheme, cfg, table=table, restarts=3,
-                         keep_trace=True)
+        res = run_scheme(scheme, cfg, table=table, restarts=3)
         assert (res.eps, res.p_out, res.iterations) == (0.0, 1.0, 0)
         assert not res.detail.feasible
         assert (res.detail.rounds, res.detail.probes) == (0, [])
@@ -316,8 +321,7 @@ class TestInfeasibilityExit:
         x = res.x
         assert 0.0 <= x.min() and x.max() <= cfg.span
         assert np.all(np.diff(x) >= cfg.dmin - 1e-12)
-        if scheme != "RAP_OB":
-            assert res.trace == []
+        assert res.trace == []
 
     def test_returns_the_start(self, monkeypatch, table):
         cfg = base_config(pa=1e-3)
@@ -326,7 +330,7 @@ class TestInfeasibilityExit:
         res = bisection_outage_min(cfg, table, w0=3.0 * w0, x0=x0)
         assert np.array_equal(res.x, x0)
         assert np.allclose(res.w, w0, rtol=0.0, atol=1e-15)
-        assert res.best_trace is None
+        assert res.best_trace == []
 
     @pytest.mark.parametrize("factor,exits", [(0.99, True), (1.01, False)])
     def test_fires_exactly_below_the_critical_power(self, monkeypatch, table,
@@ -356,7 +360,7 @@ class TestLineSearch:
         grad = np.array([18.0])
         delta, cand, _, _ = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
-            lambda c: np.clip(c, 0.0, 10.0), OptimizerParams(), start)
+            lambda c: np.clip(c, 0.0, 10.0), start)
         assert calls == [first]
         assert (delta, cand[0]) == (start, first)
 
@@ -372,22 +376,22 @@ class TestLineSearch:
         grad = np.array([18.0])
         delta, cand, val, gap = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
-            lambda c: np.clip(c, 0.0, 10.0), OptimizerParams(), 1.0)
+            lambda c: np.clip(c, 0.0, 10.0), 1.0)
         assert calls == [10.0, 9.0, 4.5]
         assert (delta, cand[0], val) == (0.25, 4.5, -6.75)
         assert gap == 20.25
 
-    def test_none_when_no_step_is_accepted(self):
+    def test_none_when_no_step_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(ascent, "MIN_STEP", 0.1)
         calls = []
 
         def value(c):
             calls.append(c)
             return -1.0      # always below the model, which starts at 0
         res = line_search(value, np.zeros(2), 0.0, np.ones(2),
-                          lambda s: float(np.sum(s)), lambda c: c,
-                          OptimizerParams(min_step=0.1), 1.0)
+                          lambda s: float(np.sum(s)), lambda c: c, 1.0)
         assert res is None
-        # delta = 1, 0.5, 0.25, 0.125 are tried; 0.0625 < min_step is not
+        # delta = 1, 0.5, 0.25, 0.125 are tried; 0.0625 < MIN_STEP is not
         assert len(calls) == 4
 
 
@@ -497,7 +501,7 @@ def test_write_trace_format(tmp_path, table):
 def test_params_are_frozen():
     p = OptimizerParams()
     with pytest.raises(AttributeError):
-        p.delta0 = 2.0
+        p.max_outer = 1
 
 
 # Runs the package's scipy-free paths with every scipy import refused:

@@ -1,10 +1,12 @@
 """Scheme dispatch, sweeps, CSV persistence, CLI plumbing."""
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from masec import bench, surrogate, zf
+from masec import ascent, bench, surrogate, zf
 from masec.bench import (
     SchemeId,
     SweepSpec,
@@ -308,6 +310,18 @@ class TestPresets:
         assert x.shape == (cfg.n_antennas,)
 
 
+def _sweep_spec(**override):
+    """A valid one-row FPA_ZF sweep spec with some keys replaced."""
+    spec = {"base": {
+                "n_antennas": 5, "n_eves": 1, "theta0": 0.25,
+                "thetas": [0.275], "beta0": 1.0, "betas": [1.0],
+                "ks": [4.0], "pa": 31.6, "sigma2": 1.0, "rs": 3.0},
+            "variable": "k", "grid": [1.0], "schemes": ["FPA_ZF"],
+            "seeds": [0], "restarts": 1}
+    spec.update(override)
+    return spec
+
+
 class TestCli:
     def test_solve_with_preset(self, capsys):
         code = main(["solve", "--preset", "ob-demo", "--scheme", "FPA_ZF"])
@@ -401,6 +415,15 @@ class TestCli:
                    "pa": 31.6, "sigma2": 1.0, "rs": 3.0},
          "thetas must be a list of numbers"),
         ("solve", {"n_antennas": 5}, "missing config keys: ['n_eves'"),
+        ("sweep", _sweep_spec(restarts=None), "restarts must be a positive"),
+        ("sweep", _sweep_spec(restarts=True), "restarts must be a positive"),
+        ("sweep", _sweep_spec(restarts=2.5), "restarts must be a positive"),
+        ("sweep", _sweep_spec(restarts=0), "restarts must be a positive"),
+        ("sweep", _sweep_spec(schemes=5), "schemes must be a list of names"),
+        ("sweep", _sweep_spec(schemes=["MA_XX"]), "schemes must be a list"),
+        ("sweep", _sweep_spec(seeds=[]), "seeds must be a non-empty list"),
+        ("sweep", _sweep_spec(seeds=[1.5]), "seeds must be a non-empty list"),
+        ("sweep", _sweep_spec(grid="1.0"), "grid must be a list of numbers"),
     ])
     def test_malformed_json_is_error_exit(self, command, content, message,
                                           tmp_path, capsys):
@@ -444,7 +467,17 @@ def test_scheme_result_carries_eps_only_for_bisection(table):
 
 
 def test_default_params_match_documented_values():
-    p = OptimizerParams()
-    assert p.delta0 == 1.0
-    assert p.shrink == 0.5
-    assert p.tau == 0.01
+    assert [f.name for f in dataclasses.fields(OptimizerParams)] == ["max_outer"]
+    assert OptimizerParams().max_outer == 2000
+    assert (ascent.DELTA0, ascent.SHRINK) == (1.0, 0.5)
+    assert (ascent.MIN_STEP, ascent.OBJ_TOL) == (1e-15, 1e-8)
+    assert surrogate.DEFAULT_TAU == 0.01
+
+
+def test_readme_library_snippet_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md", "exec"), {})
+    eps, p_out = map(float, capsys.readouterr().out.splitlines()[0].split())
+    assert 0.0 < eps <= 1.0 - p_out

@@ -128,7 +128,7 @@ class TestGainLoss:
 class TestDescent:
     def test_loss_trace_nonincreasing(self):
         cfg = two_eve_config()
-        res = pgd_solve(feasible_region(cfg).midpoints(), cfg, keep_trace=True)
+        res = pgd_solve(feasible_region(cfg).midpoints(), cfg)
         objs = [r.objective for r in res.trace]
         assert np.all(np.diff(objs) <= 1e-12)
         assert res.converged
