@@ -7,10 +7,19 @@ of the required Gamma quantile, cleared of its positive denominator) is
 positive.  The inner maximization alternates projected gradient ascent
 steps on the unit-norm beamformer and on the antenna positions, each with
 backtracking against a quadratic model.
+
+``bisect_beam_lanes`` runs the beamformer-only bisection for a stack of
+fixed placements at once, as lanes: every numpy call of the margin, its
+gradient and the line search covers all lanes still running, and each lane
+keeps its own bisection bracket, step, stop and iteration cap.  Lane i
+gives the same result, bit for bit, as ``bisection_outage_min`` from the
+matched filter at placement i; the single-solve path ``apga_solve`` stays
+scalar, because one lane pays the stacking overhead for nothing.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +30,7 @@ from .gammainc import lower_incomplete_gamma_reg
 from .model import (
     SystemConfig,
     feasible_region,
+    main_channel,
     mrt_beamformer,
     project_positions,
 )
@@ -108,6 +118,10 @@ class _Scenario:
 
     Direction 0 is the legitimate user, 1..M the eavesdroppers; the margin
     depends on (w, x) only through the M+1 LoS power gains |s_d w|^2.
+    ``steer_rows``, ``margin`` and ``margin_grad_w`` also take stacks: rows
+    (..., M+1, N), beams (..., N) and per-lane slope and intercept (...).
+    Every product is reduced per lane as in the unstacked call, so a lane
+    of a stack gets the same bits as the lane alone.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -115,34 +129,41 @@ class _Scenario:
         self.wave_rate = TWO_PI / cfg.wavelength
         self.mm = moment_match(cfg)
         self.beta0 = cfg.beta0
+        # moment coefficients over all M+1 gains; _gain_weights overwrites
+        # slot 0 with Bob's weight
+        self.lin_row = np.concatenate(([0.0], self.mm.lin_coef))
+        self.quad_row = np.concatenate(([0.0], self.mm.quad_coef))
 
     def steer_rows(self, x: FloatArray) -> ComplexArray:
-        """Unit-magnitude steering rows for Bob and all eves, (M+1, N)."""
-        return np.exp(1j * self.wave_rate * np.outer(self.sines, x))
+        """Unit-magnitude steering rows for Bob and all eves, (..., M+1, N)."""
+        return np.exp(1j * self.wave_rate * (self.sines[:, None] * x[..., None, :]))
 
-    def margin(self, rows: ComplexArray, w: ComplexArray,
-               slope: float, intercept: float) -> float:
-        gains = np.abs(rows @ w) ** 2
-        lin, quad = self.mm.moments(gains[1:])
-        thr = self.mm.threshold(self.beta0 * gains[0])
-        return float(lin * thr - slope * lin**2 - intercept * quad)
+    def _statistics(self, gains):
+        """lin, quad and the outage threshold of the M+1 gains (..., M+1)."""
+        lin, quad = self.mm.moments(gains[..., 1:])
+        # [()] turns one lane's 0-d Bob gain into a float, so float math follows
+        return lin, quad, self.mm.threshold(self.beta0 * gains[..., 0][()])
+
+    def margin(self, rows: ComplexArray, w: ComplexArray, slope, intercept):
+        lin, quad, thr = self._statistics(np.abs(np.matvec(rows, w)) ** 2)
+        m = lin * thr - slope * _libm_square(lin) - intercept * quad
+        return float(m) if m.ndim == 0 else m
 
     def _gain_weights(self, rows: ComplexArray, w: ComplexArray,
-                      slope: float, intercept: float):
+                      slope, intercept):
         """v = rows @ w and the margin's partials in the M+1 gains |v_d|^2."""
-        v = rows @ w
-        gains = np.abs(v) ** 2
-        lin, _ = self.mm.moments(gains[1:])
-        thr = self.mm.threshold(self.beta0 * gains[0])
-        eve = (thr - 2.0 * slope * lin) * self.mm.lin_coef \
-            - intercept * self.mm.quad_coef
-        return v, np.concatenate(([lin * self.beta0 / self.mm.rate_pow], eve))
+        v = np.matvec(rows, w)
+        lin, _, thr = self._statistics(np.abs(v) ** 2)
+        weights = (thr - 2.0 * slope * lin)[..., None] * self.lin_row \
+            - np.asarray(intercept)[..., None] * self.quad_row
+        weights[..., 0] = lin * self.beta0 / self.mm.rate_pow
+        return v, weights
 
     def margin_grad_w(self, rows: ComplexArray, w: ComplexArray,
-                      slope: float, intercept: float) -> ComplexArray:
+                      slope, intercept) -> ComplexArray:
         # d|v_d|^2 / d conj(w) = v_d conj(s_d)
         v, weights = self._gain_weights(rows, w, slope, intercept)
-        return (weights * v) @ rows.conj()
+        return ((weights * v)[..., None, :] @ rows.conj())[..., 0, :]
 
     def margin_grad_x(self, rows: ComplexArray, w: ComplexArray,
                       slope: float, intercept: float) -> FloatArray:
@@ -178,8 +199,25 @@ def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
                             slope, intercept)
 
 
+def _libm_square(v):
+    """v ** 2 as a numpy float computes it, libm pow, for every lane.
+
+    An array's ** 2 is the rounded product v * v instead, which differs in
+    the last bit for about 1 value in 1,000; np.float_power calls pow.
+    """
+    return v ** 2 if v.ndim == 0 else np.float_power(v, 2)
+
+
 def _normalize(w: ComplexArray) -> ComplexArray:
-    return w / np.linalg.norm(w)
+    """w / ||w|| over the last axis, with np.linalg.norm's bits per lane.
+
+    One vector takes np.linalg.norm itself, which is faster than the
+    per-lane dot products a stack needs.
+    """
+    if w.ndim == 1:
+        return w / np.linalg.norm(w)
+    norm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+    return w / norm[:, None]
 
 
 def line_search(value, point, obj: float, direction, slope, project,
@@ -313,20 +351,22 @@ def bisect_confidence(probe, eps_max: float, tau: float) -> list[tuple]:
     Returns every probe as ``(eps, feasible, payload)`` in order; the last
     feasible one is the certified level.
     """
-    eps_lo, eps_hi = 0.0, eps_max
-    eps = min(0.5, eps_max)
+    eps, lo, hi = min(0.5, eps_max), 0.0, eps_max
     probes = []
     while True:
         feasible, payload = probe(eps)
         probes.append((eps, feasible, payload))
-        if feasible:
-            eps_lo = eps
-            eps = 0.5 * (eps + eps_hi)
-        else:
-            eps_hi = eps
-            eps = 0.5 * (eps_lo + eps)
-        if eps_hi - eps_lo <= tau:
+        eps, lo, hi = _split(eps, lo, hi, feasible)
+        if hi - lo <= tau:
             return probes
+
+
+def _split(eps: float, lo: float, hi: float, feasible: bool):
+    """One bisection step: the next level and the bracket [lo, hi] after
+    the verdict at level eps."""
+    if feasible:
+        return 0.5 * (eps + hi), eps, hi
+    return 0.5 * (lo + eps), lo, eps
 
 
 def _certified(probes: list[tuple]) -> tuple[float, bool, object]:
@@ -364,7 +404,7 @@ def bisection_outage_min(
     x = np.asarray(x0, dtype=float) if x0 is not None else region.midpoints()
     w = np.asarray(w0, dtype=complex) if w0 is not None else mrt_beamformer(x, cfg)
 
-    if moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0:
+    if _outage_certain(cfg):
         w = _normalize(w)
         return BisectionResult(
             eps=0.0, p_out=secrecy_outage_closed_form(w, x, cfg), w=w, x=x,
@@ -384,6 +424,154 @@ def bisection_outage_min(
         total_iterations=sum(res.n_iter for _, _, res in runs),
         probes=[(eps, feas, res.objective) for eps, feas, res in runs],
         best_trace=sol.trace)
+
+
+def _outage_certain(cfg: SystemConfig) -> bool:
+    """Whether even the largest legitimate gain beta0 N, reached by a
+    unit-norm w, leaves the outage threshold nonpositive."""
+    return moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0
+
+
+def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
+                       delta):
+    """``line_search`` on the beamformer of every lane at once.
+
+    Lane i tries ``_normalize(w[i] + delta[i] * g[i])`` and shrinks its own
+    delta by SHRINK until the candidate reaches the lane's quadratic model
+    or the delta drops below MIN_STEP; only lanes still searching are
+    computed.  Returns the accepted deltas, the new beams and objectives
+    (unchanged for a lane that accepted nothing) and the gaps value - model;
+    delta and gap are NaN for a lane that accepted nothing.
+    """
+    w, obj = w.copy(), obj.copy()
+    accepted, gap = np.full(len(w), np.nan), np.full(len(w), np.nan)
+    live = np.flatnonzero(delta >= MIN_STEP)
+    delta = delta[live]
+    while live.size:
+        start, direction = w[live], g[live]
+        cand = _normalize(start + delta[:, None] * direction)
+        step = cand - start
+        model = obj[live] + 2.0 * np.vecdot(direction, step).real \
+            - np.vecdot(step, step).real / delta
+        val = sc.margin(rows[live], cand, slope[live], intercept[live])
+        ok = val >= model
+        hit = live[ok]
+        w[hit], obj[hit] = cand[ok], val[ok]
+        accepted[hit], gap[hit] = delta[ok], val[ok] - model[ok]
+        live, delta = live[~ok], delta[~ok] * SHRINK
+        keep = delta >= MIN_STEP
+        live, delta = live[keep], delta[keep]
+    return accepted, w, obj, gap
+
+
+def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
+    """One probe of ``apga_solve`` in beam_only mode for every lane at once.
+
+    Lane i ascends from w[i], renormalized, on its fixed rows (M+1, N) with
+    its own slope and intercept, under ``ascend``'s policy: its own warm
+    step min(DELTA0, 2 x last accepted delta), relative stop and max_outer
+    cap.  A lane that stops leaves the working stack, so only active lanes
+    are computed.  Returns the final beams and objectives, the iteration
+    counts and the history (3, T, B) of objective, accepted delta and gap
+    per iteration, T >= max(n_iter): column i holds lane i's first
+    n_iter[i] iterations, with NaN delta and gap where no step was
+    accepted.
+    """
+    w = _normalize(w)
+    obj = sc.margin(rows, w, slope, intercept)
+    w_out, obj_out = w.copy(), obj.copy()
+    n_iter = np.zeros(len(w), dtype=int)
+    history = np.empty((3, min(max_outer, 64), len(w)))
+    lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
+    for it in range(1, max_outer + 1):
+        if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
+            history = np.concatenate((history, np.empty_like(history)), axis=1)
+        start = obj
+        g = sc.margin_grad_w(rows, w, slope, intercept)
+        delta, w, obj, gap = _line_search_lanes(
+            sc, rows, w, obj, g, slope, intercept,
+            np.minimum(DELTA0, 2.0 * last))
+        last = np.where(np.isnan(delta), last, delta)
+        history[:, it - 1, lane] = obj, delta, gap
+        stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
+        if it == max_outer:
+            stop[:] = True
+        if stop.any():
+            done = lane[stop]
+            w_out[done], obj_out[done], n_iter[done] = w[stop], obj[stop], it
+            lane, rows, w, obj, last, slope, intercept = (
+                v[~stop] for v in (lane, rows, w, obj, last, slope, intercept))
+            if not lane.size:
+                break
+    return w_out, obj_out, n_iter, history
+
+
+def _lane_trace(history, n_iter: int) -> list[TraceRecord]:
+    """The TraceRecords of one lane's history column (3, T)."""
+    objs, deltas, gaps = history[:, :n_iter].tolist()
+    return [TraceRecord(it, None if math.isnan(d) else d, None, o,
+                        None if math.isnan(gp) else gp)
+            for it, (o, d, gp) in enumerate(zip(objs, deltas, gaps), 1)]
+
+
+def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None,
+                      params: OptimizerParams | None = None,
+                      ) -> list[BisectionResult]:
+    """``bisection_outage_min`` in beam_only mode from the matched filter,
+    for every placement of the stack xs (B, N) at once.
+
+    Result i equals ``bisection_outage_min(cfg, table, params,
+    w0=mrt_beamformer(xs[i], cfg), x0=xs[i], mode="beam_only")`` bit for
+    bit, p_out included, although all lanes get p_out from one stacked
+    closed-form call.  Each lane runs its own bisection (the
+    ``bisect_confidence`` rule), and each probe round solves every
+    still-bisecting lane at once with ``_beam_lanes``.  The closed-form
+    exit for certain outage is checked once for all lanes.
+    """
+    table = table or default_table()
+    params = params or OptimizerParams()
+    xs = np.asarray(xs, dtype=float)
+    sc = _Scenario(cfg)
+    w = _normalize(main_channel(xs, cfg).conj())   # mrt_beamformer per lane
+    if _outage_certain(cfg):
+        w = _normalize(w)
+        return [BisectionResult(eps=0.0, p_out=float(p), w=wi, x=xi,
+                                feasible=False, rounds=0, total_iterations=0)
+                for p, wi, xi in zip(secrecy_outage_closed_form(w, xs, cfg),
+                                     w, xs)]
+
+    rows = sc.steer_rows(xs)
+    eps_max = min(1.0, table.max_eps)
+    brackets = [(min(0.5, eps_max), 0.0, eps_max)] * len(xs)
+    runs = [[] for _ in xs]     # per lane: (eps, feasible, (round, position))
+    rounds = []                 # per round: (beams, objectives, n_iter, history)
+    lanes = np.arange(len(xs))
+    while lanes.size:
+        levels = [brackets[b][0] for b in lanes.tolist()]
+        slope, intercept = surrogate_lookup(table, np.array(levels))
+        beams, obj, n_iter, history = _beam_lanes(
+            sc, rows[lanes], w[lanes], slope, intercept, params.max_outer)
+        w[lanes] = beams
+        for i, b in enumerate(lanes.tolist()):
+            feasible = bool(obj[i] > 0.0)
+            runs[b].append((levels[i], feasible, (len(rounds), i)))
+            brackets[b] = _split(*brackets[b], feasible)
+        rounds.append((beams, obj, n_iter, history))
+        lanes = np.array([b for b in lanes.tolist()
+                          if brackets[b][2] - brackets[b][1] > DEFAULT_TAU],
+                         dtype=int)
+
+    sols = [_certified(run) for run in runs]
+    w = np.array([rounds[r][0][i] for _, _, (r, i) in sols])
+    p_out = secrecy_outage_closed_form(w, xs, cfg)
+    return [BisectionResult(
+        eps=eps, p_out=float(p), w=wi, x=xi, feasible=feasible,
+        rounds=len(run),
+        total_iterations=sum(int(rounds[r][2][i]) for _, _, (r, i) in run),
+        probes=[(e, f, float(rounds[r][1][i])) for e, f, (r, i) in run],
+        best_trace=_lane_trace(rounds[r][3][:, :, i], rounds[r][2][i]))
+        for (eps, feasible, (r, i)), run, p, wi, xi
+        in zip(sols, runs, p_out, w, xs)]
 
 
 @dataclass

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ascent import BisectionResult, OptimizerParams, bisection_outage_min
+from .ascent import (BisectionResult, OptimizerParams, bisect_beam_lanes,
+                     bisection_outage_min)
 from .model import (
     SystemConfig,
     feasible_region,
@@ -71,8 +72,12 @@ def run_scheme(
     ``restarts`` independent feasible placements and keep the best outage
     (the first best on ties); RAP_ZF drops draws whose steering Gram matrix
     fails the zero-forcing condition check and raises only if none is left.
-    Schemes that run the confidence bisection report its certified eps;
-    those and MA_ZF also return the iteration trace of their final solve.
+    Both score all their draws in one batched call: RAP_OB solves every
+    placement as a lane of ``bisect_beam_lanes`` and reports the winning
+    lane's bisection, with ``iterations`` summed over all lanes; RAP_ZF
+    uses ``screened_outage``.  Schemes that run the confidence bisection
+    report its certified eps; those and MA_ZF also return the iteration
+    trace of their final solve.
     """
     scheme = SchemeId(scheme)
     region = feasible_region(cfg)
@@ -111,10 +116,9 @@ def run_scheme(
         raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
-        runs = [bisection_outage_min(cfg, table, params,
-                                     w0=mrt_beamformer(x, cfg), x0=x,
-                                     mode="beam_only")
-                for x in random_feasible_positions(region, rng, restarts)]
+        runs = bisect_beam_lanes(
+            cfg, random_feasible_positions(region, rng, restarts), table,
+            params)
         best = from_bisection(min(runs, key=lambda r: r.p_out))  # first wins ties
         best.iterations = sum(r.total_iterations for r in runs)
         return best
@@ -171,8 +175,11 @@ def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     Supported variables: pa_db (power in dB), k (common Rician factor),
     span, rs, n_antennas, n_eves (truncates the per-eve tuples of the base
     config), theta_ratio (first-eve angle as a multiple of theta0; single
-    eavesdropper only).
+    eavesdropper only).  The two counts take whole numbers only, as ints
+    or integral floats such as 3.0; anything else raises ValueError.
     """
+    if name in ("n_antennas", "n_eves") and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     if name == "pa_db":
         return dataclasses.replace(cfg, pa=float(10.0 ** (value / 10.0)))
     if name == "k":

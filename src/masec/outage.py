@@ -68,10 +68,15 @@ class MomentMatch:
     noise_off: float         # sigma2 / pa (2^-rs - 1)
 
     def moments(self, gains):
-        """(lin, quad) of the LoS gains, batched over leading axes (..., M)."""
+        """(lin, quad) of the LoS gains, batched over leading axes (..., M).
+
+        Each row is reduced as its own 1-D dot product, so a row of a stack
+        gets the same bits as the row alone (a stacked matrix-vector product
+        rounds differently).
+        """
         gains = np.asarray(gains, dtype=float)
-        return (gains @ self.lin_coef + self.lin_const,
-                gains @ self.quad_coef + self.quad_const)
+        return (np.vecdot(gains, self.lin_coef) + self.lin_const,
+                np.vecdot(gains, self.quad_coef) + self.quad_const)
 
     def threshold(self, bob_gain):
         """bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); negative when the
@@ -98,17 +103,23 @@ def gamma_outage(lin, quad, thr) -> float | FloatArray:
     broadcast; scalars in, float out.
     """
     t = lin / quad * thr
-    p = np.clip(1.0 - lower_incomplete_gamma_reg(lin**2 / quad, t), 0.0, 1.0)
+    # float_power gives a stacked lane the bits of a scalar's ** 2 (libm pow)
+    shape = np.float_power(lin, 2) / quad
+    p = np.clip(1.0 - lower_incomplete_gamma_reg(shape, t), 0.0, 1.0)
     return float(p) if np.ndim(p) == 0 else p
 
 
 def _los_power_gains(w, x, cfg: SystemConfig) -> FloatArray:
-    proj = eve_los_matrix(x, cfg) @ np.asarray(w)
-    return np.abs(proj) ** 2
+    """|a_i w|^2 of every eavesdropper, (..., M) for stacks (..., N)."""
+    return np.abs(np.matvec(eve_los_matrix(x, cfg), np.asarray(w))) ** 2
 
 
-def _bob_power_gain(w, x, cfg: SystemConfig) -> float:
-    return abs(np.dot(main_channel(x, cfg), w)) ** 2
+def _bob_power_gain(w, x, cfg: SystemConfig):
+    """|h_0 w|^2 (beta0 included), (...) for stacks (..., N)."""
+    v = np.vecdot(main_channel(x, cfg).conj(), np.asarray(w))
+    # libm hypot and pow per lane, the calls a complex scalar's abs and ** 2
+    # make; numpy's array abs and ** 2 round differently
+    return np.float_power(np.hypot(v.real, v.imag), 2)
 
 
 def link_stats(w, x, cfg: SystemConfig) -> list[EveLinkStats]:
@@ -156,11 +167,12 @@ def outage_threshold(w, x, cfg: SystemConfig) -> float:
     return float(moment_match(cfg).threshold(_bob_power_gain(w, x, cfg)))
 
 
-def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float:
+def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
     """Closed-form secrecy outage probability under the Gamma approximation.
 
     Returns 1 - P(shape, scaled_threshold) clamped to [0, 1]; a nonpositive
-    threshold means certain outage.
+    threshold means certain outage.  Stacks w, x of shape (B, N) give one
+    value per row, each with the bits of that row's own call.
     """
     mm = moment_match(cfg)
     lin, quad = mm.moments(_los_power_gains(w, x, cfg))

@@ -102,18 +102,23 @@ def fit_linear_surrogate(
         n_fit_points=int(n_fit_points))
 
 
-def surrogate_lookup(table: LinearFitTable, eps: float) -> tuple[float, float]:
+def surrogate_lookup(table: LinearFitTable, eps) -> tuple:
     """(slope, intercept) at ``eps``, linearly interpolated on the grid.
 
     Supported domain is [0, max grid eps]; below the first grid point the
-    interpolation anchors at the exact (0, 0) model for eps = 0.
+    interpolation anchors at the exact (0, 0) model for eps = 0.  A float
+    gives floats; an array of levels gives one slope and one intercept per
+    level, each with the bits of its own float lookup.
     """
-    if not 0.0 <= eps <= table.max_eps:
+    levels = np.asarray(eps)
+    if not np.all((0.0 <= levels) & (levels <= table.max_eps)):
         raise ValueError(
             f"eps={eps!r} outside the table domain [0, {table.max_eps}]")
     xp = np.concatenate(([0.0], table.eps_grid))
-    slope = float(np.interp(eps, xp, np.concatenate(([0.0], table.slope))))
-    intercept = float(np.interp(eps, xp, np.concatenate(([0.0], table.intercept))))
+    slope = np.interp(eps, xp, np.concatenate(([0.0], table.slope)))
+    intercept = np.interp(eps, xp, np.concatenate(([0.0], table.intercept)))
+    if np.ndim(eps) == 0:
+        return float(slope), float(intercept)
     return slope, intercept
 
 

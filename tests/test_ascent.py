@@ -299,7 +299,7 @@ class TestBisection:
 
 
 def _no_probe(*args, **kwargs):
-    raise AssertionError("apga_solve called on a provably infeasible case")
+    raise AssertionError("an ascent ran on a provably infeasible case")
 
 
 class TestInfeasibilityExit:
@@ -313,6 +313,7 @@ class TestInfeasibilityExit:
     def test_schemes_skip_the_ascent(self, monkeypatch, table, scheme, case):
         cfg = self.CASES[case]
         monkeypatch.setattr(ascent, "apga_solve", _no_probe)
+        monkeypatch.setattr(ascent, "_beam_lanes", _no_probe)
         res = run_scheme(scheme, cfg, table=table, restarts=3)
         assert (res.eps, res.p_out, res.iterations) == (0.0, 1.0, 0)
         assert not res.detail.feasible
@@ -346,6 +347,70 @@ class TestInfeasibilityExit:
         monkeypatch.setattr(ascent, "apga_solve", counting)
         res = bisection_outage_min(cfg, table)
         assert res.rounds == len(calls) == (0 if exits else 7)
+
+
+def assert_same_bisection(a, b):
+    """Two BisectionResults agree bit for bit, trace records included."""
+    assert (a.eps, a.p_out, a.feasible, a.rounds, a.total_iterations) == \
+        (b.eps, b.p_out, b.feasible, b.rounds, b.total_iterations)
+    assert a.probes == b.probes
+    assert a.best_trace == b.best_trace
+    assert (a.w.tobytes(), a.x.tobytes()) == (b.w.tobytes(), b.x.tobytes())
+
+
+def lane_placements(cfg, count, seed=11):
+    return random_feasible_positions(feasible_region(cfg),
+                                     np.random.default_rng(seed), count)
+
+
+class TestBeamLanes:
+    """bisect_beam_lanes against one bisection_outage_min per placement."""
+
+    @staticmethod
+    def reference(cfg, x, table, params=None):
+        return bisection_outage_min(cfg, table, params,
+                                    w0=mrt_beamformer(x, cfg), x0=x,
+                                    mode="beam_only")
+
+    @pytest.mark.parametrize("name", ["m-sweep", "cdf-demo", "zf-demo-near"])
+    def test_every_lane_matches_its_own_bisection(self, table, name):
+        cfg = preset(name)
+        xs = lane_placements(cfg, 8)
+        for lane, x in zip(ascent.bisect_beam_lanes(cfg, xs, table), xs):
+            assert_same_bisection(lane, self.reference(cfg, x, table))
+
+    @pytest.mark.parametrize("max_outer", [0, 1, 5])
+    def test_iteration_cap_applies_per_lane(self, table, max_outer):
+        cfg, params = preset("zf-demo-far"), OptimizerParams(max_outer)
+        xs = lane_placements(cfg, 6)
+        lanes = ascent.bisect_beam_lanes(cfg, xs, table, params)
+        for lane, x in zip(lanes, xs):
+            assert_same_bisection(lane, self.reference(cfg, x, table, params))
+            assert len(lane.best_trace) <= max_outer
+
+    def test_certain_outage_returns_every_start(self, monkeypatch, table):
+        cfg = base_config(pa=1e-3)
+        xs = lane_placements(cfg, 4)
+        monkeypatch.setattr(ascent, "_beam_lanes", _no_probe)
+        for lane, x in zip(ascent.bisect_beam_lanes(cfg, xs, table), xs):
+            assert_same_bisection(lane, self.reference(cfg, x, table))
+
+    def test_stacked_margin_kernels_match_each_lane(self, table):
+        cfg = preset("m-sweep")
+        sc = ascent._Scenario(cfg)
+        xs = lane_placements(cfg, 50)
+        rng = np.random.default_rng(2)
+        ws = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
+        slope, intercept = surrogate_lookup(table, rng.uniform(0, 0.9, 50))
+        rows = sc.steer_rows(xs)
+        margins = sc.margin(rows, ws, slope, intercept)
+        grads = sc.margin_grad_w(rows, ws, slope, intercept)
+        for i in range(len(xs)):
+            one = sc.steer_rows(xs[i])
+            assert np.array_equal(rows[i], one)
+            assert margins[i] == sc.margin(one, ws[i], slope[i], intercept[i])
+            assert np.array_equal(
+                grads[i], sc.margin_grad_w(one, ws[i], slope[i], intercept[i]))
 
 
 class TestLineSearch:

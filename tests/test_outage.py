@@ -113,6 +113,20 @@ class TestThreshold:
         want = bob / 2**cfg.rs + cfg.sigma2 / cfg.pa * (2**-cfg.rs - 1)
         assert outage_threshold(w, x, cfg) == pytest.approx(want, rel=1e-12)
 
+    def test_single_placement_keeps_the_scalar_gain_bits(self):
+        # the gain of one placement is the scalar |h_0 w|^2, bit for bit,
+        # although the same code also takes stacks
+        from masec.model import main_channel
+        cfg = preset("zf-demo-near")
+        reg = feasible_region(cfg)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            x = rng.uniform(reg.lo, reg.hi)
+            w = mrt_beamformer(rng.uniform(reg.lo, reg.hi), cfg)
+            bob = abs(np.dot(main_channel(x, cfg), w)) ** 2
+            want = bob / 2**cfg.rs + cfg.sigma2 / cfg.pa * (2**-cfg.rs - 1)
+            assert outage_threshold(w, x, cfg) == want
+
     def test_negative_when_link_too_weak(self, case):
         cfg, x, w = case
         weak = dataclasses.replace(cfg, pa=1e-6, rs=8.0)
@@ -166,6 +180,21 @@ class TestClosedForm:
         assert a.scale == pytest.approx(b.scale, rel=1e-12)
 
 
+    @pytest.mark.parametrize("name", ["zf-demo-near", "m-sweep", "cdf-demo"])
+    def test_stack_matches_each_row(self, name):
+        # each row of a stacked call has the bits of its own call
+        cfg = preset(name)
+        reg = feasible_region(cfg)
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(reg.lo, reg.hi, size=(64, cfg.n_antennas))
+        ws = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
+        ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+        outs = secrecy_outage_closed_form(ws, xs, cfg)
+        assert outs.shape == (64,)
+        for w, x, p in zip(ws, xs, outs):
+            assert secrecy_outage_closed_form(w, x, cfg) == p
+
+
 class TestMonteCarlo:
     def test_deterministic_per_seed(self, case):
         cfg, x, w = case
@@ -204,6 +233,14 @@ class TestGammaOutage:
         want = [gamma_outage(*args) for args in zip(lin, quad, thr)]
         assert np.array_equal(out, want)
         assert out[1] == out[2] == 1.0
+
+    def test_array_keeps_the_scalar_square_of_lin(self):
+        # lin values whose float square lin ** 2 (libm pow) is not the
+        # rounded square that an array's ** 2 takes
+        draws = np.random.default_rng(5).uniform(0.1, 5.0, 20_000).tolist()
+        lin = [v for v in draws if v**2 != v * v][:8] + [0.3, 1.7]
+        out = gamma_outage(np.array(lin), 0.9, 1.3)
+        assert out.tolist() == [gamma_outage(v, 0.9, 1.3) for v in lin]
 
     def test_broadcasts_thresholds_against_scalar_moments(self):
         thr = np.linspace(-1.0, 6.0, 8)

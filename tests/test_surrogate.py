@@ -131,6 +131,17 @@ class TestLookup:
         with pytest.raises(ValueError):
             surrogate_lookup(table, 0.999)
 
+    def test_array_of_levels_matches_each_level(self, table):
+        levels = np.concatenate((np.random.default_rng(4).uniform(
+            0.0, table.max_eps, 200), [0.0, 0.5, table.max_eps]))
+        slopes, intercepts = surrogate_lookup(table, levels)
+        for eps, s, r in zip(levels.tolist(), slopes, intercepts):
+            assert (s, r) == surrogate_lookup(table, eps)
+
+    def test_array_with_one_level_out_of_domain_is_rejected(self, table):
+        with pytest.raises(ValueError, match="outside the table domain"):
+            surrogate_lookup(table, np.array([0.2, 0.999]))
+
 
 def _with_entry(column, index, value):
     def edit(table):
