@@ -8,20 +8,27 @@ positive.  The inner maximization alternates projected gradient ascent
 steps on the unit-norm beamformer and on the antenna positions, each with
 backtracking against a quadratic model.
 
-``bisect_beam_lanes`` runs the beamformer-only bisection for a stack of
-fixed placements at once, as lanes: every numpy call of the margin, its
-gradient and the line search covers all lanes still running, and each lane
-keeps its own bisection bracket, step, stop and iteration cap.  Lane i
-gives the same result, bit for bit, as ``bisection_outage_min`` from the
-matched filter at placement i; the single-solve path ``apga_solve`` stays
-scalar, because one lane pays the stacking overhead for nothing.
+``bisect_confidence`` is the one bisection loop: each lane keeps its own
+bracket, and every round probes all lanes still bisecting at once.
+``_bisect`` is the one body around it: the closed-form exit for certain
+outage, the ``margin > 0`` verdict, the certified probe and one stacked
+closed-form outage for all lanes.  ``bisection_outage_min`` hands it one
+lane solved by the scalar ``apga_solve``; ``bisect_beam_lanes`` hands it a
+stack of fixed placements solved beamformer-only by ``_beam_lanes``, where
+every numpy call of the margin, its gradient and the line search covers all
+lanes still running and each lane keeps its own step, stop and iteration
+cap.  Lane i gives the same result, bit for bit, as ``bisection_outage_min``
+in beam_only mode at placement i; single solves stay on the scalar
+``apga_solve``, because one lane pays the stacking overhead for nothing.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,18 +70,13 @@ class OptimizerParams:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One outer iteration: accepted steps, objective, model gaps.
-
-    ``beam_gap``/``pos_gap`` store objective-minus-model at the accepted
-    point; the backtracking contract requires them to be nonnegative.
-    """
+    """One outer iteration: each block's accepted step (None when it
+    accepted none or did not run) and the objective after it."""
 
     iteration: int
     delta_beam: float | None
     delta_pos: float | None
     objective: float
-    beam_gap: float | None = None
-    pos_gap: float | None = None
 
 
 @dataclass
@@ -229,8 +231,8 @@ def line_search(value, point, obj: float, direction, slope, project,
     candidate whose value reaches the quadratic model
     ``obj + slope(step) - |step|^2 / delta`` with ``step = cand - point``;
     ``slope(step)`` is the directional derivative of the objective at
-    ``point``.  Returns ``(delta, cand, value, value - model)`` for the
-    accepted candidate, which is the last one evaluated, or None.
+    ``point``.  Returns ``(delta, cand, value)`` for the accepted candidate,
+    which is the last one evaluated, or None.
     """
     while delta >= MIN_STEP:
         cand = project(point + delta * direction)
@@ -238,7 +240,7 @@ def line_search(value, point, obj: float, direction, slope, project,
         model = obj + slope(step) - float(np.vdot(step, step).real) / delta
         val = value(cand)
         if val >= model:
-            return delta, cand, val, val - model
+            return delta, cand, val
         delta *= SHRINK
     return None
 
@@ -257,14 +259,13 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None):
     """
     blocks, last, trace = (beam, pos), [DELTA0, DELTA0], []
     for it in range(1, max_outer + 1):
-        start, delta, gap = obj, [None, None], [None, None]
+        start, delta = obj, [None, None]
         for i, block in enumerate(blocks):
             if block is not None:
                 obj, found = block(obj, min(DELTA0, 2.0 * last[i]))
                 if found is not None:
                     last[i] = delta[i] = found[0]
-                    gap[i] = found[3]
-        trace.append(TraceRecord(it, delta[0], delta[1], obj, gap[0], gap[1]))
+        trace.append(TraceRecord(it, delta[0], delta[1], obj))
         if abs(obj - start) < OBJ_TOL * max(1.0, abs(obj)):
             return obj, trace, True
     return obj, trace, False
@@ -318,7 +319,7 @@ def apga_solve(
                             lambda s: 2.0 * float(np.vdot(g, s).real),
                             _normalize, delta)
         if found is not None:
-            _, w, obj, _ = found
+            _, w, obj = found
         return obj, found
 
     def pos_block(obj, delta):
@@ -330,7 +331,7 @@ def apga_solve(
         found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
-            _, x, obj, _ = found
+            _, x, obj = found
             rows = cand_rows
         return obj, found
 
@@ -342,31 +343,31 @@ def apga_solve(
                       converged=converged, trace=trace)
 
 
-def bisect_confidence(probe, eps_max: float, tau: float) -> list[tuple]:
-    """Bisect the confidence level eps over [0, eps_max].
+def bisect_confidence(probe, eps_max: float, tau: float,
+                      lanes: int = 1) -> list[list[tuple]]:
+    """Bisect the confidence level eps over [0, eps_max] in every lane.
 
-    ``probe(eps)`` returns ``(feasible, payload)``.  Probing starts at
-    min(0.5, eps_max), moves up after a feasible level and down after an
-    infeasible one, and stops once the bracket is at most ``tau`` wide.
-    Returns every probe as ``(eps, feasible, payload)`` in order; the last
-    feasible one is the certified level.
+    Each lane keeps its own bracket: probing starts at min(0.5, eps_max),
+    moves up after a feasible level and down after an infeasible one, and
+    the lane stops once its bracket is at most ``tau`` wide.  Each round
+    calls ``probe(live, levels)`` with the lanes still bisecting and their
+    levels, and it returns one ``(feasible, payload)`` per such lane.
+    Returns, per lane, every probe as ``(eps, feasible, payload)`` in order;
+    the last feasible one is the certified level.
     """
-    eps, lo, hi = min(0.5, eps_max), 0.0, eps_max
-    probes = []
-    while True:
-        feasible, payload = probe(eps)
-        probes.append((eps, feasible, payload))
-        eps, lo, hi = _split(eps, lo, hi, feasible)
-        if hi - lo <= tau:
-            return probes
-
-
-def _split(eps: float, lo: float, hi: float, feasible: bool):
-    """One bisection step: the next level and the bracket [lo, hi] after
-    the verdict at level eps."""
-    if feasible:
-        return 0.5 * (eps + hi), eps, hi
-    return 0.5 * (lo + eps), lo, eps
+    brackets = [(min(0.5, eps_max), 0.0, eps_max)] * lanes   # (eps, lo, hi)
+    runs = [[] for _ in range(lanes)]
+    live = list(range(lanes))
+    while live:
+        levels = [brackets[b][0] for b in live]
+        for b, eps, (feasible, payload) in zip(live, levels,
+                                               probe(live, levels), strict=True):
+            runs[b].append((eps, feasible, payload))
+            _, lo, hi = brackets[b]
+            brackets[b] = ((0.5 * (eps + hi), eps, hi) if feasible
+                           else (0.5 * (lo + eps), lo, eps))
+        live = [b for b in live if brackets[b][2] - brackets[b][1] > tau]
+    return runs
 
 
 def _certified(probes: list[tuple]) -> tuple[float, bool, object]:
@@ -377,59 +378,90 @@ def _certified(probes: list[tuple]) -> tuple[float, bool, object]:
     return 0.0, False, probes[-1][2]
 
 
-def bisection_outage_min(
-    cfg: SystemConfig,
-    table: LinearFitTable | None = None,
-    params: OptimizerParams | None = None,
-    w0=None, x0=None, mode: str = "joint", keep_trace: bool = True,
-) -> BisectionResult:
-    """Minimize the secrecy outage by bisection on the confidence level.
+class _Solved(NamedTuple):
+    """One lane's margin maximization at one confidence level."""
 
-    ``bisect_confidence`` probes over [0, min(1, table max)], starting at
-    min(0.5, that bound); each probe solves the margin maximization
-    (warm-started from the previous probe) and the sign of the attained
-    maximum steers the bisection, which stops once the bracket is narrower
-    than ``surrogate.DEFAULT_TAU``.  The reported outage is the closed-form
-    value at the best feasible solution.  Traces are always kept;
-    ``keep_trace`` is accepted for older callers and has no effect.
+    w: ComplexArray
+    x: FloatArray
+    objective: float
+    n_iter: int
+    trace: Callable[[], list[TraceRecord]]
+
+
+def _bisect(cfg: SystemConfig, table: LinearFitTable, xs,
+            solve) -> list[BisectionResult]:
+    """Minimize the secrecy outage by confidence bisection in every lane of
+    the placements xs (B, N), each from its matched filter.
+
+    ``solve(live, w, x, levels)`` maximizes the margin of the lanes ``live``
+    from their beams w and placements x at their levels and returns one
+    ``_Solved`` per lane; a lane's next probe starts where its last solve
+    ended.  A level is feasible when the attained maximum is positive,
+    ``bisect_confidence`` probes over [0, min(1, table max)] and stops at
+    ``surrogate.DEFAULT_TAU``, and every lane's outage at its certified
+    solution comes from one stacked closed-form call.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
     beta0 N leaves the outage threshold nonpositive, no (w, x) certifies any
-    level.  The start (w, x) is then returned at once with eps 0, no probes
-    and no iterations.
+    level.  Every start is then returned at once with eps 0, no probes and
+    no iterations.
+    """
+    xs = np.array(xs, dtype=float)     # a copy: joint probes move it
+    w = _normalize(main_channel(xs, cfg).conj())   # mrt_beamformer per lane
+    if moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0:
+        w = _normalize(w)
+        return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
+                                rounds=0, total_iterations=0)
+                for p, wi, xi in zip(
+                    secrecy_outage_closed_form(w, xs, cfg).tolist(), w, xs)]
+
+    def probe(live, levels):
+        found = solve(live, w[live], xs[live], levels)
+        for b, sol in zip(live, found):
+            w[b], xs[b] = sol.w, sol.x
+        return [(sol.objective > 0.0, sol) for sol in found]
+
+    runs = bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU,
+                             len(xs))
+    certified = [_certified(run) for run in runs]
+    p_out = secrecy_outage_closed_form(
+        np.array([sol.w for _, _, sol in certified]),
+        np.array([sol.x for _, _, sol in certified]), cfg)
+    return [BisectionResult(
+        eps=eps, p_out=p, w=sol.w, x=sol.x, feasible=feasible,
+        rounds=len(run), total_iterations=sum(s.n_iter for _, _, s in run),
+        probes=[(e, f, s.objective) for e, f, s in run],
+        best_trace=sol.trace())
+        for (eps, feasible, sol), run, p in zip(certified, runs,
+                                                 p_out.tolist())]
+
+
+def bisection_outage_min(
+    cfg: SystemConfig,
+    table: LinearFitTable | None = None,
+    params: OptimizerParams | None = None,
+    x0=None, mode: str = "joint",
+) -> BisectionResult:
+    """Minimize the secrecy outage by bisection on the confidence level.
+
+    Starts from the placement x0 (default: the midpoints of the movement
+    region) and its matched filter; ``_bisect`` runs the bisection on this
+    one lane.  Each probe maximizes the margin with ``apga_solve`` in the
+    given mode, warm-started from the previous probe, and the reported
+    outage is the closed-form value at the certified solution.
+    ``best_trace`` is that solve's iteration trace.
     """
     table = table or default_table()
-    region = feasible_region(cfg)
-    x = np.asarray(x0, dtype=float) if x0 is not None else region.midpoints()
-    w = np.asarray(w0, dtype=complex) if w0 is not None else mrt_beamformer(x, cfg)
+    if x0 is None:
+        x0 = feasible_region(cfg).midpoints()
 
-    if _outage_certain(cfg):
-        w = _normalize(w)
-        return BisectionResult(
-            eps=0.0, p_out=secrecy_outage_closed_form(w, x, cfg), w=w, x=x,
-            feasible=False, rounds=0, total_iterations=0)
+    def solve(live, w, x, levels):
+        res = apga_solve(w[0], x[0], levels[0], table, cfg, params, mode=mode)
+        return [_Solved(res.w, res.x, res.objective, res.n_iter,
+                        lambda: res.trace)]
 
-    def probe(eps: float):
-        nonlocal w, x
-        res = apga_solve(w, x, eps, table, cfg, params, mode=mode)
-        w, x = res.w, res.x
-        return res.objective > 0.0, res
-
-    runs = bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU)
-    eps_star, feasible, sol = _certified(runs)
-    return BisectionResult(
-        eps=eps_star, p_out=secrecy_outage_closed_form(sol.w, sol.x, cfg),
-        w=sol.w, x=sol.x, feasible=feasible, rounds=len(runs),
-        total_iterations=sum(res.n_iter for _, _, res in runs),
-        probes=[(eps, feas, res.objective) for eps, feas, res in runs],
-        best_trace=sol.trace)
-
-
-def _outage_certain(cfg: SystemConfig) -> bool:
-    """Whether even the largest legitimate gain beta0 N, reached by a
-    unit-norm w, leaves the outage threshold nonpositive."""
-    return moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0
+    return _bisect(cfg, table, [x0], solve)[0]
 
 
 def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
@@ -439,12 +471,11 @@ def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
     Lane i tries ``_normalize(w[i] + delta[i] * g[i])`` and shrinks its own
     delta by SHRINK until the candidate reaches the lane's quadratic model
     or the delta drops below MIN_STEP; only lanes still searching are
-    computed.  Returns the accepted deltas, the new beams and objectives
-    (unchanged for a lane that accepted nothing) and the gaps value - model;
-    delta and gap are NaN for a lane that accepted nothing.
+    computed.  Returns the accepted deltas, NaN for a lane that accepted
+    nothing, and the new beams and objectives (unchanged for such a lane).
     """
     w, obj = w.copy(), obj.copy()
-    accepted, gap = np.full(len(w), np.nan), np.full(len(w), np.nan)
+    accepted = np.full(len(w), np.nan)
     live = np.flatnonzero(delta >= MIN_STEP)
     delta = delta[live]
     while live.size:
@@ -456,12 +487,11 @@ def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
         val = sc.margin(rows[live], cand, slope[live], intercept[live])
         ok = val >= model
         hit = live[ok]
-        w[hit], obj[hit] = cand[ok], val[ok]
-        accepted[hit], gap[hit] = delta[ok], val[ok] - model[ok]
+        w[hit], obj[hit], accepted[hit] = cand[ok], val[ok], delta[ok]
         live, delta = live[~ok], delta[~ok] * SHRINK
         keep = delta >= MIN_STEP
         live, delta = live[keep], delta[keep]
-    return accepted, w, obj, gap
+    return accepted, w, obj
 
 
 def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
@@ -472,27 +502,26 @@ def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
     step min(DELTA0, 2 x last accepted delta), relative stop and max_outer
     cap.  A lane that stops leaves the working stack, so only active lanes
     are computed.  Returns the final beams and objectives, the iteration
-    counts and the history (3, T, B) of objective, accepted delta and gap
-    per iteration, T >= max(n_iter): column i holds lane i's first
-    n_iter[i] iterations, with NaN delta and gap where no step was
-    accepted.
+    counts and the history (2, T, B) of objective and accepted delta per
+    iteration, T >= max(n_iter): column i holds lane i's first n_iter[i]
+    iterations, with NaN delta where no step was accepted.
     """
     w = _normalize(w)
     obj = sc.margin(rows, w, slope, intercept)
     w_out, obj_out = w.copy(), obj.copy()
     n_iter = np.zeros(len(w), dtype=int)
-    history = np.empty((3, min(max_outer, 64), len(w)))
+    history = np.empty((2, min(max_outer, 64), len(w)))
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
     for it in range(1, max_outer + 1):
         if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
             history = np.concatenate((history, np.empty_like(history)), axis=1)
         start = obj
         g = sc.margin_grad_w(rows, w, slope, intercept)
-        delta, w, obj, gap = _line_search_lanes(
+        delta, w, obj = _line_search_lanes(
             sc, rows, w, obj, g, slope, intercept,
             np.minimum(DELTA0, 2.0 * last))
         last = np.where(np.isnan(delta), last, delta)
-        history[:, it - 1, lane] = obj, delta, gap
+        history[:, it - 1, lane] = obj, delta
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
         if it == max_outer:
             stop[:] = True
@@ -506,72 +535,39 @@ def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
     return w_out, obj_out, n_iter, history
 
 
-def _lane_trace(history, n_iter: int) -> list[TraceRecord]:
-    """The TraceRecords of one lane's history column (3, T)."""
-    objs, deltas, gaps = history[:, :n_iter].tolist()
-    return [TraceRecord(it, None if math.isnan(d) else d, None, o,
-                        None if math.isnan(gp) else gp)
-            for it, (o, d, gp) in enumerate(zip(objs, deltas, gaps), 1)]
+def _lane_trace(history, lane: int, n_iter: int) -> list[TraceRecord]:
+    """The TraceRecords of lane ``lane`` in a history (2, T, B)."""
+    objs, deltas = history[:, :n_iter, lane].tolist()
+    return [TraceRecord(it, None if math.isnan(d) else d, None, o)
+            for it, (o, d) in enumerate(zip(objs, deltas), 1)]
 
 
 def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None,
                       params: OptimizerParams | None = None,
                       ) -> list[BisectionResult]:
-    """``bisection_outage_min`` in beam_only mode from the matched filter,
-    for every placement of the stack xs (B, N) at once.
+    """``bisection_outage_min`` in beam_only mode for every placement of the
+    stack xs (B, N) at once.
 
-    Result i equals ``bisection_outage_min(cfg, table, params,
-    w0=mrt_beamformer(xs[i], cfg), x0=xs[i], mode="beam_only")`` bit for
-    bit, p_out included, although all lanes get p_out from one stacked
-    closed-form call.  Each lane runs its own bisection (the
-    ``bisect_confidence`` rule), and each probe round solves every
-    still-bisecting lane at once with ``_beam_lanes``.  The closed-form
-    exit for certain outage is checked once for all lanes.
+    Result i equals ``bisection_outage_min(cfg, table, params, x0=xs[i],
+    mode="beam_only")`` bit for bit.  ``_bisect`` runs one bisection per
+    lane, and each probe round solves every still-bisecting lane at once
+    with ``_beam_lanes``.
     """
     table = table or default_table()
     params = params or OptimizerParams()
-    xs = np.asarray(xs, dtype=float)
     sc = _Scenario(cfg)
-    w = _normalize(main_channel(xs, cfg).conj())   # mrt_beamformer per lane
-    if _outage_certain(cfg):
-        w = _normalize(w)
-        return [BisectionResult(eps=0.0, p_out=float(p), w=wi, x=xi,
-                                feasible=False, rounds=0, total_iterations=0)
-                for p, wi, xi in zip(secrecy_outage_closed_form(w, xs, cfg),
-                                     w, xs)]
+    rows = sc.steer_rows(np.asarray(xs, dtype=float))
 
-    rows = sc.steer_rows(xs)
-    eps_max = min(1.0, table.max_eps)
-    brackets = [(min(0.5, eps_max), 0.0, eps_max)] * len(xs)
-    runs = [[] for _ in xs]     # per lane: (eps, feasible, (round, position))
-    rounds = []                 # per round: (beams, objectives, n_iter, history)
-    lanes = np.arange(len(xs))
-    while lanes.size:
-        levels = [brackets[b][0] for b in lanes.tolist()]
+    def solve(live, w, x, levels):
         slope, intercept = surrogate_lookup(table, np.array(levels))
         beams, obj, n_iter, history = _beam_lanes(
-            sc, rows[lanes], w[lanes], slope, intercept, params.max_outer)
-        w[lanes] = beams
-        for i, b in enumerate(lanes.tolist()):
-            feasible = bool(obj[i] > 0.0)
-            runs[b].append((levels[i], feasible, (len(rounds), i)))
-            brackets[b] = _split(*brackets[b], feasible)
-        rounds.append((beams, obj, n_iter, history))
-        lanes = np.array([b for b in lanes.tolist()
-                          if brackets[b][2] - brackets[b][1] > DEFAULT_TAU],
-                         dtype=int)
+            sc, rows[live], w, slope, intercept, params.max_outer)
+        return [_Solved(wi, xi, o, n,
+                        functools.partial(_lane_trace, history, i, n))
+                for i, (wi, xi, o, n) in enumerate(zip(
+                    beams, x, obj.tolist(), n_iter.tolist()))]
 
-    sols = [_certified(run) for run in runs]
-    w = np.array([rounds[r][0][i] for _, _, (r, i) in sols])
-    p_out = secrecy_outage_closed_form(w, xs, cfg)
-    return [BisectionResult(
-        eps=eps, p_out=float(p), w=wi, x=xi, feasible=feasible,
-        rounds=len(run),
-        total_iterations=sum(int(rounds[r][2][i]) for _, _, (r, i) in run),
-        probes=[(e, f, float(rounds[r][1][i])) for e, f, (r, i) in run],
-        best_trace=_lane_trace(rounds[r][3][:, :, i], rounds[r][2][i]))
-        for (eps, feasible, (r, i)), run, p, wi, xi
-        in zip(sols, runs, p_out, w, xs)]
+    return _bisect(cfg, table, xs, solve)
 
 
 @dataclass
@@ -624,14 +620,14 @@ def maximize_gamma_objective(
             found = line_search(margin, v, obj, g, lambda s: float(g @ s),
                                 lambda c: np.clip(c, lo, hi), delta)
             if found is not None:
-                _, v, obj, _ = found
+                _, v, obj = found
             return obj, found
 
         obj = ascend(margin(v), OptimizerParams().max_outer, pos=block)[0]
         return v, obj
 
-    def probe(eps: float):
-        slope, intercept = surrogate_lookup(table, eps)
+    def probe(live, levels):
+        slope, intercept = surrogate_lookup(table, levels[0])
 
         def margin(v):
             return threshold_fn(v) - slope * shape_fn(v) - intercept
@@ -639,10 +635,10 @@ def maximize_gamma_objective(
         # max keeps the first of equal margins, so the first start wins ties
         v, best = max((ascend_from(margin, s) for s in starts),
                       key=lambda r: r[1])
-        return best > 0.0, v
+        return [(best > 0.0, v)]
 
     eps_star, _, v_star = _certified(
-        bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU))
+        bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU)[0])
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))
     return ToyResult(eps=eps_star, point=np.asarray(v_star), value=value)

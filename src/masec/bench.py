@@ -23,7 +23,6 @@ from .ascent import (BisectionResult, OptimizerParams, bisect_beam_lanes,
 from .model import (
     SystemConfig,
     feasible_region,
-    mrt_beamformer,
     random_feasible_positions,
 )
 from .surrogate import LinearFitTable
@@ -96,10 +95,8 @@ def run_scheme(
             cfg, table, params, mode="positions_mrt"))
 
     if scheme is SchemeId.FPA_OB:
-        x = fpa_positions(cfg)
         return from_bisection(bisection_outage_min(
-            cfg, table, params, w0=mrt_beamformer(x, cfg), x0=x,
-            mode="beam_only"))
+            cfg, table, params, x0=fpa_positions(cfg), mode="beam_only"))
 
     if scheme is SchemeId.FPA_ZF:
         x = fpa_positions(cfg)

@@ -189,8 +189,7 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     guarantees a nonincreasing loss trace.  The loop's warm steps and
     relative stop apply, up to params.max_outer iterations; a search that
     accepts no step ends it as converged.  Trace records hold the loss
-    itself as ``objective`` and the accepted step and model gap as
-    ``delta_pos`` and ``pos_gap``.
+    itself as ``objective`` and the accepted step as ``delta_pos``.
     """
     params = params or OptimizerParams()
     region = feasible_region(cfg)
@@ -203,7 +202,7 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
                             lambda s: float(d @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
-            _, x, neg_loss, _ = found
+            _, x, neg_loss = found
         return neg_loss, found
 
     neg_loss, trace, converged = ascend(-bob_gain_loss(x, cfg),

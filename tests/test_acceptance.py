@@ -96,7 +96,7 @@ def test_03_toy_maximizers_match_grid_scan(table):
 
 
 def test_04_demo_scenario_joint_solution(table):
-    res = bisection_outage_min(preset("ob-demo"), table=table, keep_trace=True)
+    res = bisection_outage_min(preset("ob-demo"), table=table)
     objs = [rec.objective for rec in res.best_trace]
     monotone = bool(np.all(np.diff(objs) >= -1e-12))
     ok = (res.feasible and 0.50 <= res.eps <= 0.54

@@ -151,17 +151,12 @@ class TestGradients:
 
 
 class TestAscent:
-    def test_trace_monotone_and_gaps_nonnegative(self, table):
+    def test_trace_monotone(self, table):
         cfg = preset("ob-demo")
         x0 = feasible_region(cfg).midpoints()
         res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg)
         objs = [r.objective for r in res.trace]
         assert np.all(np.diff(objs) >= -1e-12)
-        for r in res.trace:
-            if r.beam_gap is not None:
-                assert r.beam_gap >= -1e-12
-            if r.pos_gap is not None:
-                assert r.pos_gap >= -1e-12
 
     def test_iterates_stay_feasible(self, table):
         cfg = preset("ob-demo")
@@ -282,13 +277,6 @@ class TestBisection:
         assert not any(feasible for _, feasible, _ in res.probes)
         assert (res.eps, res.feasible) == (0.0, False)
 
-    def test_trace_kept_on_request(self, table):
-        # keep_trace is still accepted, as acceptance check 04 passes it
-        res = bisection_outage_min(preset("ob-demo"), table, keep_trace=True)
-        assert res.best_trace
-        objs = [r.objective for r in res.best_trace]
-        assert np.all(np.diff(objs) >= -1e-12)
-
     def test_trace_kept_by_default(self, table):
         # the trace is the certified probe's solve, ending at its margin
         res = bisection_outage_min(preset("ob-demo"), table)
@@ -327,10 +315,10 @@ class TestInfeasibilityExit:
     def test_returns_the_start(self, monkeypatch, table):
         cfg = base_config(pa=1e-3)
         monkeypatch.setattr(ascent, "apga_solve", _no_probe)
-        w0, x0 = rand_point(cfg, 4)
-        res = bisection_outage_min(cfg, table, w0=3.0 * w0, x0=x0)
+        _, x0 = rand_point(cfg, 4)
+        res = bisection_outage_min(cfg, table, x0=x0)
         assert np.array_equal(res.x, x0)
-        assert np.allclose(res.w, w0, rtol=0.0, atol=1e-15)
+        assert np.allclose(res.w, mrt_beamformer(x0, cfg), rtol=0.0, atol=1e-15)
         assert res.best_trace == []
 
     @pytest.mark.parametrize("factor,exits", [(0.99, True), (1.01, False)])
@@ -368,8 +356,7 @@ class TestBeamLanes:
 
     @staticmethod
     def reference(cfg, x, table, params=None):
-        return bisection_outage_min(cfg, table, params,
-                                    w0=mrt_beamformer(x, cfg), x0=x,
+        return bisection_outage_min(cfg, table, params, x0=x,
                                     mode="beam_only")
 
     @pytest.mark.parametrize("name", ["m-sweep", "cdf-demo", "zf-demo-near"])
@@ -423,7 +410,7 @@ class TestLineSearch:
             calls.append(c[0])
             return float(-3.0 * (c[0] - 3.0) ** 2)
         grad = np.array([18.0])
-        delta, cand, _, _ = line_search(
+        delta, cand, _ = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
             lambda c: np.clip(c, 0.0, 10.0), start)
         assert calls == [first]
@@ -439,12 +426,11 @@ class TestLineSearch:
             calls.append(c[0])
             return float(-3.0 * (c[0] - 3.0) ** 2)
         grad = np.array([18.0])
-        delta, cand, val, gap = line_search(
+        delta, cand, val = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
             lambda c: np.clip(c, 0.0, 10.0), 1.0)
         assert calls == [10.0, 9.0, 4.5]
         assert (delta, cand[0], val) == (0.25, 4.5, -6.75)
-        assert gap == 20.25
 
     def test_none_when_no_step_is_accepted(self, monkeypatch):
         monkeypatch.setattr(ascent, "MIN_STEP", 0.1)
@@ -460,21 +446,44 @@ class TestLineSearch:
         assert len(calls) == 4
 
 
+def one_lane(verdict):
+    """A one-lane probe that answers ``verdict(eps)`` with payload eps."""
+    return lambda live, levels: [(verdict(levels[0]), levels[0])]
+
+
 class TestBisectConfidence:
     def test_always_feasible_ends_near_top(self):
-        probes = bisect_confidence(lambda e: (True, e), 0.9, 0.01)
+        [probes] = bisect_confidence(one_lane(lambda e: True), 0.9, 0.01)
         assert probes[0][0] == 0.5
         assert probes[-1][0] >= 0.9 - 0.01
         assert all(f and e == p for e, f, p in probes)
 
     def test_never_feasible_ends_near_zero(self):
-        probes = bisect_confidence(lambda e: (False, None), 1.0, 0.01)
+        [probes] = bisect_confidence(one_lane(lambda e: False), 1.0, 0.01)
         assert probes[-1][0] <= 0.01
         assert len(probes) == 7
 
     def test_starts_at_top_below_half(self):
-        probes = bisect_confidence(lambda e: (True, None), 0.4, 0.01)
+        [probes] = bisect_confidence(one_lane(lambda e: True), 0.4, 0.01)
         assert [e for e, _, _ in probes] == [0.4]
+
+    def test_lanes_bisect_independently(self):
+        # lane b is feasible up to its own cut-off.  Over [0, 0.9] the
+        # first verdict leaves a bracket 0.5 or 0.4 wide, so the lane that
+        # fails at 0.5 needs one probe more to get below tau
+        cutoffs = [0.05, 0.6, 0.85]
+        seen = []
+
+        def probe(live, levels):
+            seen.append(list(live))
+            return [(eps <= cutoffs[b], (b, eps))
+                    for b, eps in zip(live, levels)]
+        runs = bisect_confidence(probe, 0.9, 0.007, len(cutoffs))
+        for b, (cut, run) in enumerate(zip(cutoffs, runs)):
+            [alone] = bisect_confidence(one_lane(lambda e: e <= cut), 0.9, 0.007)
+            assert run == [(e, f, (b, e)) for e, f, _ in alone]
+        assert [len(run) for run in runs] == [8, 7, 7]
+        assert seen == [[0, 1, 2]] * 7 + [[0]]
 
 
 class TestShortTable:
@@ -544,9 +553,12 @@ CERTIFIED_EPS = {
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED_EPS))
 def test_certified_eps_pinned(table, name):
-    got = tuple(run_scheme(s, preset(name), table=table).eps
-                for s in ("MA_OB", "FPA_OB", "MA_MRT"))
-    assert got == CERTIFIED_EPS[name]
+    cfg = preset(name)
+    runs = [run_scheme(s, cfg, table=table) for s in ("MA_OB", "FPA_OB", "MA_MRT")]
+    assert tuple(res.eps for res in runs) == CERTIFIED_EPS[name]
+    # p_out comes from a stack of one lane; it keeps the 1-D call's bits
+    for res in runs:
+        assert res.p_out == secrecy_outage_closed_form(res.w, res.x, cfg)
 
 
 def test_write_trace_format(tmp_path, table):

@@ -24,7 +24,7 @@ from masec.bench import (
 )
 from masec.ascent import OptimizerParams, bisection_outage_min
 from masec.cli import main
-from masec.model import feasible_region, mrt_beamformer
+from masec.model import feasible_region
 from masec.zf import SingularSteeringError, zf_outage
 
 
@@ -97,8 +97,7 @@ def reference_random_placement(scheme, cfg, seed, restarts, table):
         if scheme is SchemeId.RAP_ZF:
             p = zf_outage(x, cfg)
         else:
-            run = bisection_outage_min(cfg, table, w0=mrt_beamformer(x, cfg),
-                                       x0=x, mode="beam_only")
+            run = bisection_outage_min(cfg, table, x0=x, mode="beam_only")
             p, iterations = run.p_out, iterations + run.total_iterations
         if p < best_p:
             best_p, best_x, best_run = p, x, run

@@ -135,7 +135,6 @@ class TestDescent:
         # every record but a final rejected search holds an accepted step
         accepted = [r for r in res.trace if r.delta_pos is not None]
         assert len(accepted) >= max(1, len(res.trace) - 1)
-        assert all(r.pos_gap >= -1e-12 for r in accepted)
         assert all(r.delta_beam is None for r in res.trace)
 
     def test_far_pair_reaches_low_loss(self):
