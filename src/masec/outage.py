@@ -182,12 +182,16 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
 def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> float:
     """Empirical secrecy outage probability over seeded channel draws.
 
-    Trials are generated in fixed chunks of 100000 from one PCG64 stream
-    (real block then imaginary block per chunk, entries scaled by
-    1/sqrt(2)), so the estimate is bit-reproducible for a given seed.
+    Trials are generated in fixed chunks of 100000 from one PCG64 stream.
+    Each chunk draws one (chunk, M) real block, then one (chunk, M)
+    imaginary block of standard normals: one CN(0, ||w||^2) scatter term
+    per eavesdropper, the law of the scatter vector projected onto ``w``.
+    The estimate is bit-reproducible for a given seed, and a longer run
+    starts with the draws of a shorter one.  Non-finite or mis-shaped
+    ``w``, ``x`` and an ``n_trials`` that is not a positive integer raise
+    ``ValueError``.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
+    w, x = _check_draw_args(w, x, cfg, n_trials)
     thr = outage_threshold(w, x, cfg)
     if thr <= 0.0:
         return 1.0
@@ -197,27 +201,46 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     return hits / n_trials
 
 
+def _check_draw_args(w, x, cfg: SystemConfig, n_trials):
+    """(w, x) as arrays after the checks the Monte Carlo entry points share."""
+    if (isinstance(n_trials, bool)
+            or not isinstance(n_trials, (int, np.integer)) or n_trials < 1):
+        raise ValueError(
+            f"n_trials must be a positive integer, got {n_trials!r}")
+    n = cfg.n_antennas
+    w, x = np.asarray(w), np.asarray(x)
+    for name, v in (("w", w), ("x", x)):
+        if v.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
+    return w, x
+
+
 def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):
     """Yield chunks of sum_i |h_i w|^2 under the documented draw order."""
-    w = np.asarray(w)
     los_proj = eve_los_matrix(x, cfg) @ w
     k, b = cfg.ks_arr, cfg.betas_arr
     los_part = np.sqrt(k * b / (k + 1.0)) * los_proj
-    scatter_scale = np.sqrt(b / (k + 1.0))
+    # g @ w for g ~ CN(0, I_N) is exactly CN(0, ||w||^2), independently per
+    # eavesdropper, so one complex normal per eavesdropper replaces N
+    scale = np.sqrt(b / (k + 1.0)) * np.linalg.norm(w) / np.sqrt(2.0)
     rng = np.random.default_rng(seed)
-    m, n = cfg.n_eves, cfg.n_antennas
     left = n_trials
     while left > 0:
         chunk = min(left, _MC_CHUNK)
-        re = rng.standard_normal((chunk, m, n))
-        im = rng.standard_normal((chunk, m, n))
-        scatter_proj = ((re + 1j * im) @ w) / np.sqrt(2.0)
-        proj = los_part[None, :] + scatter_scale[None, :] * scatter_proj
-        yield np.sum(np.abs(proj) ** 2, axis=1)
+        re = rng.standard_normal((chunk, cfg.n_eves))
+        im = rng.standard_normal((chunk, cfg.n_eves))
+        re *= scale
+        re += los_part.real
+        im *= scale
+        im += los_part.imag
+        yield np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
         left -= chunk
 
 
 def collusion_power_samples(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> FloatArray:
     """Seeded samples of the collusion power sum (same stream as the MC)."""
+    w, x = _check_draw_args(w, x, cfg, n_trials)
     return np.concatenate(
         list(_collusion_power_stream(w, x, cfg, n_trials, seed)))

@@ -1,8 +1,10 @@
 """Closed-form outage statistics against direct channel simulation."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from masec.bench import cdf_check_case, preset
 from masec.gammainc import lower_incomplete_gamma_reg
@@ -203,7 +205,7 @@ class TestMonteCarlo:
         assert a == b
 
     def test_chunking_invariant(self, case):
-        # splitting 150k trials into chunks must not change the stream
+        # a 150k run starts with the draws of a 100k run
         cfg, x, w = case
         samples = collusion_power_samples(w, x, cfg, 150_000, seed=9)
         assert samples.shape == (150_000,)
@@ -214,6 +216,92 @@ class TestMonteCarlo:
         cfg, x, w = case
         with pytest.raises(ValueError):
             monte_carlo_outage(w, x, cfg, n_trials=0, seed=0)
+
+    def test_scaling_is_pathwise(self, case):
+        # at one seed each draw of 2 w has exactly four times the power
+        cfg, x, w = case
+        w = 1.3 * w
+        base = collusion_power_samples(w, x, cfg, 100_000, seed=4)
+        doubled = collusion_power_samples(2.0 * w, x, cfg, 100_000, seed=4)
+        assert np.array_equal(doubled, 4.0 * base)
+
+    @pytest.mark.parametrize("name", ["cdf-demo", "m-sweep"])
+    def test_law_matches_full_antenna_draw(self, name):
+        # the per-eavesdropper draw has the law of projecting N i.i.d.
+        # CN(0, 1) scatter entries onto a non-unit w
+        cfg = preset(name)
+        x = feasible_region(cfg).midpoints()
+        rng = np.random.default_rng(12)
+        w = 1.7 * (rng.standard_normal(cfg.n_antennas)
+                   + 1j * rng.standard_normal(cfg.n_antennas))
+        n = 100_000
+        k, b = cfg.ks_arr, cfg.betas_arr
+        los = np.sqrt(k * b / (k + 1.0)) * (eve_los_matrix(x, cfg) @ w)
+        full = np.random.default_rng(13)
+        shape = (n, cfg.n_eves, cfg.n_antennas)
+        scatter = (full.standard_normal(shape)
+                   + 1j * full.standard_normal(shape)) @ w / np.sqrt(2.0)
+        want = np.sum(np.abs(los + np.sqrt(b / (k + 1.0)) * scatter) ** 2,
+                      axis=1)
+        got = collusion_power_samples(w, x, cfg, n, seed=14)
+        assert ks_2samp(got, want).statistic < 0.01
+
+    def test_memory_does_not_scale_with_antennas(self):
+        cfg = preset("m-sweep")
+        x = feasible_region(cfg).midpoints()
+        w = mrt_beamformer(x, cfg)
+        tracemalloc.start()
+        try:
+            monte_carlo_outage(w, x, cfg, n_trials=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("draw", [monte_carlo_outage,
+                                      collusion_power_samples])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_beamformer(self, case, draw, bad):
+        cfg, x, w = case
+        w = w.copy()
+        w[1] = bad
+        with pytest.raises(ValueError, match="w must be finite"):
+            draw(w, x, cfg, n_trials=1000, seed=0)
+
+    @pytest.mark.parametrize("draw", [monte_carlo_outage,
+                                      collusion_power_samples])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_positions(self, case, draw, bad):
+        cfg, x, w = case
+        x = x.copy()
+        x[0] = bad
+        with pytest.raises(ValueError, match="x must be finite"):
+            draw(w, x, cfg, n_trials=1000, seed=0)
+
+    @pytest.mark.parametrize("draw", [monte_carlo_outage,
+                                      collusion_power_samples])
+    def test_rejects_wrong_lengths(self, case, draw):
+        cfg, x, w = case
+        with pytest.raises(ValueError, match="w must have shape"):
+            draw(w[:-1], x, cfg, n_trials=1000, seed=0)
+        with pytest.raises(ValueError, match="x must have shape"):
+            draw(w, np.append(x, 9.0), cfg, n_trials=1000, seed=0)
+        with pytest.raises(ValueError, match="w must have shape"):
+            draw(np.stack([w, w]), x, cfg, n_trials=1000, seed=0)
+
+    @pytest.mark.parametrize("draw", [monte_carlo_outage,
+                                      collusion_power_samples])
+    @pytest.mark.parametrize("n_trials", [0, -5, 2.5, 1000.0, True, "10"])
+    def test_rejects_trial_counts_that_are_not_positive_integers(
+            self, case, draw, n_trials):
+        cfg, x, w = case
+        with pytest.raises(ValueError, match="n_trials"):
+            draw(w, x, cfg, n_trials=n_trials, seed=0)
+
+    def test_accepts_numpy_integer_trials(self, case):
+        cfg, x, w = case
+        assert collusion_power_samples(
+            w, x, cfg, n_trials=np.int64(10), seed=0).shape == (10,)
 
     def test_single_eve_consistency(self):
         cfg = preset("ob-demo")
