@@ -41,14 +41,14 @@ from .model import (
     mrt_beamformer,
     project_positions,
 )
-from .outage import moment_match, secrecy_outage_closed_form
+from .outage import (MomentMatch, moment_match, power_gains,
+                     secrecy_outage_closed_form)
 from .surrogate import (DEFAULT_TAU, LinearFitTable, default_table,
                         surrogate_lookup)
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
 
-TWO_PI = 2.0 * np.pi
 DELTA0 = 1.0       # largest step a line search starts from
 SHRINK = 0.5       # step factor after each rejected candidate
 MIN_STEP = 1e-15   # a line search gives up below this step
@@ -115,111 +115,70 @@ class BisectionResult:
     best_trace: list[TraceRecord] = field(default_factory=list)
 
 
-class _Scenario:
-    """Precomputed constants of the margin objective for one config.
+def _margin(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
+            slope, intercept):
+    """The margin at beams w (..., N) on steering rows (..., M+1, N), with
+    per-lane slope and intercept (...)."""
+    lin, quad, thr = mm.statistics(power_gains(rows, w))
+    m = lin * thr - slope * (lin * lin) - intercept * quad
+    return float(m) if m.ndim == 0 else m
 
-    Direction 0 is the legitimate user, 1..M the eavesdroppers; the margin
-    depends on (w, x) only through the M+1 LoS power gains |s_d w|^2.
-    ``steer_rows``, ``margin`` and ``margin_grad_w`` also take stacks: rows
-    (..., M+1, N), beams (..., N) and per-lane slope and intercept (...).
-    Every product is reduced per lane as in the unstacked call, so a lane
-    of a stack gets the same bits as the lane alone.
-    """
 
-    def __init__(self, cfg: SystemConfig):
-        self.sines = np.concatenate(([np.sin(cfg.theta0)], np.sin(cfg.thetas_arr)))
-        self.wave_rate = TWO_PI / cfg.wavelength
-        self.mm = moment_match(cfg)
-        self.beta0 = cfg.beta0
-        # moment coefficients over all M+1 gains; _gain_weights overwrites
-        # slot 0 with Bob's weight
-        self.lin_row = np.concatenate(([0.0], self.mm.lin_coef))
-        self.quad_row = np.concatenate(([0.0], self.mm.quad_coef))
+def _gain_weights(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
+                  slope, intercept):
+    """v = rows @ w and the margin's partials in the M+1 gains |v_d|^2."""
+    v = np.matvec(rows, w)
+    lin, _, thr = mm.statistics(np.abs(v) ** 2)
+    weights = np.empty(v.shape)
+    weights[..., 0] = lin * mm.beta0 / mm.rate_pow
+    weights[..., 1:] = (thr - 2.0 * slope * lin)[..., None] * mm.lin_coef \
+        - np.asarray(intercept)[..., None] * mm.quad_coef
+    return v, weights
 
-    def steer_rows(self, x: FloatArray) -> ComplexArray:
-        """Unit-magnitude steering rows for Bob and all eves, (..., M+1, N)."""
-        return np.exp(1j * self.wave_rate * (self.sines[:, None] * x[..., None, :]))
 
-    def _statistics(self, gains):
-        """lin, quad and the outage threshold of the M+1 gains (..., M+1)."""
-        lin, quad = self.mm.moments(gains[..., 1:])
-        # [()] turns one lane's 0-d Bob gain into a float, so float math follows
-        return lin, quad, self.mm.threshold(self.beta0 * gains[..., 0][()])
+def _margin_grad_w(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
+                   slope, intercept) -> ComplexArray:
+    # d|v_d|^2 / d conj(w) = v_d conj(s_d)
+    v, weights = _gain_weights(mm, rows, w, slope, intercept)
+    return ((weights * v)[..., None, :] @ rows.conj())[..., 0, :]
 
-    def margin(self, rows: ComplexArray, w: ComplexArray, slope, intercept):
-        lin, quad, thr = self._statistics(np.abs(np.matvec(rows, w)) ** 2)
-        m = lin * thr - slope * _libm_square(lin) - intercept * quad
-        return float(m) if m.ndim == 0 else m
 
-    def _gain_weights(self, rows: ComplexArray, w: ComplexArray,
-                      slope, intercept):
-        """v = rows @ w and the margin's partials in the M+1 gains |v_d|^2."""
-        v = np.matvec(rows, w)
-        lin, _, thr = self._statistics(np.abs(v) ** 2)
-        weights = (thr - 2.0 * slope * lin)[..., None] * self.lin_row \
-            - np.asarray(intercept)[..., None] * self.quad_row
-        weights[..., 0] = lin * self.beta0 / self.mm.rate_pow
-        return v, weights
-
-    def margin_grad_w(self, rows: ComplexArray, w: ComplexArray,
-                      slope, intercept) -> ComplexArray:
-        # d|v_d|^2 / d conj(w) = v_d conj(s_d)
-        v, weights = self._gain_weights(rows, w, slope, intercept)
-        return ((weights * v)[..., None, :] @ rows.conj())[..., 0, :]
-
-    def margin_grad_x(self, rows: ComplexArray, w: ComplexArray,
-                      slope: float, intercept: float) -> FloatArray:
-        # d|v_d|^2 / dx = -2 k_d Im(conj(v_d) s_d * w), k_d = 2 pi sin_d / lambda
-        v, weights = self._gain_weights(rows, w, slope, intercept)
-        k = self.wave_rate * self.sines
-        return -2.0 * np.imag(((weights * k) * v.conj()) @ rows * w)
+def _margin_grad_x(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
+                   slope: float, intercept: float) -> FloatArray:
+    # d|v_d|^2 / dx = -2 k_d Im(conj(v_d) s_d * w), k_d = 2 pi sin_d / lambda
+    v, weights = _gain_weights(mm, rows, w, slope, intercept)
+    k = mm.wave_rate * mm.sines
+    return -2.0 * np.imag(((weights * k) * v.conj()) @ rows * w)
 
 
 def margin_objective(w, x, eps: float, table: LinearFitTable,
                      cfg: SystemConfig) -> float:
     """Feasibility margin of confidence level eps at (w, x); > 0 is feasible."""
-    slope, intercept = surrogate_lookup(table, eps)
-    sc = _Scenario(cfg)
-    return sc.margin(sc.steer_rows(np.asarray(x, float)), np.asarray(w), slope, intercept)
+    mm = moment_match(cfg)
+    return _margin(mm, mm.rows(x), np.asarray(w),
+                   *surrogate_lookup(table, eps))
 
 
 def margin_grad_beamformer(w, x, eps: float, table: LinearFitTable,
                            cfg: SystemConfig) -> ComplexArray:
     """Ascent direction in w; half the real-pair gradient, complex form."""
-    slope, intercept = surrogate_lookup(table, eps)
-    sc = _Scenario(cfg)
-    return sc.margin_grad_w(sc.steer_rows(np.asarray(x, float)), np.asarray(w),
-                            slope, intercept)
+    mm = moment_match(cfg)
+    return _margin_grad_w(mm, mm.rows(x), np.asarray(w),
+                          *surrogate_lookup(table, eps))
 
 
 def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
                           cfg: SystemConfig) -> FloatArray:
     """Exact gradient of the margin objective in the antenna positions."""
-    slope, intercept = surrogate_lookup(table, eps)
-    sc = _Scenario(cfg)
-    return sc.margin_grad_x(sc.steer_rows(np.asarray(x, float)), np.asarray(w),
-                            slope, intercept)
-
-
-def _libm_square(v):
-    """v ** 2 as a numpy float computes it, libm pow, for every lane.
-
-    An array's ** 2 is the rounded product v * v instead, which differs in
-    the last bit for about 1 value in 1,000; np.float_power calls pow.
-    """
-    return v ** 2 if v.ndim == 0 else np.float_power(v, 2)
+    mm = moment_match(cfg)
+    return _margin_grad_x(mm, mm.rows(x), np.asarray(w),
+                          *surrogate_lookup(table, eps))
 
 
 def _normalize(w: ComplexArray) -> ComplexArray:
-    """w / ||w|| over the last axis, with np.linalg.norm's bits per lane.
-
-    One vector takes np.linalg.norm itself, which is faster than the
-    per-lane dot products a stack needs.
-    """
-    if w.ndim == 1:
-        return w / np.linalg.norm(w)
+    """w / ||w|| over the last axis, each lane reduced on its own."""
     norm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
-    return w / norm[:, None]
+    return w / norm[..., None]
 
 
 def line_search(value, point, obj: float, direction, slope, project,
@@ -297,24 +256,24 @@ def apga_solve(
         raise ValueError(f"unknown mode {mode!r}")
     params = params or OptimizerParams()
     slope, intercept = surrogate_lookup(table, eps)
-    sc = _Scenario(cfg)
+    mm = moment_match(cfg)
     region = feasible_region(cfg)
 
     w = _normalize(np.asarray(w0, dtype=complex))
     x = np.asarray(x0, dtype=float)
-    rows = cand_rows = sc.steer_rows(x)
+    rows = cand_rows = mm.rows(x)
 
     def beam_margin(cand):
-        return sc.margin(rows, cand, slope, intercept)
+        return _margin(mm, rows, cand, slope, intercept)
 
     def pos_margin(cand):
         nonlocal cand_rows   # kept for the accepted (last evaluated) candidate
-        cand_rows = sc.steer_rows(cand)
-        return sc.margin(cand_rows, w, slope, intercept)
+        cand_rows = mm.rows(cand)
+        return _margin(mm, cand_rows, w, slope, intercept)
 
     def beam_block(obj, delta):
         nonlocal w
-        g = sc.margin_grad_w(rows, w, slope, intercept)
+        g = _margin_grad_w(mm, rows, w, slope, intercept)
         found = line_search(beam_margin, w, obj, g,
                             lambda s: 2.0 * float(np.vdot(g, s).real),
                             _normalize, delta)
@@ -326,8 +285,8 @@ def apga_solve(
         nonlocal w, x, rows
         if mode == "positions_mrt":
             w = mrt_beamformer(x, cfg)
-            obj = sc.margin(rows, w, slope, intercept)
-        g = sc.margin_grad_x(rows, w, slope, intercept)
+            obj = _margin(mm, rows, w, slope, intercept)
+        g = _margin_grad_x(mm, rows, w, slope, intercept)
         found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
@@ -336,7 +295,7 @@ def apga_solve(
         return obj, found
 
     obj, trace, converged = ascend(
-        sc.margin(rows, w, slope, intercept), params.max_outer,
+        _margin(mm, rows, w, slope, intercept), params.max_outer,
         beam=None if mode == "positions_mrt" else beam_block,
         pos=None if mode == "beam_only" else pos_block)
     return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
@@ -464,7 +423,7 @@ def bisection_outage_min(
     return _bisect(cfg, table, [x0], solve)[0]
 
 
-def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
+def _line_search_lanes(mm: MomentMatch, rows, w, obj, g, slope, intercept,
                        delta):
     """``line_search`` on the beamformer of every lane at once.
 
@@ -484,7 +443,7 @@ def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
         step = cand - start
         model = obj[live] + 2.0 * np.vecdot(direction, step).real \
             - np.vecdot(step, step).real / delta
-        val = sc.margin(rows[live], cand, slope[live], intercept[live])
+        val = _margin(mm, rows[live], cand, slope[live], intercept[live])
         ok = val >= model
         hit = live[ok]
         w[hit], obj[hit], accepted[hit] = cand[ok], val[ok], delta[ok]
@@ -494,7 +453,7 @@ def _line_search_lanes(sc: _Scenario, rows, w, obj, g, slope, intercept,
     return accepted, w, obj
 
 
-def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
+def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     """One probe of ``apga_solve`` in beam_only mode for every lane at once.
 
     Lane i ascends from w[i], renormalized, on its fixed rows (M+1, N) with
@@ -507,7 +466,7 @@ def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
     iterations, with NaN delta where no step was accepted.
     """
     w = _normalize(w)
-    obj = sc.margin(rows, w, slope, intercept)
+    obj = _margin(mm, rows, w, slope, intercept)
     w_out, obj_out = w.copy(), obj.copy()
     n_iter = np.zeros(len(w), dtype=int)
     history = np.empty((2, min(max_outer, 64), len(w)))
@@ -516,9 +475,9 @@ def _beam_lanes(sc: _Scenario, rows, w, slope, intercept, max_outer: int):
         if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
             history = np.concatenate((history, np.empty_like(history)), axis=1)
         start = obj
-        g = sc.margin_grad_w(rows, w, slope, intercept)
+        g = _margin_grad_w(mm, rows, w, slope, intercept)
         delta, w, obj = _line_search_lanes(
-            sc, rows, w, obj, g, slope, intercept,
+            mm, rows, w, obj, g, slope, intercept,
             np.minimum(DELTA0, 2.0 * last))
         last = np.where(np.isnan(delta), last, delta)
         history[:, it - 1, lane] = obj, delta
@@ -555,13 +514,13 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
     """
     table = table or default_table()
     params = params or OptimizerParams()
-    sc = _Scenario(cfg)
-    rows = sc.steer_rows(np.asarray(xs, dtype=float))
+    mm = moment_match(cfg)
+    rows = mm.rows(xs)
 
     def solve(live, w, x, levels):
         slope, intercept = surrogate_lookup(table, np.array(levels))
         beams, obj, n_iter, history = _beam_lanes(
-            sc, rows[live], w, slope, intercept, params.max_outer)
+            mm, rows[live], w, slope, intercept, params.max_outer)
         return [_Solved(wi, xi, o, n,
                         functools.partial(_lane_trace, history, i, n))
                 for i, (wi, xi, o, n) in enumerate(zip(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -178,7 +179,10 @@ def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     if name in ("n_antennas", "n_eves") and not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if name == "pa_db":
-        return dataclasses.replace(cfg, pa=float(10.0 ** (value / 10.0)))
+        try:
+            return dataclasses.replace(cfg, pa=float(10.0 ** (value / 10.0)))
+        except OverflowError:
+            raise ValueError(f"pa_db={value!r} overflows a float") from None
     if name == "k":
         return dataclasses.replace(cfg, ks=(float(value),) * cfg.n_eves)
     if name == "span":
@@ -307,8 +311,10 @@ def cdf_check_case(k: float = 1.0):
 
 
 def is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float can hold: an int or a float, not a bool, and
+    no int beyond the float range, which float() cannot convert."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
 
 
 def is_integer(value) -> bool:
@@ -319,9 +325,10 @@ def is_integer(value) -> bool:
 def config_from_dict(raw: dict) -> SystemConfig:
     """Scenario from a mapping with keys named as SystemConfig fields.
 
-    Angles (theta0, thetas) are given as multiples of pi; everything else
-    is taken verbatim.  Lists become tuples.  A value of the wrong JSON type
-    or a missing or unknown key raises a one-line ValueError.
+    Angles (theta0, thetas) are given as multiples of pi.  The two counts
+    stay ints, every other number becomes a float and lists become tuples.
+    A value of the wrong JSON type, a number beyond the float range or a
+    missing or unknown key raises a one-line ValueError.
     """
     if not isinstance(raw, dict):
         raise ValueError("a scenario must be a JSON object")
@@ -334,21 +341,58 @@ def config_from_dict(raw: dict) -> SystemConfig:
         if name in ("thetas", "betas", "ks"):
             if not (isinstance(value, (list, tuple))
                     and all(map(is_number, value))):
-                raise ValueError(f"{name} must be a list of numbers")
+                raise ValueError(
+                    f"{name} must be a list of numbers in the float range")
         elif name in ("n_antennas", "n_eves"):
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer")
+            if not (is_integer(value) and is_number(value)):
+                raise ValueError(
+                    f"{name} must be an integer in the float range")
         elif not is_number(value):
-            raise ValueError(f"{name} must be a number")
+            raise ValueError(f"{name} must be a number in the float range")
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
-    raw["theta0"] = float(raw["theta0"]) * PI
-    raw["thetas"] = tuple(float(v) * PI for v in raw["thetas"])
-    for name in ("betas", "ks"):
-        raw[name] = tuple(float(v) for v in raw[name])
+    for name, value in raw.items():
+        if name in ("thetas", "betas", "ks"):
+            raw[name] = tuple(map(float, value))
+        elif name not in ("n_antennas", "n_eves"):
+            raw[name] = float(value)
+    raw["theta0"] *= PI
+    raw["thetas"] = tuple(v * PI for v in raw["thetas"])
     return SystemConfig(**raw)
+
+
+def sweep_spec_from_dict(raw: dict) -> SweepSpec:
+    """Sweep from a mapping with keys base (a scenario, see
+    :func:`config_from_dict`), variable and grid, and optionally schemes
+    (default all), seeds (default [0]) and restarts (default 100).
+
+    A value of the wrong JSON type, a grid number beyond the float range
+    or a missing key raises a one-line ValueError.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError("a sweep spec must be a JSON object")
+    missing = [key for key in ("base", "variable", "grid") if key not in raw]
+    if missing:
+        raise ValueError(f"sweep spec lacks keys: {missing}")
+    grid, seeds = raw["grid"], raw.get("seeds", [0])
+    if not (isinstance(grid, list) and all(map(is_number, grid))):
+        raise ValueError(
+            "sweep spec grid must be a list of numbers in the float range")
+    if not (isinstance(seeds, list) and seeds and all(map(is_integer, seeds))):
+        raise ValueError("sweep spec seeds must be a non-empty list of integers")
+    names = [s.value for s in SchemeId]
+    schemes = raw.get("schemes", names)
+    if not (isinstance(schemes, list) and all(s in names for s in schemes)):
+        raise ValueError(f"sweep spec schemes must be a list of names from {names}")
+    restarts = raw.get("restarts", 100)
+    if not (is_integer(restarts) and restarts >= 1):
+        raise ValueError("sweep spec restarts must be a positive integer")
+    return SweepSpec(
+        base=config_from_dict(raw["base"]), variable=raw["variable"],
+        grid=[float(v) for v in grid], schemes=[SchemeId(s) for s in schemes],
+        seeds=seeds, restarts=restarts)
 
 
 def load_config(path) -> SystemConfig:

@@ -17,15 +17,12 @@ from .ascent import write_trace
 from .bench import (
     SchemeId,
     SweepRow,
-    SweepSpec,
-    config_from_dict,
     emit_results,
-    is_integer,
-    is_number,
     load_config,
     preset,
     run_scheme,
     run_sweep,
+    sweep_spec_from_dict,
 )
 from .model import SystemConfig, feasible_region, mrt_beamformer
 from .outage import monte_carlo_outage, secrecy_outage_closed_form
@@ -80,28 +77,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = json.loads(Path(args.spec).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("a sweep spec must be a JSON object")
-    missing = [key for key in ("base", "variable", "grid") if key not in raw]
-    if missing:
-        raise ValueError(f"sweep spec lacks keys: {missing}")
-    grid, seeds = raw["grid"], raw.get("seeds", [0])
-    if not (isinstance(grid, list) and all(map(is_number, grid))):
-        raise ValueError("sweep spec grid must be a list of numbers")
-    if not (isinstance(seeds, list) and seeds and all(map(is_integer, seeds))):
-        raise ValueError("sweep spec seeds must be a non-empty list of integers")
-    names = [s.value for s in SchemeId]
-    schemes = raw.get("schemes", names)
-    if not (isinstance(schemes, list) and all(s in names for s in schemes)):
-        raise ValueError(f"sweep spec schemes must be a list of names from {names}")
-    restarts = raw.get("restarts", 100)
-    if not (is_integer(restarts) and restarts >= 1):
-        raise ValueError("sweep spec restarts must be a positive integer")
-    spec = SweepSpec(
-        base=config_from_dict(raw["base"]), variable=raw["variable"],
-        grid=[float(v) for v in grid], schemes=[SchemeId(s) for s in schemes],
-        seeds=seeds, restarts=restarts)
+    spec = sweep_spec_from_dict(json.loads(Path(args.spec).read_text()))
     table = load_table(args.table) if args.table else None
     result = run_sweep(spec, table=table)
     emit_results(result.rows, args.out)

@@ -15,9 +15,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gammainc import lower_incomplete_gamma_reg
-from .model import SystemConfig, eve_los_matrix, main_channel
+from .model import TWO_PI, SystemConfig, eve_los_matrix
 
 FloatArray = NDArray[np.floating]
+ComplexArray = NDArray[np.complexfloating]
 
 _MC_CHUNK = 100_000  # fixed so results are reproducible for a given seed
 
@@ -47,19 +48,29 @@ class GammaMoments:
 
 @dataclass(frozen=True)
 class MomentMatch:
-    """The Gamma moment match of one config, affine in the LoS power gains.
+    """The gain model of one config: its M+1 steering directions and the
+    Gamma moment match, affine in their LoS power gains.
 
-    With c_i = beta_i / (K_i + 1) and g_i the LoS power gain |a_i w|^2 of
-    eavesdropper i, the collusion sum has mean lin = sum_i c_i (K_i g_i + 1)
-    and moment term quad = sum_i mean_i^2 / m_i = sum_i c_i^2 (2 K_i g_i + 1),
-    so shape = lin^2 / quad and scale = quad / lin.  Both moments are affine
+    Direction 0 is the legitimate user, 1..M the eavesdroppers, and the
+    closed-form outage and the ascent's margin depend on (w, x) only through
+    the gains |s_d w|^2 of the unit steering rows s_d that ``rows`` builds.
+    With c_i = beta_i / (K_i + 1) and g_i eavesdropper i's gain, the
+    collusion sum has mean lin = sum_i c_i (K_i g_i + 1) and moment term
+    quad = sum_i mean_i^2 / m_i = sum_i c_i^2 (2 K_i g_i + 1), so
+    shape = lin^2 / quad and scale = quad / lin.  Both moments are affine
     in the gains, lin = g @ lin_coef + lin_const and likewise quad; the
     coefficients are what the gradients of any function of them need.
 
     ``threshold`` maps the legitimate gain |h_0 w|^2 (beta0 included) to
-    the largest tolerable collusion power at secrecy rate rs.
+    the largest tolerable collusion power at secrecy rate rs.  Every method
+    takes stacks over leading axes and reduces each lane on its own (a
+    stacked matrix product would round differently), so a lane of a stack
+    gets the same bits as the lane alone.
     """
 
+    sines: FloatArray        # sin(theta_d), Bob first, (M+1,)
+    wave_rate: float         # 2 pi / wavelength
+    beta0: float
     lin_coef: FloatArray     # c_i K_i, (M,)
     lin_const: float         # sum_i c_i
     quad_coef: FloatArray    # 2 c_i^2 K_i, (M,)
@@ -67,13 +78,14 @@ class MomentMatch:
     rate_pow: float          # 2^rs
     noise_off: float         # sigma2 / pa (2^-rs - 1)
 
-    def moments(self, gains):
-        """(lin, quad) of the LoS gains, batched over leading axes (..., M).
+    def rows(self, x) -> ComplexArray:
+        """Unit steering rows of all M+1 directions, (..., M+1, N) for
+        positions (..., N)."""
+        x = np.asarray(x)
+        return np.exp(1j * self.wave_rate * (self.sines[:, None] * x[..., None, :]))
 
-        Each row is reduced as its own 1-D dot product, so a row of a stack
-        gets the same bits as the row alone (a stacked matrix-vector product
-        rounds differently).
-        """
+    def moments(self, gains):
+        """(lin, quad) of the eavesdropper gains (..., M)."""
         gains = np.asarray(gains, dtype=float)
         return (np.vecdot(gains, self.lin_coef) + self.lin_const,
                 np.vecdot(gains, self.quad_coef) + self.quad_const)
@@ -83,16 +95,30 @@ class MomentMatch:
         legitimate link is too weak for rate rs at any eavesdropper power."""
         return bob_gain / self.rate_pow + self.noise_off
 
+    def statistics(self, gains):
+        """lin, quad and the outage threshold of the M+1 gains (..., M+1)."""
+        lin, quad = self.moments(gains[..., 1:])
+        # [()] makes one lane's 0-d Bob gain a scalar; scalar math is faster
+        return lin, quad, self.threshold(self.beta0 * gains[..., 0][()])
+
 
 def moment_match(cfg: SystemConfig) -> MomentMatch:
-    """Coefficients of the Gamma moment match for ``cfg``."""
+    """The gain model of ``cfg``."""
     c = cfg.betas_arr / (cfg.ks_arr + 1.0)
     rate_pow = 2.0**cfg.rs
     return MomentMatch(
+        sines=np.concatenate(([np.sin(cfg.theta0)], np.sin(cfg.thetas_arr))),
+        wave_rate=TWO_PI / cfg.wavelength, beta0=cfg.beta0,
         lin_coef=c * cfg.ks_arr, lin_const=float(np.sum(c)),
         quad_coef=2.0 * c**2 * cfg.ks_arr, quad_const=float(np.sum(c**2)),
         rate_pow=rate_pow,
         noise_off=cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0))
+
+
+def power_gains(rows, w) -> FloatArray:
+    """|s_d w|^2 of every row, (..., M+1) for rows (..., M+1, N) and
+    beams (..., N)."""
+    return np.abs(np.matvec(rows, np.asarray(w))) ** 2
 
 
 def gamma_outage(lin, quad, thr) -> float | FloatArray:
@@ -103,28 +129,14 @@ def gamma_outage(lin, quad, thr) -> float | FloatArray:
     broadcast; scalars in, float out.
     """
     t = lin / quad * thr
-    # float_power gives a stacked lane the bits of a scalar's ** 2 (libm pow)
-    shape = np.float_power(lin, 2) / quad
+    shape = lin * lin / quad
     p = np.clip(1.0 - lower_incomplete_gamma_reg(shape, t), 0.0, 1.0)
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _los_power_gains(w, x, cfg: SystemConfig) -> FloatArray:
-    """|a_i w|^2 of every eavesdropper, (..., M) for stacks (..., N)."""
-    return np.abs(np.matvec(eve_los_matrix(x, cfg), np.asarray(w))) ** 2
-
-
-def _bob_power_gain(w, x, cfg: SystemConfig):
-    """|h_0 w|^2 (beta0 included), (...) for stacks (..., N)."""
-    v = np.vecdot(main_channel(x, cfg).conj(), np.asarray(w))
-    # libm hypot and pow per lane, the calls a complex scalar's abs and ** 2
-    # make; numpy's array abs and ** 2 round differently
-    return np.float_power(np.hypot(v.real, v.imag), 2)
-
-
 def link_stats(w, x, cfg: SystemConfig) -> list[EveLinkStats]:
     """Per-eavesdropper conditional power statistics for unit-norm ``w``."""
-    gains = _los_power_gains(w, x, cfg)
+    gains = power_gains(moment_match(cfg).rows(x), w)[1:]
     out = []
     for gain, beta, k in zip(gains, cfg.betas_arr, cfg.ks_arr):
         mean = beta / (k + 1.0) * (k * gain + 1.0)
@@ -164,7 +176,8 @@ def outage_threshold(w, x, cfg: SystemConfig) -> float:
     Equals bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); may be negative
     when the legitimate link is too weak, in which case outage is certain.
     """
-    return float(moment_match(cfg).threshold(_bob_power_gain(w, x, cfg)))
+    mm = moment_match(cfg)
+    return float(mm.statistics(power_gains(mm.rows(x), w))[2])
 
 
 def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
@@ -175,8 +188,7 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
     value per row, each with the bits of that row's own call.
     """
     mm = moment_match(cfg)
-    lin, quad = mm.moments(_los_power_gains(w, x, cfg))
-    return gamma_outage(lin, quad, mm.threshold(_bob_power_gain(w, x, cfg)))
+    return gamma_outage(*mm.statistics(power_gains(mm.rows(x), w)))
 
 
 def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> float:

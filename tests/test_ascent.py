@@ -34,6 +34,7 @@ from masec.model import (
 from masec.outage import (
     gamma_moments,
     link_stats,
+    moment_match,
     outage_threshold,
     secrecy_outage_closed_form,
 )
@@ -384,20 +385,21 @@ class TestBeamLanes:
 
     def test_stacked_margin_kernels_match_each_lane(self, table):
         cfg = preset("m-sweep")
-        sc = ascent._Scenario(cfg)
+        mm = moment_match(cfg)
         xs = lane_placements(cfg, 50)
         rng = np.random.default_rng(2)
         ws = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
         slope, intercept = surrogate_lookup(table, rng.uniform(0, 0.9, 50))
-        rows = sc.steer_rows(xs)
-        margins = sc.margin(rows, ws, slope, intercept)
-        grads = sc.margin_grad_w(rows, ws, slope, intercept)
+        rows = mm.rows(xs)
+        margins = ascent._margin(mm, rows, ws, slope, intercept)
+        grads = ascent._margin_grad_w(mm, rows, ws, slope, intercept)
         for i in range(len(xs)):
-            one = sc.steer_rows(xs[i])
+            one = mm.rows(xs[i])
             assert np.array_equal(rows[i], one)
-            assert margins[i] == sc.margin(one, ws[i], slope[i], intercept[i])
-            assert np.array_equal(
-                grads[i], sc.margin_grad_w(one, ws[i], slope[i], intercept[i]))
+            assert margins[i] == ascent._margin(mm, one, ws[i], slope[i],
+                                                intercept[i])
+            assert np.array_equal(grads[i], ascent._margin_grad_w(
+                mm, one, ws[i], slope[i], intercept[i]))
 
 
 class TestLineSearch:

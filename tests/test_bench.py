@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masec import ascent, bench, surrogate, zf
 from masec.bench import (
@@ -21,10 +23,11 @@ from masec.bench import (
     read_results,
     run_scheme,
     run_sweep,
+    sweep_spec_from_dict,
 )
 from masec.ascent import OptimizerParams, bisection_outage_min
 from masec.cli import main
-from masec.model import feasible_region
+from masec.model import SystemConfig, feasible_region
 from masec.zf import SingularSteeringError, zf_outage
 
 
@@ -331,6 +334,65 @@ class TestConfigParsing:
         assert cfg.pa == 31.6
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_antennas", 10**400, "n_antennas must be an integer in the float"),
+        ("pa", 10**400, "pa must be a number in the float range"),
+        ("betas", [-10**400], "betas must be a list of numbers in the float"),
+    ])
+    def test_rejects_integers_beyond_the_float_range(self, key, value,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({**_sweep_spec()["base"], key: value})
+
+    def test_numbers_other_than_the_counts_become_floats(self):
+        cfg = config_from_dict({**_sweep_spec()["base"], "pa": 10**30,
+                                "span": 4})
+        assert (cfg.pa, cfg.span) == (1e30, 4.0)
+        assert type(cfg.pa) is type(cfg.span) is float
+        assert type(cfg.n_antennas) is int
+
+    def test_sweep_grid_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="grid must be a list of numbers"):
+            sweep_spec_from_dict(_sweep_spec(grid=[1.0, 10**400]))
+
+    def test_power_in_db_that_overflows(self):
+        with pytest.raises(ValueError, match="pa_db=4000.0 overflows"):
+            apply_variable(base_config(), "pa_db", 4000.0)
+
+
+_FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
+_NUMBER = (st.integers() | st.floats()
+           | st.sampled_from([10**400, -10**400, 10**30]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | _NUMBER,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(changes=st.dictionaries(
+           st.sampled_from(_FIELDS + ["frequency"]),
+           _NUMBER | st.lists(_NUMBER, min_size=1, max_size=2) | _JSON,
+           max_size=3),
+       dropped=st.sets(st.sampled_from(_FIELDS), max_size=1),
+       foreign=st.dictionaries(st.text(max_size=8), _JSON, max_size=4),
+       use_foreign=st.booleans())
+def test_config_parsing_gives_a_config_or_a_value_error(
+        changes, dropped, foreign, use_foreign):
+    # a valid scenario with some keys replaced or dropped, or any mapping;
+    # the configs are only built, never solved
+    raw = dict(foreign) if use_foreign else {**_sweep_spec()["base"],
+                                             **changes}
+    for name in dropped:
+        raw.pop(name, None)
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        return
+    assert isinstance(cfg, SystemConfig)
+
+
 class TestPresets:
     def test_known_names(self):
         for name in ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep",
@@ -467,6 +529,14 @@ class TestCli:
          "n_antennas must be a whole number, got 2.5"),
         ("sweep", _sweep_spec(variable="n_eves", grid=[2.5]),
          "n_eves must be a whole number, got 2.5"),
+        ("solve", {**_sweep_spec()["base"], "n_antennas": 10**400},
+         "n_antennas must be an integer in the float range"),
+        ("solve", {**_sweep_spec()["base"], "pa": 10**400},
+         "pa must be a number in the float range"),
+        ("sweep", _sweep_spec(grid=[10**400]),
+         "grid must be a list of numbers in the float range"),
+        ("sweep", _sweep_spec(variable="pa_db", grid=[4000.0]),
+         "pa_db=4000.0 overflows a float"),
     ])
     def test_malformed_json_is_error_exit(self, command, content, message,
                                           tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from masec.ascent import margin_objective
 from masec.bench import cdf_check_case, preset
 from masec.gammainc import lower_incomplete_gamma_reg
 from masec.model import (
@@ -19,11 +20,14 @@ from masec.outage import (
     gamma_moments,
     gamma_outage,
     link_stats,
+    moment_match,
     monte_carlo_outage,
     outage_threshold,
+    power_gains,
     secrecy_outage_closed_form,
     sum_power_cdf,
 )
+from masec.surrogate import surrogate_lookup
 
 
 @pytest.fixture
@@ -115,19 +119,26 @@ class TestThreshold:
         want = bob / 2**cfg.rs + cfg.sigma2 / cfg.pa * (2**-cfg.rs - 1)
         assert outage_threshold(w, x, cfg) == pytest.approx(want, rel=1e-12)
 
-    def test_single_placement_keeps_the_scalar_gain_bits(self):
-        # the gain of one placement is the scalar |h_0 w|^2, bit for bit,
-        # although the same code also takes stacks
-        from masec.model import main_channel
+    def test_one_placement_is_its_row_of_a_stack(self, table):
+        # one placement's threshold and outage are its row of a 50-lane
+        # stack, bit for bit, and the margin reads the same statistics
         cfg = preset("zf-demo-near")
+        mm = moment_match(cfg)
         reg = feasible_region(cfg)
         rng = np.random.default_rng(3)
-        for _ in range(40):
-            x = rng.uniform(reg.lo, reg.hi)
-            w = mrt_beamformer(rng.uniform(reg.lo, reg.hi), cfg)
-            bob = abs(np.dot(main_channel(x, cfg), w)) ** 2
-            want = bob / 2**cfg.rs + cfg.sigma2 / cfg.pa * (2**-cfg.rs - 1)
-            assert outage_threshold(w, x, cfg) == want
+        xs = rng.uniform(reg.lo, reg.hi, size=(50, cfg.n_antennas))
+        ws = np.array([mrt_beamformer(x, cfg)
+                       for x in rng.uniform(reg.lo, reg.hi, size=xs.shape)])
+        lin, quad, thr = mm.statistics(power_gains(mm.rows(xs), ws))
+        p_out = secrecy_outage_closed_form(ws, xs, cfg)
+        slope, intercept = surrogate_lookup(table, 0.3)
+        for i, (w, x) in enumerate(zip(ws, xs)):
+            assert outage_threshold(w, x, cfg) == thr[i]
+            assert secrecy_outage_closed_form(w, x, cfg) == p_out[i] \
+                == gamma_outage(lin[i], quad[i], thr[i])
+            assert margin_objective(w, x, 0.3, table, cfg) == (
+                lin[i] * thr[i] - slope * (lin[i] * lin[i])
+                - intercept * quad[i])
 
     def test_negative_when_link_too_weak(self, case):
         cfg, x, w = case
@@ -323,8 +334,8 @@ class TestGammaOutage:
         assert out[1] == out[2] == 1.0
 
     def test_array_keeps_the_scalar_square_of_lin(self):
-        # lin values whose float square lin ** 2 (libm pow) is not the
-        # rounded square that an array's ** 2 takes
+        # lin values whose libm square lin ** 2 is not the rounded product
+        # lin * lin, which scalar and array calls both take
         draws = np.random.default_rng(5).uniform(0.1, 5.0, 20_000).tolist()
         lin = [v for v in draws if v**2 != v * v][:8] + [0.3, 1.7]
         out = gamma_outage(np.array(lin), 0.9, 1.3)
