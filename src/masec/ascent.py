@@ -8,6 +8,12 @@ positive.  The inner maximization alternates projected gradient ascent
 steps on the unit-norm beamformer and on the antenna positions, each with
 backtracking against a quadratic model.
 
+Each evaluated point, a start or a line-search candidate, costs one
+steering product v = rows @ w and one ``MomentMatch.statistics`` call,
+kept as an ``_Evaluation``.  A line search accepts its last evaluated
+candidate, so the next beamformer gradient and the next position gradient
+both read the accepted candidate's evaluation and recompute no gain.
+
 ``bisect_confidence`` is the one bisection loop: each lane keeps its own
 bracket, and every round probes all lanes still bisecting at once.
 ``_bisect`` is the one body around it: the closed-form exit for certain
@@ -41,8 +47,7 @@ from .model import (
     mrt_beamformer,
     project_positions,
 )
-from .outage import (MomentMatch, moment_match, power_gains,
-                     secrecy_outage_closed_form)
+from .outage import MomentMatch, moment_match, secrecy_outage_closed_form
 from .surrogate import (DEFAULT_TAU, LinearFitTable, default_table,
                         surrogate_lookup)
 
@@ -115,64 +120,75 @@ class BisectionResult:
     best_trace: list[TraceRecord] = field(default_factory=list)
 
 
-def _margin(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
-            slope, intercept):
-    """The margin at beams w (..., N) on steering rows (..., M+1, N), with
-    per-lane slope and intercept (...)."""
-    lin, quad, thr = mm.statistics(power_gains(rows, w))
-    m = lin * thr - slope * (lin * lin) - intercept * quad
-    return float(m) if m.ndim == 0 else m
+class _Evaluation(NamedTuple):
+    """The margin at a point (w, x) and what both its gradients read there:
+    the steering products v = rows @ w (..., M+1) and the statistics lin
+    and thr (...)."""
+
+    margin: float | FloatArray
+    v: ComplexArray
+    lin: FloatArray
+    thr: FloatArray
 
 
-def _gain_weights(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
-                  slope, intercept):
-    """v = rows @ w and the margin's partials in the M+1 gains |v_d|^2."""
+def _evaluate(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
+              slope, intercept) -> _Evaluation:
+    """The evaluation at beams w (..., N) on steering rows (..., M+1, N),
+    with per-lane slope and intercept (...)."""
     v = np.matvec(rows, w)
-    lin, _, thr = mm.statistics(np.abs(v) ** 2)
-    weights = np.empty(v.shape)
+    lin, quad, thr = mm.statistics(np.abs(v) ** 2)
+    m = lin * thr - slope * (lin * lin) - intercept * quad
+    return _Evaluation(float(m) if m.ndim == 0 else m, v, lin, thr)
+
+
+def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
+    """The margin's partials in the M+1 gains |v_d|^2 at evaluation ``at``."""
+    lin, thr = at.lin, at.thr
+    weights = np.empty(at.v.shape)
     weights[..., 0] = lin * mm.beta0 / mm.rate_pow
     weights[..., 1:] = (thr - 2.0 * slope * lin)[..., None] * mm.lin_coef \
         - np.asarray(intercept)[..., None] * mm.quad_coef
-    return v, weights
+    return weights
 
 
-def _margin_grad_w(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
-                   slope, intercept) -> ComplexArray:
+def _grad_w(mm: MomentMatch, rows_conj: ComplexArray, at: _Evaluation,
+            slope, intercept) -> ComplexArray:
     # d|v_d|^2 / d conj(w) = v_d conj(s_d)
-    v, weights = _gain_weights(mm, rows, w, slope, intercept)
-    return ((weights * v)[..., None, :] @ rows.conj())[..., 0, :]
+    weights = _gain_weights(mm, at, slope, intercept)
+    return ((weights * at.v)[..., None, :] @ rows_conj)[..., 0, :]
 
 
-def _margin_grad_x(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
-                   slope: float, intercept: float) -> FloatArray:
+def _grad_x(mm: MomentMatch, k: FloatArray, rows: ComplexArray,
+            w: ComplexArray, at: _Evaluation, slope: float,
+            intercept: float) -> FloatArray:
     # d|v_d|^2 / dx = -2 k_d Im(conj(v_d) s_d * w), k_d = 2 pi sin_d / lambda
-    v, weights = _gain_weights(mm, rows, w, slope, intercept)
-    k = mm.wave_rate * mm.sines
-    return -2.0 * np.imag(((weights * k) * v.conj()) @ rows * w)
+    weights = _gain_weights(mm, at, slope, intercept)
+    return -2.0 * np.imag(((weights * k) * at.v.conj()) @ rows * w)
 
 
 def margin_objective(w, x, eps: float, table: LinearFitTable,
                      cfg: SystemConfig) -> float:
     """Feasibility margin of confidence level eps at (w, x); > 0 is feasible."""
     mm = moment_match(cfg)
-    return _margin(mm, mm.rows(x), np.asarray(w),
-                   *surrogate_lookup(table, eps))
+    return _evaluate(mm, mm.rows(x), np.asarray(w),
+                     *surrogate_lookup(table, eps)).margin
 
 
 def margin_grad_beamformer(w, x, eps: float, table: LinearFitTable,
                            cfg: SystemConfig) -> ComplexArray:
     """Ascent direction in w; half the real-pair gradient, complex form."""
     mm = moment_match(cfg)
-    return _margin_grad_w(mm, mm.rows(x), np.asarray(w),
-                          *surrogate_lookup(table, eps))
+    rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
+    return _grad_w(mm, rows.conj(), _evaluate(mm, rows, w, *lookup), *lookup)
 
 
 def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
                           cfg: SystemConfig) -> FloatArray:
     """Exact gradient of the margin objective in the antenna positions."""
     mm = moment_match(cfg)
-    return _margin_grad_x(mm, mm.rows(x), np.asarray(w),
-                          *surrogate_lookup(table, eps))
+    rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
+    return _grad_x(mm, mm.wave_rate * mm.sines, rows, w,
+                   _evaluate(mm, rows, w, *lookup), *lookup)
 
 
 def _normalize(w: ComplexArray) -> ComplexArray:
@@ -261,41 +277,53 @@ def apga_solve(
 
     w = _normalize(np.asarray(w0, dtype=complex))
     x = np.asarray(x0, dtype=float)
-    rows = cand_rows = mm.rows(x)
+    rows = mm.rows(x)
+    rows_conj, k = rows.conj(), mm.wave_rate * mm.sines
+    at = _evaluate(mm, rows, w, slope, intercept)   # always at (w, x)
+    # line_search accepts its last evaluated candidate, so the last
+    # candidate's rows and evaluation are the accepted point's
+    cand_rows, cand_at = rows, at
 
     def beam_margin(cand):
-        return _margin(mm, rows, cand, slope, intercept)
+        nonlocal cand_at
+        cand_at = _evaluate(mm, rows, cand, slope, intercept)
+        return cand_at.margin
 
     def pos_margin(cand):
-        nonlocal cand_rows   # kept for the accepted (last evaluated) candidate
+        nonlocal cand_rows, cand_at
         cand_rows = mm.rows(cand)
-        return _margin(mm, cand_rows, w, slope, intercept)
+        cand_at = _evaluate(mm, cand_rows, w, slope, intercept)
+        return cand_at.margin
 
     def beam_block(obj, delta):
-        nonlocal w
-        g = _margin_grad_w(mm, rows, w, slope, intercept)
+        nonlocal w, at
+        g = _grad_w(mm, rows_conj, at, slope, intercept)
         found = line_search(beam_margin, w, obj, g,
                             lambda s: 2.0 * float(np.vdot(g, s).real),
                             _normalize, delta)
         if found is not None:
             _, w, obj = found
+            at = cand_at
         return obj, found
 
     def pos_block(obj, delta):
-        nonlocal w, x, rows
+        nonlocal w, x, rows, rows_conj, at
         if mode == "positions_mrt":
             w = mrt_beamformer(x, cfg)
-            obj = _margin(mm, rows, w, slope, intercept)
-        g = _margin_grad_x(mm, rows, w, slope, intercept)
+            at = _evaluate(mm, rows, w, slope, intercept)
+            obj = at.margin
+        g = _grad_x(mm, k, rows, w, at, slope, intercept)
         found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
             _, x, obj = found
-            rows = cand_rows
+            rows, at = cand_rows, cand_at
+            if mode == "joint":
+                rows_conj = rows.conj()
         return obj, found
 
     obj, trace, converged = ascend(
-        _margin(mm, rows, w, slope, intercept), params.max_outer,
+        at.margin, params.max_outer,
         beam=None if mode == "positions_mrt" else beam_block,
         pos=None if mode == "beam_only" else pos_block)
     return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
@@ -423,34 +451,49 @@ def bisection_outage_min(
     return _bisect(cfg, table, [x0], solve)[0]
 
 
-def _line_search_lanes(mm: MomentMatch, rows, w, obj, g, slope, intercept,
-                       delta):
+def _try_lanes(mm: MomentMatch, rows, w, obj, g, slope, intercept, delta):
+    """Every lane's candidate ``_normalize(w + delta g)``, its evaluation and
+    whether it reaches the lane's quadratic model."""
+    cand = _normalize(w + delta[:, None] * g)
+    step = cand - w
+    model = obj + 2.0 * np.vecdot(g, step).real \
+        - np.vecdot(step, step).real / delta
+    val = _evaluate(mm, rows, cand, slope, intercept)
+    return cand, val, val.margin >= model
+
+
+def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
+                       intercept, delta):
     """``line_search`` on the beamformer of every lane at once.
 
     Lane i tries ``_normalize(w[i] + delta[i] * g[i])`` and shrinks its own
     delta by SHRINK until the candidate reaches the lane's quadratic model
-    or the delta drops below MIN_STEP; only lanes still searching are
-    computed.  Returns the accepted deltas, NaN for a lane that accepted
-    nothing, and the new beams and objectives (unchanged for such a lane).
+    or the delta drops below MIN_STEP.  Every start delta is at least
+    MIN_STEP, so the first try covers all lanes and seeds the result; later
+    tries compute only the lanes still searching.  Returns the accepted
+    deltas, NaN for a lane that accepted nothing, and the new beams and
+    their evaluations (unchanged for such a lane).
     """
-    w, obj = w.copy(), obj.copy()
-    accepted = np.full(len(w), np.nan)
-    live = np.flatnonzero(delta >= MIN_STEP)
-    delta = delta[live]
-    while live.size:
-        start, direction = w[live], g[live]
-        cand = _normalize(start + delta[:, None] * direction)
-        step = cand - start
-        model = obj[live] + 2.0 * np.vecdot(direction, step).real \
-            - np.vecdot(step, step).real / delta
-        val = _margin(mm, rows[live], cand, slope[live], intercept[live])
-        ok = val >= model
-        hit = live[ok]
-        w[hit], obj[hit], accepted[hit] = cand[ok], val[ok], delta[ok]
-        live, delta = live[~ok], delta[~ok] * SHRINK
-        keep = delta >= MIN_STEP
+    new_w, new_at, ok = _try_lanes(mm, rows, w, at.margin, g, slope,
+                                   intercept, delta)
+    accepted = np.where(ok, delta, np.nan)
+    live, delta = np.flatnonzero(~ok), delta[~ok] * SHRINK
+    while (keep := delta >= MIN_STEP).any():
         live, delta = live[keep], delta[keep]
-    return accepted, w, obj
+        cand, val, ok = _try_lanes(mm, rows[live], w[live], at.margin[live],
+                                   g[live], slope[live], intercept[live],
+                                   delta)
+        hit = live[ok]
+        new_w[hit], accepted[hit] = cand[ok], delta[ok]
+        for kept, new in zip(new_at, val):
+            kept[hit] = new[ok]
+        live, delta = live[~ok], delta[~ok] * SHRINK
+    failed = np.isnan(accepted)
+    if failed.any():
+        new_w[failed] = w[failed]
+        for kept, old in zip(new_at, at):
+            kept[failed] = old[failed]
+    return accepted, new_w, new_at
 
 
 def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
@@ -466,19 +509,21 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     iterations, with NaN delta where no step was accepted.
     """
     w = _normalize(w)
-    obj = _margin(mm, rows, w, slope, intercept)
-    w_out, obj_out = w.copy(), obj.copy()
+    at = _evaluate(mm, rows, w, slope, intercept)
+    rows_conj = rows.conj()
+    w_out, obj_out = w.copy(), at.margin.copy()
     n_iter = np.zeros(len(w), dtype=int)
     history = np.empty((2, min(max_outer, 64), len(w)))
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
     for it in range(1, max_outer + 1):
         if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
             history = np.concatenate((history, np.empty_like(history)), axis=1)
-        start = obj
-        g = _margin_grad_w(mm, rows, w, slope, intercept)
-        delta, w, obj = _line_search_lanes(
-            mm, rows, w, obj, g, slope, intercept,
+        start = at.margin
+        g = _grad_w(mm, rows_conj, at, slope, intercept)
+        delta, w, at = _line_search_lanes(
+            mm, rows, w, at, g, slope, intercept,
             np.minimum(DELTA0, 2.0 * last))
+        obj = at.margin
         last = np.where(np.isnan(delta), last, delta)
         history[:, it - 1, lane] = obj, delta
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
@@ -487,8 +532,11 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
         if stop.any():
             done = lane[stop]
             w_out[done], obj_out[done], n_iter[done] = w[stop], obj[stop], it
-            lane, rows, w, obj, last, slope, intercept = (
-                v[~stop] for v in (lane, rows, w, obj, last, slope, intercept))
+            go = ~stop
+            lane, rows, rows_conj, w, last, slope, intercept = (
+                v[go] for v in (lane, rows, rows_conj, w, last, slope,
+                                intercept))
+            at = _Evaluation._make(a[go] for a in at)
             if not lane.size:
                 break
     return w_out, obj_out, n_iter, history

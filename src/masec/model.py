@@ -8,6 +8,7 @@ radians, all powers and path gains are linear (not dB).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,9 +33,11 @@ class SystemConfig:
         beta0: path gain of the legitimate link.
         betas: eavesdropper path gains.
         ks: Rician K-factors of the eavesdropper links (K = 0 is Rayleigh).
+            With c = beta / (K + 1), the moment-match terms c, c^2,
+            c K and 2 c^2 K must be finite and c^2 nonzero.
         pa: transmit power budget.
         sigma2: noise power at every receiver.
-        rs: target secrecy rate in bits/s/Hz.
+        rs: target secrecy rate in bits/s/Hz; 2^rs must be a finite float.
         wavelength: carrier wavelength; positions are in the same unit.
         span: length of the line segment the elements move on.
         dmin: minimum spacing between adjacent elements.
@@ -75,6 +78,20 @@ class SystemConfig:
         for name in ("pa", "sigma2", "rs", "wavelength"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        try:
+            math.pow(2.0, self.rs)
+        except OverflowError:
+            raise ValueError(f"rs={self.rs} is too large: 2**rs overflows "
+                             "a float") from None
+        for i, (beta, k) in enumerate(zip(self.betas, self.ks), 1):
+            # the moment-match terms of outage.moment_match, as it rounds them
+            c = beta / (k + 1.0)
+            c2 = c * c
+            if c2 == 0.0 or not all(map(math.isfinite,
+                                        (c, c2, c * k, 2.0 * c2 * k))):
+                raise ValueError(
+                    f"eavesdropper {i}: beta={beta} and K={k} put the "
+                    "Gamma moment match out of the float range")
         if self.dmin < 0:
             raise ValueError("dmin must be nonnegative")
         if self.span < (self.n_antennas - 1) * self.dmin:
@@ -163,9 +180,13 @@ def project_positions(x_raw: FloatArray, region: FeasibleRegion) -> FloatArray:
     """Nearest feasible positions: clamp each coordinate into its interval.
 
     Because the intervals are disjoint boxes, the per-coordinate clamp is the
-    exact Euclidean projection.
+    exact Euclidean projection.  It is ``np.clip`` without its Python
+    wrappers, and differs from it only in the sign of a zero: a -0.0 input
+    at a +0.0 bound may come out as either zero.  The ascents never make a
+    -0.0 input, since a sum is -0.0 only when both terms are.
     """
-    return np.clip(np.asarray(x_raw, dtype=float), region.lo, region.hi)
+    return np.minimum(np.maximum(np.asarray(x_raw, dtype=float), region.lo),
+                      region.hi)
 
 
 def random_feasible_positions(

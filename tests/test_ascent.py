@@ -12,6 +12,7 @@ from masec import ascent
 from masec.ascent import (
     OptimizerParams,
     apga_solve,
+    ascend,
     bisect_confidence,
     bisection_outage_min,
     line_search,
@@ -28,10 +29,12 @@ from masec.model import (
     feasible_region,
     main_channel,
     mrt_beamformer,
+    project_positions,
     random_feasible_positions,
     steering_vector,
 )
 from masec.outage import (
+    MomentMatch,
     gamma_moments,
     link_stats,
     moment_match,
@@ -232,6 +235,91 @@ class TestAscent:
         assert abs(last - prev) < ascent.OBJ_TOL * abs(last)
 
 
+def recomputing_apga(w0, x0, eps, table, cfg, mode):
+    """``apga_solve`` rebuilt from ``ascend`` and ``line_search`` on the
+    public margin and gradients, which recompute the gains at every call."""
+    region = feasible_region(cfg)
+    w, x = ascent._normalize(np.asarray(w0, dtype=complex)), np.asarray(x0)
+
+    def beam(obj, delta):
+        nonlocal w
+        g = margin_grad_beamformer(w, x, eps, table, cfg)
+        found = line_search(
+            lambda c: margin_objective(c, x, eps, table, cfg), w, obj, g,
+            lambda s: 2.0 * float(np.vdot(g, s).real), ascent._normalize,
+            delta)
+        if found is not None:
+            _, w, obj = found
+        return obj, found
+
+    def pos(obj, delta):
+        nonlocal w, x
+        if mode == "positions_mrt":
+            w = mrt_beamformer(x, cfg)
+            obj = margin_objective(w, x, eps, table, cfg)
+        g = margin_grad_positions(w, x, eps, table, cfg)
+        found = line_search(
+            lambda c: margin_objective(w, c, eps, table, cfg), x, obj, g,
+            lambda s: float(g @ s), lambda c: project_positions(c, region),
+            delta)
+        if found is not None:
+            _, x, obj = found
+        return obj, found
+
+    obj, trace, converged = ascend(
+        margin_objective(w, x, eps, table, cfg),
+        OptimizerParams().max_outer,
+        beam=None if mode == "positions_mrt" else beam,
+        pos=None if mode == "beam_only" else pos)
+    return w, x, obj, trace, converged
+
+
+class TestGainReuse:
+    """Each evaluated candidate's gains serve both gradients at it."""
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
+    @pytest.mark.parametrize("eps", [0.2, 0.6])
+    def test_equals_the_recomputing_ascent(self, table, name, mode, eps):
+        cfg = preset(name)
+        x0 = feasible_region(cfg).midpoints()
+        w0 = mrt_beamformer(x0, cfg)
+        res = apga_solve(w0, x0, eps, table, cfg, mode=mode)
+        w, x, obj, trace, converged = recomputing_apga(w0, x0, eps, table,
+                                                       cfg, mode)
+        assert res.w.tobytes() == w.tobytes()
+        assert res.x.tobytes() == x.tobytes()
+        assert (res.objective, res.n_iter, res.converged) == \
+            (obj, len(trace), converged)
+        assert res.trace == trace
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    def test_one_statistics_call_per_evaluated_point(self, monkeypatch, table,
+                                                     mode):
+        calls = {"statistics": 0, "candidates": 0}
+        statistics, search = MomentMatch.statistics, ascent.line_search
+
+        def counted_statistics(self, gains):
+            calls["statistics"] += 1
+            return statistics(self, gains)
+
+        def counted_search(value, *args):
+            def counted_value(cand):
+                calls["candidates"] += 1
+                return value(cand)
+            return search(counted_value, *args)
+
+        monkeypatch.setattr(MomentMatch, "statistics", counted_statistics)
+        monkeypatch.setattr(ascent, "line_search", counted_search)
+        cfg = preset("zf-demo-far")
+        x0 = feasible_region(cfg).midpoints()
+        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.4, table, cfg,
+                         mode=mode)
+        resets = res.n_iter if mode == "positions_mrt" else 0
+        assert res.n_iter > 3
+        assert calls["statistics"] == calls["candidates"] + 1 + resets
+
+
 class TestBisection:
     def test_demo_scenario_bands(self, table):
         res = bisection_outage_min(preset("ob-demo"), table)
@@ -383,6 +471,36 @@ class TestBeamLanes:
         for lane, x in zip(ascent.bisect_beam_lanes(cfg, xs, table), xs):
             assert_same_bisection(lane, self.reference(cfg, x, table))
 
+    def test_lane_search_is_line_search_in_every_lane(self, table):
+        cfg = preset("m-sweep")
+        mm = moment_match(cfg)
+        xs = lane_placements(cfg, 6)
+        rows = mm.rows(xs)
+        w = ascent._normalize(main_channel(xs, cfg).conj())
+        slope, intercept = surrogate_lookup(table, np.full(6, 0.3))
+        at = ascent._evaluate(mm, rows, w, slope, intercept)
+        g = ascent._grad_w(mm, rows.conj(), at, slope, intercept)
+        g[::2] *= -1.0     # short descent steps: these lanes accept nothing
+        delta = np.array([1e-3, 1.0, 1e-3, 0.25, 1e-3, 1.0])
+        accepted, new_w, new_at = ascent._line_search_lanes(
+            mm, rows, w, at, g, slope, intercept, delta)
+        assert np.isnan(accepted[::2]).all()
+        assert not np.isnan(accepted[1::2]).any()
+        for i in range(6):
+            found = line_search(
+                lambda c: ascent._evaluate(mm, rows[i], c, slope[i],
+                                           intercept[i]).margin,
+                w[i], at.margin[i], g[i],
+                lambda s: 2.0 * float(np.vdot(g[i], s).real),
+                ascent._normalize, delta[i])
+            step, beam = (np.nan, w[i]) if found is None else found[:2]
+            assert np.array_equal(accepted[i], step, equal_nan=True)
+            assert new_w[i].tobytes() == beam.tobytes()
+            lane = ascent._evaluate(mm, rows[i], beam, slope[i], intercept[i])
+            assert new_at.margin[i] == lane.margin
+            assert new_at.v[i].tobytes() == lane.v.tobytes()
+            assert (new_at.lin[i], new_at.thr[i]) == (lane.lin, lane.thr)
+
     def test_stacked_margin_kernels_match_each_lane(self, table):
         cfg = preset("m-sweep")
         mm = moment_match(cfg)
@@ -391,15 +509,16 @@ class TestBeamLanes:
         ws = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
         slope, intercept = surrogate_lookup(table, rng.uniform(0, 0.9, 50))
         rows = mm.rows(xs)
-        margins = ascent._margin(mm, rows, ws, slope, intercept)
-        grads = ascent._margin_grad_w(mm, rows, ws, slope, intercept)
+        at = ascent._evaluate(mm, rows, ws, slope, intercept)
+        grads = ascent._grad_w(mm, rows.conj(), at, slope, intercept)
         for i in range(len(xs)):
             one = mm.rows(xs[i])
             assert np.array_equal(rows[i], one)
-            assert margins[i] == ascent._margin(mm, one, ws[i], slope[i],
-                                                intercept[i])
-            assert np.array_equal(grads[i], ascent._margin_grad_w(
-                mm, one, ws[i], slope[i], intercept[i]))
+            lane = ascent._evaluate(mm, one, ws[i], slope[i], intercept[i])
+            assert at.margin[i] == lane.margin
+            assert np.array_equal(at.v[i], lane.v)
+            assert np.array_equal(grads[i], ascent._grad_w(
+                mm, one.conj(), lane, slope[i], intercept[i]))
 
 
 class TestLineSearch:

@@ -1,6 +1,8 @@
 """Scheme dispatch, sweeps, CSV persistence, CLI plumbing."""
 import dataclasses
 import json
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from masec.bench import (
 from masec.ascent import OptimizerParams, bisection_outage_min
 from masec.cli import main
 from masec.model import SystemConfig, feasible_region
+from masec.outage import moment_match
 from masec.zf import SingularSteeringError, zf_outage
 
 
@@ -355,6 +358,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="grid must be a list of numbers"):
             sweep_spec_from_dict(_sweep_spec(grid=[1.0, 10**400]))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rs", 1100.0, "rs=1100.0 is too large"),
+        ("rs", 1024.0, "rs=1024.0 is too large"),
+        ("ks", [1e308], "eavesdropper 1: beta=1.0 and K=1e+308"),
+        ("betas", [1e300], "eavesdropper 1: beta=1e+300 and K=4.0"),
+        ("betas", [1e-200], "eavesdropper 1: beta=1e-200 and K=4.0"),
+    ])
+    def test_rejects_a_moment_match_beyond_the_float_range(self, key, value,
+                                                           message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict({**_sweep_spec()["base"], key: value})
+
+    def test_largest_rate_below_the_overflow_is_kept(self):
+        cfg = config_from_dict({**_sweep_spec()["base"], "rs": 1023.5})
+        assert moment_match(cfg).rate_pow == 2.0 ** 1023.5
+
     def test_power_in_db_that_overflows(self):
         with pytest.raises(ValueError, match="pa_db=4000.0 overflows"):
             apply_variable(base_config(), "pa_db", 4000.0)
@@ -537,6 +556,12 @@ class TestCli:
          "grid must be a list of numbers in the float range"),
         ("sweep", _sweep_spec(variable="pa_db", grid=[4000.0]),
          "pa_db=4000.0 overflows a float"),
+        ("solve", {**_sweep_spec()["base"], "rs": 1100.0},
+         "rs=1100.0 is too large: 2**rs overflows a float"),
+        ("sweep", _sweep_spec(variable="rs", grid=[2000.0]),
+         "rs=2000.0 is too large: 2**rs overflows a float"),
+        ("solve", {**_sweep_spec()["base"], "ks": [1e308]},
+         "moment match out of the float range"),
     ])
     def test_malformed_json_is_error_exit(self, command, content, message,
                                           tmp_path, capsys):
@@ -549,6 +574,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scheme", ["FPA_OB", "FPA_ZF"])
+    def test_huge_rician_factor_is_error_exit(self, scheme, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_sweep_spec()["base"], "ks": [1e308]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", str(path), "--scheme", scheme])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eavesdropper 1:") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_sweep_takes_integral_float_counts(self, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "rows.csv"

@@ -150,6 +150,17 @@ def test_projection_no_op_inside(raw):
     assert np.array_equal(project_positions(inside, reg), inside)
 
 
+@given(st.data(), st.integers(min_value=2, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_projection_is_clip_away_from_signed_zero(data, n_antennas):
+    reg = feasible_region(small_config(n_antennas=n_antennas, span=6.0))
+    raw = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+        min_size=n_antennas, max_size=n_antennas)))
+    assert project_positions(raw, reg).tobytes() == \
+        np.clip(raw, reg.lo, reg.hi).tobytes()
+
+
 def test_random_positions_feasible_and_seeded():
     reg = feasible_region(small_config())
     a = random_feasible_positions(reg, np.random.default_rng(5))
