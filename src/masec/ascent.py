@@ -10,9 +10,9 @@ backtracking against a quadratic model.
 
 Each evaluated point, a start or a line-search candidate, costs one
 steering product v = rows @ w and one ``MomentMatch.statistics`` call,
-kept as an ``_Evaluation``.  A line search accepts its last evaluated
-candidate, so the next beamformer gradient and the next position gradient
-both read the accepted candidate's evaluation and recompute no gain.
+kept as an ``_Evaluation``.  ``line_search`` hands back the accepted
+candidate's evaluation, so the next beamformer gradient and the next
+position gradient both read it and recompute no gain.
 
 ``bisect_confidence`` is the one bisection loop: each lane keeps its own
 bracket, and every round probes all lanes still bisecting at once.
@@ -197,25 +197,26 @@ def _normalize(w: ComplexArray) -> ComplexArray:
     return w / norm[..., None]
 
 
-def line_search(value, point, obj: float, direction, slope, project,
+def line_search(evaluate, point, obj: float, direction, slope, project,
                 delta: float):
-    """One projected backtracking step of an ascent on ``value``.
+    """One projected backtracking step of an ascent.
 
     Tries ``cand = project(point + delta * direction)`` for the given start
-    delta, delta * SHRINK, ... down to MIN_STEP and accepts the first
-    candidate whose value reaches the quadratic model
-    ``obj + slope(step) - |step|^2 / delta`` with ``step = cand - point``;
-    ``slope(step)`` is the directional derivative of the objective at
-    ``point``.  Returns ``(delta, cand, value)`` for the accepted candidate,
-    which is the last one evaluated, or None.
+    delta, delta * SHRINK, ... down to MIN_STEP; ``evaluate(cand)`` returns
+    ``(value, evaluation)``, the objective and what else was computed at
+    ``cand``.  Accepts the first candidate whose value reaches the quadratic
+    model ``obj + slope(step) - |step|^2 / delta`` with ``step = cand -
+    point``; ``slope(step)`` is the directional derivative of the objective
+    at ``point``.  Returns ``(delta, cand, value, evaluation)`` for it, or
+    None.
     """
     while delta >= MIN_STEP:
         cand = project(point + delta * direction)
         step = cand - point
         model = obj + slope(step) - float(np.vdot(step, step).real) / delta
-        val = value(cand)
+        val, evaluation = evaluate(cand)
         if val >= model:
-            return delta, cand, val
+            return delta, cand, val, evaluation
         delta *= SHRINK
     return None
 
@@ -280,20 +281,15 @@ def apga_solve(
     rows = mm.rows(x)
     rows_conj, k = rows.conj(), mm.wave_rate * mm.sines
     at = _evaluate(mm, rows, w, slope, intercept)   # always at (w, x)
-    # line_search accepts its last evaluated candidate, so the last
-    # candidate's rows and evaluation are the accepted point's
-    cand_rows, cand_at = rows, at
 
     def beam_margin(cand):
-        nonlocal cand_at
-        cand_at = _evaluate(mm, rows, cand, slope, intercept)
-        return cand_at.margin
+        evaluated = _evaluate(mm, rows, cand, slope, intercept)
+        return evaluated.margin, evaluated
 
     def pos_margin(cand):
-        nonlocal cand_rows, cand_at
-        cand_rows = mm.rows(cand)
-        cand_at = _evaluate(mm, cand_rows, w, slope, intercept)
-        return cand_at.margin
+        new_rows = mm.rows(cand)
+        evaluated = _evaluate(mm, new_rows, w, slope, intercept)
+        return evaluated.margin, (new_rows, evaluated)
 
     def beam_block(obj, delta):
         nonlocal w, at
@@ -302,8 +298,7 @@ def apga_solve(
                             lambda s: 2.0 * float(np.vdot(g, s).real),
                             _normalize, delta)
         if found is not None:
-            _, w, obj = found
-            at = cand_at
+            _, w, obj, at = found
         return obj, found
 
     def pos_block(obj, delta):
@@ -316,8 +311,7 @@ def apga_solve(
         found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
-            _, x, obj = found
-            rows, at = cand_rows, cand_at
+            _, x, obj, (rows, at) = found
             if mode == "joint":
                 rows_conj = rows.conj()
         return obj, found
@@ -624,10 +618,11 @@ def maximize_gamma_objective(
         def block(obj, delta):
             nonlocal v
             g = _box_gradient(margin, v, lo, hi)
-            found = line_search(margin, v, obj, g, lambda s: float(g @ s),
+            found = line_search(lambda c: (margin(c), None), v, obj, g,
+                                lambda s: float(g @ s),
                                 lambda c: np.clip(c, lo, hi), delta)
             if found is not None:
-                _, v, obj = found
+                _, v, obj, _ = found
             return obj, found
 
         obj = ascend(margin(v), OptimizerParams().max_outer, pos=block)[0]

@@ -34,7 +34,8 @@ class SystemConfig:
         betas: eavesdropper path gains.
         ks: Rician K-factors of the eavesdropper links (K = 0 is Rayleigh).
             With c = beta / (K + 1), the moment-match terms c, c^2,
-            c K and 2 c^2 K must be finite and c^2 nonzero.
+            c K and 2 c^2 K must be finite and c^2 nonzero, and so must
+            the sums of c and of c^2 over the eavesdroppers.
         pa: transmit power budget.
         sigma2: noise power at every receiver.
         rs: target secrecy rate in bits/s/Hz; 2^rs must be a finite float.
@@ -92,6 +93,11 @@ class SystemConfig:
                 raise ValueError(
                     f"eavesdropper {i}: beta={beta} and K={k} put the "
                     "Gamma moment match out of the float range")
+        c = self.betas_arr / (self.ks_arr + 1.0)
+        with np.errstate(over="ignore"):   # the sums moment_match forms
+            if not np.isfinite([np.sum(c), np.sum(c**2)]).all():
+                raise ValueError("betas and ks put the summed Gamma moment "
+                                 "match out of the float range")
         if self.dmin < 0:
             raise ValueError("dmin must be nonnegative")
         if self.span < (self.n_antennas - 1) * self.dmin:

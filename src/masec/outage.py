@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gammainc import lower_incomplete_gamma_reg
-from .model import TWO_PI, SystemConfig, eve_los_matrix
+from .model import TWO_PI, SystemConfig
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
@@ -231,7 +231,7 @@ def _check_draw_args(w, x, cfg: SystemConfig, n_trials):
 
 def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):
     """Yield chunks of sum_i |h_i w|^2 under the documented draw order."""
-    los_proj = eve_los_matrix(x, cfg) @ w
+    los_proj = moment_match(cfg).rows(x)[1:] @ w
     k, b = cfg.ks_arr, cfg.betas_arr
     los_part = np.sqrt(k * b / (k + 1.0)) * los_proj
     # g @ w for g ~ CN(0, I_N) is exactly CN(0, ||w||^2), independently per

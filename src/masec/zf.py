@@ -8,6 +8,10 @@ loss by projected gradient descent decouples the placement from the power
 and fading parameters, and the outage of the resulting scheme has the same
 Gamma closed form with all LoS eavesdropper gains zeroed.
 
+Every function reads one nulling solve per placement: the eavesdropper
+rows of the gain model ``outage.moment_match``, their Gram condition check
+and Cholesky factor, and the loss.
+
 ``bob_gain_loss`` and ``zf_outage`` take one placement (N,) or a stack of
 placements (R, N) and return a float or one value per row.  A stack costs
 one batched Gram factorization and one incomplete-gamma call, so the
@@ -19,24 +23,17 @@ the rows that fail the condition check and scores the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .ascent import OptimizerParams, TraceRecord, ascend, line_search
-from .model import (
-    SystemConfig,
-    eve_los_matrix,
-    feasible_region,
-    main_channel,
-    project_positions,
-)
-from .outage import gamma_outage, moment_match
+from .model import SystemConfig, feasible_region, main_channel, project_positions
+from .outage import MomentMatch, gamma_outage, moment_match
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
-
-TWO_PI = 2.0 * np.pi
 
 _COND_LIMIT = 1e12
 
@@ -46,39 +43,29 @@ class SingularSteeringError(RuntimeError):
     dependent and the nulling system cannot be solved reliably."""
 
 
-def _require_zf(cfg: SystemConfig) -> None:
-    if cfg.n_antennas < cfg.n_eves + 1:
-        raise ValueError(
-            "zero-forcing needs n_antennas >= n_eves + 1 "
-            f"(got N={cfg.n_antennas}, M={cfg.n_eves})")
-
-
 def _steering(x: FloatArray, cfg: SystemConfig):
-    """Steering stacks (..., N, M), their Gram matrices (..., M, M) and the
-    Gram condition numbers (...)."""
-    _require_zf(cfg)
-    stack = np.swapaxes(eve_los_matrix(x, cfg).conj(), -1, -2)  # columns h_i^H
+    """Steering stacks (..., N, M) with columns h_i^H, their Gram matrices
+    (..., M, M) and the Gram condition numbers (...)."""
+    if cfg.n_antennas < cfg.n_eves + 1:
+        raise ValueError("zero-forcing needs n_antennas >= n_eves + 1 "
+                         f"(got N={cfg.n_antennas}, M={cfg.n_eves})")
+    stack = np.swapaxes(moment_match(cfg).rows(x)[..., 1:, :].conj(), -1, -2)
     gram = np.swapaxes(stack.conj(), -1, -2) @ stack
     return stack, gram, np.linalg.cond(gram)
 
 
 def _ill_conditioned(cond: float, cfg: SystemConfig) -> SingularSteeringError:
-    worst = _closest_pair(cfg)
+    """The error for a Gram condition number ``cond`` above the limit; it
+    names the first eavesdropper pair with the closest sines, in row-major
+    pair order."""
+    thetas, sines = cfg.thetas_arr, moment_match(cfg).sines[1:]
+    i, j = np.triu_indices(thetas.size, k=1)
+    best = np.argmin(np.abs(sines[i] - sines[j]))
+    i, j = i[best], j[best]
     return SingularSteeringError(
-        "eavesdropper steering matrix ill-conditioned "
-        f"(cond={cond:.2e}); "
-        f"closest angles: theta_{worst[0]+1}={worst[2]:.6f} and "
-        f"theta_{worst[1]+1}={worst[3]:.6f} rad")
-
-
-def _steering_gram(x: FloatArray, cfg: SystemConfig):
-    """Steering stacks (..., N, M) and the Cholesky factors of their Gram
-    matrices, after a condition check of every placement."""
-    stack, gram, cond = _steering(x, cfg)
-    bad = ~(cond <= _COND_LIMIT)
-    if np.any(bad):
-        raise _ill_conditioned(np.asarray(cond)[bad][0], cfg)
-    return stack, np.linalg.cholesky(gram)
+        f"eavesdropper steering matrix ill-conditioned (cond={cond:.2e}); "
+        f"closest angles: theta_{i+1}={thetas[i]:.6f} and "
+        f"theta_{j+1}={thetas[j]:.6f} rad")
 
 
 def _gram_solve(chol: ComplexArray, y):
@@ -87,15 +74,37 @@ def _gram_solve(chol: ComplexArray, y):
     return np.linalg.solve(np.swapaxes(chol.conj(), -1, -2), lower)[..., 0]
 
 
-def _closest_pair(cfg: SystemConfig):
-    """Indices and angles of the first eavesdropper pair with the closest
-    sines, in row-major pair order."""
-    thetas = cfg.thetas_arr
-    sines = np.sin(thetas)
-    i, j = np.triu_indices(thetas.size, k=1)
-    best = np.argmin(np.abs(sines[i] - sines[j]))
-    i, j = i[best], j[best]
-    return i, j, thetas[i], thetas[j]
+class _Nulling(NamedTuple):
+    """The nulling solve at placements (..., N): the steering stacks S,
+    the Cholesky factors of A = S^H S, the legitimate channels h0, v =
+    A^{-1} h^H for the Bob/eve coupling rows h = h0 S, and the loss h v."""
+
+    stack: ComplexArray
+    chol: ComplexArray
+    h0: ComplexArray
+    v: ComplexArray
+    loss: float | FloatArray
+
+
+def _nulling(x: FloatArray, cfg: SystemConfig, steering=None) -> _Nulling:
+    """The nulling solve at x, from ``steering = _steering(x, cfg)`` when
+    given.  Raises SingularSteeringError when a placement fails the
+    condition check or its loss keeps an imaginary residue."""
+    stack, gram, cond = _steering(x, cfg) if steering is None else steering
+    if (bad := ~(cond <= _COND_LIMIT)).any():
+        raise _ill_conditioned(np.asarray(cond)[bad][0], cfg)
+    chol = np.linalg.cholesky(gram)
+    h0 = main_channel(x, cfg)
+    h = (h0[..., None, :] @ stack)[..., 0, :]
+    v = _gram_solve(chol, h.conj())
+    val = (h[..., None, :] @ v[..., :, None])[..., 0, 0]
+    if (bad := ~(np.abs(val.imag) <= 1e-10)).any():
+        raise SingularSteeringError(
+            "nulling loss has imaginary residue "
+            f"{np.asarray(val.imag)[bad][0]:.2e}; "
+            "the steering Gram solve is inaccurate")
+    return _Nulling(stack, chol, h0, v,
+                    float(val.real) if val.ndim == 0 else val.real)
 
 
 def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
@@ -105,14 +114,12 @@ def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     eavesdropper steering span; the projection is applied twice to push the
     nulling residual to machine-noise level.
     """
-    x = np.asarray(x, dtype=float)
-    stack, chol = _steering_gram(x, cfg)
-    h0h = main_channel(x, cfg).conj()
+    stack, chol, h0 = _nulling(x, cfg)[:3]
 
     def reject(v):
         return v - stack @ _gram_solve(chol, stack.conj().T @ v)
 
-    w = reject(reject(h0h))
+    w = reject(reject(h0.conj()))
     norm = np.linalg.norm(w)
     if norm < 1e-12:
         raise SingularSteeringError(
@@ -127,21 +134,7 @@ def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     zero-forced gain is beta0 * N - Theta, so Theta lies in [0, beta0 * N].
     Positions (N,) give a float, a stack (R, N) one loss per row.
     """
-    x = np.asarray(x, dtype=float)
-    return _loss(x, *_steering_gram(x, cfg), cfg)
-
-
-def _loss(x: FloatArray, stack, chol, cfg: SystemConfig):
-    """``bob_gain_loss`` from the steering stacks and Gram factors of x."""
-    h = (main_channel(x, cfg)[..., None, :] @ stack)[..., 0, :]
-    val = (h[..., None, :] @ _gram_solve(chol, h.conj())[..., :, None])[..., 0, 0]
-    bad = ~(np.abs(val.imag) <= 1e-10)
-    if np.any(bad):
-        raise SingularSteeringError(
-            "nulling loss has imaginary residue "
-            f"{np.asarray(val.imag)[bad][0]:.2e}; "
-            "the steering Gram solve is inaccurate")
-    return float(val.real) if val.ndim == 0 else val.real
+    return _nulling(x, cfg).loss
 
 
 def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
@@ -157,17 +150,16 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
 
     each term entering with its conjugate, so the gradient is exactly real.
     """
-    x = np.asarray(x, dtype=float)
-    sines = np.sin(cfg.thetas_arr)
-    rate = TWO_PI / cfg.wavelength
+    return _loss_grad(moment_match(cfg), _nulling(x, cfg))
 
-    stack, chol = _steering_gram(x, cfg)
-    h0 = main_channel(x, cfg)
-    v = _gram_solve(chol, (h0 @ stack).conj())     # A^{-1} h^H, (M,)
+
+def _loss_grad(mm: MomentMatch, solved: _Nulling) -> FloatArray:
+    """``bob_gain_loss_grad`` from the nulling solve at one placement."""
+    stack, v, sines = solved.stack, solved.v, mm.sines[1:]
     t = stack @ v                                  # S A^{-1} h^H, (N,)
-    z = (h0[:, None] * stack * (np.sin(cfg.theta0) - sines)) @ v \
+    z = (solved.h0[:, None] * stack * (mm.sines[0] - sines)) @ v \
         + t.conj() * ((stack * sines) @ v)
-    return -2.0 * rate * z.imag                    # 2 k Re(j z)
+    return -2.0 * mm.wave_rate * z.imag            # 2 k Re(j z)
 
 
 @dataclass
@@ -186,30 +178,35 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     ``line_search`` on the negated loss, which IEEE negation keeps exact: a
     candidate is accepted once the loss is no larger than the quadratic
     model around the current point, which together with the box projection
-    guarantees a nonincreasing loss trace.  The loop's warm steps and
-    relative stop apply, up to params.max_outer iterations; a search that
-    accepts no step ends it as converged.  Trace records hold the loss
-    itself as ``objective`` and the accepted step as ``delta_pos``.
+    guarantees a nonincreasing loss trace.  The next gradient reads the
+    accepted candidate's nulling solve.  The loop's warm steps and relative
+    stop apply, up to params.max_outer iterations; a search that accepts no
+    step ends it as converged.  Trace records hold the loss itself as
+    ``objective`` and the accepted step as ``delta_pos``.
     """
     params = params or OptimizerParams()
-    region = feasible_region(cfg)
+    mm, region = moment_match(cfg), feasible_region(cfg)
     x = np.asarray(x0, dtype=float)
 
-    def block(neg_loss, delta):
-        nonlocal x
-        d = -bob_gain_loss_grad(x, cfg)
-        found = line_search(lambda c: -bob_gain_loss(c, cfg), x, neg_loss, d,
-                            lambda s: float(d @ s),
+    def neg_loss(cand):
+        solved = _nulling(cand, cfg)
+        return -solved.loss, solved
+
+    start, at = neg_loss(x)     # at: the nulling solve at x
+
+    def block(obj, delta):
+        nonlocal x, at
+        d = -_loss_grad(mm, at)
+        found = line_search(neg_loss, x, obj, d, lambda s: float(d @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
-            _, x, neg_loss = found
-        return neg_loss, found
+            _, x, obj, at = found
+        return obj, found
 
-    neg_loss, trace, converged = ascend(-bob_gain_loss(x, cfg),
-                                        params.max_outer, pos=block)
+    neg, trace, converged = ascend(start, params.max_outer, pos=block)
     for rec in trace:
         rec.objective = -rec.objective
-    return PgdResult(x=x, loss=-neg_loss, n_iter=len(trace),
+    return PgdResult(x=x, loss=-neg, n_iter=len(trace),
                      converged=converged, trace=trace)
 
 
@@ -225,9 +222,8 @@ def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
 
 
 def _outage(loss, cfg: SystemConfig):
-    mm = moment_match(cfg)
-    lin, quad = mm.moments(np.zeros(cfg.n_eves))
-    return gamma_outage(lin, quad,
+    mm = moment_match(cfg)     # zero LoS gains leave the moments' constants
+    return gamma_outage(mm.lin_const, mm.quad_const,
                         mm.threshold(cfg.beta0 * cfg.n_antennas - loss))
 
 
@@ -241,9 +237,9 @@ def screened_outage(xs: FloatArray, cfg: SystemConfig):
     first row's ``SingularSteeringError`` when no row is usable.
     """
     xs = np.asarray(xs, dtype=float)
-    stack, gram, cond = _steering(xs, cfg)
-    usable = cond <= _COND_LIMIT
+    steering = _steering(xs, cfg)
+    usable = steering[2] <= _COND_LIMIT
     if not usable.any():
-        raise _ill_conditioned(cond[0], cfg)
-    chol = np.linalg.cholesky(gram[usable])
-    return usable, _outage(_loss(xs[usable], stack[usable], chol, cfg), cfg)
+        raise _ill_conditioned(steering[2][0], cfg)
+    solved = _nulling(xs[usable], cfg, [a[usable] for a in steering])
+    return usable, _outage(solved.loss, cfg)

@@ -245,11 +245,11 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         nonlocal w
         g = margin_grad_beamformer(w, x, eps, table, cfg)
         found = line_search(
-            lambda c: margin_objective(c, x, eps, table, cfg), w, obj, g,
-            lambda s: 2.0 * float(np.vdot(g, s).real), ascent._normalize,
+            lambda c: (margin_objective(c, x, eps, table, cfg), None), w, obj,
+            g, lambda s: 2.0 * float(np.vdot(g, s).real), ascent._normalize,
             delta)
         if found is not None:
-            _, w, obj = found
+            _, w, obj, _ = found
         return obj, found
 
     def pos(obj, delta):
@@ -259,11 +259,11 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
             obj = margin_objective(w, x, eps, table, cfg)
         g = margin_grad_positions(w, x, eps, table, cfg)
         found = line_search(
-            lambda c: margin_objective(w, c, eps, table, cfg), x, obj, g,
-            lambda s: float(g @ s), lambda c: project_positions(c, region),
+            lambda c: (margin_objective(w, c, eps, table, cfg), None), x, obj,
+            g, lambda s: float(g @ s), lambda c: project_positions(c, region),
             delta)
         if found is not None:
-            _, x, obj = found
+            _, x, obj, _ = found
         return obj, found
 
     obj, trace, converged = ascend(
@@ -303,11 +303,11 @@ class TestGainReuse:
             calls["statistics"] += 1
             return statistics(self, gains)
 
-        def counted_search(value, *args):
-            def counted_value(cand):
+        def counted_search(evaluate, *args):
+            def counted_evaluate(cand):
                 calls["candidates"] += 1
-                return value(cand)
-            return search(counted_value, *args)
+                return evaluate(cand)
+            return search(counted_evaluate, *args)
 
         monkeypatch.setattr(MomentMatch, "statistics", counted_statistics)
         monkeypatch.setattr(ascent, "line_search", counted_search)
@@ -488,8 +488,8 @@ class TestBeamLanes:
         assert not np.isnan(accepted[1::2]).any()
         for i in range(6):
             found = line_search(
-                lambda c: ascent._evaluate(mm, rows[i], c, slope[i],
-                                           intercept[i]).margin,
+                lambda c: (ascent._evaluate(mm, rows[i], c, slope[i],
+                                            intercept[i]).margin, None),
                 w[i], at.margin[i], g[i],
                 lambda s: 2.0 * float(np.vdot(g[i], s).real),
                 ascent._normalize, delta[i])
@@ -529,9 +529,9 @@ class TestLineSearch:
 
         def value(c):
             calls.append(c[0])
-            return float(-3.0 * (c[0] - 3.0) ** 2)
+            return float(-3.0 * (c[0] - 3.0) ** 2), None
         grad = np.array([18.0])
-        delta, cand, _ = line_search(
+        delta, cand, _, _ = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
             lambda c: np.clip(c, 0.0, 10.0), start)
         assert calls == [first]
@@ -545,13 +545,14 @@ class TestLineSearch:
 
         def value(c):
             calls.append(c[0])
-            return float(-3.0 * (c[0] - 3.0) ** 2)
+            return float(-3.0 * (c[0] - 3.0) ** 2), f"evaluated at {c[0]}"
         grad = np.array([18.0])
-        delta, cand, val = line_search(
+        delta, cand, val, evaluation = line_search(
             value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
             lambda c: np.clip(c, 0.0, 10.0), 1.0)
         assert calls == [10.0, 9.0, 4.5]
         assert (delta, cand[0], val) == (0.25, 4.5, -6.75)
+        assert evaluation == "evaluated at 4.5"   # the accepted candidate's
 
     def test_none_when_no_step_is_accepted(self, monkeypatch):
         monkeypatch.setattr(ascent, "MIN_STEP", 0.1)
@@ -559,7 +560,7 @@ class TestLineSearch:
 
         def value(c):
             calls.append(c)
-            return -1.0      # always below the model, which starts at 0
+            return -1.0, None    # always below the model, which starts at 0
         res = line_search(value, np.zeros(2), 0.0, np.ones(2),
                           lambda s: float(np.sum(s)), lambda c: c, 1.0)
         assert res is None

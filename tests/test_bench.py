@@ -313,6 +313,11 @@ class TestCsv:
             read_results(path)
 
 
+# c^2 = 8.8e307 per eavesdropper, so three of them sum beyond the float range
+_THREE_HUGE_EVES = {"n_eves": 3, "thetas": [0.275, 0.5, 0.9],
+                    "betas": [9.4e153] * 3, "ks": [0.0] * 3}
+
+
 class TestConfigParsing:
     def test_angles_in_units_of_pi(self):
         cfg = config_from_dict({
@@ -364,11 +369,14 @@ class TestConfigParsing:
         ("ks", [1e308], "eavesdropper 1: beta=1.0 and K=1e+308"),
         ("betas", [1e300], "eavesdropper 1: beta=1e+300 and K=4.0"),
         ("betas", [1e-200], "eavesdropper 1: beta=1e-200 and K=4.0"),
+        # each eavesdropper's terms are finite, their sum of c^2 is not
+        ("eves", _THREE_HUGE_EVES, "summed Gamma moment match out of the"),
     ])
     def test_rejects_a_moment_match_beyond_the_float_range(self, key, value,
                                                            message):
+        changes = value if key == "eves" else {key: value}
         with pytest.raises(ValueError, match=re.escape(message)):
-            config_from_dict({**_sweep_spec()["base"], key: value})
+            config_from_dict({**_sweep_spec()["base"], **changes})
 
     def test_largest_rate_below_the_overflow_is_kept(self):
         cfg = config_from_dict({**_sweep_spec()["base"], "rs": 1023.5})
@@ -562,6 +570,8 @@ class TestCli:
          "rs=2000.0 is too large: 2**rs overflows a float"),
         ("solve", {**_sweep_spec()["base"], "ks": [1e308]},
          "moment match out of the float range"),
+        ("solve", {**_sweep_spec()["base"], **_THREE_HUGE_EVES},
+         "summed Gamma moment match out of the float range"),
     ])
     def test_malformed_json_is_error_exit(self, command, content, message,
                                           tmp_path, capsys):

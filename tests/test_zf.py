@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from masec import zf
+from masec.ascent import OptimizerParams, ascend, line_search
 from masec.bench import apply_variable, base_config, preset
 from masec.cli import main
 from masec.model import (
     eve_los_matrix,
     feasible_region,
     main_channel,
+    project_positions,
     random_feasible_positions,
 )
 from masec.outage import monte_carlo_outage, secrecy_outage_closed_form
@@ -165,6 +167,66 @@ class TestDescent:
         reg = feasible_region(cfg)
         res = pgd_solve(reg.midpoints(), cfg)
         assert reg.contains(res.x)
+
+
+def recomputing_pgd(x0, cfg):
+    """``pgd_solve`` rebuilt from ``ascend`` and ``line_search`` on the
+    public loss and gradient, which redo the nulling solve at every call."""
+    region = feasible_region(cfg)
+    x = np.asarray(x0, dtype=float)
+
+    def block(obj, delta):
+        nonlocal x
+        d = -bob_gain_loss_grad(x, cfg)
+        found = line_search(lambda c: (-bob_gain_loss(c, cfg), None), x, obj,
+                            d, lambda s: float(d @ s),
+                            lambda c: project_positions(c, region), delta)
+        if found is not None:
+            _, x, obj, _ = found
+        return obj, found
+
+    neg, trace, converged = ascend(-bob_gain_loss(x, cfg),
+                                   OptimizerParams().max_outer, pos=block)
+    for rec in trace:
+        rec.objective = -rec.objective
+    return x, -neg, trace, converged
+
+
+class TestNullingReuse:
+    """Each evaluated placement's nulling solve serves the gradient at it."""
+
+    @pytest.mark.parametrize("name", ["zf-demo-far", "zf-demo-near",
+                                      "ob-demo", "k-sweep"])
+    def test_equals_the_recomputing_descent(self, name):
+        cfg = preset(name)
+        x0 = feasible_region(cfg).midpoints()
+        res = pgd_solve(x0, cfg)
+        x, loss, trace, converged = recomputing_pgd(x0, cfg)
+        assert res.x.tobytes() == x.tobytes()
+        assert (res.loss, res.n_iter, res.converged) == \
+            (loss, len(trace), converged)
+        assert res.trace == trace
+
+    def test_one_steering_build_per_evaluated_placement(self, monkeypatch):
+        calls = {"steering": 0, "candidates": 0}
+        steering, search = zf._steering, zf.line_search
+
+        def counted_steering(x, cfg):
+            calls["steering"] += 1
+            return steering(x, cfg)
+
+        def counted_search(evaluate, *args):
+            def counted_evaluate(cand):
+                calls["candidates"] += 1
+                return evaluate(cand)
+            return search(counted_evaluate, *args)
+
+        monkeypatch.setattr(zf, "_steering", counted_steering)
+        monkeypatch.setattr(zf, "line_search", counted_search)
+        cfg = preset("zf-demo-far")
+        res = pgd_solve(feasible_region(cfg).midpoints(), cfg)
+        assert res.n_iter >= 2
+        assert calls["steering"] == calls["candidates"] + 1
 
 
 class TestZfOutage:
