@@ -200,8 +200,8 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     per eavesdropper, the law of the scatter vector projected onto ``w``.
     The estimate is bit-reproducible for a given seed, and a longer run
     starts with the draws of a shorter one.  Non-finite or mis-shaped
-    ``w``, ``x`` and an ``n_trials`` that is not a positive integer raise
-    ``ValueError``.
+    ``w``, ``x``, a complex ``x`` and an ``n_trials`` that is not a
+    positive integer raise ``ValueError``.
     """
     w, x = _check_draw_args(w, x, cfg, n_trials)
     thr = outage_threshold(w, x, cfg)
@@ -226,6 +226,8 @@ def _check_draw_args(w, x, cfg: SystemConfig, n_trials):
             raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite")
+    if np.iscomplexobj(x):
+        raise ValueError("x must be real")
     return w, x
 
 

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import masec.gammainc
+from masec.cli import main
 from masec.gammainc import (
     inverse_lower_incomplete_gamma,
     lower_incomplete_gamma_reg,
 )
+from masec.surrogate import fit_linear_surrogate
 
 
 class TestForward:
@@ -116,8 +119,13 @@ class TestInverse:
         assert isinstance(out, float)
 
     def test_batched_call_matches_scalar_calls_bit_for_bit(self):
-        # each lane's arithmetic is independent of the other lanes
-        eps = np.array([0.0, 0.001, 0.01, 0.3, 0.5, 0.77, 0.99])
+        # each lane's arithmetic is independent of the other lanes; the
+        # largest eps needs a grown bracket at a = 0.3, where
+        # P(a, a + 20 sqrt(a) + 20) < eps, beside ordinary lanes of that shape
+        top = np.nextafter(1.0, 0.0)
+        assert lower_incomplete_gamma_reg(
+            0.3, 0.3 + 20.0 * math.sqrt(0.3) + 20.0) < top
+        eps = np.array([0.0, 0.001, 0.01, 0.3, 0.5, 0.77, 0.99, top])
         a = np.array([0.3, 1.0, 2.5, 7.0, 40.0, 100.0, 150.0, 1e3])
         grid = inverse_lower_incomplete_gamma(eps[:, None], a[None, :])
         assert grid.shape == (eps.size, a.size)
@@ -128,6 +136,40 @@ class TestInverse:
                 one = inverse_lower_incomplete_gamma(float(e), float(s))
                 assert isinstance(one, float)
                 assert one == grid[i, j]
+
+    def test_small_shape_root_far_below_one(self):
+        # the root is about 6e-101: bisection from 0 cannot reach it
+        got = inverse_lower_incomplete_gamma(0.01, 0.02)
+        want = special.gammaincinv(0.02, 0.01)
+        assert abs(got - want) / want < 1e-9
+
+    def test_root_below_float_range_is_a_value_error(self):
+        # about 1e-2000 at eps 0.01, a 0.001
+        with pytest.raises(ValueError, match="below the float range"):
+            inverse_lower_incomplete_gamma(0.01, np.array([0.5, 0.001]))
+
+    def test_default_fit_evaluates_few_elements(self, monkeypatch):
+        # one bracket check per shape and about two passes of P per lane
+        counted = []
+        forward = masec.gammainc._reg_positive
+
+        def counting(a, t, log_gam):
+            counted.append(a.size)
+            return forward(a, t, log_gam)
+
+        monkeypatch.setattr(masec.gammainc, "_reg_positive", counting)
+        fit_linear_surrogate()
+        assert sum(counted) <= 210_000
+
+    def test_fit_table_cli_on_small_shapes(self, tmp_path, capsys):
+        out = tmp_path / "t.txt"
+        args = ["fit-table", "--hi", "2", "--points", "50", "--out", str(out)]
+        assert main(args + ["--lo", "0.02"]) == 0
+        assert out.is_file()
+        capsys.readouterr()
+        assert main(args + ["--lo", "0.001"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_rejects_bad_probability(self):
         for eps in (-0.1, 1.0, 1.5, np.nan, np.array([0.5, 1.0])):

@@ -291,6 +291,14 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("draw", [monte_carlo_outage,
                                       collusion_power_samples])
+    def test_rejects_complex_positions(self, case, draw):
+        cfg, x, w = case
+        for bad in (x + 1j, x.astype(complex)):
+            with pytest.raises(ValueError, match="x must be real"):
+                draw(w, bad, cfg, n_trials=1000, seed=0)
+
+    @pytest.mark.parametrize("draw", [monte_carlo_outage,
+                                      collusion_power_samples])
     def test_rejects_wrong_lengths(self, case, draw):
         cfg, x, w = case
         with pytest.raises(ValueError, match="w must have shape"):
