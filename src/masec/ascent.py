@@ -9,23 +9,31 @@ steps on the unit-norm beamformer and on the antenna positions, each with
 backtracking against a quadratic model.
 
 Each evaluated point, a start or a line-search candidate, costs one
-steering product v = rows @ w and one ``MomentMatch.statistics`` call,
-kept as an ``_Evaluation``.  ``line_search`` hands back the accepted
-candidate's evaluation, so the next beamformer gradient and the next
-position gradient both read it and recompute no gain.
+steering product v = rows @ w and one ``MomentMatch.statistics`` call.
+``line_search`` hands back the accepted candidate's evaluation, so the next
+beamformer gradient and the next position gradient both read it and
+recompute no gain.
+
+The margin, its gain weights, both gradients and the beam normalization
+are written twice, with the same operations in the same order.  The
+helpers ``_evaluate``, ``_gain_weights``, ``_grad_w``, ``_grad_x`` and
+``_normalize`` broadcast over stacks of lanes; the public ``margin_*``
+functions and the lane solver use them.  ``apga_solve`` solves one lane in
+float arithmetic on 1-D arrays, with the constants of the solve computed
+once, since 0-d numpy operations cost more than the math on (M+1, N)
+arrays.  The parity tests hold the two to the same bits.
 
 ``bisect_confidence`` is the one bisection loop: each lane keeps its own
 bracket, and every round probes all lanes still bisecting at once.
 ``_bisect`` is the one body around it: the closed-form exit for certain
 outage, the ``margin > 0`` verdict, the certified probe and one stacked
 closed-form outage for all lanes.  ``bisection_outage_min`` hands it one
-lane solved by the scalar ``apga_solve``; ``bisect_beam_lanes`` hands it a
-stack of fixed placements solved beamformer-only by ``_beam_lanes``, where
-every numpy call of the margin, its gradient and the line search covers all
+lane solved by ``apga_solve``; ``bisect_beam_lanes`` hands it a stack of
+fixed placements solved beamformer-only by ``_beam_lanes``, where every
+numpy call of the margin, its gradient and the line search covers all
 lanes still running and each lane keeps its own step, stop and iteration
-cap.  Lane i gives the same result, bit for bit, as ``bisection_outage_min``
-in beam_only mode at placement i; single solves stay on the scalar
-``apga_solve``, because one lane pays the stacking overhead for nothing.
+cap.  Lane i gives the same result, bit for bit, as
+``bisection_outage_min`` in beam_only mode at placement i.
 """
 from __future__ import annotations
 
@@ -42,6 +50,7 @@ from numpy.typing import NDArray
 from .gammainc import lower_incomplete_gamma_reg
 from .model import (
     SystemConfig,
+    check_vector,
     feasible_region,
     main_channel,
     mrt_beamformer,
@@ -138,7 +147,7 @@ def _evaluate(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
     v = np.matvec(rows, w)
     lin, quad, thr = mm.statistics(np.abs(v) ** 2)
     m = lin * thr - slope * (lin * lin) - intercept * quad
-    return _Evaluation(float(m) if m.ndim == 0 else m, v, lin, thr)
+    return _Evaluation(m if v.ndim > 1 else float(m), v, lin, thr)
 
 
 def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
@@ -146,7 +155,8 @@ def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
     lin, thr = at.lin, at.thr
     weights = np.empty(at.v.shape)
     weights[..., 0] = lin * mm.beta0 / mm.rate_pow
-    weights[..., 1:] = (thr - 2.0 * slope * lin)[..., None] * mm.lin_coef \
+    scale = np.asarray(thr - 2.0 * slope * lin)[..., None]
+    weights[..., 1:] = scale * mm.lin_coef \
         - np.asarray(intercept)[..., None] * mm.quad_coef
     return weights
 
@@ -268,56 +278,103 @@ def apga_solve(
     block.  A block that accepts no step leaves its variable unchanged.
     ``ascend`` runs the blocks with its warm steps and relative stop, up to
     params.max_outer iterations, and the result keeps its trace.
+
+    The lane is evaluated in float arithmetic, with the same operations in
+    the same order as the stacked ``_evaluate``, ``_grad_w``, ``_grad_x``
+    and ``_normalize``, so it gets their bits.  ``w0`` must be a finite
+    (N,) vector with a nonzero finite norm and ``x0`` a finite real (N,)
+    vector; anything else raises ``ValueError``.
     """
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
+    n = cfg.n_antennas
+    w0 = check_vector("w0", w0, n)
+    x = np.asarray(check_vector("x0", x0, n, real=True), dtype=float)
     params = params or OptimizerParams()
     slope, intercept = surrogate_lookup(table, eps)
     mm = moment_match(cfg)
     region = feasible_region(cfg)
 
-    w = _normalize(np.asarray(w0, dtype=complex))
-    x = np.asarray(x0, dtype=float)
-    rows = mm.rows(x)
-    rows_conj, k = rows.conj(), mm.wave_rate * mm.sines
-    at = _evaluate(mm, rows, w, slope, intercept)   # always at (w, x)
+    # the constants of the solve, computed once
+    statistics, beta0, rate_pow = mm.statistics, mm.beta0, mm.rate_pow
+    lin_coef, intercept_quad = mm.lin_coef, intercept * mm.quad_coef
+    phase, sines = 1j * mm.wave_rate, mm.sines[:, None]
+    k = mm.wave_rate * mm.sines
+    # Work buffers, written through their real parts.  numpy casts a real
+    # array to r + 0j before it multiplies a complex one; a complex buffer
+    # with zero imaginary parts is that cast already, so products with it
+    # keep their bits and skip the cast.
+    phases = np.zeros((len(mm.sines), n), dtype=complex)
+    weights = np.zeros(len(mm.sines), dtype=complex)
+    weighted_k = np.zeros(len(mm.sines), dtype=complex)
+    phases_re, weights_re, weighted_k_re = (
+        buf.real for buf in (phases, weights, weighted_k))
+    weights_tail = weights_re[1:]
+
+    def steer(pos):                     # mm.rows
+        np.multiply(sines, pos, out=phases_re)
+        return np.exp(phase * phases)
+
+    def evaluate(rows, w):              # _evaluate: (margin, v, lin, thr)
+        v = np.matvec(rows, w)
+        lin, quad, thr = statistics(np.abs(v) ** 2)
+        return lin * thr - slope * (lin * lin) - intercept * quad, v, lin, thr
+
+    def gain_weights(lin, thr):         # _gain_weights, into ``weights``
+        weights_re[0] = lin * beta0 / rate_pow
+        np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
+        np.subtract(weights_tail, intercept_quad, out=weights_tail)
+
+    def normalize(w):                   # _normalize
+        return w / math.sqrt(float(np.dot(w.real, w.real))
+                             + float(np.dot(w.imag, w.imag)))
+
+    with np.errstate(all="ignore"):
+        w = normalize(w0.astype(complex))
+    if not (np.isfinite(w).all() and w.any()):   # its norm is 0 or inf
+        raise ValueError("w0 must have a nonzero finite norm")
+    rows = steer(x)
+    rows_conj = rows.conj()
+    obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
 
     def beam_margin(cand):
-        evaluated = _evaluate(mm, rows, cand, slope, intercept)
-        return evaluated.margin, evaluated
+        evaluated = evaluate(rows, cand)
+        return evaluated[0], evaluated
 
     def pos_margin(cand):
-        new_rows = mm.rows(cand)
-        evaluated = _evaluate(mm, new_rows, w, slope, intercept)
-        return evaluated.margin, (new_rows, evaluated)
+        new_rows = steer(cand)
+        evaluated = evaluate(new_rows, w)
+        return evaluated[0], (new_rows, evaluated)
 
     def beam_block(obj, delta):
-        nonlocal w, at
-        g = _grad_w(mm, rows_conj, at, slope, intercept)
+        nonlocal w, v, lin, thr
+        gain_weights(lin, thr)
+        g = (weights * v) @ rows_conj
         found = line_search(beam_margin, w, obj, g,
                             lambda s: 2.0 * float(np.vdot(g, s).real),
-                            _normalize, delta)
+                            normalize, delta)
         if found is not None:
-            _, w, obj, at = found
+            _, w, obj, (_, v, lin, thr) = found
         return obj, found
 
     def pos_block(obj, delta):
-        nonlocal w, x, rows, rows_conj, at
+        nonlocal w, x, rows, rows_conj, v, lin, thr
         if mode == "positions_mrt":
             w = mrt_beamformer(x, cfg)
-            at = _evaluate(mm, rows, w, slope, intercept)
-            obj = at.margin
-        g = _grad_x(mm, k, rows, w, at, slope, intercept)
+            obj, v, lin, thr = evaluate(rows, w)
+        gain_weights(lin, thr)
+        np.multiply(weights_re, k, out=weighted_k_re)
+        g = -2.0 * ((weighted_k * v.conj()) @ rows * w).imag
         found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
                             lambda c: project_positions(c, region), delta)
         if found is not None:
-            _, x, obj, (rows, at) = found
+            _, x, obj, (rows, (_, v, lin, thr)) = found
             if mode == "joint":
                 rows_conj = rows.conj()
         return obj, found
 
     obj, trace, converged = ascend(
-        at.margin, params.max_outer,
+        obj, params.max_outer,
         beam=None if mode == "positions_mrt" else beam_block,
         pos=None if mode == "beam_only" else pos_block)
     return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
@@ -427,7 +484,8 @@ def bisection_outage_min(
     """Minimize the secrecy outage by bisection on the confidence level.
 
     Starts from the placement x0 (default: the midpoints of the movement
-    region) and its matched filter; ``_bisect`` runs the bisection on this
+    region; else a finite real (N,) vector, or ``ValueError``) and its
+    matched filter; ``_bisect`` runs the bisection on this
     one lane.  Each probe maximizes the margin with ``apga_solve`` in the
     given mode, warm-started from the previous probe, and the reported
     outage is the closed-form value at the certified solution.
@@ -436,6 +494,8 @@ def bisection_outage_min(
     table = table or default_table()
     if x0 is None:
         x0 = feasible_region(cfg).midpoints()
+    else:
+        x0 = check_vector("x0", x0, cfg.n_antennas, real=True)
 
     def solve(live, w, x, levels):
         res = apga_solve(w[0], x[0], levels[0], table, cfg, params, mode=mode)

@@ -37,19 +37,29 @@ def _per_distinct(fn, x):
 def lower_incomplete_gamma_reg(a, t):
     """Regularized lower incomplete gamma P(a, t).
 
-    ``a`` must be positive; ``t`` <= 0 maps to 0 so the function can serve
+    ``a`` must be positive and finite and ``t`` not NaN, or ``ValueError``;
+    ``t`` <= 0 maps to 0 and t = inf to 1, so the function can serve
     directly as a CDF.  Scalars in, scalar out; arrays broadcast.
     """
     a_arr, t_arr = np.broadcast_arrays(np.asarray(a, float), np.asarray(t, float))
-    if np.any(a_arr <= 0.0):
-        raise ValueError("shape parameter must be positive")
+    _check_shape(a_arr)
+    if np.isnan(t_arr).any():
+        raise ValueError("threshold t must not be NaN")
     out = np.zeros(a_arr.shape, dtype=float)
-    pos = t_arr > 0.0
+    out[t_arr == np.inf] = 1.0
+    pos = (t_arr > 0.0) & (t_arr < np.inf)
     a_pos = a_arr[pos]
     out[pos] = _reg_positive(a_pos, t_arr[pos], _per_distinct(math.lgamma, a_pos))
     if np.isscalar(a) and np.isscalar(t):
         return float(out)
     return out
+
+
+def _check_shape(a) -> None:
+    """A one-line ``ValueError`` unless every shape parameter is positive
+    and finite."""
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise ValueError("shape parameter must be positive and finite")
 
 
 def _reg_positive(a, t, log_gam):
@@ -166,14 +176,14 @@ def inverse_lower_incomplete_gamma(eps, a):
     density in closed form, so a step costs one evaluation of P.  Any step
     that is not finite or leaves the bracket is replaced by bisection.  The
     result satisfies |P(a, t) - eps| <= 1e-12 in well-scaled regions and
-    always better than 1e-10.  A root below the float range raises
+    always better than 1e-10.  A root below the float range, an eps
+    outside [0, 1) and a shape that is not positive and finite raise
     ``ValueError``.  Scalars in, scalar out.
     """
     eps_arr, a_arr = np.broadcast_arrays(np.asarray(eps, float), np.asarray(a, float))
     if not np.all((eps_arr >= 0.0) & (eps_arr < 1.0)):
         raise ValueError("probability must lie in [0, 1)")
-    if np.any(a_arr <= 0.0):
-        raise ValueError("shape parameter must be positive")
+    _check_shape(a_arr)
     t = np.zeros(a_arr.shape)
     solve = eps_arr > 0.0
     t[solve] = _quantile(eps_arr[solve], a_arr[solve])

@@ -182,6 +182,19 @@ def feasible_region(cfg: SystemConfig) -> FeasibleRegion:
     return FeasibleRegion(lo=lo, hi=hi)
 
 
+def check_vector(name: str, v, n: int, real: bool = False) -> np.ndarray:
+    """``v`` as an array, after a one-line ``ValueError`` unless it has
+    shape (n,), is finite and, when ``real``, is not complex."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    if real and np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real")
+    return v
+
+
 def project_positions(x_raw: FloatArray, region: FeasibleRegion) -> FloatArray:
     """Nearest feasible positions: clamp each coordinate into its interval.
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gammainc import lower_incomplete_gamma_reg
-from .model import TWO_PI, SystemConfig
+from .model import TWO_PI, SystemConfig, check_vector
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
@@ -96,10 +96,19 @@ class MomentMatch:
         return bob_gain / self.rate_pow + self.noise_off
 
     def statistics(self, gains):
-        """lin, quad and the outage threshold of the M+1 gains (..., M+1)."""
+        """lin, quad and the outage threshold of the M+1 gains (..., M+1).
+
+        One lane's gains (M+1,) give Python floats, from the same operations
+        in the same order (``np.dot`` of two 1-D arrays runs the dot loop of
+        ``np.vecdot``): 0-d numpy arithmetic costs more than the math.
+        """
+        if gains.ndim == 1:
+            eve = gains[1:]
+            return (float(np.dot(eve, self.lin_coef)) + self.lin_const,
+                    float(np.dot(eve, self.quad_coef)) + self.quad_const,
+                    self.threshold(self.beta0 * float(gains[0])))
         lin, quad = self.moments(gains[..., 1:])
-        # [()] makes one lane's 0-d Bob gain a scalar; scalar math is faster
-        return lin, quad, self.threshold(self.beta0 * gains[..., 0][()])
+        return lin, quad, self.threshold(self.beta0 * gains[..., 0])
 
 
 def moment_match(cfg: SystemConfig) -> MomentMatch:
@@ -220,15 +229,7 @@ def _check_draw_args(w, x, cfg: SystemConfig, n_trials):
         raise ValueError(
             f"n_trials must be a positive integer, got {n_trials!r}")
     n = cfg.n_antennas
-    w, x = np.asarray(w), np.asarray(x)
-    for name, v in (("w", w), ("x", x)):
-        if v.shape != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
-    if np.iscomplexobj(x):
-        raise ValueError("x must be real")
-    return w, x
+    return check_vector("w", w, n), check_vector("x", x, n, real=True)
 
 
 def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):

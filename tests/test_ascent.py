@@ -44,6 +44,16 @@ from masec.outage import (
 from masec.surrogate import fit_linear_surrogate, surrogate_lookup
 
 
+PRESET_NAMES = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep",
+                "m-sweep", "cdf-demo")
+# every preset; the default scenario at a power where few levels pass; and
+# one whose beta0 and 2^rs are no powers of two, so a reordered product or
+# quotient of them changes bits
+SCENARIOS = {**{name: preset(name) for name in PRESET_NAMES},
+             "pa=1.5": base_config(pa=1.5),
+             "beta0=0.9,rs=2.2": base_config(beta0=0.9, rs=2.2)}
+
+
 def cfg_two_eves():
     return base_config(n_eves=2, thetas=(np.pi / 6, np.pi / 3),
                        betas=(1.0, 0.7), ks=(4.0, 2.0))
@@ -278,10 +288,10 @@ class TestGainReuse:
     """Each evaluated candidate's gains serve both gradients at it."""
 
     @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
-    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
+    @pytest.mark.parametrize("name", list(SCENARIOS))
     @pytest.mark.parametrize("eps", [0.2, 0.6])
     def test_equals_the_recomputing_ascent(self, table, name, mode, eps):
-        cfg = preset(name)
+        cfg = SCENARIOS[name]
         x0 = feasible_region(cfg).midpoints()
         w0 = mrt_beamformer(x0, cfg)
         res = apga_solve(w0, x0, eps, table, cfg, mode=mode)
@@ -318,6 +328,68 @@ class TestGainReuse:
         resets = res.n_iter if mode == "positions_mrt" else 0
         assert res.n_iter > 3
         assert calls["statistics"] == calls["candidates"] + 1 + resets
+
+
+def spoiled_start(cfg, bad):
+    """The matched filter at the region midpoints, with the flaw ``bad``."""
+    x = feasible_region(cfg).midpoints()
+    w = mrt_beamformer(x, cfg)
+    return {
+        "zero w0": lambda: (np.zeros_like(w), x),
+        "underflowing w0": lambda: (np.full(w.shape, 1e-170), x),
+        "overflowing w0": lambda: (np.full(w.shape, 1e200), x),
+        "nan w0": lambda: (np.r_[w[:-1], np.nan], x),
+        "inf w0": lambda: (np.r_[np.inf, w[1:]], x),
+        "short w0": lambda: (w[:-1], x),
+        "stacked w0": lambda: (w[None, :], x),
+        "nan x0": lambda: (w, np.r_[x[:-1], np.nan]),
+        "inf x0": lambda: (w, np.r_[-np.inf, x[1:]]),
+        "long x0": lambda: (w, np.r_[x, x[-1] + 1.0]),
+        "complex x0": lambda: (w, x + 0j),
+    }[bad]()
+
+
+class TestStartChecks:
+    """A bad start is a one-line ValueError before any iteration."""
+
+    @pytest.mark.parametrize("bad,message", [
+        ("zero w0", "w0 must have a nonzero finite norm"),
+        ("underflowing w0", "w0 must have a nonzero finite norm"),
+        ("overflowing w0", "w0 must have a nonzero finite norm"),
+        ("nan w0", "w0 must be finite"),
+        ("inf w0", "w0 must be finite"),
+        ("short w0", r"w0 must have shape \(5,\), got \(4,\)"),
+        ("stacked w0", r"w0 must have shape \(5,\), got \(1, 5\)"),
+        ("nan x0", "x0 must be finite"),
+        ("inf x0", "x0 must be finite"),
+        ("long x0", r"x0 must have shape \(5,\), got \(6,\)"),
+        ("complex x0", "x0 must be real"),
+    ])
+    def test_apga_solve_rejects(self, table, bad, message):
+        cfg = preset("ob-demo")
+        w0, x0 = spoiled_start(cfg, bad)
+        with pytest.raises(ValueError, match=message):
+            apga_solve(w0, x0, 0.3, table, cfg)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("nan x0", "x0 must be finite"),
+        ("inf x0", "x0 must be finite"),
+        ("long x0", r"x0 must have shape \(5,\), got \(6,\)"),
+        ("complex x0", "x0 must be real"),
+    ])
+    def test_bisection_rejects(self, table, bad, message):
+        cfg = preset("ob-demo")
+        with pytest.raises(ValueError, match=message):
+            bisection_outage_min(cfg, table, x0=spoiled_start(cfg, bad)[1])
+
+    def test_list_start_equals_array_start(self, table):
+        cfg = preset("ob-demo")
+        x0 = feasible_region(cfg).midpoints()
+        w0 = mrt_beamformer(x0, cfg)
+        a = apga_solve(w0, x0, 0.3, table, cfg)
+        b = apga_solve(w0.tolist(), x0.tolist(), 0.3, table, cfg)
+        assert (a.w.tobytes(), a.x.tobytes()) == (b.w.tobytes(), b.x.tobytes())
+        assert a.trace == b.trace
 
 
 class TestBisection:
@@ -448,7 +520,7 @@ class TestBeamLanes:
         return bisection_outage_min(cfg, table, params, x0=x,
                                     mode="beam_only")
 
-    @pytest.mark.parametrize("name", ["m-sweep", "cdf-demo", "zf-demo-near"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_lane_matches_its_own_bisection(self, table, name):
         cfg = preset(name)
         xs = lane_placements(cfg, 8)

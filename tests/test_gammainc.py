@@ -89,6 +89,34 @@ def _bisect_quantile(a: float, eps: float) -> float:
     return 0.5 * (lo + hi)
 
 
+class TestNonFiniteForward:
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_shape(self, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lower_incomplete_gamma_reg(a, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            lower_incomplete_gamma_reg(np.array([2.0, a]), 1.0)
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="t must not be NaN"):
+            lower_incomplete_gamma_reg(2.0, np.nan)
+        with pytest.raises(ValueError, match="t must not be NaN"):
+            lower_incomplete_gamma_reg(2.0, np.array([1.0, np.nan]))
+
+    def test_infinite_threshold_is_one(self):
+        out = lower_incomplete_gamma_reg(2.0, np.inf)
+        assert isinstance(out, float) and out == 1.0
+        assert lower_incomplete_gamma_reg(2.0, -np.inf) == 0.0
+
+    def test_infinite_threshold_leaves_finite_lanes_unchanged(self):
+        a = np.array([0.3, 2.0, 7.5, 40.0])
+        t = np.array([0.2, np.inf, 9.0, -np.inf])
+        got = lower_incomplete_gamma_reg(a, t)
+        assert got[1] == 1.0 and got[3] == 0.0
+        for i in (0, 2):
+            assert got[i] == lower_incomplete_gamma_reg(a[i], t[i])
+
+
 class TestInverse:
     def test_round_trip(self):
         a = np.linspace(0.5, 120.0, 240)
@@ -179,6 +207,14 @@ class TestInverse:
     def test_rejects_nonpositive_shape(self):
         with pytest.raises(ValueError):
             inverse_lower_incomplete_gamma(0.5, 0.0)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_shape(self, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            inverse_lower_incomplete_gamma(0.5, a)
+        with pytest.raises(ValueError, match="positive and finite"):
+            inverse_lower_incomplete_gamma(np.array([0.5, 0.5]),
+                                           np.array([2.0, a]))
 
     @given(st.floats(min_value=0.01, max_value=0.99),
            st.floats(min_value=0.3, max_value=150.0))
