@@ -17,16 +17,22 @@ recompute no gain.
 The margin, its gain weights, both gradients and the beam normalization
 are written twice, with the same operations in the same order.  The
 helpers ``_evaluate``, ``_gain_weights``, ``_grad_w``, ``_grad_x`` and
-``_normalize`` broadcast over stacks of lanes; the public ``margin_*``
+``model.unit_norm`` broadcast over stacks of lanes; the public ``margin_*``
 functions and the lane solver use them.  ``apga_solve`` solves one lane in
 float arithmetic on 1-D arrays, with the constants of the solve computed
 once, since 0-d numpy operations cost more than the math on (M+1, N)
 arrays.  The parity tests hold the two to the same bits.
 
+The solvers take lines, not levels: ``apga_solve`` and ``_beam_lanes``
+maximize the margin of a given surrogate line, slope and intercept, and
+never read the surrogate table.  ``_bisect`` is the one place that maps
+confidence levels to lines, with one ``surrogate_lookup`` per round.
+
 ``bisect_confidence`` is the one bisection loop: each lane keeps its own
 bracket, and every round probes all lanes still bisecting at once.
-``_bisect`` is the one body around it: the closed-form exit for certain
-outage, the ``margin > 0`` verdict, the certified probe and one stacked
+``_bisect`` is the one body around it: the matched-filter start of every
+lane, the closed-form exit for certain outage, the level-to-line lookup,
+the ``margin > 0`` verdict, the certified probe and one stacked
 closed-form outage for all lanes.  ``bisection_outage_min`` hands it one
 lane solved by ``apga_solve``; ``bisect_beam_lanes`` hands it a stack of
 fixed placements solved beamformer-only by ``_beam_lanes``, where every
@@ -52,9 +58,9 @@ from .model import (
     SystemConfig,
     check_vector,
     feasible_region,
-    main_channel,
     mrt_beamformer,
     project_positions,
+    unit_norm,
 )
 from .outage import MomentMatch, moment_match, secrecy_outage_closed_form
 from .surrogate import (DEFAULT_TAU, LinearFitTable, default_table,
@@ -201,12 +207,6 @@ def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
                    _evaluate(mm, rows, w, *lookup), *lookup)
 
 
-def _normalize(w: ComplexArray) -> ComplexArray:
-    """w / ||w|| over the last axis, each lane reduced on its own."""
-    norm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
-    return w / norm[..., None]
-
-
 def line_search(evaluate, point, obj: float, direction, slope, project,
                 delta: float):
     """One projected backtracking step of an ascent.
@@ -258,10 +258,11 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None):
 
 
 def apga_solve(
-    w0, x0, eps: float, table: LinearFitTable, cfg: SystemConfig,
+    w0, x0, slope: float, intercept: float, cfg: SystemConfig,
     params: OptimizerParams | None = None, mode: str = "joint",
 ) -> ApgaResult:
-    """Maximize the margin objective by alternating projected ascent.
+    """Maximize the margin objective of the surrogate line ``slope * shape +
+    intercept`` by alternating projected ascent.
 
     mode "joint" runs a beamformer block then a position block per outer
     iteration; "beam_only" holds the positions fixed; "positions_mrt"
@@ -281,9 +282,12 @@ def apga_solve(
 
     The lane is evaluated in float arithmetic, with the same operations in
     the same order as the stacked ``_evaluate``, ``_grad_w``, ``_grad_x``
-    and ``_normalize``, so it gets their bits.  ``w0`` must be a finite
-    (N,) vector with a nonzero finite norm and ``x0`` a finite real (N,)
-    vector; anything else raises ``ValueError``.
+    and ``model.unit_norm``, so it gets their bits.  The slope and
+    intercept are taken as given (``_bisect`` looks them up for a level in
+    the surrogate table); pass Python floats, since numpy scalars cost more
+    per operation.  ``w0`` must be a finite (N,) vector with a nonzero
+    finite norm and ``x0`` a finite real (N,) vector; anything else raises
+    ``ValueError``.
     """
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,7 +295,6 @@ def apga_solve(
     w0 = check_vector("w0", w0, n)
     x = np.asarray(check_vector("x0", x0, n, real=True), dtype=float)
     params = params or OptimizerParams()
-    slope, intercept = surrogate_lookup(table, eps)
     mm = moment_match(cfg)
     region = feasible_region(cfg)
 
@@ -325,7 +328,7 @@ def apga_solve(
         np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
         np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
-    def normalize(w):                   # _normalize
+    def normalize(w):                   # model.unit_norm
         return w / math.sqrt(float(np.dot(w.real, w.real))
                              + float(np.dot(w.imag, w.imag)))
 
@@ -426,18 +429,21 @@ class _Solved(NamedTuple):
     trace: Callable[[], list[TraceRecord]]
 
 
-def _bisect(cfg: SystemConfig, table: LinearFitTable, xs,
+def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
             solve) -> list[BisectionResult]:
     """Minimize the secrecy outage by confidence bisection in every lane of
     the placements xs (B, N), each from its matched filter.
 
-    ``solve(live, w, x, levels)`` maximizes the margin of the lanes ``live``
-    from their beams w and placements x at their levels and returns one
-    ``_Solved`` per lane; a lane's next probe starts where its last solve
-    ended.  A level is feasible when the attained maximum is positive,
-    ``bisect_confidence`` probes over [0, min(1, table max)] and stops at
-    ``surrogate.DEFAULT_TAU``, and every lane's outage at its certified
-    solution comes from one stacked closed-form call.
+    This is the one place of the solver stack that reads the table (the
+    default table when None).  Each round, one ``surrogate_lookup`` maps the
+    levels of the lanes ``live`` to their lines, and ``solve(live, w, x,
+    slope, intercept)`` maximizes those lanes' margins from their beams w
+    and placements x with the per-lane slope and intercept arrays and
+    returns one ``_Solved`` per lane; a lane's next probe starts where its
+    last solve ended.  A level is feasible when the attained maximum is
+    positive, ``bisect_confidence`` probes over [0, min(1, table max)] and
+    stops at ``surrogate.DEFAULT_TAU``, and every lane's outage at its
+    certified solution comes from one stacked closed-form call.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
@@ -445,17 +451,19 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable, xs,
     level.  Every start is then returned at once with eps 0, no probes and
     no iterations.
     """
+    table = table or default_table()
     xs = np.array(xs, dtype=float)     # a copy: joint probes move it
-    w = _normalize(main_channel(xs, cfg).conj())   # mrt_beamformer per lane
+    w = mrt_beamformer(xs, cfg)
     if moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0:
-        w = _normalize(w)
+        w = unit_norm(w)
         return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
                                 rounds=0, total_iterations=0)
                 for p, wi, xi in zip(
                     secrecy_outage_closed_form(w, xs, cfg).tolist(), w, xs)]
 
     def probe(live, levels):
-        found = solve(live, w[live], xs[live], levels)
+        found = solve(live, w[live], xs[live],
+                      *surrogate_lookup(table, np.array(levels)))
         for b, sol in zip(live, found):
             w[b], xs[b] = sol.w, sol.x
         return [(sol.objective > 0.0, sol) for sol in found]
@@ -491,14 +499,14 @@ def bisection_outage_min(
     outage is the closed-form value at the certified solution.
     ``best_trace`` is that solve's iteration trace.
     """
-    table = table or default_table()
     if x0 is None:
         x0 = feasible_region(cfg).midpoints()
     else:
         x0 = check_vector("x0", x0, cfg.n_antennas, real=True)
 
-    def solve(live, w, x, levels):
-        res = apga_solve(w[0], x[0], levels[0], table, cfg, params, mode=mode)
+    def solve(live, w, x, slope, intercept):
+        res = apga_solve(w[0], x[0], float(slope[0]), float(intercept[0]),
+                         cfg, params, mode=mode)
         return [_Solved(res.w, res.x, res.objective, res.n_iter,
                         lambda: res.trace)]
 
@@ -506,9 +514,9 @@ def bisection_outage_min(
 
 
 def _try_lanes(mm: MomentMatch, rows, w, obj, g, slope, intercept, delta):
-    """Every lane's candidate ``_normalize(w + delta g)``, its evaluation and
+    """Every lane's candidate ``unit_norm(w + delta g)``, its evaluation and
     whether it reaches the lane's quadratic model."""
-    cand = _normalize(w + delta[:, None] * g)
+    cand = unit_norm(w + delta[:, None] * g)
     step = cand - w
     model = obj + 2.0 * np.vecdot(g, step).real \
         - np.vecdot(step, step).real / delta
@@ -520,7 +528,7 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
                        intercept, delta):
     """``line_search`` on the beamformer of every lane at once.
 
-    Lane i tries ``_normalize(w[i] + delta[i] * g[i])`` and shrinks its own
+    Lane i tries ``unit_norm(w[i] + delta[i] * g[i])`` and shrinks its own
     delta by SHRINK until the candidate reaches the lane's quadratic model
     or the delta drops below MIN_STEP.  Every start delta is at least
     MIN_STEP, so the first try covers all lanes and seeds the result; later
@@ -562,7 +570,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     iteration, T >= max(n_iter): column i holds lane i's first n_iter[i]
     iterations, with NaN delta where no step was accepted.
     """
-    w = _normalize(w)
+    w = unit_norm(w)
     at = _evaluate(mm, rows, w, slope, intercept)
     rows_conj = rows.conj()
     w_out, obj_out = w.copy(), at.margin.copy()
@@ -612,15 +620,15 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
     Result i equals ``bisection_outage_min(cfg, table, params, x0=xs[i],
     mode="beam_only")`` bit for bit.  ``_bisect`` runs one bisection per
     lane, and each probe round solves every still-bisecting lane at once
-    with ``_beam_lanes``.
+    with ``_beam_lanes``.  A stack that is not a finite real (B, N) array
+    raises a one-line ``ValueError`` before any probe.
     """
-    table = table or default_table()
+    xs = check_vector("xs", xs, cfg.n_antennas, real=True, stack=True)
     params = params or OptimizerParams()
     mm = moment_match(cfg)
     rows = mm.rows(xs)
 
-    def solve(live, w, x, levels):
-        slope, intercept = surrogate_lookup(table, np.array(levels))
+    def solve(live, w, x, slope, intercept):
         beams, obj, n_iter, history = _beam_lanes(
             mm, rows[live], w, slope, intercept, params.max_outer)
         return [_Solved(wi, xi, o, n,

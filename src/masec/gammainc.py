@@ -175,10 +175,12 @@ def inverse_lower_incomplete_gamma(eps, a):
     function.  The derivatives of P beyond its density follow from the
     density in closed form, so a step costs one evaluation of P.  Any step
     that is not finite or leaves the bracket is replaced by bisection.  The
-    result satisfies |P(a, t) - eps| <= 1e-12 in well-scaled regions and
-    always better than 1e-10.  A root below the float range, an eps
-    outside [0, 1) and a shape that is not positive and finite raise
-    ``ValueError``.  Scalars in, scalar out.
+    iteration stops at |P(a, t) - eps| <= 1e-12 min(1, 100 eps), an
+    absolute 1e-12 from eps = 0.01 up and relative below, so a small
+    quantile is as accurate as a large one; a residual more than 100 times
+    that after 200 steps raises ``RuntimeError``.  A root below the float
+    range, an eps outside [0, 1) and a shape that is not positive and
+    finite raise ``ValueError``.  Scalars in, scalar out.
     """
     eps_arr, a_arr = np.broadcast_arrays(np.asarray(eps, float), np.asarray(a, float))
     if not np.all((eps_arr >= 0.0) & (eps_arr < 1.0)):
@@ -188,6 +190,12 @@ def inverse_lower_incomplete_gamma(eps, a):
     solve = eps_arr > 0.0
     t[solve] = _quantile(eps_arr[solve], a_arr[solve])
     return float(t) if t.ndim == 0 else t
+
+
+def _stop(eps):
+    """The residual |P(a, t) - eps| at which a quantile lane stops: 1e-12,
+    and relative to eps / 100 below eps = 0.01."""
+    return 1e-12 * np.minimum(1.0, 100.0 * eps)
 
 
 def _quantile(eps, a):
@@ -211,17 +219,18 @@ def _quantile(eps, a):
     t = np.minimum(_initial_guess(eps, a, log_gam), hi)
     out = np.empty(a.shape)
     lane = np.arange(a.size)
+    tol = _stop(eps)
     for _ in range(200):
         f = _reg_positive(a, t, log_gam) - eps
         below = f < 0.0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
-        done = np.abs(f) <= 1e-12
+        done = np.abs(f) <= tol
         if done.any():
             out[lane[done]] = t[done]
             keep = ~done
-            lane, eps, a, log_gam, lo, hi, t, f = (
-                v[keep] for v in (lane, eps, a, log_gam, lo, hi, t, f))
+            lane, eps, a, log_gam, lo, hi, t, f, tol = (
+                v[keep] for v in (lane, eps, a, log_gam, lo, hi, t, f, tol))
         if not lane.size:
             return out
         with np.errstate(all="ignore"):
@@ -235,8 +244,9 @@ def _quantile(eps, a):
             t_new = t - h * (1.0 - 0.5 * d2 * h) / (1.0 - h * (d2 - h * d3 / 6.0))
         bad = ~np.isfinite(t_new) | (t_new <= lo) | (t_new >= hi)
         t = np.where(bad, 0.5 * (lo + hi), t_new)
-    resid = np.max(np.abs(_reg_positive(a, t, log_gam) - eps))
-    if resid > 1e-10:
-        raise RuntimeError(f"quantile iteration stalled, residual {resid:.2e}")
+    resid = np.abs(_reg_positive(a, t, log_gam) - eps)
+    if (resid > 100.0 * tol).any():
+        raise RuntimeError(
+            f"quantile iteration stalled, residual {resid.max():.2e}")
     out[lane] = t
     return out

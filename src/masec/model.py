@@ -182,12 +182,15 @@ def feasible_region(cfg: SystemConfig) -> FeasibleRegion:
     return FeasibleRegion(lo=lo, hi=hi)
 
 
-def check_vector(name: str, v, n: int, real: bool = False) -> np.ndarray:
+def check_vector(name: str, v, n: int, real: bool = False,
+                 stack: bool = False) -> np.ndarray:
     """``v`` as an array, after a one-line ``ValueError`` unless it has
-    shape (n,), is finite and, when ``real``, is not complex."""
+    shape (n,), or (B, n) for a ``stack`` of B >= 1 vectors, is finite and,
+    when ``real``, is not complex."""
     v = np.asarray(v)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    if v.shape[-1:] != (n,) or v.ndim != 1 + stack or not v.size:
+        want = f"(B, {n}) with B >= 1" if stack else f"({n},)"
+        raise ValueError(f"{name} must have shape {want}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     if real and np.iscomplexobj(v):
@@ -220,7 +223,20 @@ def random_feasible_positions(
     return rng.uniform(region.lo, region.hi, size=size)
 
 
+def unit_norm(w: ComplexArray) -> ComplexArray:
+    """w / ||w|| over the last axis, each lane reduced on its own.
+
+    The squared norm is summed as ``np.linalg.norm`` sums a complex vector,
+    real parts then imaginary parts, so a lane gets the bits of
+    ``w / np.linalg.norm(w)``.
+    """
+    norm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+    return w / norm[..., None]
+
+
 def mrt_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
-    """Unit-norm beamformer matched to the legitimate channel."""
-    h = main_channel(x, cfg)
-    return h.conj() / np.linalg.norm(h)
+    """Unit-norm beamformer matched to the legitimate channel.
+
+    Positions (..., N) give one matched filter per lane, (..., N).
+    """
+    return unit_norm(main_channel(x, cfg).conj())

@@ -32,6 +32,7 @@ from masec.model import (
     project_positions,
     random_feasible_positions,
     steering_vector,
+    unit_norm,
 )
 from masec.outage import (
     MomentMatch,
@@ -168,7 +169,8 @@ class TestAscent:
     def test_trace_monotone(self, table):
         cfg = preset("ob-demo")
         x0 = feasible_region(cfg).midpoints()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg)
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, 0.5), cfg)
         objs = [r.objective for r in res.trace]
         assert np.all(np.diff(objs) >= -1e-12)
 
@@ -176,21 +178,23 @@ class TestAscent:
         cfg = preset("ob-demo")
         reg = feasible_region(cfg)
         w0, x0 = rand_point(cfg, 9)
-        res = apga_solve(w0, x0, 0.45, table, cfg)
+        res = apga_solve(w0, x0, *surrogate_lookup(table, 0.45), cfg)
         assert np.linalg.norm(res.w) == pytest.approx(1.0, abs=1e-12)
         assert reg.contains(res.x)
 
     def test_beam_only_mode_freezes_positions(self, table):
         cfg = preset("ob-demo")
         x0 = feasible_region(cfg).midpoints()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.4, table, cfg,
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, 0.4), cfg,
                          mode="beam_only")
         assert np.array_equal(res.x, x0)
 
     def test_mrt_mode_keeps_matched_filter(self, table):
         cfg = preset("ob-demo")
         x0 = feasible_region(cfg).midpoints()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.3, table, cfg,
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, 0.3), cfg,
                          mode="positions_mrt")
         assert np.allclose(res.w, mrt_beamformer(res.x, cfg))
 
@@ -198,14 +202,15 @@ class TestAscent:
         cfg = preset("ob-demo")
         x0 = feasible_region(cfg).midpoints()
         with pytest.raises(ValueError, match="mode"):
-            apga_solve(mrt_beamformer(x0, cfg), x0, 0.3, table, cfg,
+            apga_solve(mrt_beamformer(x0, cfg), x0,
+                       *surrogate_lookup(table, 0.3), cfg,
                        mode="other")
 
     def test_improves_over_start(self, table):
         cfg = preset("ob-demo")
         w0, x0 = rand_point(cfg, 13)
         start = margin_objective(w0, x0, 0.5, table, cfg)
-        res = apga_solve(w0, x0, 0.5, table, cfg)
+        res = apga_solve(w0, x0, *surrogate_lookup(table, 0.5), cfg)
         assert res.objective >= start - 1e-12
         assert res.converged
 
@@ -218,7 +223,8 @@ class TestAscent:
         monkeypatch.setattr(ascent, "DELTA0", delta0)
         cfg = preset(name)
         x0 = feasible_region(cfg).midpoints()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.3, table, cfg,
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, 0.3), cfg,
                          mode=mode)
         blocks = {"joint": ("delta_beam", "delta_pos"),
                   "beam_only": ("delta_beam",),
@@ -237,7 +243,8 @@ class TestAscent:
         # thousands in magnitude, so an absolute 1e-8 change is out of reach
         cfg = base_config(pa=1e-3)
         x0 = feasible_region(cfg).midpoints()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg)
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, 0.5), cfg)
         assert abs(res.objective) > 100.0
         assert res.converged
         assert res.n_iter < 100
@@ -249,14 +256,14 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
     """``apga_solve`` rebuilt from ``ascend`` and ``line_search`` on the
     public margin and gradients, which recompute the gains at every call."""
     region = feasible_region(cfg)
-    w, x = ascent._normalize(np.asarray(w0, dtype=complex)), np.asarray(x0)
+    w, x = unit_norm(np.asarray(w0, dtype=complex)), np.asarray(x0)
 
     def beam(obj, delta):
         nonlocal w
         g = margin_grad_beamformer(w, x, eps, table, cfg)
         found = line_search(
             lambda c: (margin_objective(c, x, eps, table, cfg), None), w, obj,
-            g, lambda s: 2.0 * float(np.vdot(g, s).real), ascent._normalize,
+            g, lambda s: 2.0 * float(np.vdot(g, s).real), unit_norm,
             delta)
         if found is not None:
             _, w, obj, _ = found
@@ -294,7 +301,7 @@ class TestGainReuse:
         cfg = SCENARIOS[name]
         x0 = feasible_region(cfg).midpoints()
         w0 = mrt_beamformer(x0, cfg)
-        res = apga_solve(w0, x0, eps, table, cfg, mode=mode)
+        res = apga_solve(w0, x0, *surrogate_lookup(table, eps), cfg, mode=mode)
         w, x, obj, trace, converged = recomputing_apga(w0, x0, eps, table,
                                                        cfg, mode)
         assert res.w.tobytes() == w.tobytes()
@@ -323,7 +330,8 @@ class TestGainReuse:
         monkeypatch.setattr(ascent, "line_search", counted_search)
         cfg = preset("zf-demo-far")
         x0 = feasible_region(cfg).midpoints()
-        res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.4, table, cfg,
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, 0.4), cfg,
                          mode=mode)
         resets = res.n_iter if mode == "positions_mrt" else 0
         assert res.n_iter > 3
@@ -369,7 +377,7 @@ class TestStartChecks:
         cfg = preset("ob-demo")
         w0, x0 = spoiled_start(cfg, bad)
         with pytest.raises(ValueError, match=message):
-            apga_solve(w0, x0, 0.3, table, cfg)
+            apga_solve(w0, x0, *surrogate_lookup(table, 0.3), cfg)
 
     @pytest.mark.parametrize("bad,message", [
         ("nan x0", "x0 must be finite"),
@@ -386,8 +394,9 @@ class TestStartChecks:
         cfg = preset("ob-demo")
         x0 = feasible_region(cfg).midpoints()
         w0 = mrt_beamformer(x0, cfg)
-        a = apga_solve(w0, x0, 0.3, table, cfg)
-        b = apga_solve(w0.tolist(), x0.tolist(), 0.3, table, cfg)
+        a = apga_solve(w0, x0, *surrogate_lookup(table, 0.3), cfg)
+        b = apga_solve(w0.tolist(), x0.tolist(),
+                       *surrogate_lookup(table, 0.3), cfg)
         assert (a.w.tobytes(), a.x.tobytes()) == (b.w.tobytes(), b.x.tobytes())
         assert a.trace == b.trace
 
@@ -488,14 +497,55 @@ class TestInfeasibilityExit:
         # beta0 N / 2^rs + sigma2 / pa (2^-rs - 1) = 0 at
         # pa = (2^rs - 1) sigma2 / (beta0 N) = 7 / 5 for base_config
         cfg = base_config(pa=1.4 * factor)
-        calls = []
+        calls = 0
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            nonlocal calls
+            calls += 1
             return apga_solve(*args, **kwargs)
         monkeypatch.setattr(ascent, "apga_solve", counting)
         res = bisection_outage_min(cfg, table)
-        assert res.rounds == len(calls) == (0 if exits else 7)
+        assert res.rounds == calls == (0 if exits else 7)
+
+
+class TestLinesFromTheTable:
+    """``_bisect`` maps each probe level to its surrogate line; the solvers
+    receive the line and never read the table."""
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "pa=1.5"])
+    def test_apga_solve_gets_the_lookup_of_its_level(self, monkeypatch, table,
+                                                     name, mode):
+        lines = []
+
+        def recording(w0, x0, slope, intercept, *args, **kwargs):
+            lines.append((slope, intercept))
+            return apga_solve(w0, x0, slope, intercept, *args, **kwargs)
+        monkeypatch.setattr(ascent, "apga_solve", recording)
+        res = bisection_outage_min(SCENARIOS[name], table, mode=mode)
+        assert len(lines) == res.rounds > 0
+        for (eps, _, _), (slope, intercept) in zip(res.probes, lines):
+            assert type(slope) is float and type(intercept) is float
+            assert (slope, intercept) == surrogate_lookup(table, eps)
+
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
+    def test_beam_lanes_get_the_lookup_of_their_levels(self, monkeypatch,
+                                                       table, name):
+        cfg = preset(name)
+        lines, beam_lanes = [], ascent._beam_lanes
+
+        def recording(mm, rows, w, slope, intercept, max_outer):
+            lines.append((slope.copy(), intercept.copy()))
+            return beam_lanes(mm, rows, w, slope, intercept, max_outer)
+        monkeypatch.setattr(ascent, "_beam_lanes", recording)
+        runs = ascent.bisect_beam_lanes(cfg, lane_placements(cfg, 8), table)
+        assert len(lines) == max(run.rounds for run in runs)
+        for r, (slope, intercept) in enumerate(lines):
+            levels = np.array([run.probes[r][0] for run in runs
+                               if run.rounds > r])
+            want_slope, want_intercept = surrogate_lookup(table, levels)
+            assert slope.tobytes() == want_slope.tobytes()
+            assert intercept.tobytes() == want_intercept.tobytes()
 
 
 def assert_same_bisection(a, b):
@@ -543,12 +593,42 @@ class TestBeamLanes:
         for lane, x in zip(ascent.bisect_beam_lanes(cfg, xs, table), xs):
             assert_same_bisection(lane, self.reference(cfg, x, table))
 
+    @pytest.mark.parametrize("bad,message", [
+        ("one placement", r"xs must have shape \(B, 5\) with B >= 1, "
+                          r"got \(5,\)"),
+        ("stack of stacks", r"got \(1, 4, 5\)"),
+        ("short rows", r"got \(4, 4\)"),
+        ("no rows", r"got \(0, 5\)"),
+        ("nan entry", "xs must be finite"),
+        ("inf entry", "xs must be finite"),
+        ("complex", "xs must be real"),
+    ])
+    def test_rejects_a_bad_stack_before_any_probe(self, monkeypatch, table,
+                                                  bad, message):
+        cfg = preset("ob-demo")
+        xs = lane_placements(cfg, 4)
+
+        def one_entry(value):
+            out = xs.copy()
+            out[2, 3] = value
+            return out
+        xs = {"one placement": lambda: xs[0],
+              "stack of stacks": lambda: xs[None],
+              "short rows": lambda: xs[:, :-1],
+              "no rows": lambda: xs[:0],
+              "nan entry": lambda: one_entry(np.nan),
+              "inf entry": lambda: one_entry(-np.inf),
+              "complex": lambda: xs + 0j}[bad]()
+        monkeypatch.setattr(ascent, "_beam_lanes", _no_probe)
+        with pytest.raises(ValueError, match=message):
+            ascent.bisect_beam_lanes(cfg, xs, table)
+
     def test_lane_search_is_line_search_in_every_lane(self, table):
         cfg = preset("m-sweep")
         mm = moment_match(cfg)
         xs = lane_placements(cfg, 6)
         rows = mm.rows(xs)
-        w = ascent._normalize(main_channel(xs, cfg).conj())
+        w = mrt_beamformer(xs, cfg)
         slope, intercept = surrogate_lookup(table, np.full(6, 0.3))
         at = ascent._evaluate(mm, rows, w, slope, intercept)
         g = ascent._grad_w(mm, rows.conj(), at, slope, intercept)
@@ -564,7 +644,7 @@ class TestBeamLanes:
                                             intercept[i]).margin, None),
                 w[i], at.margin[i], g[i],
                 lambda s: 2.0 * float(np.vdot(g[i], s).real),
-                ascent._normalize, delta[i])
+                unit_norm, delta[i])
             step, beam = (np.nan, w[i]) if found is None else found[:2]
             assert np.array_equal(accepted[i], step, equal_nan=True)
             assert new_w[i].tobytes() == beam.tobytes()
@@ -758,7 +838,8 @@ def test_certified_eps_pinned(table, name):
 def test_write_trace_format(tmp_path, table):
     cfg = preset("ob-demo")
     x0 = feasible_region(cfg).midpoints()
-    res = apga_solve(mrt_beamformer(x0, cfg), x0, 0.5, table, cfg)
+    res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                     *surrogate_lookup(table, 0.5), cfg)
     path = tmp_path / "trace.txt"
     write_trace(res.trace, path)
     lines = path.read_text().splitlines()

@@ -171,6 +171,24 @@ class TestInverse:
         want = special.gammaincinv(0.02, 0.01)
         assert abs(got - want) / want < 1e-9
 
+    @pytest.mark.parametrize("eps,a", [(1e-20, 3.0), (1e-300, 1.0),
+                                       (1e-12, 10.0), (1e-100, 50.0)])
+    def test_small_quantile_is_relatively_accurate(self, eps, a):
+        # an absolute stop at 1e-12 accepts any t with P(a, t) <= 1e-12
+        # here, hundreds of times the true quantile at (1e-20, 3)
+        got = inverse_lower_incomplete_gamma(eps, a)
+        assert got == pytest.approx(special.gammaincinv(a, eps), rel=1e-12)
+
+    def test_relative_stop_leaves_the_default_table(self, monkeypatch):
+        # from eps = 0.01 up the stop is the absolute 1e-12, bit for bit
+        relative = fit_linear_surrogate()
+        monkeypatch.setattr(masec.gammainc, "_stop",
+                            lambda eps: np.full(eps.shape, 1e-12))
+        absolute = fit_linear_surrogate()
+        assert relative.eps_grid[0] == 0.01
+        assert relative.slope.tobytes() == absolute.slope.tobytes()
+        assert relative.intercept.tobytes() == absolute.intercept.tobytes()
+
     def test_root_below_float_range_is_a_value_error(self):
         # about 1e-2000 at eps 0.01, a 0.001
         with pytest.raises(ValueError, match="below the float range"):

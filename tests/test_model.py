@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masec.bench import preset
 from masec.model import (
     SystemConfig,
     eve_los_matrix,
@@ -186,3 +187,17 @@ def test_mrt_achieves_full_array_gain():
     assert np.linalg.norm(w) == pytest.approx(1.0)
     # matched filter collects beta0 * N regardless of the placement
     assert abs(main_channel(x, cfg) @ w) ** 2 == pytest.approx(1.7 * 5)
+
+
+@pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "zf-demo-near",
+                                  "k-sweep", "m-sweep", "cdf-demo"])
+def test_stacked_mrt_is_each_rows_matched_filter(name):
+    cfg = preset(name)
+    xs = random_feasible_positions(feasible_region(cfg),
+                                   np.random.default_rng(3), 20)
+    ws = mrt_beamformer(xs, cfg)
+    assert ws.shape == xs.shape
+    for x, w in zip(xs, ws):
+        h = main_channel(x, cfg)
+        assert w.tobytes() == mrt_beamformer(x, cfg).tobytes()
+        assert w.tobytes() == (h.conj() / np.linalg.norm(h)).tobytes()
