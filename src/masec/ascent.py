@@ -32,14 +32,18 @@ confidence levels to lines, with one ``surrogate_lookup`` per round.
 bracket, and every round probes all lanes still bisecting at once.
 ``_bisect`` is the one body around it: the matched-filter start of every
 lane, the closed-form exit for certain outage, the level-to-line lookup,
-the ``margin > 0`` verdict, the certified probe and one stacked
-closed-form outage for all lanes.  ``bisection_outage_min`` hands it one
-lane solved by ``apga_solve``; ``bisect_beam_lanes`` hands it a stack of
-fixed placements solved beamformer-only by ``_beam_lanes``, where every
-numpy call of the margin, its gradient and the line search covers all
-lanes still running and each lane keeps its own step, stop and iteration
-cap.  Lane i gives the same result, bit for bit, as
-``bisection_outage_min`` in beam_only mode at placement i.
+the screen, the ``margin > 0`` verdict, the certified probe and one
+stacked closed-form outage for all lanes.  The screen is
+``_margin_bound``, a closed-form upper bound on the margin of a line over
+every (w, x): a lane whose bound is negative is infeasible at its level
+without a solve, and only the other lanes are solved.
+``bisection_outage_min`` hands it one lane solved by ``apga_solve``;
+``bisect_beam_lanes`` hands it a stack of fixed placements solved
+beamformer-only by ``_beam_lanes``, where every numpy call of the margin,
+its gradient and the line search covers all lanes still running and each
+lane keeps its own step, stop and iteration cap.  Lane i gives the same
+result, bit for bit, as ``bisection_outage_min`` in beam_only mode at
+placement i.
 """
 from __future__ import annotations
 
@@ -122,6 +126,12 @@ class BisectionResult:
     gain cannot reach a positive outage threshold), ``rounds`` is 0,
     ``probes`` and ``best_trace`` are empty and the start point is returned
     with p_out 1.
+
+    Each probe is recorded as ``(eps, feasible, margin)``.  A probe that
+    the closed-form margin bound rules out is not solved: it is recorded as
+    ``(eps, False, bound)``, adds no iterations and leaves the lane's (w, x)
+    as they were, and ``screened`` counts such probes.  When no level is
+    feasible and the last probe was screened, ``best_trace`` is empty.
     """
 
     eps: float
@@ -133,6 +143,7 @@ class BisectionResult:
     total_iterations: int
     probes: list[tuple[float, bool, float]] = field(default_factory=list)
     best_trace: list[TraceRecord] = field(default_factory=list)
+    screened: int = 0
 
 
 class _Evaluation(NamedTuple):
@@ -154,6 +165,30 @@ def _evaluate(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
     lin, quad, thr = mm.statistics(np.abs(v) ** 2)
     m = lin * thr - slope * (lin * lin) - intercept * quad
     return _Evaluation(m if v.ndim > 1 else float(m), v, lin, thr)
+
+
+def _margin_bound(mm: MomentMatch, n: int, thr_max: float, slope,
+                  intercept) -> FloatArray:
+    """An upper bound on the margin of every line (slope, intercept) (...)
+    over all unit-norm beams and all placements of n antennas, given the
+    largest threshold thr_max = ``mm.threshold(beta0 n)``.
+
+    A unit-norm w on unit-modulus steering rows gives gains |s_d w|^2 in
+    [0, n].  lin, quad and the threshold are affine in them with
+    nonnegative coefficients, and lin > 0, so lin thr <= lin thr_max and lin
+    and quad lie in [const, const + n sum coef].  The bound maximizes
+    lin thr_max - slope lin^2 over lin's interval, which for a positive
+    slope peaks at the clipped thr_max / (2 slope), and subtracts intercept
+    quad at quad's end that makes it smallest.  It does not read x.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        # a slope near 0 puts the peak past the float range: inf clips to top
+        peak = thr_max / (2.0 * slope)
+    lin = np.clip(peak, mm.lin_const,
+                  mm.lin_const + n * float(np.sum(mm.lin_coef)))
+    quad = np.where(intercept >= 0.0, mm.quad_const,
+                    mm.quad_const + n * float(np.sum(mm.quad_coef)))
+    return lin * thr_max - slope * (lin * lin) - intercept * quad
 
 
 def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
@@ -449,24 +484,42 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
     beta0 N leaves the outage threshold nonpositive, no (w, x) certifies any
     level.  Every start is then returned at once with eps 0, no probes and
-    no iterations.
+    no iterations.  Past that exit, each round screens its lanes with
+    ``_margin_bound`` at the same largest threshold: a lane whose bound is
+    negative is infeasible at its level for every (w, x), so it keeps its
+    (w, x), its probe carries the bound as margin, and ``solve`` runs only
+    for the other lanes (not at all when none is left).
     """
     table = table or default_table()
     xs = np.array(xs, dtype=float)     # a copy: joint probes move it
     w = mrt_beamformer(xs, cfg)
-    if moment_match(cfg).threshold(cfg.beta0 * cfg.n_antennas) <= 0.0:
+    mm = moment_match(cfg)
+    thr_max = mm.threshold(cfg.beta0 * cfg.n_antennas)
+    if thr_max <= 0.0:
         w = unit_norm(w)
         return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
                                 rounds=0, total_iterations=0)
                 for p, wi, xi in zip(
                     secrecy_outage_closed_form(w, xs, cfg).tolist(), w, xs)]
+    screened = [0] * len(xs)
 
     def probe(live, levels):
-        found = solve(live, w[live], xs[live],
-                      *surrogate_lookup(table, np.array(levels)))
-        for b, sol in zip(live, found):
-            w[b], xs[b] = sol.w, sol.x
-        return [(sol.objective > 0.0, sol) for sol in found]
+        slope, intercept = surrogate_lookup(table, np.array(levels))
+        bound = _margin_bound(mm, cfg.n_antennas, thr_max, slope, intercept)
+        run = np.flatnonzero(bound >= 0.0)
+        lanes = [live[i] for i in run]
+        solved = iter(solve(lanes, w[lanes], xs[lanes], slope[run],
+                            intercept[run]) if lanes else ())
+        found = []
+        for b, m in zip(live, bound.tolist()):
+            if m < 0.0:     # a copy: the lane's row moves at its next solve
+                screened[b] += 1
+                sol = _Solved(w[b].copy(), xs[b].copy(), m, 0, list)
+            else:
+                sol = next(solved)
+                w[b], xs[b] = sol.w, sol.x
+            found.append((sol.objective > 0.0, sol))
+        return found
 
     runs = bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU,
                              len(xs))
@@ -478,9 +531,9 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
         eps=eps, p_out=p, w=sol.w, x=sol.x, feasible=feasible,
         rounds=len(run), total_iterations=sum(s.n_iter for _, _, s in run),
         probes=[(e, f, s.objective) for e, f, s in run],
-        best_trace=sol.trace())
-        for (eps, feasible, sol), run, p in zip(certified, runs,
-                                                 p_out.tolist())]
+        best_trace=sol.trace(), screened=n)
+        for (eps, feasible, sol), run, p, n in zip(certified, runs,
+                                                    p_out.tolist(), screened)]
 
 
 def bisection_outage_min(

@@ -144,14 +144,16 @@ def _retire(out, lane, value, live, open_):
 def _initial_guess(eps, a, log_gam):
     """Start point for the quantile from each lane's (eps, a) alone.
 
-    Wilson-Hilferty, clipped to be positive, for a >= 1; below that the
-    small-t inversion (eps Gamma(a + 1))^(1/a) of P(a, t) ~ t^a / Gamma(a + 1),
-    taken in log space because the root can lie far below 1e-8.
+    Wilson-Hilferty for a >= 1 where its cube is at least 0.05; below
+    a = 1, and where the cube falls under 0.05 (eps so small that the root
+    lies far in the lower tail), the small-t inversion (eps Gamma(a + 1))^(1/a)
+    of P(a, t) ~ t^a / Gamma(a + 1), taken in log space because the root can
+    lie far below 1e-8.
     """
     z = _per_distinct(NormalDist().inv_cdf, eps)
     cube = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     guess = np.maximum(a * np.maximum(cube, 0.05) ** 3, 1e-8)
-    small = a < 1.0
+    small = (a < 1.0) | (cube < 0.05)
     if small.any():
         eps_s, a_s = eps[small], a[small]
         log_t = (np.log(eps_s) + log_gam[small] + np.log(a_s)) / a_s

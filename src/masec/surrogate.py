@@ -36,7 +36,9 @@ class LinearFitTable:
     The grid starts at tau, not 0: at eps = 0 the quantile is identically
     zero, whose exact fit (0, 0) is handled as a virtual anchor by
     ``surrogate_lookup`` instead of a stored row, keeping every stored slope
-    strictly positive.  Slopes and intercepts are nondecreasing in eps.
+    strictly positive; a table with a nonpositive slope is rejected, since
+    the solver's margin bound assumes positive slopes.  Slopes and
+    intercepts are nondecreasing in eps.
     """
 
     eps_grid: FloatArray
@@ -58,6 +60,8 @@ class LinearFitTable:
                 "eps grid, slopes and intercepts must be 1-D of equal length")
         if not all(np.all(np.isfinite(c)) for c in columns):
             raise ValueError("surrogate table entries must be finite")
+        if not np.all(columns[1] > 0.0):
+            raise ValueError("surrogate table slopes must be positive")
         if not (eps[0] > 0.0 and eps[-1] < 1.0 and np.all(np.diff(eps) > 0.0)):
             raise ValueError(
                 "eps grid must be strictly increasing inside (0, 1)")

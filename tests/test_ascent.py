@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import masec
 from masec import ascent
@@ -508,25 +510,42 @@ class TestInfeasibilityExit:
         assert res.rounds == calls == (0 if exits else 7)
 
 
+def level_bound(cfg, table, eps):
+    """``_margin_bound`` of the surrogate lines at the levels eps, looked
+    up as an array, as ``_bisect`` does."""
+    mm = moment_match(cfg)
+    slope, intercept = surrogate_lookup(table, np.array(eps, dtype=float))
+    return ascent._margin_bound(mm, cfg.n_antennas,
+                                mm.threshold(cfg.beta0 * cfg.n_antennas),
+                                slope, intercept)
+
+
 class TestLinesFromTheTable:
     """``_bisect`` maps each probe level to its surrogate line; the solvers
-    receive the line and never read the table."""
+    receive the line and never read the table.  A probe whose margin bound
+    is negative is screened: it gets no solve and records its bound."""
 
     @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
     @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "pa=1.5"])
     def test_apga_solve_gets_the_lookup_of_its_level(self, monkeypatch, table,
                                                      name, mode):
-        lines = []
+        cfg, lines = SCENARIOS[name], []
 
         def recording(w0, x0, slope, intercept, *args, **kwargs):
             lines.append((slope, intercept))
             return apga_solve(w0, x0, slope, intercept, *args, **kwargs)
         monkeypatch.setattr(ascent, "apga_solve", recording)
-        res = bisection_outage_min(SCENARIOS[name], table, mode=mode)
-        assert len(lines) == res.rounds > 0
-        for (eps, _, _), (slope, intercept) in zip(res.probes, lines):
+        res = bisection_outage_min(cfg, table, mode=mode)
+        bounds = level_bound(cfg, table, [eps for eps, _, _ in res.probes])
+        solved = [probe for probe, bound in zip(res.probes, bounds)
+                  if bound >= 0.0]
+        assert len(lines) == len(solved) == res.rounds - res.screened > 0
+        for (eps, _, _), (slope, intercept) in zip(solved, lines):
             assert type(slope) is float and type(intercept) is float
             assert (slope, intercept) == surrogate_lookup(table, eps)
+        for probe, bound in zip(res.probes, bounds):
+            if bound < 0.0:
+                assert probe[1:] == (False, bound)
 
     @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
     def test_beam_lanes_get_the_lookup_of_their_levels(self, monkeypatch,
@@ -539,13 +558,74 @@ class TestLinesFromTheTable:
             return beam_lanes(mm, rows, w, slope, intercept, max_outer)
         monkeypatch.setattr(ascent, "_beam_lanes", recording)
         runs = ascent.bisect_beam_lanes(cfg, lane_placements(cfg, 8), table)
-        assert len(lines) == max(run.rounds for run in runs)
-        for r, (slope, intercept) in enumerate(lines):
-            levels = np.array([run.probes[r][0] for run in runs
-                               if run.rounds > r])
+        solved, screened = [], 0
+        for r in range(max(run.rounds for run in runs)):
+            probes = [run.probes[r] for run in runs if run.rounds > r]
+            levels = np.array([eps for eps, _, _ in probes])
+            bounds = level_bound(cfg, table, levels)
+            for probe, bound in zip(probes, bounds):
+                if bound < 0.0:
+                    assert probe[1:] == (False, bound)
+                    screened += 1
+            if (bounds >= 0.0).any():
+                solved.append(levels[bounds >= 0.0])
+        assert len(lines) == len(solved)
+        for levels, (slope, intercept) in zip(solved, lines):
             want_slope, want_intercept = surrogate_lookup(table, levels)
             assert slope.tobytes() == want_slope.tobytes()
             assert intercept.tobytes() == want_intercept.tobytes()
+        assert sum(run.screened for run in runs) == screened
+        assert (screened > 0) == (name == "zf-demo-far")
+
+
+class TestMarginBound:
+    """``_margin_bound`` caps the margin at every (w, x), so a probe it
+    screens is one no solve could make feasible."""
+
+    @given(name=st.sampled_from(PRESET_NAMES),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           level=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    # a subnormal level puts the peak of the lin parabola past float range
+    @example(name="ob-demo", seed=0, level=5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_the_margin(self, table, name, seed, level):
+        cfg = preset(name)
+        eps = level * table.max_eps
+        w, x = rand_point(cfg, seed)
+        bound = level_bound(cfg, table, [eps])[0]
+        assert margin_objective(w, x, eps, table, cfg) <= bound
+        assert margin_objective(mrt_beamformer(x, cfg), x, eps, table,
+                                cfg) <= bound
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_screened_probes_solve_infeasible(self, monkeypatch, table, name,
+                                              mode):
+        # replay each screened probe from the (w, x) its lane held then:
+        # the end of the last solve before it, or the matched-filter start
+        cfg = preset(name)
+        x0 = feasible_region(cfg).midpoints()
+        starts = [(mrt_beamformer(x0, cfg), x0)]
+
+        def recording(*args, **kwargs):
+            res = apga_solve(*args, **kwargs)
+            starts.append((res.w, res.x))
+            return res
+        monkeypatch.setattr(ascent, "apga_solve", recording)
+        res = bisection_outage_min(cfg, table, mode=mode)
+        monkeypatch.undo()
+        bounds = level_bound(cfg, table, [eps for eps, _, _ in res.probes])
+        solved = 0
+        for (eps, feasible, margin), bound in zip(res.probes, bounds):
+            if bound >= 0.0:
+                solved += 1
+                continue
+            w, x = starts[solved]
+            replay = apga_solve(w, x, *surrogate_lookup(table, eps), cfg,
+                                mode=mode)
+            assert replay.objective < 0.0
+        assert res.screened == len(res.probes) - solved
+        assert (res.screened > 0) == name.startswith("zf-demo")
 
 
 def assert_same_bisection(a, b):

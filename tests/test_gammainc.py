@@ -4,6 +4,7 @@ scipy.special is used here only as a reference implementation; the package
 itself never calls it for these functions.
 """
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -188,6 +189,41 @@ class TestInverse:
         assert relative.eps_grid[0] == 0.01
         assert relative.slope.tobytes() == absolute.slope.tobytes()
         assert relative.intercept.tobytes() == absolute.intercept.tobytes()
+
+    def test_tiny_eps_scan_matches_scipy(self):
+        # Wilson-Hilferty's cube falls under its clip at tiny eps; the
+        # small-t start reaches roots down to 1e-160 and below
+        for e in np.geomspace(1e-300, 3e-3, 60).tolist():
+            for a in np.geomspace(0.1, 100.0, 15).tolist():
+                want = special.gammaincinv(a, e)
+                try:
+                    got = inverse_lower_incomplete_gamma(e, a)
+                except ValueError:
+                    assert want < np.finfo(float).tiny
+                    continue
+                assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("eps,a", [(1e-320, 2.0), (1e-300, 100.0),
+                                       (1e-260, 3.0)])
+    def test_tiny_eps_above_shape_one(self, eps, a):
+        got = inverse_lower_incomplete_gamma(eps, a)
+        assert got == pytest.approx(special.gammaincinv(a, eps), rel=1e-9)
+
+    def test_default_fit_starts_from_wilson_hilferty(self, monkeypatch):
+        # the default grid never takes the small-t start above a = 1, so
+        # every lane starts, and ends, where it did before that start
+        guess, starts = masec.gammainc._initial_guess, []
+
+        def recording(eps, a, log_gam):
+            starts.append((eps, a, guess(eps, a, log_gam)))
+            return starts[-1][2]
+        monkeypatch.setattr(masec.gammainc, "_initial_guess", recording)
+        fit_linear_surrogate()
+        (eps, a, got), = starts
+        z = np.array([NormalDist().inv_cdf(e) for e in eps.tolist()])
+        cube = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
+        assert cube.min() > 0.05
+        assert got.tobytes() == np.maximum(a * cube**3, 1e-8).tobytes()
 
     def test_root_below_float_range_is_a_value_error(self):
         # about 1e-2000 at eps 0.01, a 0.001

@@ -160,6 +160,8 @@ BAD_TABLES = {
                         "equal length"),
     "2-D eps grid": (lambda t: {"eps_grid": t.eps_grid[:, None]},
                      "equal length"),
+    "negated slopes": (lambda t: {"slope": -t.slope}, "slopes must be"),
+    "zero slope": (_with_entry("slope", 5, 0.0), "slopes must be"),
     "repeated eps": (_with_entry("eps_grid", 3, 0.03), "increasing"),
     "eps of one": (_with_entry("eps_grid", -1, 1.0), "increasing"),
     "eps of zero": (_with_entry("eps_grid", 0, 0.0), "increasing"),
@@ -181,6 +183,7 @@ class TestValidation:
         (7, 0, "nan", "finite"),            # an eps row of nan
         (3, 2, "inf", "finite"),            # an infinite intercept
         (1, 2, "fit_hi=inf", "fit range"),  # header: an infinite fit range
+        (5, 1, "-0.5", "slopes must be"),   # a negative slope
     ])
     def test_load_rejects_bad_table(self, row, field, text, message, table,
                                     tmp_path):
