@@ -27,7 +27,7 @@ from .model import (
     random_feasible_positions,
 )
 from .surrogate import LinearFitTable
-from .zf import pgd_solve, screened_outage, zf_beamformer, zf_outage
+from .zf import pgd_solve, screened_outage, zf_beamformer, zf_solution
 
 PI = np.pi
 
@@ -77,7 +77,9 @@ def run_scheme(
     lane's bisection, with ``iterations`` summed over all lanes; RAP_ZF
     uses ``screened_outage``.  Schemes that run the confidence bisection
     report its certified eps; those and MA_ZF also return the iteration
-    trace of their final solve.
+    trace of their final solve.  FPA_ZF and MA_ZF read their outage and
+    beamformer off one nulling solve at the returned placement
+    (``zf_solution``); for MA_ZF it is the descent's last one.
     """
     scheme = SchemeId(scheme)
     region = feasible_region(cfg)
@@ -101,14 +103,14 @@ def run_scheme(
 
     if scheme is SchemeId.FPA_ZF:
         x = fpa_positions(cfg)
-        return SchemeResult(p_out=zf_outage(x, cfg), w=zf_beamformer(x, cfg),
-                            x=x, iterations=0)
+        p_out, w = zf_solution(x, cfg)
+        return SchemeResult(p_out=p_out, w=w, x=x, iterations=0)
 
     if scheme is SchemeId.MA_ZF:
         res = pgd_solve(region.midpoints(), cfg, params)
-        return SchemeResult(p_out=zf_outage(res.x, cfg),
-                            w=zf_beamformer(res.x, cfg), x=res.x,
-                            iterations=res.n_iter, trace=res.trace)
+        p_out, w = zf_solution(res.x, cfg, res.nulling)
+        return SchemeResult(p_out=p_out, w=w, x=res.x, iterations=res.n_iter,
+                            trace=res.trace)
 
     if restarts < 1:
         raise ValueError("restarts must be at least 1")

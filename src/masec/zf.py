@@ -10,7 +10,12 @@ Gamma closed form with all LoS eavesdropper gains zeroed.
 
 Every function reads one nulling solve per placement: the eavesdropper
 rows of the gain model ``outage.moment_match``, their Gram condition check
-and Cholesky factor, and the loss.
+and Cholesky factor, and the loss.  A public call builds that gain model
+once and checks its positions once (``model.check_vector``: the shape,
+finite, real); the descent's candidates and the private helpers reuse
+both.  ``zf_solution`` gives the outage and the beamformer of one
+placement from one solve, the one ``pgd_solve`` ends with when the caller
+holds it.
 
 ``bob_gain_loss`` and ``zf_outage`` take one placement (N,) or a stack of
 placements (R, N) and return a float or one value per row.  A stack costs
@@ -29,7 +34,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ascent import OptimizerParams, TraceRecord, ascend, line_search
-from .model import SystemConfig, feasible_region, main_channel, project_positions
+from .model import (
+    SystemConfig,
+    check_vector,
+    feasible_region,
+    main_channel,
+    project_positions,
+)
 from .outage import MomentMatch, gamma_outage, moment_match
 
 FloatArray = NDArray[np.floating]
@@ -43,22 +54,24 @@ class SingularSteeringError(RuntimeError):
     dependent and the nulling system cannot be solved reliably."""
 
 
-def _steering(x: FloatArray, cfg: SystemConfig):
+def _steering(x: FloatArray, mm: MomentMatch):
     """Steering stacks (..., N, M) with columns h_i^H, their Gram matrices
     (..., M, M) and the Gram condition numbers (...)."""
-    if cfg.n_antennas < cfg.n_eves + 1:
+    n, m = x.shape[-1], mm.sines.size - 1
+    if n < m + 1:
         raise ValueError("zero-forcing needs n_antennas >= n_eves + 1 "
-                         f"(got N={cfg.n_antennas}, M={cfg.n_eves})")
-    stack = np.swapaxes(moment_match(cfg).rows(x)[..., 1:, :].conj(), -1, -2)
+                         f"(got N={n}, M={m})")
+    stack = np.swapaxes(mm.rows(x)[..., 1:, :].conj(), -1, -2)
     gram = np.swapaxes(stack.conj(), -1, -2) @ stack
     return stack, gram, np.linalg.cond(gram)
 
 
-def _ill_conditioned(cond: float, cfg: SystemConfig) -> SingularSteeringError:
+def _ill_conditioned(cond: float, mm: MomentMatch,
+                     cfg: SystemConfig) -> SingularSteeringError:
     """The error for a Gram condition number ``cond`` above the limit; it
     names the first eavesdropper pair with the closest sines, in row-major
     pair order."""
-    thetas, sines = cfg.thetas_arr, moment_match(cfg).sines[1:]
+    thetas, sines = cfg.thetas_arr, mm.sines[1:]
     i, j = np.triu_indices(thetas.size, k=1)
     best = np.argmin(np.abs(sines[i] - sines[j]))
     i, j = i[best], j[best]
@@ -86,13 +99,15 @@ class _Nulling(NamedTuple):
     loss: float | FloatArray
 
 
-def _nulling(x: FloatArray, cfg: SystemConfig, steering=None) -> _Nulling:
-    """The nulling solve at x, from ``steering = _steering(x, cfg)`` when
-    given.  Raises SingularSteeringError when a placement fails the
-    condition check or its loss keeps an imaginary residue."""
-    stack, gram, cond = _steering(x, cfg) if steering is None else steering
+def _nulling(x: FloatArray, mm: MomentMatch, cfg: SystemConfig,
+             steering=None) -> _Nulling:
+    """The nulling solve at checked placements x, with ``mm`` the gain model
+    of ``cfg``, from ``steering = _steering(x, mm)`` when given.  Raises
+    SingularSteeringError when a placement fails the condition check or its
+    loss keeps an imaginary residue."""
+    stack, gram, cond = _steering(x, mm) if steering is None else steering
     if (bad := ~(cond <= _COND_LIMIT)).any():
-        raise _ill_conditioned(np.asarray(cond)[bad][0], cfg)
+        raise _ill_conditioned(np.asarray(cond)[bad][0], mm, cfg)
     chol = np.linalg.cholesky(gram)
     h0 = main_channel(x, cfg)
     h = (h0[..., None, :] @ stack)[..., 0, :]
@@ -107,6 +122,13 @@ def _nulling(x: FloatArray, cfg: SystemConfig, steering=None) -> _Nulling:
                     float(val.real) if val.ndim == 0 else val.real)
 
 
+def _placements(name: str, x, cfg: SystemConfig, stack: bool = False) -> FloatArray:
+    """``x`` as float positions after ``model.check_vector``: one placement
+    (N,), or with ``stack`` a stack (R, N), finite and real."""
+    return np.asarray(check_vector(name, x, cfg.n_antennas, real=True,
+                                   stack=stack), dtype=float)
+
+
 def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     """Unit-norm beamformer orthogonal to every eavesdropper LoS row.
 
@@ -114,7 +136,12 @@ def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     eavesdropper steering span; the projection is applied twice to push the
     nulling residual to machine-noise level.
     """
-    stack, chol, h0 = _nulling(x, cfg)[:3]
+    return _beam(_nulling(_placements("x", x, cfg), moment_match(cfg), cfg))
+
+
+def _beam(solved: _Nulling) -> ComplexArray:
+    """``zf_beamformer`` from the nulling solve at one placement."""
+    stack, chol, h0 = solved[:3]
 
     def reject(v):
         return v - stack @ _gram_solve(chol, stack.conj().T @ v)
@@ -134,7 +161,8 @@ def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     zero-forced gain is beta0 * N - Theta, so Theta lies in [0, beta0 * N].
     Positions (N,) give a float, a stack (R, N) one loss per row.
     """
-    return _nulling(x, cfg).loss
+    x = _placements("x", x, cfg, np.ndim(x) > 1)
+    return _nulling(x, moment_match(cfg), cfg).loss
 
 
 def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
@@ -150,7 +178,8 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
 
     each term entering with its conjugate, so the gradient is exactly real.
     """
-    return _loss_grad(moment_match(cfg), _nulling(x, cfg))
+    mm = moment_match(cfg)
+    return _loss_grad(mm, _nulling(_placements("x", x, cfg), mm, cfg))
 
 
 def _loss_grad(mm: MomentMatch, solved: _Nulling) -> FloatArray:
@@ -164,10 +193,13 @@ def _loss_grad(mm: MomentMatch, solved: _Nulling) -> FloatArray:
 
 @dataclass
 class PgdResult:
+    """``nulling`` is the nulling solve at ``x``, for ``zf_solution``."""
+
     x: FloatArray
     loss: float
     n_iter: int
     converged: bool
+    nulling: _Nulling = field(repr=False, compare=False)
     trace: list[TraceRecord] = field(default_factory=list)
 
 
@@ -182,14 +214,15 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     accepted candidate's nulling solve.  The loop's warm steps and relative
     stop apply, up to params.max_outer iterations; a search that accepts no
     step ends it as converged.  Trace records hold the loss itself as
-    ``objective`` and the accepted step as ``delta_pos``.
+    ``objective`` and the accepted step as ``delta_pos``.  ``x0`` must be
+    one finite real placement (N,), or ``ValueError``.
     """
     params = params or OptimizerParams()
+    x = _placements("x0", x0, cfg)
     mm, region = moment_match(cfg), feasible_region(cfg)
-    x = np.asarray(x0, dtype=float)
 
     def neg_loss(cand):
-        solved = _nulling(cand, cfg)
+        solved = _nulling(cand, mm, cfg)
         return -solved.loss, solved
 
     start, at = neg_loss(x)     # at: the nulling solve at x
@@ -206,8 +239,8 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     neg, trace, converged = ascend(start, params.max_outer, pos=block)
     for rec in trace:
         rec.objective = -rec.objective
-    return PgdResult(x=x, loss=-neg, n_iter=len(trace),
-                     converged=converged, trace=trace)
+    return PgdResult(x=x, loss=-neg, n_iter=len(trace), converged=converged,
+                     nulling=at, trace=trace)
 
 
 def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
@@ -218,13 +251,26 @@ def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     Positions (N,) give a float; a stack (R, N) gives one outage per row
     from one Gram factorization and one incomplete-gamma call.
     """
-    return _outage(bob_gain_loss(x, cfg), cfg)
+    x = _placements("x", x, cfg, np.ndim(x) > 1)
+    mm = moment_match(cfg)
+    return _outage(_nulling(x, mm, cfg).loss, mm, cfg)
 
 
-def _outage(loss, cfg: SystemConfig):
-    mm = moment_match(cfg)     # zero LoS gains leave the moments' constants
+def _outage(loss, mm: MomentMatch, cfg: SystemConfig):
+    # zero LoS gains leave the moments' constants
     return gamma_outage(mm.lin_const, mm.quad_const,
                         mm.threshold(cfg.beta0 * cfg.n_antennas - loss))
+
+
+def zf_solution(x: FloatArray, cfg: SystemConfig,
+                nulling: _Nulling | None = None) -> tuple[float, ComplexArray]:
+    """``(zf_outage(x, cfg), zf_beamformer(x, cfg))`` from one nulling solve
+    at the placement x (N,): ``nulling`` when the caller holds it, as
+    ``PgdResult.nulling`` is for ``PgdResult.x``, else a new one."""
+    mm = moment_match(cfg)
+    if nulling is None:
+        nulling = _nulling(_placements("x", x, cfg), mm, cfg)
+    return _outage(nulling.loss, mm, cfg), _beam(nulling)
 
 
 def screened_outage(xs: FloatArray, cfg: SystemConfig):
@@ -236,10 +282,11 @@ def screened_outage(xs: FloatArray, cfg: SystemConfig):
     ``xs[usable]``, equal to ``zf_outage(xs[usable], cfg)``.  Raises the
     first row's ``SingularSteeringError`` when no row is usable.
     """
-    xs = np.asarray(xs, dtype=float)
-    steering = _steering(xs, cfg)
+    xs = _placements("xs", xs, cfg, stack=True)
+    mm = moment_match(cfg)
+    steering = _steering(xs, mm)
     usable = steering[2] <= _COND_LIMIT
     if not usable.any():
-        raise _ill_conditioned(steering[2][0], cfg)
-    solved = _nulling(xs[usable], cfg, [a[usable] for a in steering])
-    return usable, _outage(solved.loss, cfg)
+        raise _ill_conditioned(steering[2][0], mm, cfg)
+    solved = _nulling(xs[usable], mm, cfg, [a[usable] for a in steering])
+    return usable, _outage(solved.loss, mm, cfg)

@@ -167,9 +167,9 @@ class TestRandomPlacement:
         rows = []
         steering = zf._steering
 
-        def counting(x, cfg):
-            rows.append(np.asarray(x).reshape(-1, cfg.n_antennas).shape[0])
-            return steering(x, cfg)
+        def counting(x, mm):
+            rows.append(np.atleast_2d(x).shape[0])
+            return steering(x, mm)
         monkeypatch.setattr(zf, "_steering", counting)
         run_scheme(SchemeId.RAP_ZF, preset("zf-demo-far"), seed=3,
                    restarts=150)

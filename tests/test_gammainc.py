@@ -78,6 +78,84 @@ class TestForward:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+def _random_pairs(n, seed=0):
+    """a log-uniform in [0.05, 200] and t = a lognormal(0, 0.8)."""
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(math.log(0.05), math.log(200.0), n))
+    return a, a * rng.lognormal(0.0, 0.8, n)
+
+
+# (a, t) lanes at the branches of the one-element path: t <= 0, t = inf,
+# t on both sides of a + 1 (the series / continued fraction split), a tiny
+# shape, and the largest shapes and thresholds of the surrogate fit
+_EDGE_LANES = [
+    (2.0, 0.0), (2.0, -0.0), (2.0, -1.5), (2.0, -np.inf), (2.0, np.inf),
+    (3.0, np.nextafter(4.0, 0.0)), (3.0, 4.0), (3.0, np.nextafter(4.0, 5.0)),
+    (0.25, np.nextafter(1.25, 0.0)), (0.25, 1.25),
+    (1e-3, 1e-300), (1e-3, 1e-3), (1e-3, 0.5), (1e-3, 1.001), (1e-3, 30.0),
+    (1.0, 1e-12), (47.3, 2.0), (100.0, 300.0), (250.0, 260.0),
+]
+
+
+class TestOneElementPath:
+    """A call with one element runs on Python floats; it returns the bits
+    the array path gives the same lane in a batched call."""
+
+    def test_random_pairs_match_the_batch(self):
+        a, t = _random_pairs(20_000)
+        batch = lower_incomplete_gamma_reg(a, t)
+        one = [lower_incomplete_gamma_reg(x, y)
+               for x, y in zip(a.tolist(), t.tolist())]
+        assert all(isinstance(p, float) for p in one)
+        assert np.array(one).tobytes() == batch.tobytes()
+
+    def test_edge_lanes_match_the_batch(self):
+        a, t = (np.array(v) for v in zip(*_EDGE_LANES))
+        batch = lower_incomplete_gamma_reg(a, t)
+        got = [lower_incomplete_gamma_reg(float(x), float(y))
+               for x, y in _EDGE_LANES]
+        assert [p.hex() for p in got] == [p.hex() for p in batch.tolist()]
+        assert got[:4] == [0.0] * 4 and got[4] == 1.0
+
+    @pytest.mark.parametrize("a,t,shape", [
+        (np.array([3.0]), 4.0, (1,)),
+        (3.0, np.array([[4.0]]), (1, 1)),
+        (np.array([[3.0]]), np.array([4.0]), (1, 1)),
+        (np.array(3.0), 4.0, ()),
+        (np.float64(3.0), np.array([np.inf]), (1,)),
+    ])
+    def test_one_element_arrays_keep_their_shape(self, a, t, shape):
+        got = lower_incomplete_gamma_reg(a, t)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        want = lower_incomplete_gamma_reg(np.array([3.0, 9.0]),
+                                          np.array([float(np.ravel(t)[0]), 1.0]))
+        assert got.ravel().tobytes() == want[:1].tobytes()
+
+    def test_runs_without_the_array_path(self, monkeypatch):
+        want = lower_incomplete_gamma_reg(np.array([3.2, 5.0]), 2.7)
+
+        def refuse(a, t, log_gam):
+            raise AssertionError("array path")
+        monkeypatch.setattr(masec.gammainc, "_reg_positive", refuse)
+        for a in (3.2, np.array([3.2]), np.array([[3.2]])):
+            got = lower_incomplete_gamma_reg(a, 2.7)
+            assert np.ravel(got).tobytes() == want[:1].tobytes()
+        with pytest.raises(AssertionError, match="array path"):
+            lower_incomplete_gamma_reg(np.array([3.2, 5.0]), 2.7)
+
+    @pytest.mark.parametrize("a,t,match", [
+        (0.0, 1.0, "positive and finite"),
+        (-2.0, 1.0, "positive and finite"),
+        (np.nan, 1.0, "positive and finite"),
+        (np.inf, 1.0, "positive and finite"),
+        (2.0, np.nan, "t must not be NaN"),
+    ])
+    def test_one_element_arrays_are_checked(self, a, t, match):
+        for args in ((a, t), (np.array([a]), t), (a, np.array([[t]]))):
+            with pytest.raises(ValueError, match=match):
+                lower_incomplete_gamma_reg(*args)
+
+
 def _bisect_quantile(a: float, eps: float) -> float:
     # deliberately naive reference: plain interval bisection to 1e-13
     lo, hi = 0.0, 10.0 * a + 50.0

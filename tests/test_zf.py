@@ -7,7 +7,13 @@ import pytest
 
 from masec import zf
 from masec.ascent import OptimizerParams, ascend, line_search
-from masec.bench import apply_variable, base_config, preset
+from masec.bench import (
+    apply_variable,
+    base_config,
+    fpa_positions,
+    preset,
+    run_scheme,
+)
 from masec.cli import main
 from masec.model import (
     eve_los_matrix,
@@ -25,6 +31,7 @@ from masec.zf import (
     screened_outage,
     zf_beamformer,
     zf_outage,
+    zf_solution,
 )
 
 
@@ -211,9 +218,9 @@ class TestNullingReuse:
         calls = {"steering": 0, "candidates": 0}
         steering, search = zf._steering, zf.line_search
 
-        def counted_steering(x, cfg):
+        def counted_steering(x, mm):
             calls["steering"] += 1
-            return steering(x, cfg)
+            return steering(x, mm)
 
         def counted_search(evaluate, *args):
             def counted_evaluate(cand):
@@ -333,3 +340,149 @@ class TestResidueCheck:
         code = main(["solve", "--preset", "zf-demo-far", "--scheme", "FPA_ZF"])
         assert code == 2
         assert "imaginary residue" in capsys.readouterr().err
+
+
+# the presets on which zero-forcing has a solution; on cdf-demo Bob's
+# direction lies in the eavesdropper span, on m-sweep the Gram is singular
+ZF_PRESETS = ["ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep"]
+
+
+def _count_nullings(monkeypatch):
+    calls = []
+    nulling = zf._nulling
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return nulling(*args)
+    monkeypatch.setattr(zf, "_nulling", counted)
+    return calls
+
+
+def _public_calls(scheme, cfg):
+    """(p_out, w, x) of a ZF scheme from the public calls at its placement,
+    each of which solves the nulling system again."""
+    x = (fpa_positions(cfg) if scheme == "FPA_ZF"
+         else pgd_solve(feasible_region(cfg).midpoints(), cfg).x)
+    return zf_outage(x, cfg), zf_beamformer(x, cfg), x
+
+
+class TestOneNullingPerPlacement:
+    """FPA_ZF and MA_ZF read their outage and beamformer off one nulling
+    solve at the returned placement, with the public calls' bits."""
+
+    @pytest.mark.parametrize("scheme", ["FPA_ZF", "MA_ZF"])
+    @pytest.mark.parametrize("name", ZF_PRESETS)
+    def test_equals_the_public_calls(self, name, scheme):
+        cfg = preset(name)
+        res = run_scheme(scheme, cfg)
+        p_out, w, x = _public_calls(scheme, cfg)
+        assert res.x.tobytes() == x.tobytes()
+        assert float(res.p_out).hex() == zf_outage(res.x, cfg).hex() \
+            == p_out.hex()
+        assert res.w.tobytes() == zf_beamformer(res.x, cfg).tobytes() \
+            == w.tobytes()
+
+    @pytest.mark.parametrize("name", ZF_PRESETS)
+    def test_fpa_zf_solves_once(self, name, monkeypatch):
+        calls = _count_nullings(monkeypatch)
+        run_scheme("FPA_ZF", preset(name))
+        assert calls == [(preset(name).n_antennas,)]
+
+    @pytest.mark.parametrize("name", ZF_PRESETS)
+    def test_ma_zf_solves_only_in_its_descent(self, name, monkeypatch):
+        cfg = preset(name)
+        calls = _count_nullings(monkeypatch)
+        pgd_solve(feasible_region(cfg).midpoints(), cfg)
+        descent = len(calls)
+        run_scheme("MA_ZF", cfg)
+        assert descent >= 2 and len(calls) == 2 * descent
+
+    def test_solution_from_a_held_solve(self):
+        cfg = preset("zf-demo-far")
+        res = pgd_solve(feasible_region(cfg).midpoints(), cfg)
+        held = zf_solution(res.x, cfg, res.nulling)
+        fresh = zf_solution(res.x, cfg)
+        assert held[0].hex() == fresh[0].hex() == zf_outage(res.x, cfg).hex()
+        assert held[1].tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["FPA_ZF", "MA_ZF"])
+    @pytest.mark.parametrize("name,message", [
+        ("cdf-demo", "legitimate direction lies inside"),
+        ("m-sweep", "ill-conditioned")])
+    def test_unusable_presets_raise_as_the_public_calls(self, name, message,
+                                                        scheme):
+        cfg = preset(name)
+        with pytest.raises(SingularSteeringError, match=message) as want:
+            _public_calls(scheme, cfg)
+        with pytest.raises(SingularSteeringError) as got:
+            run_scheme(scheme, cfg)
+        assert str(got.value) == str(want.value)
+
+
+def _bad_positions(kind, n):
+    x = np.linspace(0.0, 3.0, n)
+    if kind == "four positions":
+        return x[:4]
+    if kind == "complex":
+        return x.astype(complex)
+    x[2] = np.nan if kind == "nan entry" else np.inf
+    return x
+
+
+_BAD = [("four positions", r"must have shape \(5,\), got \(4,\)"),
+        ("complex", "must be real"),
+        ("nan entry", "must be finite"),
+        ("inf entry", "must be finite")]
+
+_ENTRIES = {
+    "zf_outage": zf_outage, "zf_beamformer": zf_beamformer,
+    "bob_gain_loss": bob_gain_loss, "bob_gain_loss_grad": bob_gain_loss_grad,
+    "pgd_solve": pgd_solve, "zf_solution": zf_solution,
+}
+
+
+class TestPositionChecks:
+    """Every public ZF entry point rejects mis-shaped, complex and
+    non-finite positions with a one-line ValueError, before any solve."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("kind,match", _BAD, ids=[k for k, _ in _BAD])
+    def test_rejects_bad_positions(self, kind, match, entry):
+        cfg = preset("zf-demo-far")
+        name = "x0" if entry == "pgd_solve" else "x"
+        with pytest.raises(ValueError, match=f"^{name} {match}"):
+            _ENTRIES[entry](_bad_positions(kind, cfg.n_antennas), cfg)
+
+    @pytest.mark.parametrize("entry", [zf_outage, bob_gain_loss])
+    @pytest.mark.parametrize("kind,match", _BAD, ids=[k for k, _ in _BAD])
+    def test_rejects_a_bad_row_of_a_stack(self, kind, match, entry):
+        cfg = preset("zf-demo-far")
+        xs = random_feasible_positions(feasible_region(cfg),
+                                       np.random.default_rng(0), 3)
+        bad = _bad_positions(kind, cfg.n_antennas)
+        if kind == "four positions":
+            xs, match = xs[:, :4], r"must have shape \(B, 5\)"
+        else:
+            xs = xs.astype(bad.dtype)
+            xs[1] = bad
+        with pytest.raises(ValueError, match=match):
+            entry(xs, cfg)
+
+    def test_screened_outage_takes_a_stack(self):
+        cfg = preset("zf-demo-far")
+        x = feasible_region(cfg).midpoints()
+        with pytest.raises(ValueError, match=r"xs must have shape \(B, 5\)"):
+            screened_outage(x, cfg)
+        assert screened_outage(x[None], cfg)[0].tolist() == [True]
+
+    def test_descent_checks_its_start_once(self, monkeypatch):
+        calls = []
+        check = zf.check_vector
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return check(*args, **kwargs)
+        monkeypatch.setattr(zf, "check_vector", counted)
+        cfg = preset("zf-demo-far")
+        res = pgd_solve(feasible_region(cfg).midpoints(), cfg)
+        assert res.n_iter >= 2 and calls == ["x0"]
