@@ -77,6 +77,7 @@ DELTA0 = 1.0       # largest step a line search starts from
 SHRINK = 0.5       # step factor after each rejected candidate
 MIN_STEP = 1e-15   # a line search gives up below this step
 OBJ_TOL = 1e-8     # relative objective change that ends a loop
+GROW_AFTER = 2     # first-try acceptances in a row before a start step grows
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,9 @@ class OptimizerParams:
     ascent and descent loop.
 
     The step and stop policy that ``ascend`` applies to all of them is
-    fixed by the module constants DELTA0, SHRINK, MIN_STEP and OBJ_TOL, and
-    the confidence bisection stops at ``surrogate.DEFAULT_TAU``.
+    fixed by the module constants DELTA0, SHRINK, MIN_STEP, OBJ_TOL and
+    GROW_AFTER, and the confidence bisection stops at
+    ``surrogate.DEFAULT_TAU``.
     """
 
     max_outer: int = 2000
@@ -271,20 +273,31 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None):
 
     Each iteration calls the blocks ``beam`` then ``pos`` that are given as
     ``block(obj, delta)``, with the objective so far and the block's start
-    step min(DELTA0, 2 x its last accepted delta).  A block moves its own
-    variable and returns the new objective and its ``line_search`` result,
-    None when it accepted no step.  The loop stops as converged once an
-    iteration moves the objective by less than OBJ_TOL x max(1, |objective|),
-    and otherwise after max_outer iterations.  Returns the objective, one
-    TraceRecord per iteration and whether the loop converged.
+    step.  A block moves its own variable and returns the new objective and
+    its ``line_search`` result, None when it accepted no step.
+
+    Each block keeps its last accepted delta ``last`` and ``run``, how many
+    of its searches in a row accepted their first candidate; they start at
+    DELTA0 and GROW_AFTER.  A search starts at min(DELTA0, 2 x last) when
+    run >= GROW_AFTER and at ``last`` otherwise.  An accepted search sets
+    ``last`` to its delta and adds one to ``run`` if that was the start
+    step, else resets it to 0; a search that accepts nothing changes
+    neither.  The loop stops as converged once an iteration moves the
+    objective by less than OBJ_TOL x max(1, |objective|), and otherwise
+    after max_outer iterations.  Returns the objective, one TraceRecord per
+    iteration and whether the loop converged.
     """
-    blocks, last, trace = (beam, pos), [DELTA0, DELTA0], []
+    blocks, trace = (beam, pos), []
+    last, run = [DELTA0, DELTA0], [GROW_AFTER, GROW_AFTER]
     for it in range(1, max_outer + 1):
         start, delta = obj, [None, None]
         for i, block in enumerate(blocks):
             if block is not None:
-                obj, found = block(obj, min(DELTA0, 2.0 * last[i]))
+                first = (min(DELTA0, 2.0 * last[i]) if run[i] >= GROW_AFTER
+                         else last[i])
+                obj, found = block(obj, first)
                 if found is not None:
+                    run[i] = run[i] + 1 if found[0] == first else 0
                     last[i] = delta[i] = found[0]
         trace.append(TraceRecord(it, delta[0], delta[1], obj))
         if abs(obj - start) < OBJ_TOL * max(1.0, abs(obj)):
@@ -312,7 +325,8 @@ def apga_solve(
     it reaches the quadratic model built from the block's gradient, which
     for these projections implies the objective never decreases within a
     block.  A block that accepts no step leaves its variable unchanged.
-    ``ascend`` runs the blocks with its warm steps and relative stop, up to
+    ``ascend`` runs the blocks with its warm steps, which grow only after
+    GROW_AFTER first-try acceptances in a row, and its relative stop, up to
     params.max_outer iterations, and the result keeps its trace.
 
     The lane is evaluated in float arithmetic, with the same operations in
@@ -615,13 +629,14 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     """One probe of ``apga_solve`` in beam_only mode for every lane at once.
 
     Lane i ascends from w[i], renormalized, on its fixed rows (M+1, N) with
-    its own slope and intercept, under ``ascend``'s policy: its own warm
-    step min(DELTA0, 2 x last accepted delta), relative stop and max_outer
-    cap.  A lane that stops leaves the working stack, so only active lanes
-    are computed.  Returns the final beams and objectives, the iteration
-    counts and the history (2, T, B) of objective and accepted delta per
-    iteration, T >= max(n_iter): column i holds lane i's first n_iter[i]
-    iterations, with NaN delta where no step was accepted.
+    its own slope and intercept, under ``ascend``'s policy: its own last
+    accepted delta and run of first-try acceptances, which set its warm
+    step, its relative stop and the max_outer cap.  A lane that stops
+    leaves the working stack, so only active lanes are computed.  Returns
+    the final beams and objectives, the iteration counts and the history
+    (2, T, B) of objective and accepted delta per iteration, T >=
+    max(n_iter): column i holds lane i's first n_iter[i] iterations, with
+    NaN delta where no step was accepted.
     """
     w = unit_norm(w)
     at = _evaluate(mm, rows, w, slope, intercept)
@@ -630,16 +645,20 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     n_iter = np.zeros(len(w), dtype=int)
     history = np.empty((2, min(max_outer, 64), len(w)))
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
+    run = np.full(len(w), GROW_AFTER)
     for it in range(1, max_outer + 1):
         if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
             history = np.concatenate((history, np.empty_like(history)), axis=1)
         start = at.margin
         g = _grad_w(mm, rows_conj, at, slope, intercept)
-        delta, w, at = _line_search_lanes(
-            mm, rows, w, at, g, slope, intercept,
-            np.minimum(DELTA0, 2.0 * last))
+        first = np.where(run >= GROW_AFTER, np.minimum(DELTA0, 2.0 * last),
+                         last)
+        delta, w, at = _line_search_lanes(mm, rows, w, at, g, slope,
+                                          intercept, first)
         obj = at.margin
-        last = np.where(np.isnan(delta), last, delta)
+        accepted = ~np.isnan(delta)
+        run = np.where(accepted, np.where(delta == first, run + 1, 0), run)
+        last = np.where(accepted, delta, last)
         history[:, it - 1, lane] = obj, delta
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
         if it == max_outer:
@@ -648,8 +667,8 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             done = lane[stop]
             w_out[done], obj_out[done], n_iter[done] = w[stop], obj[stop], it
             go = ~stop
-            lane, rows, rows_conj, w, last, slope, intercept = (
-                v[go] for v in (lane, rows, rows_conj, w, last, slope,
+            lane, rows, rows_conj, w, last, run, slope, intercept = (
+                v[go] for v in (lane, rows, rows_conj, w, last, run, slope,
                                 intercept))
             at = _Evaluation._make(a[go] for a in at)
             if not lane.size:

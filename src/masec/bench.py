@@ -169,15 +169,28 @@ class SweepResult:
     skipped: list[tuple[str, float, str]] = field(default_factory=list)
 
 
+SWEEP_VARIABLES = ("pa_db", "k", "span", "rs", "n_antennas", "n_eves",
+                   "theta_ratio")
+
+
+def _check_variable(name) -> None:
+    """Raise a one-line ValueError unless name is in SWEEP_VARIABLES."""
+    if name not in SWEEP_VARIABLES:
+        raise ValueError(f"unknown sweep variable {name!r}, "
+                         f"expected one of {list(SWEEP_VARIABLES)}")
+
+
 def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     """Scenario with one swept quantity replaced.
 
-    Supported variables: pa_db (power in dB), k (common Rician factor),
-    span, rs, n_antennas, n_eves (truncates the per-eve tuples of the base
-    config), theta_ratio (first-eve angle as a multiple of theta0; single
-    eavesdropper only).  The two counts take whole numbers only, as ints
-    or integral floats such as 3.0; anything else raises ValueError.
+    Supported variables (SWEEP_VARIABLES): pa_db (power in dB), k (common
+    Rician factor), span, rs, n_antennas, n_eves (truncates the per-eve
+    tuples of the base config), theta_ratio (first-eve angle as a multiple
+    of theta0; single eavesdropper only).  Any other name raises
+    ValueError.  The two counts take whole numbers only, as ints or
+    integral floats such as 3.0; anything else raises ValueError.
     """
+    _check_variable(name)
     if name in ("n_antennas", "n_eves") and not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if name == "pa_db":
@@ -203,7 +216,6 @@ def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
         if cfg.n_eves != 1:
             raise ValueError("theta_ratio sweeps need a single eavesdropper")
         return dataclasses.replace(cfg, thetas=(float(value) * cfg.theta0,))
-    raise ValueError(f"unknown sweep variable {name!r}")
 
 
 def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResult:
@@ -370,14 +382,16 @@ def sweep_spec_from_dict(raw: dict) -> SweepSpec:
     :func:`config_from_dict`), variable and grid, and optionally schemes
     (default all), seeds (default [0]) and restarts (default 100).
 
-    A value of the wrong JSON type, a grid number beyond the float range
-    or a missing key raises a one-line ValueError.
+    A value of the wrong JSON type, a variable not in SWEEP_VARIABLES, a
+    grid number beyond the float range or a missing key raises a one-line
+    ValueError, before any row is solved.
     """
     if not isinstance(raw, dict):
         raise ValueError("a sweep spec must be a JSON object")
     missing = [key for key in ("base", "variable", "grid") if key not in raw]
     if missing:
         raise ValueError(f"sweep spec lacks keys: {missing}")
+    _check_variable(raw["variable"])
     grid, seeds = raw["grid"], raw.get("seeds", [0])
     if not (isinstance(grid, list) and all(map(is_number, grid))):
         raise ValueError(

@@ -211,11 +211,13 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     candidate is accepted once the loss is no larger than the quadratic
     model around the current point, which together with the box projection
     guarantees a nonincreasing loss trace.  The next gradient reads the
-    accepted candidate's nulling solve.  The loop's warm steps and relative
-    stop apply, up to params.max_outer iterations; a search that accepts no
-    step ends it as converged.  Trace records hold the loss itself as
-    ``objective`` and the accepted step as ``delta_pos``.  ``x0`` must be
-    one finite real placement (N,), or ``ValueError``.
+    accepted candidate's nulling solve.  The loop's warm steps (the last
+    accepted step, doubled only after ``ascent.GROW_AFTER`` first-try
+    acceptances in a row) and relative stop apply, up to params.max_outer
+    iterations; a search that accepts no step ends it as converged.  Trace
+    records hold the loss itself as ``objective`` and the accepted step as
+    ``delta_pos``.  ``x0`` must be one finite real placement (N,), or
+    ``ValueError``.
     """
     params = params or OptimizerParams()
     x = _placements("x0", x0, cfg)

@@ -800,6 +800,72 @@ class TestLineSearch:
         assert len(calls) == 4
 
 
+def scripted_block(rejections):
+    """A block that plays back searches and records the start step it is
+    handed: each entry of ``rejections`` is how many candidates a search
+    rejects before it accepts one, or None for a search that accepts none."""
+    starts, script = [], iter(rejections)
+
+    def block(obj, delta):
+        starts.append(delta)
+        rejected = next(script)
+        if rejected is None:
+            return obj, None
+        return obj + 1.0, (delta * ascent.SHRINK ** rejected, None, obj + 1.0,
+                           None)
+    return block, starts
+
+
+class TestWarmSteps:
+    """``ascend`` starts a search at its block's last accepted step, and at
+    twice that only after GROW_AFTER first-try acceptances in a row."""
+
+    def test_start_steps_follow_the_accepted_ones(self):
+        assert (ascent.GROW_AFTER, ascent.DELTA0) == (2, 1.0)
+        rejections = [3, 0, 0, None, 0, 0, 0, 1, None, 0, 0, 0]
+        block, starts = scripted_block(rejections)
+        # the position block moves the objective, so the loop never stops
+        mover, _ = scripted_block([0] * len(rejections))
+        _, trace, converged = ascend(0.0, len(rejections), beam=block,
+                                     pos=mover)
+        assert not converged
+        assert starts == [
+            1.0,      # the first search starts at DELTA0 and backtracks
+            0.125,    # to 0.125; the next two start there and accept it
+            0.125,
+            0.25,     # two first-try acceptances in a row: the start doubles
+            0.25,     # the search before accepted nothing: start and run kept
+            0.5,
+            1.0,
+            1.0,      # capped at DELTA0; this search backtracks once
+            0.5,      # to 0.5, so the start stays there
+            0.5,      # after a search that accepted nothing
+            0.5,      # after one first-try acceptance
+            1.0]      # and doubles after the second
+        assert [r.delta_beam for r in trace] == [
+            s * ascent.SHRINK ** k if k is not None else None
+            for s, k in zip(starts, rejections)]
+
+    def test_candidates_per_iteration_on_the_18_cases(self, monkeypatch,
+                                                      table):
+        # GROW_AFTER 2 gives 2.46, GROW_AFTER 0 (a start that always
+        # doubles) 3.22; the bound leaves room for last-ulp drift
+        candidates, search = 0, ascent.line_search
+
+        def counted_search(evaluate, *args):
+            def counted_evaluate(cand):
+                nonlocal candidates
+                candidates += 1
+                return evaluate(cand)
+            return search(counted_evaluate, *args)
+
+        monkeypatch.setattr(ascent, "line_search", counted_search)
+        iterations = sum(run_scheme(scheme, preset(name), table=table).iterations
+                         for name in PRESET_NAMES
+                         for scheme in ("MA_OB", "FPA_OB", "MA_MRT"))
+        assert candidates / iterations <= 2.8
+
+
 def one_lane(verdict):
     """A one-lane probe that answers ``verdict(eps)`` with payload eps."""
     return lambda live, levels: [(verdict(levels[0]), levels[0])]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from masec import ascent, bench, surrogate, zf
 from masec.bench import (
+    SWEEP_VARIABLES,
     SchemeId,
     SweepSpec,
     apply_variable,
@@ -237,6 +238,14 @@ class TestApplyVariable:
         with pytest.raises(ValueError, match="unknown sweep variable"):
             apply_variable(base_config(), "bogus", 1.0)
 
+    @pytest.mark.parametrize("name", SWEEP_VARIABLES)
+    def test_every_sweep_variable_is_taken_and_applied(self, name):
+        assert sweep_spec_from_dict(_sweep_spec(variable=name)).variable \
+            == name
+        value = 1.0 if name == "n_eves" else 2.0
+        assert isinstance(apply_variable(base_config(), name, value),
+                          SystemConfig)
+
 
 class TestSweep:
     def test_row_count_and_order(self, table):
@@ -358,6 +367,12 @@ class TestConfigParsing:
         assert (cfg.pa, cfg.span) == (1e30, 4.0)
         assert type(cfg.pa) is type(cfg.span) is float
         assert type(cfg.n_antennas) is int
+
+    @pytest.mark.parametrize("variable, grid", [("bogus", []), (7, [1.0])])
+    def test_sweep_spec_rejects_an_unknown_variable(self, variable, grid):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown sweep variable {variable!r}, expected one of")):
+            sweep_spec_from_dict(_sweep_spec(variable=variable, grid=grid))
 
     def test_sweep_grid_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="grid must be a list of numbers"):
@@ -597,6 +612,16 @@ class TestCli:
         assert err.startswith("error: eavesdropper 1:") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_sweep_with_an_unknown_variable_and_no_rows(self, tmp_path,
+                                                        capsys):
+        path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+        path.write_text(json.dumps(_sweep_spec(variable="bogus", grid=[])))
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown sweep variable 'bogus'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_takes_integral_float_counts(self, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
         path.write_text(json.dumps(_sweep_spec(variable="n_antennas",
@@ -638,6 +663,7 @@ def test_default_params_match_documented_values():
     assert OptimizerParams().max_outer == 2000
     assert (ascent.DELTA0, ascent.SHRINK) == (1.0, 0.5)
     assert (ascent.MIN_STEP, ascent.OBJ_TOL) == (1e-15, 1e-8)
+    assert ascent.GROW_AFTER == 2
     assert surrogate.DEFAULT_TAU == 0.01
 
 
