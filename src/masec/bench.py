@@ -223,7 +223,7 @@ def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResu
     given seeds.
 
     ``table`` is handed to each scheme as is, so without one only the
-    optimized-beam schemes fit the default table, once per process.
+    optimized-beam schemes read the default table, once per process.
     Scheme/point combinations whose preconditions fail (e.g. zero-forcing
     without a spare antenna) are skipped and reported instead of raising.
     """

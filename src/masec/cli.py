@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in SchemeId])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--table", help="surrogate table file (default: fit once)")
+    p.add_argument("--table", help="surrogate table file (default: the "
+                                   "shipped table that fit-table regenerates)")
     p.add_argument("--out", help="write a one-row CSV result")
     p.add_argument("--trace", help="write the final solve's iteration trace")
     p.set_defaults(func=_cmd_solve)

@@ -14,8 +14,15 @@ batched call is bit-identical to the same element computed alone.  A
 forward call with one element runs that lane's loop on Python floats
 (``_reg_one``), which costs microseconds where a dozen numpy calls per
 iteration on one-element arrays cost hundreds; it keeps the bits of the
-array path.  The log-gamma prefactor comes from ``math.lgamma``; the
-module needs nothing beyond numpy and the standard library.
+array path.
+
+No numpy transcendental enters P(a, t) or its inverse: ``log`` and ``exp``
+come elementwise from ``math`` (``_libm``), and the rest is numpy's
+correctly rounded arithmetic, ``np.sqrt``, ``math.lgamma`` and
+``NormalDist``.  numpy's ``log``, ``exp`` and ``pow`` loops round
+differently under AVX-512 and AVX2, libm's do not, so every value here has
+the same bits on every SIMD dispatch of one platform.  The module needs
+nothing beyond numpy and the standard library.
 """
 from __future__ import annotations
 
@@ -31,6 +38,23 @@ _MAX_ITER = 4000
 _LOG_MIN = math.log(np.finfo(float).tiny)
 _BAD_SHAPE = "shape parameter must be positive and finite"
 _NAN_T = "threshold t must not be NaN"
+
+
+def _exp(v: float) -> float:
+    """``math.exp``, but inf where it overflows, as numpy's ``exp``."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _libm(fn, x):
+    """``math.log`` or ``math.exp`` (``fn``) elementwise on a flat array;
+    an exp that overflows is inf."""
+    try:
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    except OverflowError:
+        return np.fromiter(map(_exp, x.tolist()), float, x.size)
 
 
 def _per_distinct(fn, x):
@@ -69,9 +93,8 @@ def _reg_one(a: float, t: float) -> float:
 
     The checks of the array path, then ``_reg_positive``, ``_series`` and
     ``_cont_frac`` replayed on floats with the same operations in the same
-    order, so the value has the bits of the lane in a batched call.  Only
-    ``log t`` and the prefactor's ``exp`` stay on one-element numpy arrays:
-    ``math.log`` and ``math.exp`` may round differently from numpy's loops.
+    order, so the value has the bits of the lane in a batched call; both
+    take ``log t`` and the prefactor's ``exp`` from ``math``.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(_BAD_SHAPE)
@@ -81,8 +104,7 @@ def _reg_one(a: float, t: float) -> float:
         return 0.0
     if t == math.inf:
         return 1.0
-    log_t = np.log(np.array([t])).item()
-    prefactor = np.exp(np.array([a * log_t - t - math.lgamma(a)])).item()
+    prefactor = _exp(a * math.log(t) - t - math.lgamma(a))
     if t < a + 1.0:
         ap, term = a, 1.0 / a
         total = term
@@ -122,7 +144,7 @@ def _check_shape(a) -> None:
 def _reg_positive(a, t, log_gam):
     """P(a, t) on flat arrays with t > 0, given log_gam = ln Gamma(a)."""
     # exp(-t + a ln t - ln Gamma(a)), kept in log space against overflow
-    prefactor = np.exp(a * np.log(t) - t - log_gam)
+    prefactor = _libm(math.exp, a * _libm(math.log, t) - t - log_gam)
     series = t < a + 1.0
     tail = ~series
     out = np.empty(a.shape)
@@ -209,11 +231,13 @@ def _initial_guess(eps, a, log_gam):
     """
     z = _per_distinct(NormalDist().inv_cdf, eps)
     cube = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
-    guess = np.maximum(a * np.maximum(cube, 0.05) ** 3, 1e-8)
+    c = np.maximum(cube, 0.05)
+    guess = np.maximum(a * (c * c * c), 1e-8)
     small = (a < 1.0) | (cube < 0.05)
     if small.any():
         eps_s, a_s = eps[small], a[small]
-        log_t = (np.log(eps_s) + log_gam[small] + np.log(a_s)) / a_s
+        log_t = (_libm(math.log, eps_s) + log_gam[small]
+                 + _libm(math.log, a_s)) / a_s
         under = log_t < _LOG_MIN
         if under.any():
             i = np.flatnonzero(under)[0]
@@ -221,7 +245,7 @@ def _initial_guess(eps, a, log_gam):
                 f"quantile at eps={float(eps_s[i])!r}, a={float(a_s[i])!r} "
                 f"is about 1e{log_t[i] / math.log(10.0):.0f}, below the "
                 "float range")
-        guess[small] = np.exp(log_t)
+        guess[small] = _libm(math.exp, log_t)
     return guess
 
 
@@ -295,7 +319,7 @@ def _quantile(eps, a):
         with np.errstate(all="ignore"):
             # the density (it underflows far in the tails) gives
             # f''/f' = (a - 1)/t - 1 and f'''/f' = (f''/f')^2 - (a - 1)/t^2
-            pdf = np.exp((a - 1.0) * np.log(t) - t - log_gam)
+            pdf = _libm(math.exp, (a - 1.0) * _libm(math.log, t) - t - log_gam)
             h = f / pdf
             u = (a - 1.0) / t
             d2 = u - 1.0

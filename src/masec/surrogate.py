@@ -7,6 +7,11 @@ For each eps on a uniform grid the map a -> quantile(eps, a) is fitted by
 an ordinary least-squares line over a fixed shape window, and the
 (slope, intercept) pairs are stored in a small table that can be persisted
 as plain text and linearly interpolated between grid points.
+
+The default table ships as ``default_table.txt`` beside this module.  Its
+fit uses no numpy transcendental and no LAPACK call, only correctly
+rounded arithmetic, libm and ``math.fsum``, so ``masec fit-table`` writes
+that file byte for byte on every SIMD dispatch.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ _FORMAT_TAG = "masec-surrogate-v1"
 DEFAULT_TAU = 0.01
 DEFAULT_FIT_RANGE = (1.0, 100.0)
 DEFAULT_N_FIT_POINTS = 1000
+# the most quantile solves one fit may ask for; the default grid is 99,000
+_MAX_FIT_GRID = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,10 @@ def fit_linear_surrogate(
 
     Each row minimizes the mean squared residual of the line against the
     exact quantile evaluated at ``n_fit_points`` equally spaced shapes in
-    ``fit_range``.
+    ``fit_range``: with c = a - mean(a), slope = sum(c q) / sum(c c) and
+    intercept = mean(q) - slope mean(a), every sum a correctly rounded
+    ``math.fsum``.  A tau that leaves no level in (0, 1) and a grid of more
+    than 10^7 (level, shape) pairs raise ``ValueError`` before any solve.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
@@ -93,13 +103,27 @@ def fit_linear_surrogate(
     if n_fit_points < 2:
         raise ValueError("need at least two fit points")
 
-    steps = int(round(1.0 / tau)) - 1
+    # clipped so that round() never sees 1 / tau = inf; a clipped count
+    # is over the grid limit anyway
+    steps = int(round(min(1.0 / tau, _MAX_FIT_GRID))) - 1
+    if steps < 1:
+        raise ValueError(f"tau={tau!r} leaves no eps rows in (0, 1)")
+    if steps * n_fit_points > _MAX_FIT_GRID:
+        raise ValueError(
+            f"tau={tau!r} with {n_fit_points} fit points asks for more than "
+            f"{_MAX_FIT_GRID:,} quantile solves")
     eps_grid = tau * np.arange(1, steps + 1)
     eps_grid = eps_grid[eps_grid < 1.0]
     a_grid = np.linspace(lo, hi, n_fit_points)
 
     target = inverse_lower_incomplete_gamma(eps_grid[:, None], a_grid[None, :])
-    slopes, intercepts = np.polyfit(a_grid, target.T, 1)
+    a_mean = math.fsum(a_grid.tolist()) / n_fit_points
+    c = a_grid - a_mean
+    c_norm = math.fsum((c * c).tolist())
+    slopes = np.array([math.fsum(row) / c_norm
+                       for row in (c * target).tolist()])
+    intercepts = np.array([math.fsum(row) / n_fit_points
+                           for row in target.tolist()]) - slopes * a_mean
     return LinearFitTable(
         eps_grid=eps_grid, slope=slopes, intercept=intercepts,
         fit_lo=float(lo), fit_hi=float(hi), tau=float(tau),
@@ -162,5 +186,7 @@ def load_table(path: str | Path) -> LinearFitTable:
 
 @functools.lru_cache(maxsize=1)
 def default_table() -> LinearFitTable:
-    """The package-default table, built once per process on first use."""
-    return fit_linear_surrogate()
+    """The package-default table, read once per process from the shipped
+    ``default_table.txt``: the output of ``masec fit-table`` with its
+    default arguments, which regenerates it."""
+    return load_table(Path(__file__).with_name("default_table.txt"))

@@ -279,11 +279,13 @@ class TestSweep:
         assert [r.seed for r in res.rows] == [10, 20, 10]
 
     def test_zf_only_sweep_never_fits_the_table(self, monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise RuntimeError("the surrogate table was fitted")
+        def no_table():
+            raise RuntimeError("the default surrogate table was read")
 
-        monkeypatch.setattr(surrogate, "fit_linear_surrogate", no_fit)
-        surrogate.default_table.cache_clear()
+        # the default table is loaded, not fitted; ascent binds the name
+        # at import, so both modules are patched
+        for module in (surrogate, ascent):
+            monkeypatch.setattr(module, "default_table", no_table)
         spec = SweepSpec(base=base_config(), variable="k", grid=[1.0, 4.0],
                          schemes=[SchemeId.RAP_ZF, SchemeId.FPA_ZF],
                          restarts=2)
@@ -539,6 +541,23 @@ class TestCli:
                      "--table", str(tab)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--tau", "0.7"], "no eps rows"),
+        (["--tau", "1e-7"], "quantile solves"),
+        (["--tau", "5e-324"], "quantile solves"),
+        (["--points", "200000"], "quantile solves"),
+    ])
+    def test_fit_table_rejects_a_grid_before_solving(self, args, message,
+                                                     tmp_path, capsys):
+        # no level below 1, or a grid far above the default 99 x 1000,
+        # is one error line and no file
+        tab = tmp_path / "table.txt"
+        assert main(["fit-table", "--out", str(tab)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert not tab.exists()
 
     @pytest.mark.parametrize("bound", [["--hi", "inf"], ["--lo", "nan"]])
     def test_non_finite_fit_range_is_error_exit(self, bound, tmp_path, capsys):

@@ -301,7 +301,8 @@ class TestInverse:
         z = np.array([NormalDist().inv_cdf(e) for e in eps.tolist()])
         cube = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
         assert cube.min() > 0.05
-        assert got.tobytes() == np.maximum(a * cube**3, 1e-8).tobytes()
+        assert got.tobytes() == np.maximum(a * (cube * cube * cube),
+                                           1e-8).tobytes()
 
     def test_root_below_float_range_is_a_value_error(self):
         # about 1e-2000 at eps 0.01, a 0.001

@@ -1,13 +1,19 @@
 """Quantile surrogate table: fit quality, lookup, persistence."""
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+from masec import preset, run_scheme, surrogate
+from masec.cli import main
 from masec.gammainc import inverse_lower_incomplete_gamma
 from masec.surrogate import (
+    DEFAULT_FIT_RANGE,
+    DEFAULT_N_FIT_POINTS,
+    DEFAULT_TAU,
     default_table,
     fit_linear_surrogate,
     load_table,
@@ -246,3 +252,37 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="fit header"):
             load_table(path)
+
+
+class TestShippedTable:
+    """The default table ships as package data.  Its fit has the same bits
+    on every SIMD dispatch, so the file is the fit wherever it runs."""
+
+    shipped = Path(surrogate.__file__).with_name("default_table.txt")
+
+    def test_shipped_table_is_the_fit(self, table):
+        loaded = default_table()
+        for name in ("eps_grid", "slope", "intercept"):
+            assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
+
+    def test_shipped_header_names_the_defaults(self):
+        loaded = load_table(self.shipped)
+        assert (loaded.fit_lo, loaded.fit_hi) == DEFAULT_FIT_RANGE
+        assert loaded.tau == DEFAULT_TAU
+        assert loaded.n_fit_points == DEFAULT_N_FIT_POINTS
+
+    def test_fit_table_writes_the_shipped_file(self, tmp_path, capsys):
+        out = tmp_path / "table.txt"
+        assert main(["fit-table", "--out", str(out)]) == 0
+        assert out.read_bytes() == self.shipped.read_bytes()
+
+    def test_default_table_never_fits(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("the surrogate table was fitted")
+
+        monkeypatch.setattr(surrogate, "fit_linear_surrogate", no_fit)
+        surrogate.default_table.cache_clear()
+        assert default_table().eps_grid.size == 99
+        surrogate.default_table.cache_clear()
+        res = run_scheme("MA_OB", preset("ob-demo"))
+        assert 0.0 < res.eps < 1.0
