@@ -6,11 +6,16 @@ margin objective (the scaled outage threshold minus the linear surrogate
 of the required Gamma quantile, cleared of its positive denominator) is
 positive.  The inner maximization alternates projected gradient ascent
 steps on the unit-norm beamformer and on the antenna positions, each with
-backtracking against a quadratic model.
+backtracking against a quadratic model.  In joint mode each outer
+iteration first tries a FISTA extrapolation of both (Beck & Teboulle
+2009) and keeps it only when the margin rises, restarting the momentum
+otherwise (O'Donoghue & Candes 2015), so the trace stays monotone while
+the slow zig-zag tail of the alternating steps is cut short.
 
-Each evaluated point, a start or a line-search candidate, costs one
-steering product v = rows @ w and one ``MomentMatch.statistics`` call.
-``line_search`` hands back the accepted candidate's evaluation, so the next
+Each evaluated point, a start, a line-search candidate or an
+extrapolated point, costs one steering product v = rows @ w and one
+``MomentMatch.statistics`` call.  ``line_search`` hands back the accepted
+candidate's evaluation, and a kept extrapolation its own, so the next
 beamformer gradient and the next position gradient both read it and
 recompute no gain.
 
@@ -78,6 +83,7 @@ SHRINK = 0.5       # step factor after each rejected candidate
 MIN_STEP = 1e-15   # a line search gives up below this step
 OBJ_TOL = 1e-8     # relative objective change that ends a loop
 GROW_AFTER = 2     # first-try acceptances in a row before a start step grows
+MOMENTUM_AFTER = 5 # iterations before the first extrapolation
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,8 @@ class OptimizerParams:
 
     The step and stop policy that ``ascend`` applies to all of them is
     fixed by the module constants DELTA0, SHRINK, MIN_STEP, OBJ_TOL and
-    GROW_AFTER, and the confidence bisection stops at
+    GROW_AFTER, the start of the joint ascent's extrapolation by
+    MOMENTUM_AFTER, and the confidence bisection stops at
     ``surrogate.DEFAULT_TAU``.
     """
 
@@ -97,12 +104,15 @@ class OptimizerParams:
 @dataclass(slots=True)
 class TraceRecord:
     """One outer iteration: each block's accepted step (None when it
-    accepted none or did not run) and the objective after it."""
+    accepted none or did not run), the objective after it, and the weight
+    of the extrapolation kept before the blocks ran (None when none was
+    tried or the iterate was kept)."""
 
     iteration: int
     delta_beam: float | None
     delta_pos: float | None
     objective: float
+    beta: float | None = None
 
 
 @dataclass
@@ -268,7 +278,8 @@ def line_search(evaluate, point, obj: float, direction, slope, project,
     return None
 
 
-def ascend(obj: float, max_outer: int, beam=None, pos=None):
+def ascend(obj: float, max_outer: int, beam=None, pos=None,
+           extrapolate=None):
     """The outer loop of every projected ascent, from objective ``obj``.
 
     Each iteration calls the blocks ``beam`` then ``pos`` that are given as
@@ -286,11 +297,30 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None):
     objective by less than OBJ_TOL x max(1, |objective|), and otherwise
     after max_outer iterations.  Returns the objective, one TraceRecord per
     iteration and whether the loop converged.
+
+    ``extrapolate(obj, beta)``, when given, runs first in every iteration.
+    It tries the point y = z_k + beta (z_k - z_{k-1}), projected, where z_k
+    is its iterate at the start of iteration k, moves there only when the
+    objective at y strictly exceeds ``obj``, and returns the new objective
+    and beta, or ``obj`` and None when it keeps z_k.  The weights are
+    FISTA's, beta_k = (t_{k-1} - 1) / t_k with t_1 = 1 and t_k = (1 +
+    sqrt(1 + 4 t_{k-1}^2)) / 2, advanced every iteration from iteration 2;
+    a kept z_k restarts t at 1.  Up to iteration MOMENTUM_AFTER, and in the
+    iteration after a restart (where beta_k is 0 and y would be z_k), the
+    weight passed is 0: the block then only records z_k.
     """
     blocks, trace = (beam, pos), []
     last, run = [DELTA0, DELTA0], [GROW_AFTER, GROW_AFTER]
+    t = t_prev = 1.0
     for it in range(1, max_outer + 1):
-        start, delta = obj, [None, None]
+        start, delta, beta = obj, [None, None], None
+        if it > 1:
+            t_prev, t = t, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        if extrapolate is not None:
+            weight = (t_prev - 1.0) / t if it > MOMENTUM_AFTER else 0.0
+            obj, beta = extrapolate(obj, weight)
+            if weight and beta is None:
+                t = 1.0
         for i, block in enumerate(blocks):
             if block is not None:
                 first = (min(DELTA0, 2.0 * last[i]) if run[i] >= GROW_AFTER
@@ -299,7 +329,7 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None):
                 if found is not None:
                     run[i] = run[i] + 1 if found[0] == first else 0
                     last[i] = delta[i] = found[0]
-        trace.append(TraceRecord(it, delta[0], delta[1], obj))
+        trace.append(TraceRecord(it, delta[0], delta[1], obj, beta))
         if abs(obj - start) < OBJ_TOL * max(1.0, abs(obj)):
             return obj, trace, True
     return obj, trace, False
@@ -328,6 +358,16 @@ def apga_solve(
     ``ascend`` runs the blocks with its warm steps, which grow only after
     GROW_AFTER first-try acceptances in a row, and its relative stop, up to
     params.max_outer iterations, and the result keeps its trace.
+
+    In joint mode ``ascend`` also gets an extrapolation block.  It keeps the
+    previous outer iterate (w_{k-1}, x_{k-1}) and, given ``ascend``'s FISTA
+    weight beta (nonzero from iteration MOMENTUM_AFTER + 1 on), evaluates
+    y = (unit_norm(w_k + beta (w_k - w_{k-1})), project_positions(x_k + beta
+    (x_k - x_{k-1}))) with one steering product and one evaluation.  It
+    moves to y, with y's rows and statistics for the next gradients, only
+    when the margin there strictly exceeds the current one; the trace
+    records the kept beta.  beam_only and positions_mrt run no
+    extrapolation.
 
     The lane is evaluated in float arithmetic, with the same operations in
     the same order as the stacked ``_evaluate``, ``_grad_w``, ``_grad_x``
@@ -425,10 +465,28 @@ def apga_solve(
                 rows_conj = rows.conj()
         return obj, found
 
+    w_prev, x_prev = w, x               # (w, x) when the last iteration began
+
+    def extrapolate(obj, beta):
+        nonlocal w, x, rows, rows_conj, v, lin, thr, w_prev, x_prev
+        w_last, x_last, w_prev, x_prev = w_prev, x_prev, w, x
+        if not beta:
+            return obj, None
+        y_w = normalize(w + beta * (w - w_last))
+        y_x = project_positions(x + beta * (x - x_last), region)
+        y_rows = steer(y_x)
+        margin, y_v, y_lin, y_thr = evaluate(y_rows, y_w)
+        if not margin > obj:
+            return obj, None
+        w, x, rows, rows_conj = y_w, y_x, y_rows, y_rows.conj()
+        v, lin, thr = y_v, y_lin, y_thr
+        return margin, beta
+
     obj, trace, converged = ascend(
         obj, params.max_outer,
         beam=None if mode == "positions_mrt" else beam_block,
-        pos=None if mode == "beam_only" else pos_block)
+        pos=None if mode == "beam_only" else pos_block,
+        extrapolate=extrapolate if mode == "joint" else None)
     return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
                       converged=converged, trace=trace)
 

@@ -84,7 +84,9 @@ def lower_incomplete_gamma_reg(a, t):
     out[t_arr == np.inf] = 1.0
     pos = (t_arr > 0.0) & (t_arr < np.inf)
     a_pos = a_arr[pos]
-    out[pos] = _reg_positive(a_pos, t_arr[pos], _per_distinct(math.lgamma, a_pos))
+    t_pos = t_arr[pos]
+    out[pos] = _reg_positive(a_pos, t_pos, _per_distinct(math.lgamma, a_pos),
+                             _libm(math.log, t_pos))
     return out
 
 
@@ -141,10 +143,11 @@ def _check_shape(a) -> None:
         raise ValueError(_BAD_SHAPE)
 
 
-def _reg_positive(a, t, log_gam):
-    """P(a, t) on flat arrays with t > 0, given log_gam = ln Gamma(a)."""
+def _reg_positive(a, t, log_gam, log_t):
+    """P(a, t) on flat arrays with t > 0, given log_gam = ln Gamma(a) and
+    log_t = ln t."""
     # exp(-t + a ln t - ln Gamma(a)), kept in log space against overflow
-    prefactor = _libm(math.exp, a * _libm(math.log, t) - t - log_gam)
+    prefactor = _libm(math.exp, a * log_t - t - log_gam)
     series = t < a + 1.0
     tail = ~series
     out = np.empty(a.shape)
@@ -292,10 +295,12 @@ def _quantile(eps, a):
     top = np.zeros(shapes.size)
     np.maximum.at(top, where, eps)
     hi = shape_hi[where]
-    short = np.flatnonzero(
-        (_reg_positive(shapes, shape_hi, shape_log_gam) < top)[where])
+    below = _reg_positive(shapes, shape_hi, shape_log_gam,
+                          _libm(math.log, shape_hi)) < top
+    short = np.flatnonzero(below[where])
     while short.size:
-        short = short[_reg_positive(a[short], hi[short], log_gam[short]) < eps[short]]
+        short = short[_reg_positive(a[short], hi[short], log_gam[short],
+                                    _libm(math.log, hi[short])) < eps[short]]
         hi[short] *= 2.0
 
     lo = np.zeros(a.shape)
@@ -304,7 +309,8 @@ def _quantile(eps, a):
     lane = np.arange(a.size)
     tol = _stop(eps)
     for _ in range(200):
-        f = _reg_positive(a, t, log_gam) - eps
+        log_t = _libm(math.log, t)      # read by P and by the density
+        f = _reg_positive(a, t, log_gam, log_t) - eps
         below = f < 0.0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
@@ -312,14 +318,15 @@ def _quantile(eps, a):
         if done.any():
             out[lane[done]] = t[done]
             keep = ~done
-            lane, eps, a, log_gam, lo, hi, t, f, tol = (
-                v[keep] for v in (lane, eps, a, log_gam, lo, hi, t, f, tol))
+            lane, eps, a, log_gam, lo, hi, t, log_t, f, tol = (
+                v[keep] for v in (lane, eps, a, log_gam, lo, hi, t, log_t, f,
+                                  tol))
         if not lane.size:
             return out
         with np.errstate(all="ignore"):
             # the density (it underflows far in the tails) gives
             # f''/f' = (a - 1)/t - 1 and f'''/f' = (f''/f')^2 - (a - 1)/t^2
-            pdf = _libm(math.exp, (a - 1.0) * _libm(math.log, t) - t - log_gam)
+            pdf = _libm(math.exp, (a - 1.0) * log_t - t - log_gam)
             h = f / pdf
             u = (a - 1.0) / t
             d2 = u - 1.0
@@ -327,7 +334,7 @@ def _quantile(eps, a):
             t_new = t - h * (1.0 - 0.5 * d2 * h) / (1.0 - h * (d2 - h * d3 / 6.0))
         bad = ~np.isfinite(t_new) | (t_new <= lo) | (t_new >= hi)
         t = np.where(bad, 0.5 * (lo + hi), t_new)
-    resid = np.abs(_reg_positive(a, t, log_gam) - eps)
+    resid = np.abs(_reg_positive(a, t, log_gam, _libm(math.log, t)) - eps)
     if (resid > 100.0 * tol).any():
         raise RuntimeError(
             f"quantile iteration stalled, residual {resid.max():.2e}")

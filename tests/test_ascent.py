@@ -168,11 +168,13 @@ class TestGradients:
 
 
 class TestAscent:
-    def test_trace_monotone(self, table):
-        cfg = preset("ob-demo")
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+    def test_trace_monotone(self, table, name, eps):
+        cfg = preset(name)
         x0 = feasible_region(cfg).midpoints()
         res = apga_solve(mrt_beamformer(x0, cfg), x0,
-                         *surrogate_lookup(table, 0.5), cfg)
+                         *surrogate_lookup(table, eps), cfg)
         objs = [r.objective for r in res.trace]
         assert np.all(np.diff(objs) >= -1e-12)
 
@@ -259,6 +261,20 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
     public margin and gradients, which recompute the gains at every call."""
     region = feasible_region(cfg)
     w, x = unit_norm(np.asarray(w0, dtype=complex)), np.asarray(x0)
+    w_prev, x_prev = w, x
+
+    def extrapolate(obj, beta):
+        nonlocal w, x, w_prev, x_prev
+        w_last, x_last, w_prev, x_prev = w_prev, x_prev, w, x
+        if not beta:
+            return obj, None
+        y_w = unit_norm(w + beta * (w - w_last))
+        y_x = project_positions(x + beta * (x - x_last), region)
+        margin = margin_objective(y_w, y_x, eps, table, cfg)
+        if not margin > obj:
+            return obj, None
+        w, x = y_w, y_x
+        return margin, beta
 
     def beam(obj, delta):
         nonlocal w
@@ -289,7 +305,8 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         margin_objective(w, x, eps, table, cfg),
         OptimizerParams().max_outer,
         beam=None if mode == "positions_mrt" else beam,
-        pos=None if mode == "beam_only" else pos)
+        pos=None if mode == "beam_only" else pos,
+        extrapolate=extrapolate if mode == "joint" else None)
     return w, x, obj, trace, converged
 
 
@@ -315,8 +332,9 @@ class TestGainReuse:
     @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
     def test_one_statistics_call_per_evaluated_point(self, monkeypatch, table,
                                                      mode):
-        calls = {"statistics": 0, "candidates": 0}
+        calls = {"statistics": 0, "candidates": 0, "extrapolations": 0}
         statistics, search = MomentMatch.statistics, ascent.line_search
+        outer = ascent.ascend
 
         def counted_statistics(self, gains):
             calls["statistics"] += 1
@@ -328,8 +346,17 @@ class TestGainReuse:
                 return evaluate(cand)
             return search(counted_evaluate, *args)
 
+        def counted_ascend(*args, extrapolate=None, **kwargs):
+            # an extrapolation with a nonzero weight evaluates its point
+            def counted_extrapolate(obj, beta):
+                calls["extrapolations"] += beta != 0.0
+                return extrapolate(obj, beta)
+            return outer(*args, **kwargs,
+                         extrapolate=extrapolate and counted_extrapolate)
+
         monkeypatch.setattr(MomentMatch, "statistics", counted_statistics)
         monkeypatch.setattr(ascent, "line_search", counted_search)
+        monkeypatch.setattr(ascent, "ascend", counted_ascend)
         cfg = preset("zf-demo-far")
         x0 = feasible_region(cfg).midpoints()
         res = apga_solve(mrt_beamformer(x0, cfg), x0,
@@ -337,7 +364,9 @@ class TestGainReuse:
                          mode=mode)
         resets = res.n_iter if mode == "positions_mrt" else 0
         assert res.n_iter > 3
-        assert calls["statistics"] == calls["candidates"] + 1 + resets
+        assert (calls["extrapolations"] > 0) == (mode == "joint")
+        assert calls["statistics"] == (calls["candidates"]
+                                       + calls["extrapolations"] + 1 + resets)
 
 
 def spoiled_start(cfg, bad):
@@ -864,6 +893,91 @@ class TestWarmSteps:
                          for name in PRESET_NAMES
                          for scheme in ("MA_OB", "FPA_OB", "MA_MRT"))
         assert candidates / iterations <= 2.8
+
+
+def scripted_extrapolation(verdicts):
+    """An extrapolation block that records the weight it is handed: each
+    entry of ``verdicts`` says whether an attempt (a nonzero weight) moves
+    to a point one higher, or keeps the iterate."""
+    weights, script = [], iter(verdicts)
+
+    def extrapolate(obj, beta):
+        weights.append(beta)
+        if beta and next(script):
+            return obj + 1.0, beta
+        return obj, None
+    return extrapolate, weights
+
+
+def fista_t(count):
+    """FISTA's t_1, ..., t_count from t_1 = 1."""
+    t = [1.0]
+    while len(t) < count:
+        t.append((1.0 + np.sqrt(1.0 + 4.0 * t[-1] ** 2)) / 2.0)
+    return t
+
+
+class TestMomentum:
+    """``ascend`` extrapolates from iteration MOMENTUM_AFTER + 1 on with
+    FISTA's weights, and restarts them after a point it does not keep."""
+
+    def test_weights_follow_the_fista_schedule(self):
+        assert ascent.MOMENTUM_AFTER == 5
+        # attempts at iterations 6-9 and 11-13; 9 and 13 are rejected
+        verdicts = [True, True, True, False, True, True, False]
+        extrapolate, weights = scripted_extrapolation(verdicts)
+        mover, _ = scripted_block([0] * 14)
+        _, trace, converged = ascend(0.0, 14, pos=mover,
+                                     extrapolate=extrapolate)
+        assert not converged
+        t = fista_t(9)
+        beta = [(t[k - 2] - 1.0) / t[k - 1] for k in range(2, 10)]
+        want = ([0.0] * 5             # no attempt before iteration 6
+                + beta[4:8]           # beta_6 ... beta_9
+                + [0.0]               # t restarted at 1: beta is 0
+                + beta[1:4]           # and the schedule starts over
+                + [0.0])              # after the second restart
+        assert weights == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert weights[5] == pytest.approx(0.598, abs=1e-3)
+        assert weights[10] == pytest.approx(0.2818, abs=1e-4)
+        kept = [None] * 5 + weights[5:8] + [None, None] + weights[10:12] \
+            + [None, None]
+        assert [r.beta for r in trace] == kept
+        # the position block adds 1 in every iteration and a kept point 1
+        # more; a rejected point adds nothing
+        rises = np.diff([0.0] + [r.objective for r in trace])
+        assert rises.tolist() == [1.0 if b is None else 2.0 for b in kept]
+
+    def test_apga_keeps_only_points_that_raise_the_margin(self, monkeypatch,
+                                                            table):
+        calls, outer = [], ascent.ascend
+
+        def recording_ascend(*args, extrapolate=None, **kwargs):
+            def recorded(obj, beta):
+                moved = extrapolate(obj, beta)
+                calls.append((obj, beta, *moved))
+                return moved
+            return outer(*args, **kwargs,
+                         extrapolate=extrapolate and recorded)
+
+        monkeypatch.setattr(ascent, "ascend", recording_ascend)
+        cfg = preset("m-sweep")
+        x0 = feasible_region(cfg).midpoints()
+        apga_solve(mrt_beamformer(x0, cfg), x0,
+                   *surrogate_lookup(table, 0.5), cfg)
+        attempts = [c for c in calls if c[1]]
+        rejected = [c for c in attempts if c[3] is None]
+        assert rejected and len(rejected) < len(attempts)
+        for before, beta, after, kept in attempts:
+            if kept is None:
+                assert after == before
+            else:
+                assert kept == beta and after > before
+
+    def test_ma_ob_iterations_on_the_presets(self, table):
+        # 9,065 without momentum, 1,488 with it
+        assert sum(run_scheme("MA_OB", preset(name), table=table).iterations
+                   for name in PRESET_NAMES) <= 3000
 
 
 def one_lane(verdict):

@@ -682,7 +682,7 @@ def test_default_params_match_documented_values():
     assert OptimizerParams().max_outer == 2000
     assert (ascent.DELTA0, ascent.SHRINK) == (1.0, 0.5)
     assert (ascent.MIN_STEP, ascent.OBJ_TOL) == (1e-15, 1e-8)
-    assert ascent.GROW_AFTER == 2
+    assert (ascent.GROW_AFTER, ascent.MOMENTUM_AFTER) == (2, 5)
     assert surrogate.DEFAULT_TAU == 0.01
 
 

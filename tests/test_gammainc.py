@@ -134,7 +134,7 @@ class TestOneElementPath:
     def test_runs_without_the_array_path(self, monkeypatch):
         want = lower_incomplete_gamma_reg(np.array([3.2, 5.0]), 2.7)
 
-        def refuse(a, t, log_gam):
+        def refuse(a, t, log_gam, log_t):
             raise AssertionError("array path")
         monkeypatch.setattr(masec.gammainc, "_reg_positive", refuse)
         for a in (3.2, np.array([3.2]), np.array([[3.2]])):
@@ -314,9 +314,9 @@ class TestInverse:
         counted = []
         forward = masec.gammainc._reg_positive
 
-        def counting(a, t, log_gam):
+        def counting(a, t, log_gam, log_t):
             counted.append(a.size)
-            return forward(a, t, log_gam)
+            return forward(a, t, log_gam, log_t)
 
         monkeypatch.setattr(masec.gammainc, "_reg_positive", counting)
         fit_linear_surrogate()
