@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -845,10 +845,12 @@ def maximize_gamma_objective(
 
 
 def write_trace(trace: list[TraceRecord], path) -> None:
-    """Plain-text iteration trace: iteration, accepted step, objective."""
-    lines = ["# iteration delta objective"]
+    """Plain-text iteration trace, one line per record with every
+    ``TraceRecord`` field in order (iteration, delta_beam, delta_pos,
+    objective, beta); numbers by ``repr``, a None as ``-``."""
+    names = [f.name for f in fields(TraceRecord)]
+    lines = ["# " + " ".join(names)]
     for rec in trace:
-        delta = rec.delta_pos if rec.delta_pos is not None else rec.delta_beam
-        lines.append(f"{rec.iteration} {'' if delta is None else repr(delta)} "
-                     f"{rec.objective!r}")
+        lines.append(" ".join("-" if v is None else repr(v)
+                              for v in (getattr(rec, n) for n in names)))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -380,7 +380,8 @@ def config_from_dict(raw: dict) -> SystemConfig:
 def sweep_spec_from_dict(raw: dict) -> SweepSpec:
     """Sweep from a mapping with keys base (a scenario, see
     :func:`config_from_dict`), variable and grid, and optionally schemes
-    (default all), seeds (default [0]) and restarts (default 100).
+    (default all), seeds (default [0], each a non-negative integer, as
+    numpy's generators take) and restarts (default 100).
 
     A value of the wrong JSON type, a variable not in SWEEP_VARIABLES, a
     grid number beyond the float range or a missing key raises a one-line
@@ -396,8 +397,10 @@ def sweep_spec_from_dict(raw: dict) -> SweepSpec:
     if not (isinstance(grid, list) and all(map(is_number, grid))):
         raise ValueError(
             "sweep spec grid must be a list of numbers in the float range")
-    if not (isinstance(seeds, list) and seeds and all(map(is_integer, seeds))):
-        raise ValueError("sweep spec seeds must be a non-empty list of integers")
+    if not (isinstance(seeds, list) and seeds
+            and all(is_integer(s) and s >= 0 for s in seeds)):
+        raise ValueError(
+            "sweep spec seeds must be a non-empty list of non-negative integers")
     names = [s.value for s in SchemeId]
     schemes = raw.get("schemes", names)
     if not (isinstance(schemes, list) and all(s in names for s in schemes)):

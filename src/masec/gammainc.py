@@ -6,15 +6,17 @@ otherwise.  Both routines are vectorized over broadcast inputs and target
 about 1e-14 relative accuracy, which the inverse needs to hit its own
 tolerance reliably.
 
-Every iterative loop records each lane's value in the iteration where it
-converges and drops finished lanes: the quantile loop at once, the series
-and the continued fraction once at most half of their lanes are left.  A
-lane's arithmetic never depends on the other lanes, so an element of a
-batched call is bit-identical to the same element computed alone.  A
-forward call with one element runs that lane's loop on Python floats
+The series and the continued fraction are each written once, as a
+sequence of steps (a generator) that runs on Python floats and on flat
+arrays alike; each step yields the partial value and a "still moving"
+flag.  The array path (``_settled``) keeps each lane's value at its first
+settled step and runs every lane until the last one settles; it drops no
+lane.  A forward call with one element takes the same steps on floats
 (``_reg_one``), which costs microseconds where a dozen numpy calls per
-iteration on one-element arrays cost hundreds; it keeps the bits of the
-array path.
+step on one-element arrays cost hundreds.  The quantile loop drops each
+lane once it converges.  A lane's arithmetic never depends on the other
+lanes, so an element of a batched call is bit-identical to the same
+element computed alone.
 
 No numpy transcendental enters P(a, t) or its inverse: ``log`` and ``exp``
 come elementwise from ``math`` (``_libm``), and the rest is numpy's
@@ -93,10 +95,9 @@ def lower_incomplete_gamma_reg(a, t):
 def _reg_one(a: float, t: float) -> float:
     """P(a, t) of one lane on Python floats.
 
-    The checks of the array path, then ``_reg_positive``, ``_series`` and
-    ``_cont_frac`` replayed on floats with the same operations in the same
-    order, so the value has the bits of the lane in a batched call; both
-    take ``log t`` and the prefactor's ``exp`` from ``math``.
+    The checks of the array path, then the steps of ``_series`` or
+    ``_cont_frac`` on floats up to the first settled one, so the value has
+    the bits of the lane in a batched call.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(_BAD_SHAPE)
@@ -108,32 +109,13 @@ def _reg_one(a: float, t: float) -> float:
         return 1.0
     prefactor = _exp(a * math.log(t) - t - math.lgamma(a))
     if t < a + 1.0:
-        ap, term = a, 1.0 / a
-        total = term
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= t / ap
-            total += term
-            if not abs(term) > abs(total) * _EPS:
-                return total * prefactor
-        raise RuntimeError("incomplete gamma series failed to converge")
-    b = t + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / (_TINY if abs(b) < _TINY else b)
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = _TINY if abs(d) < _TINY else d
-        c = b + an / c
-        c = _TINY if abs(c) < _TINY else c
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if not abs(delta - 1.0) > _EPS:
-            return 1.0 - prefactor * h
-    raise RuntimeError("incomplete gamma continued fraction failed to converge")
+        return _first_settled(_series(a, t)) * prefactor
+    return 1.0 - prefactor * _first_settled(_cont_frac(a, t))
+
+
+def _first_settled(steps) -> float:
+    """The value of the first step of a float step sequence that settles."""
+    return next(value for value, moving in steps if not moving)
 
 
 def _check_shape(a) -> None:
@@ -151,76 +133,65 @@ def _reg_positive(a, t, log_gam, log_t):
     series = t < a + 1.0
     tail = ~series
     out = np.empty(a.shape)
-    out[series] = _series(a[series], t[series]) * prefactor[series]
-    out[tail] = 1.0 - prefactor[tail] * _cont_frac(a[tail], t[tail])
+    out[series] = _settled(_series(a[series], t[series])) * prefactor[series]
+    out[tail] = 1.0 - prefactor[tail] * _settled(_cont_frac(a[tail], t[tail]))
+    return out
+
+
+def _settled(steps):
+    """Each lane's value at its first settled step, from a step sequence on
+    flat arrays.  A settled lane keeps iterating until every lane has
+    settled, but only the value of that step is kept; values are copied
+    out, since a step may update its value in place."""
+    value, open_ = next(steps)
+    out = value.copy()
+    while open_.any():
+        value, moving = next(steps)
+        np.copyto(out, value, where=open_)
+        open_ &= moving
     return out
 
 
 def _series(a, t):
-    """Power series sum_n t^n / (a (a+1) ... (a+n)) on flat arrays."""
-    out = np.empty(a.shape)
-    lane = np.arange(a.size)
-    ap = a.copy()
+    """Power series sum_n t^n / (a (a+1) ... (a+n)), one partial sum and
+    its "still moving" flag per term, on floats or flat arrays.  Every
+    term is positive or zero, so the flag needs no ``abs``."""
+    ap = a + 0.0
     term = 1.0 / a
-    total = term.copy()
-    open_ = np.ones(a.shape, bool)
+    total = term + 0.0
     for _ in range(_MAX_ITER):
         ap += 1.0
         term *= t / ap
         total += term
-        live = np.abs(term) > np.abs(total) * _EPS
-        if _retire(out, lane, total, live, open_):
-            if not open_.any():
-                return out
-            lane, t, ap, term, total, open_ = (
-                v[open_] for v in (lane, t, ap, term, total, open_))
+        yield total, term > total * _EPS
     raise RuntimeError("incomplete gamma series failed to converge")
 
 
 def _cont_frac(a, t):
-    """Upper-tail continued fraction via modified Lentz iteration, on flat
+    """Upper-tail continued fraction via modified Lentz iteration, one
+    convergent and its "still moving" flag per step, on floats or flat
     arrays."""
-    out = np.empty(a.shape)
-    lane = np.arange(a.size)
     b = t + 1.0 - a
-    c = np.full(a.shape, 1.0 / _TINY)
-    d = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
-    h = d.copy()
-    open_ = np.ones(a.shape, bool)
+    c = 1.0 / _TINY
+    d = 1.0 / _away_from_zero(b)
+    h = d
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
+        d = 1.0 / _away_from_zero(an * d + b)
+        c = _away_from_zero(b + an / c)
         delta = d * c
         h = h * delta
-        live = np.abs(delta - 1.0) > _EPS
-        if _retire(out, lane, h, live, open_):
-            if not open_.any():
-                return out
-            lane, a, b, c, d, h, open_ = (
-                v[open_] for v in (lane, a, b, c, d, h, open_))
+        yield h, abs(delta - 1.0) > _EPS
     raise RuntimeError("incomplete gamma continued fraction failed to converge")
 
 
-def _retire(out, lane, value, live, open_):
-    """Record ``value`` for the open lanes that just stopped being ``live``
-    and close them.  True when the caller should compact: it has no lanes,
-    or at most half of them are still open.
-
-    A closed lane keeps iterating until the caller compacts, but its
-    recorded value is the one from the iteration in which it converged.
-    """
-    done = open_ > live
-    if done.any():
-        out[lane[done]] = value[done]
-        open_ &= live
-    elif lane.size:
-        return False
-    return 2 * np.count_nonzero(open_) <= lane.size
+def _away_from_zero(x):
+    """``x``, or _TINY where |x| < _TINY, so Lentz's divisors never vanish;
+    on a float or an array."""
+    if isinstance(x, float):
+        return _TINY if abs(x) < _TINY else x
+    return np.where(np.abs(x) < _TINY, _TINY, x)
 
 
 def _initial_guess(eps, a, log_gam):

@@ -164,7 +164,10 @@ def save_table(table: LinearFitTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> LinearFitTable:
-    """Parse a table written by :func:`save_table`; exact float round trip."""
+    """Parse a table written by :func:`save_table`; exact float round trip.
+
+    A foreign file, a malformed header or row, or values the table rejects
+    raise a one-line ``ValueError`` that starts with the path."""
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != f"# {_FORMAT_TAG}":
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
@@ -174,14 +177,26 @@ def load_table(path: str | Path) -> LinearFitTable:
         tau, n_fit_points = float(meta["tau"]), int(meta["n_fit_points"])
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed fit header") from exc
-    rows = [line.split() for line in text[3:] if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), 3)
+    lines = [line for line in text[3:] if line.strip()]
     try:
+        rows = [_three_numbers(line, n) for n, line in enumerate(lines, 1)]
+        data = np.array(rows).reshape(len(rows), 3)
         return LinearFitTable(
             eps_grid=data[:, 0], slope=data[:, 1], intercept=data[:, 2],
             fit_lo=fit_lo, fit_hi=fit_hi, tau=tau, n_fit_points=n_fit_points)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _three_numbers(line: str, n: int) -> list[float]:
+    """Row ``n`` (from 1) of a table file as (eps, slope, intercept)."""
+    try:
+        numbers = [float(v) for v in line.split()]
+    except ValueError:
+        numbers = []
+    if len(numbers) != 3:
+        raise ValueError(f"row {n} is not three numbers: {line.strip()!r}")
+    return numbers
 
 
 @functools.lru_cache(maxsize=1)

@@ -1103,11 +1103,11 @@ def test_write_trace_format(tmp_path, table):
     path = tmp_path / "trace.txt"
     write_trace(res.trace, path)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
+    assert lines[0] == "# iteration delta_beam delta_pos objective beta"
     assert len(lines) == len(res.trace) + 1
     first = lines[1].split()
     assert int(first[0]) == 1
-    float(first[-1])  # objective parses back
+    assert float(first[3]) == res.trace[0].objective  # objective parses back
 
 
 def test_params_are_frozen():

@@ -1,6 +1,7 @@
 """Scheme dispatch, sweeps, CSV persistence, CLI plumbing."""
 import dataclasses
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -376,6 +377,12 @@ class TestConfigParsing:
                 f"unknown sweep variable {variable!r}, expected one of")):
             sweep_spec_from_dict(_sweep_spec(variable=variable, grid=grid))
 
+    def test_sweep_spec_rejects_negative_seeds(self):
+        with pytest.raises(ValueError, match="seeds must be a non-empty list "
+                           "of non-negative integers"):
+            sweep_spec_from_dict(_sweep_spec(seeds=[0, -3]))
+        assert sweep_spec_from_dict(_sweep_spec(seeds=[0, 3])).seeds == [0, 3]
+
     def test_sweep_grid_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="grid must be a list of numbers"):
             sweep_spec_from_dict(_sweep_spec(grid=[1.0, 10**400]))
@@ -641,6 +648,17 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_sweep_with_a_negative_seed_solves_no_row(self, tmp_path,
+                                                     capsys):
+        path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+        path.write_text(json.dumps(_sweep_spec(
+            seeds=[-3], schemes=["FPA_OB", "RAP_ZF"])))
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep spec seeds must be")
+        assert "non-negative integers" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_takes_integral_float_counts(self, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
         path.write_text(json.dumps(_sweep_spec(variable="n_antennas",
@@ -649,15 +667,28 @@ class TestCli:
         assert [r.variable_value for r in read_results(out)] == [3.0]
 
     def test_trace_output(self, tmp_path, capsys):
+        columns = {}
         for preset_name, scheme in [("ob-demo", "MA_OB"),
-                                    ("zf-demo-far", "MA_ZF")]:
-            trace = tmp_path / f"{scheme}.txt"
+                                    ("zf-demo-far", "MA_ZF"),
+                                    ("m-sweep", "MA_OB")]:
+            trace = tmp_path / f"{preset_name}-{scheme}.txt"
             code = main(["solve", "--preset", preset_name, "--scheme", scheme,
                          "--trace", str(trace)])
             assert code == 0
             lines = trace.read_text().splitlines()
-            assert lines[0].startswith("#")
+            assert lines[0] == "# iteration delta_beam delta_pos objective beta"
             assert len(lines) > 1
+            rows = [line.split() for line in lines[1:]]
+            assert all(len(row) == 5 for row in rows)
+            columns[preset_name] = list(zip(*rows))
+
+        def numeric(column):
+            return [v != "-" and math.isfinite(float(v)) for v in column]
+        # MA_OB's certified solve steps both blocks in every iteration, and
+        # the slow m-sweep solve extrapolates in some of them
+        _, beam, pos, _, _ = columns["ob-demo"]
+        assert len(beam) == 5 and all(numeric(beam)) and all(numeric(pos))
+        assert any(numeric(columns["m-sweep"][4]))
 
     def test_table_below_half_is_usable(self, tmp_path, capsys):
         # one row at eps 0.4: the bisection starts at the table's top

@@ -3,6 +3,7 @@
 scipy.special is used here only as a reference implementation; the package
 itself never calls it for these functions.
 """
+import itertools
 import math
 from statistics import NormalDist
 
@@ -116,6 +117,33 @@ class TestOneElementPath:
                for x, y in _EDGE_LANES]
         assert [p.hex() for p in got] == [p.hex() for p in batch.tolist()]
         assert got[:4] == [0.0] * 4 and got[4] == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lanes_that_settle_far_apart_match_the_batch(self):
+        # series lanes settle within a few terms (t << a) or after hundreds
+        # (t near a ~ 1e3), continued-fraction lanes within a few steps
+        # (t >> a) or after dozens (t just above a + 1 at large a); the
+        # early lanes keep iterating, silently, until the last one settles
+        quick_series = [(100.0, 1.0), (500.0, 0.5), (37.0, 0.2)]
+        slow_series = [(1000.0, 999.0), (1000.0, 1000.9), (2000.0, 2000.5)]
+        quick_frac = [(2.0, 200.0), (0.5, 80.0), (5.0, 400.0)]
+        slow_frac = [(1000.0, 1001.5), (2000.0, 2001.01), (500.0, 501.2)]
+
+        def steps(a, t):
+            recurrence = (masec.gammainc._series if t < a + 1.0
+                          else masec.gammainc._cont_frac)
+            return 1 + sum(1 for _ in itertools.takewhile(
+                lambda step: step[1], recurrence(a, t)))
+        assert max(steps(*lane) for lane in quick_series + quick_frac) <= 8
+        assert min(steps(*lane) for lane in slow_frac) >= 60
+        assert min(steps(*lane) for lane in slow_series) >= 250
+
+        lanes = [lane for kinds in zip(quick_series, slow_series, quick_frac,
+                                       slow_frac) for lane in kinds]
+        a, t = (np.array(v) for v in zip(*lanes))
+        batch = lower_incomplete_gamma_reg(a, t)
+        got = [lower_incomplete_gamma_reg(x, y) for x, y in lanes]
+        assert [p.hex() for p in got] == [p.hex() for p in batch.tolist()]
 
     @pytest.mark.parametrize("a,t,shape", [
         (np.array([3.0]), 4.0, (1,)),

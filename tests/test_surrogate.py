@@ -244,6 +244,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match="fit header"):
             load_table(path)
 
+    @pytest.mark.parametrize("fields", [
+        ["0.03", "0.85"], ["0.03", "0.85", "1.0", "2.0"],
+        ["0.03", "x0.85", "1.0"]])
+    def test_malformed_row_names_file_and_row(self, fields, table, tmp_path,
+                                              capsys):
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        lines = path.read_text().splitlines()
+        lines[5] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: row 3 is not three numbers"
+        with pytest.raises(ValueError, match="row 3 is not three numbers") as err:
+            load_table(path)
+        assert str(err.value).startswith(message)
+        code = main(["solve", "--preset", "ob-demo", "--scheme", "FPA_OB",
+                     "--table", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_rejects_malformed_fit_header(self, table, tmp_path):
         path = tmp_path / "table.txt"
         save_table(table, path)
