@@ -221,11 +221,11 @@ def _grad_w(mm: MomentMatch, rows_conj: ComplexArray, at: _Evaluation,
     return ((weights * at.v)[..., None, :] @ rows_conj)[..., 0, :]
 
 
-def _grad_x(mm: MomentMatch, k: FloatArray, rows: ComplexArray,
-            w: ComplexArray, at: _Evaluation, slope: float,
-            intercept: float) -> FloatArray:
+def _grad_x(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
+            at: _Evaluation, slope: float, intercept: float) -> FloatArray:
     # d|v_d|^2 / dx = -2 k_d Im(conj(v_d) s_d * w), k_d = 2 pi sin_d / lambda
     weights = _gain_weights(mm, at, slope, intercept)
+    k = mm.wave_rate * mm.sines
     return -2.0 * np.imag(((weights * k) * at.v.conj()) @ rows * w)
 
 
@@ -250,27 +250,27 @@ def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
     """Exact gradient of the margin objective in the antenna positions."""
     mm = moment_match(cfg)
     rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
-    return _grad_x(mm, mm.wave_rate * mm.sines, rows, w,
-                   _evaluate(mm, rows, w, *lookup), *lookup)
+    return _grad_x(mm, rows, w, _evaluate(mm, rows, w, *lookup), *lookup)
 
 
-def line_search(evaluate, point, obj: float, direction, slope, project,
-                delta: float):
+def line_search(evaluate, point, obj: float, direction, project, delta: float):
     """One projected backtracking step of an ascent.
 
     Tries ``cand = project(point + delta * direction)`` for the given start
     delta, delta * SHRINK, ... down to MIN_STEP; ``evaluate(cand)`` returns
     ``(value, evaluation)``, the objective and what else was computed at
     ``cand``.  Accepts the first candidate whose value reaches the quadratic
-    model ``obj + slope(step) - |step|^2 / delta`` with ``step = cand -
-    point``; ``slope(step)`` is the directional derivative of the objective
-    at ``point``.  Returns ``(delta, cand, value, evaluation)`` for it, or
-    None.
+    model ``obj + slope - |step|^2 / delta``, step = cand - point, whose
+    slope Re<direction, step> is doubled for a complex point: ``direction``
+    is the objective's gradient at ``point``, for a complex point half the
+    real-pair one.  Returns ``(delta, cand, value, evaluation)``, or None.
     """
+    scale = 2.0 if np.iscomplexobj(point) else 1.0
     while delta >= MIN_STEP:
         cand = project(point + delta * direction)
         step = cand - point
-        model = obj + slope(step) - float(np.vdot(step, step).real) / delta
+        model = obj + scale * float(np.vdot(direction, step).real) \
+            - float(np.vdot(step, step).real) / delta
         val, evaluation = evaluate(cand)
         if val >= model:
             return delta, cand, val, evaluation
@@ -442,9 +442,7 @@ def apga_solve(
         nonlocal w, v, lin, thr
         gain_weights(lin, thr)
         g = (weights * v) @ rows_conj
-        found = line_search(beam_margin, w, obj, g,
-                            lambda s: 2.0 * float(np.vdot(g, s).real),
-                            normalize, delta)
+        found = line_search(beam_margin, w, obj, g, normalize, delta)
         if found is not None:
             _, w, obj, (_, v, lin, thr) = found
         return obj, found
@@ -457,7 +455,7 @@ def apga_solve(
         gain_weights(lin, thr)
         np.multiply(weights_re, k, out=weighted_k_re)
         g = -2.0 * ((weighted_k * v.conj()) @ rows * w).imag
-        found = line_search(pos_margin, x, obj, g, lambda s: float(g @ s),
+        found = line_search(pos_margin, x, obj, g,
                             lambda c: project_positions(c, region), delta)
         if found is not None:
             _, x, obj, (rows, (_, v, lin, thr)) = found
@@ -491,17 +489,16 @@ def apga_solve(
                       converged=converged, trace=trace)
 
 
-def bisect_confidence(probe, eps_max: float, tau: float,
-                      lanes: int = 1) -> list[list[tuple]]:
+def bisect_confidence(probe, eps_max: float, lanes: int = 1) -> list[list]:
     """Bisect the confidence level eps over [0, eps_max] in every lane.
 
     Each lane keeps its own bracket: probing starts at min(0.5, eps_max),
     moves up after a feasible level and down after an infeasible one, and
-    the lane stops once its bracket is at most ``tau`` wide.  Each round
-    calls ``probe(live, levels)`` with the lanes still bisecting and their
-    levels, and it returns one ``(feasible, payload)`` per such lane.
-    Returns, per lane, every probe as ``(eps, feasible, payload)`` in order;
-    the last feasible one is the certified level.
+    the lane stops once its bracket is at most ``surrogate.DEFAULT_TAU``
+    wide, so every probed level is positive.  Each round calls ``probe(live,
+    levels)`` with the lanes still bisecting and their levels, and it
+    returns one ``(feasible, payload)`` per such lane.  Returns, per lane,
+    every probe as ``(eps, feasible, payload)`` in order.
     """
     brackets = [(min(0.5, eps_max), 0.0, eps_max)] * lanes   # (eps, lo, hi)
     runs = [[] for _ in range(lanes)]
@@ -514,16 +511,16 @@ def bisect_confidence(probe, eps_max: float, tau: float,
             _, lo, hi = brackets[b]
             brackets[b] = ((0.5 * (eps + hi), eps, hi) if feasible
                            else (0.5 * (lo + eps), lo, eps))
-        live = [b for b in live if brackets[b][2] - brackets[b][1] > tau]
+        live = [b for b in live if brackets[b][2] - brackets[b][1] > DEFAULT_TAU]
     return runs
 
 
-def _certified(probes: list[tuple]) -> tuple[float, bool, object]:
-    """The last feasible probe, or eps 0 with the last probe's payload."""
+def _certified(probes: list[tuple]) -> tuple[float, object]:
+    """The last feasible (eps, payload), or 0 and the last probe's payload."""
     for eps, feasible, payload in reversed(probes):
         if feasible:
-            return eps, True, payload
-    return 0.0, False, probes[-1][2]
+            return eps, payload
+    return 0.0, probes[-1][2]
 
 
 class _Solved(NamedTuple):
@@ -548,9 +545,9 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     and placements x with the per-lane slope and intercept arrays and
     returns one ``_Solved`` per lane; a lane's next probe starts where its
     last solve ended.  A level is feasible when the attained maximum is
-    positive, ``bisect_confidence`` probes over [0, min(1, table max)] and
-    stops at ``surrogate.DEFAULT_TAU``, and every lane's outage at its
-    certified solution comes from one stacked closed-form call.
+    positive, ``bisect_confidence`` probes over [0, table max], and every
+    lane's outage at its certified solution comes from one stacked
+    closed-form call.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
@@ -593,19 +590,18 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
             found.append((sol.objective > 0.0, sol))
         return found
 
-    runs = bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU,
-                             len(xs))
+    runs = bisect_confidence(probe, table.max_eps, len(xs))
     certified = [_certified(run) for run in runs]
     p_out = secrecy_outage_closed_form(
-        np.array([sol.w for _, _, sol in certified]),
-        np.array([sol.x for _, _, sol in certified]), cfg)
+        np.array([sol.w for _, sol in certified]),
+        np.array([sol.x for _, sol in certified]), cfg)
     return [BisectionResult(
-        eps=eps, p_out=p, w=sol.w, x=sol.x, feasible=feasible,
+        eps=eps, p_out=p, w=sol.w, x=sol.x, feasible=eps > 0.0,
         rounds=len(run), total_iterations=sum(s.n_iter for _, _, s in run),
         probes=[(e, f, s.objective) for e, f, s in run],
         best_trace=sol.trace(), screened=n)
-        for (eps, feasible, sol), run, p, n in zip(certified, runs,
-                                                    p_out.tolist(), screened)]
+        for (eps, sol), run, p, n in zip(certified, runs, p_out.tolist(),
+                                         screened)]
 
 
 def bisection_outage_min(
@@ -817,7 +813,6 @@ def maximize_gamma_objective(
             nonlocal v
             g = _box_gradient(margin, v, lo, hi)
             found = line_search(lambda c: (margin(c), None), v, obj, g,
-                                lambda s: float(g @ s),
                                 lambda c: np.clip(c, lo, hi), delta)
             if found is not None:
                 _, v, obj, _ = found
@@ -837,8 +832,7 @@ def maximize_gamma_objective(
                       key=lambda r: r[1])
         return [(best > 0.0, v)]
 
-    eps_star, _, v_star = _certified(
-        bisect_confidence(probe, min(1.0, table.max_eps), DEFAULT_TAU)[0])
+    eps_star, v_star = _certified(bisect_confidence(probe, table.max_eps)[0])
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))
     return ToyResult(eps=eps_star, point=np.asarray(v_star), value=value)

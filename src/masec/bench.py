@@ -89,17 +89,12 @@ def run_scheme(
                             iterations=res.total_iterations, eps=res.eps,
                             detail=res, trace=res.best_trace)
 
-    if scheme is SchemeId.MA_OB:
+    modes = {SchemeId.MA_OB: "joint", SchemeId.MA_MRT: "positions_mrt",
+             SchemeId.FPA_OB: "beam_only"}
+    if scheme in modes:
+        x0 = fpa_positions(cfg) if scheme is SchemeId.FPA_OB else None
         return from_bisection(bisection_outage_min(
-            cfg, table, params, mode="joint"))
-
-    if scheme is SchemeId.MA_MRT:
-        return from_bisection(bisection_outage_min(
-            cfg, table, params, mode="positions_mrt"))
-
-    if scheme is SchemeId.FPA_OB:
-        return from_bisection(bisection_outage_min(
-            cfg, table, params, x0=fpa_positions(cfg), mode="beam_only"))
+            cfg, table, params, x0=x0, mode=modes[scheme]))
 
     if scheme is SchemeId.FPA_ZF:
         x = fpa_positions(cfg)
@@ -123,15 +118,13 @@ def run_scheme(
         best.iterations = sum(r.total_iterations for r in runs)
         return best
 
-    if scheme is SchemeId.RAP_ZF:
-        xs = random_feasible_positions(region, rng, restarts)
-        usable, p = screened_outage(xs, cfg)
-        xs = xs[usable]
-        i = int(np.argmin(p))
-        return SchemeResult(p_out=float(p[i]), w=zf_beamformer(xs[i], cfg),
-                            x=xs[i], iterations=0)
-
-    raise ValueError(f"unhandled scheme {scheme}")
+    # RAP_ZF
+    xs = random_feasible_positions(region, rng, restarts)
+    usable, p = screened_outage(xs, cfg)
+    xs = xs[usable]
+    i = int(np.argmin(p))
+    return SchemeResult(p_out=float(p[i]), w=zf_beamformer(xs[i], cfg),
+                        x=xs[i], iterations=0)
 
 
 @dataclass
@@ -223,23 +216,23 @@ def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResu
     given seeds.
 
     ``table`` is handed to each scheme as is, so without one only the
-    optimized-beam schemes read the default table, once per process.
-    Scheme/point combinations whose preconditions fail (e.g. zero-forcing
-    without a spare antenna) are skipped and reported instead of raising.
+    optimized-beam schemes read the default table, once per process.  A
+    scheme's ``ValueError`` at a point (zero-forcing without a spare antenna)
+    skips that row, recorded with its message; any other error ends the run.
     """
     result = SweepResult(rows=[])
     for i, value in enumerate(spec.grid):
         cfg = apply_variable(spec.base, spec.variable, value)
         seed = spec.seeds[i % len(spec.seeds)]
         for scheme in spec.schemes:
-            if scheme in (SchemeId.MA_ZF, SchemeId.RAP_ZF, SchemeId.FPA_ZF) \
-                    and cfg.n_antennas < cfg.n_eves + 1:
-                result.skipped.append((SchemeId(scheme).value, float(value),
-                                       "needs n_antennas >= n_eves + 1"))
-                continue
             start = time.perf_counter()
-            res = run_scheme(scheme, cfg, seed=seed, restarts=spec.restarts,
-                             table=table)
+            try:
+                res = run_scheme(scheme, cfg, seed=seed,
+                                 restarts=spec.restarts, table=table)
+            except ValueError as exc:
+                result.skipped.append((SchemeId(scheme).value, float(value),
+                                       str(exc)))
+                continue
             result.rows.append(SweepRow(
                 scheme=SchemeId(scheme).value, variable_name=spec.variable,
                 variable_value=float(value), p_out=res.p_out, seed=seed,
@@ -265,17 +258,19 @@ def emit_results(rows: list[SweepRow], path) -> None:
 
 
 def read_results(path) -> list[SweepRow]:
-    """Parse a CSV written by :func:`emit_results`."""
+    """Parse a CSV written by :func:`emit_results`; errors name file and row."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"{path}: unrecognized results header")
     rows = []
-    for line in lines[1:]:
-        scheme, name, value, p, seed, iters, secs = line.split(",")
-        rows.append(SweepRow(scheme=scheme, variable_name=name,
-                             variable_value=float(value), p_out=float(p),
-                             seed=int(seed), iterations=int(iters),
-                             seconds=float(secs)))
+    for n, line in enumerate(lines[1:], 1):
+        try:
+            scheme, name, value, p, seed, iters, secs = line.split(",")
+            rows.append(SweepRow(scheme, name, float(value), float(p),
+                                 int(seed), int(iters), float(secs)))
+        except ValueError:
+            raise ValueError(f"{path}: row {n} is not a results row: "
+                             f"{line.strip()!r}") from None
     return rows
 
 
@@ -385,7 +380,8 @@ def sweep_spec_from_dict(raw: dict) -> SweepSpec:
 
     A value of the wrong JSON type, a variable not in SWEEP_VARIABLES, a
     grid number beyond the float range or a missing key raises a one-line
-    ValueError, before any row is solved.
+    ValueError, before any row is solved, and so does a grid value that
+    :func:`apply_variable` rejects on the base, naming variable and value.
     """
     if not isinstance(raw, dict):
         raise ValueError("a sweep spec must be a JSON object")
@@ -408,12 +404,27 @@ def sweep_spec_from_dict(raw: dict) -> SweepSpec:
     restarts = raw.get("restarts", 100)
     if not (is_integer(restarts) and restarts >= 1):
         raise ValueError("sweep spec restarts must be a positive integer")
-    return SweepSpec(
+    spec = SweepSpec(
         base=config_from_dict(raw["base"]), variable=raw["variable"],
         grid=[float(v) for v in grid], schemes=[SchemeId(s) for s in schemes],
         seeds=seeds, restarts=restarts)
+    for value in spec.grid:
+        try:
+            apply_variable(spec.base, spec.variable, value)
+        except ValueError as exc:
+            raise ValueError(f"sweep spec grid value {spec.variable}="
+                             f"{value!r}: {exc}") from None
+    return spec
+
+
+def read_json(path):
+    """The JSON in a file; malformed JSON raises a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_config(path) -> SystemConfig:
     """Read a JSON scenario file; see :func:`config_from_dict` for the schema."""
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict(read_json(path))

@@ -9,9 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .ascent import write_trace
 from .bench import (
@@ -20,6 +18,7 @@ from .bench import (
     emit_results,
     load_config,
     preset,
+    read_json,
     run_scheme,
     run_sweep,
     sweep_spec_from_dict,
@@ -77,7 +76,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = sweep_spec_from_dict(json.loads(Path(args.spec).read_text()))
+    spec = sweep_spec_from_dict(read_json(args.spec))
     table = load_table(args.table) if args.table else None
     result = run_sweep(spec, table=table)
     emit_results(result.rows, args.out)

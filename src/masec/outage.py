@@ -84,12 +84,6 @@ class MomentMatch:
         x = np.asarray(x)
         return np.exp(1j * self.wave_rate * (self.sines[:, None] * x[..., None, :]))
 
-    def moments(self, gains):
-        """(lin, quad) of the eavesdropper gains (..., M)."""
-        gains = np.asarray(gains, dtype=float)
-        return (np.vecdot(gains, self.lin_coef) + self.lin_const,
-                np.vecdot(gains, self.quad_coef) + self.quad_const)
-
     def threshold(self, bob_gain):
         """bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); negative when the
         legitimate link is too weak for rate rs at any eavesdropper power."""
@@ -102,13 +96,14 @@ class MomentMatch:
         in the same order (``np.dot`` of two 1-D arrays runs the dot loop of
         ``np.vecdot``): 0-d numpy arithmetic costs more than the math.
         """
+        eve = gains[..., 1:]
         if gains.ndim == 1:
-            eve = gains[1:]
             return (float(np.dot(eve, self.lin_coef)) + self.lin_const,
                     float(np.dot(eve, self.quad_coef)) + self.quad_const,
                     self.threshold(self.beta0 * float(gains[0])))
-        lin, quad = self.moments(gains[..., 1:])
-        return lin, quad, self.threshold(self.beta0 * gains[..., 0])
+        return (np.vecdot(eve, self.lin_coef) + self.lin_const,
+                np.vecdot(eve, self.quad_coef) + self.quad_const,
+                self.threshold(self.beta0 * gains[..., 0]))
 
 
 def moment_match(cfg: SystemConfig) -> MomentMatch:

@@ -232,7 +232,7 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     def block(obj, delta):
         nonlocal x, at
         d = -_loss_grad(mm, at)
-        found = line_search(neg_loss, x, obj, d, lambda s: float(d @ s),
+        found = line_search(neg_loss, x, obj, d,
                             lambda c: project_positions(c, region), delta)
         if found is not None:
             _, x, obj, at = found

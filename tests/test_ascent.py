@@ -281,8 +281,7 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         g = margin_grad_beamformer(w, x, eps, table, cfg)
         found = line_search(
             lambda c: (margin_objective(c, x, eps, table, cfg), None), w, obj,
-            g, lambda s: 2.0 * float(np.vdot(g, s).real), unit_norm,
-            delta)
+            g, unit_norm, delta)
         if found is not None:
             _, w, obj, _ = found
         return obj, found
@@ -295,8 +294,7 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         g = margin_grad_positions(w, x, eps, table, cfg)
         found = line_search(
             lambda c: (margin_objective(w, c, eps, table, cfg), None), x, obj,
-            g, lambda s: float(g @ s), lambda c: project_positions(c, region),
-            delta)
+            g, lambda c: project_positions(c, region), delta)
         if found is not None:
             _, x, obj, _ = found
         return obj, found
@@ -751,9 +749,7 @@ class TestBeamLanes:
             found = line_search(
                 lambda c: (ascent._evaluate(mm, rows[i], c, slope[i],
                                             intercept[i]).margin, None),
-                w[i], at.margin[i], g[i],
-                lambda s: 2.0 * float(np.vdot(g[i], s).real),
-                unit_norm, delta[i])
+                w[i], at.margin[i], g[i], unit_norm, delta[i])
             step, beam = (np.nan, w[i]) if found is None else found[:2]
             assert np.array_equal(accepted[i], step, equal_nan=True)
             assert new_w[i].tobytes() == beam.tobytes()
@@ -793,7 +789,7 @@ class TestLineSearch:
             return float(-3.0 * (c[0] - 3.0) ** 2), None
         grad = np.array([18.0])
         delta, cand, _, _ = line_search(
-            value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
+            value, np.array([0.0]), -27.0, grad,
             lambda c: np.clip(c, 0.0, 10.0), start)
         assert calls == [first]
         assert (delta, cand[0]) == (start, first)
@@ -809,7 +805,7 @@ class TestLineSearch:
             return float(-3.0 * (c[0] - 3.0) ** 2), f"evaluated at {c[0]}"
         grad = np.array([18.0])
         delta, cand, val, evaluation = line_search(
-            value, np.array([0.0]), -27.0, grad, lambda s: float(grad @ s),
+            value, np.array([0.0]), -27.0, grad,
             lambda c: np.clip(c, 0.0, 10.0), 1.0)
         assert calls == [10.0, 9.0, 4.5]
         assert (delta, cand[0], val) == (0.25, 4.5, -6.75)
@@ -822,8 +818,8 @@ class TestLineSearch:
         def value(c):
             calls.append(c)
             return -1.0, None    # always below the model, which starts at 0
-        res = line_search(value, np.zeros(2), 0.0, np.ones(2),
-                          lambda s: float(np.sum(s)), lambda c: c, 1.0)
+        res = line_search(value, np.zeros(2), 0.0, np.ones(2), lambda c: c,
+                          1.0)
         assert res is None
         # delta = 1, 0.5, 0.25, 0.125 are tried; 0.0625 < MIN_STEP is not
         assert len(calls) == 4
@@ -987,24 +983,24 @@ def one_lane(verdict):
 
 class TestBisectConfidence:
     def test_always_feasible_ends_near_top(self):
-        [probes] = bisect_confidence(one_lane(lambda e: True), 0.9, 0.01)
+        [probes] = bisect_confidence(one_lane(lambda e: True), 0.9)
         assert probes[0][0] == 0.5
         assert probes[-1][0] >= 0.9 - 0.01
         assert all(f and e == p for e, f, p in probes)
 
     def test_never_feasible_ends_near_zero(self):
-        [probes] = bisect_confidence(one_lane(lambda e: False), 1.0, 0.01)
+        [probes] = bisect_confidence(one_lane(lambda e: False), 1.0)
         assert probes[-1][0] <= 0.01
         assert len(probes) == 7
 
     def test_starts_at_top_below_half(self):
-        [probes] = bisect_confidence(one_lane(lambda e: True), 0.4, 0.01)
+        [probes] = bisect_confidence(one_lane(lambda e: True), 0.4)
         assert [e for e, _, _ in probes] == [0.4]
 
     def test_lanes_bisect_independently(self):
-        # lane b is feasible up to its own cut-off.  Over [0, 0.9] the
-        # first verdict leaves a bracket 0.5 or 0.4 wide, so the lane that
-        # fails at 0.5 needs one probe more to get below tau
+        # lane b is feasible up to its own cut-off.  Over [0, 0.7] the
+        # first verdict leaves a bracket 0.5 or 0.2 wide, so the lane that
+        # fails at 0.5 needs one probe more to get below DEFAULT_TAU
         cutoffs = [0.05, 0.6, 0.85]
         seen = []
 
@@ -1012,12 +1008,12 @@ class TestBisectConfidence:
             seen.append(list(live))
             return [(eps <= cutoffs[b], (b, eps))
                     for b, eps in zip(live, levels)]
-        runs = bisect_confidence(probe, 0.9, 0.007, len(cutoffs))
+        runs = bisect_confidence(probe, 0.7, len(cutoffs))
         for b, (cut, run) in enumerate(zip(cutoffs, runs)):
-            [alone] = bisect_confidence(one_lane(lambda e: e <= cut), 0.9, 0.007)
+            [alone] = bisect_confidence(one_lane(lambda e: e <= cut), 0.7)
             assert run == [(e, f, (b, e)) for e, f, _ in alone]
-        assert [len(run) for run in runs] == [8, 7, 7]
-        assert seen == [[0, 1, 2]] * 7 + [[0]]
+        assert [len(run) for run in runs] == [7, 6, 6]
+        assert seen == [[0, 1, 2]] * 6 + [[0]]
 
 
 class TestShortTable:

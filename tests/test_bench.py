@@ -241,9 +241,10 @@ class TestApplyVariable:
 
     @pytest.mark.parametrize("name", SWEEP_VARIABLES)
     def test_every_sweep_variable_is_taken_and_applied(self, name):
-        assert sweep_spec_from_dict(_sweep_spec(variable=name)).variable \
-            == name
+        # a grid value the base scenario admits: the spec builds its config
         value = 1.0 if name == "n_eves" else 2.0
+        assert sweep_spec_from_dict(_sweep_spec(variable=name,
+                                                grid=[value])).variable == name
         assert isinstance(apply_variable(base_config(), name, value),
                           SystemConfig)
 
@@ -324,6 +325,31 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             read_results(path)
 
+    @pytest.mark.parametrize("row", ["FPA_ZF,k,1.0,0.5,0",
+                                     "FPA_ZF,k,1.0,0.5,0,3,0.1,9",
+                                     "FPA_ZF,k,1.0,half,0,3,0.1",
+                                     "FPA_ZF,k,1.0,0.5,0,2.5,0.1"])
+    def test_names_the_file_and_row_of_a_malformed_row(self, row, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text(bench._CSV_HEADER + "\nFPA_ZF,k,0.0,0.5,0,3,0.1\n"
+                        + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 2 is not a results row: {row!r}")):
+            read_results(path)
+
+
+# grids whose last value the base scenario rejects, with the config's message
+_BAD_GRIDS = [
+    ("k", [1.0, math.nan], "ks must be finite"),
+    ("n_antennas", [5, 1], "n_antennas must be at least 2"),
+    ("pa_db", [10, math.inf], "pa must be finite"),
+    ("k", [2, -1], "Rician K-factors must be nonnegative"),
+]
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a row was solved")
+
 
 # c^2 = 8.8e307 per eavesdropper, so three of them sum beyond the float range
 _THREE_HUGE_EVES = {"n_eves": 3, "thetas": [0.275, 0.5, 0.9],
@@ -386,6 +412,16 @@ class TestConfigParsing:
     def test_sweep_grid_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="grid must be a list of numbers"):
             sweep_spec_from_dict(_sweep_spec(grid=[1.0, 10**400]))
+
+    @pytest.mark.parametrize("variable, grid, message", _BAD_GRIDS)
+    def test_sweep_spec_builds_every_grid_point(self, variable, grid, message,
+                                                monkeypatch):
+        monkeypatch.setattr(bench, "run_scheme", _no_solve)
+        bad = float(grid[-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"sweep spec grid value {variable}={bad!r}: {message}")):
+            sweep_spec_from_dict(_sweep_spec(
+                variable=variable, grid=grid, schemes=["FPA_ZF", "MA_OB"]))
 
     @pytest.mark.parametrize("key, value, message", [
         ("rs", 1100.0, "rs=1100.0 is too large"),
@@ -658,6 +694,65 @@ class TestCli:
         assert err.startswith("error: sweep spec seeds must be")
         assert "non-negative integers" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("variable, grid, message", _BAD_GRIDS)
+    def test_sweep_rejects_a_bad_grid_value_before_any_row(
+            self, variable, grid, message, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(bench, "run_scheme", _no_solve)
+        path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+        # json writes NaN and Infinity, which json reads back
+        path.write_text(json.dumps(_sweep_spec(
+            variable=variable, grid=grid, schemes=["FPA_ZF", "MA_OB"])))
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep spec grid value {variable}="
+                              f"{float(grid[-1])!r}: ")
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, content", [
+        ("solve", ""), ("solve", '{"n_antennas": 5,'),
+        ("sweep", '{"base": {"n_antennas": 5}, "variable": "k", "grid": [1.0'),
+    ])
+    def test_malformed_json_file_is_named(self, command, content, tmp_path,
+                                          capsys):
+        path = tmp_path / "in.json"
+        path.write_text(content)
+        args = (["sweep", "--spec", str(path), "--out",
+                 str(tmp_path / "rows.csv")] if command == "sweep" else
+                ["solve", "--config", str(path), "--scheme", "FPA_ZF"])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "line 1 column" in err
+
+    def test_sweep_reports_a_scheme_that_rejects_a_point(self, tmp_path,
+                                                         capsys):
+        # two antennas cannot null two eavesdroppers: zero-forcing's own
+        # ValueError skips that row, in the form perfbench parses
+        cfg = preset("zf-demo-far")
+        base = {f.name: getattr(cfg, f.name)
+                for f in dataclasses.fields(SystemConfig)}
+        base["theta0"] /= np.pi
+        base["thetas"] = [t / np.pi for t in cfg.thetas]
+        path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+        path.write_text(json.dumps({"base": base, "variable": "n_antennas",
+                                    "grid": [2, 3], "schemes": ["FPA_ZF"]}))
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert re.findall(r"skipped (\w+) at \w+=([-\d.e]+)", err) == \
+            [("FPA_ZF", "2.0")]
+        assert err == ("skipped FPA_ZF at n_antennas=2.0: zero-forcing needs "
+                       "n_antennas >= n_eves + 1 (got N=2, M=2)\n")
+        assert [(r.scheme, r.variable_value) for r in read_results(out)] == \
+            [("FPA_ZF", 3.0)]
+
+    def test_trace_of_a_scheme_without_one(self, tmp_path, capsys):
+        trace = tmp_path / "t.txt"
+        assert main(["solve", "--preset", "ob-demo", "--scheme", "FPA_ZF",
+                     "--trace", str(trace)]) == 0
+        assert capsys.readouterr().err == "no trace available for this scheme\n"
+        assert not trace.exists()
 
     def test_sweep_takes_integral_float_counts(self, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "rows.csv"

@@ -186,8 +186,7 @@ def recomputing_pgd(x0, cfg):
         nonlocal x
         d = -bob_gain_loss_grad(x, cfg)
         found = line_search(lambda c: (-bob_gain_loss(c, cfg), None), x, obj,
-                            d, lambda s: float(d @ s),
-                            lambda c: project_positions(c, region), delta)
+                            d, lambda c: project_positions(c, region), delta)
         if found is not None:
             _, x, obj, _ = found
         return obj, found
