@@ -382,7 +382,7 @@ def apga_solve(
         raise ValueError(f"unknown mode {mode!r}")
     n = cfg.n_antennas
     w0 = check_vector("w0", w0, n)
-    x = np.asarray(check_vector("x0", x0, n, real=True), dtype=float)
+    x = check_vector("x0", x0, n, real=True)
     params = params or OptimizerParams()
     mm = moment_match(cfg)
     region = feasible_region(cfg)
@@ -560,7 +560,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     for the other lanes (not at all when none is left).
     """
     table = table or default_table()
-    xs = np.array(xs, dtype=float)     # a copy: joint probes move it
+    xs = np.array(xs)     # a copy: joint probes move it
     w = mrt_beamformer(xs, cfg)
     mm = moment_match(cfg)
     thr_max = mm.threshold(cfg.beta0 * cfg.n_antennas)

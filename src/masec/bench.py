@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -127,22 +128,59 @@ def run_scheme(
                         x=xs[i], iterations=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """One-variable sweep description.
+    """One-variable sweep description, checked when it is built.
 
-    ``seeds`` are cycled over grid points; the i-th grid point uses
-    seeds[i % len(seeds)], so a single-entry list gives every point the
-    same base seed while remaining reproducible.
+    The i-th grid point uses seeds[i % len(seeds)].  ``grid``, ``schemes``
+    (names or ``SchemeId``s) and ``seeds`` are lists, tuples or 1-D arrays.
+    A variable not in SWEEP_VARIABLES, a grid number beyond the float
+    range, an unknown scheme, no seed or a negative one, or restarts below
+    1 raises a one-line ValueError, and so does a grid value that
+    :func:`apply_variable` rejects on ``base``, naming variable and value.
+    ``scenarios`` holds the grid's scenarios, in grid order.
     """
 
     base: SystemConfig
     variable: str
-    grid: list[float]
-    schemes: list[SchemeId] = field(
-        default_factory=lambda: list(SchemeId))
+    grid: tuple[float, ...]
+    schemes: tuple[SchemeId, ...] = tuple(SchemeId)
     seeds: list[int] = field(default_factory=lambda: [0])
     restarts: int = 100
+    scenarios: tuple[SystemConfig, ...] = field(init=False, repr=False,
+                                                compare=False)
+
+    def __post_init__(self) -> None:
+        _check_variable(self.variable)
+        grid, seeds, schemes = (v.tolist() if isinstance(v, np.ndarray) else v
+                                for v in (self.grid, self.seeds, self.schemes))
+        listed = (list, tuple)
+        if not (isinstance(grid, listed) and all(map(is_number, grid))):
+            raise ValueError("sweep spec grid must be a list of numbers in "
+                             "the float range")
+        if not (isinstance(seeds, listed) and seeds
+                and all(is_integer(s) and s >= 0 for s in seeds)):
+            raise ValueError("sweep spec seeds must be a non-empty list of "
+                             "non-negative integers")
+        names = [s.value for s in SchemeId]
+        if not (isinstance(schemes, listed)
+                and all(s in names for s in schemes)):
+            raise ValueError(
+                f"sweep spec schemes must be a list of names from {names}")
+        if not (is_integer(self.restarts) and self.restarts >= 1):
+            raise ValueError("sweep spec restarts must be a positive integer")
+        grid, scenarios = tuple(map(float, grid)), []
+        for value in grid:
+            try:
+                scenarios.append(apply_variable(self.base, self.variable,
+                                                value))
+            except ValueError as exc:
+                raise ValueError(f"sweep spec grid value {self.variable}="
+                                 f"{value!r}: {exc}") from None
+        for name, value in (("grid", grid), ("seeds", list(seeds)),
+                            ("schemes", tuple(map(SchemeId, schemes))),
+                            ("scenarios", tuple(scenarios))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -221,8 +259,7 @@ def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResu
     skips that row, recorded with its message; any other error ends the run.
     """
     result = SweepResult(rows=[])
-    for i, value in enumerate(spec.grid):
-        cfg = apply_variable(spec.base, spec.variable, value)
+    for i, (value, cfg) in enumerate(zip(spec.grid, spec.scenarios)):
         seed = spec.seeds[i % len(spec.seeds)]
         for scheme in spec.schemes:
             start = time.perf_counter()
@@ -230,12 +267,11 @@ def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResu
                 res = run_scheme(scheme, cfg, seed=seed,
                                  restarts=spec.restarts, table=table)
             except ValueError as exc:
-                result.skipped.append((SchemeId(scheme).value, float(value),
-                                       str(exc)))
+                result.skipped.append((scheme.value, value, str(exc)))
                 continue
             result.rows.append(SweepRow(
-                scheme=SchemeId(scheme).value, variable_name=spec.variable,
-                variable_value=float(value), p_out=res.p_out, seed=seed,
+                scheme=scheme.value, variable_name=spec.variable,
+                variable_value=value, p_out=res.p_out, seed=seed,
                 iterations=res.iterations,
                 seconds=time.perf_counter() - start))
     return result
@@ -320,15 +356,16 @@ def cdf_check_case(k: float = 1.0):
 
 
 def is_number(value) -> bool:
-    """A JSON number a float can hold: an int or a float, not a bool, and
-    no int beyond the float range, which float() cannot convert."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
+    """A real number, numpy's too, that float() converts: not a bool, and
+    no integer beyond the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, (float, np.floating))
+                 or abs(value) <= sys.float_info.max))
 
 
 def is_integer(value) -> bool:
-    """A JSON integer: an int, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer, numpy's too, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def config_from_dict(raw: dict) -> SystemConfig:
@@ -374,47 +411,18 @@ def config_from_dict(raw: dict) -> SystemConfig:
 
 def sweep_spec_from_dict(raw: dict) -> SweepSpec:
     """Sweep from a mapping with keys base (a scenario, see
-    :func:`config_from_dict`), variable and grid, and optionally schemes
-    (default all), seeds (default [0], each a non-negative integer, as
-    numpy's generators take) and restarts (default 100).
-
-    A value of the wrong JSON type, a variable not in SWEEP_VARIABLES, a
-    grid number beyond the float range or a missing key raises a one-line
-    ValueError, before any row is solved, and so does a grid value that
-    :func:`apply_variable` rejects on the base, naming variable and value.
-    """
+    :func:`config_from_dict`), variable and grid, and optionally schemes,
+    seeds and restarts, checked as :class:`SweepSpec` checks them: a spec
+    that is not a JSON object, a missing key or a value the spec rejects
+    raises a one-line ValueError, before any row is solved."""
     if not isinstance(raw, dict):
         raise ValueError("a sweep spec must be a JSON object")
     missing = [key for key in ("base", "variable", "grid") if key not in raw]
     if missing:
         raise ValueError(f"sweep spec lacks keys: {missing}")
-    _check_variable(raw["variable"])
-    grid, seeds = raw["grid"], raw.get("seeds", [0])
-    if not (isinstance(grid, list) and all(map(is_number, grid))):
-        raise ValueError(
-            "sweep spec grid must be a list of numbers in the float range")
-    if not (isinstance(seeds, list) and seeds
-            and all(is_integer(s) and s >= 0 for s in seeds)):
-        raise ValueError(
-            "sweep spec seeds must be a non-empty list of non-negative integers")
-    names = [s.value for s in SchemeId]
-    schemes = raw.get("schemes", names)
-    if not (isinstance(schemes, list) and all(s in names for s in schemes)):
-        raise ValueError(f"sweep spec schemes must be a list of names from {names}")
-    restarts = raw.get("restarts", 100)
-    if not (is_integer(restarts) and restarts >= 1):
-        raise ValueError("sweep spec restarts must be a positive integer")
-    spec = SweepSpec(
-        base=config_from_dict(raw["base"]), variable=raw["variable"],
-        grid=[float(v) for v in grid], schemes=[SchemeId(s) for s in schemes],
-        seeds=seeds, restarts=restarts)
-    for value in spec.grid:
-        try:
-            apply_variable(spec.base, spec.variable, value)
-        except ValueError as exc:
-            raise ValueError(f"sweep spec grid value {spec.variable}="
-                             f"{value!r}: {exc}") from None
-    return spec
+    return SweepSpec(config_from_dict(raw["base"]), **{
+        key: raw[key] for key in ("variable", "grid", "schemes", "seeds",
+                                  "restarts") if key in raw})
 
 
 def read_json(path):

@@ -67,7 +67,7 @@ def _cmd_solve(args) -> int:
         else:
             print("no trace available for this scheme", file=sys.stderr)
     if args.out:
-        emit_results([SweepRow(scheme=SchemeId(args.scheme).value,
+        emit_results([SweepRow(scheme=args.scheme,
                                variable_name="single", variable_value=0.0,
                                p_out=res.p_out, seed=args.seed,
                                iterations=res.iterations, seconds=0.0)],

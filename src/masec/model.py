@@ -133,7 +133,6 @@ class FeasibleRegion:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x: FloatArray, tol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
 
@@ -142,7 +141,6 @@ def steering_vector(x: FloatArray, theta: float, cfg: SystemConfig) -> ComplexAr
 
     Entry n equals exp(j * 2*pi/wavelength * x_n * sin(theta)); magnitude one.
     """
-    x = np.asarray(x, dtype=float)
     phase = TWO_PI / cfg.wavelength * np.sin(theta) * x
     return np.exp(1j * phase)
 
@@ -157,7 +155,7 @@ def eve_los_matrix(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
 
     Positions of shape (..., N) give responses of shape (..., M, N).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     sines = np.sin(cfg.thetas_arr)
     phase = TWO_PI / cfg.wavelength * (sines[:, None] * x[..., None, :])
     return np.exp(1j * phase)
@@ -186,7 +184,7 @@ def check_vector(name: str, v, n: int, real: bool = False,
                  stack: bool = False) -> np.ndarray:
     """``v`` as an array, after a one-line ``ValueError`` unless it has
     shape (n,), or (B, n) for a ``stack`` of B >= 1 vectors, is finite and,
-    when ``real``, is not complex."""
+    when ``real``, is not complex; a ``real`` vector comes back as floats."""
     v = np.asarray(v)
     if v.shape[-1:] != (n,) or v.ndim != 1 + stack or not v.size:
         want = f"(B, {n}) with B >= 1" if stack else f"({n},)"
@@ -195,7 +193,7 @@ def check_vector(name: str, v, n: int, real: bool = False,
         raise ValueError(f"{name} must be finite")
     if real and np.iscomplexobj(v):
         raise ValueError(f"{name} must be real")
-    return v
+    return np.asarray(v, dtype=float) if real else v
 
 
 def project_positions(x_raw: FloatArray, region: FeasibleRegion) -> FloatArray:
@@ -207,8 +205,7 @@ def project_positions(x_raw: FloatArray, region: FeasibleRegion) -> FloatArray:
     at a +0.0 bound may come out as either zero.  The ascents never make a
     -0.0 input, since a sum is -0.0 only when both terms are.
     """
-    return np.minimum(np.maximum(np.asarray(x_raw, dtype=float), region.lo),
-                      region.hi)
+    return np.minimum(np.maximum(x_raw, region.lo), region.hi)
 
 
 def random_feasible_positions(

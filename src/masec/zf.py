@@ -122,13 +122,6 @@ def _nulling(x: FloatArray, mm: MomentMatch, cfg: SystemConfig,
                     float(val.real) if val.ndim == 0 else val.real)
 
 
-def _placements(name: str, x, cfg: SystemConfig, stack: bool = False) -> FloatArray:
-    """``x`` as float positions after ``model.check_vector``: one placement
-    (N,), or with ``stack`` a stack (R, N), finite and real."""
-    return np.asarray(check_vector(name, x, cfg.n_antennas, real=True,
-                                   stack=stack), dtype=float)
-
-
 def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     """Unit-norm beamformer orthogonal to every eavesdropper LoS row.
 
@@ -136,7 +129,8 @@ def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     eavesdropper steering span; the projection is applied twice to push the
     nulling residual to machine-noise level.
     """
-    return _beam(_nulling(_placements("x", x, cfg), moment_match(cfg), cfg))
+    x = check_vector("x", x, cfg.n_antennas, real=True)
+    return _beam(_nulling(x, moment_match(cfg), cfg))
 
 
 def _beam(solved: _Nulling) -> ComplexArray:
@@ -161,7 +155,7 @@ def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     zero-forced gain is beta0 * N - Theta, so Theta lies in [0, beta0 * N].
     Positions (N,) give a float, a stack (R, N) one loss per row.
     """
-    x = _placements("x", x, cfg, np.ndim(x) > 1)
+    x = check_vector("x", x, cfg.n_antennas, real=True, stack=np.ndim(x) > 1)
     return _nulling(x, moment_match(cfg), cfg).loss
 
 
@@ -178,8 +172,8 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
 
     each term entering with its conjugate, so the gradient is exactly real.
     """
-    mm = moment_match(cfg)
-    return _loss_grad(mm, _nulling(_placements("x", x, cfg), mm, cfg))
+    x, mm = check_vector("x", x, cfg.n_antennas, real=True), moment_match(cfg)
+    return _loss_grad(mm, _nulling(x, mm, cfg))
 
 
 def _loss_grad(mm: MomentMatch, solved: _Nulling) -> FloatArray:
@@ -220,7 +214,7 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     ``ValueError``.
     """
     params = params or OptimizerParams()
-    x = _placements("x0", x0, cfg)
+    x = check_vector("x0", x0, cfg.n_antennas, real=True)
     mm, region = moment_match(cfg), feasible_region(cfg)
 
     def neg_loss(cand):
@@ -253,7 +247,7 @@ def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     Positions (N,) give a float; a stack (R, N) gives one outage per row
     from one Gram factorization and one incomplete-gamma call.
     """
-    x = _placements("x", x, cfg, np.ndim(x) > 1)
+    x = check_vector("x", x, cfg.n_antennas, real=True, stack=np.ndim(x) > 1)
     mm = moment_match(cfg)
     return _outage(_nulling(x, mm, cfg).loss, mm, cfg)
 
@@ -271,7 +265,8 @@ def zf_solution(x: FloatArray, cfg: SystemConfig,
     ``PgdResult.nulling`` is for ``PgdResult.x``, else a new one."""
     mm = moment_match(cfg)
     if nulling is None:
-        nulling = _nulling(_placements("x", x, cfg), mm, cfg)
+        x = check_vector("x", x, cfg.n_antennas, real=True)
+        nulling = _nulling(x, mm, cfg)
     return _outage(nulling.loss, mm, cfg), _beam(nulling)
 
 
@@ -284,7 +279,7 @@ def screened_outage(xs: FloatArray, cfg: SystemConfig):
     ``xs[usable]``, equal to ``zf_outage(xs[usable], cfg)``.  Raises the
     first row's ``SingularSteeringError`` when no row is usable.
     """
-    xs = _placements("xs", xs, cfg, stack=True)
+    xs = check_vector("xs", xs, cfg.n_antennas, real=True, stack=True)
     mm = moment_match(cfg)
     steering = _steering(xs, mm)
     usable = steering[2] <= _COND_LIMIT

@@ -33,7 +33,6 @@ from masec.model import (
     mrt_beamformer,
     project_positions,
     random_feasible_positions,
-    steering_vector,
     unit_norm,
 )
 from masec.outage import (

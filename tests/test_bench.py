@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,6 +296,61 @@ class TestSweep:
         assert [r.scheme for r in rows] == ["RAP_ZF", "FPA_ZF"] * 2
 
 
+# specs built through the API that the spec itself rejects, with its message
+_PYTHON_SPEC_FAULTS = [
+    ({"restarts": 0}, "sweep spec restarts must be a positive integer"),
+    ({"seeds": [-1]}, "sweep spec seeds must be a non-empty list of "
+                      "non-negative integers"),
+    ({"seeds": []}, "sweep spec seeds must be a non-empty list of "
+                    "non-negative integers"),
+    ({"schemes": ["RAP_ZF", "NOPE"]},
+     "sweep spec schemes must be a list of names from ['MA_OB', "),
+    ({"variable": "k", "grid": [1.0, math.nan]},
+     "sweep spec grid value k=nan: ks must be finite"),
+]
+
+
+class TestSweepSpec:
+    @pytest.mark.parametrize("change, message", _PYTHON_SPEC_FAULTS, ids=[
+        "no-restart", "negative-seed", "no-seed", "unknown-scheme",
+        "nan-grid-value"])
+    def test_a_spec_built_in_python_is_checked_before_any_row(
+            self, change, message, monkeypatch):
+        monkeypatch.setattr(bench, "run_scheme", _no_solve)
+        fields = {"base": preset("zf-demo-far"), "variable": "pa_db",
+                  "grid": [10.0, 15.0], "schemes": ["RAP_ZF"], "seeds": [0],
+                  "restarts": 2, **change}
+        with pytest.raises(ValueError) as caught:
+            SweepSpec(**fields)
+        assert str(caught.value).startswith(message)
+        assert "\n" not in str(caught.value)
+
+    def test_tuples_arrays_numpy_seeds_and_names_sweep_as_lists_do(self):
+        base = preset("zf-demo-far")
+        listed = SweepSpec(base, "n_antennas", [3.0, 4.0],
+                           [SchemeId.RAP_ZF, SchemeId.FPA_ZF], [3, 4],
+                           restarts=2)
+        want = [(r.scheme, r.variable_value, r.p_out, r.seed, r.iterations)
+                for r in run_sweep(listed).rows]
+        assert [w[:2] for w in want] == [("RAP_ZF", 3.0), ("FPA_ZF", 3.0),
+                                         ("RAP_ZF", 4.0), ("FPA_ZF", 4.0)]
+        for grid, seeds in [((3.0, 4.0), [np.int64(3), np.int64(4)]),
+                            (np.array([3, 4]), np.array([3, 4]))]:
+            spec = SweepSpec(base, "n_antennas", grid, ("RAP_ZF", "FPA_ZF"),
+                             seeds, restarts=2)
+            assert spec == listed and spec.grid == (3.0, 4.0)
+            assert [c.n_antennas for c in spec.scenarios] == [3, 4]
+            rows = run_sweep(spec).rows
+            assert [(r.scheme, r.variable_value, r.p_out, r.seed,
+                     r.iterations) for r in rows] == want
+            assert all(type(r.variable_value) is float for r in rows)
+
+    def test_a_built_spec_is_frozen(self):
+        spec = SweepSpec(base_config(), "k", [1.0], [SchemeId.FPA_ZF])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.grid = (1.0, 2.0)
+
+
 class TestCsv:
     def test_round_trip(self, table, tmp_path):
         spec = SweepSpec(base=base_config(), variable="k", grid=[0.0, 1.0],
@@ -478,6 +534,38 @@ def test_config_parsing_gives_a_config_or_a_value_error(
     except ValueError:
         return
     assert isinstance(cfg, SystemConfig)
+
+
+_SCHEME_NAMES = [s.value for s in SchemeId]
+_SPEC_VALUE = (st.sampled_from(SWEEP_VARIABLES) | _NUMBER | _JSON
+               | st.lists(_NUMBER, max_size=3)
+               | st.lists(st.sampled_from(_SCHEME_NAMES + ["NOPE"]),
+                          max_size=3)
+               | st.lists(st.integers(-2, 3) | st.booleans(), max_size=2))
+_SPEC_KEYS = ["base", "variable", "grid", "schemes", "seeds", "restarts"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(_SPEC_KEYS + ["extra"]),
+                               _SPEC_VALUE, max_size=3),
+       dropped=st.sets(st.sampled_from(_SPEC_KEYS), max_size=2),
+       foreign=st.dictionaries(st.text(max_size=8), _JSON, max_size=4) | _JSON,
+       use_foreign=st.booleans())
+def test_sweep_spec_parsing_gives_a_spec_or_a_value_error(
+        changes, dropped, foreign, use_foreign):
+    # a valid sweep with some keys replaced or dropped, or any JSON value;
+    # the specs are only built, and no row is solved
+    raw = foreign if use_foreign else {
+        key: value for key, value in {**_sweep_spec(), **changes}.items()
+        if key not in dropped}
+    with mock.patch.object(bench, "run_scheme", _no_solve):
+        try:
+            spec = sweep_spec_from_dict(raw)
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+            return
+    assert isinstance(spec, SweepSpec)
+    assert len(spec.scenarios) == len(spec.grid)
 
 
 class TestPresets:

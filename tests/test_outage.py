@@ -10,7 +10,6 @@ from masec.ascent import margin_objective
 from masec.bench import cdf_check_case, preset
 from masec.gammainc import lower_incomplete_gamma_reg
 from masec.model import (
-    SystemConfig,
     eve_los_matrix,
     feasible_region,
     mrt_beamformer,
