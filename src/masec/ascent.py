@@ -6,11 +6,12 @@ margin objective (the scaled outage threshold minus the linear surrogate
 of the required Gamma quantile, cleared of its positive denominator) is
 positive.  The inner maximization alternates projected gradient ascent
 steps on the unit-norm beamformer and on the antenna positions, each with
-backtracking against a quadratic model.  In joint mode each outer
-iteration first tries a FISTA extrapolation of both (Beck & Teboulle
-2009) and keeps it only when the margin rises, restarting the momentum
-otherwise (O'Donoghue & Candes 2015), so the trace stays monotone while
-the slow zig-zag tail of the alternating steps is cut short.
+backtracking against a quadratic model.  Each outer iteration first tries
+a FISTA extrapolation (Beck & Teboulle 2009), of both in joint mode and of
+the beamformer alone in beam_only mode, and keeps it only when the margin
+rises, restarting the momentum otherwise (O'Donoghue & Candes 2015), so
+the trace stays monotone while the slow zig-zag tail of the alternating
+steps is cut short.  positions_mrt runs no extrapolation.
 
 Each evaluated point, a start, a line-search candidate or an
 extrapolated point, costs one steering product v = rows @ w and one
@@ -46,9 +47,9 @@ without a solve, and only the other lanes are solved.
 ``bisect_beam_lanes`` hands it a stack of fixed placements solved
 beamformer-only by ``_beam_lanes``, where every numpy call of the margin,
 its gradient and the line search covers all lanes still running and each
-lane keeps its own step, stop and iteration cap.  Lane i gives the same
-result, bit for bit, as ``bisection_outage_min`` in beam_only mode at
-placement i.
+lane keeps its own step, momentum, stop and iteration cap.  Lane i gives
+the same result, bit for bit, as ``bisection_outage_min`` in beam_only
+mode at placement i.
 """
 from __future__ import annotations
 
@@ -93,8 +94,8 @@ class OptimizerParams:
 
     The step and stop policy that ``ascend`` applies to all of them is
     fixed by the module constants DELTA0, SHRINK, MIN_STEP, OBJ_TOL and
-    GROW_AFTER, the start of the joint ascent's extrapolation by
-    MOMENTUM_AFTER, and the confidence bisection stops at
+    GROW_AFTER, the start of the extrapolation (joint and beam_only
+    ascents) by MOMENTUM_AFTER, and the confidence bisection stops at
     ``surrogate.DEFAULT_TAU``.
     """
 
@@ -278,6 +279,16 @@ def line_search(evaluate, point, obj: float, direction, project, delta: float):
     return None
 
 
+def _fista(t, it: int, sqrt=math.sqrt):
+    """FISTA's schedule at iteration ``it``: from t_{k-1} (0 before the
+    first iteration, 1 after a restart), t_k = (1 + sqrt(1 + 4 t_{k-1}^2))
+    / 2 and the weight beta_k = (t_{k-1} - 1) / t_k, or 0 up to iteration
+    MOMENTUM_AFTER.  Returns (t_k, beta_k); t is a float, or an array of
+    lanes with ``sqrt=np.sqrt``, which rounds as ``math.sqrt`` does."""
+    t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+    return t_next, (t - 1.0) / t_next if it > MOMENTUM_AFTER else 0.0
+
+
 def ascend(obj: float, max_outer: int, beam=None, pos=None,
            extrapolate=None):
     """The outer loop of every projected ascent, from objective ``obj``.
@@ -303,21 +314,20 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None,
     is its iterate at the start of iteration k, moves there only when the
     objective at y strictly exceeds ``obj``, and returns the new objective
     and beta, or ``obj`` and None when it keeps z_k.  The weights are
-    FISTA's, beta_k = (t_{k-1} - 1) / t_k with t_1 = 1 and t_k = (1 +
-    sqrt(1 + 4 t_{k-1}^2)) / 2, advanced every iteration from iteration 2;
-    a kept z_k restarts t at 1.  Up to iteration MOMENTUM_AFTER, and in the
-    iteration after a restart (where beta_k is 0 and y would be z_k), the
-    weight passed is 0: the block then only records z_k.
+    FISTA's (``_fista``), beta_k = (t_{k-1} - 1) / t_k with t_1 = 1 and
+    t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2, advanced every iteration from
+    iteration 2; a kept z_k restarts t at 1.  Up to iteration
+    MOMENTUM_AFTER, and in the iteration after a restart (where beta_k is 0
+    and y would be z_k), the weight passed is 0: the block then only
+    records z_k.
     """
     blocks, trace = (beam, pos), []
     last, run = [DELTA0, DELTA0], [GROW_AFTER, GROW_AFTER]
-    t = t_prev = 1.0
+    t = 0.0
     for it in range(1, max_outer + 1):
         start, delta, beta = obj, [None, None], None
-        if it > 1:
-            t_prev, t = t, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         if extrapolate is not None:
-            weight = (t_prev - 1.0) / t if it > MOMENTUM_AFTER else 0.0
+            t, weight = _fista(t, it)
             obj, beta = extrapolate(obj, weight)
             if weight and beta is None:
                 t = 1.0
@@ -359,15 +369,18 @@ def apga_solve(
     GROW_AFTER first-try acceptances in a row, and its relative stop, up to
     params.max_outer iterations, and the result keeps its trace.
 
-    In joint mode ``ascend`` also gets an extrapolation block.  It keeps the
-    previous outer iterate (w_{k-1}, x_{k-1}) and, given ``ascend``'s FISTA
-    weight beta (nonzero from iteration MOMENTUM_AFTER + 1 on), evaluates
-    y = (unit_norm(w_k + beta (w_k - w_{k-1})), project_positions(x_k + beta
-    (x_k - x_{k-1}))) with one steering product and one evaluation.  It
-    moves to y, with y's rows and statistics for the next gradients, only
-    when the margin there strictly exceeds the current one; the trace
-    records the kept beta.  beam_only and positions_mrt run no
-    extrapolation.
+    In joint and beam_only mode ``ascend`` also gets an extrapolation
+    block.  It keeps the previous outer iterate (w_{k-1}, x_{k-1}) and,
+    given ``ascend``'s FISTA weight beta (nonzero from iteration
+    MOMENTUM_AFTER + 1 on), evaluates y = (unit_norm(w_k + beta (w_k -
+    w_{k-1})), project_positions(x_k + beta (x_k - x_{k-1}))) in joint mode,
+    y = (unit_norm(w_k + beta (w_k - w_{k-1})), x_k) in beam_only mode, with
+    one evaluation (and in joint mode one steering product).  beam_only
+    never moves or projects x: a fixed placement may lie outside the
+    movement region, as the FPA layout does.  The block moves to y, with its
+    rows and statistics for the next gradients, only when the margin there
+    strictly exceeds the current one; the trace records the kept beta.
+    positions_mrt runs no extrapolation.
 
     The lane is evaluated in float arithmetic, with the same operations in
     the same order as the stacked ``_evaluate``, ``_grad_w``, ``_grad_x``
@@ -471,20 +484,24 @@ def apga_solve(
         if not beta:
             return obj, None
         y_w = normalize(w + beta * (w - w_last))
-        y_x = project_positions(x + beta * (x - x_last), region)
-        y_rows = steer(y_x)
+        if mode == "joint":
+            y_x = project_positions(x + beta * (x - x_last), region)
+            y_rows = steer(y_x)
+        else:
+            y_x, y_rows = x, rows
         margin, y_v, y_lin, y_thr = evaluate(y_rows, y_w)
         if not margin > obj:
             return obj, None
-        w, x, rows, rows_conj = y_w, y_x, y_rows, y_rows.conj()
-        v, lin, thr = y_v, y_lin, y_thr
+        if mode == "joint":
+            x, rows, rows_conj = y_x, y_rows, y_rows.conj()
+        w, v, lin, thr = y_w, y_v, y_lin, y_thr
         return margin, beta
 
     obj, trace, converged = ascend(
         obj, params.max_outer,
         beam=None if mode == "positions_mrt" else beam_block,
         pos=None if mode == "beam_only" else pos_block,
-        extrapolate=extrapolate if mode == "joint" else None)
+        extrapolate=None if mode == "positions_mrt" else extrapolate)
     return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
                       converged=converged, trace=trace)
 
@@ -685,25 +702,47 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     Lane i ascends from w[i], renormalized, on its fixed rows (M+1, N) with
     its own slope and intercept, under ``ascend``'s policy: its own last
     accepted delta and run of first-try acceptances, which set its warm
-    step, its relative stop and the max_outer cap.  A lane that stops
-    leaves the working stack, so only active lanes are computed.  Returns
-    the final beams and objectives, the iteration counts and the history
-    (2, T, B) of objective and accepted delta per iteration, T >=
+    step, its own FISTA t (``_fista``) and previous beam, which set its
+    extrapolation and its restart, its relative stop and the max_outer cap.
+    Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
+    the lanes with a nonzero weight and keeps it where the margin strictly
+    rises, then takes the gradient step.  A lane that stops leaves the
+    working stack, so only active lanes are computed.  Returns the final
+    beams and objectives, the iteration counts and the history (3, T, B) of
+    objective, accepted delta and kept beta per iteration, T >=
     max(n_iter): column i holds lane i's first n_iter[i] iterations, with
-    NaN delta where no step was accepted.
+    NaN delta where no step was accepted and NaN beta where no
+    extrapolation was kept.
     """
     w = unit_norm(w)
     at = _evaluate(mm, rows, w, slope, intercept)
     rows_conj = rows.conj()
     w_out, obj_out = w.copy(), at.margin.copy()
     n_iter = np.zeros(len(w), dtype=int)
-    history = np.empty((2, min(max_outer, 64), len(w)))
+    history = np.empty((3, min(max_outer, 64), len(w)))
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
     run = np.full(len(w), GROW_AFTER)
+    t, w_prev = np.zeros(len(w)), w
     for it in range(1, max_outer + 1):
         if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
             history = np.concatenate((history, np.empty_like(history)), axis=1)
         start = at.margin
+        t, beta = _fista(t, it, np.sqrt)
+        w_last, w_prev = w_prev, w
+        kept = np.full(len(lane), np.nan)
+        if np.any(beta):
+            # every lane is evaluated; one with a zero weight keeps its beam
+            tried = beta != 0.0
+            y = unit_norm(w + beta[:, None] * (w - w_last))
+            y_at = _evaluate(mm, rows, y, slope, intercept)
+            up = tried & (y_at.margin > at.margin)
+            t[tried & ~up] = 1.0
+            kept[up] = beta[up]
+            w = np.where(up[:, None], y, w)
+            at = _Evaluation(np.where(up, y_at.margin, at.margin),
+                             np.where(up[:, None], y_at.v, at.v),
+                             np.where(up, y_at.lin, at.lin),
+                             np.where(up, y_at.thr, at.thr))
         g = _grad_w(mm, rows_conj, at, slope, intercept)
         first = np.where(run >= GROW_AFTER, np.minimum(DELTA0, 2.0 * last),
                          last)
@@ -713,7 +752,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
         accepted = ~np.isnan(delta)
         run = np.where(accepted, np.where(delta == first, run + 1, 0), run)
         last = np.where(accepted, delta, last)
-        history[:, it - 1, lane] = obj, delta
+        history[:, it - 1, lane] = obj, delta, kept
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
         if it == max_outer:
             stop[:] = True
@@ -721,9 +760,9 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             done = lane[stop]
             w_out[done], obj_out[done], n_iter[done] = w[stop], obj[stop], it
             go = ~stop
-            lane, rows, rows_conj, w, last, run, slope, intercept = (
-                v[go] for v in (lane, rows, rows_conj, w, last, run, slope,
-                                intercept))
+            (lane, rows, rows_conj, w, last, run, slope, intercept, t,
+             w_prev) = (v[go] for v in (lane, rows, rows_conj, w, last, run,
+                                        slope, intercept, t, w_prev))
             at = _Evaluation._make(a[go] for a in at)
             if not lane.size:
                 break
@@ -731,10 +770,11 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
 
 
 def _lane_trace(history, lane: int, n_iter: int) -> list[TraceRecord]:
-    """The TraceRecords of lane ``lane`` in a history (2, T, B)."""
-    objs, deltas = history[:, :n_iter, lane].tolist()
-    return [TraceRecord(it, None if math.isnan(d) else d, None, o)
-            for it, (o, d) in enumerate(zip(objs, deltas), 1)]
+    """The TraceRecords of lane ``lane`` in a history (3, T, B)."""
+    objs, deltas, betas = history[:, :n_iter, lane].tolist()
+    return [TraceRecord(it, None if math.isnan(d) else d, None, o,
+                        None if math.isnan(b) else b)
+            for it, (o, d, b) in enumerate(zip(objs, deltas, betas), 1)]
 
 
 def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None,

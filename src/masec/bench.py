@@ -133,7 +133,9 @@ class SweepSpec:
     """One-variable sweep description, checked when it is built.
 
     The i-th grid point uses seeds[i % len(seeds)].  ``grid``, ``schemes``
-    (names or ``SchemeId``s) and ``seeds`` are lists, tuples or 1-D arrays.
+    (names or ``SchemeId``s) and ``seeds`` are lists, tuples or 1-D arrays,
+    kept as tuples (of floats, ``SchemeId``s and ints), so a built spec
+    hashes and cannot change.
     A variable not in SWEEP_VARIABLES, a grid number beyond the float
     range, an unknown scheme, no seed or a negative one, or restarts below
     1 raises a one-line ValueError, and so does a grid value that
@@ -145,7 +147,7 @@ class SweepSpec:
     variable: str
     grid: tuple[float, ...]
     schemes: tuple[SchemeId, ...] = tuple(SchemeId)
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: tuple[int, ...] = (0,)
     restarts: int = 100
     scenarios: tuple[SystemConfig, ...] = field(init=False, repr=False,
                                                 compare=False)
@@ -177,7 +179,7 @@ class SweepSpec:
             except ValueError as exc:
                 raise ValueError(f"sweep spec grid value {self.variable}="
                                  f"{value!r}: {exc}") from None
-        for name, value in (("grid", grid), ("seeds", list(seeds)),
+        for name, value in (("grid", grid), ("seeds", tuple(map(int, seeds))),
                             ("schemes", tuple(map(SchemeId, schemes))),
                             ("scenarios", tuple(scenarios))):
             object.__setattr__(self, name, value)

@@ -268,7 +268,9 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         if not beta:
             return obj, None
         y_w = unit_norm(w + beta * (w - w_last))
-        y_x = project_positions(x + beta * (x - x_last), region)
+        # beam_only keeps x where it is, even outside the region
+        y_x = (project_positions(x + beta * (x - x_last), region)
+               if mode == "joint" else x)
         margin = margin_objective(y_w, y_x, eps, table, cfg)
         if not margin > obj:
             return obj, None
@@ -303,7 +305,7 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         OptimizerParams().max_outer,
         beam=None if mode == "positions_mrt" else beam,
         pos=None if mode == "beam_only" else pos,
-        extrapolate=extrapolate if mode == "joint" else None)
+        extrapolate=None if mode == "positions_mrt" else extrapolate)
     return w, x, obj, trace, converged
 
 
@@ -361,7 +363,7 @@ class TestGainReuse:
                          mode=mode)
         resets = res.n_iter if mode == "positions_mrt" else 0
         assert res.n_iter > 3
-        assert (calls["extrapolations"] > 0) == (mode == "joint")
+        assert (calls["extrapolations"] > 0) == (mode != "positions_mrt")
         assert calls["statistics"] == (calls["candidates"]
                                        + calls["extrapolations"] + 1 + resets)
 
@@ -973,6 +975,17 @@ class TestMomentum:
         # 9,065 without momentum, 1,488 with it
         assert sum(run_scheme("MA_OB", preset(name), table=table).iterations
                    for name in PRESET_NAMES) <= 3000
+
+    def test_fpa_ob_iterations_on_the_presets(self, table):
+        # 2,492 without momentum, 686 with it
+        assert sum(run_scheme("FPA_OB", preset(name), table=table).iterations
+                   for name in PRESET_NAMES) <= 1000
+
+    def test_rap_ob_lane_iterations_on_m_sweep(self, table):
+        # 100 lanes: 51,698 without momentum, 27,339 with it
+        res = run_scheme("RAP_OB", preset("m-sweep"), seed=0, restarts=100,
+                         table=table)
+        assert res.iterations <= 35000
 
 
 def one_lane(verdict):

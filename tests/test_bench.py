@@ -75,10 +75,15 @@ class TestSchemes:
         assert np.allclose(np.diff(x), 0.4)
         assert x[0] == 0.0
 
-    def test_fpa_scheme_uses_fixed_layout(self, table):
-        cfg = base_config()
+    # the FPA layout lies outside every preset's movement region, so a
+    # projection anywhere in the beam-only ascent would move it
+    @pytest.mark.parametrize("name", ["base", "ob-demo", "zf-demo-far",
+                                      "zf-demo-near", "k-sweep", "m-sweep",
+                                      "cdf-demo"])
+    def test_fpa_scheme_uses_fixed_layout(self, table, name):
+        cfg = base_config() if name == "base" else preset(name)
         res = run_scheme(SchemeId.FPA_OB, cfg, table=table)
-        assert np.array_equal(res.x, fpa_positions(cfg))
+        assert res.x.tobytes() == fpa_positions(cfg).tobytes()
 
     def test_joint_beats_fixed_array(self, table):
         cfg = base_config()
@@ -350,6 +355,18 @@ class TestSweepSpec:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.grid = (1.0, 2.0)
 
+    def test_a_built_spec_hashes_and_keeps_its_seeds(self):
+        base = preset("zf-demo-far")
+        spec = SweepSpec(base, "pa_db", [10.0], ["RAP_ZF"],
+                         np.array([3, 0]), restarts=2)
+        assert spec.seeds == (3, 0)
+        assert all(type(s) is int for s in spec.seeds)
+        assert hash(spec) == hash(SweepSpec(base, "pa_db", (10.0,),
+                                            [SchemeId.RAP_ZF], [3, 0],
+                                            restarts=2))
+        with pytest.raises(AttributeError):
+            spec.seeds.clear()
+
 
 class TestCsv:
     def test_round_trip(self, table, tmp_path):
@@ -463,7 +480,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="seeds must be a non-empty list "
                            "of non-negative integers"):
             sweep_spec_from_dict(_sweep_spec(seeds=[0, -3]))
-        assert sweep_spec_from_dict(_sweep_spec(seeds=[0, 3])).seeds == [0, 3]
+        assert sweep_spec_from_dict(_sweep_spec(seeds=[0, 3])).seeds == (0, 3)
 
     def test_sweep_grid_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="grid must be a list of numbers"):
