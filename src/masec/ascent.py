@@ -13,6 +13,15 @@ rises, restarting the momentum otherwise (O'Donoghue & Candes 2015), so
 the trace stays monotone while the slow zig-zag tail of the alternating
 steps is cut short.  positions_mrt runs no extrapolation.
 
+The bisection reads only the sign of a probe's maximum, so a joint or
+beam_only probe also stops once its margin cannot reach zero: past
+MOMENTUM_AFTER, an iteration whose gain, repeated up to the iteration cap,
+would still leave the margin negative settles the probe as infeasible
+(``ascend``'s ``target``), and the probe reports that it converged.
+Three loops stop only on the relative change or the cap: positions_mrt,
+whose trace is not monotone, ``zf.pgd_solve``, whose objective (the
+negated loss) is always negative, and the toy maximizer.
+
 Each evaluated point, a start, a line-search candidate or an
 extrapolated point, costs one steering product v = rows @ w and one
 ``MomentMatch.statistics`` call.  ``line_search`` hands back the accepted
@@ -96,7 +105,10 @@ class OptimizerParams:
     fixed by the module constants DELTA0, SHRINK, MIN_STEP, OBJ_TOL and
     GROW_AFTER, the start of the extrapolation (joint and beam_only
     ascents) by MOMENTUM_AFTER, and the confidence bisection stops at
-    ``surrogate.DEFAULT_TAU``.
+    ``surrogate.DEFAULT_TAU``.  The joint and beam_only ascents also stop
+    once their margin cannot reach zero by max_outer at the pace of the
+    last iteration, from iteration MOMENTUM_AFTER + 1 on; positions_mrt,
+    ``zf.pgd_solve`` and the toy maximizer do not.
     """
 
     max_outer: int = 2000
@@ -118,6 +130,17 @@ class TraceRecord:
 
 @dataclass
 class ApgaResult:
+    """One margin maximization: the final (w, x) and margin, the number of
+    outer iterations, and their trace.
+
+    ``converged`` is True when the loop ended on a stop rule, the relative
+    stop or, in joint and beam_only mode, the stop once the margin cannot
+    reach zero, and False when it ran into the ``max_outer`` cap.  A
+    converged probe with a negative margin therefore need not sit at a
+    maximum: it ended once no remaining iteration at its pace could make it
+    feasible.
+    """
+
     w: ComplexArray
     x: FloatArray
     objective: float
@@ -289,8 +312,18 @@ def _fista(t, it: int, sqrt=math.sqrt):
     return t_next, (t - 1.0) / t_next if it > MOMENTUM_AFTER else 0.0
 
 
+def _out_of_reach(obj, start, it: int, max_outer: int, target):
+    """Whether an iteration ``it`` that moved the objective from ``start``
+    to ``obj`` leaves ``target`` out of reach: past MOMENTUM_AFTER and short
+    of max_outer, ``obj + (obj - start) (max_outer - it) < target``.  obj
+    and start are floats, or arrays of lanes, which get a bool array (or
+    False outside those iterations) with the same bits per lane."""
+    return (MOMENTUM_AFTER < it < max_outer
+            and obj + (obj - start) * (max_outer - it) < target)
+
+
 def ascend(obj: float, max_outer: int, beam=None, pos=None,
-           extrapolate=None):
+           extrapolate=None, target: float | None = None):
     """The outer loop of every projected ascent, from objective ``obj``.
 
     Each iteration calls the blocks ``beam`` then ``pos`` that are given as
@@ -308,6 +341,14 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None,
     objective by less than OBJ_TOL x max(1, |objective|), and otherwise
     after max_outer iterations.  Returns the objective, one TraceRecord per
     iteration and whether the loop converged.
+
+    ``target``, when given, adds a second stop for a caller that only
+    needs to know whether the maximum reaches it: the loop stops as
+    converged after an iteration that leaves the target out of reach
+    (``_out_of_reach``), where the objective would stay below it at the cap
+    even if every remaining iteration gained as much as this one.  A loop
+    that reaches max_outer still reports that it did not converge.  None
+    keeps the relative stop alone.
 
     ``extrapolate(obj, beta)``, when given, runs first in every iteration.
     It tries the point y = z_k + beta (z_k - z_{k-1}), projected, where z_k
@@ -342,6 +383,9 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None,
         trace.append(TraceRecord(it, delta[0], delta[1], obj, beta))
         if abs(obj - start) < OBJ_TOL * max(1.0, abs(obj)):
             return obj, trace, True
+        if target is not None and _out_of_reach(obj, start, it, max_outer,
+                                                target):
+            return obj, trace, True
     return obj, trace, False
 
 
@@ -367,7 +411,12 @@ def apga_solve(
     block.  A block that accepts no step leaves its variable unchanged.
     ``ascend`` runs the blocks with its warm steps, which grow only after
     GROW_AFTER first-try acceptances in a row, and its relative stop, up to
-    params.max_outer iterations, and the result keeps its trace.
+    params.max_outer iterations, and the result keeps its trace.  In joint
+    and beam_only mode it gets the target 0: past MOMENTUM_AFTER, a probe
+    whose margin would stay negative at the cap even if every remaining
+    iteration gained as much as the last one stops there, converged, since
+    the bisection reads only the margin's sign.  positions_mrt, whose trace
+    is not monotone, runs without it.
 
     In joint and beam_only mode ``ascend`` also gets an extrapolation
     block.  It keeps the previous outer iterate (w_{k-1}, x_{k-1}) and,
@@ -501,7 +550,8 @@ def apga_solve(
         obj, params.max_outer,
         beam=None if mode == "positions_mrt" else beam_block,
         pos=None if mode == "beam_only" else pos_block,
-        extrapolate=None if mode == "positions_mrt" else extrapolate)
+        extrapolate=None if mode == "positions_mrt" else extrapolate,
+        target=None if mode == "positions_mrt" else 0.0)
     return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
                       converged=converged, trace=trace)
 
@@ -703,7 +753,9 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     its own slope and intercept, under ``ascend``'s policy: its own last
     accepted delta and run of first-try acceptances, which set its warm
     step, its own FISTA t (``_fista``) and previous beam, which set its
-    extrapolation and its restart, its relative stop and the max_outer cap.
+    extrapolation and its restart, its relative stop, its stop once the
+    margin cannot reach zero (``_out_of_reach`` at target 0, as
+    ``apga_solve`` passes ``ascend``) and the max_outer cap.
     Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
     the lanes with a nonzero weight and keeps it where the margin strictly
     rises, then takes the gradient step.  A lane that stops leaves the
@@ -754,6 +806,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
         last = np.where(accepted, delta, last)
         history[:, it - 1, lane] = obj, delta, kept
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
+        stop |= _out_of_reach(obj, start, it, max_outer, 0.0)
         if it == max_outer:
             stop[:] = True
         if stop.any():

@@ -1,4 +1,5 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import masec
-from masec import ascent
+from masec import ascent, zf
 from masec.ascent import (
     OptimizerParams,
     apga_solve,
@@ -305,7 +306,8 @@ def recomputing_apga(w0, x0, eps, table, cfg, mode):
         OptimizerParams().max_outer,
         beam=None if mode == "positions_mrt" else beam,
         pos=None if mode == "beam_only" else pos,
-        extrapolate=None if mode == "positions_mrt" else extrapolate)
+        extrapolate=None if mode == "positions_mrt" else extrapolate,
+        target=None if mode == "positions_mrt" else 0.0)
     return w, x, obj, trace, converged
 
 
@@ -972,20 +974,128 @@ class TestMomentum:
                 assert kept == beta and after > before
 
     def test_ma_ob_iterations_on_the_presets(self, table):
-        # 9,065 without momentum, 1,488 with it
+        # 9,065 without momentum, 1,488 with it, 946 with the reach stop
         assert sum(run_scheme("MA_OB", preset(name), table=table).iterations
-                   for name in PRESET_NAMES) <= 3000
+                   for name in PRESET_NAMES) <= 1200
 
     def test_fpa_ob_iterations_on_the_presets(self, table):
-        # 2,492 without momentum, 686 with it
+        # 2,492 without momentum, 686 with it, 414 with the reach stop
         assert sum(run_scheme("FPA_OB", preset(name), table=table).iterations
-                   for name in PRESET_NAMES) <= 1000
+                   for name in PRESET_NAMES) <= 550
 
     def test_rap_ob_lane_iterations_on_m_sweep(self, table):
-        # 100 lanes: 51,698 without momentum, 27,339 with it
+        # 100 lanes: 51,698 without momentum, 27,339 with it, 12,400 with
+        # the reach stop
         res = run_scheme("RAP_OB", preset("m-sweep"), seed=0, restarts=100,
                          table=table)
-        assert res.iterations <= 35000
+        assert res.iterations <= 18000
+
+
+def scripted_gains(gains):
+    """A block that accepts a step in every search and adds the next entry
+    of ``gains`` to the objective."""
+    script = iter(gains)
+
+    def block(obj, delta):
+        obj += next(script)
+        return obj, (delta, None, obj, None)
+    return block
+
+
+class TestReachStop:
+    """Given a target, ``ascend`` stops as converged once the objective
+    cannot reach it at the cap even at the pace of the last iteration."""
+
+    def test_stops_once_the_target_is_out_of_reach(self):
+        # -1000 + 1 per iteration reaches at most -900 by iteration 100
+        obj, trace, converged = ascend(-1000.0, 100, pos=scripted_gains(
+            [1.0] * 100), target=0.0)
+        assert converged
+        # the rule holds from iteration 1 on but waits for MOMENTUM_AFTER
+        assert len(trace) == ascent.MOMENTUM_AFTER + 1
+        assert obj == -1000.0 + len(trace)
+
+    @pytest.mark.parametrize("start,gains,target", [
+        (-1000.0, [1.0] * 100, None),     # no target: the relative stop only
+        (-100.0, [1.0] * 100, 0.0),       # reaches exactly 0 at the cap
+        (0.5, [2.0 ** -10] * 100, 0.0),   # a nonnegative objective
+        (-90.0, [0.5] * 100, -50.0),      # a negative target in reach
+    ])
+    def test_runs_to_the_cap_while_the_target_is_in_reach(self, start, gains,
+                                                          target):
+        obj, trace, converged = ascend(start, 100, pos=scripted_gains(gains),
+                                       target=target)
+        assert not converged
+        assert len(trace) == 100
+        assert obj == start + sum(gains)
+
+    def test_never_fires_at_the_cap(self):
+        # each projection reaches 0.25 until the last iteration gains half
+        # as much and leaves -0.25: the loop ends at the cap, not the rule
+        gains = [1.0] * 9 + [0.5]
+        obj, trace, converged = ascend(-9.75, 10, pos=scripted_gains(gains),
+                                       target=0.0)
+        assert obj < 0.0
+        assert len(trace) == 10
+        assert not converged
+
+    @pytest.mark.parametrize("solver,target", [
+        ("joint", 0.0), ("beam_only", 0.0), ("positions_mrt", None),
+        ("pgd_solve", None), ("toy", None)])
+    def test_only_the_ob_ascents_pass_a_target(self, monkeypatch, table,
+                                               solver, target):
+        targets, outer = [], ascent.ascend
+
+        def recording_ascend(*args, **kwargs):
+            bound = inspect.signature(outer).bind(*args, **kwargs)
+            targets.append(bound.arguments.get("target"))
+            return outer(*args, **kwargs)
+
+        monkeypatch.setattr(ascent, "ascend", recording_ascend)
+        monkeypatch.setattr(zf, "ascend", recording_ascend)
+        cfg = preset("zf-demo-far")
+        x0 = feasible_region(cfg).midpoints()
+        if solver == "pgd_solve":
+            zf.pgd_solve(x0, cfg)
+        elif solver == "toy":
+            maximize_gamma_objective(
+                lambda v: v[0] + 1.0, lambda v: 2.0 * np.sqrt(v[0]),
+                [(0.0, 2.0)], table=table)
+        else:
+            apga_solve(mrt_beamformer(x0, cfg), x0,
+                       *surrogate_lookup(table, 0.4), cfg, mode=solver)
+        assert targets and all(t == target for t in targets)
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only"])
+    @pytest.mark.parametrize("eps", [0.3, 0.8])
+    def test_ends_an_infeasible_probe_early(self, table, mode, eps):
+        # m-sweep's margins stay below -1 at these levels
+        cfg = preset("m-sweep")
+        x0 = feasible_region(cfg).midpoints()
+        res = apga_solve(mrt_beamformer(x0, cfg), x0,
+                         *surrogate_lookup(table, eps), cfg, mode=mode)
+        last, prev = res.trace[-1].objective, res.trace[-2].objective
+        assert res.converged and res.n_iter < 50
+        assert abs(last - prev) >= ascent.OBJ_TOL * max(1.0, abs(last))
+        assert last + (last - prev) * (OptimizerParams().max_outer
+                                       - res.n_iter) < 0.0
+
+    def test_lanes_stop_where_their_one_lane_solve_does(self, table):
+        cfg = preset("m-sweep")
+        mm = moment_match(cfg)
+        xs = lane_placements(cfg, 4)
+        w = mrt_beamformer(xs, cfg)
+        slope, intercept = surrogate_lookup(table, np.array([0.05, 0.3, 0.5,
+                                                             0.8]))
+        max_outer = OptimizerParams().max_outer
+        beams, obj, n_iter, _ = ascent._beam_lanes(
+            mm, mm.rows(xs), w, slope, intercept, max_outer)
+        assert (obj < 0.0).all() and (n_iter < 50).all()
+        for i in range(len(xs)):
+            res = apga_solve(w[i], xs[i], float(slope[i]),
+                             float(intercept[i]), cfg, mode="beam_only")
+            assert (res.objective, res.n_iter) == (obj[i], n_iter[i])
+            assert res.w.tobytes() == beams[i].tobytes()
 
 
 def one_lane(verdict):
