@@ -44,21 +44,23 @@ never read the surrogate table.  ``_bisect`` is the one place that maps
 confidence levels to lines, with one ``surrogate_lookup`` per round.
 
 ``bisect_confidence`` is the one bisection loop: each lane keeps its own
-bracket, and every round probes all lanes still bisecting at once.
-``_bisect`` is the one body around it: the matched-filter start of every
-lane, the closed-form exit for certain outage, the level-to-line lookup,
-the screen, the ``margin > 0`` verdict, the certified probe and one
-stacked closed-form outage for all lanes.  The screen is
+bracket, in arrays over the lanes, and every round probes all lanes still
+bisecting at once.  ``_bisect`` is the one body around it: the
+matched-filter start of every lane, the closed-form exit for certain
+outage, the level-to-line lookup, the screen, the ``margin > 0`` verdict,
+one indexed write-back of the solved lanes' (w, x) per round and one
+stacked closed-form outage for all lanes; it builds the results once, at
+the end, and a lane's trace only when it is read.  The screen is
 ``_margin_bound``, a closed-form upper bound on the margin of a line over
 every (w, x): a lane whose bound is negative is infeasible at its level
 without a solve, and only the other lanes are solved.
-``bisection_outage_min`` hands it one lane solved by ``apga_solve``;
-``bisect_beam_lanes`` hands it a stack of fixed placements solved
-beamformer-only by ``_beam_lanes``, where every numpy call of the margin,
-its gradient and the line search covers all lanes still running and each
-lane keeps its own step, momentum, stop and iteration cap.  Lane i gives
-the same result, bit for bit, as ``bisection_outage_min`` in beam_only
-mode at placement i.
+``bisection_outage_min`` hands it one lane solved by ``apga_solve``'s
+set-up, built once per bisection; ``bisect_beam_lanes`` hands it a stack of
+fixed placements solved beamformer-only by ``_beam_lanes``, where every
+numpy call of the margin, its gradient and the line search covers all
+lanes still running and each lane keeps its own step, momentum, stop and
+iteration cap.  Lane i gives the same result, bit for bit, as
+``bisection_outage_min`` in beam_only mode at placement i.
 """
 from __future__ import annotations
 
@@ -157,11 +159,11 @@ class BisectionResult:
     is the closed-form outage at the returned solution.  When no probed
     level was feasible, ``feasible`` is False and the best-effort iterate
     of the last probe is returned with eps = 0.  ``best_trace`` is the
-    iteration trace of the solve that produced the returned solution.  When
-    the closed form rules out every level before any probe (the legitimate
-    gain cannot reach a positive outage threshold), ``rounds`` is 0,
-    ``probes`` and ``best_trace`` are empty and the start point is returned
-    with p_out 1.
+    iteration trace of the solve that produced the returned solution, built
+    from the solver's record each time it is read.  When the closed form
+    rules out every level before any probe (the legitimate gain cannot
+    reach a positive outage threshold), ``rounds`` is 0, ``probes`` and
+    ``best_trace`` are empty and the start point is returned with p_out 1.
 
     Each probe is recorded as ``(eps, feasible, margin)``.  A probe that
     the closed-form margin bound rules out is not solved: it is recorded as
@@ -178,8 +180,12 @@ class BisectionResult:
     rounds: int
     total_iterations: int
     probes: list[tuple[float, bool, float]] = field(default_factory=list)
-    best_trace: list[TraceRecord] = field(default_factory=list)
     screened: int = 0
+    _trace: Callable = field(default=list, repr=False, compare=False)
+
+    @property
+    def best_trace(self) -> list[TraceRecord]:
+        return self._trace()
 
 
 class _Evaluation(NamedTuple):
@@ -220,10 +226,10 @@ def _margin_bound(mm: MomentMatch, n: int, thr_max: float, slope,
     with np.errstate(divide="ignore", over="ignore"):
         # a slope near 0 puts the peak past the float range: inf clips to top
         peak = thr_max / (2.0 * slope)
-    lin = np.clip(peak, mm.lin_const,
-                  mm.lin_const + n * float(np.sum(mm.lin_coef)))
+    lin = np.minimum(np.maximum(peak, mm.lin_const),
+                     mm.lin_const + n * float(mm.lin_coef.sum()))
     quad = np.where(intercept >= 0.0, mm.quad_const,
-                    mm.quad_const + n * float(np.sum(mm.quad_coef)))
+                    mm.quad_const + n * float(mm.quad_coef.sum()))
     return lin * thr_max - slope * (lin * lin) - intercept * quad
 
 
@@ -438,20 +444,30 @@ def apga_solve(
     the surrogate table); pass Python floats, since numpy scalars cost more
     per operation.  ``w0`` must be a finite (N,) vector with a nonzero
     finite norm and ``x0`` a finite real (N,) vector; anything else raises
-    ``ValueError``.
+    ``ValueError``.  Its set-up is ``_apga_solver``'s, which
+    ``bisection_outage_min`` builds once per bisection for all its probes.
     """
+    solve = _apga_solver(cfg, params, mode)
+    n = cfg.n_antennas
+    return solve(check_vector("w0", w0, n),
+                 check_vector("x0", x0, n, real=True), slope, intercept)
+
+
+def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
+                 mode: str):
+    """``apga_solve``'s set-up (gain model, region, work buffers) for one
+    config, params and mode.  Returns ``solve(w0, x0, slope, intercept)``,
+    one probe on it; calls share only the buffers, each written first."""
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
     n = cfg.n_antennas
-    w0 = check_vector("w0", w0, n)
-    x = check_vector("x0", x0, n, real=True)
-    params = params or OptimizerParams()
+    max_outer = (params or OptimizerParams()).max_outer
     mm = moment_match(cfg)
     region = feasible_region(cfg)
 
     # the constants of the solve, computed once
     statistics, beta0, rate_pow = mm.statistics, mm.beta0, mm.rate_pow
-    lin_coef, intercept_quad = mm.lin_coef, intercept * mm.quad_coef
+    lin_coef, quad_coef = mm.lin_coef, mm.quad_coef
     phase, sines = 1j * mm.wave_rate, mm.sines[:, None]
     k = mm.wave_rate * mm.sines
     # Work buffers, written through their real parts.  numpy casts a real
@@ -469,135 +485,125 @@ def apga_solve(
         np.multiply(sines, pos, out=phases_re)
         return np.exp(phase * phases)
 
-    def evaluate(rows, w):              # _evaluate: (margin, v, lin, thr)
-        v = np.matvec(rows, w)
-        lin, quad, thr = statistics(np.abs(v) ** 2)
-        return lin * thr - slope * (lin * lin) - intercept * quad, v, lin, thr
-
-    def gain_weights(lin, thr):         # _gain_weights, into ``weights``
-        weights_re[0] = lin * beta0 / rate_pow
-        np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
-        np.subtract(weights_tail, intercept_quad, out=weights_tail)
-
     def normalize(w):                   # model.unit_norm
         return w / math.sqrt(float(np.dot(w.real, w.real))
                              + float(np.dot(w.imag, w.imag)))
 
-    with np.errstate(all="ignore"):
-        w = normalize(w0.astype(complex))
-    if not (np.isfinite(w).all() and w.any()):   # its norm is 0 or inf
-        raise ValueError("w0 must have a nonzero finite norm")
-    rows = steer(x)
-    rows_conj = rows.conj()
-    obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
+    def solve(w0, x, slope, intercept):
+        intercept_quad = intercept * quad_coef
 
-    def beam_margin(cand):
-        evaluated = evaluate(rows, cand)
-        return evaluated[0], evaluated
+        def evaluate(rows, w):          # _evaluate: (margin, v, lin, thr)
+            v = np.matvec(rows, w)
+            lin, quad, thr = statistics(np.abs(v) ** 2)
+            return (lin * thr - slope * (lin * lin) - intercept * quad,
+                    v, lin, thr)
 
-    def pos_margin(cand):
-        new_rows = steer(cand)
-        evaluated = evaluate(new_rows, w)
-        return evaluated[0], (new_rows, evaluated)
+        def gain_weights(lin, thr):     # _gain_weights, into ``weights``
+            weights_re[0] = lin * beta0 / rate_pow
+            np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
+            np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
-    def beam_block(obj, delta):
-        nonlocal w, v, lin, thr
-        gain_weights(lin, thr)
-        g = (weights * v) @ rows_conj
-        found = line_search(beam_margin, w, obj, g, normalize, delta)
-        if found is not None:
-            _, w, obj, (_, v, lin, thr) = found
-        return obj, found
+        with np.errstate(all="ignore"):
+            w = normalize(w0.astype(complex))
+        if not (np.isfinite(w).all() and w.any()):  # its norm is 0 or inf
+            raise ValueError("w0 must have a nonzero finite norm")
+        rows = steer(x)
+        rows_conj = rows.conj()
+        obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
 
-    def pos_block(obj, delta):
-        nonlocal w, x, rows, rows_conj, v, lin, thr
-        if mode == "positions_mrt":
-            w = mrt_beamformer(x, cfg)
-            obj, v, lin, thr = evaluate(rows, w)
-        gain_weights(lin, thr)
-        np.multiply(weights_re, k, out=weighted_k_re)
-        g = -2.0 * ((weighted_k * v.conj()) @ rows * w).imag
-        found = line_search(pos_margin, x, obj, g,
-                            lambda c: project_positions(c, region), delta)
-        if found is not None:
-            _, x, obj, (rows, (_, v, lin, thr)) = found
+        def beam_margin(cand):
+            evaluated = evaluate(rows, cand)
+            return evaluated[0], evaluated
+
+        def pos_margin(cand):
+            new_rows = steer(cand)
+            evaluated = evaluate(new_rows, w)
+            return evaluated[0], (new_rows, evaluated)
+
+        def beam_block(obj, delta):
+            nonlocal w, v, lin, thr
+            gain_weights(lin, thr)
+            g = (weights * v) @ rows_conj
+            found = line_search(beam_margin, w, obj, g, normalize, delta)
+            if found is not None:
+                _, w, obj, (_, v, lin, thr) = found
+            return obj, found
+
+        def pos_block(obj, delta):
+            nonlocal w, x, rows, rows_conj, v, lin, thr
+            if mode == "positions_mrt":
+                w = mrt_beamformer(x, cfg)
+                obj, v, lin, thr = evaluate(rows, w)
+            gain_weights(lin, thr)
+            np.multiply(weights_re, k, out=weighted_k_re)
+            g = -2.0 * ((weighted_k * v.conj()) @ rows * w).imag
+            found = line_search(pos_margin, x, obj, g,
+                                lambda c: project_positions(c, region), delta)
+            if found is not None:
+                _, x, obj, (rows, (_, v, lin, thr)) = found
+                if mode == "joint":
+                    rows_conj = rows.conj()
+            return obj, found
+
+        w_prev, x_prev = w, x           # (w, x) when the last iteration began
+
+        def extrapolate(obj, beta):
+            nonlocal w, x, rows, rows_conj, v, lin, thr, w_prev, x_prev
+            w_last, x_last, w_prev, x_prev = w_prev, x_prev, w, x
+            if not beta:
+                return obj, None
+            y_w = normalize(w + beta * (w - w_last))
             if mode == "joint":
-                rows_conj = rows.conj()
-        return obj, found
+                y_x = project_positions(x + beta * (x - x_last), region)
+                y_rows = steer(y_x)
+            else:
+                y_x, y_rows = x, rows
+            margin, y_v, y_lin, y_thr = evaluate(y_rows, y_w)
+            if not margin > obj:
+                return obj, None
+            if mode == "joint":
+                x, rows, rows_conj = y_x, y_rows, y_rows.conj()
+            w, v, lin, thr = y_w, y_v, y_lin, y_thr
+            return margin, beta
 
-    w_prev, x_prev = w, x               # (w, x) when the last iteration began
+        obj, trace, converged = ascend(
+            obj, max_outer,
+            beam=None if mode == "positions_mrt" else beam_block,
+            pos=None if mode == "beam_only" else pos_block,
+            extrapolate=None if mode == "positions_mrt" else extrapolate,
+            target=None if mode == "positions_mrt" else 0.0)
+        return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
+                          converged=converged, trace=trace)
 
-    def extrapolate(obj, beta):
-        nonlocal w, x, rows, rows_conj, v, lin, thr, w_prev, x_prev
-        w_last, x_last, w_prev, x_prev = w_prev, x_prev, w, x
-        if not beta:
-            return obj, None
-        y_w = normalize(w + beta * (w - w_last))
-        if mode == "joint":
-            y_x = project_positions(x + beta * (x - x_last), region)
-            y_rows = steer(y_x)
-        else:
-            y_x, y_rows = x, rows
-        margin, y_v, y_lin, y_thr = evaluate(y_rows, y_w)
-        if not margin > obj:
-            return obj, None
-        if mode == "joint":
-            x, rows, rows_conj = y_x, y_rows, y_rows.conj()
-        w, v, lin, thr = y_w, y_v, y_lin, y_thr
-        return margin, beta
-
-    obj, trace, converged = ascend(
-        obj, params.max_outer,
-        beam=None if mode == "positions_mrt" else beam_block,
-        pos=None if mode == "beam_only" else pos_block,
-        extrapolate=None if mode == "positions_mrt" else extrapolate,
-        target=None if mode == "positions_mrt" else 0.0)
-    return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
-                      converged=converged, trace=trace)
+    return solve
 
 
-def bisect_confidence(probe, eps_max: float, lanes: int = 1) -> list[list]:
+def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     """Bisect the confidence level eps over [0, eps_max] in every lane.
 
     Each lane keeps its own bracket: probing starts at min(0.5, eps_max),
     moves up after a feasible level and down after an infeasible one, and
     the lane stops once its bracket is at most ``surrogate.DEFAULT_TAU``
-    wide, so every probed level is positive.  Each round calls ``probe(live,
-    levels)`` with the lanes still bisecting and their levels, and it
-    returns one ``(feasible, payload)`` per such lane.  Returns, per lane,
-    every probe as ``(eps, feasible, payload)`` in order.
+    wide, so every probed level is positive.  The brackets are arrays over
+    the lanes still bisecting; each round calls ``probe(live, levels)`` with
+    their indices and levels, which returns their verdicts, True where
+    feasible.  Returns the levels and verdicts (R, lanes) of every round:
+    lane b probes in rounds 0 .. k_b - 1 and reads NaN and False after.
     """
-    brackets = [(min(0.5, eps_max), 0.0, eps_max)] * lanes   # (eps, lo, hi)
-    runs = [[] for _ in range(lanes)]
-    live = list(range(lanes))
-    while live:
-        levels = [brackets[b][0] for b in live]
-        for b, eps, (feasible, payload) in zip(live, levels,
-                                               probe(live, levels), strict=True):
-            runs[b].append((eps, feasible, payload))
-            _, lo, hi = brackets[b]
-            brackets[b] = ((0.5 * (eps + hi), eps, hi) if feasible
-                           else (0.5 * (lo + eps), lo, eps))
-        live = [b for b in live if brackets[b][2] - brackets[b][1] > DEFAULT_TAU]
-    return runs
-
-
-def _certified(probes: list[tuple]) -> tuple[float, object]:
-    """The last feasible (eps, payload), or 0 and the last probe's payload."""
-    for eps, feasible, payload in reversed(probes):
-        if feasible:
-            return eps, payload
-    return 0.0, probes[-1][2]
-
-
-class _Solved(NamedTuple):
-    """One lane's margin maximization at one confidence level."""
-
-    w: ComplexArray
-    x: FloatArray
-    objective: float
-    n_iter: int
-    trace: Callable[[], list[TraceRecord]]
+    live, eps = np.arange(lanes), np.full(lanes, min(0.5, eps_max))
+    lo, hi, rounds = np.zeros(lanes), np.full(lanes, eps_max), []
+    while live.size:
+        feasible = np.asarray(probe(live, eps), dtype=bool)
+        rounds.append((live, eps, feasible))
+        lo, hi = np.where(feasible, eps, lo), np.where(feasible, hi, eps)
+        eps, keep = 0.5 * (lo + hi), hi - lo > DEFAULT_TAU
+        if not keep.all():
+            live, eps, lo, hi = live[keep], eps[keep], lo[keep], hi[keep]
+    levels = np.full((len(rounds), lanes), np.nan)
+    verdicts = np.zeros(levels.shape, dtype=bool)
+    for r, (live, eps, feasible) in enumerate(rounds):
+        levels[r, live], verdicts[r, live] = eps, feasible
+    return levels, verdicts
 
 
 def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
@@ -609,12 +615,15 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     default table when None).  Each round, one ``surrogate_lookup`` maps the
     levels of the lanes ``live`` to their lines, and ``solve(live, w, x,
     slope, intercept)`` maximizes those lanes' margins from their beams w
-    and placements x with the per-lane slope and intercept arrays and
-    returns one ``_Solved`` per lane; a lane's next probe starts where its
-    last solve ended.  A level is feasible when the attained maximum is
-    positive, ``bisect_confidence`` probes over [0, table max], and every
-    lane's outage at its certified solution comes from one stacked
-    closed-form call.
+    and placements x with the per-lane slope and intercept arrays, and
+    returns their new beams, placements, margins and iteration counts and
+    ``trace(b, n)``, the n-iteration trace of lane b.  A lane's next probe
+    starts where its last solve ended.  A level is feasible when the
+    attained maximum is positive, and ``bisect_confidence`` probes over [0,
+    table max].  Each round writes the lanes' (w, x), and their copy at a
+    feasible probe, with one indexed assignment; the results, with one
+    stacked closed-form outage, are built at the end, and a lane's trace
+    when its ``best_trace`` is read.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
@@ -637,38 +646,43 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
                                 rounds=0, total_iterations=0)
                 for p, wi, xi in zip(
                     secrecy_outage_closed_form(w, xs, cfg).tolist(), w, xs)]
-    screened = [0] * len(xs)
+    w_out, x_out, solves = w.copy(), xs.copy(), []
+    screened = np.zeros(len(xs), dtype=int)
 
     def probe(live, levels):
-        slope, intercept = surrogate_lookup(table, np.array(levels))
-        bound = _margin_bound(mm, cfg.n_antennas, thr_max, slope, intercept)
-        run = np.flatnonzero(bound >= 0.0)
-        lanes = [live[i] for i in run]
-        solved = iter(solve(lanes, w[lanes], xs[lanes], slope[run],
-                            intercept[run]) if lanes else ())
-        found = []
-        for b, m in zip(live, bound.tolist()):
-            if m < 0.0:     # a copy: the lane's row moves at its next solve
-                screened[b] += 1
-                sol = _Solved(w[b].copy(), xs[b].copy(), m, 0, list)
-            else:
-                sol = next(solved)
-                w[b], xs[b] = sol.w, sol.x
-            found.append((sol.objective > 0.0, sol))
-        return found
+        slope, intercept = surrogate_lookup(table, levels)
+        margin = _margin_bound(mm, cfg.n_antennas, thr_max, slope, intercept)
+        run = margin >= 0.0
+        n_iter, trace = np.zeros(len(live), dtype=int), None
+        if run.any():
+            lanes = live[run]
+            w[lanes], xs[lanes], margin[run], n_iter[run], trace = solve(
+                lanes, w[lanes], xs[lanes], slope[run], intercept[run])
+        screened[live[~run]] += 1
+        ok = live[margin > 0.0]
+        w_out[ok], x_out[ok] = w[ok], xs[ok]
+        solves.append((live, margin, n_iter, trace))
+        return margin > 0.0
 
-    runs = bisect_confidence(probe, table.max_eps, len(xs))
-    certified = [_certified(run) for run in runs]
-    p_out = secrecy_outage_closed_form(
-        np.array([sol.w for _, sol in certified]),
-        np.array([sol.x for _, sol in certified]), cfg)
+    levels, verdicts = bisect_confidence(probe, table.max_eps, len(xs))
+    margins, iterations = np.zeros(levels.shape), np.zeros(levels.shape, int)
+    for r, (live, margin, n_iter, _) in enumerate(solves):
+        margins[r, live], iterations[r, live] = margin, n_iter
+    # a lane's result: its last, so highest, feasible probe, else its last
+    rounds = np.count_nonzero(~np.isnan(levels), axis=0)
+    eps = (feasible := np.where(verdicts, levels, 0.0)).max(axis=0)
+    source = np.where(eps > 0.0, feasible.argmax(axis=0), rounds - 1)
+    w_out[eps == 0.0], x_out[eps == 0.0] = w[eps == 0.0], xs[eps == 0.0]
+    p_out = secrecy_outage_closed_form(w_out, x_out, cfg)
     return [BisectionResult(
-        eps=eps, p_out=p, w=sol.w, x=sol.x, feasible=eps > 0.0,
-        rounds=len(run), total_iterations=sum(s.n_iter for _, _, s in run),
-        probes=[(e, f, s.objective) for e, f, s in run],
-        best_trace=sol.trace(), screened=n)
-        for (eps, sol), run, p, n in zip(certified, runs, p_out.tolist(),
-                                         screened)]
+        eps=e, p_out=p, w=w_out[b], x=x_out[b], feasible=e > 0.0, rounds=k,
+        total_iterations=sum(n), probes=list(zip(lv, f, m))[:k],
+        screened=s, _trace=functools.partial(solves[r][3], b, n[r]) if n[r]
+        else list)
+        for b, (e, p, k, s, r, lv, f, m, n) in enumerate(zip(
+            eps.tolist(), p_out.tolist(), rounds.tolist(), screened.tolist(),
+            source.tolist(), levels.T.tolist(), verdicts.T.tolist(),
+            margins.T.tolist(), iterations.T.tolist()))]
 
 
 def bisection_outage_min(
@@ -682,8 +696,9 @@ def bisection_outage_min(
     Starts from the placement x0 (default: the midpoints of the movement
     region; else a finite real (N,) vector, or ``ValueError``) and its
     matched filter; ``_bisect`` runs the bisection on this
-    one lane.  Each probe maximizes the margin with ``apga_solve`` in the
-    given mode, warm-started from the previous probe, and the reported
+    one lane.  Each probe maximizes the margin as ``apga_solve`` does in the
+    given mode, on one set-up (``_apga_solver``) built for the whole
+    bisection, warm-started from the previous probe, and the reported
     outage is the closed-form value at the certified solution.
     ``best_trace`` is that solve's iteration trace.
     """
@@ -691,12 +706,11 @@ def bisection_outage_min(
         x0 = feasible_region(cfg).midpoints()
     else:
         x0 = check_vector("x0", x0, cfg.n_antennas, real=True)
+    apga = _apga_solver(cfg, params, mode)
 
     def solve(live, w, x, slope, intercept):
-        res = apga_solve(w[0], x[0], float(slope[0]), float(intercept[0]),
-                         cfg, params, mode=mode)
-        return [_Solved(res.w, res.x, res.objective, res.n_iter,
-                        lambda: res.trace)]
+        res = apga(w[0], x[0], float(slope[0]), float(intercept[0]))
+        return res.w, res.x, res.objective, res.n_iter, lambda b, n: res.trace
 
     return _bisect(cfg, table, [x0], solve)[0]
 
@@ -720,29 +734,33 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     delta by SHRINK until the candidate reaches the lane's quadratic model
     or the delta drops below MIN_STEP.  Every start delta is at least
     MIN_STEP, so the first try covers all lanes and seeds the result; later
-    tries compute only the lanes still searching.  Returns the accepted
-    deltas, NaN for a lane that accepted nothing, and the new beams and
-    their evaluations (unchanged for such a lane).
+    tries compute only the lanes still searching, whose inputs are gathered
+    again only when a lane leaves.  Returns the accepted deltas, NaN for a
+    lane that accepted nothing, and the new beams and their evaluations
+    (unchanged for such a lane).
     """
-    new_w, new_at, ok = _try_lanes(mm, rows, w, at.margin, g, slope,
-                                   intercept, delta)
-    accepted = np.where(ok, delta, np.nan)
-    live, delta = np.flatnonzero(~ok), delta[~ok] * SHRINK
-    while (keep := delta >= MIN_STEP).any():
-        live, delta = live[keep], delta[keep]
-        cand, val, ok = _try_lanes(mm, rows[live], w[live], at.margin[live],
-                                   g[live], slope[live], intercept[live],
-                                   delta)
-        hit = live[ok]
-        new_w[hit], accepted[hit] = cand[ok], delta[ok]
+    new_w, new_at, leave = _try_lanes(mm, rows, w, at.margin, g, slope,
+                                      intercept, delta)
+    accepted = np.where(leave, delta, np.nan)
+    if leave.all():
+        return accepted, new_w, new_at
+    live, inputs = np.arange(len(w)), [rows, w, at.margin, g, slope, intercept]
+    while True:
+        delta = delta * SHRINK
+        if (leave := leave | (delta < MIN_STEP)).any():
+            if leave.all():
+                break
+            live, delta = live[~leave], delta[~leave]
+            inputs = [a[~leave] for a in inputs]
+        cand, val, leave = _try_lanes(mm, *inputs, delta)
+        hit = live[leave]
+        new_w[hit], accepted[hit] = cand[leave], delta[leave]
         for kept, new in zip(new_at, val):
-            kept[hit] = new[ok]
-        live, delta = live[~ok], delta[~ok] * SHRINK
+            kept[hit] = new[leave]
     failed = np.isnan(accepted)
-    if failed.any():
-        new_w[failed] = w[failed]
-        for kept, old in zip(new_at, at):
-            kept[failed] = old[failed]
+    new_w[failed] = w[failed]
+    for kept, old in zip(new_at, at):
+        kept[failed] = old[failed]
     return accepted, new_w, new_at
 
 
@@ -760,24 +778,21 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     the lanes with a nonzero weight and keeps it where the margin strictly
     rises, then takes the gradient step.  A lane that stops leaves the
     working stack, so only active lanes are computed.  Returns the final
-    beams and objectives, the iteration counts and the history (3, T, B) of
-    objective, accepted delta and kept beta per iteration, T >=
-    max(n_iter): column i holds lane i's first n_iter[i] iterations, with
-    NaN delta where no step was accepted and NaN beta where no
-    extrapolation was kept.
+    beams and objectives, the iteration counts and one record per
+    iteration: the lanes it computed and their objective, accepted delta
+    and kept beta, with NaN delta where no step was accepted and NaN beta
+    where no extrapolation was kept.
     """
     w = unit_norm(w)
     at = _evaluate(mm, rows, w, slope, intercept)
     rows_conj = rows.conj()
     w_out, obj_out = w.copy(), at.margin.copy()
     n_iter = np.zeros(len(w), dtype=int)
-    history = np.empty((3, min(max_outer, 64), len(w)))
+    history = []
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
     run = np.full(len(w), GROW_AFTER)
     t, w_prev = np.zeros(len(w)), w
     for it in range(1, max_outer + 1):
-        if it > history.shape[1]:     # grow by doubling, up to 2 x max_outer
-            history = np.concatenate((history, np.empty_like(history)), axis=1)
         start = at.margin
         t, beta = _fista(t, it, np.sqrt)
         w_last, w_prev = w_prev, w
@@ -789,7 +804,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             y_at = _evaluate(mm, rows, y, slope, intercept)
             up = tried & (y_at.margin > at.margin)
             t[tried & ~up] = 1.0
-            kept[up] = beta[up]
+            kept = np.where(up, beta, np.nan)
             w = np.where(up[:, None], y, w)
             at = _Evaluation(np.where(up, y_at.margin, at.margin),
                              np.where(up[:, None], y_at.v, at.v),
@@ -804,7 +819,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
         accepted = ~np.isnan(delta)
         run = np.where(accepted, np.where(delta == first, run + 1, 0), run)
         last = np.where(accepted, delta, last)
-        history[:, it - 1, lane] = obj, delta, kept
+        history.append((lane, obj, delta, kept))
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
         stop |= _out_of_reach(obj, start, it, max_outer, 0.0)
         if it == max_outer:
@@ -823,11 +838,14 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
 
 
 def _lane_trace(history, lane: int, n_iter: int) -> list[TraceRecord]:
-    """The TraceRecords of lane ``lane`` in a history (3, T, B)."""
-    objs, deltas, betas = history[:, :n_iter, lane].tolist()
-    return [TraceRecord(it, None if math.isnan(d) else d, None, o,
-                        None if math.isnan(b) else b)
-            for it, (o, d, b) in enumerate(zip(objs, deltas, betas), 1)]
+    """The TraceRecords of lane ``lane`` in ``_beam_lanes``' history."""
+    trace = []
+    for it, (lanes, *values) in enumerate(history[:n_iter], 1):
+        i = np.searchsorted(lanes, lane)    # the lanes are in order
+        o, d, b = (float(v[i]) for v in values)
+        trace.append(TraceRecord(it, None if math.isnan(d) else d, None, o,
+                                 None if math.isnan(b) else b))
+    return trace
 
 
 def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None,
@@ -850,10 +868,8 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
     def solve(live, w, x, slope, intercept):
         beams, obj, n_iter, history = _beam_lanes(
             mm, rows[live], w, slope, intercept, params.max_outer)
-        return [_Solved(wi, xi, o, n,
-                        functools.partial(_lane_trace, history, i, n))
-                for i, (wi, xi, o, n) in enumerate(zip(
-                    beams, x, obj.tolist(), n_iter.tolist()))]
+        return beams, x, obj, n_iter, lambda b, n: _lane_trace(
+            history, int(np.searchsorted(live, b)), n)
 
     return _bisect(cfg, table, xs, solve)
 
@@ -915,6 +931,7 @@ def maximize_gamma_objective(
         return v, obj
 
     def probe(live, levels):
+        nonlocal eps_star, v_star
         slope, intercept = surrogate_lookup(table, levels[0])
 
         def margin(v):
@@ -923,9 +940,12 @@ def maximize_gamma_objective(
         # max keeps the first of equal margins, so the first start wins ties
         v, best = max((ascend_from(margin, s) for s in starts),
                       key=lambda r: r[1])
-        return [(best > 0.0, v)]
+        if best > 0.0 or eps_star == 0.0:   # or while none was feasible
+            eps_star, v_star = float(levels[0]) if best > 0.0 else 0.0, v
+        return [best > 0.0]
 
-    eps_star, v_star = _certified(bisect_confidence(probe, table.max_eps)[0])
+    eps_star, v_star = 0.0, None
+    bisect_confidence(probe, table.max_eps)
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))
     return ToyResult(eps=eps_star, point=np.asarray(v_star), value=value)

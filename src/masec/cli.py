@@ -38,6 +38,13 @@ def _scenario(args) -> SystemConfig:
     raise ValueError("provide --config FILE or --preset NAME")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take integers >= 0 only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return int(text)
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON scenario file (angles in units of pi)")
     p.add_argument("--preset", help="named demo scenario")
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--scheme", required=True,
                    choices=[s.value for s in SchemeId])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--table", help="surrogate table file (default: the "
                                    "shipped table that fit-table regenerates)")
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed form vs Monte Carlo at the matched-filter "
                             "baseline of a scenario")
     _add_scenario_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=_cmd_mc_check)
     return parser

@@ -75,6 +75,9 @@ class LinearFitTable:
         if not (math.isfinite(self.fit_hi) and 0.0 < self.fit_lo < self.fit_hi):
             raise ValueError(
                 "fit range must be finite, positive and increasing")
+        # the columns behind the eps = 0 anchor (0, 0), for surrogate_lookup
+        object.__setattr__(self, "_anchored", tuple(
+            np.concatenate(([0.0], c)) for c in columns))
 
     @property
     def max_eps(self) -> float:
@@ -139,12 +142,12 @@ def surrogate_lookup(table: LinearFitTable, eps) -> tuple:
     level, each with the bits of its own float lookup.
     """
     levels = np.asarray(eps)
-    if not np.all((0.0 <= levels) & (levels <= table.max_eps)):
+    if not ((0.0 <= levels) & (levels <= table.max_eps)).all():
         raise ValueError(
             f"eps={eps!r} outside the table domain [0, {table.max_eps}]")
-    xp = np.concatenate(([0.0], table.eps_grid))
-    slope = np.interp(eps, xp, np.concatenate(([0.0], table.slope)))
-    intercept = np.interp(eps, xp, np.concatenate(([0.0], table.intercept)))
+    xp, slopes, intercepts = table._anchored
+    slope = np.interp(eps, xp, slopes)
+    intercept = np.interp(eps, xp, intercepts)
     if np.ndim(eps) == 0:
         return float(slope), float(intercept)
     return slope, intercept

@@ -492,6 +492,22 @@ def _no_probe(*args, **kwargs):
     raise AssertionError("an ascent ran on a provably infeasible case")
 
 
+def record_probes(monkeypatch, record):
+    """Patch ``ascent._apga_solver`` so that every probe run on a solver it
+    builds calls ``record(slope, intercept, result)``."""
+    build = ascent._apga_solver
+
+    def recording_build(*args):
+        solve = build(*args)
+
+        def recording(w0, x0, slope, intercept):
+            res = solve(w0, x0, slope, intercept)
+            record(slope, intercept, res)
+            return res
+        return recording
+    monkeypatch.setattr(ascent, "_apga_solver", recording_build)
+
+
 class TestInfeasibilityExit:
     """Certain outage at every (w, x) returns before any probe runs."""
 
@@ -502,7 +518,7 @@ class TestInfeasibilityExit:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_schemes_skip_the_ascent(self, monkeypatch, table, scheme, case):
         cfg = self.CASES[case]
-        monkeypatch.setattr(ascent, "apga_solve", _no_probe)
+        monkeypatch.setattr(ascent, "ascend", _no_probe)
         monkeypatch.setattr(ascent, "_beam_lanes", _no_probe)
         res = run_scheme(scheme, cfg, table=table, restarts=3)
         assert (res.eps, res.p_out, res.iterations) == (0.0, 1.0, 0)
@@ -516,7 +532,7 @@ class TestInfeasibilityExit:
 
     def test_returns_the_start(self, monkeypatch, table):
         cfg = base_config(pa=1e-3)
-        monkeypatch.setattr(ascent, "apga_solve", _no_probe)
+        monkeypatch.setattr(ascent, "ascend", _no_probe)
         _, x0 = rand_point(cfg, 4)
         res = bisection_outage_min(cfg, table, x0=x0)
         assert np.array_equal(res.x, x0)
@@ -529,15 +545,10 @@ class TestInfeasibilityExit:
         # beta0 N / 2^rs + sigma2 / pa (2^-rs - 1) = 0 at
         # pa = (2^rs - 1) sigma2 / (beta0 N) = 7 / 5 for base_config
         cfg = base_config(pa=1.4 * factor)
-        calls = 0
-
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return apga_solve(*args, **kwargs)
-        monkeypatch.setattr(ascent, "apga_solve", counting)
+        calls = []
+        record_probes(monkeypatch, lambda *probe: calls.append(probe))
         res = bisection_outage_min(cfg, table)
-        assert res.rounds == calls == (0 if exits else 7)
+        assert res.rounds == len(calls) == (0 if exits else 7)
 
 
 def level_bound(cfg, table, eps):
@@ -560,11 +571,8 @@ class TestLinesFromTheTable:
     def test_apga_solve_gets_the_lookup_of_its_level(self, monkeypatch, table,
                                                      name, mode):
         cfg, lines = SCENARIOS[name], []
-
-        def recording(w0, x0, slope, intercept, *args, **kwargs):
-            lines.append((slope, intercept))
-            return apga_solve(w0, x0, slope, intercept, *args, **kwargs)
-        monkeypatch.setattr(ascent, "apga_solve", recording)
+        record_probes(monkeypatch, lambda slope, intercept, _: lines.append(
+            (slope, intercept)))
         res = bisection_outage_min(cfg, table, mode=mode)
         bounds = level_bound(cfg, table, [eps for eps, _, _ in res.probes])
         solved = [probe for probe, bound in zip(res.probes, bounds)
@@ -636,12 +644,8 @@ class TestMarginBound:
         cfg = preset(name)
         x0 = feasible_region(cfg).midpoints()
         starts = [(mrt_beamformer(x0, cfg), x0)]
-
-        def recording(*args, **kwargs):
-            res = apga_solve(*args, **kwargs)
-            starts.append((res.w, res.x))
-            return res
-        monkeypatch.setattr(ascent, "apga_solve", recording)
+        record_probes(monkeypatch, lambda slope, intercept, res: starts.append(
+            (res.w, res.x)))
         res = bisection_outage_min(cfg, table, mode=mode)
         monkeypatch.undo()
         bounds = level_bound(cfg, table, [eps for eps, _, _ in res.probes])
@@ -779,6 +783,66 @@ class TestBeamLanes:
             assert np.array_equal(at.v[i], lane.v)
             assert np.array_equal(grads[i], ascent._grad_w(
                 mm, one.conj(), lane, slope[i], intercept[i]))
+
+
+class TestTracesOnDemand:
+    """A lane's trace is built from its solver's record when it is read."""
+
+    def test_a_rap_ob_solve_builds_one_trace(self, monkeypatch, table):
+        built, lane_trace = [], ascent._lane_trace
+
+        def counting(history, lane, n_iter):
+            built.append((lane, n_iter))
+            return lane_trace(history, lane, n_iter)
+        monkeypatch.setattr(ascent, "_lane_trace", counting)
+        res = run_scheme("RAP_OB", preset("ob-demo"), restarts=100,
+                         table=table)
+        # the winner's, which run_scheme reads for its trace
+        assert len(built) == 1 and built[0][1] == len(res.trace) > 0
+        assert res.detail.best_trace == res.detail.best_trace == res.trace
+
+
+class TestSolverSetUp:
+    """``bisection_outage_min`` builds ``apga_solve``'s set-up once and runs
+    every probe on it."""
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    def test_built_once_per_bisection(self, monkeypatch, table, mode):
+        counts = {}
+        for name in ("moment_match", "feasible_region"):
+            def counted(*args, name=name, original=getattr(ascent, name)):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(ascent, name, counted)
+        seen = []
+        for max_outer in (1, 2000):
+            counts.update(moment_match=0, feasible_region=0)
+            res = bisection_outage_min(preset("m-sweep"), table,
+                                       OptimizerParams(max_outer), mode=mode)
+            assert res.rounds - res.screened > 1
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert max(seen[0].values()) <= 2
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_reused_solver_equals_fresh_solves(self, table, name, mode):
+        # consecutive probes on one set-up, each from where the last ended,
+        # as a bisection runs them: nothing of one leaks into the next
+        cfg = preset(name)
+        solve = ascent._apga_solver(cfg, None, mode)
+        x = feasible_region(cfg).midpoints()
+        w = mrt_beamformer(x, cfg)
+        for eps in (0.5, 0.25, 0.75, 0.125, 0.6):
+            line = surrogate_lookup(table, eps)
+            reused, fresh = solve(w, x, *line), apga_solve(w, x, *line, cfg,
+                                                           mode=mode)
+            assert reused.w.tobytes() == fresh.w.tobytes()
+            assert reused.x.tobytes() == fresh.x.tobytes()
+            assert (reused.objective, reused.n_iter, reused.converged) == \
+                (fresh.objective, fresh.n_iter, fresh.converged)
+            assert reused.trace == fresh.trace
+            w, x = reused.w, reused.x
 
 
 class TestLineSearch:
@@ -1099,25 +1163,26 @@ class TestReachStop:
 
 
 def one_lane(verdict):
-    """A one-lane probe that answers ``verdict(eps)`` with payload eps."""
-    return lambda live, levels: [(verdict(levels[0]), levels[0])]
+    """A one-lane probe that answers ``verdict(eps)``."""
+    return lambda live, levels: [verdict(levels[0])]
 
 
 class TestBisectConfidence:
     def test_always_feasible_ends_near_top(self):
-        [probes] = bisect_confidence(one_lane(lambda e: True), 0.9)
-        assert probes[0][0] == 0.5
-        assert probes[-1][0] >= 0.9 - 0.01
-        assert all(f and e == p for e, f, p in probes)
+        levels, verdicts = bisect_confidence(one_lane(lambda e: True), 0.9)
+        assert levels[0, 0] == 0.5
+        assert levels[-1, 0] >= 0.9 - 0.01
+        assert verdicts.all() and (np.diff(levels[:, 0]) > 0.0).all()
 
     def test_never_feasible_ends_near_zero(self):
-        [probes] = bisect_confidence(one_lane(lambda e: False), 1.0)
-        assert probes[-1][0] <= 0.01
-        assert len(probes) == 7
+        levels, verdicts = bisect_confidence(one_lane(lambda e: False), 1.0)
+        assert levels[-1, 0] <= 0.01
+        assert levels.shape == verdicts.shape == (7, 1)
+        assert not verdicts.any()
 
     def test_starts_at_top_below_half(self):
-        [probes] = bisect_confidence(one_lane(lambda e: True), 0.4)
-        assert [e for e, _, _ in probes] == [0.4]
+        levels, verdicts = bisect_confidence(one_lane(lambda e: True), 0.4)
+        assert levels.tolist() == [[0.4]] and verdicts.tolist() == [[True]]
 
     def test_lanes_bisect_independently(self):
         # lane b is feasible up to its own cut-off.  Over [0, 0.7] the
@@ -1127,14 +1192,19 @@ class TestBisectConfidence:
         seen = []
 
         def probe(live, levels):
-            seen.append(list(live))
-            return [(eps <= cutoffs[b], (b, eps))
-                    for b, eps in zip(live, levels)]
-        runs = bisect_confidence(probe, 0.7, len(cutoffs))
-        for b, (cut, run) in enumerate(zip(cutoffs, runs)):
-            [alone] = bisect_confidence(one_lane(lambda e: e <= cut), 0.7)
-            assert run == [(e, f, (b, e)) for e, f, _ in alone]
-        assert [len(run) for run in runs] == [7, 6, 6]
+            seen.append(live.tolist())
+            return [eps <= cutoffs[b] for b, eps in zip(live, levels)]
+        levels, verdicts = bisect_confidence(probe, 0.7, len(cutoffs))
+        for b, cut in enumerate(cutoffs):
+            alone, alone_verdicts = bisect_confidence(
+                one_lane(lambda e: e <= cut), 0.7)
+            k = len(alone)
+            assert levels[:k, b].tobytes() == alone[:, 0].tobytes()
+            assert (verdicts[:k, b] == alone_verdicts[:, 0]).all()
+            # a lane that stopped reads NaN and False in later rounds
+            assert np.isnan(levels[k:, b]).all() and not verdicts[k:, b].any()
+        assert np.count_nonzero(~np.isnan(levels), axis=0).tolist() == \
+            [7, 6, 6]
         assert seen == [[0, 1, 2]] * 6 + [[0]]
 
 

@@ -662,6 +662,24 @@ class TestCli:
         assert code == 0
         assert "abs_diff=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--preset", "ob-demo", "--scheme", "MA_OB", "--seed", "-1"],
+        ["solve", "--preset", "ob-demo", "--scheme", "RAP_OB", "--seed", "-1"],
+        ["mc-check", "--preset", "cdf-demo", "--seed", "-3"],
+        ["mc-check", "--preset", "cdf-demo", "--seed", "abc"],
+    ])
+    def test_negative_seed_is_a_parse_error(self, args, tmp_path, capsys):
+        # rejected before any solve: no row, and one error line naming --seed
+        out = tmp_path / "row.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(args + (["--out", str(out)] if args[0] == "solve" else []))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == [f"masec {args[0]}: error: argument --seed: "
+                          f"must be an integer >= 0, got {args[-1]}"]
+        assert captured.out == "" and not out.exists()
+
     def test_missing_scenario_is_error_exit(self, capsys):
         code = main(["solve", "--scheme", "FPA_ZF"])
         assert code == 2
