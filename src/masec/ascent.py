@@ -77,6 +77,7 @@ from numpy.typing import NDArray
 from .gammainc import lower_incomplete_gamma_reg
 from .model import (
     SystemConfig,
+    check_integer,
     check_vector,
     feasible_region,
     mrt_beamformer,
@@ -111,9 +112,14 @@ class OptimizerParams:
     once their margin cannot reach zero by max_outer at the pace of the
     last iteration, from iteration MOMENTUM_AFTER + 1 on; positions_mrt,
     ``zf.pgd_solve`` and the toy maximizer do not.
+    Built with anything but a non-negative integer (not a bool) as
+    max_outer, the params raise a one-line ValueError.
     """
 
     max_outer: int = 2000
+
+    def __post_init__(self) -> None:
+        check_integer("max_outer", self.max_outer, 0)
 
 
 @dataclass(slots=True)

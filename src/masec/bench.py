@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
-import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,11 +20,8 @@ import numpy as np
 
 from .ascent import (BisectionResult, OptimizerParams, bisect_beam_lanes,
                      bisection_outage_min)
-from .model import (
-    SystemConfig,
-    feasible_region,
-    random_feasible_positions,
-)
+from .model import (SystemConfig, admit, check_integer, feasible_region,
+                    is_integer, random_feasible_positions)
 from .surrogate import LinearFitTable
 from .zf import pgd_solve, screened_outage, zf_beamformer, zf_solution
 
@@ -71,8 +66,11 @@ def run_scheme(
 
     ``seed`` only matters for the random-placement schemes, which draw
     ``restarts`` independent feasible placements and keep the best outage
-    (the first best on ties); RAP_ZF drops draws whose steering Gram matrix
-    fails the zero-forcing condition check and raises only if none is left.
+    (the first best on ties); as in a spec, a ``seed`` that is not a
+    non-negative integer or ``restarts`` that are not a positive one raise
+    a one-line ValueError.
+    RAP_ZF drops draws whose steering Gram matrix fails the zero-forcing
+    condition check and raises only if none is left.
     Both score all their draws in one batched call: RAP_OB solves every
     placement as a lane of ``bisect_beam_lanes`` and reports the winning
     lane's bisection, with ``iterations`` summed over all lanes; RAP_ZF
@@ -108,8 +106,8 @@ def run_scheme(
         return SchemeResult(p_out=p_out, w=w, x=res.x, iterations=res.n_iter,
                             trace=res.trace)
 
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    check_integer("restarts", restarts, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
         runs = bisect_beam_lanes(
@@ -136,10 +134,11 @@ class SweepSpec:
     (names or ``SchemeId``s) and ``seeds`` are lists, tuples or 1-D arrays,
     kept as tuples (of floats, ``SchemeId``s and ints), so a built spec
     hashes and cannot change.
-    A variable not in SWEEP_VARIABLES, a grid number beyond the float
-    range, an unknown scheme, no seed or a negative one, or restarts below
-    1 raises a one-line ValueError, and so does a grid value that
-    :func:`apply_variable` rejects on ``base``, naming variable and value.
+    A variable not in SWEEP_VARIABLES, a grid that is not a list of numbers
+    (a scenario's list rule), an unknown scheme, no seed or one that is not
+    a non-negative integer, or restarts below 1 raises a one-line
+    ValueError, and so does a grid value that :func:`apply_variable`
+    rejects on ``base``, naming variable and value.
     ``scenarios`` holds the grid's scenarios, in grid order.
     """
 
@@ -154,14 +153,12 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         _check_variable(self.variable)
-        grid, seeds, schemes = (v.tolist() if isinstance(v, np.ndarray) else v
-                                for v in (self.grid, self.seeds, self.schemes))
+        seeds, schemes = (v.tolist() if isinstance(v, np.ndarray) else v
+                          for v in (self.seeds, self.schemes))
         listed = (list, tuple)
-        if not (isinstance(grid, listed) and all(map(is_number, grid))):
-            raise ValueError("sweep spec grid must be a list of numbers in "
-                             "the float range")
+        grid = admit("sweep spec grid", self.grid, tuple)
         if not (isinstance(seeds, listed) and seeds
-                and all(is_integer(s) and s >= 0 for s in seeds)):
+                and all(is_integer(s, 0) for s in seeds)):
             raise ValueError("sweep spec seeds must be a non-empty list of "
                              "non-negative integers")
         names = [s.value for s in SchemeId]
@@ -169,9 +166,8 @@ class SweepSpec:
                 and all(s in names for s in schemes)):
             raise ValueError(
                 f"sweep spec schemes must be a list of names from {names}")
-        if not (is_integer(self.restarts) and self.restarts >= 1):
-            raise ValueError("sweep spec restarts must be a positive integer")
-        grid, scenarios = tuple(map(float, grid)), []
+        check_integer("sweep spec restarts", self.restarts, 1)
+        scenarios = []
         for value in grid:
             try:
                 scenarios.append(apply_variable(self.base, self.variable,
@@ -220,23 +216,25 @@ def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     Rician factor), span, rs, n_antennas, n_eves (truncates the per-eve
     tuples of the base config), theta_ratio (first-eve angle as a multiple
     of theta0; single eavesdropper only).  Any other name raises
-    ValueError.  The two counts take whole numbers only, as ints or
-    integral floats such as 3.0; anything else raises ValueError.
+    ValueError, and so does a value that is not a number in the float
+    range.  The two counts take whole numbers only, as ints or integral
+    floats such as 3.0; anything else raises ValueError.
     """
     _check_variable(name)
-    if name in ("n_antennas", "n_eves") and not float(value).is_integer():
+    value = admit(name, value, float)
+    if name in ("n_antennas", "n_eves") and not value.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if name == "pa_db":
         try:
-            return dataclasses.replace(cfg, pa=float(10.0 ** (value / 10.0)))
+            return dataclasses.replace(cfg, pa=10.0 ** (value / 10.0))
         except OverflowError:
             raise ValueError(f"pa_db={value!r} overflows a float") from None
     if name == "k":
-        return dataclasses.replace(cfg, ks=(float(value),) * cfg.n_eves)
+        return dataclasses.replace(cfg, ks=(value,) * cfg.n_eves)
     if name == "span":
-        return dataclasses.replace(cfg, span=float(value))
+        return dataclasses.replace(cfg, span=value)
     if name == "rs":
-        return dataclasses.replace(cfg, rs=float(value))
+        return dataclasses.replace(cfg, rs=value)
     if name == "n_antennas":
         return dataclasses.replace(cfg, n_antennas=int(value))
     if name == "n_eves":
@@ -248,7 +246,7 @@ def apply_variable(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     if name == "theta_ratio":
         if cfg.n_eves != 1:
             raise ValueError("theta_ratio sweeps need a single eavesdropper")
-        return dataclasses.replace(cfg, thetas=(float(value) * cfg.theta0,))
+        return dataclasses.replace(cfg, thetas=(value * cfg.theta0,))
 
 
 def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResult:
@@ -357,55 +355,25 @@ def cdf_check_case(k: float = 1.0):
     return cfg, x, w1 / np.linalg.norm(w1)
 
 
-def is_number(value) -> bool:
-    """A real number, numpy's too, that float() converts: not a bool, and
-    no integer beyond the float range."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, (float, np.floating))
-                 or abs(value) <= sys.float_info.max))
-
-
-def is_integer(value) -> bool:
-    """An integer, numpy's too, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def config_from_dict(raw: dict) -> SystemConfig:
-    """Scenario from a mapping with keys named as SystemConfig fields.
+    """Scenario from a JSON object with keys named as SystemConfig fields.
 
-    Angles (theta0, thetas) are given as multiples of pi.  The two counts
-    stay ints, every other number becomes a float and lists become tuples.
-    A value of the wrong JSON type, a number beyond the float range or a
-    missing or unknown key raises a one-line ValueError.
+    Angles (theta0, thetas) are given as multiples of pi.  A value that is
+    not an object, an unknown or missing key, or a value that
+    :func:`model.admit` rejects (named before any missing key) raises a
+    one-line ValueError; the scenario checks the rest.
     """
     if not isinstance(raw, dict):
         raise ValueError("a scenario must be a JSON object")
-    raw = dict(raw)
     fields = dataclasses.fields(SystemConfig)
     unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in raw.items():
-        if name in ("thetas", "betas", "ks"):
-            if not (isinstance(value, (list, tuple))
-                    and all(map(is_number, value))):
-                raise ValueError(
-                    f"{name} must be a list of numbers in the float range")
-        elif name in ("n_antennas", "n_eves"):
-            if not (is_integer(value) and is_number(value)):
-                raise ValueError(
-                    f"{name} must be an integer in the float range")
-        elif not is_number(value):
-            raise ValueError(f"{name} must be a number in the float range")
+    raw = {name: admit(name, value) for name, value in raw.items()}
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
-    for name, value in raw.items():
-        if name in ("thetas", "betas", "ks"):
-            raw[name] = tuple(map(float, value))
-        elif name not in ("n_antennas", "n_eves"):
-            raw[name] = float(value)
     raw["theta0"] *= PI
     raw["thetas"] = tuple(v * PI for v in raw["thetas"])
     return SystemConfig(**raw)

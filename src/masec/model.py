@@ -9,8 +9,10 @@ radians, all powers and path gains are linear (not dB).
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,9 +23,58 @@ FloatArray = NDArray[np.floating]
 TWO_PI = 2.0 * np.pi
 
 
+def is_number(value) -> bool:
+    """A real number, numpy's too, that float() converts: not a bool, and
+    no integer beyond the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, (float, np.floating))
+                 or abs(value) <= sys.float_info.max))
+
+
+def is_integer(value, least: float = -math.inf) -> bool:
+    """An integer, numpy's too, not a bool, of at least ``least``."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least)
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise a one-line ValueError naming ``name`` unless ``value`` is an
+    integer of at least ``least``, 0 or 1 (see :func:`is_integer`)."""
+    if not is_integer(value, least):
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer")
+
+
+_KINDS = {"n_antennas": int, "n_eves": int, "thetas": tuple, "betas": tuple,
+          "ks": tuple}
+
+
+def admit(name: str, value, kind: type | None = None):
+    """``value`` as a ``kind``, by default that of the SystemConfig field
+    ``name``, else a one-line ValueError: an int or float takes a number in
+    the float range (the int an integer), a tuple a list, tuple or 1-D
+    array of them and holds floats."""
+    kind = kind or _KINDS.get(name, float)
+    if kind is tuple:
+        if isinstance(value, np.ndarray):   # any but 1-D fails below
+            value = value.tolist()
+        if isinstance(value, (list, tuple)) and all(map(is_number, value)):
+            return tuple(map(float, value))
+        what = "a list of numbers"
+    elif is_number(value) and (kind is float or is_integer(value)):
+        return kind(value)
+    else:
+        what = "an integer" if kind is int else "a number"
+    raise ValueError(f"{name} must be {what} in the float range")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scenario parameters shared by every routine in the package.
+
+    Built, it first admits and converts each field (:func:`admit`), then
+    checks the values: counts stay ints, lists and 1-D arrays become
+    tuples of floats and every other number a float.
 
     Attributes:
         n_antennas: number of transmit elements (>= 2).
@@ -40,7 +91,8 @@ class SystemConfig:
         sigma2: noise power at every receiver.
         rs: target secrecy rate in bits/s/Hz; 2^rs must be a finite float.
         wavelength: carrier wavelength; positions are in the same unit.
-        span: length of the line segment the elements move on.
+        span: length of the line segment the elements move on; the largest
+            steering phase, 2 pi span / wavelength, must be a finite float.
         dmin: minimum spacing between adjacent elements.
     """
 
@@ -59,6 +111,9 @@ class SystemConfig:
     dmin: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               admit(f.name, getattr(self, f.name)))
         if self.n_antennas < 2:
             raise ValueError("n_antennas must be at least 2")
         if self.n_eves < 1:
@@ -79,6 +134,10 @@ class SystemConfig:
         for name in ("pa", "sigma2", "rs", "wavelength"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(TWO_PI / self.wavelength * self.span):
+            raise ValueError(
+                f"span={self.span} and wavelength={self.wavelength} overflow "
+                "the steering phase 2*pi*span/wavelength")
         try:
             math.pow(2.0, self.rs)
         except OverflowError:

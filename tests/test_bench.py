@@ -194,6 +194,26 @@ class TestRandomPlacement:
         with pytest.raises(ValueError, match="restarts"):
             run_scheme(scheme, base_config(), table=table, restarts=0)
 
+    @pytest.mark.parametrize("scheme", [SchemeId.RAP_ZF, SchemeId.RAP_OB])
+    @pytest.mark.parametrize("change, message", [
+        ({"restarts": 2.5}, "restarts must be a positive integer"),
+        ({"restarts": True}, "restarts must be a positive integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": 1.5}, "seed must be a non-negative integer"),
+        ({"seed": None}, "seed must be a non-negative integer"),
+    ])
+    def test_restarts_and_seed_follow_the_sweep_spec_rules(
+            self, scheme, change, message, table):
+        with pytest.raises(ValueError) as caught:
+            run_scheme(scheme, preset("ob-demo"), table=table, **change)
+        assert str(caught.value) == message
+
+    def test_numpy_restarts_and_seed_are_integers(self, table):
+        want = run_scheme(SchemeId.RAP_ZF, base_config(), seed=3, restarts=4)
+        got = run_scheme(SchemeId.RAP_ZF, base_config(), seed=np.int64(3),
+                         restarts=np.int32(4))
+        assert np.array_equal(got.x, want.x) and got.p_out == want.p_out
+
 
 class TestApplyVariable:
     def test_power_in_db(self):
@@ -222,6 +242,15 @@ class TestApplyVariable:
                            ks=(1.0, 1.0))
         with pytest.raises(ValueError, match="whole number"):
             apply_variable(base, name, value)
+
+    @pytest.mark.parametrize("name", ["pa_db", "k", "theta_ratio",
+                                      "n_antennas"])
+    @pytest.mark.parametrize("value", ["2", None, True, 10**400])
+    def test_a_value_that_is_not_a_number(self, name, value):
+        with pytest.raises(ValueError) as caught:
+            apply_variable(base_config(), name, value)
+        assert str(caught.value) == (f"{name} must be a number in the "
+                                     "float range")
 
     def test_integral_float_counts_are_accepted(self):
         base = base_config(n_eves=2, thetas=(0.4, 0.9), betas=(1.0, 1.0),
@@ -510,6 +539,11 @@ class TestConfigParsing:
         changes = value if key == "eves" else {key: value}
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict({**_sweep_spec()["base"], **changes})
+
+    def test_rejects_a_steering_phase_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "span=1e+308 and wavelength=1.0 overflow the steering")):
+            config_from_dict({**_sweep_spec()["base"], "span": 1e308})
 
     def test_largest_rate_below_the_overflow_is_kept(self):
         cfg = config_from_dict({**_sweep_spec()["base"], "rs": 1023.5})
@@ -926,6 +960,18 @@ def test_scheme_result_carries_eps_only_for_bisection(table):
     assert zfr.eps is None
 
 
+@pytest.mark.parametrize("max_outer", [2.5, -3, True, None, "10"])
+def test_params_reject_a_cap_that_is_not_a_non_negative_integer(max_outer):
+    with pytest.raises(ValueError) as caught:
+        OptimizerParams(max_outer)
+    assert str(caught.value) == "max_outer must be a non-negative integer"
+
+
+def test_params_take_a_zero_or_numpy_cap():
+    assert OptimizerParams(0).max_outer == 0
+    assert OptimizerParams(np.int64(7)).max_outer == 7
+
+
 def test_default_params_match_documented_values():
     assert [f.name for f in dataclasses.fields(OptimizerParams)] == ["max_outer"]
     assert OptimizerParams().max_outer == 2000
@@ -933,6 +979,15 @@ def test_default_params_match_documented_values():
     assert (ascent.MIN_STEP, ascent.OBJ_TOL) == (1e-15, 1e-8)
     assert (ascent.GROW_AFTER, ascent.MOMENTUM_AFTER) == (2, 5)
     assert surrogate.DEFAULT_TAU == 0.01
+
+
+def test_readme_scenario_json_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    scenario = readme.split("### Scenario JSON", 1)[1]
+    block = scenario.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(block))
+    assert cfg == dataclasses.replace(base_config(pa=31.6),
+                                      thetas=(0.275 * np.pi,))
 
 
 def test_readme_library_snippet_runs(capsys):

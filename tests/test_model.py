@@ -1,12 +1,14 @@
 """Geometry, channels and the movement region."""
 import cmath
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masec.bench import preset
+from masec.bench import SweepSpec, base_config, preset
 from masec.model import (
     SystemConfig,
     eve_los_matrix,
@@ -62,6 +64,90 @@ class TestConfigValidation:
     def test_rejects_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_config(**{field: value})
+
+
+# scenarios built in Python that a JSON reader would refuse, with its wording
+_PYTHON_SCENARIO_FAULTS = [
+    ({"n_antennas": 5.0}, "n_antennas must be an integer in the float range"),
+    ({"n_antennas": True}, "n_antennas must be an integer in the float range"),
+    ({"n_eves": 1.0}, "n_eves must be an integer in the float range"),
+    ({"rs": True}, "rs must be a number in the float range"),
+    ({"ks": (True,)}, "ks must be a list of numbers in the float range"),
+    ({"pa": "31.6"}, "pa must be a number in the float range"),
+    ({"pa": 10**400}, "pa must be a number in the float range"),
+    ({"pa": None}, "pa must be a number in the float range"),
+    ({"pa": np.array(31.6)}, "pa must be a number in the float range"),
+    ({"thetas": 0.9}, "thetas must be a list of numbers in the float range"),
+    ({"thetas": np.array([[0.9]])}, "thetas must be a list of numbers"),
+    ({"betas": [1j]}, "betas must be a list of numbers in the float range"),
+    ({"span": 1e308}, "span=1e+308 and wavelength=1.0 overflow the steering "
+                      "phase 2*pi*span/wavelength"),
+    ({"wavelength": 1e-320}, "span=4.0 and wavelength=1e-320 overflow the "
+                             "steering phase"),
+]
+
+
+class TestConfigAdmission:
+    @pytest.mark.parametrize("change, message", _PYTHON_SCENARIO_FAULTS)
+    def test_a_fault_is_one_value_error_line(self, change, message):
+        with pytest.raises(ValueError) as caught:
+            base_config(**change)
+        assert str(caught.value).startswith(message)
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize("thetas", [[0.9], np.array([0.9]),
+                                        (np.float32(0.9),)])
+    def test_lists_and_arrays_become_tuples_of_floats(self, thetas):
+        want = base_config(thetas=(float(np.asarray(thetas)[0]),))
+        cfg = base_config(thetas=thetas)
+        assert cfg == want and hash(cfg) == hash(want)
+        assert type(cfg.thetas) is tuple and type(cfg.thetas[0]) is float
+        assert hash(SweepSpec(cfg, "k", [1.0])) == hash(SweepSpec(want, "k",
+                                                                  [1.0]))
+
+    def test_numpy_counts_stay_ints_and_numbers_become_floats(self):
+        cfg = base_config(n_antennas=np.int64(6), pa=np.float32(31.5),
+                          span=5, ks=np.array([4]))
+        assert type(cfg.n_antennas) is int and cfg.n_antennas == 6
+        assert (type(cfg.pa), type(cfg.span), cfg.span) == (float, float, 5.0)
+        assert cfg.ks == (4.0,) and type(cfg.ks[0]) is float
+
+    def test_a_replaced_field_is_admitted_too(self):
+        with pytest.raises(ValueError, match="n_eves must be an integer"):
+            dataclasses.replace(base_config(), n_eves=1.0)
+
+
+_FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
+_ODD_NUMBER = (st.floats() | st.integers()
+               | st.integers(-2**63, 2**63 - 1).map(np.int64)
+               | st.sampled_from([10**400, -10**400, math.nan, math.inf]))
+_ODD_VALUE = (st.none() | st.booleans() | st.text(max_size=3) | _ODD_NUMBER
+              | st.lists(_ODD_NUMBER | st.booleans(), max_size=3)
+              | st.lists(st.floats(), max_size=3).map(np.array)
+              | st.lists(st.floats(), max_size=3).map(
+                  lambda v: np.array(v).reshape(-1, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(_FIELDS), _ODD_VALUE,
+                               max_size=3))
+def test_a_python_scenario_is_a_config_or_one_value_error(changes):
+    # base_config()'s fields with some replaced; the configs are only built
+    try:
+        cfg = SystemConfig(**{**dataclasses.asdict(base_config()), **changes})
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return
+    hash(cfg)
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in ("n_antennas", "n_eves"):
+            assert type(value) is int
+        elif f.name in ("thetas", "betas", "ks"):
+            assert type(value) is tuple and all(type(v) is float
+                                                for v in value)
+        else:
+            assert type(value) is float
 
 
 def test_steering_vector_matches_elementwise_oracle():
