@@ -23,7 +23,7 @@ from .ascent import (BisectionResult, OptimizerParams, bisect_beam_lanes,
 from .model import (SystemConfig, admit, check_integer, feasible_region,
                     is_integer, random_feasible_positions)
 from .surrogate import LinearFitTable
-from .zf import pgd_solve, screened_outage, zf_beamformer, zf_solution
+from .zf import best_of_draws, pgd_solve, zf_solution
 
 PI = np.pi
 
@@ -71,14 +71,16 @@ def run_scheme(
     a one-line ValueError.
     RAP_ZF drops draws whose steering Gram matrix fails the zero-forcing
     condition check and raises only if none is left.
-    Both score all their draws in one batched call: RAP_OB solves every
+    Both solve all their draws in one batched call: RAP_OB solves every
     placement as a lane of ``bisect_beam_lanes`` and reports the winning
     lane's bisection, with ``iterations`` summed over all lanes; RAP_ZF
-    uses ``screened_outage``.  Schemes that run the confidence bisection
-    report its certified eps; those and MA_ZF also return the iteration
-    trace of their final solve.  FPA_ZF and MA_ZF read their outage and
-    beamformer off one nulling solve at the returned placement
-    (``zf_solution``); for MA_ZF it is the descent's last one.
+    ranks its draws by the nulling loss, which the outage rises with, and
+    evaluates one outage and one beamformer (``best_of_draws``).  Schemes
+    that run the confidence bisection report its certified eps; those and
+    MA_ZF also return the iteration trace of their final solve.  FPA_ZF
+    and MA_ZF read their outage and beamformer off one nulling solve at
+    the returned placement (``zf_solution``); for MA_ZF it is the
+    descent's last one.
     """
     scheme = SchemeId(scheme)
     region = feasible_region(cfg)
@@ -119,11 +121,8 @@ def run_scheme(
 
     # RAP_ZF
     xs = random_feasible_positions(region, rng, restarts)
-    usable, p = screened_outage(xs, cfg)
-    xs = xs[usable]
-    i = int(np.argmin(p))
-    return SchemeResult(p_out=float(p[i]), w=zf_beamformer(xs[i], cfg),
-                        x=xs[i], iterations=0)
+    i, p_out, w = best_of_draws(xs, cfg)
+    return SchemeResult(p_out=p_out, w=w, x=xs[i], iterations=0)
 
 
 @dataclass(frozen=True)

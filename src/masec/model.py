@@ -28,7 +28,7 @@ def is_number(value) -> bool:
     no integer beyond the float range."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (isinstance(value, (float, np.floating))
-                 or abs(value) <= sys.float_info.max))
+                 or -sys.float_info.max <= value <= sys.float_info.max))
 
 
 def is_integer(value, least: float = -math.inf) -> bool:

@@ -19,11 +19,11 @@ holds it.
 
 ``bob_gain_loss`` and ``zf_outage`` take one placement (N,) or a stack of
 placements (R, N) and return a float or one value per row.  A stack costs
-one batched Gram factorization and one incomplete-gamma call, so the
-random-placement baseline scores all its draws at once; every check (the
-Gram condition number, the imaginary residue) still applies per row.
-``screened_outage`` builds and checks each row's Gram matrix once, drops
-the rows that fail the condition check and scores the rest.
+one batched Gram factorization and one incomplete-gamma call; every
+check (the Gram condition number, the imaginary residue) still applies per
+row.  ``best_of_draws`` gives the random-placement baseline's winner: it
+builds and checks each draw's Gram matrix once, solves the usable draws
+in one batch and ranks them by the loss, so it evaluates one outage.
 """
 from __future__ import annotations
 
@@ -56,14 +56,17 @@ class SingularSteeringError(RuntimeError):
 
 def _steering(x: FloatArray, mm: MomentMatch):
     """Steering stacks (..., N, M) with columns h_i^H, their Gram matrices
-    (..., M, M) and the Gram condition numbers (...)."""
+    (..., M, M) and the Gram condition numbers (...), the largest singular
+    value over the smallest, as ``np.linalg.cond`` divides them."""
     n, m = x.shape[-1], mm.sines.size - 1
     if n < m + 1:
         raise ValueError("zero-forcing needs n_antennas >= n_eves + 1 "
                          f"(got N={n}, M={m})")
     stack = np.swapaxes(mm.rows(x)[..., 1:, :].conj(), -1, -2)
     gram = np.swapaxes(stack.conj(), -1, -2) @ stack
-    return stack, gram, np.linalg.cond(gram)
+    s = np.linalg.svd(gram, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return stack, gram, s[..., 0] / s[..., -1]
 
 
 def _ill_conditioned(cond: float, mm: MomentMatch,
@@ -270,20 +273,33 @@ def zf_solution(x: FloatArray, cfg: SystemConfig,
     return _outage(nulling.loss, mm, cfg), _beam(nulling)
 
 
-def screened_outage(xs: FloatArray, cfg: SystemConfig):
-    """Zero-forcing outage of the usable placements of a stack (R, N).
+def best_of_draws(xs: FloatArray, cfg: SystemConfig
+                  ) -> tuple[int, float, ComplexArray]:
+    """RAP_ZF's winner among the placements of a stack (R, N): the index
+    of the usable row with the smallest zero-forcing outage (the first on
+    ties), that outage and the row's ``zf_beamformer``.
 
     Each row's steering Gram matrix is built and condition-checked once;
-    the rows that fail the check are dropped and only the rest are
-    factored.  Returns the usable mask (R,) and the outages of
-    ``xs[usable]``, equal to ``zf_outage(xs[usable], cfg)``.  Raises the
-    first row's ``SingularSteeringError`` when no row is usable.
+    the rows that fail the check are dropped and the rest are solved in one
+    batch.  The outage rises with the nulling loss, so the row with the
+    smallest loss wins and only its outage is evaluated, with the bits of
+    that row in ``zf_outage(xs[usable], cfg)``.  At a clamped outage (0 or
+    1) rows of different losses tie, so then every usable row is scored
+    and the first best outage wins.  The beam is built from the winner's
+    row of the batched solve.  Raises the first row's
+    ``SingularSteeringError`` when no row is usable.
     """
     xs = check_vector("xs", xs, cfg.n_antennas, real=True, stack=True)
     mm = moment_match(cfg)
     steering = _steering(xs, mm)
-    usable = steering[2] <= _COND_LIMIT
-    if not usable.any():
+    usable = np.flatnonzero(steering[2] <= _COND_LIMIT)
+    if not usable.size:
         raise _ill_conditioned(steering[2][0], mm, cfg)
     solved = _nulling(xs[usable], mm, cfg, [a[usable] for a in steering])
-    return usable, _outage(solved.loss, mm, cfg)
+    i = int(np.argmin(solved.loss))
+    p_out = _outage(solved.loss[i], mm, cfg)
+    if p_out in (0.0, 1.0):
+        p = _outage(solved.loss, mm, cfg)
+        i = int(np.argmin(p))
+        p_out = float(p[i])
+    return int(usable[i]), p_out, _beam(_Nulling(*(a[i] for a in solved)))

@@ -34,7 +34,7 @@ from masec.ascent import OptimizerParams, bisection_outage_min
 from masec.cli import main
 from masec.model import SystemConfig, feasible_region
 from masec.outage import moment_match
-from masec.zf import SingularSteeringError, zf_outage
+from masec.zf import SingularSteeringError, zf_beamformer, zf_outage
 
 
 class TestSchemes:
@@ -101,6 +101,7 @@ def reference_random_placement(scheme, cfg, seed, restarts, table):
 
     Returns the best outage and placement, the winning restart's
     BisectionResult (None for RAP_ZF) and the iterations of all restarts.
+    RAP_ZF skips the draws whose nulling solve raises.
     """
     rng = np.random.default_rng(seed)
     region = feasible_region(cfg)
@@ -109,7 +110,10 @@ def reference_random_placement(scheme, cfg, seed, restarts, table):
         x = rng.uniform(region.lo, region.hi)
         run = None
         if scheme is SchemeId.RAP_ZF:
-            p = zf_outage(x, cfg)
+            try:
+                p = zf_outage(x, cfg)
+            except SingularSteeringError:
+                continue
         else:
             run = bisection_outage_min(cfg, table, x0=x, mode="beam_only")
             p, iterations = run.p_out, iterations + run.total_iterations
@@ -118,14 +122,35 @@ def reference_random_placement(scheme, cfg, seed, restarts, table):
     return best_p, best_x, best_run, iterations
 
 
+def _scenario(name):
+    """A preset, or a RAP_ZF scenario: m-sweep with its first M
+    eavesdroppers ("m-sweep-M"), base_config at a power so low that every
+    draw is certain outage ("base-starved"), and zf-demo-far's angles with
+    weak eavesdroppers at a huge power and low rate, where every draw has
+    outage 0 ("far-secure").  In the last two every draw ties, and at seed
+    3 with 150 draws the smallest nulling loss is not the first draw's."""
+    if name.startswith("m-sweep-"):
+        return apply_variable(preset("m-sweep"), "n_eves", int(name[8:]))
+    if name == "base-starved":
+        return base_config(pa=1e-4)
+    if name == "far-secure":
+        return dataclasses.replace(preset("zf-demo-far"), betas=(1e-3, 1e-3),
+                                   pa=1e9, rs=0.1)
+    return preset(name)
+
+
+_RAP_ZF_SCENARIOS = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep",
+                     *(f"m-sweep-{m}" for m in range(1, 7)), "base-starved",
+                     "far-secure")
+
 # On cdf-demo a last-ulp change flips RAP_OB probe verdicts near eps 0.10.
 # RAP_ZF has no cdf-demo case: an eavesdropper sits at the legitimate
 # user's angle there, so zero-forcing cannot serve the user.
 _RANDOM_PLACEMENT_CASES = [
     pytest.param(scheme, restarts, name, id=f"{scheme.value}-{restarts}-{name}")
     for scheme, restarts, names in [
-        (SchemeId.RAP_ZF, 1, ("ob-demo", "zf-demo-far", "k-sweep")),
-        (SchemeId.RAP_ZF, 150, ("ob-demo", "zf-demo-far", "k-sweep")),
+        (SchemeId.RAP_ZF, 1, _RAP_ZF_SCENARIOS),
+        (SchemeId.RAP_ZF, 150, _RAP_ZF_SCENARIOS),
         (SchemeId.RAP_OB, 1, ("ob-demo", "zf-demo-far", "k-sweep", "cdf-demo")),
         (SchemeId.RAP_OB, 4, ("ob-demo", "zf-demo-far", "k-sweep", "cdf-demo")),
         (SchemeId.RAP_OB, 100, ("ob-demo", "zf-demo-far", "k-sweep",
@@ -136,13 +161,16 @@ _RANDOM_PLACEMENT_CASES = [
 class TestRandomPlacement:
     @pytest.mark.parametrize("scheme,restarts,name", _RANDOM_PLACEMENT_CASES)
     def test_matches_per_restart_loop(self, name, scheme, restarts, table):
-        cfg = preset(name)
+        cfg = _scenario(name)
         res = run_scheme(scheme, cfg, seed=3, restarts=restarts, table=table)
         p, x, best, iterations = reference_random_placement(
             scheme, cfg, 3, restarts, table)
         assert np.array_equal(res.x, x)
         assert res.p_out == pytest.approx(p, rel=1e-14, abs=1e-15)
         assert res.iterations == iterations
+        if scheme is SchemeId.RAP_ZF:
+            want = zf_beamformer(x, cfg)
+            assert np.linalg.norm(res.w - want) <= 1e-14 * np.linalg.norm(want)
         if best is not None:
             assert res.eps == best.eps
             assert (res.detail.probes, res.detail.rounds) == \
@@ -181,13 +209,19 @@ class TestRandomPlacement:
         monkeypatch.setattr(zf, "_steering", counting)
         run_scheme(SchemeId.RAP_ZF, preset("zf-demo-far"), seed=3,
                    restarts=150)
-        assert rows == [150, 1]    # every draw, then the chosen beamformer
+        assert rows == [150]    # the beamformer reads the batched solve
 
     def test_rap_zf_raises_when_no_draw_is_usable(self):
         cfg = base_config(n_eves=2, thetas=(0.5, 0.5 + 1e-9), betas=(1.0, 1.0),
                           ks=(4.0, 4.0))
-        with pytest.raises(SingularSteeringError, match="ill-conditioned"):
+        first = bench.random_feasible_positions(
+            feasible_region(cfg), np.random.default_rng(0), 5)[0]
+        with pytest.raises(SingularSteeringError, match="ill-conditioned") \
+                as want:
+            zf_outage(first, cfg)
+        with pytest.raises(SingularSteeringError) as got:
             run_scheme(SchemeId.RAP_ZF, cfg, seed=0, restarts=5)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("scheme", [SchemeId.RAP_ZF, SchemeId.RAP_OB])
     def test_needs_a_restart(self, scheme, table):

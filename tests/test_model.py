@@ -2,6 +2,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,26 @@ def test_a_python_scenario_is_a_config_or_one_value_error(changes):
                                                 for v in value)
         else:
             assert type(value) is float
+
+
+@pytest.mark.parametrize("name", _FIELDS)
+def test_the_smallest_int64_is_a_config_or_one_value_error(name):
+    # numpy's smallest int64 has no int64 absolute value; a list field
+    # holds it as its one number
+    value = np.int64(-2**63)
+    if name in ("thetas", "betas", "ks"):
+        value = [value]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cfg = SystemConfig(**{**dataclasses.asdict(base_config()),
+                                  name: value})
+        except ValueError as exc:
+            assert "\n" not in str(exc) and name not in ("theta0", "thetas")
+        else:
+            assert name in ("theta0", "thetas")
+            assert getattr(cfg, name) in (-2.0**63, (-2.0**63,))
+    assert [str(w.message) for w in caught] == []
 
 
 def test_steering_vector_matches_elementwise_oracle():

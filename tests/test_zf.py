@@ -22,13 +22,17 @@ from masec.model import (
     project_positions,
     random_feasible_positions,
 )
-from masec.outage import monte_carlo_outage, secrecy_outage_closed_form
+from masec.outage import (
+    moment_match,
+    monte_carlo_outage,
+    secrecy_outage_closed_form,
+)
 from masec.zf import (
     SingularSteeringError,
+    best_of_draws,
     bob_gain_loss,
     bob_gain_loss_grad,
     pgd_solve,
-    screened_outage,
     zf_beamformer,
     zf_outage,
     zf_solution,
@@ -300,11 +304,13 @@ class TestStacks:
         cfg = two_eve_config(thetas=(0.0, np.pi / 2))
         xs = random_feasible_positions(feasible_region(cfg),
                                        np.random.default_rng(1), 4)
-        assert screened_outage(xs, cfg)[0].all()
         xs[2] = np.arange(5.0)    # both eves see the same LoS row
-        usable, outs = screened_outage(xs, cfg)
-        assert usable.tolist() == [True, True, False, True]
-        assert np.array_equal(outs, zf_outage(xs[usable], cfg))
+        i, p_out, w = best_of_draws(xs, cfg)
+        usable = [0, 1, 3]
+        outs = zf_outage(xs[usable], cfg)
+        assert i == usable[int(np.argmin(outs))]
+        assert p_out.hex() == float(outs.min()).hex()
+        assert w.tobytes() == zf_beamformer(xs[i], cfg).tobytes()
         for fn in (zf_outage, bob_gain_loss):
             with pytest.raises(SingularSteeringError, match="ill-conditioned"):
                 fn(xs, cfg)
@@ -315,6 +321,33 @@ class TestStacks:
                                        np.random.default_rng(2), 5)
         assert np.array_equal(zf_outage(xs, cfg), np.ones(5))
 
+
+
+class TestBestOfDraws:
+    """RAP_ZF's winner is the draw with the smallest nulling loss, which
+    is the first best outage because the outage never falls as the loss
+    rises; where the outages clamp, every draw ties."""
+
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far",
+                                      "zf-demo-near", "k-sweep"])
+    def test_outage_rises_with_the_loss(self, name):
+        # one-ulp steps in the threshold near t = a + 1 can reverse, so
+        # the grid is coarse
+        cfg = preset(name)
+        loss = np.linspace(0.0, cfg.beta0 * cfg.n_antennas, 10**4)
+        outs = zf._outage(loss, moment_match(cfg), cfg)
+        assert np.all(np.diff(outs) >= 0.0)
+
+    @pytest.mark.parametrize("changes,p_out", [
+        (dict(pa=1e-4), 1.0), (dict(betas=(1e-3, 1e-3), pa=1e9, rs=0.1), 0.0)],
+        ids=["starved", "secure"])
+    def test_clamped_outages_keep_the_first_draw(self, changes, p_out):
+        cfg = dataclasses.replace(preset("zf-demo-far"), **changes)
+        xs = random_feasible_positions(feasible_region(cfg),
+                                       np.random.default_rng(0), 50)
+        assert np.all(zf_outage(xs, cfg) == p_out)
+        assert np.argmin(bob_gain_loss(xs, cfg)) > 0
+        assert best_of_draws(xs, cfg)[:2] == (0, p_out)
 
 
 def _skew_gram_solve(monkeypatch):
@@ -467,12 +500,12 @@ class TestPositionChecks:
         with pytest.raises(ValueError, match=match):
             entry(xs, cfg)
 
-    def test_screened_outage_takes_a_stack(self):
+    def test_best_of_draws_takes_a_stack(self):
         cfg = preset("zf-demo-far")
         x = feasible_region(cfg).midpoints()
         with pytest.raises(ValueError, match=r"xs must have shape \(B, 5\)"):
-            screened_outage(x, cfg)
-        assert screened_outage(x[None], cfg)[0].tolist() == [True]
+            best_of_draws(x, cfg)
+        assert best_of_draws(x[None], cfg)[:2] == (0, zf_outage(x, cfg))
 
     def test_descent_checks_its_start_once(self, monkeypatch):
         calls = []
