@@ -23,11 +23,18 @@ whose trace is not monotone, ``zf.pgd_solve``, whose objective (the
 negated loss) is always negative, and the toy maximizer.
 
 Each evaluated point, a start, a line-search candidate or an
-extrapolated point, costs one steering product v = rows @ w and one
-``MomentMatch.statistics`` call.  ``line_search`` hands back the accepted
-candidate's evaluation, and a kept extrapolation its own, so the next
-beamformer gradient and the next position gradient both read it and
-recompute no gain.
+extrapolated point, costs one steering product v = rows @ w, its gains
+|v|^2 and one ``MomentMatch.statistics`` call.  ``line_search`` hands back
+the accepted candidate's evaluation, and a kept extrapolation its own, so
+the next beamformer gradient and the next position gradient both read it
+and recompute no gain.  On one lane those are a few numpy calls on
+(M+1, N) arrays, where numpy's fixed cost per call outweighs the math: the
+lane takes the gains as ``np.square(np.abs(v))`` and its dot products by
+``ndarray.dot``, which skip the slower ``** 2`` path and ``np.dot``'s
+dispatcher with the same bits.  For the same reason the checks of a start
+run once, at ``apga_solve``'s door, and not in each probe of a bisection,
+whose starts are unit-norm beams already; each bisection builds its gain
+model and region once, and ``_margin_bound`` its config's constants.
 
 The margin, its gain weights, both gradients and the beam normalization
 are written twice, with the same operations in the same order.  The
@@ -76,6 +83,7 @@ from numpy.typing import NDArray
 
 from .gammainc import lower_incomplete_gamma_reg
 from .model import (
+    FeasibleRegion,
     SystemConfig,
     check_integer,
     check_vector,
@@ -84,7 +92,7 @@ from .model import (
     project_positions,
     unit_norm,
 )
-from .outage import MomentMatch, moment_match, secrecy_outage_closed_form
+from .outage import MomentMatch, moment_match
 from .surrogate import (DEFAULT_TAU, LinearFitTable, default_table,
                         surrogate_lookup)
 
@@ -215,11 +223,12 @@ def _evaluate(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
     return _Evaluation(m if v.ndim > 1 else float(m), v, lin, thr)
 
 
-def _margin_bound(mm: MomentMatch, n: int, thr_max: float, slope,
-                  intercept) -> FloatArray:
-    """An upper bound on the margin of every line (slope, intercept) (...)
-    over all unit-norm beams and all placements of n antennas, given the
-    largest threshold thr_max = ``mm.threshold(beta0 n)``.
+def _margin_bound(mm: MomentMatch, n: int, thr_max: float):
+    """``bound(slope, intercept)``: an upper bound on the margin of every
+    line (slope, intercept) (...) over all unit-norm beams and all
+    placements of n antennas, given the largest threshold thr_max =
+    ``mm.threshold(beta0 n)``.  The ends of lin's and quad's intervals are
+    computed here, once per config.
 
     A unit-norm w on unit-modulus steering rows gives gains |s_d w|^2 in
     [0, n].  lin, quad and the threshold are affine in them with
@@ -229,14 +238,17 @@ def _margin_bound(mm: MomentMatch, n: int, thr_max: float, slope,
     slope peaks at the clipped thr_max / (2 slope), and subtracts intercept
     quad at quad's end that makes it smallest.  It does not read x.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        # a slope near 0 puts the peak past the float range: inf clips to top
-        peak = thr_max / (2.0 * slope)
-    lin = np.minimum(np.maximum(peak, mm.lin_const),
-                     mm.lin_const + n * float(mm.lin_coef.sum()))
-    quad = np.where(intercept >= 0.0, mm.quad_const,
-                    mm.quad_const + n * float(mm.quad_coef.sum()))
-    return lin * thr_max - slope * (lin * lin) - intercept * quad
+    lin_top = mm.lin_const + n * float(mm.lin_coef.sum())
+    quad_top = mm.quad_const + n * float(mm.quad_coef.sum())
+
+    def bound(slope, intercept) -> FloatArray:
+        with np.errstate(divide="ignore", over="ignore"):
+            # a slope near 0 puts the peak past the float range: inf clips
+            peak = thr_max / (2.0 * slope)
+        lin = np.minimum(np.maximum(peak, mm.lin_const), lin_top)
+        quad = np.where(intercept >= 0.0, mm.quad_const, quad_top)
+        return lin * thr_max - slope * (lin * lin) - intercept * quad
+    return bound
 
 
 def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
@@ -299,9 +311,10 @@ def line_search(evaluate, point, obj: float, direction, project, delta: float):
     model ``obj + slope - |step|^2 / delta``, step = cand - point, whose
     slope Re<direction, step> is doubled for a complex point: ``direction``
     is the objective's gradient at ``point``, for a complex point half the
-    real-pair one.  Returns ``(delta, cand, value, evaluation)``, or None.
+    real-pair one.  ``point`` is an array.  Returns ``(delta, cand, value,
+    evaluation)``, or None.
     """
-    scale = 2.0 if np.iscomplexobj(point) else 1.0
+    scale = 2.0 if point.dtype.kind == "c" else 1.0
     while delta >= MIN_STEP:
         cand = project(point + delta * direction)
         step = cand - point
@@ -450,26 +463,34 @@ def apga_solve(
     the surrogate table); pass Python floats, since numpy scalars cost more
     per operation.  ``w0`` must be a finite (N,) vector with a nonzero
     finite norm and ``x0`` a finite real (N,) vector; anything else raises
-    ``ValueError``.  Its set-up is ``_apga_solver``'s, which
-    ``bisection_outage_min`` builds once per bisection for all its probes.
+    ``ValueError``.  These checks are this function's alone: its set-up and
+    probe are ``_apga_solver``'s, which ``bisection_outage_min`` builds once
+    per bisection and runs on starts that pass them by construction.
     """
     solve = _apga_solver(cfg, params, mode)
     n = cfg.n_antennas
-    return solve(check_vector("w0", w0, n),
-                 check_vector("x0", x0, n, real=True), slope, intercept)
+    w0 = check_vector("w0", w0, n).astype(complex)
+    with np.errstate(all="ignore"):
+        unit = unit_norm(w0)
+    if not (np.isfinite(unit).all() and unit.any()):  # its norm is 0 or inf
+        raise ValueError("w0 must have a nonzero finite norm")
+    return solve(w0, check_vector("x0", x0, n, real=True), slope, intercept)
 
 
 def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
-                 mode: str):
+                 mode: str, mm: MomentMatch | None = None,
+                 region: FeasibleRegion | None = None):
     """``apga_solve``'s set-up (gain model, region, work buffers) for one
-    config, params and mode.  Returns ``solve(w0, x0, slope, intercept)``,
-    one probe on it; calls share only the buffers, each written first."""
+    config, params and mode; the gain model and region of ``cfg`` are built
+    unless given.  Returns ``solve(w0, x0, slope, intercept)``, one probe
+    on it, from a complex w0 with a nonzero finite norm and a real x0, each
+    (N,); calls share only the buffers, each written first."""
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
     n = cfg.n_antennas
     max_outer = (params or OptimizerParams()).max_outer
-    mm = moment_match(cfg)
-    region = feasible_region(cfg)
+    mm = mm or moment_match(cfg)
+    region = region or feasible_region(cfg)
 
     # the constants of the solve, computed once
     statistics, beta0, rate_pow = mm.statistics, mm.beta0, mm.rate_pow
@@ -492,15 +513,15 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
         return np.exp(phase * phases)
 
     def normalize(w):                   # model.unit_norm
-        return w / math.sqrt(float(np.dot(w.real, w.real))
-                             + float(np.dot(w.imag, w.imag)))
+        re, im = w.real, w.imag
+        return w / math.sqrt(float(re.dot(re)) + float(im.dot(im)))
 
     def solve(w0, x, slope, intercept):
         intercept_quad = intercept * quad_coef
 
         def evaluate(rows, w):          # _evaluate: (margin, v, lin, thr)
             v = np.matvec(rows, w)
-            lin, quad, thr = statistics(np.abs(v) ** 2)
+            lin, quad, thr = statistics(np.square(np.abs(v)))
             return (lin * thr - slope * (lin * lin) - intercept * quad,
                     v, lin, thr)
 
@@ -509,10 +530,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
             np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
-        with np.errstate(all="ignore"):
-            w = normalize(w0.astype(complex))
-        if not (np.isfinite(w).all() and w.any()):  # its norm is 0 or inf
-            raise ValueError("w0 must have a nonzero finite norm")
+        w = normalize(w0)
         rows = steer(x)
         rows_conj = rows.conj()
         obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
@@ -612,10 +630,11 @@ def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     return levels, verdicts
 
 
-def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
-            solve) -> list[BisectionResult]:
+def _bisect(cfg: SystemConfig, mm: MomentMatch, table: LinearFitTable | None,
+            xs, solve) -> list[BisectionResult]:
     """Minimize the secrecy outage by confidence bisection in every lane of
-    the placements xs (B, N), each from its matched filter.
+    the placements xs (B, N), each from its matched filter, on the gain
+    model mm of cfg.
 
     This is the one place of the solver stack that reads the table (the
     default table when None).  Each round, one ``surrogate_lookup`` maps the
@@ -644,20 +663,19 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     table = table or default_table()
     xs = np.array(xs)     # a copy: joint probes move it
     w = mrt_beamformer(xs, cfg)
-    mm = moment_match(cfg)
     thr_max = mm.threshold(cfg.beta0 * cfg.n_antennas)
     if thr_max <= 0.0:
         w = unit_norm(w)
         return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
                                 rounds=0, total_iterations=0)
-                for p, wi, xi in zip(
-                    secrecy_outage_closed_form(w, xs, cfg).tolist(), w, xs)]
+                for p, wi, xi in zip(mm.outage(w, xs).tolist(), w, xs)]
     w_out, x_out, solves = w.copy(), xs.copy(), []
     screened = np.zeros(len(xs), dtype=int)
+    bound = _margin_bound(mm, cfg.n_antennas, thr_max)
 
     def probe(live, levels):
         slope, intercept = surrogate_lookup(table, levels)
-        margin = _margin_bound(mm, cfg.n_antennas, thr_max, slope, intercept)
+        margin = bound(slope, intercept)
         run = margin >= 0.0
         n_iter, trace = np.zeros(len(live), dtype=int), None
         if run.any():
@@ -679,7 +697,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     eps = (feasible := np.where(verdicts, levels, 0.0)).max(axis=0)
     source = np.where(eps > 0.0, feasible.argmax(axis=0), rounds - 1)
     w_out[eps == 0.0], x_out[eps == 0.0] = w[eps == 0.0], xs[eps == 0.0]
-    p_out = secrecy_outage_closed_form(w_out, x_out, cfg)
+    p_out = mm.outage(w_out, x_out)
     return [BisectionResult(
         eps=e, p_out=p, w=w_out[b], x=x_out[b], feasible=e > 0.0, rounds=k,
         total_iterations=sum(n), probes=list(zip(lv, f, m))[:k],
@@ -708,17 +726,18 @@ def bisection_outage_min(
     outage is the closed-form value at the certified solution.
     ``best_trace`` is that solve's iteration trace.
     """
+    mm, region = moment_match(cfg), feasible_region(cfg)
     if x0 is None:
-        x0 = feasible_region(cfg).midpoints()
+        x0 = region.midpoints()
     else:
         x0 = check_vector("x0", x0, cfg.n_antennas, real=True)
-    apga = _apga_solver(cfg, params, mode)
+    apga = _apga_solver(cfg, params, mode, mm, region)
 
     def solve(live, w, x, slope, intercept):
         res = apga(w[0], x[0], float(slope[0]), float(intercept[0]))
         return res.w, res.x, res.objective, res.n_iter, lambda b, n: res.trace
 
-    return _bisect(cfg, table, [x0], solve)[0]
+    return _bisect(cfg, mm, table, [x0], solve)[0]
 
 
 def _try_lanes(mm: MomentMatch, rows, w, obj, g, slope, intercept, delta):
@@ -877,7 +896,7 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
         return beams, x, obj, n_iter, lambda b, n: _lane_trace(
             history, int(np.searchsorted(live, b)), n)
 
-    return _bisect(cfg, table, xs, solve)
+    return _bisect(cfg, mm, table, xs, solve)
 
 
 @dataclass

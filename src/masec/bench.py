@@ -83,7 +83,6 @@ def run_scheme(
     descent's last one.
     """
     scheme = SchemeId(scheme)
-    region = feasible_region(cfg)
 
     def from_bisection(res: BisectionResult) -> SchemeResult:
         return SchemeResult(p_out=res.p_out, w=res.w, x=res.x,
@@ -102,6 +101,7 @@ def run_scheme(
         p_out, w = zf_solution(x, cfg)
         return SchemeResult(p_out=p_out, w=w, x=x, iterations=0)
 
+    region = feasible_region(cfg)
     if scheme is SchemeId.MA_ZF:
         res = pgd_solve(region.midpoints(), cfg, params)
         p_out, w = zf_solution(res.x, cfg, res.nulling)

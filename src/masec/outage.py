@@ -89,17 +89,23 @@ class MomentMatch:
         legitimate link is too weak for rate rs at any eavesdropper power."""
         return bob_gain / self.rate_pow + self.noise_off
 
+    def outage(self, w, x) -> float | FloatArray:
+        """The closed-form secrecy outage of beams w at placements x, each
+        (..., N); ``secrecy_outage_closed_form`` on this gain model."""
+        return gamma_outage(*self.statistics(power_gains(self.rows(x), w)))
+
     def statistics(self, gains):
         """lin, quad and the outage threshold of the M+1 gains (..., M+1).
 
         One lane's gains (M+1,) give Python floats, from the same operations
-        in the same order (``np.dot`` of two 1-D arrays runs the dot loop of
-        ``np.vecdot``): 0-d numpy arithmetic costs more than the math.
+        in the same order (``ndarray.dot`` of two 1-D arrays runs the dot
+        loop of ``np.vecdot``): 0-d numpy arithmetic costs more than the
+        math, and the method skips ``np.dot``'s dispatcher.
         """
         eve = gains[..., 1:]
         if gains.ndim == 1:
-            return (float(np.dot(eve, self.lin_coef)) + self.lin_const,
-                    float(np.dot(eve, self.quad_coef)) + self.quad_const,
+            return (float(eve.dot(self.lin_coef)) + self.lin_const,
+                    float(eve.dot(self.quad_coef)) + self.quad_const,
                     self.threshold(self.beta0 * float(gains[0])))
         return (np.vecdot(eve, self.lin_coef) + self.lin_const,
                 np.vecdot(eve, self.quad_coef) + self.quad_const,
@@ -191,8 +197,7 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
     threshold means certain outage.  Stacks w, x of shape (B, N) give one
     value per row, each with the bits of that row's own call.
     """
-    mm = moment_match(cfg)
-    return gamma_outage(*mm.statistics(power_gains(mm.rows(x), w)))
+    return moment_match(cfg).outage(w, x)
 
 
 def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> float:

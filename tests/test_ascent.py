@@ -557,8 +557,8 @@ def level_bound(cfg, table, eps):
     mm = moment_match(cfg)
     slope, intercept = surrogate_lookup(table, np.array(eps, dtype=float))
     return ascent._margin_bound(mm, cfg.n_antennas,
-                                mm.threshold(cfg.beta0 * cfg.n_antennas),
-                                slope, intercept)
+                                mm.threshold(cfg.beta0 * cfg.n_antennas))(
+        slope, intercept)
 
 
 class TestLinesFromTheTable:

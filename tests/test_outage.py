@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from masec.ascent import margin_objective
-from masec.bench import cdf_check_case, preset
+from masec.bench import apply_variable, cdf_check_case, preset
 from masec.gammainc import lower_incomplete_gamma_reg
 from masec.model import (
     eve_los_matrix,
@@ -205,6 +205,35 @@ class TestClosedForm:
         assert outs.shape == (64,)
         for w, x, p in zip(ws, xs, outs):
             assert secrecy_outage_closed_form(w, x, cfg) == p
+
+
+STATISTICS_SCENARIOS = {
+    **{name: preset(name) for name in ("ob-demo", "zf-demo-far",
+                                       "zf-demo-near", "k-sweep", "m-sweep",
+                                       "cdf-demo")},
+    **{f"m-sweep n_eves={m}": apply_variable(preset("m-sweep"), "n_eves", m)
+       for m in range(1, 8)},
+}
+
+
+@pytest.mark.parametrize("name", list(STATISTICS_SCENARIOS))
+def test_one_lane_statistics_are_their_row_of_a_stack(name):
+    # the one-lane branch (ndarray.dot, float arithmetic) against the
+    # stacked one (np.vecdot), bit for bit, on gains over [0, N] and on
+    # gains spread over twenty decades
+    cfg = STATISTICS_SCENARIOS[name]
+    mm = moment_match(cfg)
+    rng = np.random.default_rng(12)
+    shape = (64, cfg.n_eves + 1)
+    stack = np.concatenate([
+        rng.uniform(0.0, cfg.n_antennas, size=shape),
+        cfg.n_antennas * 10.0 ** rng.uniform(-20.0, 0.0, size=shape)])
+    lins, quads, thrs = mm.statistics(stack)
+    for gains, lin, quad, thr in zip(stack, lins, quads, thrs):
+        one = mm.statistics(gains)
+        assert all(type(v) is float for v in one)
+        assert [v.hex() for v in one] == [float(lin).hex(), float(quad).hex(),
+                                          float(thr).hex()]
 
 
 class TestMonteCarlo:
