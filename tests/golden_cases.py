@@ -59,7 +59,7 @@ def _digest(text: str | bytes) -> str:
 
 
 def _hex(value) -> str:
-    """A float as ``float.hex``, an int in decimal, None as ``-``."""
+    """A float as ``float.hex``, a bool or an int as text, None as ``-``."""
     if value is None:
         return "-"
     return str(value) if isinstance(value, (bool, int)) else float(value).hex()
@@ -86,19 +86,12 @@ def solve(name: str, scheme: str, cfg, kwargs) -> dict:
     }
 
 
-def header() -> dict:
-    return {"numpy": np.__version__}
-
-
 def compute() -> list[dict]:
     """The header and every case's line, as the code solves them now."""
-    return [header()] + [solve(*case) for case in cases()]
-
-
-def dumps(lines: list[dict]) -> str:
-    return "".join(json.dumps(line) + "\n" for line in lines)
+    return [{"numpy": np.__version__}] + [solve(*case) for case in cases()]
 
 
 if __name__ == "__main__":
-    PATH.write_text(dumps(compute()))
-    print(f"wrote {PATH} ({sum(1 for _ in cases())} cases)")
+    lines = compute()
+    PATH.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    print(f"wrote {PATH} ({len(lines) - 1} cases)")
