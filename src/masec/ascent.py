@@ -36,14 +36,15 @@ run once, at ``apga_solve``'s door, and not in each probe of a bisection,
 whose starts are unit-norm beams already; each bisection builds its gain
 model and region once, and ``_margin_bound`` its config's constants.
 
-The margin, its gain weights, both gradients and the beam normalization
-are written twice, with the same operations in the same order.  The
-helpers ``_evaluate``, ``_gain_weights``, ``_grad_w``, ``_grad_x`` and
-``model.unit_norm`` broadcast over stacks of lanes; the public ``margin_*``
-functions and the lane solver use them.  ``apga_solve`` solves one lane in
-float arithmetic on 1-D arrays, with the constants of the solve computed
-once, since 0-d numpy operations cost more than the math on (M+1, N)
-arrays.  The parity tests hold the two to the same bits.
+The margin, its gain weights and both gradients are written twice, with
+the same operations in the same order.  The helpers ``_evaluate``,
+``_gain_weights``, ``_grad_w`` and ``_grad_x`` broadcast over stacks of
+lanes; the public ``margin_*`` functions and the lane solver use them.
+``apga_solve`` solves one lane in float arithmetic on 1-D arrays, with the
+constants of the solve computed once, since 0-d numpy operations cost more
+than the math on (M+1, N) arrays.  The parity tests hold the two to the
+same bits.  The beam normalization is written once: ``model.unit_norm``
+takes its one-lane path on a 1-D beam and its stacked path otherwise.
 
 The solvers take lines, not levels: ``apga_solve`` and ``_beam_lanes``
 maximize the margin of a given surrogate line, slope and intercept, and
@@ -457,11 +458,12 @@ def apga_solve(
     positions_mrt runs no extrapolation.
 
     The lane is evaluated in float arithmetic, with the same operations in
-    the same order as the stacked ``_evaluate``, ``_grad_w``, ``_grad_x``
-    and ``model.unit_norm``, so it gets their bits.  The slope and
-    intercept are taken as given (``_bisect`` looks them up for a level in
-    the surrogate table); pass Python floats, since numpy scalars cost more
-    per operation.  ``w0`` must be a finite (N,) vector with a nonzero
+    the same order as the stacked ``_evaluate``, ``_grad_w`` and
+    ``_grad_x``, so it gets their bits; it normalizes its beams with
+    ``model.unit_norm``, whose one-lane path has the bits of its row of a
+    stack.  The slope and intercept are taken as given (``_bisect`` looks
+    them up for a level in the surrogate table); pass Python floats, since
+    numpy scalars cost more per operation.  ``w0`` must be a finite (N,) vector with a nonzero
     finite norm and ``x0`` a finite real (N,) vector; anything else raises
     ``ValueError``.  These checks are this function's alone: its set-up and
     probe are ``_apga_solver``'s, which ``bisection_outage_min`` builds once
@@ -512,10 +514,6 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
         np.multiply(sines, pos, out=phases_re)
         return np.exp(phase * phases)
 
-    def normalize(w):                   # model.unit_norm
-        re, im = w.real, w.imag
-        return w / math.sqrt(float(re.dot(re)) + float(im.dot(im)))
-
     def solve(w0, x, slope, intercept):
         intercept_quad = intercept * quad_coef
 
@@ -530,7 +528,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
             np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
-        w = normalize(w0)
+        w = unit_norm(w0)
         rows = steer(x)
         rows_conj = rows.conj()
         obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
@@ -548,7 +546,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             nonlocal w, v, lin, thr
             gain_weights(lin, thr)
             g = (weights * v) @ rows_conj
-            found = line_search(beam_margin, w, obj, g, normalize, delta)
+            found = line_search(beam_margin, w, obj, g, unit_norm, delta)
             if found is not None:
                 _, w, obj, (_, v, lin, thr) = found
             return obj, found
@@ -576,7 +574,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             w_last, x_last, w_prev, x_prev = w_prev, x_prev, w, x
             if not beta:
                 return obj, None
-            y_w = normalize(w + beta * (w - w_last))
+            y_w = unit_norm(w + beta * (w - w_last))
             if mode == "joint":
                 y_x = project_positions(x + beta * (x - x_last), region)
                 y_rows = steer(y_x)

@@ -284,8 +284,14 @@ def unit_norm(w: ComplexArray) -> ComplexArray:
 
     The squared norm is summed as ``np.linalg.norm`` sums a complex vector,
     real parts then imaginary parts, so a lane gets the bits of
-    ``w / np.linalg.norm(w)``.
+    ``w / np.linalg.norm(w)``.  One lane (N,) takes the same operations in
+    float arithmetic, by ``ndarray.dot`` and ``math.sqrt``, since 0-d numpy
+    operations cost more than the math; it gets the bits of its row of a
+    stack.
     """
+    if w.ndim == 1:
+        re, im = w.real, w.imag
+        return w / math.sqrt(float(re.dot(re)) + float(im.dot(im)))
     norm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
     return w / norm[..., None]
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gammainc import lower_incomplete_gamma_reg
-from .model import TWO_PI, SystemConfig, check_vector
+from .model import TWO_PI, SystemConfig, check_integer, check_vector
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
@@ -91,7 +91,8 @@ class MomentMatch:
 
     def outage(self, w, x) -> float | FloatArray:
         """The closed-form secrecy outage of beams w at placements x, each
-        (..., N); ``secrecy_outage_closed_form`` on this gain model."""
+        (..., N); ``secrecy_outage_closed_form`` on this gain model, without
+        its input checks, since the bisection calls it on its own iterates."""
         return gamma_outage(*self.statistics(power_gains(self.rows(x), w)))
 
     def statistics(self, gains):
@@ -145,7 +146,9 @@ def gamma_outage(lin, quad, thr) -> float | FloatArray:
 
 
 def link_stats(w, x, cfg: SystemConfig) -> list[EveLinkStats]:
-    """Per-eavesdropper conditional power statistics for unit-norm ``w``."""
+    """Per-eavesdropper conditional power statistics for unit-norm ``w``;
+    w and x (N,) are checked by ``model.check_vector``."""
+    w, x = _check_lane(w, x, cfg)
     gains = power_gains(moment_match(cfg).rows(x), w)[1:]
     out = []
     for gain, beta, k in zip(gains, cfg.betas_arr, cfg.ks_arr):
@@ -185,7 +188,9 @@ def outage_threshold(w, x, cfg: SystemConfig) -> float:
 
     Equals bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); may be negative
     when the legitimate link is too weak, in which case outage is certain.
+    w and x (N,) are checked by ``model.check_vector``.
     """
+    w, x = _check_lane(w, x, cfg)
     mm = moment_match(cfg)
     return float(mm.statistics(power_gains(mm.rows(x), w))[2])
 
@@ -195,9 +200,20 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
 
     Returns 1 - P(shape, scaled_threshold) clamped to [0, 1]; a nonpositive
     threshold means certain outage.  Stacks w, x of shape (B, N) give one
-    value per row, each with the bits of that row's own call.
+    value per row, each with the bits of that row's own call.  A w or x
+    that is not a finite (N,) or (B, N) array, or a complex x, raises a
+    one-line ``ValueError`` (``model.check_vector``).
     """
-    return moment_match(cfg).outage(w, x)
+    return moment_match(cfg).outage(*_check_lane(w, x, cfg, stacks=True))
+
+
+def _check_lane(w, x, cfg: SystemConfig, stacks: bool = False):
+    """(w, x) as arrays after ``model.check_vector``: each finite and (N,),
+    or with ``stacks`` also (B, N), and x real."""
+    n = cfg.n_antennas
+    return (check_vector("w", w, n, stack=stacks and np.ndim(w) > 1),
+            check_vector("x", x, n, real=True,
+                         stack=stacks and np.ndim(x) > 1))
 
 
 def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> float:
@@ -209,10 +225,11 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     per eavesdropper, the law of the scatter vector projected onto ``w``.
     The estimate is bit-reproducible for a given seed, and a longer run
     starts with the draws of a shorter one.  Non-finite or mis-shaped
-    ``w``, ``x``, a complex ``x`` and an ``n_trials`` that is not a
-    positive integer raise ``ValueError``.
+    ``w``, ``x``, a complex ``x``, an ``n_trials`` that is not a positive
+    integer and a ``seed`` that is not a non-negative integer (a bool is
+    neither) raise a one-line ``ValueError``.
     """
-    w, x = _check_draw_args(w, x, cfg, n_trials)
+    w, x = _check_draw_args(w, x, cfg, n_trials, seed)
     thr = outage_threshold(w, x, cfg)
     if thr <= 0.0:
         return 1.0
@@ -222,14 +239,11 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     return hits / n_trials
 
 
-def _check_draw_args(w, x, cfg: SystemConfig, n_trials):
+def _check_draw_args(w, x, cfg: SystemConfig, n_trials, seed):
     """(w, x) as arrays after the checks the Monte Carlo entry points share."""
-    if (isinstance(n_trials, bool)
-            or not isinstance(n_trials, (int, np.integer)) or n_trials < 1):
-        raise ValueError(
-            f"n_trials must be a positive integer, got {n_trials!r}")
-    n = cfg.n_antennas
-    return check_vector("w", w, n), check_vector("x", x, n, real=True)
+    check_integer("n_trials", n_trials, 1)
+    check_integer("seed", seed, 0)
+    return _check_lane(w, x, cfg)
 
 
 def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):
@@ -255,7 +269,8 @@ def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):
 
 
 def collusion_power_samples(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> FloatArray:
-    """Seeded samples of the collusion power sum (same stream as the MC)."""
-    w, x = _check_draw_args(w, x, cfg, n_trials)
+    """Seeded samples of the collusion power sum (same stream and checks as
+    :func:`monte_carlo_outage`)."""
+    w, x = _check_draw_args(w, x, cfg, n_trials, seed)
     return np.concatenate(
         list(_collusion_power_stream(w, x, cfg, n_trials, seed)))

@@ -24,6 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gammainc import inverse_lower_incomplete_gamma
+from .model import admit, is_integer
 
 FloatArray = NDArray[np.floating]
 
@@ -36,6 +37,24 @@ DEFAULT_N_FIT_POINTS = 1000
 _MAX_FIT_GRID = 10_000_000
 
 
+def _fit_settings(tau, fit_range, n_fit_points) -> tuple:
+    """(tau, fit_lo, fit_hi, n_fit_points) as floats and an int, else a
+    one-line ValueError: tau must be a number in (0, 1), the fit range two
+    numbers, finite, positive and increasing, and n_fit_points an integer
+    (not a bool) of at least 2."""
+    tau = admit("tau", tau)
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie in (0, 1)")
+    fit_range = admit("fit_range", fit_range, tuple)
+    if not (len(fit_range) == 2 and math.isfinite(fit_range[1])
+            and 0.0 < fit_range[0] < fit_range[1]):
+        raise ValueError(
+            "fit range must be two numbers, finite, positive and increasing")
+    if not is_integer(n_fit_points, 2):
+        raise ValueError("n_fit_points must be an integer of at least 2")
+    return (tau, *fit_range, int(n_fit_points))
+
+
 @dataclass(frozen=True)
 class LinearFitTable:
     """Per-eps linear models quantile(eps, a) ~ slope(eps) * a + intercept(eps).
@@ -46,6 +65,13 @@ class LinearFitTable:
     strictly positive; a table with a nonpositive slope is rejected, since
     the solver's margin bound assumes positive slopes.  Slopes and
     intercepts are nondecreasing in eps.
+
+    Built, the table stores ``eps_grid``, ``slope`` and ``intercept`` as
+    read-only float copies, which ``surrogate_lookup`` interpolates.
+    Columns that are not 1-D, finite and of equal length, a nonpositive
+    slope, an eps grid that does not increase strictly inside (0, 1) and
+    fit settings that ``fit_linear_surrogate`` rejects raise a one-line
+    ``ValueError``.
     """
 
     eps_grid: FloatArray
@@ -57,11 +83,12 @@ class LinearFitTable:
     n_fit_points: int
 
     def __post_init__(self) -> None:
-        eps = np.asarray(self.eps_grid, dtype=float)
+        names = ("eps_grid", "slope", "intercept")
+        columns = [np.array(getattr(self, name), dtype=float)
+                   for name in names]
+        eps = columns[0]
         if eps.size == 0:
             raise ValueError("surrogate table has no eps rows")
-        columns = (eps, np.asarray(self.slope, dtype=float),
-                   np.asarray(self.intercept, dtype=float))
         if any(c.shape != (eps.size,) for c in columns):
             raise ValueError(
                 "eps grid, slopes and intercepts must be 1-D of equal length")
@@ -72,9 +99,14 @@ class LinearFitTable:
         if not (eps[0] > 0.0 and eps[-1] < 1.0 and np.all(np.diff(eps) > 0.0)):
             raise ValueError(
                 "eps grid must be strictly increasing inside (0, 1)")
-        if not (math.isfinite(self.fit_hi) and 0.0 < self.fit_lo < self.fit_hi):
-            raise ValueError(
-                "fit range must be finite, positive and increasing")
+        settings = _fit_settings(self.tau, (self.fit_lo, self.fit_hi),
+                                 self.n_fit_points)
+        for name, value in zip(("tau", "fit_lo", "fit_hi", "n_fit_points"),
+                               settings):
+            object.__setattr__(self, name, value)
+        for name, column in zip(names, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         # the columns behind the eps = 0 anchor (0, 0), for surrogate_lookup
         object.__setattr__(self, "_anchored", tuple(
             np.concatenate(([0.0], c)) for c in columns))
@@ -95,17 +127,13 @@ def fit_linear_surrogate(
     exact quantile evaluated at ``n_fit_points`` equally spaced shapes in
     ``fit_range``: with c = a - mean(a), slope = sum(c q) / sum(c c) and
     intercept = mean(q) - slope mean(a), every sum a correctly rounded
-    ``math.fsum``.  A tau that leaves no level in (0, 1) and a grid of more
-    than 10^7 (level, shape) pairs raise ``ValueError`` before any solve.
+    ``math.fsum``.  A tau that is not a number in (0, 1) or leaves no
+    level there, a fit range that is not two numbers, finite, positive and
+    increasing, an ``n_fit_points`` that is not an integer of at least 2
+    and a grid of more than 10^7 (level, shape) pairs raise a one-line
+    ``ValueError`` before any solve.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    lo, hi = fit_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-        raise ValueError("fit_range must be finite, positive and increasing")
-    if n_fit_points < 2:
-        raise ValueError("need at least two fit points")
-
+    tau, lo, hi, n_fit_points = _fit_settings(tau, fit_range, n_fit_points)
     # clipped so that round() never sees 1 / tau = inf; a clipped count
     # is over the grid limit anyway
     steps = int(round(min(1.0 / tau, _MAX_FIT_GRID))) - 1
@@ -129,8 +157,7 @@ def fit_linear_surrogate(
                            for row in target.tolist()]) - slopes * a_mean
     return LinearFitTable(
         eps_grid=eps_grid, slope=slopes, intercept=intercepts,
-        fit_lo=float(lo), fit_hi=float(hi), tau=float(tau),
-        n_fit_points=int(n_fit_points))
+        fit_lo=lo, fit_hi=hi, tau=tau, n_fit_points=n_fit_points)
 
 
 def surrogate_lookup(table: LinearFitTable, eps) -> tuple:

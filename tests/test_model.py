@@ -19,6 +19,7 @@ from masec.model import (
     project_positions,
     random_feasible_positions,
     steering_vector,
+    unit_norm,
 )
 
 
@@ -308,3 +309,17 @@ def test_stacked_mrt_is_each_rows_matched_filter(name):
         h = main_channel(x, cfg)
         assert w.tobytes() == mrt_beamformer(x, cfg).tobytes()
         assert w.tobytes() == (h.conj() / np.linalg.norm(h)).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_lane_unit_norm_is_its_row_of_a_stack(n):
+    # the one-lane branch (ndarray.dot, math.sqrt) against the stacked one
+    # (np.vecdot, np.sqrt), bit for bit, on beams whose norms spread over
+    # two hundred decades and whose entries over ten more
+    rng = np.random.default_rng(n)
+    shape = (64, n)
+    stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** rng.uniform(-100.0, 100.0, (64, 1)) \
+        * 10.0 ** rng.uniform(-10.0, 0.0, shape)
+    for w, row in zip(stack, unit_norm(stack)):
+        assert unit_norm(w).tobytes() == row.tobytes()

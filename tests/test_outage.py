@@ -206,6 +206,29 @@ class TestClosedForm:
         for w, x, p in zip(ws, xs, outs):
             assert secrecy_outage_closed_form(w, x, cfg) == p
 
+    @pytest.mark.parametrize("fn", [secrecy_outage_closed_form,
+                                    outage_threshold, link_stats])
+    def test_rejects_bad_beams_and_placements(self, case, fn):
+        cfg, x, w = case
+        nan_w = w.copy()
+        nan_w[1] = np.nan
+        for bad_w, bad_x, message in [
+                (nan_w, x, "w must be finite"),
+                (w[:-1], x, "w must have shape"),
+                (w, np.append(x, 9.0), "x must have shape"),
+                (w, x + 1j, "x must be real")]:
+            with pytest.raises(ValueError, match=message):
+                fn(bad_w, bad_x, cfg)
+
+    def test_rejects_bad_stacks(self, case):
+        cfg, x, w = case
+        ws, xs = np.stack([w, w]), np.stack([x, x])
+        with pytest.raises(ValueError, match="x must have shape"):
+            secrecy_outage_closed_form(ws, xs[:, :-1], cfg)
+        for fn in (outage_threshold, link_stats):
+            with pytest.raises(ValueError, match="w must have shape"):
+                fn(ws, x, cfg)
+
 
 STATISTICS_SCENARIOS = {
     **{name: preset(name) for name in ("ob-demo", "zf-demo-far",
@@ -344,6 +367,16 @@ class TestMonteCarlo:
         cfg, x, w = case
         with pytest.raises(ValueError, match="n_trials"):
             draw(w, x, cfg, n_trials=n_trials, seed=0)
+
+    @pytest.mark.parametrize("draw", [monte_carlo_outage,
+                                      collusion_power_samples])
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
+    def test_rejects_seeds_that_are_not_non_negative_integers(
+            self, case, draw, seed):
+        cfg, x, w = case
+        with pytest.raises(ValueError,
+                           match="seed must be a non-negative integer"):
+            draw(w, x, cfg, n_trials=1000, seed=seed)
 
     def test_accepts_numpy_integer_trials(self, case):
         cfg, x, w = case

@@ -102,6 +102,12 @@ class TestFit:
         with pytest.raises(ValueError, match="no eps rows"):
             fit_linear_surrogate(tau=0.7)
 
+    @pytest.mark.parametrize("name,value", [
+        ("n_fit_points", 2.5), ("tau", "0.1"), ("fit_range", (1, "a"))])
+    def test_rejects_settings_of_the_wrong_type(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            fit_linear_surrogate(**{name: value})
+
     def test_coarse_table(self):
         coarse = fit_linear_surrogate(tau=0.1, n_fit_points=50)
         assert coarse.eps_grid.size == 9
@@ -175,6 +181,11 @@ BAD_TABLES = {
     "nan fit_lo": (lambda t: {"fit_lo": math.nan}, "fit range"),
     "zero fit_lo": (lambda t: {"fit_lo": 0.0}, "fit range"),
     "reversed fit range": (lambda t: {"fit_lo": 200.0}, "fit range"),
+    "nan tau": (lambda t: {"tau": math.nan}, "tau"),
+    "tau of one": (lambda t: {"tau": 1.0}, "tau"),
+    "negative fit points": (lambda t: {"n_fit_points": -3}, "n_fit_points"),
+    "one fit point": (lambda t: {"n_fit_points": 1}, "n_fit_points"),
+    "fractional fit points": (lambda t: {"n_fit_points": 2.5}, "n_fit_points"),
 }
 
 
@@ -189,6 +200,7 @@ class TestValidation:
         (7, 0, "nan", "finite"),            # an eps row of nan
         (3, 2, "inf", "finite"),            # an infinite intercept
         (1, 2, "fit_hi=inf", "fit range"),  # header: an infinite fit range
+        (1, 3, "tau=nan", "tau"),           # header: a tau of nan
         (5, 1, "-0.5", "slopes must be"),   # a negative slope
     ])
     def test_load_rejects_bad_table(self, row, field, text, message, table,
@@ -203,6 +215,25 @@ class TestValidation:
         with pytest.raises(ValueError, match=message) as err:
             load_table(path)
         assert str(path) in str(err.value)
+
+
+    def test_columns_are_read_only_float_copies(self, table):
+        # the table keeps its own columns: an edit of the caller's array
+        # after the build changes nothing, and the table's cannot be edited
+        slope = table.slope.copy()
+        built = dataclasses.replace(table, eps_grid=table.eps_grid.tolist(),
+                                    slope=slope)
+        slope[1] = 99.0
+        for name in ("eps_grid", "slope", "intercept"):
+            column = getattr(built, name)
+            assert column.dtype == np.float64 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            built.slope[1] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            built.eps_grid[-1] = 0.4
+        assert built.slope[1] == table.slope[1]
+        assert surrogate_lookup(built, float(built.eps_grid[1])) == (
+            built.slope[1], built.intercept[1])
 
 
 class TestPersistence:
