@@ -7,10 +7,12 @@ The cases, all with the default surrogate table:
 - MA_OB, FPA_OB and MA_MRT on ``base_config`` at pa = 1.5, just above the
   power below which no level is feasible, and at pa = 1e-3, below it.
 
-A case's line holds eps and p_out as ``float.hex``; the iterations (summed
-over the lanes for RAP_OB), rounds and screened probes of the reported
-bisection; and SHA-256 digests of the w and x bytes, of the probes and of
-the trace.  The first line names the numpy version that wrote the file.
+A case's line holds eps and p_out as ``float.hex``; the Monte Carlo outage
+of the returned (w, x), 20000 trials at seed 0, as ``float.hex``; the
+iterations (summed over the lanes for RAP_OB), rounds and screened probes
+of the reported bisection; and SHA-256 digests of the w and x bytes, of the
+probes and of the trace.  The first line names the numpy version that wrote
+the file.
 ``test_golden_cases.py`` recomputes every line.  Run this file as a script,
 ``python tests/golden_cases.py``, to rewrite it with the code of this
 checkout.
@@ -29,6 +31,7 @@ if __name__ == "__main__":      # solve with this checkout's masec
 import numpy as np
 
 from masec.bench import base_config, preset, run_scheme
+from masec.outage import monte_carlo_outage
 
 PATH = Path(__file__).with_name("golden_cases.jsonl")
 PRESETS = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep", "m-sweep",
@@ -73,6 +76,7 @@ def solve(name: str, scheme: str, cfg, kwargs) -> dict:
         "case": name,
         "eps": _hex(res.eps),
         "p_out": _hex(res.p_out),
+        "mc": _hex(monte_carlo_outage(res.w, res.x, cfg, 20_000, seed=0)),
         "iterations": res.iterations,
         "rounds": detail.rounds,
         "screened": detail.screened,
