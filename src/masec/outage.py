@@ -6,9 +6,19 @@ Nakagami-style fading figure and the collusion sum is approximated by a
 single Gamma distribution through second-moment matching.  That yields a
 closed-form secrecy outage probability that the Monte Carlo routine here
 cross-checks by direct channel sampling.
+
+The Monte Carlo draws the collusion power itself, not its Gamma fit.  For
+fixed (w, x), eavesdropper i sees h_i w ~ CN(los_i, var_i) with scatter
+variance var_i = beta_i / (K_i + 1) ||w||^2.  Eavesdroppers of exactly
+equal var_i form a group, and the groups are taken in the order of their
+first member.  By the rotational invariance of CN(0, I), a group G sums to
+|(||los_G|| + sqrt(var) z)|^2 + var Gamma(|G| - 1, 1) in law, z ~ CN(0, 1),
+so a trial draws one complex normal per group and one Gamma variate per
+group of two or more, whatever N and M; every preset is one group.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,11 +230,13 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     """Empirical secrecy outage probability over seeded channel draws.
 
     Trials are generated in fixed chunks of 100000 from one PCG64 stream.
-    Each chunk draws one (chunk, M) real block, then one (chunk, M)
-    imaginary block of standard normals: one CN(0, ||w||^2) scatter term
-    per eavesdropper, the law of the scatter vector projected onto ``w``.
-    The estimate is bit-reproducible for a given seed, and a longer run
-    starts with the draws of a shorter one.  Non-finite or mis-shaped
+    Each chunk takes the groups of equal scatter variance (module docstring)
+    in the order of their first eavesdropper and draws, for each, one
+    (chunk,) real block, then one (chunk,) imaginary block of standard
+    normals, the group's complex normal, then, for a group of |G| >= 2, one
+    (chunk,) block of ``standard_gamma(|G| - 1)``.  The estimate is
+    bit-reproducible for a given seed, a longer run starts with the draws
+    of a shorter one, and scaling ``w`` by 2 scales every draw by exactly 4.  Non-finite or mis-shaped
     ``w``, ``x``, a complex ``x``, an ``n_trials`` that is not a positive
     integer and a ``seed`` that is not a non-negative integer (a bool is
     neither) raise a one-line ``ValueError``.
@@ -248,23 +260,35 @@ def _check_draw_args(w, x, cfg: SystemConfig, n_trials, seed):
 
 def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):
     """Yield chunks of sum_i |h_i w|^2 under the documented draw order."""
-    los_proj = moment_match(cfg).rows(x)[1:] @ w
     k, b = cfg.ks_arr, cfg.betas_arr
-    los_part = np.sqrt(k * b / (k + 1.0)) * los_proj
-    # g @ w for g ~ CN(0, I_N) is exactly CN(0, ||w||^2), independently per
-    # eavesdropper, so one complex normal per eavesdropper replaces N
-    scale = np.sqrt(b / (k + 1.0)) * np.linalg.norm(w) / np.sqrt(2.0)
+    los = np.sqrt(k * b / (k + 1.0)) * (moment_match(cfg).rows(x)[1:] @ w)
+    # g @ w for g ~ CN(0, I_N) is exactly CN(0, ||w||^2); the groups of
+    # equal var_i, each (||los_G||, its real and imaginary std, var, |G| - 1)
+    var = b / (k + 1.0) * float(np.vdot(w, w).real)
+    groups = []
+    for v in dict.fromkeys(var.tolist()):
+        mu = los[var == v]
+        groups.append((math.sqrt(float(mu.real.dot(mu.real)
+                                       + mu.imag.dot(mu.imag))),
+                       math.sqrt(v / 2.0), v, mu.size - 1))
     rng = np.random.default_rng(seed)
     left = n_trials
     while left > 0:
         chunk = min(left, _MC_CHUNK)
-        re = rng.standard_normal((chunk, cfg.n_eves))
-        im = rng.standard_normal((chunk, cfg.n_eves))
-        re *= scale
-        re += los_part.real
-        im *= scale
-        im += los_part.imag
-        yield np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+        total = np.zeros(chunk)
+        for mean, scale, v, shape in groups:
+            re = rng.standard_normal(chunk)
+            im = rng.standard_normal(chunk)
+            re *= scale
+            re += mean
+            im *= scale
+            total += np.square(re, out=re)
+            total += np.square(im, out=im)
+            if shape:
+                gamma = rng.standard_gamma(shape, chunk)
+                gamma *= v
+                total += gamma
+        yield total
         left -= chunk
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from masec.ascent import margin_objective
-from masec.bench import apply_variable, cdf_check_case, preset
+from masec.bench import apply_variable, base_config, cdf_check_case, preset
 from masec.gammainc import lower_incomplete_gamma_reg
 from masec.model import (
     eve_los_matrix,
@@ -32,6 +32,13 @@ from masec.surrogate import surrogate_lookup
 @pytest.fixture
 def case():
     return cdf_check_case(2.0)
+
+
+# scatter variances beta_i / (K_i + 1) of 1/5, 1/5, 2/5 and 1/2: a group of
+# two equal ones and two groups of one
+MIXED = base_config(n_eves=4, thetas=(np.pi / 6, np.pi / 4, np.pi / 10,
+                                      1.3 * np.pi / 4),
+                    betas=(1.0, 1.0, 2.0, 1.0), ks=(4.0, 4.0, 4.0, 1.0))
 
 
 class TestLinkStats:
@@ -287,11 +294,13 @@ class TestMonteCarlo:
         doubled = collusion_power_samples(2.0 * w, x, cfg, 100_000, seed=4)
         assert np.array_equal(doubled, 4.0 * base)
 
-    @pytest.mark.parametrize("name", ["cdf-demo", "m-sweep"])
+    @pytest.mark.parametrize("name", ["cdf-demo", "m-sweep", "ob-demo",
+                                      "zf-demo-far", "mixed"])
     def test_law_matches_full_antenna_draw(self, name):
-        # the per-eavesdropper draw has the law of projecting N i.i.d.
-        # CN(0, 1) scatter entries onto a non-unit w
-        cfg = preset(name)
+        # the per-group draw has the law of projecting N i.i.d. CN(0, 1)
+        # scatter entries per eavesdropper onto a non-unit w: one group of
+        # three, of seven, of one, of two, and a pair beside two singletons
+        cfg = MIXED if name == "mixed" else preset(name)
         x = feasible_region(cfg).midpoints()
         rng = np.random.default_rng(12)
         w = 1.7 * (rng.standard_normal(cfg.n_antennas)
@@ -307,6 +316,32 @@ class TestMonteCarlo:
                       axis=1)
         got = collusion_power_samples(w, x, cfg, n, seed=14)
         assert ks_2samp(got, want).statistic < 0.01
+
+    def test_draw_order_is_per_group(self):
+        # each chunk draws, group after group in the order of their first
+        # eavesdropper, a real and an imaginary normal block and, for a
+        # group of two or more, one Gamma(|G| - 1) block
+        cfg = MIXED
+        x = feasible_region(cfg).midpoints()
+        w = 0.8 * mrt_beamformer(x, cfg)
+        k, b = cfg.ks_arr, cfg.betas_arr
+        los = np.sqrt(k * b / (k + 1.0)) * (eve_los_matrix(x, cfg) @ w)
+        var = b / (k + 1.0) * np.linalg.norm(w) ** 2
+        rng = np.random.default_rng(5)
+        chunks = []
+        for size in (100_000, 20_000):
+            total = np.zeros(size)
+            for members in ([0, 1], [2], [3]):
+                z = (rng.standard_normal(size)
+                     + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+                mean = np.linalg.norm(los[members])
+                total += np.abs(mean + np.sqrt(var[members[0]]) * z) ** 2
+                if len(members) > 1:
+                    total += var[members[0]] * rng.standard_gamma(
+                        len(members) - 1, size)
+            chunks.append(total)
+        got = collusion_power_samples(w, x, cfg, 120_000, seed=5)
+        np.testing.assert_allclose(got, np.concatenate(chunks), rtol=1e-12)
 
     def test_memory_does_not_scale_with_antennas(self):
         cfg = preset("m-sweep")
