@@ -101,13 +101,13 @@ def run_scheme(
         p_out, w = zf_solution(x, cfg)
         return SchemeResult(p_out=p_out, w=w, x=x, iterations=0)
 
-    region = feasible_region(cfg)
     if scheme is SchemeId.MA_ZF:
-        res = pgd_solve(region.midpoints(), cfg, params)
+        res = pgd_solve(None, cfg, params)
         p_out, w = zf_solution(res.x, cfg, res.nulling)
         return SchemeResult(p_out=p_out, w=w, x=res.x, iterations=res.n_iter,
                             trace=res.trace)
 
+    region = feasible_region(cfg)
     check_integer("restarts", restarts, 1)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

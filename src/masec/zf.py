@@ -213,12 +213,15 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     acceptances in a row) and relative stop apply, up to params.max_outer
     iterations; a search that accepts no step ends it as converged.  Trace
     records hold the loss itself as ``objective`` and the accepted step as
-    ``delta_pos``.  ``x0`` must be one finite real placement (N,), or
-    ``ValueError``.
+    ``delta_pos``.  ``x0`` is None, for the midpoints of the movement region,
+    or one finite real placement (N,), or ``ValueError``.
     """
     params = params or OptimizerParams()
-    x = check_vector("x0", x0, cfg.n_antennas, real=True)
     mm, region = moment_match(cfg), feasible_region(cfg)
+    if x0 is None:
+        x = region.midpoints()
+    else:
+        x = check_vector("x0", x0, cfg.n_antennas, real=True)
 
     def neg_loss(cand):
         solved = _nulling(cand, mm, cfg)

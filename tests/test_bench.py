@@ -45,6 +45,18 @@ class TestSchemes:
             assert 0.0 <= res.p_out <= 1.0
             assert np.linalg.norm(res.w) == pytest.approx(1.0, abs=1e-9)
 
+    def test_degenerate_region_warns_once_per_solve(self, table):
+        # each scheme builds its movement region once; FPA_ZF, at fixed
+        # positions, builds none
+        cfg = base_config(n_antennas=3, span=1.0, dmin=0.5)
+        for sid in SchemeId:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_scheme(sid, cfg, table=table, seed=0, restarts=2)
+            pinned = [w for w in caught
+                      if "degenerate movement region" in str(w.message)]
+            assert len(pinned) == (sid is not SchemeId.FPA_ZF), sid
+
     def test_rayleigh_collapses_beam_schemes(self, table):
         # K = 0: eve statistics forget the placement, matched filtering is
         # optimal everywhere, so all four optimized-beam schemes coincide
