@@ -29,7 +29,6 @@ nothing beyond numpy and the standard library.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -203,6 +202,8 @@ def _initial_guess(eps, a, log_gam):
     of P(a, t) ~ t^a / Gamma(a + 1), taken in log space because the root can
     lie far below 1e-8.
     """
+    from statistics import NormalDist    # only a table fit needs it
+
     z = _per_distinct(NormalDist().inv_cdf, eps)
     cube = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     c = np.maximum(cube, 0.05)

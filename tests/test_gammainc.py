@@ -5,6 +5,10 @@ itself never calls it for these functions.
 """
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import masec
 import masec.gammainc
 from masec.cli import main
 from masec.gammainc import (
@@ -359,6 +364,22 @@ class TestInverse:
         assert main(args + ["--lo", "0.001"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_only_a_fit_imports_statistics(self, tmp_path):
+        # NormalDist seeds the quantile search, so a fresh process imports
+        # statistics (and its fractions and decimal) only when it fits
+        shipped = Path(masec.__file__).with_name("default_table.txt")
+        out = tmp_path / "t.txt"
+        run = ("import sys\n"
+               "from masec.cli import main\n"
+               "assert 'statistics' not in sys.modules\n"
+               "assert main(['fit-table', '--out', sys.argv[1]]) == 0\n"
+               "assert 'statistics' in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(masec.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", run, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == shipped.read_bytes()
 
     def test_rejects_bad_probability(self):
         for eps in (-0.1, 1.0, 1.5, np.nan, np.array([0.5, 1.0])):
