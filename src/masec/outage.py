@@ -236,10 +236,11 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     normals, the group's complex normal, then, for a group of |G| >= 2, one
     (chunk,) block of ``standard_gamma(|G| - 1)``.  The estimate is
     bit-reproducible for a given seed, a longer run starts with the draws
-    of a shorter one, and scaling ``w`` by 2 scales every draw by exactly 4.  Non-finite or mis-shaped
-    ``w``, ``x``, a complex ``x``, an ``n_trials`` that is not a positive
-    integer and a ``seed`` that is not a non-negative integer (a bool is
-    neither) raise a one-line ``ValueError``.
+    of a shorter one, and scaling ``w`` by 2 scales every draw by exactly
+    4.  Non-finite or mis-shaped ``w``, ``x``, a complex ``x``, an
+    ``n_trials`` that is not a positive integer and a ``seed`` that is not
+    a non-negative integer (a bool is neither) raise a one-line
+    ``ValueError``.
     """
     w, x = _check_draw_args(w, x, cfg, n_trials, seed)
     thr = outage_threshold(w, x, cfg)
