@@ -33,8 +33,9 @@ lane takes the gains as ``np.square(np.abs(v))`` and its dot products by
 ``ndarray.dot``, which skip the slower ``** 2`` path and ``np.dot``'s
 dispatcher with the same bits.  For the same reason the checks of a start
 run once, at ``apga_solve``'s door, and not in each probe of a bisection,
-whose starts are unit-norm beams already; each bisection builds its gain
-model and region once, and ``_margin_bound`` its config's constants.
+whose starts are unit-norm beams already.  Every solver reads its config's
+gain model, ``SystemConfig.gain_model``, built once with the config; each
+bisection builds its region once, and ``_margin_bound`` its constants.
 
 The margin, its gain weights and both gradients are written twice, with
 the same operations in the same order.  The helpers ``_evaluate``,
@@ -93,7 +94,7 @@ from .model import (
     project_positions,
     unit_norm,
 )
-from .outage import MomentMatch, moment_match
+from .outage import MomentMatch
 from .surrogate import (DEFAULT_TAU, LinearFitTable, default_table,
                         surrogate_lookup)
 
@@ -281,7 +282,7 @@ def _grad_x(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
 def margin_objective(w, x, eps: float, table: LinearFitTable,
                      cfg: SystemConfig) -> float:
     """Feasibility margin of confidence level eps at (w, x); > 0 is feasible."""
-    mm = moment_match(cfg)
+    mm = cfg.gain_model
     return _evaluate(mm, mm.rows(x), np.asarray(w),
                      *surrogate_lookup(table, eps)).margin
 
@@ -289,7 +290,7 @@ def margin_objective(w, x, eps: float, table: LinearFitTable,
 def margin_grad_beamformer(w, x, eps: float, table: LinearFitTable,
                            cfg: SystemConfig) -> ComplexArray:
     """Ascent direction in w; half the real-pair gradient, complex form."""
-    mm = moment_match(cfg)
+    mm = cfg.gain_model
     rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
     return _grad_w(mm, rows.conj(), _evaluate(mm, rows, w, *lookup), *lookup)
 
@@ -297,7 +298,7 @@ def margin_grad_beamformer(w, x, eps: float, table: LinearFitTable,
 def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
                           cfg: SystemConfig) -> FloatArray:
     """Exact gradient of the margin objective in the antenna positions."""
-    mm = moment_match(cfg)
+    mm = cfg.gain_model
     rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
     return _grad_x(mm, rows, w, _evaluate(mm, rows, w, *lookup), *lookup)
 
@@ -480,18 +481,18 @@ def apga_solve(
 
 
 def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
-                 mode: str, mm: MomentMatch | None = None,
-                 region: FeasibleRegion | None = None):
-    """``apga_solve``'s set-up (gain model, region, work buffers) for one
-    config, params and mode; the gain model and region of ``cfg`` are built
-    unless given.  Returns ``solve(w0, x0, slope, intercept)``, one probe
-    on it, from a complex w0 with a nonzero finite norm and a real x0, each
-    (N,); calls share only the buffers, each written first."""
+                 mode: str, region: FeasibleRegion | None = None):
+    """``apga_solve``'s set-up (region, work buffers, the constants of
+    ``cfg.gain_model``) for one config, params and mode; the region of
+    ``cfg`` is built unless given.  Returns ``solve(w0, x0, slope,
+    intercept)``, one probe on it, from a complex w0 with a nonzero finite
+    norm and a real x0, each (N,); calls share only the buffers, each
+    written first."""
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
     n = cfg.n_antennas
     max_outer = (params or OptimizerParams()).max_outer
-    mm = mm or moment_match(cfg)
+    mm = cfg.gain_model
     region = region or feasible_region(cfg)
 
     # the constants of the solve, computed once
@@ -628,11 +629,11 @@ def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     return levels, verdicts
 
 
-def _bisect(cfg: SystemConfig, mm: MomentMatch, table: LinearFitTable | None,
-            xs, solve) -> list[BisectionResult]:
+def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
+            solve) -> list[BisectionResult]:
     """Minimize the secrecy outage by confidence bisection in every lane of
     the placements xs (B, N), each from its matched filter, on the gain
-    model mm of cfg.
+    model of cfg.
 
     This is the one place of the solver stack that reads the table (the
     default table when None).  Each round, one ``surrogate_lookup`` maps the
@@ -658,7 +659,7 @@ def _bisect(cfg: SystemConfig, mm: MomentMatch, table: LinearFitTable | None,
     (w, x), its probe carries the bound as margin, and ``solve`` runs only
     for the other lanes (not at all when none is left).
     """
-    table = table or default_table()
+    table, mm = table or default_table(), cfg.gain_model
     xs = np.array(xs)     # a copy: joint probes move it
     w = mrt_beamformer(xs, cfg)
     thr_max = mm.threshold(cfg.beta0 * cfg.n_antennas)
@@ -717,25 +718,26 @@ def bisection_outage_min(
 
     Starts from the placement x0 (default: the midpoints of the movement
     region; else a finite real (N,) vector, or ``ValueError``) and its
-    matched filter; ``_bisect`` runs the bisection on this
-    one lane.  Each probe maximizes the margin as ``apga_solve`` does in the
-    given mode, on one set-up (``_apga_solver``) built for the whole
-    bisection, warm-started from the previous probe, and the reported
+    matched filter; ``_bisect`` runs the bisection on this one lane.  Each
+    probe maximizes the margin as ``apga_solve`` does in the given mode, on
+    one set-up (``_apga_solver``) built for the whole bisection from the
+    region and ``cfg.gain_model``, warm-started from the previous probe,
+    and the reported
     outage is the closed-form value at the certified solution.
     ``best_trace`` is that solve's iteration trace.
     """
-    mm, region = moment_match(cfg), feasible_region(cfg)
+    region = feasible_region(cfg)
     if x0 is None:
         x0 = region.midpoints()
     else:
         x0 = check_vector("x0", x0, cfg.n_antennas, real=True)
-    apga = _apga_solver(cfg, params, mode, mm, region)
+    apga = _apga_solver(cfg, params, mode, region)
 
     def solve(live, w, x, slope, intercept):
         res = apga(w[0], x[0], float(slope[0]), float(intercept[0]))
         return res.w, res.x, res.objective, res.n_iter, lambda b, n: res.trace
 
-    return _bisect(cfg, mm, table, [x0], solve)[0]
+    return _bisect(cfg, table, [x0], solve)[0]
 
 
 def _try_lanes(mm: MomentMatch, rows, w, obj, g, slope, intercept, delta):
@@ -885,7 +887,7 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
     """
     xs = check_vector("xs", xs, cfg.n_antennas, real=True, stack=True)
     params = params or OptimizerParams()
-    mm = moment_match(cfg)
+    mm = cfg.gain_model
     rows = mm.rows(xs)
 
     def solve(live, w, x, slope, intercept):
@@ -894,7 +896,7 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
         return beams, x, obj, n_iter, lambda b, n: _lane_trace(
             history, int(np.searchsorted(live, b)), n)
 
-    return _bisect(cfg, mm, table, xs, solve)
+    return _bisect(cfg, table, xs, solve)
 
 
 @dataclass

@@ -8,6 +8,7 @@ radians, all powers and path gains are linear (not dB).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -84,9 +85,11 @@ class SystemConfig:
         beta0: path gain of the legitimate link.
         betas: eavesdropper path gains.
         ks: Rician K-factors of the eavesdropper links (K = 0 is Rayleigh).
-            With c = beta / (K + 1), the moment-match terms c, c^2,
+            The gain model checks its own float range when the config is
+            built: with c = beta / (K + 1), the moment-match terms c, c^2,
             c K and 2 c^2 K must be finite and c^2 nonzero, and so must
-            the sums of c and of c^2 over the eavesdroppers.
+            the sums of c and of c^2 over the eavesdroppers; the noise
+            term (sigma2 / pa) (2^-rs - 1) must not be NaN.
         pa: transmit power budget.
         sigma2: noise power at every receiver.
         rs: target secrecy rate in bits/s/Hz; 2^rs must be a finite float.
@@ -94,6 +97,8 @@ class SystemConfig:
         span: length of the line segment the elements move on; the largest
             steering phase, 2 pi span / wavelength, must be a finite float.
         dmin: minimum spacing between adjacent elements.
+
+    ``gain_model`` is the scenario's one gain model, built with it.
     """
 
     n_antennas: int
@@ -143,25 +148,20 @@ class SystemConfig:
         except OverflowError:
             raise ValueError(f"rs={self.rs} is too large: 2**rs overflows "
                              "a float") from None
-        for i, (beta, k) in enumerate(zip(self.betas, self.ks), 1):
-            # the moment-match terms of outage.moment_match, as it rounds them
-            c = beta / (k + 1.0)
-            c2 = c * c
-            if c2 == 0.0 or not all(map(math.isfinite,
-                                        (c, c2, c * k, 2.0 * c2 * k))):
-                raise ValueError(
-                    f"eavesdropper {i}: beta={beta} and K={k} put the "
-                    "Gamma moment match out of the float range")
-        c = self.betas_arr / (self.ks_arr + 1.0)
-        with np.errstate(over="ignore"):   # the sums moment_match forms
-            if not np.isfinite([np.sum(c), np.sum(c**2)]).all():
-                raise ValueError("betas and ks put the summed Gamma moment "
-                                 "match out of the float range")
+        self.gain_model    # built now, so that it checks its float range
         if self.dmin < 0:
             raise ValueError("dmin must be nonnegative")
         if self.span < (self.n_antennas - 1) * self.dmin:
             raise ValueError(
                 "span too small: need span >= (n_antennas - 1) * dmin")
+
+    @functools.cached_property
+    def gain_model(self):
+        """The scenario's ``outage.MomentMatch``: its steering directions and
+        the Gamma moment match, which every solver reads.  Not a dataclass
+        field, so ``dataclasses.asdict`` and ``==`` see only the scenario."""
+        from .outage import moment_match   # outage imports this module
+        return moment_match(self)
 
     @property
     def betas_arr(self) -> FloatArray:

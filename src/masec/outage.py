@@ -71,6 +71,11 @@ class MomentMatch:
     in the gains, lin = g @ lin_coef + lin_const and likewise quad; the
     coefficients are what the gradients of any function of them need.
 
+    ``scatter`` holds the c_i, the scatter variance of eavesdropper i per
+    unit of ||w||^2, which the Monte Carlo draws with.  The arrays are
+    read-only, since every solve of a scenario shares its config's model
+    (``SystemConfig.gain_model``).
+
     ``threshold`` maps the legitimate gain |h_0 w|^2 (beta0 included) to
     the largest tolerable collusion power at secrecy rate rs.  Every method
     takes stacks over leading axes and reduces each lane on its own (a
@@ -81,6 +86,7 @@ class MomentMatch:
     sines: FloatArray        # sin(theta_d), Bob first, (M+1,)
     wave_rate: float         # 2 pi / wavelength
     beta0: float
+    scatter: FloatArray      # c_i, (M,)
     lin_coef: FloatArray     # c_i K_i, (M,)
     lin_const: float         # sum_i c_i
     quad_coef: FloatArray    # 2 c_i^2 K_i, (M,)
@@ -124,16 +130,44 @@ class MomentMatch:
 
 
 def moment_match(cfg: SystemConfig) -> MomentMatch:
-    """The gain model of ``cfg``."""
-    c = cfg.betas_arr / (cfg.ks_arr + 1.0)
+    """The gain model of ``cfg``, which ``cfg.gain_model`` builds once.
+
+    Raises a one-line ``ValueError`` when a term leaves the float range:
+    an eavesdropper's c^2 is 0 or one of its c^2, c K and 2 c^2 K is not
+    finite, the sum of c or of c^2 is not finite, or the noise term
+    (sigma2 / pa) (2^-rs - 1) is NaN (an infinite sigma2 / pa at a 2^-rs
+    that rounds to 1).  An infinite sigma2 / pa at any other rs gives a
+    noise term of -inf, which is certain outage.
+    """
+    k = cfg.ks_arr
+    c = cfg.betas_arr / (k + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = c**2
+        lin_coef, quad_coef = c * k, 2.0 * c2 * k
+        lin_const, quad_const = float(np.sum(c)), float(np.sum(c2))
+    bad = (c2 == 0.0) | ~np.isfinite(c2) | ~np.isfinite(lin_coef) \
+        | ~np.isfinite(quad_coef)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"eavesdropper {i + 1}: beta={cfg.betas[i]} and K={cfg.ks[i]} put "
+            "the Gamma moment match out of the float range")
+    if not (math.isfinite(lin_const) and math.isfinite(quad_const)):
+        raise ValueError("betas and ks put the summed Gamma moment match out "
+                         "of the float range")
     rate_pow = 2.0**cfg.rs
+    noise_off = cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0)
+    if math.isnan(noise_off):
+        raise ValueError(f"sigma2={cfg.sigma2}, pa={cfg.pa} and rs={cfg.rs} "
+                         "make the noise term (sigma2/pa)*(2**-rs - 1) NaN")
+    sines = np.concatenate(([np.sin(cfg.theta0)], np.sin(cfg.thetas_arr)))
+    for arr in (sines, c, lin_coef, quad_coef):
+        arr.flags.writeable = False
     return MomentMatch(
-        sines=np.concatenate(([np.sin(cfg.theta0)], np.sin(cfg.thetas_arr))),
-        wave_rate=TWO_PI / cfg.wavelength, beta0=cfg.beta0,
-        lin_coef=c * cfg.ks_arr, lin_const=float(np.sum(c)),
-        quad_coef=2.0 * c**2 * cfg.ks_arr, quad_const=float(np.sum(c**2)),
-        rate_pow=rate_pow,
-        noise_off=cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0))
+        sines=sines, wave_rate=TWO_PI / cfg.wavelength, beta0=cfg.beta0,
+        scatter=c, lin_coef=lin_coef, lin_const=lin_const,
+        quad_coef=quad_coef, quad_const=quad_const, rate_pow=rate_pow,
+        noise_off=noise_off)
 
 
 def power_gains(rows, w) -> FloatArray:
@@ -159,7 +193,7 @@ def link_stats(w, x, cfg: SystemConfig) -> list[EveLinkStats]:
     """Per-eavesdropper conditional power statistics for unit-norm ``w``;
     w and x (N,) are checked by ``model.check_vector``."""
     w, x = _check_lane(w, x, cfg)
-    gains = power_gains(moment_match(cfg).rows(x), w)[1:]
+    gains = power_gains(cfg.gain_model.rows(x), w)[1:]
     out = []
     for gain, beta, k in zip(gains, cfg.betas_arr, cfg.ks_arr):
         mean = beta / (k + 1.0) * (k * gain + 1.0)
@@ -201,7 +235,7 @@ def outage_threshold(w, x, cfg: SystemConfig) -> float:
     w and x (N,) are checked by ``model.check_vector``.
     """
     w, x = _check_lane(w, x, cfg)
-    mm = moment_match(cfg)
+    mm = cfg.gain_model
     return float(mm.statistics(power_gains(mm.rows(x), w))[2])
 
 
@@ -214,7 +248,7 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
     that is not a finite (N,) or (B, N) array, or a complex x, raises a
     one-line ``ValueError`` (``model.check_vector``).
     """
-    return moment_match(cfg).outage(*_check_lane(w, x, cfg, stacks=True))
+    return cfg.gain_model.outage(*_check_lane(w, x, cfg, stacks=True))
 
 
 def _check_lane(w, x, cfg: SystemConfig, stacks: bool = False):
@@ -243,11 +277,13 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     ``ValueError``.
     """
     w, x = _check_draw_args(w, x, cfg, n_trials, seed)
-    thr = outage_threshold(w, x, cfg)
+    mm = cfg.gain_model
+    rows = mm.rows(x)
+    thr = mm.statistics(power_gains(rows, w))[2]    # outage_threshold's
     if thr <= 0.0:
         return 1.0
     hits = 0
-    for powers in _collusion_power_stream(w, x, cfg, n_trials, seed):
+    for powers in _collusion_power_stream(w, rows, cfg, n_trials, seed):
         hits += int(np.count_nonzero(powers >= thr))
     return hits / n_trials
 
@@ -259,13 +295,15 @@ def _check_draw_args(w, x, cfg: SystemConfig, n_trials, seed):
     return _check_lane(w, x, cfg)
 
 
-def _collusion_power_stream(w, x, cfg: SystemConfig, n_trials: int, seed: int):
-    """Yield chunks of sum_i |h_i w|^2 under the documented draw order."""
+def _collusion_power_stream(w, rows, cfg: SystemConfig, n_trials: int,
+                            seed: int):
+    """Yield chunks of sum_i |h_i w|^2 under the documented draw order, for
+    the steering rows (M+1, N) of the gain model at the placement."""
     k, b = cfg.ks_arr, cfg.betas_arr
-    los = np.sqrt(k * b / (k + 1.0)) * (moment_match(cfg).rows(x)[1:] @ w)
+    los = np.sqrt(k * b / (k + 1.0)) * (rows[1:] @ w)
     # g @ w for g ~ CN(0, I_N) is exactly CN(0, ||w||^2); the groups of
     # equal var_i, each (||los_G||, its real and imaginary std, var, |G| - 1)
-    var = b / (k + 1.0) * float(np.vdot(w, w).real)
+    var = cfg.gain_model.scatter * float(np.vdot(w, w).real)
     groups = []
     for v in dict.fromkeys(var.tolist()):
         mu = los[var == v]
@@ -297,5 +335,5 @@ def collusion_power_samples(w, x, cfg: SystemConfig, n_trials: int, seed: int) -
     """Seeded samples of the collusion power sum (same stream and checks as
     :func:`monte_carlo_outage`)."""
     w, x = _check_draw_args(w, x, cfg, n_trials, seed)
-    return np.concatenate(
-        list(_collusion_power_stream(w, x, cfg, n_trials, seed)))
+    return np.concatenate(list(_collusion_power_stream(
+        w, cfg.gain_model.rows(x), cfg, n_trials, seed)))

@@ -9,11 +9,10 @@ and fading parameters, and the outage of the resulting scheme has the same
 Gamma closed form with all LoS eavesdropper gains zeroed.
 
 Every function reads one nulling solve per placement: the eavesdropper
-rows of the gain model ``outage.moment_match``, their Gram condition check
-and Cholesky factor, and the loss.  A public call builds that gain model
-once and checks its positions once (``model.check_vector``: the shape,
-finite, real); the descent's candidates and the private helpers reuse
-both.  ``zf_solution`` gives the outage and the beamformer of one
+rows of the config's gain model (``SystemConfig.gain_model``), their Gram
+condition check and Cholesky factor, and the loss.  A public call checks
+its positions once (``model.check_vector``: the shape, finite, real); the
+descent's candidates and the private helpers reuse them.  ``zf_solution`` gives the outage and the beamformer of one
 placement from one solve, the one ``pgd_solve`` ends with when the caller
 holds it.
 
@@ -41,7 +40,7 @@ from .model import (
     main_channel,
     project_positions,
 )
-from .outage import MomentMatch, gamma_outage, moment_match
+from .outage import gamma_outage
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
@@ -54,10 +53,11 @@ class SingularSteeringError(RuntimeError):
     dependent and the nulling system cannot be solved reliably."""
 
 
-def _steering(x: FloatArray, mm: MomentMatch):
+def _steering(x: FloatArray, cfg: SystemConfig):
     """Steering stacks (..., N, M) with columns h_i^H, their Gram matrices
     (..., M, M) and the Gram condition numbers (...), the largest singular
     value over the smallest, as ``np.linalg.cond`` divides them."""
+    mm = cfg.gain_model
     n, m = x.shape[-1], mm.sines.size - 1
     if n < m + 1:
         raise ValueError("zero-forcing needs n_antennas >= n_eves + 1 "
@@ -69,12 +69,11 @@ def _steering(x: FloatArray, mm: MomentMatch):
         return stack, gram, s[..., 0] / s[..., -1]
 
 
-def _ill_conditioned(cond: float, mm: MomentMatch,
-                     cfg: SystemConfig) -> SingularSteeringError:
+def _ill_conditioned(cond: float, cfg: SystemConfig) -> SingularSteeringError:
     """The error for a Gram condition number ``cond`` above the limit; it
     names the first eavesdropper pair with the closest sines, in row-major
     pair order."""
-    thetas, sines = cfg.thetas_arr, mm.sines[1:]
+    thetas, sines = cfg.thetas_arr, cfg.gain_model.sines[1:]
     i, j = np.triu_indices(thetas.size, k=1)
     best = np.argmin(np.abs(sines[i] - sines[j]))
     i, j = i[best], j[best]
@@ -102,15 +101,14 @@ class _Nulling(NamedTuple):
     loss: float | FloatArray
 
 
-def _nulling(x: FloatArray, mm: MomentMatch, cfg: SystemConfig,
-             steering=None) -> _Nulling:
-    """The nulling solve at checked placements x, with ``mm`` the gain model
-    of ``cfg``, from ``steering = _steering(x, mm)`` when given.  Raises
-    SingularSteeringError when a placement fails the condition check or its
-    loss keeps an imaginary residue."""
-    stack, gram, cond = _steering(x, mm) if steering is None else steering
+def _nulling(x: FloatArray, cfg: SystemConfig, steering=None) -> _Nulling:
+    """The nulling solve at checked placements x, from ``steering =
+    _steering(x, cfg)`` when given.  Raises SingularSteeringError when a
+    placement fails the condition check or its loss keeps an imaginary
+    residue."""
+    stack, gram, cond = _steering(x, cfg) if steering is None else steering
     if (bad := ~(cond <= _COND_LIMIT)).any():
-        raise _ill_conditioned(np.asarray(cond)[bad][0], mm, cfg)
+        raise _ill_conditioned(np.asarray(cond)[bad][0], cfg)
     chol = np.linalg.cholesky(gram)
     h0 = main_channel(x, cfg)
     h = (h0[..., None, :] @ stack)[..., 0, :]
@@ -133,7 +131,7 @@ def zf_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
     nulling residual to machine-noise level.
     """
     x = check_vector("x", x, cfg.n_antennas, real=True)
-    return _beam(_nulling(x, moment_match(cfg), cfg))
+    return _beam(_nulling(x, cfg))
 
 
 def _beam(solved: _Nulling) -> ComplexArray:
@@ -159,7 +157,7 @@ def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     Positions (N,) give a float, a stack (R, N) one loss per row.
     """
     x = check_vector("x", x, cfg.n_antennas, real=True, stack=np.ndim(x) > 1)
-    return _nulling(x, moment_match(cfg), cfg).loss
+    return _nulling(x, cfg).loss
 
 
 def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
@@ -175,12 +173,13 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
 
     each term entering with its conjugate, so the gradient is exactly real.
     """
-    x, mm = check_vector("x", x, cfg.n_antennas, real=True), moment_match(cfg)
-    return _loss_grad(mm, _nulling(x, mm, cfg))
+    x = check_vector("x", x, cfg.n_antennas, real=True)
+    return _loss_grad(_nulling(x, cfg), cfg)
 
 
-def _loss_grad(mm: MomentMatch, solved: _Nulling) -> FloatArray:
+def _loss_grad(solved: _Nulling, cfg: SystemConfig) -> FloatArray:
     """``bob_gain_loss_grad`` from the nulling solve at one placement."""
+    mm = cfg.gain_model
     stack, v, sines = solved.stack, solved.v, mm.sines[1:]
     t = stack @ v                                  # S A^{-1} h^H, (N,)
     z = (solved.h0[:, None] * stack * (mm.sines[0] - sines)) @ v \
@@ -217,21 +216,21 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     or one finite real placement (N,), or ``ValueError``.
     """
     params = params or OptimizerParams()
-    mm, region = moment_match(cfg), feasible_region(cfg)
+    region = feasible_region(cfg)
     if x0 is None:
         x = region.midpoints()
     else:
         x = check_vector("x0", x0, cfg.n_antennas, real=True)
 
     def neg_loss(cand):
-        solved = _nulling(cand, mm, cfg)
+        solved = _nulling(cand, cfg)
         return -solved.loss, solved
 
     start, at = neg_loss(x)     # at: the nulling solve at x
 
     def block(obj, delta):
         nonlocal x, at
-        d = -_loss_grad(mm, at)
+        d = -_loss_grad(at, cfg)
         found = line_search(neg_loss, x, obj, d,
                             lambda c: project_positions(c, region), delta)
         if found is not None:
@@ -254,12 +253,12 @@ def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     from one Gram factorization and one incomplete-gamma call.
     """
     x = check_vector("x", x, cfg.n_antennas, real=True, stack=np.ndim(x) > 1)
-    mm = moment_match(cfg)
-    return _outage(_nulling(x, mm, cfg).loss, mm, cfg)
+    return _outage(_nulling(x, cfg).loss, cfg)
 
 
-def _outage(loss, mm: MomentMatch, cfg: SystemConfig):
+def _outage(loss, cfg: SystemConfig):
     # zero LoS gains leave the moments' constants
+    mm = cfg.gain_model
     return gamma_outage(mm.lin_const, mm.quad_const,
                         mm.threshold(cfg.beta0 * cfg.n_antennas - loss))
 
@@ -269,11 +268,10 @@ def zf_solution(x: FloatArray, cfg: SystemConfig,
     """``(zf_outage(x, cfg), zf_beamformer(x, cfg))`` from one nulling solve
     at the placement x (N,): ``nulling`` when the caller holds it, as
     ``PgdResult.nulling`` is for ``PgdResult.x``, else a new one."""
-    mm = moment_match(cfg)
     if nulling is None:
         x = check_vector("x", x, cfg.n_antennas, real=True)
-        nulling = _nulling(x, mm, cfg)
-    return _outage(nulling.loss, mm, cfg), _beam(nulling)
+        nulling = _nulling(x, cfg)
+    return _outage(nulling.loss, cfg), _beam(nulling)
 
 
 def best_of_draws(xs: FloatArray, cfg: SystemConfig
@@ -293,16 +291,15 @@ def best_of_draws(xs: FloatArray, cfg: SystemConfig
     ``SingularSteeringError`` when no row is usable.
     """
     xs = check_vector("xs", xs, cfg.n_antennas, real=True, stack=True)
-    mm = moment_match(cfg)
-    steering = _steering(xs, mm)
+    steering = _steering(xs, cfg)
     usable = np.flatnonzero(steering[2] <= _COND_LIMIT)
     if not usable.size:
-        raise _ill_conditioned(steering[2][0], mm, cfg)
-    solved = _nulling(xs[usable], mm, cfg, [a[usable] for a in steering])
+        raise _ill_conditioned(steering[2][0], cfg)
+    solved = _nulling(xs[usable], cfg, [a[usable] for a in steering])
     i = int(np.argmin(solved.loss))
-    p_out = _outage(solved.loss[i], mm, cfg)
+    p_out = _outage(solved.loss[i], cfg)
     if p_out in (0.0, 1.0):
-        p = _outage(solved.loss, mm, cfg)
+        p = _outage(solved.loss, cfg)
         i = int(np.argmin(p))
         p_out = float(p[i])
     return int(usable[i]), p_out, _beam(_Nulling(*(a[i] for a in solved)))

@@ -215,9 +215,9 @@ class TestRandomPlacement:
         rows = []
         steering = zf._steering
 
-        def counting(x, mm):
+        def counting(x, cfg):
             rows.append(np.atleast_2d(x).shape[0])
-            return steering(x, mm)
+            return steering(x, cfg)
         monkeypatch.setattr(zf, "_steering", counting)
         run_scheme(SchemeId.RAP_ZF, preset("zf-demo-far"), seed=3,
                    restarts=150)

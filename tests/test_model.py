@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masec import outage
 from masec.bench import SweepSpec, base_config, preset
 from masec.model import (
     SystemConfig,
@@ -21,6 +22,7 @@ from masec.model import (
     steering_vector,
     unit_norm,
 )
+from masec.outage import moment_match
 
 
 def small_config(**overrides):
@@ -86,6 +88,9 @@ _PYTHON_SCENARIO_FAULTS = [
                       "phase 2*pi*span/wavelength"),
     ({"wavelength": 1e-320}, "span=4.0 and wavelength=1e-320 overflow the "
                              "steering phase"),
+    # sigma2 / pa = inf times 2^-rs - 1 = 0
+    ({"rs": 1e-20, "sigma2": 1e300, "pa": 1e-300},
+     "sigma2=1e+300, pa=1e-300 and rs=1e-20 make the noise term"),
 ]
 
 
@@ -117,6 +122,32 @@ class TestConfigAdmission:
     def test_a_replaced_field_is_admitted_too(self):
         with pytest.raises(ValueError, match="n_eves must be an integer"):
             dataclasses.replace(base_config(), n_eves=1.0)
+
+
+class TestGainModel:
+    """A scenario builds its gain model once, with itself, and keeps it out
+    of its fields."""
+
+    def test_built_once_with_the_scenario(self, monkeypatch):
+        built = []
+
+        def counted(cfg):
+            built.append(cfg)
+            return moment_match(cfg)
+        monkeypatch.setattr(outage, "moment_match", counted)
+        cfg = base_config()
+        assert cfg.gain_model is cfg.gain_model
+        assert built == [cfg]
+
+    def test_is_not_a_field(self):
+        cfg = base_config()
+        assert cfg.gain_model.rate_pow == 2.0**cfg.rs
+        assert list(dataclasses.asdict(cfg)) == _FIELDS
+        assert SystemConfig(**dataclasses.asdict(cfg)) == cfg
+
+    def test_a_replaced_scenario_builds_its_own(self):
+        cfg = base_config()
+        assert dataclasses.replace(cfg, rs=3.0).gain_model.rate_pow == 8.0
 
 
 _FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]

@@ -154,6 +154,27 @@ class TestThreshold:
         assert monte_carlo_outage(w, x, weak, n_trials=1000, seed=0) == 1.0
 
 
+class TestGainModel:
+    """The scenario's one ``moment_match``, shared by every solve."""
+
+    def test_scatter_is_each_eavesdroppers_c(self):
+        want = MIXED.betas_arr / (MIXED.ks_arr + 1.0)
+        assert MIXED.gain_model.scatter.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["sines", "scatter", "lin_coef",
+                                      "quad_coef"])
+    def test_arrays_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(preset("ob-demo").gain_model, name)[0] = 0.0
+
+    def test_an_overflowing_noise_ratio_is_certain_outage(self, case):
+        # sigma2 / pa = inf at an ordinary rs: a noise term of -inf
+        cfg, x, w = case
+        loud = dataclasses.replace(cfg, sigma2=1e300, pa=1e-300)
+        assert loud.gain_model.noise_off == -np.inf
+        assert secrecy_outage_closed_form(w, x, loud) == 1.0
+
+
 class TestClosedForm:
     def test_equals_one_minus_cdf(self, case):
         cfg, x, w = case

@@ -23,7 +23,6 @@ from masec.model import (
     random_feasible_positions,
 )
 from masec.outage import (
-    moment_match,
     monte_carlo_outage,
     secrecy_outage_closed_form,
 )
@@ -221,9 +220,9 @@ class TestNullingReuse:
         calls = {"steering": 0, "candidates": 0}
         steering, search = zf._steering, zf.line_search
 
-        def counted_steering(x, mm):
+        def counted_steering(x, cfg):
             calls["steering"] += 1
-            return steering(x, mm)
+            return steering(x, cfg)
 
         def counted_search(evaluate, *args):
             def counted_evaluate(cand):
@@ -335,7 +334,7 @@ class TestBestOfDraws:
         # the grid is coarse
         cfg = preset(name)
         loss = np.linspace(0.0, cfg.beta0 * cfg.n_antennas, 10**4)
-        outs = zf._outage(loss, moment_match(cfg), cfg)
+        outs = zf._outage(loss, cfg)
         assert np.all(np.diff(outs) >= 0.0)
 
     @pytest.mark.parametrize("changes,p_out", [
