@@ -64,11 +64,11 @@ def run_scheme(
 ) -> SchemeResult:
     """Evaluate one benchmark scheme on one scenario.
 
-    ``seed`` only matters for the random-placement schemes, which draw
-    ``restarts`` independent feasible placements and keep the best outage
-    (the first best on ties); as in a spec, a ``seed`` that is not a
-    non-negative integer or ``restarts`` that are not a positive one raise
-    a one-line ValueError.
+    ``seed`` and ``restarts`` only matter for the random-placement schemes,
+    which draw ``restarts`` independent feasible placements and keep the
+    best outage (the first best on ties); as in a spec, a ``seed`` that is
+    not a non-negative integer or ``restarts`` that are not a positive one
+    raise a one-line ValueError, whatever the scheme.
     RAP_ZF drops draws whose steering Gram matrix fails the zero-forcing
     condition check and raises only if none is left.
     Both solve all their draws in one batched call: RAP_OB solves every
@@ -83,6 +83,8 @@ def run_scheme(
     descent's last one.
     """
     scheme = SchemeId(scheme)
+    check_integer("restarts", restarts, 1)
+    check_integer("seed", seed, 0)
 
     def from_bisection(res: BisectionResult) -> SchemeResult:
         return SchemeResult(p_out=res.p_out, w=res.w, x=res.x,
@@ -108,8 +110,6 @@ def run_scheme(
                             trace=res.trace)
 
     region = feasible_region(cfg)
-    check_integer("restarts", restarts, 1)
-    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
         runs = bisect_beam_lanes(

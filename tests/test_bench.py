@@ -240,7 +240,7 @@ class TestRandomPlacement:
         with pytest.raises(ValueError, match="restarts"):
             run_scheme(scheme, base_config(), table=table, restarts=0)
 
-    @pytest.mark.parametrize("scheme", [SchemeId.RAP_ZF, SchemeId.RAP_OB])
+    @pytest.mark.parametrize("scheme", list(SchemeId))
     @pytest.mark.parametrize("change, message", [
         ({"restarts": 2.5}, "restarts must be a positive integer"),
         ({"restarts": True}, "restarts must be a positive integer"),
