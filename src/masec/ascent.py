@@ -722,9 +722,8 @@ def bisection_outage_min(
     probe maximizes the margin as ``apga_solve`` does in the given mode, on
     one set-up (``_apga_solver``) built for the whole bisection from the
     region and ``cfg.gain_model``, warm-started from the previous probe,
-    and the reported
-    outage is the closed-form value at the certified solution.
-    ``best_trace`` is that solve's iteration trace.
+    and the reported outage is the closed-form value at the certified
+    solution.  ``best_trace`` is that solve's iteration trace.
     """
     region = feasible_region(cfg)
     if x0 is None:

@@ -85,11 +85,11 @@ class SystemConfig:
         beta0: path gain of the legitimate link.
         betas: eavesdropper path gains.
         ks: Rician K-factors of the eavesdropper links (K = 0 is Rayleigh).
-            The gain model checks its own float range when the config is
-            built: with c = beta / (K + 1), the moment-match terms c, c^2,
-            c K and 2 c^2 K must be finite and c^2 nonzero, and so must
-            the sums of c and of c^2 over the eavesdroppers; the noise
-            term (sigma2 / pa) (2^-rs - 1) must not be NaN.
+            With the other fields, they must keep the terms of the gain
+            model in the float range, which ``outage.moment_match`` checks
+            when the config is built: the moment-match terms of
+            c = beta / (K + 1) and their sums, and the noise term
+            (sigma2 / pa) (2^-rs - 1), which must not be NaN.
         pa: transmit power budget.
         sigma2: noise power at every receiver.
         rs: target secrecy rate in bits/s/Hz; 2^rs must be a finite float.

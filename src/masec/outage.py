@@ -132,12 +132,11 @@ class MomentMatch:
 def moment_match(cfg: SystemConfig) -> MomentMatch:
     """The gain model of ``cfg``, which ``cfg.gain_model`` builds once.
 
-    Raises a one-line ``ValueError`` when a term leaves the float range:
-    an eavesdropper's c^2 is 0 or one of its c^2, c K and 2 c^2 K is not
-    finite, the sum of c or of c^2 is not finite, or the noise term
-    (sigma2 / pa) (2^-rs - 1) is NaN (an infinite sigma2 / pa at a 2^-rs
-    that rounds to 1).  An infinite sigma2 / pa at any other rs gives a
-    noise term of -inf, which is certain outage.
+    A term out of the float range is a one-line ``ValueError``: an
+    eavesdropper's c^2 of 0 or a non-finite c^2, c K or 2 c^2 K, a
+    non-finite sum of c or of c^2, or a NaN noise term (sigma2 / pa)
+    (2^-rs - 1), which an infinite sigma2 / pa gives where 2^-rs rounds to
+    1; at any other rs it gives -inf, which is certain outage.
     """
     k = cfg.ks_arr
     c = cfg.betas_arr / (k + 1.0)
@@ -145,8 +144,7 @@ def moment_match(cfg: SystemConfig) -> MomentMatch:
         c2 = c**2
         lin_coef, quad_coef = c * k, 2.0 * c2 * k
         lin_const, quad_const = float(np.sum(c)), float(np.sum(c2))
-    bad = (c2 == 0.0) | ~np.isfinite(c2) | ~np.isfinite(lin_coef) \
-        | ~np.isfinite(quad_coef)
+    bad = (c2 == 0.0) | ~np.isfinite([c2, lin_coef, quad_coef]).all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
@@ -279,7 +277,7 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     w, x = _check_draw_args(w, x, cfg, n_trials, seed)
     mm = cfg.gain_model
     rows = mm.rows(x)
-    thr = mm.statistics(power_gains(rows, w))[2]    # outage_threshold's
+    thr = mm.statistics(power_gains(rows, w))[2]    # outage_threshold
     if thr <= 0.0:
         return 1.0
     hits = 0
