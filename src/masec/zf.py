@@ -12,9 +12,9 @@ Every function reads one nulling solve per placement: the eavesdropper
 rows of the config's gain model (``SystemConfig.gain_model``), their Gram
 condition check and Cholesky factor, and the loss.  A public call checks
 its positions once (``model.check_vector``: the shape, finite, real); the
-descent's candidates and the private helpers reuse them.  ``zf_solution`` gives the outage and the beamformer of one
-placement from one solve, the one ``pgd_solve`` ends with when the caller
-holds it.
+descent's candidates and the private helpers reuse them.  ``zf_solution``
+gives the outage and the beamformer of one placement from one solve, the
+one ``pgd_solve`` ends with when the caller holds it.
 
 ``bob_gain_loss`` and ``zf_outage`` take one placement (N,) or a stack of
 placements (R, N) and return a float or one value per row.  A stack costs
