@@ -1,13 +1,17 @@
 """The golden cases: a fixed set of solves and the bits of their results,
 one JSON line per case in ``tests/golden_cases.jsonl``.
 
-The cases, all with the default surrogate table:
+The 120 cases, all with the default surrogate table:
 - MA_OB, FPA_OB and MA_MRT on the six presets;
 - RAP_OB at seeds 0 and 5 with 1, 4 and 100 restarts on the six presets;
 - MA_OB, FPA_OB and MA_MRT on ``base_config`` at pa = 1.5, just above the
   power below which no level is feasible, and at pa = 1e-3, below it;
 - FPA_ZF and MA_ZF on the six presets, and RAP_ZF at seeds 0 and 5 with 1,
-  20 and 150 restarts on each.
+  20 and 150 restarts on each;
+- FPA_ZF and MA_ZF on m-sweep cut to 3 and to 6 eavesdroppers
+  (``apply_variable(preset("m-sweep"), "n_eves", m)``), and RAP_ZF at seeds
+  0 and 5 with 20 and 150 restarts on each, where the Gram condition
+  numbers run from hundreds to past the limit.
 
 A case's line holds eps and p_out as ``float.hex``; the Monte Carlo outage
 of the returned (w, x), 20000 trials at seed 0, as ``float.hex``; the
@@ -15,9 +19,9 @@ iterations (summed over the lanes for RAP_OB), rounds and screened probes
 of the reported bisection; and SHA-256 digests of the w and x bytes, of the
 probes and of the trace.  A field the scheme does not report, such as the
 bisection's of a zero-forcing scheme, reads ``-``.  A case that raises (the
-zero-forcing schemes on m-sweep and cdf-demo) holds its exception class
-and message instead.  The first line names the numpy version that wrote
-the file.
+zero-forcing schemes on m-sweep and cdf-demo, FPA_ZF on m-sweep cut to 6)
+holds its exception class and message instead.  The first line names the
+numpy version that wrote the file.
 ``test_golden_cases.py`` recomputes every line.  Run this file as a script,
 ``python tests/golden_cases.py``, to rewrite it with the code of this
 checkout.
@@ -35,7 +39,7 @@ if __name__ == "__main__":      # solve with this checkout's masec
 
 import numpy as np
 
-from masec.bench import base_config, preset, run_scheme
+from masec.bench import apply_variable, base_config, preset, run_scheme
 from masec.outage import monte_carlo_outage
 from masec.zf import SingularSteeringError
 
@@ -68,6 +72,15 @@ def cases():
                 yield (f"RAP_ZF {name} seed={seed} restarts={restarts}",
                        "RAP_ZF", preset(name),
                        {"seed": seed, "restarts": restarts})
+    for m in (3, 6):
+        name = f"m-sweep n_eves={m}"
+        cfg = apply_variable(preset("m-sweep"), "n_eves", m)
+        for scheme in ("FPA_ZF", "MA_ZF"):
+            yield f"{scheme} {name}", scheme, cfg, {}
+        for seed in (0, 5):
+            for restarts in (20, 150):
+                yield (f"RAP_ZF {name} seed={seed} restarts={restarts}",
+                       "RAP_ZF", cfg, {"seed": seed, "restarts": restarts})
 
 
 def _digest(text: str | bytes) -> str:
