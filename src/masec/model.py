@@ -163,6 +163,13 @@ class SystemConfig:
         from .outage import moment_match   # outage imports this module
         return moment_match(self)
 
+    def __getstate__(self):
+        """The fields without the cached ``gain_model``, so that a pickled
+        or copied config builds its own, with read-only arrays."""
+        state = dict(self.__dict__)
+        state.pop("gain_model", None)
+        return state
+
     @property
     def betas_arr(self) -> FloatArray:
         return np.asarray(self.betas, dtype=float)

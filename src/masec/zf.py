@@ -16,6 +16,13 @@ descent's candidates and the private helpers reuse them.  ``zf_solution``
 gives the outage and the beamformer of one placement from one solve, the
 one ``pgd_solve`` ends with when the caller holds it.
 
+The condition check passes a Gram matrix whose condition number is at most
+_COND_LIMIT = 1e12.  Gershgorin's discs bound that number from the row sums
+of |A|; a call whose every matrix has a bound at most 1e11 passes without
+an SVD.  The SVD is off by about eps * cond relative there, so it would
+pass them too: the check gives the SVD's verdicts, and any cond above the
+limit, the number an error reports, comes from the SVD of the whole stack.
+
 ``bob_gain_loss`` and ``zf_outage`` take one placement (N,) or a stack of
 placements (R, N) and return a float or one value per row.  A stack costs
 one batched Gram factorization and one incomplete-gamma call; every
@@ -55,8 +62,19 @@ class SingularSteeringError(RuntimeError):
 
 def _steering(x: FloatArray, cfg: SystemConfig):
     """Steering stacks (..., N, M) with columns h_i^H, their Gram matrices
-    (..., M, M) and the Gram condition numbers (...), the largest singular
-    value over the smallest, as ``np.linalg.cond`` divides them."""
+    (..., M, M) and the Gram condition numbers (...), each a bound at most
+    _COND_LIMIT / 10 or the SVD's ratio.
+
+    With r_i the row sums of |A|, every eigenvalue of a Gram matrix A lies
+    in [lo, hi] = [min_i (2 |A_ii| - r_i), max_i r_i] (Gershgorin).  When
+    hi <= (_COND_LIMIT / 10) lo holds for every matrix of the call, the
+    condition numbers are hi / lo and no SVD runs; otherwise they are the
+    largest singular value over the smallest, as ``np.linalg.cond`` divides
+    them, for the whole stack.  A certified matrix has cond <= 1e11, where
+    the SVD's ratio is off by about eps * cond relative, so the SVD would
+    pass it too: no verdict moves, and every cond above the limit, and so
+    every error message, is the SVD's.
+    """
     mm = cfg.gain_model
     n, m = x.shape[-1], mm.sines.size - 1
     if n < m + 1:
@@ -64,6 +82,12 @@ def _steering(x: FloatArray, cfg: SystemConfig):
                          f"(got N={n}, M={m})")
     stack = np.swapaxes(mm.rows(x)[..., 1:, :].conj(), -1, -2)
     gram = np.swapaxes(stack.conj(), -1, -2) @ stack
+    a = np.abs(gram)
+    r = a.sum(-1)
+    lo = (2.0 * a.diagonal(0, -2, -1) - r).min(-1)
+    hi = r.max(-1)
+    if (hi <= (_COND_LIMIT / 10) * lo).all():
+        return stack, gram, hi / lo
     s = np.linalg.svd(gram, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         return stack, gram, s[..., 0] / s[..., -1]
@@ -295,7 +319,9 @@ def best_of_draws(xs: FloatArray, cfg: SystemConfig
     usable = np.flatnonzero(steering[2] <= _COND_LIMIT)
     if not usable.size:
         raise _ill_conditioned(steering[2][0], cfg)
-    solved = _nulling(xs[usable], cfg, [a[usable] for a in steering])
+    if usable.size < len(xs):
+        xs, steering = xs[usable], [a[usable] for a in steering]
+    solved = _nulling(xs, cfg, steering)
     i = int(np.argmin(solved.loss))
     p_out = _outage(solved.loss[i], cfg)
     if p_out in (0.0, 1.0):

@@ -1,7 +1,9 @@
 """Geometry, channels and the movement region."""
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -148,6 +150,22 @@ class TestGainModel:
     def test_a_replaced_scenario_builds_its_own(self):
         cfg = base_config()
         assert dataclasses.replace(cfg, rs=3.0).gain_model.rate_pow == 8.0
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda cfg: pickle.loads(pickle.dumps(cfg)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_a_copy_builds_its_own_read_only(self, copy_of):
+        cfg = preset("ob-demo")
+        model = cfg.gain_model
+        dup = copy_of(cfg)
+        assert dup == cfg and "gain_model" not in vars(dup)
+        arrays = {f.name: getattr(dup.gain_model, f.name)
+                  for f in dataclasses.fields(model)
+                  if isinstance(getattr(model, f.name), np.ndarray)}
+        assert "sines" in arrays and "scatter" in arrays
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            assert arr.tobytes() == getattr(model, name).tobytes(), name
 
 
 _FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]

@@ -349,6 +349,76 @@ class TestBestOfDraws:
         assert best_of_draws(xs, cfg)[:2] == (0, p_out)
 
 
+def _counted_svds(monkeypatch) -> list:
+    """A list that grows by one at each ``np.linalg.svd`` call."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestConditionCertificate:
+    """``_steering``'s Gershgorin bound passes a call without an SVD only
+    where the SVD would pass every matrix too, and every condition number
+    above the limit is the SVD's ratio."""
+
+    @staticmethod
+    def stacks(m):
+        """(config, placements) of M = m eavesdroppers on eight antennas:
+        m-sweep cut to M; for M >= 2, M angles whose last repeats the first
+        up to 1e-3, 1e-5, 1e-7 or 1e-9 rad, and M angles with sines 0 and
+        1, whose rows coincide at the whole-wavelength placement planted as
+        row 1."""
+        rng = np.random.default_rng(36 + m)
+        spread = tuple(0.2 + 0.17 * i for i in range(m))
+        scenarios = [apply_variable(preset("m-sweep"), "n_eves", m)]
+        angles = [spread[:-1] + (0.2 + gap,)
+                  for gap in (1e-3, 1e-5, 1e-7, 1e-9)]
+        angles.append((0.0, np.pi / 2) + spread[2:])
+        for thetas in angles if m > 1 else []:
+            scenarios.append(base_config(
+                n_antennas=8, span=7.5, n_eves=m, thetas=thetas,
+                betas=(1.0,) * m, ks=(4.0,) * m))
+        for cfg in scenarios:
+            xs = random_feasible_positions(feasible_region(cfg), rng, 40)
+            if cfg.thetas[:2] == (0.0, np.pi / 2):
+                xs[1] = np.arange(8.0)
+            yield cfg, xs
+
+    def test_verdicts_and_errors_are_the_svds(self, monkeypatch):
+        limit, paths = zf._COND_LIMIT, []
+        for m in range(1, 8):
+            for cfg, xs in self.stacks(m):
+                calls = _counted_svds(monkeypatch)
+                gram, cond = zf._steering(xs, cfg)[1:]
+                monkeypatch.undo()
+                paths.append(bool(calls))
+                s = np.linalg.svd(gram, compute_uv=False)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = s[:, 0] / s[:, -1]
+                ok = cond <= limit
+                assert np.array_equal(ok, np.linalg.cond(gram) <= limit)
+                assert cond[~ok].tobytes() == ratio[~ok].tobytes()
+                if calls:
+                    assert cond.tobytes() == ratio.tobytes()
+                else:       # bounds far below the limit, where the SVD's
+                    # ratio is off by about eps * cond relative
+                    assert np.all(cond <= limit / 10 * (1 + 1e-15))
+                    assert np.all(cond >= ratio * (1 - 16e-16 * ratio))
+        assert 0 < sum(paths) < len(paths)
+
+    def test_svds_run_only_where_the_bound_fails(self, monkeypatch):
+        calls = _counted_svds(monkeypatch)
+        run_scheme("RAP_ZF", preset("zf-demo-far"), seed=0, restarts=150)
+        assert not calls
+        run_scheme("RAP_ZF", apply_variable(preset("m-sweep"), "n_eves", 6),
+                   seed=0, restarts=150)
+        assert calls
+
+
 def _skew_gram_solve(monkeypatch):
     solve = zf._gram_solve
     monkeypatch.setattr(zf, "_gram_solve", lambda chol, y: 1j * solve(chol, y))
