@@ -1,7 +1,7 @@
 """The golden cases: a fixed set of solves and the bits of their results,
 one JSON line per case in ``tests/golden_cases.jsonl``.
 
-The 120 cases, all with the default surrogate table:
+The 141 cases, all with the default surrogate table:
 - MA_OB, FPA_OB and MA_MRT on the six presets;
 - RAP_OB at seeds 0 and 5 with 1, 4 and 100 restarts on the six presets;
 - MA_OB, FPA_OB and MA_MRT on ``base_config`` at pa = 1.5, just above the
@@ -11,7 +11,10 @@ The 120 cases, all with the default surrogate table:
 - FPA_ZF and MA_ZF on m-sweep cut to 3 and to 6 eavesdroppers
   (``apply_variable(preset("m-sweep"), "n_eves", m)``), and RAP_ZF at seeds
   0 and 5 with 20 and 150 restarts on each, where the Gram condition
-  numbers run from hundreds to past the limit.
+  numbers run from hundreds to past the limit;
+- MA_OB, FPA_OB, MA_MRT, RAP_OB (seed 0, 20 restarts), FPA_ZF, MA_ZF and
+  RAP_ZF (seed 0, 20 restarts) on three scenarios whose eavesdroppers fall
+  in several groups of equal scatter variance (``MULTI_GROUP``).
 
 A case's line holds eps and p_out as ``float.hex``; the Monte Carlo outage
 of the returned (w, x), 20000 trials at seed 0, as ``float.hex``; the
@@ -19,9 +22,9 @@ iterations (summed over the lanes for RAP_OB), rounds and screened probes
 of the reported bisection; and SHA-256 digests of the w and x bytes, of the
 probes and of the trace.  A field the scheme does not report, such as the
 bisection's of a zero-forcing scheme, reads ``-``.  A case that raises (the
-zero-forcing schemes on m-sweep and cdf-demo, FPA_ZF on m-sweep cut to 6)
-holds its exception class and message instead.  The first line names the
-numpy version that wrote the file.
+zero-forcing schemes on m-sweep, cdf-demo, mixed and the cdf-demo variant,
+FPA_ZF on m-sweep cut to 6) holds its exception class and message instead.
+The first line names the numpy version that wrote the file.
 ``test_golden_cases.py`` recomputes every line.  Run this file as a script,
 ``python tests/golden_cases.py``, to rewrite it with the code of this
 checkout.
@@ -47,6 +50,18 @@ PATH = Path(__file__).with_name("golden_cases.jsonl")
 PRESETS = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep", "m-sweep",
            "cdf-demo")
 ONE_LANE = ("MA_OB", "FPA_OB", "MA_MRT")
+# scenarios whose eavesdroppers fall in several variance groups
+MULTI_GROUP = {
+    # test_outage.py's MIXED: three groups
+    "mixed": base_config(n_eves=4, thetas=(np.pi / 6, np.pi / 4, np.pi / 10,
+                                           1.3 * np.pi / 4),
+                         betas=(1.0, 1.0, 2.0, 1.0), ks=(4.0, 4.0, 4.0, 1.0)),
+    "cdf-demo betas=(1,0.3,0.1) ks=(1,4,10) pa=1e4": dataclasses.replace(
+        preset("cdf-demo"), betas=(1.0, 0.3, 0.1), ks=(1.0, 4.0, 10.0),
+        pa=1e4),
+    "zf-demo-far betas=(1,0.3) ks=(4,1)": dataclasses.replace(
+        preset("zf-demo-far"), betas=(1.0, 0.3), ks=(4.0, 1.0)),
+}
 
 
 def cases():
@@ -81,6 +96,14 @@ def cases():
             for restarts in (20, 150):
                 yield (f"RAP_ZF {name} seed={seed} restarts={restarts}",
                        "RAP_ZF", cfg, {"seed": seed, "restarts": restarts})
+    for name, cfg in MULTI_GROUP.items():
+        for scheme in ("MA_OB", "FPA_OB", "MA_MRT", "RAP_OB", "FPA_ZF",
+                       "MA_ZF", "RAP_ZF"):
+            if scheme.startswith("RAP"):
+                yield (f"{scheme} {name} seed=0 restarts=20", scheme, cfg,
+                       {"seed": 0, "restarts": 20})
+            else:
+                yield f"{scheme} {name}", scheme, cfg, {}
 
 
 def _digest(text: str | bytes) -> str:
