@@ -27,7 +27,8 @@ FPA_ZF on m-sweep cut to 6) holds its exception class and message instead.
 The first line names the numpy version that wrote the file.
 ``test_golden_cases.py`` recomputes every line.  Run this file as a script,
 ``python tests/golden_cases.py``, to rewrite it with the code of this
-checkout.
+checkout; it prints the cases whose lines changed and their changed
+fields, or "no line changed".
 """
 from __future__ import annotations
 
@@ -148,7 +149,28 @@ def compute() -> list[dict]:
     return [{"numpy": np.__version__}] + [solve(*case) for case in cases()]
 
 
+def changes(old: list[dict], new: list[dict]) -> list[str]:
+    """One text per line of ``new`` that differs from ``old``'s line of the
+    same case (or header): its name and the fields that changed, or that
+    it is new; and one per case of ``old`` that ``new`` lacks."""
+    def keyed(lines):
+        return {line.get("case", "header"): line for line in lines}
+    old, new = keyed(old), keyed(new)
+    out = []
+    for name, line in new.items():
+        if name not in old:
+            out.append(f"{name}: new")
+        elif line != old[name]:
+            moved = [key for key in {**old[name], **line}
+                     if old[name].get(key) != line.get(key)]
+            out.append(f"{name}: {', '.join(moved)}")
+    return out + [f"{name}: gone" for name in old if name not in new]
+
+
 if __name__ == "__main__":
     lines = compute()
+    committed = ([json.loads(line) for line in PATH.read_text().splitlines()]
+                 if PATH.exists() else [])
     PATH.write_text("".join(json.dumps(line) + "\n" for line in lines))
     print(f"wrote {PATH} ({len(lines) - 1} cases)")
+    print("\n".join(changes(committed, lines)) or "no line changed")

@@ -52,3 +52,16 @@ def test_every_case_solves_to_its_line():
         f"{len(diffs)} golden lines differ ({compared}); rewrite the file "
         "with `python tests/golden_cases.py` if the change is meant:\n"
         + "\n".join(diffs))
+
+
+def test_a_rewrite_names_what_moved():
+    old = [{"numpy": "1"}, {"case": "a", "eps": "0x1p-1", "rounds": 7},
+           {"case": "b", "eps": "0x1p-2"}, {"case": "c", "raises": "E: m"}]
+    new = [{"numpy": "2"}, {"case": "a", "eps": "0x1p-1", "rounds": 6},
+           {"case": "b", "eps": "0x1p-2"}, {"case": "c", "eps": "0x0p+0"},
+           {"case": "d", "eps": "0x0p+0"}]
+    assert golden_cases.changes(old, new) == [
+        "header: numpy", "a: rounds", "c: raises, eps", "d: new"]
+    assert golden_cases.changes(new, old[:2]) == [
+        "header: numpy", "a: rounds", "b: gone", "c: gone", "d: gone"]
+    assert golden_cases.changes(old, old) == []
