@@ -44,7 +44,8 @@ from masec.outage import (
     outage_threshold,
     secrecy_outage_closed_form,
 )
-from masec.surrogate import fit_linear_surrogate, surrogate_lookup
+from masec.surrogate import (DEFAULT_TAU, fit_linear_surrogate,
+                             surrogate_lookup)
 
 
 PRESET_NAMES = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep",
@@ -800,6 +801,133 @@ class TestTracesOnDemand:
         # the winner's, which run_scheme reads for its trace
         assert len(built) == 1 and built[0][1] == len(res.trace) > 0
         assert res.detail.best_trace == res.detail.best_trace == res.trace
+
+
+class ScriptedSolve:
+    """A stand-in for the ``solve`` that ``_bisect`` drives: lane b's k-th
+    solve returns the margin and iteration count ``script[b][k]``, the
+    lane's beam turned by a phase and its placement shifted, both unique
+    to the call, and a trace that names the call, the lane and the count.
+    ``out[b][k]`` keeps what lane b's k-th solve returned, with its call."""
+
+    def __init__(self, script):
+        self.script, self.calls = script, 0
+        self.out = [[] for _ in script]
+
+    def __call__(self, live, w, x, slope, intercept):
+        call, self.calls = self.calls, self.calls + 1
+        w, x = w * np.exp(0.1j * (call + 1)), x + 1e-3 * (call + 1)
+        margins, n_iter = [], []
+        for i, b in enumerate(live.tolist()):
+            margin, n = self.script[b][len(self.out[b])]
+            self.out[b].append((call, w[i].copy(), x[i].copy()))
+            margins.append(margin)
+            n_iter.append(n)
+        return (w, x, np.array(margins), np.array(n_iter),
+                lambda b, n: [("trace", call, b, n)])
+
+
+def scripted_bisection(cfg, table, script, out, w0, x0):
+    """What ``_bisect`` must report for one lane driven by ``script``, from
+    the start (w0, x0), given ``out``, what its solves returned: the
+    bracket of ``bisect_confidence``, the screen of ``level_bound``, the
+    verdict ``margin > 0``, and the (w, x) and trace of the last feasible
+    probe's solve, else of the last probe.  Returns the fields of the
+    BisectionResult, with the trace as ``best_trace``."""
+    lo, hi = 0.0, table.max_eps
+    eps = min(0.5, hi)
+    probes, solved, screened, total = [], 0, 0, 0
+    w, x, trace, best = w0, x0, [], None
+    while True:
+        bound = level_bound(cfg, table, [eps])[0]
+        if bound < 0.0:
+            probes.append((eps, False, bound))
+            screened += 1
+            trace = []
+        else:
+            margin, n = script[solved]
+            call, w, x = out[solved]
+            solved += 1
+            total += n
+            probes.append((eps, margin > 0.0, margin))
+            trace = [("trace", call, 0, n)] if n else []
+            if margin > 0.0:
+                best = (eps, w, x, trace)
+        if probes[-1][1]:
+            lo = eps
+        else:
+            hi = eps
+        if not hi - lo > DEFAULT_TAU:
+            break
+        eps = 0.5 * (lo + hi)
+    eps, w, x, trace = best or (0.0, w, x, trace)
+    return dict(eps=eps, w=w, x=x, feasible=eps > 0.0, rounds=len(probes),
+                probes=probes, screened=screened, total_iterations=total,
+                best_trace=trace)
+
+
+class TestScriptedBisection:
+    """``_bisect``'s bookkeeping under scripted verdicts: brackets, screen,
+    counts, the returned (w, x), its closed-form outage and its trace."""
+
+    # zf-demo-far screens every level above about 0.68
+    SCRIPT = [
+        [(-1.0, 5)] * 7,                            # infeasible throughout
+        [(1.0, 9)] * 7,                             # climbs into the screen
+        [(0.3, 4), (0.2, 6), (-0.1, 3), (0.05, 1), (-0.2, 2), (0.7, 8),
+         (-0.4, 1)],
+        [(-0.5, 2), (0.25, 0), (-1e-3, 7), (-2.0, 1), (-0.3, 4), (-1.0, 3),
+         (-0.6, 2)],                                # feasible at 0 iterations
+        [(0.0, 3), (1e-9, 2), (0.0, 1), (-1.0, 1), (5.0, 11), (0.0, 2),
+         (0.1, 1)],                                 # margin 0 is infeasible
+    ]
+
+    @staticmethod
+    def run(cfg, table, script, xs):
+        solve = ScriptedSolve(script)
+        return ascent._bisect(cfg, table, xs, solve), solve
+
+    @staticmethod
+    def check(cfg, table, script, xs, results, solve):
+        want = [scripted_bisection(cfg, table, lane, out, w0, x)
+                for lane, out, w0, x in zip(script, solve.out,
+                                            mrt_beamformer(xs, cfg), xs)]
+        for b, (res, ref) in enumerate(zip(results, want)):
+            assert (res.eps, res.feasible, res.rounds, res.screened,
+                    res.total_iterations) == (
+                ref["eps"], ref["feasible"], ref["rounds"], ref["screened"],
+                ref["total_iterations"])
+            assert res.probes == ref["probes"]
+            assert res.w.tobytes() == ref["w"].tobytes()
+            assert res.x.tobytes() == ref["x"].tobytes()
+            assert res.best_trace == [(tag, call, b, n) for tag, call, _, n
+                                      in ref["best_trace"]]
+        # p_out is one closed-form call on the stack of returned (w, x)
+        p_out = cfg.gain_model.outage(np.array([r["w"] for r in want]),
+                                      np.array([r["x"] for r in want]))
+        assert [r.p_out for r in results] == p_out.tolist()
+        return want
+
+    def test_lanes_keep_their_own_verdict_paths(self, table):
+        cfg = preset("zf-demo-far")
+        xs = lane_placements(cfg, len(self.SCRIPT))
+        results, solve = self.run(cfg, table, self.SCRIPT, xs)
+        want = self.check(cfg, table, self.SCRIPT, xs, results, solve)
+        assert [r["screened"] for r in want] == [0, 3, 2, 0, 0]
+        assert [r["eps"] > 0.0 for r in want] == [False, True, True, True,
+                                                  True]
+        assert want[3]["best_trace"] == []      # its feasible solve ran 0
+        # each lane alone keeps its verdict path; lane 1 alone has rounds
+        # where every lane is screened and no solve runs.  Its (w, x) differ
+        # from the stack's, since the fake moves them by the call's number
+        for b, (lane, x) in enumerate(zip(self.SCRIPT, xs)):
+            (alone,), one = self.run(cfg, table, [lane], x[None])
+            self.check(cfg, table, [lane], x[None], [alone], one)
+            stacked = results[b]
+            assert (alone.eps, alone.rounds, alone.screened,
+                    alone.total_iterations, alone.probes) == (
+                stacked.eps, stacked.rounds, stacked.screened,
+                stacked.total_iterations, stacked.probes)
 
 
 class TestSolverSetUp:
