@@ -50,26 +50,38 @@ takes its one-lane path on a 1-D beam and its stacked path otherwise.
 The solvers take lines, not levels: ``apga_solve`` and ``_beam_lanes``
 maximize the margin of a given surrogate line, slope and intercept, and
 never read the surrogate table.  ``_bisect`` is the one place that maps
-confidence levels to lines, with one ``surrogate_lookup`` per round.
+confidence levels to lines, with one ``surrogate_lookup`` per bisection
+over every level the bisection can probe.
 
-``bisect_confidence`` is the one bisection loop: each lane keeps its own
-bracket, in arrays over the lanes, and every round probes all lanes still
-bisecting at once.  ``_bisect`` is the one body around it: the
-matched-filter start of every lane, the closed-form exit for certain
-outage, the level-to-line lookup, the screen, the ``margin > 0`` verdict,
-one indexed write-back of the solved lanes' (w, x) per round and one
-stacked closed-form outage for all lanes; it builds the results once, at
-the end, and a lane's trace only when it is read.  The screen is
-``_margin_bound``, a closed-form upper bound on the margin of a line over
-every (w, x): a lane whose bound is negative is infeasible at its level
-without a solve, and only the other lanes are solved.
+``bisect_confidence`` is the one bisection loop.  Every level that a
+bisection over [0, eps_max] can probe is a node of one cached tree
+(``_level_tree``; 127 nodes over at most 7 rounds for the default table),
+each lane keeps its node in an array over the lanes, and every round
+probes all lanes still bisecting at once and moves each to the child its
+verdict picks.  ``_bisect`` is the one body around it.  Once per
+bisection it computes the matched-filter start of every lane, the
+closed-form exit for certain outage, and the line and the screen's bound
+of every node.  A round gathers the live lanes' lines and bounds, solves
+the lanes the screen passes, takes the ``margin > 0`` verdict and writes
+the margins and iteration counts into one row each; it keeps the arrays
+the solve returned and sets no feasible lane's (w, x) aside.  The results
+are built once, at the end: each lane's (w, x) from its last feasible
+solve, the screened counts, one stacked closed-form outage for all lanes,
+and a lane's trace only when it is read.  The screen is ``_margin_bound``,
+a closed-form upper bound on the margin of a line over every (w, x): a
+lane whose bound is negative is infeasible at its level without a solve,
+and only the other lanes are solved.
 ``bisection_outage_min`` hands it one lane solved by ``apga_solve``'s
 set-up, built once per bisection; ``bisect_beam_lanes`` hands it a stack of
 fixed placements solved beamformer-only by ``_beam_lanes``, where every
 numpy call of the margin, its gradient and the line search covers all
 lanes still running and each lane keeps its own step, momentum, stop and
 iteration cap.  Lane i gives the same result, bit for bit, as
-``bisection_outage_min`` in beam_only mode at placement i.
+``bisection_outage_min`` in beam_only mode at placement i.  The lanes'
+bookkeeping is kept to few numpy calls: FISTA's weights are read from one
+table by each lane's count since its restart, a kept extrapolation is
+merged into the fresh arrays of its evaluation, and a stopping lane leaves
+the stack by one index gather per array.
 """
 from __future__ import annotations
 
@@ -329,14 +341,26 @@ def line_search(evaluate, point, obj: float, direction, project, delta: float):
     return None
 
 
-def _fista(t, it: int, sqrt=math.sqrt):
+def _fista(t: float, it: int):
     """FISTA's schedule at iteration ``it``: from t_{k-1} (0 before the
     first iteration, 1 after a restart), t_k = (1 + sqrt(1 + 4 t_{k-1}^2))
     / 2 and the weight beta_k = (t_{k-1} - 1) / t_k, or 0 up to iteration
-    MOMENTUM_AFTER.  Returns (t_k, beta_k); t is a float, or an array of
-    lanes with ``sqrt=np.sqrt``, which rounds as ``math.sqrt`` does."""
-    t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+    MOMENTUM_AFTER.  Returns (t_k, beta_k), floats."""
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
     return t_next, (t - 1.0) / t_next if it > MOMENTUM_AFTER else 0.0
+
+
+@functools.cache
+def _fista_weights(size: int) -> FloatArray:
+    """``_fista``'s weights by the number k < size of iterations since the
+    start (t = 0 at k = 0) or since a restart (t = 1, as at k = 1): the
+    k-th is (t_k - 1) / t_{k+1}, the float ``_fista`` gives, so a lane that
+    reads it gets the bits of its own schedule.  Read-only."""
+    t, weights = 0.0, np.empty(size)
+    for k in range(size):
+        t, weights[k] = _fista(t, MOMENTUM_AFTER + 1)
+    weights.flags.writeable = False
+    return weights
 
 
 def _out_of_reach(obj, start, it: int, max_outer: int, target):
@@ -601,32 +625,63 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
     return solve
 
 
+@functools.lru_cache(maxsize=16)
+def _level_tree(eps_max: float):
+    """Every level that a bisection over [0, eps_max] can probe, as a tree
+    of nodes: ``(levels, after, depth)``.  Node 1 is min(0.5, eps_max), with
+    the bracket [0, eps_max]; a verdict v (0 infeasible, 1 feasible) at node
+    i with level e and bracket [lo, hi] leaves the bracket [lo, e] or [e,
+    hi], and node ``after[2 i + v]`` probes its midpoint 0.5 (lo + hi) while
+    the bracket is wider than ``surrogate.DEFAULT_TAU``, else 0: the lane
+    stops.  ``levels`` holds node i's level at i, and 0 at node 0, which
+    no lane probes; depth is the most rounds of a path.  Read-only, and
+    cached: the tree of the default table's 0.99 has 127 nodes and depth 7.
+    """
+    levels, after = [0.0, min(0.5, eps_max)], [0, 0]
+    brackets, depths, i = [None, (0.0, eps_max)], [0, 1], 1
+    while i < len(levels):
+        (lo, hi), level = brackets[i], levels[i]
+        for lo, hi in ((lo, level), (level, hi)):
+            after.append(len(levels) if hi - lo > DEFAULT_TAU else 0)
+            if after[-1]:
+                levels.append(0.5 * (lo + hi))
+                brackets.append((lo, hi))
+                depths.append(depths[i] + 1)
+        i += 1
+    levels, after = np.array(levels), np.array(after)
+    levels.flags.writeable = after.flags.writeable = False
+    return levels, after, max(depths)
+
+
 def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     """Bisect the confidence level eps over [0, eps_max] in every lane.
 
     Each lane keeps its own bracket: probing starts at min(0.5, eps_max),
     moves up after a feasible level and down after an infeasible one, and
     the lane stops once its bracket is at most ``surrogate.DEFAULT_TAU``
-    wide, so every probed level is positive.  The brackets are arrays over
-    the lanes still bisecting; each round calls ``probe(live, levels)`` with
-    their indices and levels, which returns their verdicts, True where
-    feasible.  Returns the levels and verdicts (R, lanes) of every round:
-    lane b probes in rounds 0 .. k_b - 1 and reads NaN and False after.
+    wide, so every probed level is positive.  The levels are the nodes of
+    ``_level_tree(eps_max)``, and each lane keeps its node: each round calls
+    ``probe(live, nodes)`` with the indices and nodes of the lanes still
+    bisecting, which returns their verdicts, True where feasible.  Returns
+    the nodes and verdicts (R, lanes) of every round: lane b probes in
+    rounds 0 .. k_b - 1 and reads node 0 and False after.
     """
-    live, eps = np.arange(lanes), np.full(lanes, min(0.5, eps_max))
-    lo, hi, rounds = np.zeros(lanes), np.full(lanes, eps_max), []
-    while live.size:
-        feasible = np.asarray(probe(live, eps), dtype=bool)
-        rounds.append((live, eps, feasible))
-        lo, hi = np.where(feasible, eps, lo), np.where(feasible, hi, eps)
-        eps, keep = 0.5 * (lo + hi), hi - lo > DEFAULT_TAU
-        if not keep.all():
-            live, eps, lo, hi = live[keep], eps[keep], lo[keep], hi[keep]
-    levels = np.full((len(rounds), lanes), np.nan)
-    verdicts = np.zeros(levels.shape, dtype=bool)
-    for r, (live, eps, feasible) in enumerate(rounds):
-        levels[r, live], verdicts[r, live] = eps, feasible
-    return levels, verdicts
+    after, depth = _level_tree(eps_max)[1:]
+    nodes = np.zeros((depth, lanes), dtype=int)
+    verdicts = np.zeros(nodes.shape, dtype=bool)
+    live, node = np.arange(lanes), np.ones(lanes, dtype=int)
+    for r in range(depth):
+        feasible = np.asarray(probe(live, node), dtype=bool)
+        # a round of every lane writes a whole row, without an index
+        row = r if len(live) == lanes else (r, live)
+        nodes[row], verdicts[row] = node, feasible
+        node = after[2 * node + feasible]
+        if (going := np.count_nonzero(node)) < len(node):
+            if not going:
+                break
+            stay = node.nonzero()[0]
+            live, node = live[stay], node[stay]
+    return nodes[:r + 1], verdicts[:r + 1]
 
 
 def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
@@ -636,16 +691,19 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     model of cfg.
 
     This is the one place of the solver stack that reads the table (the
-    default table when None).  Each round, one ``surrogate_lookup`` maps the
-    levels of the lanes ``live`` to their lines, and ``solve(live, w, x,
-    slope, intercept)`` maximizes those lanes' margins from their beams w
-    and placements x with the per-lane slope and intercept arrays, and
-    returns their new beams, placements, margins and iteration counts and
-    ``trace(b, n)``, the n-iteration trace of lane b.  A lane's next probe
-    starts where its last solve ended.  A level is feasible when the
-    attained maximum is positive, and ``bisect_confidence`` probes over [0,
-    table max].  Each round writes the lanes' (w, x), and their copy at a
-    feasible probe, with one indexed assignment; the results, with one
+    default table when None).  Once per bisection, one ``surrogate_lookup``
+    maps every level of ``_level_tree`` to its line, and ``_margin_bound``
+    bounds each line's margin.  Each round gathers the lines of the nodes
+    of the lanes ``live``, and ``solve(live, w, x, slope, intercept)``
+    maximizes those lanes' margins from their beams w and placements x with
+    the per-lane slope and intercept arrays, and returns their new beams,
+    placements, margins and iteration counts and ``trace(b, n)``, the
+    n-iteration trace of lane b; it writes none of its inputs.  A lane's
+    next probe starts where its last solve ended.  A level is feasible when
+    the attained maximum is positive, and ``bisect_confidence`` probes over
+    [0, table max].  A round keeps what its solve returned, and writes the
+    lanes' margins and iterations into one row each; the results, with the
+    (w, x) of each lane's last feasible solve, the screened count and one
     stacked closed-form outage, are built at the end, and a lane's trace
     when its ``best_trace`` is read.
 
@@ -653,11 +711,10 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
     beta0 N leaves the outage threshold nonpositive, no (w, x) certifies any
     level.  Every start is then returned at once with eps 0, no probes and
-    no iterations.  Past that exit, each round screens its lanes with
-    ``_margin_bound`` at the same largest threshold: a lane whose bound is
-    negative is infeasible at its level for every (w, x), so it keeps its
-    (w, x), its probe carries the bound as margin, and ``solve`` runs only
-    for the other lanes (not at all when none is left).
+    no iterations.  Past that exit, a lane whose level has a negative bound
+    at the same largest threshold is infeasible there for every (w, x), so
+    it keeps its (w, x), its probe carries the bound as margin, and
+    ``solve`` runs only for the other lanes (not at all when none is left).
     """
     table, mm = table or default_table(), cfg.gain_model
     xs = np.array(xs)     # a copy: joint probes move it
@@ -668,34 +725,54 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
         return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
                                 rounds=0, total_iterations=0)
                 for p, wi, xi in zip(mm.outage(w, xs).tolist(), w, xs)]
-    w_out, x_out, solves = w.copy(), xs.copy(), []
-    screened = np.zeros(len(xs), dtype=int)
-    bound = _margin_bound(mm, cfg.n_antennas, thr_max)
+    tree, _, depth = _level_tree(table.max_eps)
+    # the line and the bound of every node; node 0, no probe, is not screened
+    slopes, intercepts = surrogate_lookup(table, tree)
+    bounds = _margin_bound(mm, cfg.n_antennas, thr_max)(slopes, intercepts)
+    solvable = bounds >= 0.0
+    solvable[0] = True
+    margins = np.zeros((depth, len(xs)))
+    iterations = np.zeros(margins.shape, dtype=int)
+    solves = []           # per round: the lanes solved and what solve returned
 
-    def probe(live, levels):
-        slope, intercept = surrogate_lookup(table, levels)
-        margin = bound(slope, intercept)
-        run = margin >= 0.0
-        n_iter, trace = np.zeros(len(live), dtype=int), None
-        if run.any():
-            lanes = live[run]
-            w[lanes], xs[lanes], margin[run], n_iter[run], trace = solve(
-                lanes, w[lanes], xs[lanes], slope[run], intercept[run])
-        screened[live[~run]] += 1
-        ok = live[margin > 0.0]
-        w_out[ok], x_out[ok] = w[ok], xs[ok]
-        solves.append((live, margin, n_iter, trace))
+    def probe(live, nodes):
+        nonlocal w, xs
+        r, run = len(solves), solvable[nodes]
+        margin, whole = bounds[nodes], len(live) == len(xs)
+        solves.append(None)
+        if (count := np.count_nonzero(run)) == len(run):
+            lanes, at = live, nodes
+        else:
+            lanes, at, whole = live[run], nodes[run], False
+        if count:
+            new_w, new_x, margin[run], iterations[r if whole else (r, lanes)], \
+                trace = solve(lanes, *((w, xs) if whole else (w[lanes],
+                                                             xs[lanes])),
+                              slopes[at], intercepts[at])
+            # no array a round kept is written: a part is set on a copy
+            if whole:
+                w, xs = new_w, new_x
+            else:
+                w, xs = w.copy(), xs.copy()
+                w[lanes], xs[lanes] = new_w, new_x
+            solves[r] = (lanes, new_w, new_x, trace)
+        margins[r if len(live) == len(xs) else (r, live)] = margin
         return margin > 0.0
 
-    levels, verdicts = bisect_confidence(probe, table.max_eps, len(xs))
-    margins, iterations = np.zeros(levels.shape), np.zeros(levels.shape, int)
-    for r, (live, margin, n_iter, _) in enumerate(solves):
-        margins[r, live], iterations[r, live] = margin, n_iter
+    nodes, verdicts = bisect_confidence(probe, table.max_eps, len(xs))
+    levels, margins, iterations = tree[nodes], margins[:len(nodes)], \
+        iterations[:len(nodes)]
     # a lane's result: its last, so highest, feasible probe, else its last
-    rounds = np.count_nonzero(~np.isnan(levels), axis=0)
+    rounds = np.count_nonzero(nodes, axis=0)
     eps = (feasible := np.where(verdicts, levels, 0.0)).max(axis=0)
     source = np.where(eps > 0.0, feasible.argmax(axis=0), rounds - 1)
-    w_out[eps == 0.0], x_out[eps == 0.0] = w[eps == 0.0], xs[eps == 0.0]
+    screened = np.count_nonzero(~solvable[nodes], axis=0)
+    w_out, x_out = w.copy(), xs.copy()
+    for r in set(source[eps > 0.0].tolist()):
+        lanes, new_w, new_x, _ = solves[r]
+        take = ((source == r) & (eps > 0.0)).nonzero()[0]
+        at = np.searchsorted(lanes, take)
+        w_out[take], x_out[take] = new_w[at], new_x[at]
     p_out = mm.outage(w_out, x_out)
     return [BisectionResult(
         eps=e, p_out=p, w=w_out[b], x=x_out[b], feasible=e > 0.0, rounds=k,
@@ -734,7 +811,8 @@ def bisection_outage_min(
 
     def solve(live, w, x, slope, intercept):
         res = apga(w[0], x[0], float(slope[0]), float(intercept[0]))
-        return res.w, res.x, res.objective, res.n_iter, lambda b, n: res.trace
+        return (res.w[None], res.x[None], res.objective, res.n_iter,
+                lambda b, n: res.trace)
 
     return _bisect(cfg, table, [x0], solve)[0]
 
@@ -759,32 +837,37 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     or the delta drops below MIN_STEP.  Every start delta is at least
     MIN_STEP, so the first try covers all lanes and seeds the result; later
     tries compute only the lanes still searching, whose inputs are gathered
-    again only when a lane leaves.  Returns the accepted deltas, NaN for a
-    lane that accepted nothing, and the new beams and their evaluations
-    (unchanged for such a lane).
+    again, by index, only when a lane leaves.  Returns the accepted deltas,
+    NaN for a lane that accepted nothing, and the new beams and their
+    evaluations (unchanged for such a lane).
     """
     new_w, new_at, leave = _try_lanes(mm, rows, w, at.margin, g, slope,
                                       intercept, delta)
     accepted = np.where(leave, delta, np.nan)
     if leave.all():
         return accepted, new_w, new_at
-    live, inputs = np.arange(len(w)), [rows, w, at.margin, g, slope, intercept]
+    live, inputs = np.arange(len(w)), (rows, w, at.margin, g, slope, intercept)
     while True:
         delta = delta * SHRINK
-        if (leave := leave | (delta < MIN_STEP)).any():
-            if leave.all():
+        leave |= delta < MIN_STEP
+        if np.count_nonzero(leave):
+            stay = (~leave).nonzero()[0]
+            if not stay.size:
                 break
-            live, delta = live[~leave], delta[~leave]
-            inputs = [a[~leave] for a in inputs]
+            live, delta = live[stay], delta[stay]
+            inputs = [a.take(stay, axis=0) for a in inputs]
         cand, val, leave = _try_lanes(mm, *inputs, delta)
-        hit = live[leave]
-        new_w[hit], accepted[hit] = cand[leave], delta[leave]
-        for kept, new in zip(new_at, val):
-            kept[hit] = new[leave]
-    failed = np.isnan(accepted)
-    new_w[failed] = w[failed]
-    for kept, old in zip(new_at, at):
-        kept[failed] = old[failed]
+        if np.count_nonzero(leave):
+            got = leave.nonzero()[0]
+            hit = live[got]
+            new_w[hit], accepted[hit] = cand.take(got, axis=0), delta[got]
+            for kept, new in zip(new_at, val):
+                kept[hit] = new.take(got, axis=0)
+    failed = np.isnan(accepted).nonzero()[0]
+    if failed.size:
+        new_w[failed] = w.take(failed, axis=0)
+        for kept, old in zip(new_at, at):
+            kept[failed] = old.take(failed, axis=0)
     return accepted, new_w, new_at
 
 
@@ -794,18 +877,21 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     Lane i ascends from w[i], renormalized, on its fixed rows (M+1, N) with
     its own slope and intercept, under ``ascend``'s policy: its own last
     accepted delta and run of first-try acceptances, which set its warm
-    step, its own FISTA t (``_fista``) and previous beam, which set its
-    extrapolation and its restart, its relative stop, its stop once the
+    step, its own FISTA t, kept as the count of iterations since its start
+    or restart that indexes ``_fista_weights``, and previous beam, which set
+    its extrapolation and its restart, its relative stop, its stop once the
     margin cannot reach zero (``_out_of_reach`` at target 0, as
     ``apga_solve`` passes ``ascend``) and the max_outer cap.
     Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
     the lanes with a nonzero weight and keeps it where the margin strictly
-    rises, then takes the gradient step.  A lane that stops leaves the
-    working stack, so only active lanes are computed.  Returns the final
-    beams and objectives, the iteration counts and one record per
-    iteration: the lanes it computed and their objective, accepted delta
-    and kept beta, with NaN delta where no step was accepted and NaN beta
-    where no extrapolation was kept.
+    rises, then takes the gradient step.  A kept y is merged by writing the
+    lanes that keep w_k into y's fresh arrays, and skipped where every lane
+    or none keeps it.  A lane that stops leaves the working stack, gathered
+    by index, so only active lanes are computed.  Returns the final beams
+    and objectives, the iteration counts and one record per iteration: the
+    lanes it computed and their objective, accepted delta and kept beta,
+    with NaN delta where no step was accepted and NaN beta where no
+    extrapolation was kept.
     """
     w = unit_norm(w)
     at = _evaluate(mm, rows, w, slope, intercept)
@@ -815,49 +901,59 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     history = []
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
     run = np.full(len(w), GROW_AFTER)
-    t, w_prev = np.zeros(len(w)), w
+    # each lane's FISTA t is t_k, k iterations since its start or restart
+    k, weights, w_prev = np.zeros(len(w), dtype=int), _fista_weights(8), w
+    none_kept = np.full(len(w), np.nan)     # never written: sliced per record
     for it in range(1, max_outer + 1):
         start = at.margin
-        t, beta = _fista(t, it, np.sqrt)
+        if it > len(weights):
+            weights = _fista_weights(2 * len(weights))
+        beta, k = weights[k], k + 1
         w_last, w_prev = w_prev, w
-        kept = np.full(len(lane), np.nan)
-        if np.any(beta):
+        kept = none_kept[:len(lane)]
+        if it > MOMENTUM_AFTER and np.count_nonzero(beta):
             # every lane is evaluated; one with a zero weight keeps its beam
             tried = beta != 0.0
             y = unit_norm(w + beta[:, None] * (w - w_last))
             y_at = _evaluate(mm, rows, y, slope, intercept)
             up = tried & (y_at.margin > at.margin)
-            t[tried & ~up] = 1.0
-            kept = np.where(up, beta, np.nan)
-            w = np.where(up[:, None], y, w)
-            at = _Evaluation(np.where(up, y_at.margin, at.margin),
-                             np.where(up[:, None], y_at.v, at.v),
-                             np.where(up, y_at.lin, at.lin),
-                             np.where(up, y_at.thr, at.thr))
+            k[tried & ~up] = 1
+            if ups := np.count_nonzero(up):
+                if ups < len(up):
+                    stay = ~up
+                    np.copyto(beta, np.nan, where=stay)
+                    np.copyto(y, w, where=stay[:, None])
+                    for new, old in zip(y_at, at):
+                        np.copyto(new, old, where=stay[:, None]
+                                  if new.ndim > 1 else stay)
+                kept, w, at = beta, y, y_at
         g = _grad_w(mm, rows_conj, at, slope, intercept)
         first = np.where(run >= GROW_AFTER, np.minimum(DELTA0, 2.0 * last),
                          last)
         delta, w, at = _line_search_lanes(mm, rows, w, at, g, slope,
                                           intercept, first)
         obj = at.margin
-        accepted = ~np.isnan(delta)
-        run = np.where(accepted, np.where(delta == first, run + 1, 0), run)
-        last = np.where(accepted, delta, last)
+        missed = np.isnan(delta)
+        run = np.where(delta == first, run + 1, np.where(missed, run, 0))
+        last = np.where(missed, last, delta)
         history.append((lane, obj, delta, kept))
         stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
         stop |= _out_of_reach(obj, start, it, max_outer, 0.0)
         if it == max_outer:
             stop[:] = True
-        if stop.any():
-            done = lane[stop]
-            w_out[done], obj_out[done], n_iter[done] = w[stop], obj[stop], it
-            go = ~stop
-            (lane, rows, rows_conj, w, last, run, slope, intercept, t,
-             w_prev) = (v[go] for v in (lane, rows, rows_conj, w, last, run,
-                                        slope, intercept, t, w_prev))
-            at = _Evaluation._make(a[go] for a in at)
-            if not lane.size:
+        if np.count_nonzero(stop):
+            done = stop.nonzero()[0]
+            lanes = lane[done]
+            w_out[lanes], obj_out[lanes] = w.take(done, axis=0), obj[done]
+            n_iter[lanes] = it
+            go = (~stop).nonzero()[0]
+            if not go.size:
                 break
+            (lane, rows, rows_conj, w, last, run, slope, intercept, k,
+             w_prev) = (v.take(go, axis=0) for v in (
+                 lane, rows, rows_conj, w, last, run, slope, intercept, k,
+                 w_prev))
+            at = _Evaluation._make(a.take(go, axis=0) for a in at)
     return w_out, obj_out, n_iter, history
 
 
@@ -954,9 +1050,10 @@ def maximize_gamma_objective(
         obj = ascend(margin(v), OptimizerParams().max_outer, pos=block)[0]
         return v, obj
 
-    def probe(live, levels):
+    def probe(live, nodes):
         nonlocal eps_star, v_star
-        slope, intercept = surrogate_lookup(table, levels[0])
+        level = float(levels[nodes[0]])
+        slope, intercept = surrogate_lookup(table, level)
 
         def margin(v):
             return threshold_fn(v) - slope * shape_fn(v) - intercept
@@ -965,10 +1062,10 @@ def maximize_gamma_objective(
         v, best = max((ascend_from(margin, s) for s in starts),
                       key=lambda r: r[1])
         if best > 0.0 or eps_star == 0.0:   # or while none was feasible
-            eps_star, v_star = float(levels[0]) if best > 0.0 else 0.0, v
+            eps_star, v_star = level if best > 0.0 else 0.0, v
         return [best > 0.0]
 
-    eps_star, v_star = 0.0, None
+    eps_star, v_star, levels = 0.0, None, _level_tree(table.max_eps)[0]
     bisect_confidence(probe, table.max_eps)
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))

@@ -1,5 +1,6 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -1115,6 +1116,16 @@ class TestMomentum:
     """``ascend`` extrapolates from iteration MOMENTUM_AFTER + 1 on with
     FISTA's weights, and restarts them after a point it does not keep."""
 
+    def test_lane_weights_are_the_one_lane_schedule(self):
+        # _beam_lanes reads the weight after k iterations from this table
+        weights = ascent._fista_weights(40)
+        t = 0.0
+        for k in range(40):
+            t, beta = ascent._fista(t, ascent.MOMENTUM_AFTER + 1)
+            assert weights[k] == beta
+        assert weights[1] == 0.0            # the iteration after a restart
+        assert ascent._fista_weights(20).tobytes() == weights[:20].tobytes()
+
     def test_weights_follow_the_fista_schedule(self):
         assert ascent.MOMENTUM_AFTER == 5
         # attempts at iterations 6-9 and 11-13; 9 and 13 are rejected
@@ -1294,26 +1305,61 @@ class TestReachStop:
 
 
 def one_lane(verdict):
-    """A one-lane probe that answers ``verdict(eps)``."""
+    """A one-lane probe on levels that answers ``verdict(eps)``."""
     return lambda live, levels: [verdict(levels[0])]
+
+
+def bisect_levels(probe, eps_max, lanes=1):
+    """``bisect_confidence`` with ``probe(live, levels)`` given the levels of
+    the nodes, returning the levels (NaN after a lane stopped) and the
+    verdicts of every round."""
+    tree = ascent._level_tree(eps_max)[0]
+    nodes, verdicts = bisect_confidence(
+        lambda live, nodes: probe(live, tree[nodes]), eps_max, lanes)
+    return np.where(nodes > 0, tree[nodes], np.nan), verdicts
 
 
 class TestBisectConfidence:
     def test_always_feasible_ends_near_top(self):
-        levels, verdicts = bisect_confidence(one_lane(lambda e: True), 0.9)
+        levels, verdicts = bisect_levels(one_lane(lambda e: True), 0.9)
         assert levels[0, 0] == 0.5
         assert levels[-1, 0] >= 0.9 - 0.01
         assert verdicts.all() and (np.diff(levels[:, 0]) > 0.0).all()
 
     def test_never_feasible_ends_near_zero(self):
-        levels, verdicts = bisect_confidence(one_lane(lambda e: False), 1.0)
+        levels, verdicts = bisect_levels(one_lane(lambda e: False), 1.0)
         assert levels[-1, 0] <= 0.01
         assert levels.shape == verdicts.shape == (7, 1)
         assert not verdicts.any()
 
     def test_starts_at_top_below_half(self):
-        levels, verdicts = bisect_confidence(one_lane(lambda e: True), 0.4)
+        levels, verdicts = bisect_levels(one_lane(lambda e: True), 0.4)
         assert levels.tolist() == [[0.4]] and verdicts.tolist() == [[True]]
+
+    @pytest.mark.parametrize("eps_max", [0.99, 0.7, 0.4, 0.005])
+    def test_every_path_probes_the_levels_of_a_plain_bisection(self,
+                                                               eps_max):
+        # each verdict path, the bits of an integer, against the float
+        # bracket arithmetic of a one-lane bisection
+        depth = ascent._level_tree(eps_max)[2]
+        for path in range(2 ** depth):
+            lo, hi, eps, want = 0.0, eps_max, min(0.5, eps_max), []
+            while True:
+                want.append(eps)
+                if path >> (len(want) - 1) & 1:
+                    lo = eps
+                else:
+                    hi = eps
+                if not hi - lo > DEFAULT_TAU:
+                    break
+                eps = 0.5 * (lo + hi)
+            rounds = itertools.count()
+            levels, verdicts = bisect_levels(
+                lambda live, levels: [bool(path >> next(rounds) & 1)],
+                eps_max)
+            assert levels[:, 0].tolist() == want
+            assert verdicts[:, 0].tolist() == [
+                bool(path >> r & 1) for r in range(len(want))]
 
     def test_lanes_bisect_independently(self):
         # lane b is feasible up to its own cut-off.  Over [0, 0.7] the
@@ -1325,9 +1371,9 @@ class TestBisectConfidence:
         def probe(live, levels):
             seen.append(live.tolist())
             return [eps <= cutoffs[b] for b, eps in zip(live, levels)]
-        levels, verdicts = bisect_confidence(probe, 0.7, len(cutoffs))
+        levels, verdicts = bisect_levels(probe, 0.7, len(cutoffs))
         for b, cut in enumerate(cutoffs):
-            alone, alone_verdicts = bisect_confidence(
+            alone, alone_verdicts = bisect_levels(
                 one_lane(lambda e: e <= cut), 0.7)
             k = len(alone)
             assert levels[:k, b].tobytes() == alone[:, 0].tobytes()
