@@ -160,8 +160,9 @@ class TraceRecord:
 
 @dataclass
 class ApgaResult:
-    """One margin maximization: the final (w, x) and margin, the number of
-    outer iterations, and their trace.
+    """One margin maximization: the final (w, x), its margin and its outage
+    threshold (``threshold``, from the evaluation the margin came from), the
+    number of outer iterations, and their trace.
 
     ``converged`` is True when the loop ended on a stop rule, the relative
     stop or, in joint and beam_only mode, the stop once the margin cannot
@@ -176,6 +177,7 @@ class ApgaResult:
     objective: float
     n_iter: int
     converged: bool
+    threshold: float
     trace: list[TraceRecord] = field(default_factory=list)
 
 
@@ -184,7 +186,11 @@ class BisectionResult:
     """Outcome of the confidence bisection.
 
     ``eps`` is the largest confidence level certified feasible; ``p_out``
-    is the closed-form outage at the returned solution.  When no probed
+    is the closed-form outage at the returned solution.  A level is
+    certified where its probe's solve ends at a positive margin and a
+    positive outage threshold: at a threshold <= 0 the closed-form outage
+    is 1, so no level holds there, whatever the surrogate margin says, and
+    the probe is recorded as infeasible with its margin.  When no probed
     level was feasible, ``feasible`` is False and the best-effort iterate
     of the last probe is returned with eps = 0.  ``best_trace`` is the
     iteration trace of the solve that produced the returned solution, built
@@ -620,7 +626,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             extrapolate=None if mode == "positions_mrt" else extrapolate,
             target=None if mode == "positions_mrt" else 0.0)
         return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
-                          converged=converged, trace=trace)
+                          converged=converged, threshold=thr, trace=trace)
 
     return solve
 
@@ -697,10 +703,12 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     of the lanes ``live``, and ``solve(live, w, x, slope, intercept)``
     maximizes those lanes' margins from their beams w and placements x with
     the per-lane slope and intercept arrays, and returns their new beams,
-    placements, margins and iteration counts and ``trace(b, n)``, the
-    n-iteration trace of lane b; it writes none of its inputs.  A lane's
-    next probe starts where its last solve ended.  A level is feasible when
-    the attained maximum is positive, and ``bisect_confidence`` probes over
+    placements, margins, outage thresholds (of the evaluations the margins
+    came from) and iteration counts and ``trace(b, n)``, the n-iteration
+    trace of lane b; it writes none of its inputs.  A lane's next probe
+    starts where its last solve ended.  A level is feasible when the
+    attained maximum is positive and so is the threshold there: at a
+    threshold <= 0 the outage is certain.  ``bisect_confidence`` probes over
     [0, table max].  A round keeps what its solve returned, and writes the
     lanes' margins and iterations into one row each; the results, with the
     (w, x) of each lane's last feasible solve, the screened count and one
@@ -745,10 +753,10 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
         else:
             lanes, at, whole = live[run], nodes[run], False
         if count:
-            new_w, new_x, margin[run], iterations[r if whole else (r, lanes)], \
-                trace = solve(lanes, *((w, xs) if whole else (w[lanes],
-                                                             xs[lanes])),
-                              slopes[at], intercepts[at])
+            new_w, new_x, margin[run], thr, \
+                iterations[r if whole else (r, lanes)], trace = solve(
+                    lanes, *((w, xs) if whole else (w[lanes], xs[lanes])),
+                    slopes[at], intercepts[at])
             # no array a round kept is written: a part is set on a copy
             if whole:
                 w, xs = new_w, new_x
@@ -757,7 +765,10 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
                 w[lanes], xs[lanes] = new_w, new_x
             solves[r] = (lanes, new_w, new_x, trace)
         margins[r if len(live) == len(xs) else (r, live)] = margin
-        return margin > 0.0
+        feasible = margin > 0.0
+        if count:
+            feasible[run] &= thr > 0.0
+        return feasible
 
     nodes, verdicts = bisect_confidence(probe, table.max_eps, len(xs))
     levels, margins, iterations = tree[nodes], margins[:len(nodes)], \
@@ -811,8 +822,8 @@ def bisection_outage_min(
 
     def solve(live, w, x, slope, intercept):
         res = apga(w[0], x[0], float(slope[0]), float(intercept[0]))
-        return (res.w[None], res.x[None], res.objective, res.n_iter,
-                lambda b, n: res.trace)
+        return (res.w[None], res.x[None], res.objective, res.threshold,
+                res.n_iter, lambda b, n: res.trace)
 
     return _bisect(cfg, table, [x0], solve)[0]
 
@@ -887,16 +898,16 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     rises, then takes the gradient step.  A kept y is merged by writing the
     lanes that keep w_k into y's fresh arrays, and skipped where every lane
     or none keeps it.  A lane that stops leaves the working stack, gathered
-    by index, so only active lanes are computed.  Returns the final beams
-    and objectives, the iteration counts and one record per iteration: the
-    lanes it computed and their objective, accepted delta and kept beta,
-    with NaN delta where no step was accepted and NaN beta where no
-    extrapolation was kept.
+    by index, so only active lanes are computed.  Returns the final beams,
+    objectives and outage thresholds (of the final evaluations), the
+    iteration counts and one record per iteration: the lanes it computed
+    and their objective, accepted delta and kept beta, with NaN delta where
+    no step was accepted and NaN beta where no extrapolation was kept.
     """
     w = unit_norm(w)
     at = _evaluate(mm, rows, w, slope, intercept)
     rows_conj = rows.conj()
-    w_out, obj_out = w.copy(), at.margin.copy()
+    w_out, obj_out, thr_out = w.copy(), at.margin.copy(), at.thr.copy()
     n_iter = np.zeros(len(w), dtype=int)
     history = []
     lane, last = np.arange(len(w)), np.full(len(w), DELTA0)
@@ -945,6 +956,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             done = stop.nonzero()[0]
             lanes = lane[done]
             w_out[lanes], obj_out[lanes] = w.take(done, axis=0), obj[done]
+            thr_out[lanes] = at.thr[done]
             n_iter[lanes] = it
             go = (~stop).nonzero()[0]
             if not go.size:
@@ -954,7 +966,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
                  lane, rows, rows_conj, w, last, run, slope, intercept, k,
                  w_prev))
             at = _Evaluation._make(a.take(go, axis=0) for a in at)
-    return w_out, obj_out, n_iter, history
+    return w_out, obj_out, thr_out, n_iter, history
 
 
 def _lane_trace(history, lane: int, n_iter: int) -> list[TraceRecord]:
@@ -986,9 +998,9 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
     rows = mm.rows(xs)
 
     def solve(live, w, x, slope, intercept):
-        beams, obj, n_iter, history = _beam_lanes(
+        beams, obj, thr, n_iter, history = _beam_lanes(
             mm, rows[live], w, slope, intercept, params.max_outer)
-        return beams, x, obj, n_iter, lambda b, n: _lane_trace(
+        return beams, x, obj, thr, n_iter, lambda b, n: _lane_trace(
             history, int(np.searchsorted(live, b)), n)
 
     return _bisect(cfg, table, xs, solve)

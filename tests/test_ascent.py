@@ -1,4 +1,5 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
+import dataclasses
 import inspect
 import itertools
 import os
@@ -57,6 +58,12 @@ PRESET_NAMES = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep",
 SCENARIOS = {**{name: preset(name) for name in PRESET_NAMES},
              "pa=1.5": base_config(pa=1.5),
              "beta0=0.9,rs=2.2": base_config(beta0=0.9, rs=2.2)}
+
+
+# eavesdroppers in three variance groups, as in test_outage.py
+MIXED = base_config(n_eves=4, thetas=(np.pi / 6, np.pi / 4, np.pi / 10,
+                                      1.3 * np.pi / 4),
+                    betas=(1.0, 1.0, 2.0, 1.0), ks=(4.0, 4.0, 4.0, 1.0))
 
 
 def cfg_two_eves():
@@ -481,6 +488,38 @@ class TestBisection:
         assert not any(feasible for _, feasible, _ in res.probes)
         assert (res.eps, res.feasible) == (0.0, False)
 
+    @pytest.mark.parametrize("scheme", ["MA_OB", "FPA_OB"])
+    def test_no_certificate_at_certain_outage(self, table, scheme):
+        # at pa = 1.5 the ascent can drive Bob's gain so low that the outage
+        # threshold is <= 0 while the surrogate margin is positive; the
+        # closed-form outage there is 1, so no level holds
+        res = run_scheme(scheme, base_config(pa=1.5), table=table)
+        assert (res.eps, res.p_out) == (0.0, 1.0)
+        assert not res.detail.feasible
+        assert any(margin > 0.0 for _, _, margin in res.detail.probes)
+
+    @pytest.mark.parametrize("scheme", ["MA_OB", "FPA_OB", "MA_MRT",
+                                        "RAP_OB"])
+    @pytest.mark.parametrize("name", ["pa=1.5", "mixed", "cdf-demo groups"])
+    def test_a_certified_level_has_a_positive_threshold(self, table, scheme,
+                                                        name):
+        # scenarios where the surrogate margin alone certified levels at a
+        # threshold <= 0: every lane's certificate now has a positive one
+        cfg = {"pa=1.5": base_config(pa=1.5), "mixed": MIXED,
+               "cdf-demo groups": dataclasses.replace(
+                   preset("cdf-demo"), betas=(1.0, 0.3, 0.1),
+                   ks=(1.0, 4.0, 10.0), pa=1e4)}[name]
+        if scheme == "RAP_OB":
+            xs = lane_placements(cfg, 20)
+            runs = ascent.bisect_beam_lanes(cfg, xs, table)
+        else:
+            runs = [run_scheme(scheme, cfg, table=table).detail]
+        for res in runs:
+            if res.feasible:
+                assert outage_threshold(res.w, res.x, cfg) > 0.0
+            else:
+                assert res.eps == 0.0
+
     def test_trace_kept_by_default(self, table):
         # the trace is the certified probe's solve, ending at its margin
         res = bisection_outage_min(preset("ob-demo"), table)
@@ -806,7 +845,8 @@ class TestTracesOnDemand:
 
 class ScriptedSolve:
     """A stand-in for the ``solve`` that ``_bisect`` drives: lane b's k-th
-    solve returns the margin and iteration count ``script[b][k]``, the
+    solve returns the margin and iteration count ``script[b][k]`` and its
+    outage threshold, the third entry if there is one and else 1, the
     lane's beam turned by a phase and its placement shifted, both unique
     to the call, and a trace that names the call, the lane and the count.
     ``out[b][k]`` keeps what lane b's k-th solve returned, with its call."""
@@ -818,21 +858,23 @@ class ScriptedSolve:
     def __call__(self, live, w, x, slope, intercept):
         call, self.calls = self.calls, self.calls + 1
         w, x = w * np.exp(0.1j * (call + 1)), x + 1e-3 * (call + 1)
-        margins, n_iter = [], []
+        margins, thresholds, n_iter = [], [], []
         for i, b in enumerate(live.tolist()):
-            margin, n = self.script[b][len(self.out[b])]
+            margin, n, *thr = self.script[b][len(self.out[b])]
             self.out[b].append((call, w[i].copy(), x[i].copy()))
             margins.append(margin)
+            thresholds.append(thr[0] if thr else 1.0)
             n_iter.append(n)
-        return (w, x, np.array(margins), np.array(n_iter),
-                lambda b, n: [("trace", call, b, n)])
+        return (w, x, np.array(margins), np.array(thresholds),
+                np.array(n_iter), lambda b, n: [("trace", call, b, n)])
 
 
 def scripted_bisection(cfg, table, script, out, w0, x0):
     """What ``_bisect`` must report for one lane driven by ``script``, from
     the start (w0, x0), given ``out``, what its solves returned: the
     bracket of ``bisect_confidence``, the screen of ``level_bound``, the
-    verdict ``margin > 0``, and the (w, x) and trace of the last feasible
+    verdict ``margin > 0`` at a positive outage threshold, and the (w, x)
+    and trace of the last feasible
     probe's solve, else of the last probe.  Returns the fields of the
     BisectionResult, with the trace as ``best_trace``."""
     lo, hi = 0.0, table.max_eps
@@ -846,13 +888,14 @@ def scripted_bisection(cfg, table, script, out, w0, x0):
             screened += 1
             trace = []
         else:
-            margin, n = script[solved]
+            margin, n, *thr = script[solved]
             call, w, x = out[solved]
             solved += 1
             total += n
-            probes.append((eps, margin > 0.0, margin))
+            feasible = margin > 0.0 and (not thr or thr[0] > 0.0)
+            probes.append((eps, feasible, margin))
             trace = [("trace", call, 0, n)] if n else []
-            if margin > 0.0:
+            if feasible:
                 best = (eps, w, x, trace)
         if probes[-1][1]:
             lo = eps
@@ -881,6 +924,8 @@ class TestScriptedBisection:
          (-0.6, 2)],                                # feasible at 0 iterations
         [(0.0, 3), (1e-9, 2), (0.0, 1), (-1.0, 1), (5.0, 11), (0.0, 2),
          (0.1, 1)],                                 # margin 0 is infeasible
+        [(0.4, 3, -1e-4), (0.2, 2), (0.3, 1, 0.0), (0.6, 5, 2.0), (0.1, 4),
+         (0.2, 1, -3.0), (0.5, 2)],                 # so is threshold <= 0
     ]
 
     @staticmethod
@@ -914,9 +959,11 @@ class TestScriptedBisection:
         xs = lane_placements(cfg, len(self.SCRIPT))
         results, solve = self.run(cfg, table, self.SCRIPT, xs)
         want = self.check(cfg, table, self.SCRIPT, xs, results, solve)
-        assert [r["screened"] for r in want] == [0, 3, 2, 0, 0]
+        assert [r["screened"] for r in want] == [0, 3, 2, 0, 0, 0]
         assert [r["eps"] > 0.0 for r in want] == [False, True, True, True,
-                                                  True]
+                                                  True, True]
+        assert [f for _, f, _ in want[5]["probes"]][:3] == [False, True,
+                                                            False]
         assert want[3]["best_trace"] == []      # its feasible solve ran 0
         # each lane alone keeps its verdict path; lane 1 alone has rounds
         # where every lane is screened and no solve runs.  Its (w, x) differ
@@ -1294,13 +1341,14 @@ class TestReachStop:
         slope, intercept = surrogate_lookup(table, np.array([0.05, 0.3, 0.5,
                                                              0.8]))
         max_outer = OptimizerParams().max_outer
-        beams, obj, n_iter, _ = ascent._beam_lanes(
+        beams, obj, thr, n_iter, _ = ascent._beam_lanes(
             mm, mm.rows(xs), w, slope, intercept, max_outer)
         assert (obj < 0.0).all() and (n_iter < 50).all()
         for i in range(len(xs)):
             res = apga_solve(w[i], xs[i], float(slope[i]),
                              float(intercept[i]), cfg, mode="beam_only")
-            assert (res.objective, res.n_iter) == (obj[i], n_iter[i])
+            assert (res.objective, res.threshold, res.n_iter) == \
+                (obj[i], thr[i], n_iter[i])
             assert res.w.tobytes() == beams[i].tobytes()
 
 
