@@ -745,18 +745,17 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
 
     def probe(live, nodes):
         nonlocal w, xs
-        r, run = len(solves), solvable[nodes]
-        margin, whole = bounds[nodes], len(live) == len(xs)
+        r, run, margin = len(solves), solvable[nodes], bounds[nodes]
         solves.append(None)
-        if (count := np.count_nonzero(run)) == len(run):
-            lanes, at = live, nodes
-        else:
-            lanes, at, whole = live[run], nodes[run], False
-        if count:
-            new_w, new_x, margin[run], thr, \
-                iterations[r if whole else (r, lanes)], trace = solve(
-                    lanes, *((w, xs) if whole else (w[lanes], xs[lanes])),
-                    slopes[at], intercepts[at])
+        lanes, at = (live, nodes) if run.all() else (live[run], nodes[run])
+        if lanes.size:
+            # a solve of every lane reads and writes whole arrays and rows
+            whole = len(lanes) == len(xs)
+            new_w, new_x, margin[run], thr, n_iter, trace = solve(
+                lanes, *((w, xs) if whole else (w.take(lanes, axis=0),
+                                                xs.take(lanes, axis=0))),
+                slopes[at], intercepts[at])
+            iterations[r if whole else (r, lanes)] = n_iter
             # no array a round kept is written: a part is set on a copy
             if whole:
                 w, xs = new_w, new_x
@@ -766,7 +765,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
             solves[r] = (lanes, new_w, new_x, trace)
         margins[r if len(live) == len(xs) else (r, live)] = margin
         feasible = margin > 0.0
-        if count:
+        if lanes.size:
             feasible[run] &= thr > 0.0
         return feasible
 
@@ -783,7 +782,8 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
         lanes, new_w, new_x, _ = solves[r]
         take = ((source == r) & (eps > 0.0)).nonzero()[0]
         at = np.searchsorted(lanes, take)
-        w_out[take], x_out[take] = new_w[at], new_x[at]
+        w_out[take] = new_w.take(at, axis=0)
+        x_out[take] = new_x.take(at, axis=0)
     p_out = mm.outage(w_out, x_out)
     return [BisectionResult(
         eps=e, p_out=p, w=w_out[b], x=x_out[b], feasible=e > 0.0, rounds=k,
@@ -999,7 +999,8 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
 
     def solve(live, w, x, slope, intercept):
         beams, obj, thr, n_iter, history = _beam_lanes(
-            mm, rows[live], w, slope, intercept, params.max_outer)
+            mm, rows if len(live) == len(rows) else rows.take(live, axis=0), w,
+            slope, intercept, params.max_outer)
         return beams, x, obj, thr, n_iter, lambda b, n: _lane_trace(
             history, int(np.searchsorted(live, b)), n)
 
