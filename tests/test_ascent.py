@@ -1,5 +1,4 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
-import dataclasses
 import inspect
 import itertools
 import os
@@ -13,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import masec
+from golden_cases import MULTI_GROUP
 from masec import ascent, outage, zf
 from masec.ascent import (
     OptimizerParams,
@@ -58,12 +58,6 @@ PRESET_NAMES = ("ob-demo", "zf-demo-far", "zf-demo-near", "k-sweep",
 SCENARIOS = {**{name: preset(name) for name in PRESET_NAMES},
              "pa=1.5": base_config(pa=1.5),
              "beta0=0.9,rs=2.2": base_config(beta0=0.9, rs=2.2)}
-
-
-# eavesdroppers in three variance groups, as in test_outage.py
-MIXED = base_config(n_eves=4, thetas=(np.pi / 6, np.pi / 4, np.pi / 10,
-                                      1.3 * np.pi / 4),
-                    betas=(1.0, 1.0, 2.0, 1.0), ks=(4.0, 4.0, 4.0, 1.0))
 
 
 def cfg_two_eves():
@@ -500,15 +494,13 @@ class TestBisection:
 
     @pytest.mark.parametrize("scheme", ["MA_OB", "FPA_OB", "MA_MRT",
                                         "RAP_OB"])
-    @pytest.mark.parametrize("name", ["pa=1.5", "mixed", "cdf-demo groups"])
+    @pytest.mark.parametrize("name", ["pa=1.5", *MULTI_GROUP])
     def test_a_certified_level_has_a_positive_threshold(self, table, scheme,
                                                         name):
-        # scenarios where the surrogate margin alone certified levels at a
-        # threshold <= 0: every lane's certificate now has a positive one
-        cfg = {"pa=1.5": base_config(pa=1.5), "mixed": MIXED,
-               "cdf-demo groups": dataclasses.replace(
-                   preset("cdf-demo"), betas=(1.0, 0.3, 0.1),
-                   ks=(1.0, 4.0, 10.0), pa=1e4)}[name]
+        # where the surrogate margin alone certified levels at a threshold
+        # <= 0 (pa=1.5 and the first two multi-group scenarios), and where
+        # it did not: every lane's certificate has a positive threshold
+        cfg = MULTI_GROUP.get(name) or base_config(pa=1.5)
         if scheme == "RAP_OB":
             xs = lane_placements(cfg, 20)
             runs = ascent.bisect_beam_lanes(cfg, xs, table)
