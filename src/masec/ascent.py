@@ -361,7 +361,8 @@ def _fista_weights(size: int) -> FloatArray:
     """``_fista``'s weights by the number k < size of iterations since the
     start (t = 0 at k = 0) or since a restart (t = 1, as at k = 1): the
     k-th is (t_k - 1) / t_{k+1}, the float ``_fista`` gives, so a lane that
-    reads it gets the bits of its own schedule.  Read-only."""
+    reads it gets the bits of its own schedule.  Read-only; ``_beam_lanes``
+    asks for sizes 8, 16, 32, ..., so few are cached."""
     t, weights = 0.0, np.empty(size)
     for k in range(size):
         t, weights[k] = _fista(t, MOMENTUM_AFTER + 1)

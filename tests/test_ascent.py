@@ -1376,7 +1376,8 @@ class TestBisectConfidence:
         levels, verdicts = bisect_levels(one_lane(lambda e: True), 0.4)
         assert levels.tolist() == [[0.4]] and verdicts.tolist() == [[True]]
 
-    @pytest.mark.parametrize("eps_max", [0.99, 0.7, 0.4, 0.005])
+    # 0.32 / 32 is DEFAULT_TAU to the bit: a bracket of exactly that width
+    @pytest.mark.parametrize("eps_max", [0.99, 0.7, 0.4, 0.32, 0.005])
     def test_every_path_probes_the_levels_of_a_plain_bisection(self,
                                                                eps_max):
         # each verdict path, the bits of an integer, against the float
