@@ -866,9 +866,9 @@ def scripted_bisection(cfg, table, script, out, w0, x0):
     the start (w0, x0), given ``out``, what its solves returned: the
     bracket of ``bisect_confidence``, the screen of ``level_bound``, the
     verdict ``margin > 0`` at a positive outage threshold, and the (w, x)
-    and trace of the last feasible
-    probe's solve, else of the last probe.  Returns the fields of the
-    BisectionResult, with the trace as ``best_trace``."""
+    and trace of the last feasible probe's solve, else of the last probe.
+    Returns the fields of the BisectionResult, with the trace as
+    ``best_trace``."""
     lo, hi = 0.0, table.max_eps
     eps = min(0.5, hi)
     probes, solved, screened, total = [], 0, 0, 0
