@@ -9,6 +9,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 
 from .ascent import write_trace
@@ -45,12 +48,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _check_writable(*paths) -> None:
+    """Fail before any solve when an output file's directory is missing,
+    with the error that writing the file would raise."""
+    for path in filter(None, paths):
+        try:
+            if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON scenario file (angles in units of pi)")
     p.add_argument("--preset", help="named demo scenario")
 
 
 def _cmd_fit_table(args) -> int:
+    _check_writable(args.out)
     table = fit_linear_surrogate(tau=args.tau, fit_range=(args.lo, args.hi),
                                  n_fit_points=args.points)
     save_table(table, args.out)
@@ -59,6 +74,7 @@ def _cmd_fit_table(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_writable(args.out, args.trace)
     cfg = _scenario(args)
     table = load_table(args.table) if args.table else None
     res = run_scheme(args.scheme, cfg, seed=args.seed, restarts=args.restarts,
@@ -83,6 +99,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_writable(args.out)
     spec = sweep_spec_from_dict(read_json(args.spec))
     table = load_table(args.table) if args.table else None
     result = run_sweep(spec, table=table)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masec import ascent, bench, surrogate, zf
+from masec import ascent, bench, cli, surrogate, zf
 from masec.bench import (
     SWEEP_VARIABLES,
     SchemeId,
@@ -949,6 +949,37 @@ class TestCli:
                        "n_antennas >= n_eves + 1 (got N=2, M=2)\n")
         assert [(r.scheme, r.variable_value) for r in read_results(out)] == \
             [("FPA_ZF", 3.0)]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--out"), ("solve", "--trace"), ("sweep", "--out"),
+        ("fit-table", "--out")])
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_an_unwritable_output_fails_before_any_solve(
+            self, command, flag, parent, monkeypatch, tmp_path, capsys):
+        # the error that writing the file would raise, and nothing solved
+        for name in ("run_scheme", "run_sweep", "fit_linear_surrogate"):
+            monkeypatch.setattr(cli, name, _no_solve)
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / parent / "r.csv"
+        with pytest.raises(OSError) as opened:
+            target.write_text("")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_sweep_spec()))
+        args = {"solve": ["solve", "--preset", "ob-demo", "--scheme", "MA_OB"],
+                "sweep": ["sweep", "--spec", str(spec)],
+                "fit-table": ["fit-table"]}[command]
+        assert main(args + [flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {opened.value}\n"
+
+    def test_an_output_in_the_working_directory(self, monkeypatch, tmp_path,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--preset", "ob-demo", "--scheme", "FPA_ZF",
+                     "--out", "row.csv"]) == 0
+        assert [r.scheme for r in read_results(tmp_path / "row.csv")] == \
+            ["FPA_ZF"]
 
     def test_trace_of_a_scheme_without_one(self, tmp_path, capsys):
         trace = tmp_path / "t.txt"
