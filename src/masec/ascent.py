@@ -35,7 +35,7 @@ dispatcher with the same bits.  For the same reason the checks of a start
 run once, at ``apga_solve``'s door, and not in each probe of a bisection,
 whose starts are unit-norm beams already.  Every solver reads its config's
 gain model, ``SystemConfig.gain_model``, built once with the config; each
-bisection builds its region once, and ``_margin_bound`` its constants.
+bisection builds its region once and bounds every level's line once.
 
 The margin, its gain weights and both gradients are written twice, with
 the same operations in the same order.  The helpers ``_evaluate``,
@@ -61,13 +61,15 @@ probes all lanes still bisecting at once and moves each to the child its
 verdict picks.  ``_bisect`` is the one body around it.  Once per
 bisection it computes the matched-filter start of every lane, the
 closed-form exit for certain outage, and the line and the screen's bound
-of every node.  A round gathers the live lanes' lines and bounds, solves
-the lanes the screen passes, takes the ``margin > 0`` verdict and writes
-the margins and iteration counts into one row each; it keeps the arrays
-the solve returned and sets no feasible lane's (w, x) aside.  The results
-are built once, at the end: each lane's (w, x) from its last feasible
-solve, the screened counts, one stacked closed-form outage for all lanes,
-and a lane's trace only when it is read.  The screen is ``_margin_bound``,
+of every node.  A round takes one path for one lane and for a hundred: it
+gathers the live lanes' lines and bounds, hands the solve index gathers of
+the (w, x) of the lanes the screen passes, writes what the solve returned
+back into the bisection's own (w, x) arrays by index, takes the
+``margin > 0`` verdict and writes the margins and iteration counts into
+one row each.  The results are built once, at the end: each lane's (w, x)
+from its last feasible solve, the screened counts, one stacked
+closed-form outage for all lanes, and a lane's trace only when it is
+read.  The screen is ``_margin_bound``,
 a closed-form upper bound on the margin of a line over every (w, x): a
 lane whose bound is negative is infeasible at its level without a solve,
 and only the other lanes are solved.
@@ -79,9 +81,10 @@ lanes still running and each lane keeps its own step, momentum, stop and
 iteration cap.  Lane i gives the same result, bit for bit, as
 ``bisection_outage_min`` in beam_only mode at placement i.  The lanes'
 bookkeeping is kept to few numpy calls: FISTA's weights are read from one
-table by each lane's count since its restart, a kept extrapolation is
-merged into the fresh arrays of its evaluation, and a stopping lane leaves
-the stack by one index gather per array.
+table by each lane's count since its restart, an iteration where some lane
+keeps its extrapolation merges the lanes that do not into the fresh arrays
+of the extrapolation's evaluation, and a stopping lane leaves the stack by
+one index gather per array.
 """
 from __future__ import annotations
 
@@ -243,12 +246,11 @@ def _evaluate(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
     return _Evaluation(m if v.ndim > 1 else float(m), v, lin, thr)
 
 
-def _margin_bound(mm: MomentMatch, n: int, thr_max: float):
-    """``bound(slope, intercept)``: an upper bound on the margin of every
-    line (slope, intercept) (...) over all unit-norm beams and all
-    placements of n antennas, given the largest threshold thr_max =
-    ``mm.threshold(beta0 n)``.  The ends of lin's and quad's intervals are
-    computed here, once per config.
+def _margin_bound(mm: MomentMatch, n: int, thr_max: float, slope,
+                  intercept) -> FloatArray:
+    """An upper bound on the margin of every line (slope, intercept) (...)
+    over all unit-norm beams and all placements of n antennas, given the
+    largest threshold thr_max = ``mm.threshold(beta0 n)``.
 
     A unit-norm w on unit-modulus steering rows gives gains |s_d w|^2 in
     [0, n].  lin, quad and the threshold are affine in them with
@@ -260,15 +262,12 @@ def _margin_bound(mm: MomentMatch, n: int, thr_max: float):
     """
     lin_top = mm.lin_const + n * float(mm.lin_coef.sum())
     quad_top = mm.quad_const + n * float(mm.quad_coef.sum())
-
-    def bound(slope, intercept) -> FloatArray:
-        with np.errstate(divide="ignore", over="ignore"):
-            # a slope near 0 puts the peak past the float range: inf clips
-            peak = thr_max / (2.0 * slope)
-        lin = np.minimum(np.maximum(peak, mm.lin_const), lin_top)
-        quad = np.where(intercept >= 0.0, mm.quad_const, quad_top)
-        return lin * thr_max - slope * (lin * lin) - intercept * quad
-    return bound
+    with np.errstate(divide="ignore", over="ignore"):
+        # a slope near 0 puts the peak past the float range: inf clips
+        peak = thr_max / (2.0 * slope)
+    lin = np.minimum(np.maximum(peak, mm.lin_const), lin_top)
+    quad = np.where(intercept >= 0.0, mm.quad_const, quad_top)
+    return lin * thr_max - slope * (lin * lin) - intercept * quad
 
 
 def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
@@ -669,9 +668,11 @@ def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     wide, so every probed level is positive.  The levels are the nodes of
     ``_level_tree(eps_max)``, and each lane keeps its node: each round calls
     ``probe(live, nodes)`` with the indices and nodes of the lanes still
-    bisecting, which returns their verdicts, True where feasible.  Returns
-    the nodes and verdicts (R, lanes) of every round: lane b probes in
-    rounds 0 .. k_b - 1 and reads node 0 and False after.
+    bisecting, which returns their verdicts, True where feasible; the
+    round writes the nodes and verdicts into its row at the indices
+    ``live`` and gathers the lanes that go on.  Returns the nodes and
+    verdicts (R, lanes) of every round: lane b probes in rounds
+    0 .. k_b - 1 and reads node 0 and False after.
     """
     after, depth = _level_tree(eps_max)[1:]
     nodes = np.zeros((depth, lanes), dtype=int)
@@ -679,15 +680,12 @@ def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     live, node = np.arange(lanes), np.ones(lanes, dtype=int)
     for r in range(depth):
         feasible = np.asarray(probe(live, node), dtype=bool)
-        # a round of every lane writes a whole row, without an index
-        row = r if len(live) == lanes else (r, live)
-        nodes[row], verdicts[row] = node, feasible
+        nodes[r, live], verdicts[r, live] = node, feasible
         node = after[2 * node + feasible]
-        if (going := np.count_nonzero(node)) < len(node):
-            if not going:
-                break
-            stay = node.nonzero()[0]
-            live, node = live[stay], node[stay]
+        stay = node.nonzero()[0]
+        if not stay.size:
+            break
+        live, node = live[stay], node[stay]
     return nodes[:r + 1], verdicts[:r + 1]
 
 
@@ -700,21 +698,25 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     This is the one place of the solver stack that reads the table (the
     default table when None).  Once per bisection, one ``surrogate_lookup``
     maps every level of ``_level_tree`` to its line, and ``_margin_bound``
-    bounds each line's margin.  Each round gathers the lines of the nodes
-    of the lanes ``live``, and ``solve(live, w, x, slope, intercept)``
-    maximizes those lanes' margins from their beams w and placements x with
-    the per-lane slope and intercept arrays, and returns their new beams,
+    bounds each line's margin.  The bisection keeps every lane's (w, x) in
+    arrays of its own (B, N), a copy of xs and the matched filters.  Each
+    round gathers the lines of the nodes of the lanes it solves, ``lanes``,
+    and ``solve(lanes, w, x, slope, intercept)`` maximizes those lanes'
+    margins from index gathers of their beams w and placements x with the
+    per-lane slope and intercept arrays, and returns their new beams,
     placements, margins, outage thresholds (of the evaluations the margins
     came from) and iteration counts and ``trace(b, n)``, the n-iteration
-    trace of lane b; it writes none of its inputs.  A lane's next probe
-    starts where its last solve ended.  A level is feasible when the
-    attained maximum is positive and so is the threshold there: at a
-    threshold <= 0 the outage is certain.  ``bisect_confidence`` probes over
-    [0, table max].  A round keeps what its solve returned, and writes the
+    trace of lane b.  The gathers are the solve's to use as it likes; the
+    arrays it returns are kept, and written back into the bisection's own
+    by index, so a lane's next probe starts where its last solve ended.  A
+    level is feasible when the attained maximum is positive and so is the
+    threshold there: at a threshold <= 0 the outage is certain.
+    ``bisect_confidence`` probes over [0, table max].  A round writes the
     lanes' margins and iterations into one row each; the results, with the
-    (w, x) of each lane's last feasible solve, the screened count and one
-    stacked closed-form outage, are built at the end, and a lane's trace
-    when its ``best_trace`` is read.
+    (w, x) of each lane's last feasible solve written into the bisection's
+    arrays, the screened count and one stacked closed-form outage, are
+    built at the end, and a lane's trace when its ``best_trace`` is
+    read.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
@@ -726,7 +728,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     ``solve`` runs only for the other lanes (not at all when none is left).
     """
     table, mm = table or default_table(), cfg.gain_model
-    xs = np.array(xs)     # a copy: joint probes move it
+    xs = np.array(xs)     # private, as w is: each round writes its lanes
     w = mrt_beamformer(xs, cfg)
     thr_max = mm.threshold(cfg.beta0 * cfg.n_antennas)
     if thr_max <= 0.0:
@@ -737,7 +739,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     tree, _, depth = _level_tree(table.max_eps)
     # the line and the bound of every node; node 0, no probe, is not screened
     slopes, intercepts = surrogate_lookup(table, tree)
-    bounds = _margin_bound(mm, cfg.n_antennas, thr_max)(slopes, intercepts)
+    bounds = _margin_bound(mm, cfg.n_antennas, thr_max, slopes, intercepts)
     solvable = bounds >= 0.0
     solvable[0] = True
     margins = np.zeros((depth, len(xs)))
@@ -745,29 +747,18 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     solves = []           # per round: the lanes solved and what solve returned
 
     def probe(live, nodes):
-        nonlocal w, xs
         r, run, margin = len(solves), solvable[nodes], bounds[nodes]
+        lanes, at = live[run], nodes[run]
         solves.append(None)
-        lanes, at = (live, nodes) if run.all() else (live[run], nodes[run])
+        feasible = margin > 0.0     # False where screened: the bound is < 0
         if lanes.size:
-            # a solve of every lane reads and writes whole arrays and rows
-            whole = len(lanes) == len(xs)
-            new_w, new_x, margin[run], thr, n_iter, trace = solve(
-                lanes, *((w, xs) if whole else (w.take(lanes, axis=0),
-                                                xs.take(lanes, axis=0))),
+            new_w, new_x, solved, thr, iterations[r, lanes], trace = solve(
+                lanes, w.take(lanes, axis=0), xs.take(lanes, axis=0),
                 slopes[at], intercepts[at])
-            iterations[r if whole else (r, lanes)] = n_iter
-            # no array a round kept is written: a part is set on a copy
-            if whole:
-                w, xs = new_w, new_x
-            else:
-                w, xs = w.copy(), xs.copy()
-                w[lanes], xs[lanes] = new_w, new_x
+            w[lanes], xs[lanes], margin[run] = new_w, new_x, solved
+            feasible[run] = (solved > 0.0) & (thr > 0.0)
             solves[r] = (lanes, new_w, new_x, trace)
-        margins[r if len(live) == len(xs) else (r, live)] = margin
-        feasible = margin > 0.0
-        if lanes.size:
-            feasible[run] &= thr > 0.0
+        margins[r, live] = margin
         return feasible
 
     nodes, verdicts = bisect_confidence(probe, table.max_eps, len(xs))
@@ -778,16 +769,14 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     eps = (feasible := np.where(verdicts, levels, 0.0)).max(axis=0)
     source = np.where(eps > 0.0, feasible.argmax(axis=0), rounds - 1)
     screened = np.count_nonzero(~solvable[nodes], axis=0)
-    w_out, x_out = w.copy(), xs.copy()
     for r in set(source[eps > 0.0].tolist()):
         lanes, new_w, new_x, _ = solves[r]
         take = ((source == r) & (eps > 0.0)).nonzero()[0]
         at = np.searchsorted(lanes, take)
-        w_out[take] = new_w.take(at, axis=0)
-        x_out[take] = new_x.take(at, axis=0)
-    p_out = mm.outage(w_out, x_out)
+        w[take], xs[take] = new_w.take(at, axis=0), new_x.take(at, axis=0)
+    p_out = mm.outage(w, xs)
     return [BisectionResult(
-        eps=e, p_out=p, w=w_out[b], x=x_out[b], feasible=e > 0.0, rounds=k,
+        eps=e, p_out=p, w=w[b], x=xs[b], feasible=e > 0.0, rounds=k,
         total_iterations=sum(n), probes=list(zip(lv, f, m))[:k],
         screened=s, _trace=functools.partial(solves[r][3], b, n[r]) if n[r]
         else list)
@@ -896,9 +885,10 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     ``apga_solve`` passes ``ascend``) and the max_outer cap.
     Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
     the lanes with a nonzero weight and keeps it where the margin strictly
-    rises, then takes the gradient step.  A kept y is merged by writing the
-    lanes that keep w_k into y's fresh arrays, and skipped where every lane
-    or none keeps it.  A lane that stops leaves the working stack, gathered
+    rises, then takes the gradient step.  When some lane keeps its y, the
+    lanes that keep w_k are written into y's fresh arrays (no lane, when
+    every lane keeps y); when none does, y is dropped.  A lane that stops
+    leaves the working stack, gathered
     by index, so only active lanes are computed.  Returns the final beams,
     objectives and outage thresholds (of the final evaluations), the
     iteration counts and one record per iteration: the lanes it computed
@@ -930,14 +920,13 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             y_at = _evaluate(mm, rows, y, slope, intercept)
             up = tried & (y_at.margin > at.margin)
             k[tried & ~up] = 1
-            if ups := np.count_nonzero(up):
-                if ups < len(up):
-                    stay = ~up
-                    np.copyto(beta, np.nan, where=stay)
-                    np.copyto(y, w, where=stay[:, None])
-                    for new, old in zip(y_at, at):
-                        np.copyto(new, old, where=stay[:, None]
-                                  if new.ndim > 1 else stay)
+            if np.count_nonzero(up):
+                stay = ~up
+                np.copyto(beta, np.nan, where=stay)
+                np.copyto(y, w, where=stay[:, None])
+                for new, old in zip(y_at, at):
+                    np.copyto(new, old, where=stay[:, None]
+                              if new.ndim > 1 else stay)
                 kept, w, at = beta, y, y_at
         g = _grad_w(mm, rows_conj, at, slope, intercept)
         first = np.where(run >= GROW_AFTER, np.minimum(DELTA0, 2.0 * last),
@@ -1000,8 +989,8 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
 
     def solve(live, w, x, slope, intercept):
         beams, obj, thr, n_iter, history = _beam_lanes(
-            mm, rows if len(live) == len(rows) else rows.take(live, axis=0), w,
-            slope, intercept, params.max_outer)
+            mm, rows.take(live, axis=0), w, slope, intercept,
+            params.max_outer)
         return beams, x, obj, thr, n_iter, lambda b, n: _lane_trace(
             history, int(np.searchsorted(live, b)), n)
 

@@ -590,8 +590,8 @@ def level_bound(cfg, table, eps):
     mm = moment_match(cfg)
     slope, intercept = surrogate_lookup(table, np.array(eps, dtype=float))
     return ascent._margin_bound(mm, cfg.n_antennas,
-                                mm.threshold(cfg.beta0 * cfg.n_antennas))(
-        slope, intercept)
+                                mm.threshold(cfg.beta0 * cfg.n_antennas),
+                                slope, intercept)
 
 
 class TestLinesFromTheTable:
@@ -861,6 +861,16 @@ class ScriptedSolve:
                 np.array(n_iter), lambda b, n: [("trace", call, b, n)])
 
 
+class ReusingSolve(ScriptedSolve):
+    """``ScriptedSolve`` that then overwrites its w and x arguments with
+    NaN, as a solve that reuses its inputs as work space may."""
+
+    def __call__(self, live, w, x, slope, intercept):
+        out = super().__call__(live, w, x, slope, intercept)
+        w[...], x[...] = np.nan, np.nan
+        return out
+
+
 def scripted_bisection(cfg, table, script, out, w0, x0):
     """What ``_bisect`` must report for one lane driven by ``script``, from
     the start (w0, x0), given ``out``, what its solves returned: the
@@ -921,8 +931,8 @@ class TestScriptedBisection:
     ]
 
     @staticmethod
-    def run(cfg, table, script, xs):
-        solve = ScriptedSolve(script)
+    def run(cfg, table, script, xs, kind=ScriptedSolve):
+        solve = kind(script)
         return ascent._bisect(cfg, table, xs, solve), solve
 
     @staticmethod
@@ -946,10 +956,11 @@ class TestScriptedBisection:
         assert [r.p_out for r in results] == p_out.tolist()
         return want
 
-    def test_lanes_keep_their_own_verdict_paths(self, table):
+    @pytest.mark.parametrize("kind", [ScriptedSolve, ReusingSolve])
+    def test_lanes_keep_their_own_verdict_paths(self, table, kind):
         cfg = preset("zf-demo-far")
         xs = lane_placements(cfg, len(self.SCRIPT))
-        results, solve = self.run(cfg, table, self.SCRIPT, xs)
+        results, solve = self.run(cfg, table, self.SCRIPT, xs, kind)
         want = self.check(cfg, table, self.SCRIPT, xs, results, solve)
         assert [r["screened"] for r in want] == [0, 3, 2, 0, 0, 0]
         assert [r["eps"] > 0.0 for r in want] == [False, True, True, True,
@@ -961,13 +972,33 @@ class TestScriptedBisection:
         # where every lane is screened and no solve runs.  Its (w, x) differ
         # from the stack's, since the fake moves them by the call's number
         for b, (lane, x) in enumerate(zip(self.SCRIPT, xs)):
-            (alone,), one = self.run(cfg, table, [lane], x[None])
+            (alone,), one = self.run(cfg, table, [lane], x[None], kind)
             self.check(cfg, table, [lane], x[None], [alone], one)
             stacked = results[b]
             assert (alone.eps, alone.rounds, alone.screened,
                     alone.total_iterations, alone.probes) == (
                 stacked.eps, stacked.rounds, stacked.screened,
                 stacked.total_iterations, stacked.probes)
+
+
+class TestCallersPlacements:
+    """The bisection writes its lanes' (w, x) in place, in its own copy of
+    the placements: the caller's arrays keep their bytes."""
+
+    def test_joint_probes_leave_x0(self, table):
+        cfg = preset("ob-demo")
+        x0 = lane_placements(cfg, 1)[0]
+        before = x0.tobytes()
+        res = bisection_outage_min(cfg, table, x0=x0)
+        assert res.x.tobytes() != before        # the probes moved x
+        assert x0.tobytes() == before
+
+    def test_beam_lanes_leave_xs(self, table):
+        cfg = preset("ob-demo")
+        xs = lane_placements(cfg, 6)
+        before = xs.tobytes()
+        ascent.bisect_beam_lanes(cfg, xs, table)
+        assert xs.tobytes() == before
 
 
 class TestSolverSetUp:
