@@ -60,8 +60,9 @@ def _check_writable(*paths) -> None:
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON scenario file (angles in units of pi)")
-    p.add_argument("--preset", help="named demo scenario")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--config", help="JSON scenario file (angles in units of pi)")
+    one.add_argument("--preset", help="named demo scenario")
 
 
 def _cmd_fit_table(args) -> int:
@@ -84,7 +85,7 @@ def _cmd_solve(args) -> int:
           + f" iterations={res.iterations}")
     print("positions: " + " ".join(f"{v:.6f}" for v in res.x))
     if args.trace:
-        if res.trace:
+        if res.trace is not None:   # [] (no iteration) writes the header only
             write_trace(res.trace, args.trace)
             print(f"trace written to {args.trace}")
         else:

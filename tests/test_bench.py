@@ -981,12 +981,44 @@ class TestCli:
         assert [r.scheme for r in read_results(tmp_path / "row.csv")] == \
             ["FPA_ZF"]
 
-    def test_trace_of_a_scheme_without_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scheme", ["FPA_ZF", "RAP_ZF"])
+    def test_trace_of_a_scheme_without_one(self, scheme, tmp_path, capsys):
         trace = tmp_path / "t.txt"
-        assert main(["solve", "--preset", "ob-demo", "--scheme", "FPA_ZF",
-                     "--trace", str(trace)]) == 0
+        assert main(["solve", "--preset", "ob-demo", "--scheme", scheme,
+                     "--restarts", "4", "--trace", str(trace)]) == 0
         assert capsys.readouterr().err == "no trace available for this scheme\n"
         assert not trace.exists()
+
+    @pytest.mark.parametrize("scheme", ["MA_OB", "FPA_OB", "MA_MRT"])
+    def test_trace_of_a_solve_without_iterations(self, scheme, tmp_path,
+                                                 capsys):
+        # at pa 1e-3 the outage is certain: the bisection probes no level
+        config, trace = tmp_path / "lowpa.json", tmp_path / "t.txt"
+        config.write_text(json.dumps({**_sweep_spec()["base"], "pa": 1e-3}))
+        assert main(["solve", "--config", str(config), "--scheme", scheme,
+                     "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert "p_out=1.000000 eps=0.0000 iterations=0" in captured.out
+        assert captured.err == ""
+        assert trace.read_text() == \
+            "# iteration delta_beam delta_pos objective beta\n"
+
+    @pytest.mark.parametrize("command", [["solve", "--scheme", "MA_MRT"],
+                                         ["mc-check"]])
+    def test_config_and_preset_together_is_a_parse_error(
+            self, command, monkeypatch, tmp_path, capsys):
+        for name in ("load_config", "preset", "run_scheme",
+                     "monte_carlo_outage"):
+            monkeypatch.setattr(cli, name, _no_solve)
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps(_sweep_spec()["base"]))
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(config), "--preset", "ob-demo"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --preset: not allowed with argument --config" \
+            in captured.err
 
     def test_sweep_takes_integral_float_counts(self, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "rows.csv"
