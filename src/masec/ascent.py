@@ -369,14 +369,18 @@ def _fista_weights(size: int) -> FloatArray:
     return weights
 
 
-def _out_of_reach(obj, start, it: int, max_outer: int, target):
-    """Whether an iteration ``it`` that moved the objective from ``start``
-    to ``obj`` leaves ``target`` out of reach: past MOMENTUM_AFTER and short
-    of max_outer, ``obj + (obj - start) (max_outer - it) < target``.  obj
-    and start are floats, or arrays of lanes, which get a bool array (or
-    False outside those iterations) with the same bits per lane."""
-    return (MOMENTUM_AFTER < it < max_outer
-            and obj + (obj - start) * (max_outer - it) < target)
+def _stops(obj, start, it: int, max_outer: int, target=None):
+    """Whether iteration ``it``, which moved the objective from ``start`` to
+    ``obj``, ends its loop as converged: |obj - start| < OBJ_TOL x max(1,
+    |obj|), or, given a target, past MOMENTUM_AFTER and short of max_outer,
+    ``obj + (obj - start) (max_outer - it) < target``.  On floats a bool, on
+    lane arrays a bool array with each lane's float verdict."""
+    gain = obj - start
+    moved = abs(gain)
+    stop = (moved < OBJ_TOL) | (moved < OBJ_TOL * abs(obj))
+    if target is not None and MOMENTUM_AFTER < it < max_outer:
+        stop = stop | (obj + gain * (max_outer - it) < target)
+    return stop
 
 
 def ascend(obj: float, max_outer: int, beam=None, pos=None,
@@ -395,14 +399,14 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None,
     ``last`` to its delta and adds one to ``run`` if that was the start
     step, else resets it to 0; a search that accepts nothing changes
     neither.  The loop stops as converged once an iteration moves the
-    objective by less than OBJ_TOL x max(1, |objective|), and otherwise
-    after max_outer iterations.  Returns the objective, one TraceRecord per
-    iteration and whether the loop converged.
+    objective by less than OBJ_TOL x max(1, |objective|) (``_stops``), and
+    otherwise after max_outer iterations.  Returns the objective, one
+    TraceRecord per iteration and whether the loop converged.
 
     ``target``, when given, adds a second stop for a caller that only
     needs to know whether the maximum reaches it: the loop stops as
     converged after an iteration that leaves the target out of reach
-    (``_out_of_reach``), where the objective would stay below it at the cap
+    (``_stops``), where the objective would stay below it at the cap
     even if every remaining iteration gained as much as this one.  A loop
     that reaches max_outer still reports that it did not converge.  None
     keeps the relative stop alone.
@@ -438,10 +442,7 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None,
                     run[i] = run[i] + 1 if found[0] == first else 0
                     last[i] = delta[i] = found[0]
         trace.append(TraceRecord(it, delta[0], delta[1], obj, beta))
-        if abs(obj - start) < OBJ_TOL * max(1.0, abs(obj)):
-            return obj, trace, True
-        if target is not None and _out_of_reach(obj, start, it, max_outer,
-                                                target):
+        if _stops(obj, start, it, max_outer, target):
             return obj, trace, True
     return obj, trace, False
 
@@ -880,9 +881,8 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     accepted delta and run of first-try acceptances, which set its warm
     step, its own FISTA t, kept as the count of iterations since its start
     or restart that indexes ``_fista_weights``, and previous beam, which set
-    its extrapolation and its restart, its relative stop, its stop once the
-    margin cannot reach zero (``_out_of_reach`` at target 0, as
-    ``apga_solve`` passes ``ascend``) and the max_outer cap.
+    its extrapolation and its restart, its stops (``_stops`` at target 0,
+    as ``apga_solve`` passes ``ascend``) and the max_outer cap.
     Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
     the lanes with a nonzero weight and keeps it where the margin strictly
     rises, then takes the gradient step.  When some lane keeps its y, the
@@ -938,10 +938,7 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
         run = np.where(delta == first, run + 1, np.where(missed, run, 0))
         last = np.where(missed, last, delta)
         history.append((lane, obj, delta, kept))
-        stop = np.abs(obj - start) < OBJ_TOL * np.maximum(1.0, np.abs(obj))
-        stop |= _out_of_reach(obj, start, it, max_outer, 0.0)
-        if it == max_outer:
-            stop[:] = True
+        stop = _stops(obj, start, it, max_outer, 0.0) | (it == max_outer)
         if np.count_nonzero(stop):
             done = stop.nonzero()[0]
             lanes = lane[done]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -276,19 +277,20 @@ def run_sweep(spec: SweepSpec, table: LinearFitTable | None = None) -> SweepResu
     return result
 
 
-_CSV_HEADER = "scheme,variable_name,variable_value,p_out,seed,iterations,seconds"
+# the CSV columns are SweepRow's fields, in order, each with its type
+_CSV_COLUMNS = typing.get_type_hints(SweepRow)
+_CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 def emit_results(rows: list[SweepRow], path) -> None:
-    """Write sweep rows as CSV with a fixed column order.
+    """Write sweep rows as CSV, one column per ``SweepRow`` field in order.
 
-    Floats are serialized with repr so a read back reproduces the exact
-    values; writing the same rows twice yields byte-identical files.
+    A value is written as its str (a float's is its repr), so a read back
+    reproduces it exactly and the same rows give byte-identical files.
     """
     lines = [_CSV_HEADER]
     for r in rows:
-        lines.append(f"{r.scheme},{r.variable_name},{r.variable_value!r},"
-                     f"{r.p_out!r},{r.seed},{r.iterations},{r.seconds!r}")
+        lines.append(",".join(f"{getattr(r, c)}" for c in _CSV_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -300,9 +302,8 @@ def read_results(path) -> list[SweepRow]:
     rows = []
     for n, line in enumerate(lines[1:], 1):
         try:
-            scheme, name, value, p, seed, iters, secs = line.split(",")
-            rows.append(SweepRow(scheme, name, float(value), float(p),
-                                 int(seed), int(iters), float(secs)))
+            rows.append(SweepRow(*(kind(text) for kind, text in zip(
+                _CSV_COLUMNS.values(), line.split(","), strict=True))))
         except ValueError:
             raise ValueError(f"{path}: row {n} is not a results row: "
                              f"{line.strip()!r}") from None
@@ -320,30 +321,29 @@ def base_config(**overrides) -> SystemConfig:
     return SystemConfig(**values)
 
 
+# the named demo scenarios, as base_config overrides
+_PRESETS = {
+    "ob-demo": dict(pa=10.0 ** 2.5, span=4.0),
+    "zf-demo-far": dict(n_eves=2, thetas=(1.7 * PI / 4, 1.8 * PI / 4),
+                        betas=(1.0, 1.0), ks=(4.0, 4.0), span=4.0),
+    "zf-demo-near": dict(n_eves=2, thetas=(1.5 * PI / 4, 1.6 * PI / 4),
+                         betas=(1.0, 1.0), ks=(4.0, 4.0), span=4.0),
+    "k-sweep": dict(span=3.0),
+    "m-sweep": dict(n_antennas=8, n_eves=7, pa=10.0 ** 2.5, span=5.5,
+                    thetas=tuple(r * PI / 4 for r in (
+                        1.15, 1.35, 1.4, 1.45, 1.5, 1.55, 1.6)),
+                    betas=(1.0,) * 7, ks=(4.0,) * 7),
+    "cdf-demo": dict(n_eves=3, thetas=(PI / 6, PI / 4, PI / 10),
+                     betas=(1.0,) * 3, ks=(1.0,) * 3, span=4.0),
+}
+
+
 def preset(name: str) -> SystemConfig:
     """Named demo scenarios used in the docs and the acceptance suite."""
-    if name == "ob-demo":
-        return base_config(pa=10.0 ** 2.5, span=4.0)
-    if name == "zf-demo-far":
-        return base_config(n_eves=2, thetas=(1.7 * PI / 4, 1.8 * PI / 4),
-                           betas=(1.0, 1.0), ks=(4.0, 4.0), span=4.0)
-    if name == "zf-demo-near":
-        return base_config(n_eves=2, thetas=(1.5 * PI / 4, 1.6 * PI / 4),
-                           betas=(1.0, 1.0), ks=(4.0, 4.0), span=4.0)
-    if name == "k-sweep":
-        return base_config(span=3.0)
-    if name == "m-sweep":
-        ratios = (1.15, 1.35, 1.4, 1.45, 1.5, 1.55, 1.6)
-        return base_config(
-            n_antennas=8, n_eves=7, pa=10.0 ** 2.5, span=5.5,
-            thetas=tuple(r * PI / 4 for r in ratios),
-            betas=(1.0,) * 7, ks=(4.0,) * 7)
-    if name == "cdf-demo":
-        return base_config(
-            n_eves=3, thetas=(PI / 6, PI / 4, PI / 10),
-            betas=(1.0, 1.0, 1.0), ks=(1.0, 1.0, 1.0), span=4.0)
-    raise ValueError(f"unknown preset {name!r}; available: ob-demo, "
-                     "zf-demo-far, zf-demo-near, k-sweep, m-sweep, cdf-demo")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: "
+                         + ", ".join(_PRESETS))
+    return base_config(**_PRESETS[name])
 
 
 def cdf_check_case(k: float = 1.0):

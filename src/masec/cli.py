@@ -34,11 +34,8 @@ from .zf import SingularSteeringError
 
 
 def _scenario(args) -> SystemConfig:
-    if args.config:
-        return load_config(args.config)
-    if args.preset:
-        return preset(args.preset)
-    raise ValueError("provide --config FILE or --preset NAME")
+    return (preset(args.preset) if args.config is None
+            else load_config(args.config))
 
 
 def _seed(text: str) -> int:
@@ -49,18 +46,20 @@ def _seed(text: str) -> int:
 
 
 def _check_writable(*paths) -> None:
-    """Fail before any solve when an output file's directory is missing,
-    with the error that writing the file would raise."""
+    """Fail before any solve when an output file's directory is missing or
+    it is a directory, with the error that writing the file would raise."""
     for path in filter(None, paths):
         try:
             if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
                 raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            if os.path.isdir(path):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    one = p.add_mutually_exclusive_group()
+    one = p.add_mutually_exclusive_group(required=True)
     one.add_argument("--config", help="JSON scenario file (angles in units of pi)")
     one.add_argument("--preset", help="named demo scenario")
 

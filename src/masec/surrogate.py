@@ -29,6 +29,7 @@ from .model import admit, is_integer
 FloatArray = NDArray[np.floating]
 
 _FORMAT_TAG = "masec-surrogate-v1"
+_COLUMNS = "# eps slope intercept"
 
 DEFAULT_TAU = 0.01
 DEFAULT_FIT_RANGE = (1.0, 100.0)
@@ -186,7 +187,7 @@ def save_table(table: LinearFitTable, path: str | Path) -> None:
         f"# {_FORMAT_TAG}",
         f"# fit_lo={table.fit_lo!r} fit_hi={table.fit_hi!r} "
         f"tau={table.tau!r} n_fit_points={table.n_fit_points}",
-        "# eps slope intercept",
+        _COLUMNS,
     ]
     for eps, s, r in zip(table.eps_grid, table.slope, table.intercept):
         lines.append(f"{float(eps)!r} {float(s)!r} {float(r)!r}")
@@ -196,8 +197,8 @@ def save_table(table: LinearFitTable, path: str | Path) -> None:
 def load_table(path: str | Path) -> LinearFitTable:
     """Parse a table written by :func:`save_table`; exact float round trip.
 
-    A foreign file, a malformed header or row, or values the table rejects
-    raise a one-line ``ValueError`` that starts with the path."""
+    A foreign file, a missing or malformed header line or row, or values the
+    table rejects raise a one-line ``ValueError`` that starts with the path."""
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != f"# {_FORMAT_TAG}":
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
@@ -207,6 +208,8 @@ def load_table(path: str | Path) -> LinearFitTable:
         tau, n_fit_points = float(meta["tau"]), int(meta["n_fit_points"])
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed fit header") from exc
+    if text[2:3] != [_COLUMNS]:
+        raise ValueError(f"{path}: third line is not {_COLUMNS!r}")
     lines = [line for line in text[3:] if line.strip()]
     try:
         rows = [_three_numbers(line, n) for n, line in enumerate(lines, 1)]

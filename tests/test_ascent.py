@@ -1,6 +1,7 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
 import inspect
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -1314,6 +1315,27 @@ class TestReachStop:
         assert obj < 0.0
         assert len(trace) == 10
         assert not converged
+
+    def test_one_stop_text_for_floats_and_lanes(self):
+        # the relative test is the old |obj - start| < OBJ_TOL max(1, |obj|)
+        # on every pair, NaN and inf included, and a lane array gets each
+        # float's verdict
+        tol = ascent.OBJ_TOL
+        values = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, 1e-9, 5e-9, 1e8, -3e7,
+                  float(np.nextafter(1.0, 0.0)), math.nan, math.inf,
+                  -math.inf]
+        pairs = [(o, o + d) for o in values
+                 for d in (0.0, tol, -tol, 0.5 * tol, 2.0 * tol * abs(o), 1.0)]
+        pairs += [(o, s) for o in values for s in values]
+        obj, start = (np.array(v) for v in zip(*pairs))
+        for it, target in ((3, None), (8, None), (8, 0.0), (100, 0.0)):
+            with np.errstate(invalid="ignore"):
+                lanes = ascent._stops(obj, start, it, 100, target)
+            floats = [ascent._stops(o, s, it, 100, target) for o, s in pairs]
+            assert lanes.tolist() == floats
+            if target is None:
+                assert floats == [bool(abs(o - s) < tol * max(1.0, abs(o)))
+                                  for o, s in pairs]
 
     @pytest.mark.parametrize("solver,target", [
         ("joint", 0.0), ("beam_only", 0.0), ("positions_mrt", None),

@@ -16,6 +16,7 @@ from masec import ascent, bench, cli, surrogate, zf
 from masec.bench import (
     SWEEP_VARIABLES,
     SchemeId,
+    SweepRow,
     SweepSpec,
     apply_variable,
     base_config,
@@ -458,6 +459,15 @@ class TestCsv:
             assert a.p_out == b.p_out      # exact, via repr round trip
             assert a.seed == b.seed
 
+    def test_numpy_values_round_trip(self, tmp_path):
+        # each value is written as its str, so numpy scalars read back too
+        row = SweepRow("FPA_ZF", "k", np.float64(1.0), np.float64(0.1),
+                       np.int64(3), np.int64(7), 0.25)
+        path = tmp_path / "rows.csv"
+        emit_results([row], path)
+        assert path.read_text().splitlines()[1] == "FPA_ZF,k,1.0,0.1,3,7,0.25"
+        assert read_results(path) == [row]
+
     def test_rewrite_byte_identical(self, table, tmp_path):
         spec = SweepSpec(base=base_config(), variable="k", grid=[2.0],
                          schemes=[SchemeId.FPA_ZF], restarts=1)
@@ -761,8 +771,9 @@ class TestCli:
         assert captured.out == "" and not out.exists()
 
     def test_missing_scenario_is_error_exit(self, capsys):
-        code = main(["solve", "--scheme", "FPA_ZF"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--scheme", "FPA_ZF"])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_preset_name_is_error_exit(self, capsys):
@@ -953,13 +964,15 @@ class TestCli:
     @pytest.mark.parametrize("command, flag", [
         ("solve", "--out"), ("solve", "--trace"), ("sweep", "--out"),
         ("fit-table", "--out")])
-    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    @pytest.mark.parametrize("parent", ["missing", "a-file", "a-dir"])
     def test_an_unwritable_output_fails_before_any_solve(
             self, command, flag, parent, monkeypatch, tmp_path, capsys):
-        # the error that writing the file would raise, and nothing solved
+        # the error that writing the file would raise, and nothing solved;
+        # under "a-dir" the output path itself is a directory
         for name in ("run_scheme", "run_sweep", "fit_linear_surrogate"):
             monkeypatch.setattr(cli, name, _no_solve)
         (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir" / "r.csv").mkdir(parents=True)
         target = tmp_path / parent / "r.csv"
         with pytest.raises(OSError) as opened:
             target.write_text("")

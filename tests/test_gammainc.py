@@ -228,6 +228,12 @@ class TestNonFiniteForward:
         for i in (0, 2):
             assert got[i] == lower_incomplete_gamma_reg(a[i], t[i])
 
+    def test_an_overflowing_exp_is_inf(self):
+        # math.exp raises past ln(max float); the whole call then falls back
+        # to the element rule, inf where it overflows, as numpy's exp
+        got = masec.gammainc._libm(math.exp, np.array([1000.0, 0.0]))
+        assert got.tolist() == [math.inf, 1.0]
+
 
 class TestInverse:
     def test_round_trip(self):
@@ -300,6 +306,14 @@ class TestInverse:
         assert relative.eps_grid[0] == 0.01
         assert relative.slope.tobytes() == absolute.slope.tobytes()
         assert relative.intercept.tobytes() == absolute.intercept.tobytes()
+
+    def test_a_stalled_iteration_raises(self, monkeypatch):
+        # a P above every eps never meets it; the constant needs no bracket
+        # growth, so the 200 steps run out and the residual check raises
+        monkeypatch.setattr(masec.gammainc, "_reg_positive",
+                            lambda a, t, log_gam, log_t: np.full(t.shape, 2.0))
+        with pytest.raises(RuntimeError, match="quantile iteration stalled"):
+            inverse_lower_incomplete_gamma(0.5, 3.0)
 
     def test_tiny_eps_scan_matches_scipy(self):
         # Wilson-Hilferty's cube falls under its clip at tiny eps; the

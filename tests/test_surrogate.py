@@ -269,6 +269,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match="no eps rows"):
             load_table(path)
 
+    def test_rejects_a_file_without_its_column_line(self, table, tmp_path,
+                                                    capsys):
+        # the first row would otherwise stand where the column line was
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        message = f"{path}: third line is not '# eps slope intercept'"
+        with pytest.raises(ValueError) as err:
+            load_table(path)
+        assert str(err.value) == message
+        assert main(["solve", "--preset", "ob-demo", "--scheme", "FPA_OB",
+                     "--table", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_rejects_tag_only_file(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text("# masec-surrogate-v1\n")
