@@ -103,6 +103,7 @@ from .model import (
     FeasibleRegion,
     SystemConfig,
     check_integer,
+    check_lane,
     check_vector,
     feasible_region,
     mrt_beamformer,
@@ -164,8 +165,8 @@ class TraceRecord:
 @dataclass
 class ApgaResult:
     """One margin maximization: the final (w, x), its margin and its outage
-    threshold (``threshold``, from the evaluation the margin came from), the
-    number of outer iterations, and their trace.
+    threshold (``threshold``, from the evaluation the margin came from) per
+    unit beta0, the number of outer iterations, and their trace.
 
     ``converged`` is True when the loop ended on a stop rule, the relative
     stop or, in joint and beam_only mode, the stop once the margin cannot
@@ -202,11 +203,12 @@ class BisectionResult:
     reach a positive outage threshold), ``rounds`` is 0, ``probes`` and
     ``best_trace`` are empty and the start point is returned with p_out 1.
 
-    Each probe is recorded as ``(eps, feasible, margin)``.  A probe that
-    the closed-form margin bound rules out is not solved: it is recorded as
-    ``(eps, False, bound)``, adds no iterations and leaves the lane's (w, x)
-    as they were, and ``screened`` counts such probes.  When no level is
-    feasible and the last probe was screened, ``best_trace`` is empty.
+    Each probe is recorded as ``(eps, feasible, margin)``, its margin per
+    unit beta0 as ``best_trace``'s.  A probe that the closed-form margin
+    bound rules out is not solved: it is recorded as ``(eps, False,
+    bound)``, adds no iterations and leaves the lane's (w, x) as they were,
+    and ``screened`` counts such probes.  When no level is feasible and the
+    last probe was screened, ``best_trace`` is empty.
     """
 
     eps: float
@@ -250,7 +252,7 @@ def _margin_bound(mm: MomentMatch, n: int, thr_max: float, slope,
                   intercept) -> FloatArray:
     """An upper bound on the margin of every line (slope, intercept) (...)
     over all unit-norm beams and all placements of n antennas, given the
-    largest threshold thr_max = ``mm.threshold(beta0 n)``.
+    largest threshold thr_max = ``mm.threshold(n)``, per unit beta0.
 
     A unit-norm w on unit-modulus steering rows gives gains |s_d w|^2 in
     [0, n].  lin, quad and the threshold are affine in them with
@@ -274,7 +276,7 @@ def _gain_weights(mm: MomentMatch, at: _Evaluation, slope, intercept):
     """The margin's partials in the M+1 gains |v_d|^2 at evaluation ``at``."""
     lin, thr = at.lin, at.thr
     weights = np.empty(at.v.shape)
-    weights[..., 0] = lin * mm.beta0 / mm.rate_pow
+    weights[..., 0] = lin / mm.rate_pow
     scale = np.asarray(thr - 2.0 * slope * lin)[..., None]
     weights[..., 1:] = scale * mm.lin_coef \
         - np.asarray(intercept)[..., None] * mm.quad_coef
@@ -298,25 +300,25 @@ def _grad_x(mm: MomentMatch, rows: ComplexArray, w: ComplexArray,
 
 def margin_objective(w, x, eps: float, table: LinearFitTable,
                      cfg: SystemConfig) -> float:
-    """Feasibility margin of confidence level eps at (w, x); > 0 is feasible."""
-    mm = cfg.gain_model
-    return _evaluate(mm, mm.rows(x), np.asarray(w),
-                     *surrogate_lookup(table, eps)).margin
+    """Feasibility margin of level eps at (w, x), per unit beta0 as every
+    margin; > 0 is feasible.  ``model.check_lane`` checks w and x (N,)."""
+    mm, (w, x) = cfg.gain_model, check_lane(w, x, cfg)
+    return _evaluate(mm, mm.rows(x), w, *surrogate_lookup(table, eps)).margin
 
 
 def margin_grad_beamformer(w, x, eps: float, table: LinearFitTable,
                            cfg: SystemConfig) -> ComplexArray:
     """Ascent direction in w; half the real-pair gradient, complex form."""
-    mm = cfg.gain_model
-    rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
+    mm, (w, x) = cfg.gain_model, check_lane(w, x, cfg)
+    rows, lookup = mm.rows(x), surrogate_lookup(table, eps)
     return _grad_w(mm, rows.conj(), _evaluate(mm, rows, w, *lookup), *lookup)
 
 
 def margin_grad_positions(w, x, eps: float, table: LinearFitTable,
                           cfg: SystemConfig) -> FloatArray:
     """Exact gradient of the margin objective in the antenna positions."""
-    mm = cfg.gain_model
-    rows, w, lookup = mm.rows(x), np.asarray(w), surrogate_lookup(table, eps)
+    mm, (w, x) = cfg.gain_model, check_lane(w, x, cfg)
+    rows, lookup = mm.rows(x), surrogate_lookup(table, eps)
     return _grad_x(mm, rows, w, _evaluate(mm, rows, w, *lookup), *lookup)
 
 
@@ -495,11 +497,12 @@ def apga_solve(
     ``model.unit_norm``, whose one-lane path has the bits of its row of a
     stack.  The slope and intercept are taken as given (``_bisect`` looks
     them up for a level in the surrogate table); pass Python floats, since
-    numpy scalars cost more per operation.  ``w0`` must be a finite (N,) vector with a nonzero
-    finite norm and ``x0`` a finite real (N,) vector; anything else raises
-    ``ValueError``.  These checks are this function's alone: its set-up and
-    probe are ``_apga_solver``'s, which ``bisection_outage_min`` builds once
-    per bisection and runs on starts that pass them by construction.
+    numpy scalars cost more per operation.  A finite line, a finite (N,)
+    ``w0`` with a nonzero finite norm and a finite real (N,) ``x0`` pass;
+    anything else raises ``ValueError``.  These checks are this function's
+    alone: its set-up and probe are ``_apga_solver``'s, which
+    ``bisection_outage_min`` builds once per bisection and runs on starts
+    that pass them by construction.
     """
     solve = _apga_solver(cfg, params, mode)
     n = cfg.n_antennas
@@ -508,6 +511,7 @@ def apga_solve(
         unit = unit_norm(w0)
     if not (np.isfinite(unit).all() and unit.any()):  # its norm is 0 or inf
         raise ValueError("w0 must have a nonzero finite norm")
+    check_vector("slope and intercept", [slope, intercept], 2)
     return solve(w0, check_vector("x0", x0, n, real=True), slope, intercept)
 
 
@@ -527,7 +531,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
     region = region or feasible_region(cfg)
 
     # the constants of the solve, computed once
-    statistics, beta0, rate_pow = mm.statistics, mm.beta0, mm.rate_pow
+    statistics, rate_pow = mm.statistics, mm.rate_pow
     lin_coef, quad_coef = mm.lin_coef, mm.quad_coef
     phase, sines = 1j * mm.wave_rate, mm.sines[:, None]
     k = mm.wave_rate * mm.sines
@@ -556,7 +560,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
                     v, lin, thr)
 
         def gain_weights(lin, thr):     # _gain_weights, into ``weights``
-            weights_re[0] = lin * beta0 / rate_pow
+            weights_re[0] = lin / rate_pow
             np.multiply(lin_coef, thr - 2.0 * slope * lin, out=weights_tail)
             np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
@@ -720,8 +724,8 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     read.
 
     Before any probe, the closed form is checked for certain outage: a
-    unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain
-    beta0 N leaves the outage threshold nonpositive, no (w, x) certifies any
+    unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain N
+    leaves the outage threshold nonpositive, no (w, x) certifies any
     level.  Every start is then returned at once with eps 0, no probes and
     no iterations.  Past that exit, a lane whose level has a negative bound
     at the same largest threshold is infeasible there for every (w, x), so
@@ -731,7 +735,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     table, mm = table or default_table(), cfg.gain_model
     xs = np.array(xs)     # private, as w is: each round writes its lanes
     w = mrt_beamformer(xs, cfg)
-    thr_max = mm.threshold(cfg.beta0 * cfg.n_antennas)
+    thr_max = mm.threshold(cfg.n_antennas)
     if thr_max <= 0.0:
         w = unit_norm(w)
         return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
@@ -805,10 +809,8 @@ def bisection_outage_min(
     solution.  ``best_trace`` is that solve's iteration trace.
     """
     region = feasible_region(cfg)
-    if x0 is None:
-        x0 = region.midpoints()
-    else:
-        x0 = check_vector("x0", x0, cfg.n_antennas, real=True)
+    x0 = (region.midpoints() if x0 is None
+          else check_vector("x0", x0, cfg.n_antennas, real=True))
     apga = _apga_solver(cfg, params, mode, region)
 
     def solve(live, w, x, slope, intercept):

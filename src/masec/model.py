@@ -82,7 +82,7 @@ class SystemConfig:
         n_eves: number of colluding eavesdroppers (>= 1).
         theta0: steering angle of the legitimate user.
         thetas: eavesdropper steering angles, pairwise distinct.
-        beta0: path gain of the legitimate link.
+        beta0: path gain of the legitimate link, the solvers' unit of power.
         betas: eavesdropper path gains.
         ks: Rician K-factors of the eavesdropper links (K = 0 is Rayleigh).
             With the other fields, they must keep the terms of the gain
@@ -262,6 +262,15 @@ def check_vector(name: str, v, n: int, real: bool = False,
     return np.asarray(v, dtype=float) if real else v
 
 
+def check_lane(w, x, cfg: SystemConfig, stacks: bool = False):
+    """(w, x) as arrays after :func:`check_vector`: each finite and (N,),
+    or with ``stacks`` also (B, N), and x real."""
+    n = cfg.n_antennas
+    return (check_vector("w", w, n, stack=stacks and np.ndim(w) > 1),
+            check_vector("x", x, n, real=True,
+                         stack=stacks and np.ndim(x) > 1))
+
+
 def project_positions(x_raw: FloatArray, region: FeasibleRegion) -> FloatArray:
     """Nearest feasible positions: clamp each coordinate into its interval.
 
@@ -308,4 +317,4 @@ def mrt_beamformer(x: FloatArray, cfg: SystemConfig) -> ComplexArray:
 
     Positions (..., N) give one matched filter per lane, (..., N).
     """
-    return unit_norm(main_channel(x, cfg).conj())
+    return unit_norm(steering_vector(x, cfg.theta0, cfg).conj())

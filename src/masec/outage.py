@@ -9,9 +9,9 @@ cross-checks by direct channel sampling.
 
 The Monte Carlo draws the collusion power itself, not its Gamma fit.  For
 fixed (w, x), eavesdropper i sees h_i w ~ CN(los_i, var_i) with scatter
-variance var_i = beta_i / (K_i + 1) ||w||^2.  Eavesdroppers of exactly
-equal var_i form a group, and the groups are taken in the order of their
-first member.  By the rotational invariance of CN(0, I), a group G sums to
+variance var_i = beta_i / (K_i + 1) ||w||^2, per unit beta0.  Eavesdroppers
+of exactly equal var_i form a group, taken in the order of their first
+member.  By the rotational invariance of CN(0, I), a group G sums to
 |(||los_G|| + sqrt(var) z)|^2 + var Gamma(|G| - 1, 1) in law, z ~ CN(0, 1),
 so a trial draws one complex normal per group and one Gamma variate per
 group of two or more, whatever N and M; every preset is one group.
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gammainc import lower_incomplete_gamma_reg
-from .model import TWO_PI, SystemConfig, check_integer, check_vector
+from .model import TWO_PI, SystemConfig, check_integer, check_lane
 
 FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
@@ -58,13 +58,13 @@ class GammaMoments:
 
 @dataclass(frozen=True)
 class MomentMatch:
-    """The gain model of one config: its M+1 steering directions and the
-    Gamma moment match, affine in their LoS power gains.
+    """The gain model of one config per unit beta0: its M+1 steering
+    directions and the Gamma moment match, affine in their LoS power gains.
 
     Direction 0 is the legitimate user, 1..M the eavesdroppers, and the
     closed-form outage and the ascent's margin depend on (w, x) only through
     the gains |s_d w|^2 of the unit steering rows s_d that ``rows`` builds.
-    With c_i = beta_i / (K_i + 1) and g_i eavesdropper i's gain, the
+    With c_i = beta_i / beta0 / (K_i + 1) and g_i eavesdropper i's gain, the
     collusion sum has mean lin = sum_i c_i (K_i g_i + 1) and moment term
     quad = sum_i mean_i^2 / m_i = sum_i c_i^2 (2 K_i g_i + 1), so
     shape = lin^2 / quad and scale = quad / lin.  Both moments are affine
@@ -76,8 +76,8 @@ class MomentMatch:
     read-only, since every solve of a scenario shares its config's model
     (``SystemConfig.gain_model``).
 
-    ``threshold`` maps the legitimate gain |h_0 w|^2 (beta0 included) to
-    the largest tolerable collusion power at secrecy rate rs.  Every method
+    ``threshold`` maps the legitimate gain |s_0 w|^2 per unit beta0 to the
+    largest tolerable collusion power at secrecy rate rs.  Every method
     takes stacks over leading axes and reduces each lane on its own (a
     stacked matrix product would round differently), so a lane of a stack
     gets the same bits as the lane alone.
@@ -85,14 +85,13 @@ class MomentMatch:
 
     sines: FloatArray        # sin(theta_d), Bob first, (M+1,)
     wave_rate: float         # 2 pi / wavelength
-    beta0: float
     scatter: FloatArray      # c_i, (M,)
     lin_coef: FloatArray     # c_i K_i, (M,)
     lin_const: float         # sum_i c_i
     quad_coef: FloatArray    # 2 c_i^2 K_i, (M,)
     quad_const: float        # sum_i c_i^2
     rate_pow: float          # 2^rs
-    noise_off: float         # sigma2 / pa (2^-rs - 1)
+    noise_off: float         # sigma2 / beta0 / pa (2^-rs - 1)
 
     def rows(self, x) -> ComplexArray:
         """Unit steering rows of all M+1 directions, (..., M+1, N) for
@@ -101,8 +100,8 @@ class MomentMatch:
         return np.exp(1j * self.wave_rate * (self.sines[:, None] * x[..., None, :]))
 
     def threshold(self, bob_gain):
-        """bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); negative when the
-        legitimate link is too weak for rate rs at any eavesdropper power."""
+        """bob_gain / 2^rs + sigma2 / beta0 / pa (2^-rs - 1); negative when
+        the legitimate link is too weak for rate rs at any eve power."""
         return bob_gain / self.rate_pow + self.noise_off
 
     def outage(self, w, x) -> float | FloatArray:
@@ -123,23 +122,23 @@ class MomentMatch:
         if gains.ndim == 1:
             return (float(eve.dot(self.lin_coef)) + self.lin_const,
                     float(eve.dot(self.quad_coef)) + self.quad_const,
-                    self.threshold(self.beta0 * float(gains[0])))
+                    self.threshold(float(gains[0])))
         return (np.vecdot(eve, self.lin_coef) + self.lin_const,
                 np.vecdot(eve, self.quad_coef) + self.quad_const,
-                self.threshold(self.beta0 * gains[..., 0]))
+                self.threshold(gains[..., 0]))
 
 
 def moment_match(cfg: SystemConfig) -> MomentMatch:
-    """The gain model of ``cfg``, which ``cfg.gain_model`` builds once.
+    """The gain model of ``cfg`` per unit beta0, which ``cfg.gain_model``
+    builds once; no other code divides by beta0.
 
-    A term out of the float range is a one-line ``ValueError``: an
-    eavesdropper's c^2 of 0 or a non-finite c^2, c K or 2 c^2 K, a
-    non-finite sum of c or of c^2, or a NaN noise term (sigma2 / pa)
-    (2^-rs - 1), which an infinite sigma2 / pa gives where 2^-rs rounds to
-    1; at any other rs it gives -inf, which is certain outage.
+    A term out of the float range is a one-line ``ValueError`` naming
+    beta0: a c^2 of 0 or a non-finite c^2, c K, 2 c^2 K, sum of c or of
+    c^2, or a NaN noise term, which an infinite sigma2 / beta0 / pa gives
+    where 2^-rs rounds to 1; elsewhere it is -inf, certain outage.
     """
-    k = cfg.ks_arr
-    c = cfg.betas_arr / (k + 1.0)
+    k, beta0 = cfg.ks_arr, cfg.beta0
+    c = cfg.betas_arr / beta0 / (k + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = c**2
         lin_coef, quad_coef = c * k, 2.0 * c2 * k
@@ -149,23 +148,23 @@ def moment_match(cfg: SystemConfig) -> MomentMatch:
         i = int(np.argmax(bad))
         raise ValueError(
             f"eavesdropper {i + 1}: beta={cfg.betas[i]} and K={cfg.ks[i]} put "
-            "the Gamma moment match out of the float range")
+            f"the Gamma moment match out of the float range at beta0={beta0}")
     if not (math.isfinite(lin_const) and math.isfinite(quad_const)):
         raise ValueError("betas and ks put the summed Gamma moment match out "
-                         "of the float range")
+                         f"of the float range at beta0={beta0}")
     rate_pow = 2.0**cfg.rs
-    noise_off = cfg.sigma2 / cfg.pa * (1.0 / rate_pow - 1.0)
+    noise_off = cfg.sigma2 / beta0 / cfg.pa * (1.0 / rate_pow - 1.0)
     if math.isnan(noise_off):
         raise ValueError(f"sigma2={cfg.sigma2}, pa={cfg.pa} and rs={cfg.rs} "
-                         "make the noise term (sigma2/pa)*(2**-rs - 1) NaN")
+                         "make the noise term (sigma2/beta0/pa)*(2**-rs - 1) "
+                         f"NaN at beta0={beta0}")
     sines = np.concatenate(([np.sin(cfg.theta0)], np.sin(cfg.thetas_arr)))
     for arr in (sines, c, lin_coef, quad_coef):
         arr.flags.writeable = False
     return MomentMatch(
-        sines=sines, wave_rate=TWO_PI / cfg.wavelength, beta0=cfg.beta0,
-        scatter=c, lin_coef=lin_coef, lin_const=lin_const,
-        quad_coef=quad_coef, quad_const=quad_const, rate_pow=rate_pow,
-        noise_off=noise_off)
+        sines=sines, wave_rate=TWO_PI / cfg.wavelength, scatter=c,
+        lin_coef=lin_coef, lin_const=lin_const, quad_coef=quad_coef,
+        quad_const=quad_const, rate_pow=rate_pow, noise_off=noise_off)
 
 
 def power_gains(rows, w) -> FloatArray:
@@ -190,7 +189,7 @@ def gamma_outage(lin, quad, thr) -> float | FloatArray:
 def link_stats(w, x, cfg: SystemConfig) -> list[EveLinkStats]:
     """Per-eavesdropper conditional power statistics for unit-norm ``w``;
     w and x (N,) are checked by ``model.check_vector``."""
-    w, x = _check_lane(w, x, cfg)
+    w, x = check_lane(w, x, cfg)
     gains = power_gains(cfg.gain_model.rows(x), w)[1:]
     out = []
     for gain, beta, k in zip(gains, cfg.betas_arr, cfg.ks_arr):
@@ -228,13 +227,13 @@ def sum_power_cdf(t: float, moments: GammaMoments) -> float:
 def outage_threshold(w, x, cfg: SystemConfig) -> float:
     """Largest tolerable collusion power before secrecy rate rs is lost.
 
-    Equals bob_gain / 2^rs + (sigma2 / pa) (2^-rs - 1); may be negative
-    when the legitimate link is too weak, in which case outage is certain.
-    w and x (N,) are checked by ``model.check_vector``.
+    Equals beta0 |s_0 w|^2 / 2^rs + (sigma2 / pa) (2^-rs - 1); may be
+    negative when the legitimate link is too weak, in which case outage is
+    certain.  w and x (N,) are checked by ``model.check_vector``.
     """
-    w, x = _check_lane(w, x, cfg)
+    w, x = check_lane(w, x, cfg)
     mm = cfg.gain_model
-    return float(mm.statistics(power_gains(mm.rows(x), w))[2])
+    return cfg.beta0 * float(mm.statistics(power_gains(mm.rows(x), w))[2])
 
 
 def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
@@ -246,16 +245,7 @@ def secrecy_outage_closed_form(w, x, cfg: SystemConfig) -> float | FloatArray:
     that is not a finite (N,) or (B, N) array, or a complex x, raises a
     one-line ``ValueError`` (``model.check_vector``).
     """
-    return cfg.gain_model.outage(*_check_lane(w, x, cfg, stacks=True))
-
-
-def _check_lane(w, x, cfg: SystemConfig, stacks: bool = False):
-    """(w, x) as arrays after ``model.check_vector``: each finite and (N,),
-    or with ``stacks`` also (B, N), and x real."""
-    n = cfg.n_antennas
-    return (check_vector("w", w, n, stack=stacks and np.ndim(w) > 1),
-            check_vector("x", x, n, real=True,
-                         stack=stacks and np.ndim(x) > 1))
+    return cfg.gain_model.outage(*check_lane(w, x, cfg, stacks=True))
 
 
 def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> float:
@@ -290,14 +280,14 @@ def _check_draw_args(w, x, cfg: SystemConfig, n_trials, seed):
     """(w, x) as arrays after the checks the Monte Carlo entry points share."""
     check_integer("n_trials", n_trials, 1)
     check_integer("seed", seed, 0)
-    return _check_lane(w, x, cfg)
+    return check_lane(w, x, cfg)
 
 
 def _collusion_power_stream(w, rows, cfg: SystemConfig, n_trials: int,
                             seed: int):
     """Yield chunks of sum_i |h_i w|^2 under the documented draw order, for
     the steering rows (M+1, N) of the gain model at the placement."""
-    k, b = cfg.ks_arr, cfg.betas_arr
+    k, b = cfg.ks_arr, cfg.betas_arr / cfg.beta0    # per unit beta0
     los = np.sqrt(k * b / (k + 1.0)) * (rows[1:] @ w)
     # g @ w for g ~ CN(0, I_N) is exactly CN(0, ||w||^2); the groups of
     # equal var_i, each (||los_G||, its real and imaginary std, var, |G| - 1)
@@ -330,8 +320,8 @@ def _collusion_power_stream(w, rows, cfg: SystemConfig, n_trials: int,
 
 
 def collusion_power_samples(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> FloatArray:
-    """Seeded samples of the collusion power sum (same stream and checks as
-    :func:`monte_carlo_outage`)."""
+    """Seeded samples of the collusion power sum in the scenario's unit of
+    power (same stream and checks as :func:`monte_carlo_outage`)."""
     w, x = _check_draw_args(w, x, cfg, n_trials, seed)
-    return np.concatenate(list(_collusion_power_stream(
+    return cfg.beta0 * np.concatenate(list(_collusion_power_stream(
         w, cfg.gain_model.rows(x), cfg, n_trials, seed)))

@@ -2,11 +2,11 @@
 
 With at least one more antenna than eavesdroppers, the transmitter can null
 every eavesdropper LoS direction exactly; the residual freedom is spent on
-the legitimate user, whose effective gain becomes beta0 * N minus a loss
-term Theta(x) that depends only on the antenna positions.  Minimizing that
-loss by projected gradient descent decouples the placement from the power
-and fading parameters, and the outage of the resulting scheme has the same
-Gamma closed form with all LoS eavesdropper gains zeroed.
+the legitimate user, whose gain per unit beta0 becomes N minus a loss
+Theta(x) of the antenna positions only (the public losses are beta0 Theta).
+Minimizing it by projected gradient descent decouples the placement from
+the power and fading parameters, and the outage of the resulting scheme
+has the same Gamma closed form with all LoS eavesdropper gains zeroed.
 
 Every function reads one nulling solve per placement: the eavesdropper
 rows of the config's gain model (``SystemConfig.gain_model``), their Gram
@@ -44,8 +44,8 @@ from .model import (
     SystemConfig,
     check_vector,
     feasible_region,
-    main_channel,
     project_positions,
+    steering_vector,
 )
 from .outage import gamma_outage
 
@@ -115,7 +115,7 @@ def _gram_solve(chol: ComplexArray, y):
 
 class _Nulling(NamedTuple):
     """The nulling solve at placements (..., N): the steering stacks S,
-    the Cholesky factors of A = S^H S, the legitimate channels h0, v =
+    the Cholesky factors of A = S^H S, Bob's unit steering vectors h0, v =
     A^{-1} h^H for the Bob/eve coupling rows h = h0 S, and the loss h v."""
 
     stack: ComplexArray
@@ -134,7 +134,7 @@ def _nulling(x: FloatArray, cfg: SystemConfig, steering=None) -> _Nulling:
     if (bad := ~(cond <= _COND_LIMIT)).any():
         raise _ill_conditioned(np.asarray(cond)[bad][0], cfg)
     chol = np.linalg.cholesky(gram)
-    h0 = main_channel(x, cfg)
+    h0 = steering_vector(x, cfg.theta0, cfg)
     h = (h0[..., None, :] @ stack)[..., 0, :]
     v = _gram_solve(chol, h.conj())
     val = (h[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -176,12 +176,12 @@ def _beam(solved: _Nulling) -> ComplexArray:
 def bob_gain_loss(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
     """Loss Theta(x) of the legitimate gain caused by exact nulling.
 
-    Theta = h (H^H H)^{-1} h^H with h the Bob/eve coupling row; the
+    Theta = beta0 h (H^H H)^{-1} h^H with h Bob's unit coupling row; the
     zero-forced gain is beta0 * N - Theta, so Theta lies in [0, beta0 * N].
     Positions (N,) give a float, a stack (R, N) one loss per row.
     """
     x = check_vector("x", x, cfg.n_antennas, real=True, stack=np.ndim(x) > 1)
-    return _nulling(x, cfg).loss
+    return cfg.beta0 * _nulling(x, cfg).loss
 
 
 def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
@@ -198,11 +198,11 @@ def bob_gain_loss_grad(x: FloatArray, cfg: SystemConfig) -> FloatArray:
     each term entering with its conjugate, so the gradient is exactly real.
     """
     x = check_vector("x", x, cfg.n_antennas, real=True)
-    return _loss_grad(_nulling(x, cfg), cfg)
+    return cfg.beta0 * _loss_grad(_nulling(x, cfg), cfg)
 
 
 def _loss_grad(solved: _Nulling, cfg: SystemConfig) -> FloatArray:
-    """``bob_gain_loss_grad`` from the nulling solve at one placement."""
+    """``bob_gain_loss_grad`` / beta0 from the nulling solve at one point."""
     mm = cfg.gain_model
     stack, v, sines = solved.stack, solved.v, mm.sines[1:]
     t = stack @ v                                  # S A^{-1} h^H, (N,)
@@ -234,17 +234,16 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
     accepted candidate's nulling solve.  The loop's warm steps (the last
     accepted step, doubled only after ``ascent.GROW_AFTER`` first-try
     acceptances in a row) and relative stop apply, up to params.max_outer
-    iterations; a search that accepts no step ends it as converged.  Trace
-    records hold the loss itself as ``objective`` and the accepted step as
-    ``delta_pos``.  ``x0`` is None, for the midpoints of the movement region,
-    or one finite real placement (N,), or ``ValueError``.
+    iterations; a search that accepts no step ends it as converged.  It
+    runs on the loss per unit beta0; the result's loss and each trace
+    record's ``objective`` are beta0 times that loss, and ``delta_pos`` is
+    the accepted step.  ``x0`` is None, for the midpoints of the movement
+    region, or one finite real placement (N,), or ``ValueError``.
     """
     params = params or OptimizerParams()
     region = feasible_region(cfg)
-    if x0 is None:
-        x = region.midpoints()
-    else:
-        x = check_vector("x0", x0, cfg.n_antennas, real=True)
+    x = (region.midpoints() if x0 is None
+         else check_vector("x0", x0, cfg.n_antennas, real=True))
 
     def neg_loss(cand):
         solved = _nulling(cand, cfg)
@@ -263,9 +262,9 @@ def pgd_solve(x0, cfg: SystemConfig, params=None) -> PgdResult:
 
     neg, trace, converged = ascend(start, params.max_outer, pos=block)
     for rec in trace:
-        rec.objective = -rec.objective
-    return PgdResult(x=x, loss=-neg, n_iter=len(trace), converged=converged,
-                     nulling=at, trace=trace)
+        rec.objective *= -cfg.beta0
+    return PgdResult(x=x, loss=cfg.beta0 * -neg, n_iter=len(trace),
+                     converged=converged, nulling=at, trace=trace)
 
 
 def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
@@ -281,10 +280,10 @@ def zf_outage(x: FloatArray, cfg: SystemConfig) -> float | FloatArray:
 
 
 def _outage(loss, cfg: SystemConfig):
-    # zero LoS gains leave the moments' constants
+    # zero LoS gains leave the moments' constants; loss per unit beta0
     mm = cfg.gain_model
     return gamma_outage(mm.lin_const, mm.quad_const,
-                        mm.threshold(cfg.beta0 * cfg.n_antennas - loss))
+                        mm.threshold(cfg.n_antennas - loss))
 
 
 def zf_solution(x: FloatArray, cfg: SystemConfig,

@@ -95,6 +95,31 @@ class TestMarginObjective:
                 assert got == pytest.approx(
                     margin_oracle(w, x, eps, table, cfg), rel=1e-12)
 
+    def test_is_the_oracle_per_unit_beta0(self, table):
+        # every term of the margin is a power squared: the margin is that
+        # of the scenario with every power divided by beta0
+        cfg = SCENARIOS["beta0=0.9,rs=2.2"]
+        for seed in range(4):
+            w, x = rand_point(cfg, seed)
+            for eps in (0.05, 0.4, 0.8):
+                got = margin_objective(w, x, eps, table, cfg)
+                assert got == pytest.approx(
+                    margin_oracle(w, x, eps, table, cfg) / 0.9**2, rel=1e-12)
+
+    @pytest.mark.parametrize("function", [
+        margin_objective, margin_grad_beamformer, margin_grad_positions])
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda w, x: (w, x + 1j), "x must be real"),
+        (lambda w, x: (np.r_[w[:-1], np.nan], x), "w must be finite"),
+        (lambda w, x: (w[:-1], x), r"w must have shape \(5,\), got \(4,\)"),
+    ], ids=["complex x", "nan w", "short w"])
+    def test_rejects_a_bad_point(self, table, function, spoil, message):
+        cfg = preset("ob-demo")
+        x = feasible_region(cfg).midpoints()
+        w, x = spoil(mrt_beamformer(x, cfg), x)
+        with pytest.raises(ValueError, match=message):
+            function(w, x, 0.3, table, cfg)
+
     def test_sign_agrees_with_quantile_condition(self, table):
         # margin is the outage condition f2 - slope*f1 - intercept cleared
         # of its positive denominator, so the signs must agree
@@ -415,6 +440,15 @@ class TestStartChecks:
         with pytest.raises(ValueError, match=message):
             apga_solve(w0, x0, *surrogate_lookup(table, 0.3), cfg)
 
+    @pytest.mark.parametrize("slope,intercept", [
+        (math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5)])
+    def test_apga_solve_rejects_a_nonfinite_line(self, slope, intercept):
+        cfg = preset("ob-demo")
+        x0 = feasible_region(cfg).midpoints()
+        with pytest.raises(ValueError,
+                           match="slope and intercept must be finite"):
+            apga_solve(mrt_beamformer(x0, cfg), x0, slope, intercept, cfg)
+
     @pytest.mark.parametrize("bad,message", [
         ("nan x0", "x0 must be finite"),
         ("inf x0", "x0 must be finite"),
@@ -591,8 +625,7 @@ def level_bound(cfg, table, eps):
     mm = moment_match(cfg)
     slope, intercept = surrogate_lookup(table, np.array(eps, dtype=float))
     return ascent._margin_bound(mm, cfg.n_antennas,
-                                mm.threshold(cfg.beta0 * cfg.n_antennas),
-                                slope, intercept)
+                                mm.threshold(cfg.n_antennas), slope, intercept)
 
 
 class TestLinesFromTheTable:

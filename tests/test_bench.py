@@ -1,5 +1,6 @@
 """Scheme dispatch, sweeps, CSV persistence, CLI plumbing."""
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -691,6 +692,55 @@ class TestPresets:
         assert np.linalg.norm(w) == pytest.approx(1.0)
         assert cfg.ks == (4.0, 4.0, 4.0)
         assert x.shape == (cfg.n_antennas,)
+
+
+def in_unit(cfg, scale):
+    """``cfg`` with beta0, every beta and sigma2 in a unit 1/scale of its
+    own: every power ratio of the scenario stays as it was."""
+    return dataclasses.replace(
+        cfg, beta0=cfg.beta0 * scale, sigma2=cfg.sigma2 * scale,
+        betas=tuple(b * scale for b in cfg.betas))
+
+
+def _outcome(scheme, cfg):
+    """(eps, p_out) of a scheme at 20 restarts, or its error's class."""
+    try:
+        res = run_scheme(scheme, cfg, restarts=20)
+    except (ValueError, SingularSteeringError) as exc:
+        return type(exc)
+    return res.eps, res.p_out
+
+
+@functools.cache
+def _unit_outcomes(name):
+    return {s: _outcome(s, preset(name)) for s in SchemeId}
+
+
+class TestUnitOfPower:
+    """The outage depends on power ratios only, and so does every solve:
+    a scenario in any one unit of power gives the answers of the presets'."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far",
+                                      "zf-demo-near", "k-sweep", "m-sweep",
+                                      "cdf-demo"])
+    def test_every_scheme_on_every_preset(self, name, scale):
+        for scheme, want in _unit_outcomes(name).items():
+            got = _outcome(scheme, in_unit(preset(name), scale))
+            if isinstance(want, type):
+                assert got is want, scheme
+            else:
+                assert got[0] == want[0], scheme
+                assert got[1] == pytest.approx(want[1], abs=1e-12), scheme
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e308])
+    def test_the_ends_of_the_float_range(self, scale):
+        # warnings are errors in this suite: no solve over- or underflows
+        for scheme in SchemeId:
+            want = _outcome(scheme, base_config())
+            got = _outcome(scheme, in_unit(base_config(), scale))
+            assert got[0] == want[0], scheme
+            assert got[1] == pytest.approx(want[1], abs=1e-12), scheme
 
 
 def _sweep_spec(**override):

@@ -315,6 +315,25 @@ class TestInverse:
         with pytest.raises(RuntimeError, match="quantile iteration stalled"):
             inverse_lower_incomplete_gamma(0.5, 3.0)
 
+    def test_a_residual_within_the_slack_returns_after_the_loop(
+            self, monkeypatch):
+        # P offset by +delta and -delta on alternate calls, with the stop
+        # tol = 1e-12 < delta <= 100 tol: each step aims at the last call's
+        # root and the next call misses it by 2 delta, so no step stops the
+        # lane; after the 200 steps the residual is within 100 tol and the
+        # lane's t is returned, near the true quantile
+        want = inverse_lower_incomplete_gamma(0.5, 5.0)
+        exact, calls, delta = masec.gammainc._reg_positive, [], 1e-11
+
+        def offset(*args):
+            calls.append(len(calls) % 2)
+            return exact(*args) + (delta if calls[-1] else -delta)
+
+        monkeypatch.setattr(masec.gammainc, "_reg_positive", offset)
+        got = inverse_lower_incomplete_gamma(0.5, 5.0)
+        assert len(calls) == 1 + 200 + 1    # bracket, steps, final residual
+        assert got == pytest.approx(want, abs=1e-9)
+
     def test_tiny_eps_scan_matches_scipy(self):
         # Wilson-Hilferty's cube falls under its clip at tiny eps; the
         # small-t start reaches roots down to 1e-160 and below

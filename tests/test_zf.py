@@ -111,6 +111,29 @@ class TestGainLoss:
                 fd[j] = (bob_gain_loss(xp, cfg) - bob_gain_loss(xm, cfg)) / (2 * h)
             assert np.max(np.abs(grad - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scales_with_the_unit_of_power(self, scale):
+        # the solve is per unit beta0; the loss, its gradient and the
+        # descent's loss and trace multiply by beta0 once, bit for bit
+        cfg = two_eve_config()
+        other = dataclasses.replace(
+            cfg, beta0=cfg.beta0 * scale, sigma2=cfg.sigma2 * scale,
+            betas=tuple(b * scale for b in cfg.betas))
+        xs = random_feasible_positions(feasible_region(cfg),
+                                       np.random.default_rng(4), 6)
+        for got, want in [
+                (bob_gain_loss(xs, other), bob_gain_loss(xs, cfg)),
+                (bob_gain_loss(xs[0], other), bob_gain_loss(xs[0], cfg)),
+                (bob_gain_loss_grad(xs[0], other),
+                 bob_gain_loss_grad(xs[0], cfg))]:
+            assert (np.asarray(got).tobytes()
+                    == np.asarray(scale * want).tobytes())
+        descent, unit = pgd_solve(None, other), pgd_solve(None, cfg)
+        assert descent.x.tobytes() == unit.x.tobytes()
+        assert descent.loss == scale * unit.loss
+        assert ([r.objective for r in descent.trace]
+                == [scale * r.objective for r in unit.trace])
+
     def test_ill_conditioned_steering_still_solves(self):
         # six eves within 0.2 pi on eight antennas: a Gram condition number
         # near 3e10, where a general LU solve leaves the loss an imaginary
