@@ -29,12 +29,17 @@ the accepted candidate's evaluation, and a kept extrapolation its own, so
 the next beamformer gradient and the next position gradient both read it
 and recompute no gain.  On one lane those are a few numpy calls on
 (M+1, N) arrays, where numpy's fixed cost per call outweighs the math: the
-lane takes the gains as ``np.square(np.abs(v))`` and its dot products by
-``ndarray.dot``, which skip the slower ``** 2`` path and ``np.dot``'s
-dispatcher with the same bits.  For the same reason the checks of a start
-run once, at ``apga_solve``'s door, and not in each probe of a bisection,
-whose starts are unit-norm beams already.  Every solver reads its config's
-gain model, ``SystemConfig.gain_model``, built once with the config; each
+lane takes the gains as ``np.square(np.abs(v))``, which skips the slower
+``** 2`` path, and its dot products by ``ndarray.dot``, the steering
+product and both gradients' products with the rows included, which
+reaches the BLAS kernel of ``np.matvec``, ``@`` and ``np.dot`` with the
+same bits and without their dispatch (``_apga_solver``).  For the same
+reason the checks of a start run once, at ``apga_solve``'s door, and not
+in each probe of a bisection, whose starts are unit-norm beams already,
+and a probe that starts where the last probe on its set-up ended, as each
+probe of a bisection after its first does, reuses that placement's
+steering rows and their conjugate.  Every solver reads its config's gain
+model, ``SystemConfig.gain_model``, built once with the config; each
 bisection builds its region once and bounds every level's line once.
 
 The margin, its gain weights and both gradients are written twice, with
@@ -521,8 +526,22 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
     ``cfg.gain_model``) for one config, params and mode; the region of
     ``cfg`` is built unless given.  Returns ``solve(w0, x0, slope,
     intercept)``, one probe on it, from a complex w0 with a nonzero finite
-    norm and a real x0, each (N,); calls share only the buffers, each
-    written first."""
+    norm and a real x0, each (N,).  Calls share the buffers, each written
+    first, and the steering rows of the placement where the last call
+    ended, with their conjugate (None in positions_mrt, which reads none):
+    a call whose x0 has that placement's bytes, as every probe of a
+    bisection after its first does, starts on them instead of building
+    them again.  The rows never change once built, so the pair always
+    belongs to its placement.
+
+    The steering product v = rows w and both gradients' products with the
+    rows, (weights v) rows* and (k weights v*) rows, are ``ndarray.dot``
+    calls on a 1-D vector and the (M+1, N) rows or their conjugate, each a
+    fresh array in its own layout.  They reach the same BLAS ``zgemv`` as
+    ``np.matvec`` and ``@``, with the same bits, without the gufunc's or
+    the operator's dispatch, which costs more than the product at these
+    sizes.  A transposed view would reach another kernel, with other bits;
+    the stacked helpers keep ``np.matvec`` and ``@``."""
     if mode not in ("joint", "beam_only", "positions_mrt"):
         raise ValueError(f"unknown mode {mode!r}")
     n = cfg.n_antennas
@@ -550,11 +569,14 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
         np.multiply(sines, pos, out=phases_re)
         return np.exp(phase * phases)
 
+    last_end = (None, None, None)       # x.tobytes(), rows, rows_conj
+
     def solve(w0, x, slope, intercept):
+        nonlocal last_end
         intercept_quad = intercept * quad_coef
 
         def evaluate(rows, w):          # _evaluate: (margin, v, lin, thr)
-            v = np.matvec(rows, w)
+            v = rows.dot(w)
             lin, quad, thr = statistics(np.square(np.abs(v)))
             return (lin * thr - slope * (lin * lin) - intercept * quad,
                     v, lin, thr)
@@ -565,8 +587,10 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
         w = unit_norm(w0)
-        rows = steer(x)
-        rows_conj = rows.conj()
+        start, rows, rows_conj = last_end
+        if x.tobytes() != start:
+            rows = steer(x)
+            rows_conj = None if mode == "positions_mrt" else rows.conj()
         obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
 
         def beam_margin(cand):
@@ -581,7 +605,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
         def beam_block(obj, delta):
             nonlocal w, v, lin, thr
             gain_weights(lin, thr)
-            g = (weights * v) @ rows_conj
+            g = (weights * v).dot(rows_conj)
             found = line_search(beam_margin, w, obj, g, unit_norm, delta)
             if found is not None:
                 _, w, obj, (_, v, lin, thr) = found
@@ -594,7 +618,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
                 obj, v, lin, thr = evaluate(rows, w)
             gain_weights(lin, thr)
             np.multiply(weights_re, k, out=weighted_k_re)
-            g = -2.0 * ((weighted_k * v.conj()) @ rows * w).imag
+            g = -2.0 * ((weighted_k * v.conj()).dot(rows) * w).imag
             found = line_search(pos_margin, x, obj, g,
                                 lambda c: project_positions(c, region), delta)
             if found is not None:
@@ -630,6 +654,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             pos=None if mode == "beam_only" else pos_block,
             extrapolate=None if mode == "positions_mrt" else extrapolate,
             target=None if mode == "positions_mrt" else 0.0)
+        last_end = x.tobytes(), rows, rows_conj
         return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
                           converged=converged, threshold=thr, trace=trace)
 

@@ -36,13 +36,16 @@ DEFAULT_FIT_RANGE = (1.0, 100.0)
 DEFAULT_N_FIT_POINTS = 1000
 # the most quantile solves one fit may ask for; the default grid is 99,000
 _MAX_FIT_GRID = 10_000_000
+# the largest shape a fit may reach: the quantile solve converges at every
+# level of a 0.001 grid at 1e4 and 7e4, and stalls at 1e5
+_MAX_FIT_HI = 1e4
 
 
 def _fit_settings(tau, fit_range, n_fit_points) -> tuple:
     """(tau, fit_lo, fit_hi, n_fit_points) as floats and an int, else a
     one-line ValueError: tau must be a number in (0, 1), the fit range two
-    numbers, finite, positive and increasing, and n_fit_points an integer
-    (not a bool) of at least 2."""
+    numbers, finite, positive and increasing and ending at or below 1e4,
+    and n_fit_points an integer (not a bool) of at least 2."""
     tau = admit("tau", tau)
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
@@ -51,6 +54,9 @@ def _fit_settings(tau, fit_range, n_fit_points) -> tuple:
             and 0.0 < fit_range[0] < fit_range[1]):
         raise ValueError(
             "fit range must be two numbers, finite, positive and increasing")
+    if fit_range[1] > _MAX_FIT_HI:
+        raise ValueError(f"fit range must end at or below {_MAX_FIT_HI:g}, "
+                         "the largest shape the fit is checked at")
     if not is_integer(n_fit_points, 2):
         raise ValueError("n_fit_points must be an integer of at least 2")
     return (tau, *fit_range, int(n_fit_points))
@@ -130,7 +136,8 @@ def fit_linear_surrogate(
     intercept = mean(q) - slope mean(a), every sum a correctly rounded
     ``math.fsum``.  A tau that is not a number in (0, 1) or leaves no
     level there, a fit range that is not two numbers, finite, positive and
-    increasing, an ``n_fit_points`` that is not an integer of at least 2
+    increasing, or that ends above 1e4 (at 1e5 the quantile solve
+    stalls), an ``n_fit_points`` that is not an integer of at least 2
     and a grid of more than 10^7 (level, shape) pairs raise a one-line
     ``ValueError`` before any solve.
     """

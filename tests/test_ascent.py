@@ -61,6 +61,23 @@ SCENARIOS = {**{name: preset(name) for name in PRESET_NAMES},
              "beta0=0.9,rs=2.2": base_config(beta0=0.9, rs=2.2)}
 
 
+def shape_scenario(n, m):
+    """A seeded ``base_config`` with n antennas and m eavesdroppers whose
+    angles, path gains and Rician factors all differ, at a seeded power."""
+    rng = np.random.default_rng(100 * n + m)
+    return base_config(
+        n_antennas=n, n_eves=m,
+        thetas=tuple(np.sort(rng.uniform(0.05, 1.45, m)).tolist()),
+        betas=tuple(np.exp(rng.uniform(math.log(0.05), math.log(5.0),
+                                       m)).tolist()),
+        ks=tuple(rng.uniform(0.0, 10.0, m).tolist()),
+        pa=float(10.0 ** rng.uniform(1.5, 3.0)))
+
+
+# every steering-row shape (M+1, N) with 2 <= N <= 8 and 1 <= M <= N - 1
+SHAPES = [(n, m) for n in range(2, 9) for m in range(1, n)]
+
+
 def cfg_two_eves():
     return base_config(n_eves=2, thetas=(np.pi / 6, np.pi / 3),
                        betas=(1.0, 0.7), ks=(4.0, 2.0))
@@ -352,6 +369,24 @@ class TestGainReuse:
         w0 = mrt_beamformer(x0, cfg)
         res = apga_solve(w0, x0, *surrogate_lookup(table, eps), cfg, mode=mode)
         w, x, obj, trace, converged = recomputing_apga(w0, x0, eps, table,
+                                                       cfg, mode)
+        assert res.w.tobytes() == w.tobytes()
+        assert res.x.tobytes() == x.tobytes()
+        assert (res.objective, res.n_iter, res.converged) == \
+            (obj, len(trace), converged)
+        assert res.trace == trace
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_equals_the_recomputing_ascent_at_every_shape(self, table, n, m,
+                                                          mode):
+        # the lane's ndarray.dot products hold the bits of the stacked
+        # helpers' np.matvec and @ on every (M+1, N) rows up to 8 x 8
+        cfg = shape_scenario(n, m)
+        x0 = feasible_region(cfg).midpoints()
+        w0 = mrt_beamformer(x0, cfg)
+        res = apga_solve(w0, x0, *surrogate_lookup(table, 0.4), cfg, mode=mode)
+        w, x, obj, trace, converged = recomputing_apga(w0, x0, 0.4, table,
                                                        cfg, mode)
         assert res.w.tobytes() == w.tobytes()
         assert res.x.tobytes() == x.tobytes()
@@ -1079,6 +1114,59 @@ class TestSolverSetUp:
                 (fresh.objective, fresh.n_iter, fresh.converged)
             assert reused.trace == fresh.trace
             w, x = reused.w, reused.x
+
+    @staticmethod
+    def assert_fresh(reused, w, x, line, cfg, mode):
+        fresh = apga_solve(w, x, *line, cfg, mode=mode)
+        assert reused.w.tobytes() == fresh.w.tobytes()
+        assert reused.x.tobytes() == fresh.x.tobytes()
+        assert (reused.objective, reused.n_iter, reused.converged) == \
+            (fresh.objective, fresh.n_iter, fresh.converged)
+        assert reused.trace == fresh.trace
+
+    @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
+    def test_rows_kept_from_the_last_end_serve_only_its_placement(
+            self, table, name, mode):
+        # probes on one set-up from two chains of starts; a chain moves on
+        # to where its probe ended or keeps its start.  So probes start
+        # where the last one ended, where the last one started (the rows
+        # kept belong to its end, not its start) or on the other chain
+        cfg = preset(name)
+        solve = ascent._apga_solver(cfg, None, mode)
+        region = feasible_region(cfg)
+        xs = [region.midpoints(),
+              random_feasible_positions(region, np.random.default_rng(3))]
+        ws = [mrt_beamformer(x, cfg) for x in xs]
+        schedule = ((0, False), (0, True), (0, True), (1, True), (1, False),
+                    (1, True), (0, True), (1, True))
+        levels = (0.5, 0.25, 0.75, 0.125, 0.6, 0.3, 0.45, 0.2)
+        for (chain, moves_on), eps in zip(schedule, levels):
+            line = surrogate_lookup(table, eps)
+            w, x = ws[chain], xs[chain]
+            res = solve(w, x, *line)
+            self.assert_fresh(res, w, x, line, cfg, mode)
+            if moves_on:
+                ws[chain], xs[chain] = res.w, res.x
+
+    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
+    def test_a_joint_probe_from_a_positions_mrt_end(self, table, name):
+        # positions_mrt moves x without conjugating its rows, which no beam
+        # block of its own reads; a joint probe from where it ended, and the
+        # joint probe after that, still equal fresh solves
+        cfg = preset(name)
+        joint = ascent._apga_solver(cfg, None, "joint")
+        mrt = ascent._apga_solver(cfg, None, "positions_mrt")
+        x = feasible_region(cfg).midpoints()
+        w = mrt_beamformer(x, cfg)
+        for solve, mode, eps in ((joint, "joint", 0.5),
+                                 (mrt, "positions_mrt", 0.3),
+                                 (joint, "joint", 0.4),
+                                 (joint, "joint", 0.2)):
+            line = surrogate_lookup(table, eps)
+            res = solve(w, x, *line)
+            self.assert_fresh(res, w, x, line, cfg, mode)
+            w, x = res.w, res.x
 
 
 class TestLineSearch:

@@ -874,6 +874,18 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not tab.exists()
 
+    @pytest.mark.parametrize("bound", [
+        ["--hi", "1e5"], ["--hi", "1e6", "--tau", "0.5", "--points", "2"]])
+    def test_fit_range_past_the_checked_shapes_is_error_exit(
+            self, bound, tmp_path, capsys):
+        # the quantile solve stalls or its series fails at these shapes
+        tab = tmp_path / "table.txt"
+        assert main(["fit-table", "--out", str(tab)] + bound) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit range must end at or below 10000")
+        assert err.count("\n") == 1
+        assert not tab.exists()
+
     @pytest.mark.parametrize("command, content, message", [
         ("sweep", {"variable": "k", "grid": [1.0]}, "lacks keys: ['base']"),
         ("sweep", [1, 2], "must be a JSON object"),

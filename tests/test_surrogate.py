@@ -98,6 +98,24 @@ class TestFit:
         with pytest.raises(ValueError, match="finite"):
             fit_linear_surrogate(fit_range=fit_range)
 
+    @pytest.mark.parametrize("fit_range", [(1.0, 1e5), (1e4, 1e6)])
+    def test_rejects_a_range_past_the_checked_shapes(self, monkeypatch,
+                                                     fit_range):
+        def no_solve(*args):
+            raise AssertionError("a quantile solve ran")
+        monkeypatch.setattr(surrogate, "inverse_lower_incomplete_gamma",
+                            no_solve)
+        with pytest.raises(ValueError, match="must end at or below 10000"):
+            fit_linear_surrogate(fit_range=fit_range)
+
+    def test_fits_up_to_the_largest_checked_shape(self):
+        table = fit_linear_surrogate(tau=0.5, fit_range=(1.0, 1e4),
+                                     n_fit_points=2)
+        assert table.fit_hi == 1e4
+        assert np.isfinite(table.slope).all()
+        with pytest.raises(ValueError, match="must end at or below"):
+            dataclasses.replace(table, fit_hi=1e5)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="no eps rows"):
             fit_linear_surrogate(tau=0.7)
