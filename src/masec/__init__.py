@@ -17,13 +17,12 @@ _EXPORTS = {
                "apga_solve", "bisection_outage_min", "margin_grad_beamformer",
                "margin_grad_positions", "margin_objective",
                "maximize_gamma_objective"),
-    "bench": ("SchemeId", "SweepSpec", "base_config", "emit_results",
-              "load_config", "preset", "read_results", "run_scheme",
-              "run_sweep"),
+    "bench": ("SweepSpec", "base_config", "emit_results", "load_config",
+              "preset", "read_results", "run_scheme", "run_sweep"),
     "cli": (),
     "gammainc": ("inverse_lower_incomplete_gamma",
                  "lower_incomplete_gamma_reg"),
-    "model": ("FeasibleRegion", "SystemConfig", "eve_los_matrix",
+    "model": ("FeasibleRegion", "SchemeId", "SystemConfig", "eve_los_matrix",
               "feasible_region", "main_channel", "mrt_beamformer",
               "project_positions", "random_feasible_positions",
               "steering_vector"),

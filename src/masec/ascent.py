@@ -71,25 +71,31 @@ gathers the live lanes' lines and bounds, hands the solve index gathers of
 the (w, x) of the lanes the screen passes, writes what the solve returned
 back into the bisection's own (w, x) arrays by index, takes the
 ``margin > 0`` verdict and writes the margins and iteration counts into
-one row each.  The results are built once, at the end: each lane's (w, x)
-from its last feasible solve, the screened counts, one stacked
-closed-form outage for all lanes, and a lane's trace only when it is
-read.  The screen is ``_margin_bound``,
+one row each.  At the end it writes each lane's (w, x) from its last
+feasible solve and takes one stacked closed-form outage for all lanes.
+It returns them as arrays over the lanes (``LaneBisections``), which
+build a lane's ``BisectionResult`` when it is indexed and its trace when
+that is read, so RAP_OB, which ranks the lanes by their outage array,
+builds the winner's alone.  The screen is ``_margin_bound``,
 a closed-form upper bound on the margin of a line over every (w, x): a
 lane whose bound is negative is infeasible at its level without a solve,
 and only the other lanes are solved.
 ``bisection_outage_min`` hands it one lane solved by ``apga_solve``'s
-set-up, built once per bisection; ``bisect_beam_lanes`` hands it a stack of
-fixed placements solved beamformer-only by ``_beam_lanes``, where every
+set-up, built once per bisection; ``beam_lane_bisections`` hands it a
+stack of fixed placements solved beamformer-only by ``_beam_lanes``
+(``bisect_beam_lanes`` lists every lane's result of it).  There every
 numpy call of the margin, its gradient and the line search covers all
 lanes still running and each lane keeps its own step, momentum, stop and
 iteration cap.  Lane i gives the same result, bit for bit, as
 ``bisection_outage_min`` in beam_only mode at placement i.  The lanes'
 bookkeeping is kept to few numpy calls: FISTA's weights are read from one
-table by each lane's count since its restart, an iteration where some lane
-keeps its extrapolation merges the lanes that do not into the fresh arrays
-of the extrapolation's evaluation, and a stopping lane leaves the stack by
-one index gather per array.
+table by each lane's count since its restart, an iteration where some but
+not all lanes keep their extrapolation merges the lanes that do not into
+the fresh arrays of the extrapolation's evaluation, a line search in which
+every lane accepts its first candidate returns that try as it is, a retry
+gathers the inputs of the lanes still searching only after some of them
+left and writes back by index only the lanes that accepted, and a
+stopping lane leaves the stack by one index gather per array.
 """
 from __future__ import annotations
 
@@ -719,8 +725,54 @@ def bisect_confidence(probe, eps_max: float, lanes: int = 1):
     return nodes[:r + 1], verdicts[:r + 1]
 
 
+@dataclass(eq=False)
+class LaneBisections:
+    """The confidence bisections of a stack of lanes, kept as arrays over
+    the lanes: each lane's ``p_out`` and ``total_iterations`` (B,), its
+    (w, x) (B, N), and what indexing reads to build one lane's result.
+
+    The bisections are a sequence of ``BisectionResult``: ``lanes[b]``
+    builds lane b's result each time it is read, with its trace built when
+    its ``best_trace`` is read, so a caller that keeps one lane of many
+    builds one result.
+    """
+
+    eps: FloatArray
+    p_out: FloatArray
+    w: ComplexArray
+    x: FloatArray
+    rounds: NDArray[np.int_]
+    screened: NDArray[np.int_]
+    source: NDArray[np.int_]      # the round of each lane's returned (w, x)
+    levels: FloatArray            # (R, B), as verdicts, margins, iterations
+    verdicts: NDArray[np.bool_]
+    margins: FloatArray
+    iterations: NDArray[np.int_]
+    solves: list                  # per round: (lanes, w, x, trace) or None
+    total_iterations: NDArray[np.int_] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.total_iterations = self.iterations.sum(axis=0)
+
+    def __len__(self) -> int:
+        return len(self.p_out)
+
+    def __getitem__(self, b: int) -> BisectionResult:
+        b = range(len(self))[b]         # IndexError past the last lane
+        k, r, eps = int(self.rounds[b]), int(self.source[b]), float(self.eps[b])
+        n = int(self.iterations[r, b]) if k else 0
+        return BisectionResult(
+            eps=eps, p_out=float(self.p_out[b]), w=self.w[b], x=self.x[b],
+            feasible=eps > 0.0, rounds=k,
+            total_iterations=int(self.total_iterations[b]),
+            probes=list(zip(*(a[:k, b].tolist() for a in (
+                self.levels, self.verdicts, self.margins)))),
+            screened=int(self.screened[b]),
+            _trace=functools.partial(self.solves[r][3], b, n) if n else list)
+
+
 def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
-            solve) -> list[BisectionResult]:
+            solve) -> LaneBisections:
     """Minimize the secrecy outage by confidence bisection in every lane of
     the placements xs (B, N), each from its matched filter, on the gain
     model of cfg.
@@ -742,11 +794,12 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     level is feasible when the attained maximum is positive and so is the
     threshold there: at a threshold <= 0 the outage is certain.
     ``bisect_confidence`` probes over [0, table max].  A round writes the
-    lanes' margins and iterations into one row each; the results, with the
-    (w, x) of each lane's last feasible solve written into the bisection's
-    arrays, the screened count and one stacked closed-form outage, are
-    built at the end, and a lane's trace when its ``best_trace`` is
-    read.
+    lanes' margins and iterations into one row each.  At the end the (w, x)
+    of each lane's last feasible solve are written into the bisection's
+    arrays, and one stacked closed-form outage covers all lanes; the
+    returned ``LaneBisections`` keeps these as arrays over the lanes and
+    builds a lane's ``BisectionResult`` only when asked, and its trace only
+    when its ``best_trace`` is read.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain N
@@ -762,10 +815,13 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     w = mrt_beamformer(xs, cfg)
     thr_max = mm.threshold(cfg.n_antennas)
     if thr_max <= 0.0:
-        w = unit_norm(w)
-        return [BisectionResult(eps=0.0, p_out=p, w=wi, x=xi, feasible=False,
-                                rounds=0, total_iterations=0)
-                for p, wi, xi in zip(mm.outage(w, xs).tolist(), w, xs)]
+        w, zeros, no_rounds = unit_norm(w), np.zeros(len(xs), dtype=int), \
+            np.zeros((0, len(xs)))
+        return LaneBisections(
+            eps=np.zeros(len(xs)), p_out=mm.outage(w, xs), w=w, x=xs,
+            rounds=zeros, screened=zeros, source=zeros, levels=no_rounds,
+            verdicts=no_rounds.astype(bool), margins=no_rounds,
+            iterations=no_rounds.astype(int), solves=[])
     tree, _, depth = _level_tree(table.max_eps)
     # the line and the bound of every node; node 0, no probe, is not screened
     slopes, intercepts = surrogate_lookup(table, tree)
@@ -804,16 +860,10 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
         take = ((source == r) & (eps > 0.0)).nonzero()[0]
         at = np.searchsorted(lanes, take)
         w[take], xs[take] = new_w.take(at, axis=0), new_x.take(at, axis=0)
-    p_out = mm.outage(w, xs)
-    return [BisectionResult(
-        eps=e, p_out=p, w=w[b], x=xs[b], feasible=e > 0.0, rounds=k,
-        total_iterations=sum(n), probes=list(zip(lv, f, m))[:k],
-        screened=s, _trace=functools.partial(solves[r][3], b, n[r]) if n[r]
-        else list)
-        for b, (e, p, k, s, r, lv, f, m, n) in enumerate(zip(
-            eps.tolist(), p_out.tolist(), rounds.tolist(), screened.tolist(),
-            source.tolist(), levels.T.tolist(), verdicts.T.tolist(),
-            margins.T.tolist(), iterations.T.tolist()))]
+    return LaneBisections(
+        eps=eps, p_out=mm.outage(w, xs), w=w, x=xs, rounds=rounds,
+        screened=screened, source=source, levels=levels, verdicts=verdicts,
+        margins=margins, iterations=iterations, solves=solves)
 
 
 def bisection_outage_min(
@@ -864,36 +914,48 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     Lane i tries ``unit_norm(w[i] + delta[i] * g[i])`` and shrinks its own
     delta by SHRINK until the candidate reaches the lane's quadratic model
     or the delta drops below MIN_STEP.  Every start delta is at least
-    MIN_STEP, so the first try covers all lanes and seeds the result; later
-    tries compute only the lanes still searching, whose inputs are gathered
-    again, by index, only when a lane leaves.  Returns the accepted deltas,
-    NaN for a lane that accepted nothing, and the new beams and their
-    evaluations (unchanged for such a lane).
+    MIN_STEP, so the first try covers all lanes and seeds the result.  A
+    retry computes only the lanes still searching: their inputs are gathered
+    by index after the first try and again only after a retry that some of
+    them passed, and a retry that all of them pass is written back without
+    a gather.  Returns the accepted deltas (the start deltas themselves
+    when every lane accepts its first candidate), NaN for a lane that
+    accepted nothing, and the new beams and their evaluations (unchanged
+    for such a lane).
     """
     new_w, new_at, leave = _try_lanes(mm, rows, w, at.margin, g, slope,
                                       intercept, delta)
+    if np.count_nonzero(leave) == len(leave):
+        return delta, new_w, new_at
     accepted = np.where(leave, delta, np.nan)
-    if leave.all():
-        return accepted, new_w, new_at
-    live, inputs = np.arange(len(w)), (rows, w, at.margin, g, slope, intercept)
+    live = (~leave).nonzero()[0]            # the lanes still searching
+    inputs = [a.take(live, axis=0)
+              for a in (rows, w, at.margin, g, slope, intercept)]
+    delta, short = delta[live], False
     while True:
         delta = delta * SHRINK
-        leave |= delta < MIN_STEP
-        if np.count_nonzero(leave):
-            stay = (~leave).nonzero()[0]
+        if np.count_nonzero(delta < MIN_STEP):  # these lanes accept nothing
+            stay, short = (delta >= MIN_STEP).nonzero()[0], True
             if not stay.size:
                 break
             live, delta = live[stay], delta[stay]
             inputs = [a.take(stay, axis=0) for a in inputs]
         cand, val, leave = _try_lanes(mm, *inputs, delta)
-        if np.count_nonzero(leave):
-            got = leave.nonzero()[0]
+        passed = np.count_nonzero(leave)
+        if passed:
+            every = passed == len(leave)
+            got = slice(None) if every else leave.nonzero()[0]
             hit = live[got]
-            new_w[hit], accepted[hit] = cand.take(got, axis=0), delta[got]
+            new_w[hit], accepted[hit] = cand[got], delta[got]
             for kept, new in zip(new_at, val):
-                kept[hit] = new.take(got, axis=0)
-    failed = np.isnan(accepted).nonzero()[0]
-    if failed.size:
+                kept[hit] = new[got]
+            if every:
+                break
+            stay = (~leave).nonzero()[0]
+            live, delta = live[stay], delta[stay]
+            inputs = [a.take(stay, axis=0) for a in inputs]
+    if short:
+        failed = np.isnan(accepted).nonzero()[0]
         new_w[failed] = w.take(failed, axis=0)
         for kept, old in zip(new_at, at):
             kept[failed] = old.take(failed, axis=0)
@@ -913,10 +975,11 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
     the lanes with a nonzero weight and keeps it where the margin strictly
     rises, then takes the gradient step.  When some lane keeps its y, the
-    lanes that keep w_k are written into y's fresh arrays (no lane, when
-    every lane keeps y); when none does, y is dropped.  A lane that stops
-    leaves the working stack, gathered
-    by index, so only active lanes are computed.  Returns the final beams,
+    lanes that keep w_k are written into y's fresh arrays (no call, when
+    every lane keeps y); when none does, y is dropped.  A lane's step and
+    run are updated by one call when every lane accepted its first
+    candidate.  A lane that stops leaves the working stack, gathered by
+    index, so only active lanes are computed.  Returns the final beams,
     objectives and outage thresholds (of the final evaluations), the
     iteration counts and one record per iteration: the lanes it computed
     and their objective, accepted delta and kept beta, with NaN delta where
@@ -946,14 +1009,16 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             y = unit_norm(w + beta[:, None] * (w - w_last))
             y_at = _evaluate(mm, rows, y, slope, intercept)
             up = tried & (y_at.margin > at.margin)
-            k[tried & ~up] = 1
-            if np.count_nonzero(up):
-                stay = ~up
-                np.copyto(beta, np.nan, where=stay)
-                np.copyto(y, w, where=stay[:, None])
-                for new, old in zip(y_at, at):
-                    np.copyto(new, old, where=stay[:, None]
-                              if new.ndim > 1 else stay)
+            k[tried > up] = 1               # tried and not kept: restart
+            ups = np.count_nonzero(up)
+            if ups:
+                if ups < len(up):
+                    stay = ~up
+                    np.copyto(beta, np.nan, where=stay)
+                    np.copyto(y, w, where=stay[:, None])
+                    for new, old in zip(y_at, at):
+                        np.copyto(new, old, where=stay[:, None]
+                                  if new.ndim > 1 else stay)
                 kept, w, at = beta, y, y_at
         g = _grad_w(mm, rows_conj, at, slope, intercept)
         first = np.where(run >= GROW_AFTER, np.minimum(DELTA0, 2.0 * last),
@@ -961,11 +1026,16 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
         delta, w, at = _line_search_lanes(mm, rows, w, at, g, slope,
                                           intercept, first)
         obj = at.margin
-        missed = np.isnan(delta)
-        run = np.where(delta == first, run + 1, np.where(missed, run, 0))
-        last = np.where(missed, last, delta)
+        grown = delta == first          # accepted its first candidate
+        if np.count_nonzero(grown) == len(grown):
+            run, last = run + 1, first
+        else:
+            missed = np.isnan(delta)
+            run = np.where(grown, run + 1, np.where(missed, run, 0))
+            last = np.where(missed, last, delta)
         history.append((lane, obj, delta, kept))
-        stop = _stops(obj, start, it, max_outer, 0.0) | (it == max_outer)
+        stop = (_stops(obj, start, it, max_outer, 0.0) if it < max_outer
+                else np.ones(len(lane), dtype=bool))
         if np.count_nonzero(stop):
             done = stop.nonzero()[0]
             lanes = lane[done]
@@ -998,13 +1068,25 @@ def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None
                       params: OptimizerParams | None = None,
                       ) -> list[BisectionResult]:
     """``bisection_outage_min`` in beam_only mode for every placement of the
-    stack xs (B, N) at once.
+    stack xs (B, N) at once: the ``BisectionResult`` of every lane of
+    ``beam_lane_bisections``, in order."""
+    return list(beam_lane_bisections(cfg, xs, table, params))
 
-    Result i equals ``bisection_outage_min(cfg, table, params, x0=xs[i],
-    mode="beam_only")`` bit for bit.  ``_bisect`` runs one bisection per
-    lane, and each probe round solves every still-bisecting lane at once
-    with ``_beam_lanes``.  A stack that is not a finite real (B, N) array
-    raises a one-line ``ValueError`` before any probe.
+
+def beam_lane_bisections(cfg: SystemConfig, xs,
+                         table: LinearFitTable | None = None,
+                         params: OptimizerParams | None = None,
+                         ) -> LaneBisections:
+    """The bisections of ``bisect_beam_lanes`` as arrays over the lanes.
+
+    Lane i, ``[i]``, equals ``bisection_outage_min(cfg, table, params,
+    x0=xs[i], mode="beam_only")`` bit for bit, and ``p_out[i]`` and
+    ``total_iterations[i]`` are its p_out and total_iterations; RAP_OB
+    reads these two arrays and builds the winner's result alone.  ``_bisect``
+    runs one bisection per lane, and each probe round solves every
+    still-bisecting lane at once with ``_beam_lanes``.  A stack that is not
+    a finite real (B, N) array raises a one-line ``ValueError`` before any
+    probe.
     """
     xs = check_vector("xs", xs, cfg.n_antennas, real=True, stack=True)
     params = params or OptimizerParams()

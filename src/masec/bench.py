@@ -14,29 +14,18 @@ import json
 import time
 import typing
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .ascent import (BisectionResult, OptimizerParams, bisect_beam_lanes,
+from .ascent import (BisectionResult, OptimizerParams, beam_lane_bisections,
                      bisection_outage_min)
-from .model import (SystemConfig, admit, check_integer, feasible_region,
-                    is_integer, random_feasible_positions)
+from .model import (SchemeId, SystemConfig, admit, check_integer,
+                    feasible_region, is_integer, random_feasible_positions)
 from .surrogate import LinearFitTable
 from .zf import best_of_draws, pgd_solve, zf_solution
 
 PI = np.pi
-
-
-class SchemeId(str, Enum):
-    MA_OB = "MA_OB"
-    MA_ZF = "MA_ZF"
-    RAP_OB = "RAP_OB"
-    RAP_ZF = "RAP_ZF"
-    FPA_OB = "FPA_OB"
-    FPA_ZF = "FPA_ZF"
-    MA_MRT = "MA_MRT"
 
 
 @dataclass
@@ -73,8 +62,9 @@ def run_scheme(
     RAP_ZF drops draws whose steering Gram matrix fails the zero-forcing
     condition check and raises only if none is left.
     Both solve all their draws in one batched call: RAP_OB solves every
-    placement as a lane of ``bisect_beam_lanes`` and reports the winning
-    lane's bisection, with ``iterations`` summed over all lanes; RAP_ZF
+    placement as a lane of ``beam_lane_bisections``, ranks the lanes by
+    their outage array and reports the winning lane's bisection, the one
+    result it builds, with ``iterations`` summed over all lanes; RAP_ZF
     ranks its draws by the nulling loss, which the outage rises with, and
     evaluates one outage and one beamformer (``best_of_draws``).  Schemes
     that run the confidence bisection report its certified eps; those and
@@ -113,11 +103,12 @@ def run_scheme(
     region = feasible_region(cfg)
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
-        runs = bisect_beam_lanes(
+        lanes = beam_lane_bisections(
             cfg, random_feasible_positions(region, rng, restarts), table,
             params)
-        best = from_bisection(min(runs, key=lambda r: r.p_out))  # first wins ties
-        best.iterations = sum(r.total_iterations for r in runs)
+        # argmin keeps the first of equal outages
+        best = from_bisection(lanes[int(lanes.p_out.argmin())])
+        best.iterations = int(lanes.total_iterations.sum())
         return best
 
     # RAP_ZF

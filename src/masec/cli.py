@@ -5,6 +5,10 @@ Subcommands:
     solve       run one scheme on one scenario
     sweep       run a one-variable sweep described by a JSON spec file
     mc-check    compare the closed-form outage against seeded Monte Carlo
+
+A command imports the solver modules it runs when it runs, so
+``fit-table`` loads only the table fit (``surrogate``, ``gammainc``) and
+``model``, which names the schemes that ``solve --scheme`` offers.
 """
 from __future__ import annotations
 
@@ -14,26 +18,13 @@ import os
 import stat
 import sys
 
-from .ascent import write_trace
-from .bench import (
-    SchemeId,
-    SweepRow,
-    emit_results,
-    load_config,
-    preset,
-    read_json,
-    run_scheme,
-    run_sweep,
-    sweep_spec_from_dict,
-)
-from .model import SystemConfig, feasible_region, mrt_beamformer
-from .outage import monte_carlo_outage, secrecy_outage_closed_form
+from .model import SchemeId, SystemConfig, feasible_region, mrt_beamformer
 from .surrogate import (DEFAULT_FIT_RANGE, DEFAULT_N_FIT_POINTS, DEFAULT_TAU,
                         fit_linear_surrogate, load_table, save_table)
-from .zf import SingularSteeringError
 
 
 def _scenario(args) -> SystemConfig:
+    from .bench import load_config, preset
     return (preset(args.preset) if args.config is None
             else load_config(args.config))
 
@@ -74,6 +65,8 @@ def _cmd_fit_table(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .ascent import write_trace
+    from .bench import SweepRow, emit_results, run_scheme
     _check_writable(args.out, args.trace)
     cfg = _scenario(args)
     table = load_table(args.table) if args.table else None
@@ -99,6 +92,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .bench import emit_results, read_json, run_sweep, sweep_spec_from_dict
     _check_writable(args.out)
     spec = sweep_spec_from_dict(read_json(args.spec))
     table = load_table(args.table) if args.table else None
@@ -112,6 +106,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mc_check(args) -> int:
+    from .outage import monte_carlo_outage, secrecy_outage_closed_form
     cfg = _scenario(args)
     x = feasible_region(cfg).midpoints()
     w = mrt_beamformer(x, cfg)
@@ -169,8 +164,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, SingularSteeringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
+        # bad input, a file error, memory the input asks for (a huge
+        # --restarts), or zero-forcing's singular steering, the one
+        # RuntimeError reported, which only a command that loaded zf raises
+        zf = sys.modules.get(f"{__package__}.zf")
+        if isinstance(exc, RuntimeError) and not (
+                zf and isinstance(exc, zf.SingularSteeringError)):
+            raise
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

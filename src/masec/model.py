@@ -14,6 +14,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,6 +23,20 @@ ComplexArray = NDArray[np.complexfloating]
 FloatArray = NDArray[np.floating]
 
 TWO_PI = 2.0 * np.pi
+
+
+class SchemeId(str, Enum):
+    """The schemes that ``bench.run_scheme`` compares (see ``bench``).  They
+    are named here, with the system model, so that the command line can
+    offer them without loading a solver."""
+
+    MA_OB = "MA_OB"
+    MA_ZF = "MA_ZF"
+    RAP_OB = "RAP_OB"
+    RAP_ZF = "RAP_ZF"
+    FPA_OB = "FPA_OB"
+    FPA_ZF = "FPA_ZF"
+    MA_MRT = "MA_MRT"
 
 
 def is_number(value) -> bool:

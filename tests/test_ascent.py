@@ -904,6 +904,46 @@ class TestTracesOnDemand:
         assert res.detail.best_trace == res.detail.best_trace == res.trace
 
 
+class TestRapObWinner:
+    """RAP_OB ranks its lanes by the outage array and builds the result of
+    the winner alone."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", ["ob-demo", "k-sweep", "cdf-demo"])
+    def test_is_the_first_lowest_outage_lane(self, table, name, seed):
+        cfg = preset(name)
+        res = run_scheme("RAP_OB", cfg, seed=seed, restarts=100, table=table)
+        xs = random_feasible_positions(
+            feasible_region(cfg), np.random.default_rng(seed), 100)
+        runs = ascent.bisect_beam_lanes(cfg, xs, table)
+        best = min(runs, key=lambda r: r.p_out)     # the first on ties
+        assert res.w.tobytes() == best.w.tobytes()
+        assert res.x.tobytes() == best.x.tobytes()
+        assert (res.eps, res.p_out) == (best.eps, best.p_out)
+        assert res.detail.probes == best.probes
+        assert res.trace == res.detail.best_trace == best.best_trace
+        assert res.iterations == sum(r.total_iterations for r in runs)
+
+    def test_builds_one_result_and_at_most_one_trace(self, monkeypatch,
+                                                     table):
+        results, traces = [], []
+
+        class Counted(ascent.BisectionResult):
+            def __init__(self, *args, **kwargs):
+                results.append(kwargs["eps"])
+                super().__init__(*args, **kwargs)
+        lane_trace = ascent._lane_trace
+
+        def counting(*args):
+            traces.append(args[1:])
+            return lane_trace(*args)
+        monkeypatch.setattr(ascent, "BisectionResult", Counted)
+        monkeypatch.setattr(ascent, "_lane_trace", counting)
+        res = run_scheme("RAP_OB", preset("ob-demo"), restarts=100,
+                         table=table)
+        assert results == [res.eps] and len(traces) <= 1
+
+
 class ScriptedSolve:
     """A stand-in for the ``solve`` that ``_bisect`` drives: lane b's k-th
     solve returns the margin and iteration count ``script[b][k]`` and its

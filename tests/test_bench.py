@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masec import ascent, bench, cli, surrogate, zf
+from masec import ascent, bench, cli, outage, surrogate, zf
 from masec.bench import (
     SWEEP_VARIABLES,
     SchemeId,
@@ -820,6 +820,34 @@ class TestCli:
                           f"must be an integer >= 0, got {args[-1]}"]
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["RAP_OB", "RAP_ZF"])
+    @pytest.mark.parametrize("raised", [
+        MemoryError("Unable to allocate 37.3 TiB for an array with shape "
+                    "(1000000000000, 5) and data type float64"),
+        MemoryError()])
+    def test_memory_error_is_error_exit(self, monkeypatch, capsys, scheme,
+                                        raised):
+        # a huge --restarts fails to allocate its draws; the fake raises
+        # what numpy raises there, without trying the allocation
+        asked = []
+
+        def no_memory(*args, restarts, **kwargs):
+            asked.append(restarts)
+            raise raised
+        monkeypatch.setattr(bench, "run_scheme", no_memory)
+        code = main(["solve", "--preset", "ob-demo", "--scheme", scheme,
+                     "--restarts", "1000000000000"])
+        assert (code, asked) == (2, [10 ** 12])
+        err = capsys.readouterr().err
+        assert err == f"error: {str(raised) or 'MemoryError'}\n"
+
+    def test_an_unexpected_error_keeps_its_traceback(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug")
+        monkeypatch.setattr(bench, "run_scheme", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["solve", "--preset", "ob-demo", "--scheme", "RAP_OB"])
+
     def test_missing_scenario_is_error_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--scheme", "FPA_ZF"])
@@ -1030,9 +1058,11 @@ class TestCli:
     def test_an_unwritable_output_fails_before_any_solve(
             self, command, flag, parent, monkeypatch, tmp_path, capsys):
         # the error that writing the file would raise, and nothing solved;
-        # under "a-dir" the output path itself is a directory
-        for name in ("run_scheme", "run_sweep", "fit_linear_surrogate"):
-            monkeypatch.setattr(cli, name, _no_solve)
+        # under "a-dir" the output path itself is a directory.  The
+        # commands look the solvers up in their home modules when they run
+        for module, name in ((bench, "run_scheme"), (bench, "run_sweep"),
+                             (cli, "fit_linear_surrogate")):
+            monkeypatch.setattr(module, name, _no_solve)
         (tmp_path / "a-file").write_text("")
         (tmp_path / "a-dir" / "r.csv").mkdir(parents=True)
         target = tmp_path / parent / "r.csv"
@@ -1082,9 +1112,10 @@ class TestCli:
                                          ["mc-check"]])
     def test_config_and_preset_together_is_a_parse_error(
             self, command, monkeypatch, tmp_path, capsys):
-        for name in ("load_config", "preset", "run_scheme",
-                     "monte_carlo_outage"):
-            monkeypatch.setattr(cli, name, _no_solve)
+        for module, name in ((bench, "load_config"), (bench, "preset"),
+                             (bench, "run_scheme"),
+                             (outage, "monte_carlo_outage")):
+            monkeypatch.setattr(module, name, _no_solve)
         config = tmp_path / "s.json"
         config.write_text(json.dumps(_sweep_spec()["base"]))
         with pytest.raises(SystemExit) as exc:

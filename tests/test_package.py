@@ -37,6 +37,22 @@ def test_import_loads_only_what_is_used(tmp_path):
     assert out.read_bytes() == shipped.read_bytes()
 
 
+def test_fit_table_loads_no_solver(tmp_path):
+    # the CLI imports a solver module only in the command that runs it
+    out = tmp_path / "t.txt"
+    _fresh("import sys\n"
+           "from masec.cli import main\n"
+           "assert main(['fit-table', '--out', sys.argv[1]]) == 0\n"
+           "loaded = {m for m in sys.modules if m.startswith('masec.')}\n"
+           "solvers = {'masec.ascent', 'masec.bench', 'masec.outage',\n"
+           "           'masec.zf'}\n"
+           "assert not loaded & solvers, loaded\n"
+           "assert loaded == {'masec.cli', 'masec.surrogate',\n"
+           "                  'masec.gammainc', 'masec.model'}, loaded\n", out)
+    shipped = Path(masec.__file__).with_name("default_table.txt")
+    assert out.read_bytes() == shipped.read_bytes()
+
+
 def test_a_submodule_resolves_before_anything_imports_it():
     _fresh("import sys\n"
            "import masec\n"
