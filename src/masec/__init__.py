@@ -22,17 +22,17 @@ _EXPORTS = {
     "cli": (),
     "gammainc": ("inverse_lower_incomplete_gamma",
                  "lower_incomplete_gamma_reg"),
-    "model": ("FeasibleRegion", "SchemeId", "SystemConfig", "eve_los_matrix",
-              "feasible_region", "main_channel", "mrt_beamformer",
-              "project_positions", "random_feasible_positions",
-              "steering_vector"),
+    "model": ("FeasibleRegion", "SchemeId", "SingularSteeringError",
+              "SystemConfig", "eve_los_matrix", "feasible_region",
+              "main_channel", "mrt_beamformer", "project_positions",
+              "random_feasible_positions", "steering_vector"),
     "outage": ("EveLinkStats", "GammaMoments", "gamma_moments", "link_stats",
                "monte_carlo_outage", "secrecy_outage_closed_form",
                "sum_power_cdf"),
     "surrogate": ("LinearFitTable", "default_table", "fit_linear_surrogate",
                   "load_table", "save_table", "surrogate_lookup"),
-    "zf": ("SingularSteeringError", "bob_gain_loss", "bob_gain_loss_grad",
-           "pgd_solve", "zf_beamformer", "zf_outage"),
+    "zf": ("bob_gain_loss", "bob_gain_loss_grad", "pgd_solve",
+           "zf_beamformer", "zf_outage"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

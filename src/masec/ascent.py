@@ -81,21 +81,19 @@ a closed-form upper bound on the margin of a line over every (w, x): a
 lane whose bound is negative is infeasible at its level without a solve,
 and only the other lanes are solved.
 ``bisection_outage_min`` hands it one lane solved by ``apga_solve``'s
-set-up, built once per bisection; ``beam_lane_bisections`` hands it a
-stack of fixed placements solved beamformer-only by ``_beam_lanes``
-(``bisect_beam_lanes`` lists every lane's result of it).  There every
+set-up, built once per bisection; ``bisect_beam_lanes`` hands it a stack of
+fixed placements solved beamformer-only by ``_beam_lanes``, where every
 numpy call of the margin, its gradient and the line search covers all
 lanes still running and each lane keeps its own step, momentum, stop and
 iteration cap.  Lane i gives the same result, bit for bit, as
 ``bisection_outage_min`` in beam_only mode at placement i.  The lanes'
 bookkeeping is kept to few numpy calls: FISTA's weights are read from one
-table by each lane's count since its restart, an iteration where some but
-not all lanes keep their extrapolation merges the lanes that do not into
-the fresh arrays of the extrapolation's evaluation, a line search in which
-every lane accepts its first candidate returns that try as it is, a retry
-gathers the inputs of the lanes still searching only after some of them
-left and writes back by index only the lanes that accepted, and a
-stopping lane leaves the stack by one index gather per array.
+table by each lane's count since its restart, an iteration where some
+lane keeps its extrapolation merges the lanes that do not into the fresh
+arrays of the extrapolation's evaluation, an iteration where every lane
+accepted its first candidate updates the warm steps without a merge, the
+stop test is skipped at the cap, where every lane stops, and a stopping
+lane leaves the stack by one index gather per array.
 """
 from __future__ import annotations
 
@@ -914,14 +912,13 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     Lane i tries ``unit_norm(w[i] + delta[i] * g[i])`` and shrinks its own
     delta by SHRINK until the candidate reaches the lane's quadratic model
     or the delta drops below MIN_STEP.  Every start delta is at least
-    MIN_STEP, so the first try covers all lanes and seeds the result.  A
-    retry computes only the lanes still searching: their inputs are gathered
-    by index after the first try and again only after a retry that some of
-    them passed, and a retry that all of them pass is written back without
-    a gather.  Returns the accepted deltas (the start deltas themselves
-    when every lane accepts its first candidate), NaN for a lane that
-    accepted nothing, and the new beams and their evaluations (unchanged
-    for such a lane).
+    MIN_STEP, so the first try covers all lanes and seeds the result, and
+    when every lane accepts it, it is the result.  A retry computes only
+    the lanes still searching: their inputs are gathered by index once
+    after the first try and again only after a lane leaves.  Returns the
+    accepted deltas (the start deltas themselves when every lane accepts
+    its first candidate), NaN for a lane that accepted nothing, and the
+    new beams and their evaluations (unchanged for such a lane).
     """
     new_w, new_at, leave = _try_lanes(mm, rows, w, at.margin, g, slope,
                                       intercept, delta)
@@ -931,31 +928,29 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     live = (~leave).nonzero()[0]            # the lanes still searching
     inputs = [a.take(live, axis=0)
               for a in (rows, w, at.margin, g, slope, intercept)]
-    delta, short = delta[live], False
+    delta = delta[live]
     while True:
         delta = delta * SHRINK
         if np.count_nonzero(delta < MIN_STEP):  # these lanes accept nothing
-            stay, short = (delta >= MIN_STEP).nonzero()[0], True
+            stay = (delta >= MIN_STEP).nonzero()[0]
             if not stay.size:
                 break
             live, delta = live[stay], delta[stay]
             inputs = [a.take(stay, axis=0) for a in inputs]
         cand, val, leave = _try_lanes(mm, *inputs, delta)
-        passed = np.count_nonzero(leave)
-        if passed:
-            every = passed == len(leave)
-            got = slice(None) if every else leave.nonzero()[0]
+        if np.count_nonzero(leave):
+            got = leave.nonzero()[0]
             hit = live[got]
             new_w[hit], accepted[hit] = cand[got], delta[got]
             for kept, new in zip(new_at, val):
                 kept[hit] = new[got]
-            if every:
-                break
             stay = (~leave).nonzero()[0]
+            if not stay.size:
+                break
             live, delta = live[stay], delta[stay]
             inputs = [a.take(stay, axis=0) for a in inputs]
-    if short:
-        failed = np.isnan(accepted).nonzero()[0]
+    failed = np.isnan(accepted).nonzero()[0]
+    if failed.size:
         new_w[failed] = w.take(failed, axis=0)
         for kept, old in zip(new_at, at):
             kept[failed] = old.take(failed, axis=0)
@@ -975,11 +970,11 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
     Each iteration first tries y = unit_norm(w_k + beta (w_k - w_{k-1})) in
     the lanes with a nonzero weight and keeps it where the margin strictly
     rises, then takes the gradient step.  When some lane keeps its y, the
-    lanes that keep w_k are written into y's fresh arrays (no call, when
-    every lane keeps y); when none does, y is dropped.  A lane's step and
-    run are updated by one call when every lane accepted its first
-    candidate.  A lane that stops leaves the working stack, gathered by
-    index, so only active lanes are computed.  Returns the final beams,
+    lanes that keep w_k are written into y's fresh arrays; when none does,
+    y is dropped.  When every lane accepted its first candidate, each
+    lane's step is that candidate's and its run grows by one, with no
+    per-lane merge.  A lane that stops, every lane at max_outer, leaves the
+    working stack, gathered by index, so only active lanes are computed.  Returns the final beams,
     objectives and outage thresholds (of the final evaluations), the
     iteration counts and one record per iteration: the lanes it computed
     and their objective, accepted delta and kept beta, with NaN delta where
@@ -1010,15 +1005,13 @@ def _beam_lanes(mm: MomentMatch, rows, w, slope, intercept, max_outer: int):
             y_at = _evaluate(mm, rows, y, slope, intercept)
             up = tried & (y_at.margin > at.margin)
             k[tried > up] = 1               # tried and not kept: restart
-            ups = np.count_nonzero(up)
-            if ups:
-                if ups < len(up):
-                    stay = ~up
-                    np.copyto(beta, np.nan, where=stay)
-                    np.copyto(y, w, where=stay[:, None])
-                    for new, old in zip(y_at, at):
-                        np.copyto(new, old, where=stay[:, None]
-                                  if new.ndim > 1 else stay)
+            if np.count_nonzero(up):
+                stay = ~up
+                np.copyto(beta, np.nan, where=stay)
+                np.copyto(y, w, where=stay[:, None])
+                for new, old in zip(y_at, at):
+                    np.copyto(new, old, where=stay[:, None]
+                              if new.ndim > 1 else stay)
                 kept, w, at = beta, y, y_at
         g = _grad_w(mm, rows_conj, at, slope, intercept)
         first = np.where(run >= GROW_AFTER, np.minimum(DELTA0, 2.0 * last),
@@ -1066,18 +1059,9 @@ def _lane_trace(history, lane: int, n_iter: int) -> list[TraceRecord]:
 
 def bisect_beam_lanes(cfg: SystemConfig, xs, table: LinearFitTable | None = None,
                       params: OptimizerParams | None = None,
-                      ) -> list[BisectionResult]:
+                      ) -> LaneBisections:
     """``bisection_outage_min`` in beam_only mode for every placement of the
-    stack xs (B, N) at once: the ``BisectionResult`` of every lane of
-    ``beam_lane_bisections``, in order."""
-    return list(beam_lane_bisections(cfg, xs, table, params))
-
-
-def beam_lane_bisections(cfg: SystemConfig, xs,
-                         table: LinearFitTable | None = None,
-                         params: OptimizerParams | None = None,
-                         ) -> LaneBisections:
-    """The bisections of ``bisect_beam_lanes`` as arrays over the lanes.
+    stack xs (B, N) at once.
 
     Lane i, ``[i]``, equals ``bisection_outage_min(cfg, table, params,
     x0=xs[i], mode="beam_only")`` bit for bit, and ``p_out[i]`` and

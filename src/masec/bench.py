@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ascent import (BisectionResult, OptimizerParams, beam_lane_bisections,
+from .ascent import (BisectionResult, OptimizerParams, bisect_beam_lanes,
                      bisection_outage_min)
 from .model import (SchemeId, SystemConfig, admit, check_integer,
                     feasible_region, is_integer, random_feasible_positions)
@@ -62,7 +62,7 @@ def run_scheme(
     RAP_ZF drops draws whose steering Gram matrix fails the zero-forcing
     condition check and raises only if none is left.
     Both solve all their draws in one batched call: RAP_OB solves every
-    placement as a lane of ``beam_lane_bisections``, ranks the lanes by
+    placement as a lane of ``bisect_beam_lanes``, ranks the lanes by
     their outage array and reports the winning lane's bisection, the one
     result it builds, with ``iterations`` summed over all lanes; RAP_ZF
     ranks its draws by the nulling loss, which the outage rises with, and
@@ -103,7 +103,7 @@ def run_scheme(
     region = feasible_region(cfg)
     rng = np.random.default_rng(seed)
     if scheme is SchemeId.RAP_OB:
-        lanes = beam_lane_bisections(
+        lanes = bisect_beam_lanes(
             cfg, random_feasible_positions(region, rng, restarts), table,
             params)
         # argmin keeps the first of equal outages

@@ -18,7 +18,8 @@ import os
 import stat
 import sys
 
-from .model import SchemeId, SystemConfig, feasible_region, mrt_beamformer
+from .model import (SchemeId, SingularSteeringError, SystemConfig,
+                    feasible_region, mrt_beamformer)
 from .surrogate import (DEFAULT_FIT_RANGE, DEFAULT_N_FIT_POINTS, DEFAULT_TAU,
                         fit_linear_surrogate, load_table, save_table)
 
@@ -164,14 +165,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
+    except (ValueError, OSError, MemoryError, SingularSteeringError) as exc:
         # bad input, a file error, memory the input asks for (a huge
-        # --restarts), or zero-forcing's singular steering, the one
-        # RuntimeError reported, which only a command that loaded zf raises
-        zf = sys.modules.get(f"{__package__}.zf")
-        if isinstance(exc, RuntimeError) and not (
-                zf and isinstance(exc, zf.SingularSteeringError)):
-            raise
+        # --restarts) or zero-forcing's singular steering
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -39,6 +39,13 @@ class SchemeId(str, Enum):
     MA_MRT = "MA_MRT"
 
 
+class SingularSteeringError(RuntimeError):
+    """Raised when the eavesdropper steering directions are numerically
+    dependent and the nulling system cannot be solved reliably (see
+    ``zf``).  Defined here, as ``SchemeId`` is, so that the command line
+    can report it without loading a solver."""
+
+
 def is_number(value) -> bool:
     """A real number, numpy's too, that float() converts: not a bool, and
     no integer beyond the float range."""

@@ -41,6 +41,7 @@ from numpy.typing import NDArray
 
 from .ascent import OptimizerParams, TraceRecord, ascend, line_search
 from .model import (
+    SingularSteeringError,
     SystemConfig,
     check_vector,
     feasible_region,
@@ -53,11 +54,6 @@ FloatArray = NDArray[np.floating]
 ComplexArray = NDArray[np.complexfloating]
 
 _COND_LIMIT = 1e12
-
-
-class SingularSteeringError(RuntimeError):
-    """Raised when the eavesdropper steering directions are numerically
-    dependent and the nulling system cannot be solved reliably."""
 
 
 def _steering(x: FloatArray, cfg: SystemConfig):
