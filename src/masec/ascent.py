@@ -35,12 +35,10 @@ product and both gradients' products with the rows included, which
 reaches the BLAS kernel of ``np.matvec``, ``@`` and ``np.dot`` with the
 same bits and without their dispatch (``_apga_solver``).  For the same
 reason the checks of a start run once, at ``apga_solve``'s door, and not
-in each probe of a bisection, whose starts are unit-norm beams already,
-and a probe that starts where the last probe on its set-up ended, as each
-probe of a bisection after its first does, reuses that placement's
-steering rows and their conjugate.  Every solver reads its config's gain
-model, ``SystemConfig.gain_model``, built once with the config; each
-bisection builds its region once and bounds every level's line once.
+in each probe of a bisection, whose starts are unit-norm beams already.
+Every solver reads its config's gain model, ``SystemConfig.gain_model``,
+built once with the config; each bisection builds its region once and
+bounds every level's line once.
 
 The margin, its gain weights and both gradients are written twice, with
 the same operations in the same order.  The helpers ``_evaluate``,
@@ -74,12 +72,12 @@ back into the bisection's own (w, x) arrays by index, takes the
 one row each.  At the end it writes each lane's (w, x) from its last
 feasible solve and takes one stacked closed-form outage for all lanes.
 It returns them as arrays over the lanes (``LaneBisections``), which
-build a lane's ``BisectionResult`` when it is indexed and its trace when
-that is read, so RAP_OB, which ranks the lanes by their outage array,
-builds the winner's alone.  The screen is ``_margin_bound``,
-a closed-form upper bound on the margin of a line over every (w, x): a
-lane whose bound is negative is infeasible at its level without a solve,
-and only the other lanes are solved.
+build a lane's ``BisectionResult`` and its trace when it is indexed, so
+RAP_OB, which ranks the lanes by their outage array, builds the winner's
+alone.  The screen is ``_margin_bound``, a closed-form upper bound on the
+margin of a line over every (w, x): a lane whose bound is negative is
+infeasible at its level without a solve, and only the other lanes are
+solved.
 ``bisection_outage_min`` hands it one lane solved by ``apga_solve``'s
 set-up, built once per bisection; ``bisect_beam_lanes`` hands it a stack of
 fixed placements solved beamformer-only by ``_beam_lanes``, where every
@@ -102,7 +100,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -206,11 +204,11 @@ class BisectionResult:
     the probe is recorded as infeasible with its margin.  When no probed
     level was feasible, ``feasible`` is False and the best-effort iterate
     of the last probe is returned with eps = 0.  ``best_trace`` is the
-    iteration trace of the solve that produced the returned solution, built
-    from the solver's record each time it is read.  When the closed form
-    rules out every level before any probe (the legitimate gain cannot
-    reach a positive outage threshold), ``rounds`` is 0, ``probes`` and
-    ``best_trace`` are empty and the start point is returned with p_out 1.
+    iteration trace of the solve that produced the returned solution.  When
+    the closed form rules out every level before any probe (the legitimate
+    gain cannot reach a positive outage threshold), ``rounds`` is 0,
+    ``probes`` and ``best_trace`` are empty and the start point is returned
+    with p_out 1.
 
     Each probe is recorded as ``(eps, feasible, margin)``, its margin per
     unit beta0 as ``best_trace``'s.  A probe that the closed-form margin
@@ -229,11 +227,7 @@ class BisectionResult:
     total_iterations: int
     probes: list[tuple[float, bool, float]] = field(default_factory=list)
     screened: int = 0
-    _trace: Callable = field(default=list, repr=False, compare=False)
-
-    @property
-    def best_trace(self) -> list[TraceRecord]:
-        return self._trace()
+    best_trace: list[TraceRecord] = field(default_factory=list)
 
 
 class _Evaluation(NamedTuple):
@@ -531,12 +525,8 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
     ``cfg`` is built unless given.  Returns ``solve(w0, x0, slope,
     intercept)``, one probe on it, from a complex w0 with a nonzero finite
     norm and a real x0, each (N,).  Calls share the buffers, each written
-    first, and the steering rows of the placement where the last call
-    ended, with their conjugate (None in positions_mrt, which reads none):
-    a call whose x0 has that placement's bytes, as every probe of a
-    bisection after its first does, starts on them instead of building
-    them again.  The rows never change once built, so the pair always
-    belongs to its placement.
+    first; each call builds the steering rows of its own x0 and their
+    conjugate.
 
     The steering product v = rows w and both gradients' products with the
     rows, (weights v) rows* and (k weights v*) rows, are ``ndarray.dot``
@@ -573,10 +563,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
         np.multiply(sines, pos, out=phases_re)
         return np.exp(phase * phases)
 
-    last_end = (None, None, None)       # x.tobytes(), rows, rows_conj
-
     def solve(w0, x, slope, intercept):
-        nonlocal last_end
         intercept_quad = intercept * quad_coef
 
         def evaluate(rows, w):          # _evaluate: (margin, v, lin, thr)
@@ -591,10 +578,8 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             np.subtract(weights_tail, intercept_quad, out=weights_tail)
 
         w = unit_norm(w0)
-        start, rows, rows_conj = last_end
-        if x.tobytes() != start:
-            rows = steer(x)
-            rows_conj = None if mode == "positions_mrt" else rows.conj()
+        rows = steer(x)
+        rows_conj = rows.conj()
         obj, v, lin, thr = evaluate(rows, w)    # always at (w, x)
 
         def beam_margin(cand):
@@ -627,8 +612,7 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
                                 lambda c: project_positions(c, region), delta)
             if found is not None:
                 _, x, obj, (rows, (_, v, lin, thr)) = found
-                if mode == "joint":
-                    rows_conj = rows.conj()
+                rows_conj = rows.conj()
             return obj, found
 
         w_prev, x_prev = w, x           # (w, x) when the last iteration began
@@ -658,7 +642,6 @@ def _apga_solver(cfg: SystemConfig, params: OptimizerParams | None,
             pos=None if mode == "beam_only" else pos_block,
             extrapolate=None if mode == "positions_mrt" else extrapolate,
             target=None if mode == "positions_mrt" else 0.0)
-        last_end = x.tobytes(), rows, rows_conj
         return ApgaResult(w=w, x=x, objective=obj, n_iter=len(trace),
                           converged=converged, threshold=thr, trace=trace)
 
@@ -730,9 +713,8 @@ class LaneBisections:
     (w, x) (B, N), and what indexing reads to build one lane's result.
 
     The bisections are a sequence of ``BisectionResult``: ``lanes[b]``
-    builds lane b's result each time it is read, with its trace built when
-    its ``best_trace`` is read, so a caller that keeps one lane of many
-    builds one result.
+    builds lane b's result and its trace each time it is read, so a caller
+    that keeps one lane of many builds one result and one trace.
     """
 
     eps: FloatArray
@@ -766,7 +748,7 @@ class LaneBisections:
             probes=list(zip(*(a[:k, b].tolist() for a in (
                 self.levels, self.verdicts, self.margins)))),
             screened=int(self.screened[b]),
-            _trace=functools.partial(self.solves[r][3], b, n) if n else list)
+            best_trace=self.solves[r][3](b, n) if n else [])
 
 
 def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
@@ -796,8 +778,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     of each lane's last feasible solve are written into the bisection's
     arrays, and one stacked closed-form outage covers all lanes; the
     returned ``LaneBisections`` keeps these as arrays over the lanes and
-    builds a lane's ``BisectionResult`` only when asked, and its trace only
-    when its ``best_trace`` is read.
+    builds a lane's ``BisectionResult``, with its trace, only when asked.
 
     Before any probe, the closed form is checked for certain outage: a
     unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain N

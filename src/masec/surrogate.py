@@ -134,19 +134,16 @@ def fit_linear_surrogate(
     exact quantile evaluated at ``n_fit_points`` equally spaced shapes in
     ``fit_range``: with c = a - mean(a), slope = sum(c q) / sum(c c) and
     intercept = mean(q) - slope mean(a), every sum a correctly rounded
-    ``math.fsum``.  A tau that is not a number in (0, 1) or leaves no
-    level there, a fit range that is not two numbers, finite, positive and
-    increasing, or that ends above 1e4 (at 1e5 the quantile solve
-    stalls), an ``n_fit_points`` that is not an integer of at least 2
-    and a grid of more than 10^7 (level, shape) pairs raise a one-line
-    ``ValueError`` before any solve.
+    ``math.fsum``.  A tau that is not a number in (0, 1), a fit range
+    that is not two numbers, finite, positive and increasing, or that ends
+    above 1e4 (at 1e5 the quantile solve stalls), an ``n_fit_points`` that
+    is not an integer of at least 2 and a grid of more than 10^7 (level,
+    shape) pairs raise a one-line ``ValueError`` before any solve.
     """
     tau, lo, hi, n_fit_points = _fit_settings(tau, fit_range, n_fit_points)
-    # clipped so that round() never sees 1 / tau = inf; a clipped count
-    # is over the grid limit anyway
-    steps = int(round(min(1.0 / tau, _MAX_FIT_GRID))) - 1
-    if steps < 1:
-        raise ValueError(f"tau={tau!r} leaves no eps rows in (0, 1)")
+    # the multiples of tau below 1; clipped so that ceil() never sees
+    # 1 / tau = inf, and a clipped count is over the grid limit anyway
+    steps = math.ceil(min(1.0 / tau, _MAX_FIT_GRID)) - 1
     if steps * n_fit_points > _MAX_FIT_GRID:
         raise ValueError(
             f"tau={tau!r} with {n_fit_points} fit points asks for more than "

@@ -1,4 +1,5 @@
 """Margin objective, its gradients, the ascent loop and the bisection."""
+import dataclasses
 import inspect
 import itertools
 import math
@@ -888,15 +889,30 @@ class TestBeamLanes:
 
 
 class TestTracesOnDemand:
-    """A lane's trace is built from its solver's record when it is read."""
+    """A lane's trace is built from its solver's record when the lane is
+    indexed, and its result keeps it."""
 
-    def test_a_rap_ob_solve_builds_one_trace(self, monkeypatch, table):
+    @pytest.fixture
+    def built(self, monkeypatch):
         built, lane_trace = [], ascent._lane_trace
 
         def counting(history, lane, n_iter):
             built.append((lane, n_iter))
             return lane_trace(history, lane, n_iter)
         monkeypatch.setattr(ascent, "_lane_trace", counting)
+        return built
+
+    def test_indexing_a_lane_builds_its_trace_once(self, built, table):
+        cfg = preset("ob-demo")
+        lanes = ascent.bisect_beam_lanes(cfg, lane_placements(cfg, 8), table)
+        assert built == []
+        res = lanes[3]
+        assert len(built) == 1
+        trace = res.best_trace
+        assert built == [(3, len(trace))] and trace
+        assert res.best_trace is trace and len(built) == 1
+
+    def test_a_rap_ob_solve_builds_one_trace(self, built, table):
         res = run_scheme("RAP_OB", preset("ob-demo"), restarts=100,
                          table=table)
         # the winner's, which run_scheme reads for its trace
@@ -1166,12 +1182,12 @@ class TestSolverSetUp:
 
     @pytest.mark.parametrize("mode", ["joint", "beam_only", "positions_mrt"])
     @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
-    def test_rows_kept_from_the_last_end_serve_only_its_placement(
+    def test_probes_started_in_any_order_equal_fresh_solves(
             self, table, name, mode):
         # probes on one set-up from two chains of starts; a chain moves on
         # to where its probe ended or keeps its start.  So probes start
-        # where the last one ended, where the last one started (the rows
-        # kept belong to its end, not its start) or on the other chain
+        # where the last one ended, where the last one started or on the
+        # other chain
         cfg = preset(name)
         solve = ascent._apga_solver(cfg, None, mode)
         region = feasible_region(cfg)
@@ -1188,25 +1204,6 @@ class TestSolverSetUp:
             self.assert_fresh(res, w, x, line, cfg, mode)
             if moves_on:
                 ws[chain], xs[chain] = res.w, res.x
-
-    @pytest.mark.parametrize("name", ["ob-demo", "zf-demo-far", "m-sweep"])
-    def test_a_joint_probe_from_a_positions_mrt_end(self, table, name):
-        # positions_mrt moves x without conjugating its rows, which no beam
-        # block of its own reads; a joint probe from where it ended, and the
-        # joint probe after that, still equal fresh solves
-        cfg = preset(name)
-        joint = ascent._apga_solver(cfg, None, "joint")
-        mrt = ascent._apga_solver(cfg, None, "positions_mrt")
-        x = feasible_region(cfg).midpoints()
-        w = mrt_beamformer(x, cfg)
-        for solve, mode, eps in ((joint, "joint", 0.5),
-                                 (mrt, "positions_mrt", 0.3),
-                                 (joint, "joint", 0.4),
-                                 (joint, "joint", 0.2)):
-            line = surrogate_lookup(table, eps)
-            res = solve(w, x, *line)
-            self.assert_fresh(res, w, x, line, cfg, mode)
-            w, x = res.w, res.x
 
 
 class TestLineSearch:
@@ -1643,7 +1640,11 @@ class TestBisectConfidence:
 class TestShortTable:
     @pytest.fixture(scope="class")
     def short_table(self):
-        return fit_linear_surrogate(tau=0.4)
+        # one row, at eps 0.4
+        table = fit_linear_surrogate(tau=0.4)
+        return dataclasses.replace(table, eps_grid=table.eps_grid[:1],
+                                   slope=table.slope[:1],
+                                   intercept=table.intercept[:1])
 
     def test_bisection_certifies_table_top(self, short_table):
         res = bisection_outage_min(preset("ob-demo"), short_table)

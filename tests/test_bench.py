@@ -875,16 +875,24 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau, rows", [("0.3", 3), ("0.7", 1)])
+    def test_fit_table_keeps_the_last_level_below_one(self, tau, rows,
+                                                      tmp_path, capsys):
+        tab = tmp_path / "table.txt"
+        assert main(["fit-table", "--out", str(tab), "--tau", tau,
+                     "--points", "2"]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {rows} rows")
+        assert surrogate.load_table(tab).eps_grid.size == rows
+
     @pytest.mark.parametrize("args, message", [
-        (["--tau", "0.7"], "no eps rows"),
         (["--tau", "1e-7"], "quantile solves"),
         (["--tau", "5e-324"], "quantile solves"),
         (["--points", "200000"], "quantile solves"),
     ])
     def test_fit_table_rejects_a_grid_before_solving(self, args, message,
                                                      tmp_path, capsys):
-        # no level below 1, or a grid far above the default 99 x 1000,
-        # is one error line and no file
+        # a grid far above the default 99 x 1000 is one error line and no
+        # file
         tab = tmp_path / "table.txt"
         assert main(["fit-table", "--out", str(tab)] + args) == 2
         err = capsys.readouterr().err
@@ -1158,7 +1166,10 @@ class TestCli:
     def test_table_below_half_is_usable(self, tmp_path, capsys):
         # one row at eps 0.4: the bisection starts at the table's top
         tab = tmp_path / "table.txt"
-        surrogate.save_table(surrogate.fit_linear_surrogate(tau=0.4), tab)
+        table = surrogate.fit_linear_surrogate(tau=0.4)
+        surrogate.save_table(dataclasses.replace(
+            table, eps_grid=table.eps_grid[:1], slope=table.slope[:1],
+            intercept=table.intercept[:1]), tab)
         code = main(["solve", "--preset", "ob-demo", "--scheme", "MA_OB",
                      "--table", str(tab)])
         assert code == 0

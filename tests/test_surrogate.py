@@ -116,9 +116,13 @@ class TestFit:
         with pytest.raises(ValueError, match="must end at or below"):
             dataclasses.replace(table, fit_hi=1e5)
 
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError, match="no eps rows"):
-            fit_linear_surrogate(tau=0.7)
+    @pytest.mark.parametrize("tau, last, rows", [
+        (0.03, 0.99, 33), (0.3, 0.9, 3), (0.7, 0.7, 1)])
+    def test_grid_keeps_every_level_below_one(self, tau, last, rows):
+        # a tau that does not divide 1 still reaches its last level below 1
+        grid = fit_linear_surrogate(tau=tau, n_fit_points=2).eps_grid
+        assert grid.size == rows
+        assert grid[0] == tau and grid[-1] == pytest.approx(last)
 
     @pytest.mark.parametrize("name,value", [
         ("n_fit_points", 2.5), ("tau", "0.1"), ("fit_range", (1, "a"))])
