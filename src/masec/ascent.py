@@ -56,28 +56,28 @@ never read the surrogate table.  ``_bisect`` is the one place that maps
 confidence levels to lines, with one ``surrogate_lookup`` per bisection
 over every level the bisection can probe.
 
-``bisect_confidence`` is the one bisection loop.  Every level that a
-bisection over [0, eps_max] can probe is a node of one cached tree
-(``_level_tree``; 127 nodes over at most 7 rounds for the default table),
-each lane keeps its node in an array over the lanes, and every round
-probes all lanes still bisecting at once and moves each to the child its
-verdict picks.  ``_bisect`` is the one body around it.  Once per
-bisection it computes the matched-filter start of every lane, the
-closed-form exit for certain outage, and the line and the screen's bound
-of every node.  A round takes one path for one lane and for a hundred: it
-gathers the live lanes' lines and bounds, hands the solve index gathers of
-the (w, x) of the lanes the screen passes, writes what the solve returned
-back into the bisection's own (w, x) arrays by index, takes the
-``margin > 0`` verdict and writes the margins and iteration counts into
-one row each.  At the end it writes each lane's (w, x) from its last
-feasible solve and takes one stacked closed-form outage for all lanes.
-It returns them as arrays over the lanes (``LaneBisections``), which
-build a lane's ``BisectionResult`` and its trace when it is indexed, so
-RAP_OB, which ranks the lanes by their outage array, builds the winner's
-alone.  The screen is ``_margin_bound``, a closed-form upper bound on the
-margin of a line over every (w, x): a lane whose bound is negative is
-infeasible at its level without a solve, and only the other lanes are
-solved.
+``_level_tree`` is the one text of the bracket rule: every level that a
+bisection over [0, eps_max] can probe is a node of its cached tree (127
+nodes over at most 7 rounds for the default table), and a verdict moves a
+bisection to the child its ``after`` table names.  ``_bisect`` walks it
+for a stack of lanes, the toy maximizer for one.  ``_bisect`` keeps each
+lane's node in an array over the lanes and probes all lanes still
+bisecting at once.  Once per bisection it computes the matched-filter
+start of every lane, the closed-form exit for certain outage, and the line
+and the screen's bound of every node.  A round takes one path for one lane
+and for a hundred: it gathers the live lanes' lines and bounds, hands the
+solve index gathers of the (w, x) of the lanes the screen passes, writes
+what the solve returned back into the bisection's own (w, x) arrays by
+index, takes the ``margin > 0`` verdict, writes the nodes, verdicts,
+margins and iteration counts into one row each and moves each lane to its
+next node.  At the end it writes each lane's (w, x) from its last feasible
+solve and takes one stacked closed-form outage for all lanes.  It returns
+them as arrays over the lanes (``LaneBisections``), which build a lane's
+``BisectionResult`` and its trace when it is indexed, so RAP_OB, which
+ranks the lanes by their outage array, builds the winner's alone.  The
+screen is ``_margin_bound``, a closed-form upper bound on the margin of a
+line over every (w, x): a lane whose bound is negative is infeasible at
+its level without a solve, and only the other lanes are solved.
 ``bisection_outage_min`` hands it one lane solved by ``apga_solve``'s
 set-up, built once per bisection; ``bisect_beam_lanes`` hands it a stack of
 fixed placements solved beamformer-only by ``_beam_lanes``, where every
@@ -351,25 +351,18 @@ def line_search(evaluate, point, obj: float, direction, project, delta: float):
     return None
 
 
-def _fista(t: float, it: int):
-    """FISTA's schedule at iteration ``it``: from t_{k-1} (0 before the
-    first iteration, 1 after a restart), t_k = (1 + sqrt(1 + 4 t_{k-1}^2))
-    / 2 and the weight beta_k = (t_{k-1} - 1) / t_k, or 0 up to iteration
-    MOMENTUM_AFTER.  Returns (t_k, beta_k), floats."""
-    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-    return t_next, (t - 1.0) / t_next if it > MOMENTUM_AFTER else 0.0
-
-
 @functools.cache
 def _fista_weights(size: int) -> FloatArray:
-    """``_fista``'s weights by the number k < size of iterations since the
-    start (t = 0 at k = 0) or since a restart (t = 1, as at k = 1): the
-    k-th is (t_k - 1) / t_{k+1}, the float ``_fista`` gives, so a lane that
-    reads it gets the bits of its own schedule.  Read-only; ``_beam_lanes``
-    asks for sizes 8, 16, 32, ..., so few are cached."""
+    """FISTA's extrapolation weights by the number k < size of iterations
+    since the start or since a restart: from t_0 = 0, t_{k+1} = (1 + sqrt(1
+    + 4 t_k^2)) / 2 and the k-th weight is (t_k - 1) / t_{k+1}.  t_1 = 1, so
+    a restart sets the count to 1 and the weight after it is 0.  Read-only;
+    ``ascend`` and ``_beam_lanes`` ask for sizes 8, 16, 32, ..., so few are
+    cached."""
     t, weights = 0.0, np.empty(size)
     for k in range(size):
-        t, weights[k] = _fista(t, MOMENTUM_AFTER + 1)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        weights[k], t = (t - 1.0) / t_next, t_next
     weights.flags.writeable = False
     return weights
 
@@ -421,23 +414,24 @@ def ascend(obj: float, max_outer: int, beam=None, pos=None,
     is its iterate at the start of iteration k, moves there only when the
     objective at y strictly exceeds ``obj``, and returns the new objective
     and beta, or ``obj`` and None when it keeps z_k.  The weights are
-    FISTA's (``_fista``), beta_k = (t_{k-1} - 1) / t_k with t_1 = 1 and
-    t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2, advanced every iteration from
-    iteration 2; a kept z_k restarts t at 1.  Up to iteration
-    MOMENTUM_AFTER, and in the iteration after a restart (where beta_k is 0
-    and y would be z_k), the weight passed is 0: the block then only
-    records z_k.
+    FISTA's, beta_k = (t_{k-1} - 1) / t_k with t_1 = 1 and t_k = (1 +
+    sqrt(1 + 4 t_{k-1}^2)) / 2, read from ``_fista_weights`` by the count of
+    iterations since the start, which a kept z_k restarts at 1, as
+    ``_beam_lanes`` reads them per lane.  Up to iteration MOMENTUM_AFTER,
+    and in the iteration after a restart (where beta_k is 0 and y would be
+    z_k), the weight passed is 0: the block then only records z_k.
     """
     blocks, trace = (beam, pos), []
     last, run = [DELTA0, DELTA0], [GROW_AFTER, GROW_AFTER]
-    t = 0.0
+    k, weights = 0, _fista_weights(8)   # k iterations since start or restart
     for it in range(1, max_outer + 1):
         start, delta, beta = obj, [None, None], None
         if extrapolate is not None:
-            t, weight = _fista(t, it)
+            if it > len(weights):
+                weights = _fista_weights(2 * len(weights))
+            weight = float(weights[k]) if it > MOMENTUM_AFTER else 0.0
             obj, beta = extrapolate(obj, weight)
-            if weight and beta is None:
-                t = 1.0
+            k = 1 if weight and beta is None else k + 1
         for i, block in enumerate(blocks):
             if block is not None:
                 first = (min(DELTA0, 2.0 * last[i]) if run[i] >= GROW_AFTER
@@ -656,8 +650,10 @@ def _level_tree(eps_max: float):
     i with level e and bracket [lo, hi] leaves the bracket [lo, e] or [e,
     hi], and node ``after[2 i + v]`` probes its midpoint 0.5 (lo + hi) while
     the bracket is wider than ``surrogate.DEFAULT_TAU``, else 0: the lane
-    stops.  ``levels`` holds node i's level at i, and 0 at node 0, which
-    no lane probes; depth is the most rounds of a path.  Read-only, and
+    stops, so every probed level is positive.  ``levels`` holds node i's
+    level at i, and 0 at node 0, which no lane probes; depth is the most
+    rounds of a path.  ``_bisect`` and the toy maximizer walk ``after``
+    from node 1, one verdict a round, until it reads 0.  Read-only, and
     cached: the tree of the default table's 0.99 has 127 nodes and depth 7.
     """
     levels, after = [0.0, min(0.5, eps_max)], [0, 0]
@@ -674,36 +670,6 @@ def _level_tree(eps_max: float):
     levels, after = np.array(levels), np.array(after)
     levels.flags.writeable = after.flags.writeable = False
     return levels, after, max(depths)
-
-
-def bisect_confidence(probe, eps_max: float, lanes: int = 1):
-    """Bisect the confidence level eps over [0, eps_max] in every lane.
-
-    Each lane keeps its own bracket: probing starts at min(0.5, eps_max),
-    moves up after a feasible level and down after an infeasible one, and
-    the lane stops once its bracket is at most ``surrogate.DEFAULT_TAU``
-    wide, so every probed level is positive.  The levels are the nodes of
-    ``_level_tree(eps_max)``, and each lane keeps its node: each round calls
-    ``probe(live, nodes)`` with the indices and nodes of the lanes still
-    bisecting, which returns their verdicts, True where feasible; the
-    round writes the nodes and verdicts into its row at the indices
-    ``live`` and gathers the lanes that go on.  Returns the nodes and
-    verdicts (R, lanes) of every round: lane b probes in rounds
-    0 .. k_b - 1 and reads node 0 and False after.
-    """
-    after, depth = _level_tree(eps_max)[1:]
-    nodes = np.zeros((depth, lanes), dtype=int)
-    verdicts = np.zeros(nodes.shape, dtype=bool)
-    live, node = np.arange(lanes), np.ones(lanes, dtype=int)
-    for r in range(depth):
-        feasible = np.asarray(probe(live, node), dtype=bool)
-        nodes[r, live], verdicts[r, live] = node, feasible
-        node = after[2 * node + feasible]
-        stay = node.nonzero()[0]
-        if not stay.size:
-            break
-        live, node = live[stay], node[stay]
-    return nodes[:r + 1], verdicts[:r + 1]
 
 
 @dataclass(eq=False)
@@ -772,9 +738,11 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     arrays it returns are kept, and written back into the bisection's own
     by index, so a lane's next probe starts where its last solve ended.  A
     level is feasible when the attained maximum is positive and so is the
-    threshold there: at a threshold <= 0 the outage is certain.
-    ``bisect_confidence`` probes over [0, table max].  A round writes the
-    lanes' margins and iterations into one row each.  At the end the (w, x)
+    threshold there: at a threshold <= 0 the outage is certain.  Every
+    lane walks ``_level_tree``'s ``after`` table over [0, table max] from
+    node 1 until its verdict leads to node 0.  Round r writes the nodes,
+    verdicts, margins and iterations of the lanes still bisecting, ``live``,
+    at [r, live]; a lane that stopped reads node 0.  At the end the (w, x)
     of each lane's last feasible solve are written into the bisection's
     arrays, and one stacked closed-form outage covers all lanes; the
     returned ``LaneBisections`` keeps these as arrays over the lanes and
@@ -801,20 +769,21 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
             rounds=zeros, screened=zeros, source=zeros, levels=no_rounds,
             verdicts=no_rounds.astype(bool), margins=no_rounds,
             iterations=no_rounds.astype(int), solves=[])
-    tree, _, depth = _level_tree(table.max_eps)
+    tree, after, depth = _level_tree(table.max_eps)
     # the line and the bound of every node; node 0, no probe, is not screened
     slopes, intercepts = surrogate_lookup(table, tree)
     bounds = _margin_bound(mm, cfg.n_antennas, thr_max, slopes, intercepts)
     solvable = bounds >= 0.0
     solvable[0] = True
-    margins = np.zeros((depth, len(xs)))
-    iterations = np.zeros(margins.shape, dtype=int)
+    nodes = np.zeros((depth, len(xs)), dtype=int)
+    verdicts = np.zeros(nodes.shape, dtype=bool)
+    margins = np.zeros(nodes.shape)
+    iterations = np.zeros(nodes.shape, dtype=int)
     solves = []           # per round: the lanes solved and what solve returned
-
-    def probe(live, nodes):
-        r, run, margin = len(solves), solvable[nodes], bounds[nodes]
-        lanes, at = live[run], nodes[run]
-        solves.append(None)
+    live, node = np.arange(len(xs)), np.ones(len(xs), dtype=int)
+    for r in range(depth):
+        run, margin = solvable[node], bounds[node]
+        lanes, at = live[run], node[run]
         feasible = margin > 0.0     # False where screened: the bound is < 0
         if lanes.size:
             new_w, new_x, solved, thr, iterations[r, lanes], trace = solve(
@@ -822,13 +791,17 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
                 slopes[at], intercepts[at])
             w[lanes], xs[lanes], margin[run] = new_w, new_x, solved
             feasible[run] = (solved > 0.0) & (thr > 0.0)
-            solves[r] = (lanes, new_w, new_x, trace)
-        margins[r, live] = margin
-        return feasible
-
-    nodes, verdicts = bisect_confidence(probe, table.max_eps, len(xs))
-    levels, margins, iterations = tree[nodes], margins[:len(nodes)], \
-        iterations[:len(nodes)]
+        solves.append((lanes, new_w, new_x, trace) if lanes.size else None)
+        nodes[r, live], verdicts[r, live], margins[r, live] = \
+            node, feasible, margin
+        node = after[2 * node + feasible]
+        stay = node.nonzero()[0]
+        if not stay.size:
+            break
+        live, node = live[stay], node[stay]
+    nodes, verdicts, margins, iterations = (
+        a[:r + 1] for a in (nodes, verdicts, margins, iterations))
+    levels = tree[nodes]
     # a lane's result: its last, so highest, feasible probe, else its last
     rounds = np.count_nonzero(nodes, axis=0)
     eps = (feasible := np.where(verdicts, levels, 0.0)).max(axis=0)
@@ -1124,9 +1097,10 @@ def maximize_gamma_objective(
         obj = ascend(margin(v), OptimizerParams().max_outer, pos=block)[0]
         return v, obj
 
-    def probe(live, nodes):
-        nonlocal eps_star, v_star
-        level = float(levels[nodes[0]])
+    levels, after, _ = _level_tree(table.max_eps)
+    eps_star, v_star, node = 0.0, None, 1
+    while node:
+        level = float(levels[node])
         slope, intercept = surrogate_lookup(table, level)
 
         def margin(v):
@@ -1137,10 +1111,7 @@ def maximize_gamma_objective(
                       key=lambda r: r[1])
         if best > 0.0 or eps_star == 0.0:   # or while none was feasible
             eps_star, v_star = level if best > 0.0 else 0.0, v
-        return [best > 0.0]
-
-    eps_star, v_star, levels = 0.0, None, _level_tree(table.max_eps)[0]
-    bisect_confidence(probe, table.max_eps)
+        node = after[2 * node + (best > 0.0)]
     value = float(lower_incomplete_gamma_reg(shape_fn(v_star),
                                              threshold_fn(v_star)))
     return ToyResult(eps=eps_star, point=np.asarray(v_star), value=value)

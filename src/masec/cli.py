@@ -38,10 +38,13 @@ def _seed(text: str) -> int:
 
 
 def _check_writable(*paths) -> None:
-    """Fail before any solve when an output file's directory is missing or
-    it is a directory, with the error that writing the file would raise."""
-    for path in filter(None, paths):
+    """Fail before any solve when a given output path (not None) is empty,
+    its directory is missing or it is a directory, with the error that
+    writing the file would raise."""
+    for path in (p for p in paths if p is not None):
         try:
+            if not path:
+                raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
             if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
                 raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
             if os.path.isdir(path):
@@ -77,13 +80,13 @@ def _cmd_solve(args) -> int:
           + (f" eps={res.eps:.4f}" if res.eps is not None else "")
           + f" iterations={res.iterations}")
     print("positions: " + " ".join(f"{v:.6f}" for v in res.x))
-    if args.trace:
+    if args.trace is not None:
         if res.trace is not None:   # [] (no iteration) writes the header only
             write_trace(res.trace, args.trace)
             print(f"trace written to {args.trace}")
         else:
             print("no trace available for this scheme", file=sys.stderr)
-    if args.out:
+    if args.out is not None:
         emit_results([SweepRow(scheme=args.scheme,
                                variable_name="single", variable_value=0.0,
                                p_out=res.p_out, seed=args.seed,

@@ -271,12 +271,15 @@ def feasible_region(cfg: SystemConfig) -> FeasibleRegion:
 def check_vector(name: str, v, n: int, real: bool = False,
                  stack: bool = False) -> np.ndarray:
     """``v`` as an array, after a one-line ``ValueError`` unless it has
-    shape (n,), or (B, n) for a ``stack`` of B >= 1 vectors, is finite and,
-    when ``real``, is not complex; a ``real`` vector comes back as floats."""
+    shape (n,), or (B, n) for a ``stack`` of B >= 1 vectors, is numeric
+    (bool, integer, float or complex), is finite and, when ``real``, is not
+    complex; a ``real`` vector comes back as floats."""
     v = np.asarray(v)
     if v.shape[-1:] != (n,) or v.ndim != 1 + stack or not v.size:
         want = f"(B, {n}) with B >= 1" if stack else f"({n},)"
         raise ValueError(f"{name} must have shape {want}, got {v.shape}")
+    if v.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numeric, got dtype {v.dtype}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     if real and np.iscomplexobj(v):

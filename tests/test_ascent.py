@@ -20,7 +20,6 @@ from masec.ascent import (
     OptimizerParams,
     apga_solve,
     ascend,
-    bisect_confidence,
     bisection_outage_min,
     line_search,
     margin_grad_beamformer,
@@ -1345,13 +1344,14 @@ class TestMomentum:
     """``ascend`` extrapolates from iteration MOMENTUM_AFTER + 1 on with
     FISTA's weights, and restarts them after a point it does not keep."""
 
-    def test_lane_weights_are_the_one_lane_schedule(self):
-        # _beam_lanes reads the weight after k iterations from this table
+    def test_weight_table_is_the_fista_recursion(self):
+        # ascend and _beam_lanes read the weight after k iterations since
+        # the start or a restart from this table: (t_k - 1) / t_{k+1}, with
+        # t_0 = 0 at k = 0, which no iteration past MOMENTUM_AFTER reads
         weights = ascent._fista_weights(40)
-        t = 0.0
-        for k in range(40):
-            t, beta = ascent._fista(t, ascent.MOMENTUM_AFTER + 1)
-            assert weights[k] == beta
+        t = [0.0] + fista_t(40)
+        want = [(t[k] - 1.0) / t[k + 1] for k in range(40)]
+        assert weights.tobytes() == np.array(want).tobytes()
         assert weights[1] == 0.0            # the iteration after a restart
         assert ascent._fista_weights(20).tobytes() == weights[:20].tobytes()
 
@@ -1555,37 +1555,34 @@ class TestReachStop:
             assert res.w.tobytes() == beams[i].tobytes()
 
 
-def one_lane(verdict):
-    """A one-lane probe on levels that answers ``verdict(eps)``."""
-    return lambda live, levels: [verdict(levels[0])]
+def walk_tree(eps_max, verdict):
+    """The levels and verdicts of one bisection over [0, eps_max] that
+    walks ``_level_tree``'s ``after`` table from node 1, one
+    ``verdict(level)`` a round, as ``_bisect`` and the toy maximizer do."""
+    levels, after, _ = ascent._level_tree(eps_max)
+    probed, verdicts, node = [], [], 1
+    while node:
+        probed.append(float(levels[node]))
+        verdicts.append(bool(verdict(probed[-1])))
+        node = after[2 * node + verdicts[-1]]
+    return probed, verdicts
 
 
-def bisect_levels(probe, eps_max, lanes=1):
-    """``bisect_confidence`` with ``probe(live, levels)`` given the levels of
-    the nodes, returning the levels (NaN after a lane stopped) and the
-    verdicts of every round."""
-    tree = ascent._level_tree(eps_max)[0]
-    nodes, verdicts = bisect_confidence(
-        lambda live, nodes: probe(live, tree[nodes]), eps_max, lanes)
-    return np.where(nodes > 0, tree[nodes], np.nan), verdicts
-
-
-class TestBisectConfidence:
+class TestLevelTree:
     def test_always_feasible_ends_near_top(self):
-        levels, verdicts = bisect_levels(one_lane(lambda e: True), 0.9)
-        assert levels[0, 0] == 0.5
-        assert levels[-1, 0] >= 0.9 - 0.01
-        assert verdicts.all() and (np.diff(levels[:, 0]) > 0.0).all()
+        levels, verdicts = walk_tree(0.9, lambda e: True)
+        assert levels[0] == 0.5
+        assert levels[-1] >= 0.9 - 0.01
+        assert all(verdicts) and (np.diff(levels) > 0.0).all()
 
     def test_never_feasible_ends_near_zero(self):
-        levels, verdicts = bisect_levels(one_lane(lambda e: False), 1.0)
-        assert levels[-1, 0] <= 0.01
-        assert levels.shape == verdicts.shape == (7, 1)
-        assert not verdicts.any()
+        levels, verdicts = walk_tree(1.0, lambda e: False)
+        assert levels[-1] <= 0.01
+        assert len(levels) == ascent._level_tree(1.0)[2] == 7
+        assert not any(verdicts)
 
     def test_starts_at_top_below_half(self):
-        levels, verdicts = bisect_levels(one_lane(lambda e: True), 0.4)
-        assert levels.tolist() == [[0.4]] and verdicts.tolist() == [[True]]
+        assert walk_tree(0.4, lambda e: True) == ([0.4], [True])
 
     # 0.32 / 32 is DEFAULT_TAU to the bit: a bracket of exactly that width
     @pytest.mark.parametrize("eps_max", [0.99, 0.7, 0.4, 0.32, 0.005])
@@ -1606,35 +1603,10 @@ class TestBisectConfidence:
                     break
                 eps = 0.5 * (lo + hi)
             rounds = itertools.count()
-            levels, verdicts = bisect_levels(
-                lambda live, levels: [bool(path >> next(rounds) & 1)],
-                eps_max)
-            assert levels[:, 0].tolist() == want
-            assert verdicts[:, 0].tolist() == [
-                bool(path >> r & 1) for r in range(len(want))]
-
-    def test_lanes_bisect_independently(self):
-        # lane b is feasible up to its own cut-off.  Over [0, 0.7] the
-        # first verdict leaves a bracket 0.5 or 0.2 wide, so the lane that
-        # fails at 0.5 needs one probe more to get below DEFAULT_TAU
-        cutoffs = [0.05, 0.6, 0.85]
-        seen = []
-
-        def probe(live, levels):
-            seen.append(live.tolist())
-            return [eps <= cutoffs[b] for b, eps in zip(live, levels)]
-        levels, verdicts = bisect_levels(probe, 0.7, len(cutoffs))
-        for b, cut in enumerate(cutoffs):
-            alone, alone_verdicts = bisect_levels(
-                one_lane(lambda e: e <= cut), 0.7)
-            k = len(alone)
-            assert levels[:k, b].tobytes() == alone[:, 0].tobytes()
-            assert (verdicts[:k, b] == alone_verdicts[:, 0]).all()
-            # a lane that stopped reads NaN and False in later rounds
-            assert np.isnan(levels[k:, b]).all() and not verdicts[k:, b].any()
-        assert np.count_nonzero(~np.isnan(levels), axis=0).tolist() == \
-            [7, 6, 6]
-        assert seen == [[0, 1, 2]] * 6 + [[0]]
+            levels, verdicts = walk_tree(
+                eps_max, lambda e: path >> next(rounds) & 1)
+            assert levels == want
+            assert verdicts == [bool(path >> r & 1) for r in range(len(want))]
 
 
 class TestShortTable:
@@ -1657,8 +1629,9 @@ class TestShortTable:
         res = maximize_gamma_objective(
             lambda v: v[0] + 1.0, lambda v: 2.0 * np.sqrt(v[0]),
             [(0.0, 2.0)], table=short_table)
-        assert res.eps in (0.0, 0.4)
-        assert 0.0 <= res.point[0] <= 2.0
+        # the one level, 0.4, is certified at the maximizer of its margin
+        assert res.eps == 0.4
+        assert res.point.tolist() == [1.0416434759821067]
 
 
 class TestToyMaximizer:

@@ -1084,6 +1084,33 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {opened.value}\n"
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--out"]), ("solve", ["--trace"]),
+        ("solve", ["--out", "--trace"]), ("sweep", ["--out"]),
+        ("fit-table", ["--out"])],
+        ids=["solve-out", "solve-trace", "solve-both", "sweep", "fit-table"])
+    def test_an_empty_output_path_fails_before_any_solve(
+            self, command, flags, monkeypatch, tmp_path, capsys):
+        # "" is given, not absent: it fails as writing to "" would, exit 2
+        # with one error line, and nothing is solved or written
+        for module, name in ((bench, "run_scheme"), (bench, "run_sweep"),
+                             (cli, "fit_linear_surrogate")):
+            monkeypatch.setattr(module, name, _no_solve)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as opened:
+            open("", "w")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_sweep_spec()))
+        args = {"solve": ["solve", "--preset", "ob-demo",
+                          "--scheme", "MA_MRT"],
+                "sweep": ["sweep", "--spec", str(spec)],
+                "fit-table": ["fit-table"]}[command]
+        assert main(args + [a for flag in flags for a in (flag, "")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {opened.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_an_output_in_the_working_directory(self, monkeypatch, tmp_path,
                                                capsys):
         monkeypatch.chdir(tmp_path)

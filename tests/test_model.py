@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masec import outage
+from masec import ascent, outage, zf
 from masec.bench import SweepSpec, base_config, preset
 from masec.model import (
     SystemConfig,
@@ -372,3 +372,38 @@ def test_one_lane_unit_norm_is_its_row_of_a_stack(n):
         * 10.0 ** rng.uniform(-10.0, 0.0, shape)
     for w, row in zip(stack, unit_norm(stack)):
         assert unit_norm(w).tobytes() == row.tobytes()
+
+
+def _public_doors():
+    """Each public door that checks a vector with ``check_vector``, as
+    (the argument's name, a call that passes the vector v there)."""
+    cfg = preset("ob-demo")
+    x = feasible_region(cfg).midpoints()
+    w = mrt_beamformer(x, cfg)
+    return {
+        "closed form": ("w", lambda v: outage.secrecy_outage_closed_form(
+            v, x, cfg)),
+        "monte carlo": ("x", lambda v: outage.monte_carlo_outage(
+            w, v, cfg, n_trials=10, seed=0)),
+        "bisection": ("x0", lambda v: ascent.bisection_outage_min(
+            cfg, x0=v)),
+        "pgd": ("x0", lambda v: zf.pgd_solve(v, cfg)),
+        "zf outage": ("x", lambda v: zf.zf_outage(v, cfg)),
+        "apga line": ("slope and intercept", lambda v: ascent.apga_solve(
+            w, x, 0.1, v[-1], cfg)),
+    }
+
+
+@pytest.mark.parametrize("door", ["closed form", "monte carlo", "bisection",
+                                  "pgd", "zf outage", "apga line"])
+@pytest.mark.parametrize("make", [lambda n: [None] * n,
+                                  lambda n: ["1"] * n,
+                                  lambda n: [0.5] * (n - 1) + [None]],
+                         ids=["none", "strings", "mixed"])
+def test_a_non_numeric_vector_is_one_value_error(door, make):
+    name, call = _public_doors()[door]
+    v = make(preset("ob-demo").n_antennas)
+    with pytest.raises(ValueError, match=f"^{name} must be numeric, got "
+                                         "dtype ") as exc:
+        call(v)
+    assert "\n" not in str(exc.value)
