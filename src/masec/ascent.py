@@ -91,7 +91,8 @@ lane keeps its extrapolation merges the lanes that do not into the fresh
 arrays of the extrapolation's evaluation, an iteration where every lane
 accepted its first candidate updates the warm steps without a merge, the
 stop test is skipped at the cap, where every lane stops, and a stopping
-lane leaves the stack by one index gather per array.
+lane leaves the stack by one index gather per array, as a line-search
+lane does once it accepts a step or its halved step is below MIN_STEP.
 """
 from __future__ import annotations
 
@@ -867,9 +868,10 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     delta by SHRINK until the candidate reaches the lane's quadratic model
     or the delta drops below MIN_STEP.  Every start delta is at least
     MIN_STEP, so the first try covers all lanes and seeds the result, and
-    when every lane accepts it, it is the result.  A retry computes only
-    the lanes still searching: their inputs are gathered by index once
-    after the first try and again only after a lane leaves.  Returns the
+    when every lane accepts it, it is the result.  A lane leaves by one
+    rule, once it has accepted a candidate or its halved delta is below
+    MIN_STEP: each round keeps the other lanes and tries only them, their
+    inputs gathered by index when the kept set got smaller.  Returns the
     accepted deltas (the start deltas themselves when every lane accepts
     its first candidate), NaN for a lane that accepted nothing, and the
     new beams and their evaluations (unchanged for such a lane).
@@ -879,16 +881,13 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
     if np.count_nonzero(leave) == len(leave):
         return delta, new_w, new_at
     accepted = np.where(leave, delta, np.nan)
-    live = (~leave).nonzero()[0]            # the lanes still searching
-    inputs = [a.take(live, axis=0)
-              for a in (rows, w, at.margin, g, slope, intercept)]
-    delta = delta[live]
+    live, inputs = np.arange(len(w)), [rows, w, at.margin, g, slope, intercept]
     while True:
         delta = delta * SHRINK
-        if np.count_nonzero(delta < MIN_STEP):  # these lanes accept nothing
-            stay = (delta >= MIN_STEP).nonzero()[0]
-            if not stay.size:
-                break
+        stay = (~leave & (delta >= MIN_STEP)).nonzero()[0]  # still searching
+        if not stay.size:
+            break
+        if stay.size < len(live):
             live, delta = live[stay], delta[stay]
             inputs = [a.take(stay, axis=0) for a in inputs]
         cand, val, leave = _try_lanes(mm, *inputs, delta)
@@ -898,11 +897,6 @@ def _line_search_lanes(mm: MomentMatch, rows, w, at: _Evaluation, g, slope,
             new_w[hit], accepted[hit] = cand[got], delta[got]
             for kept, new in zip(new_at, val):
                 kept[hit] = new[got]
-            stay = (~leave).nonzero()[0]
-            if not stay.size:
-                break
-            live, delta = live[stay], delta[stay]
-            inputs = [a.take(stay, axis=0) for a in inputs]
     failed = np.isnan(accepted).nonzero()[0]
     if failed.size:
         new_w[failed] = w.take(failed, axis=0)

@@ -125,11 +125,11 @@ class SweepSpec:
     (names or ``SchemeId``s) and ``seeds`` are lists, tuples or 1-D arrays,
     kept as tuples (of floats, ``SchemeId``s and ints), so a built spec
     hashes and cannot change.
-    A variable not in SWEEP_VARIABLES, a grid that is not a list of numbers
-    (a scenario's list rule), an unknown scheme, no seed or one that is not
-    a non-negative integer, or restarts below 1 raises a one-line
-    ValueError, and so does a grid value that :func:`apply_variable`
-    rejects on ``base``, naming variable and value.
+    A variable not in SWEEP_VARIABLES, a grid that is empty or not a list
+    of numbers (a scenario's list rule), no scheme or an unknown one, no
+    seed or one that is not a non-negative integer, or restarts below 1
+    raises a one-line ValueError, and so does a grid value that
+    :func:`apply_variable` rejects on ``base``, naming variable and value.
     ``scenarios`` holds the grid's scenarios, in grid order.
     """
 
@@ -157,6 +157,9 @@ class SweepSpec:
                 and all(s in names for s in schemes)):
             raise ValueError(
                 f"sweep spec schemes must be a list of names from {names}")
+        for name, value in (("grid", grid), ("schemes", schemes)):
+            if not value:   # it would run no row
+                raise ValueError(f"sweep spec {name} must not be empty")
         check_integer("sweep spec restarts", self.restarts, 1)
         scenarios = []
         for value in grid:
@@ -287,7 +290,8 @@ def emit_results(rows: list[SweepRow], path) -> None:
 
 def read_results(path) -> list[SweepRow]:
     """Parse a CSV written by :func:`emit_results`; errors name file and row."""
-    lines = Path(path).read_text().strip().splitlines()
+    with open(path) as file:    # "" fails as a missing file, not as "."
+        lines = file.read().strip().splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"{path}: unrecognized results header")
     rows = []
@@ -388,7 +392,8 @@ def sweep_spec_from_dict(raw: dict) -> SweepSpec:
 def read_json(path):
     """The JSON in a file; malformed JSON raises a ValueError naming it."""
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as file:    # "" fails as a missing file, not as "."
+            return json.load(file)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

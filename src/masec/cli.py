@@ -73,9 +73,8 @@ def _cmd_solve(args) -> int:
     from .bench import SweepRow, emit_results, run_scheme
     _check_writable(args.out, args.trace)
     cfg = _scenario(args)
-    table = load_table(args.table) if args.table else None
     res = run_scheme(args.scheme, cfg, seed=args.seed, restarts=args.restarts,
-                     table=table)
+                     table=args.table)
     print(f"scheme={args.scheme} p_out={res.p_out:.6f}"
           + (f" eps={res.eps:.4f}" if res.eps is not None else "")
           + f" iterations={res.iterations}")
@@ -99,8 +98,7 @@ def _cmd_sweep(args) -> int:
     from .bench import emit_results, read_json, run_sweep, sweep_spec_from_dict
     _check_writable(args.out)
     spec = sweep_spec_from_dict(read_json(args.spec))
-    table = load_table(args.table) if args.table else None
-    result = run_sweep(spec, table=table)
+    result = run_sweep(spec, table=args.table)
     emit_results(result.rows, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for scheme, value, reason in result.skipped:
@@ -167,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "table", None) is not None:    # solve and sweep
+            args.table = load_table(args.table)         # "" is given too
         return args.func(args)
     except (ValueError, OSError, MemoryError, SingularSteeringError) as exc:
         # bad input, a file error, memory the input asks for (a huge

@@ -203,7 +203,8 @@ def load_table(path: str | Path) -> LinearFitTable:
 
     A foreign file, a missing or malformed header line or row, or values the
     table rejects raise a one-line ``ValueError`` that starts with the path."""
-    text = Path(path).read_text().strip().splitlines()
+    with open(path) as file:    # "" fails as a missing file, not as "."
+        text = file.read().strip().splitlines()
     if not text or text[0] != f"# {_FORMAT_TAG}":
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
     try:

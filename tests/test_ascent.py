@@ -839,7 +839,12 @@ class TestBeamLanes:
         with pytest.raises(ValueError, match=message):
             ascent.bisect_beam_lanes(cfg, xs, table)
 
-    def test_lane_search_is_line_search_in_every_lane(self, table):
+    @staticmethod
+    def search_lanes(table, delta, descend):
+        """``_line_search_lanes`` on six m-sweep lanes at their matched
+        filters from the given start deltas, against one ``line_search``
+        per lane; the lanes ``descend`` names go down their gradient, so
+        they accept nothing."""
         cfg = preset("m-sweep")
         mm = moment_match(cfg)
         xs = lane_placements(cfg, 6)
@@ -848,12 +853,12 @@ class TestBeamLanes:
         slope, intercept = surrogate_lookup(table, np.full(6, 0.3))
         at = ascent._evaluate(mm, rows, w, slope, intercept)
         g = ascent._grad_w(mm, rows.conj(), at, slope, intercept)
-        g[::2] *= -1.0     # short descent steps: these lanes accept nothing
-        delta = np.array([1e-3, 1.0, 1e-3, 0.25, 1e-3, 1.0])
+        g[descend] *= -1.0
+        delta = np.array(delta)
         accepted, new_w, new_at = ascent._line_search_lanes(
             mm, rows, w, at, g, slope, intercept, delta)
-        assert np.isnan(accepted[::2]).all()
-        assert not np.isnan(accepted[1::2]).any()
+        assert np.isnan(accepted[descend]).all()
+        assert np.count_nonzero(np.isnan(accepted)) == len(descend)
         for i in range(6):
             found = line_search(
                 lambda c: (ascent._evaluate(mm, rows[i], c, slope[i],
@@ -866,6 +871,65 @@ class TestBeamLanes:
             assert new_at.margin[i] == lane.margin
             assert new_at.v[i].tobytes() == lane.v.tobytes()
             assert (new_at.lin[i], new_at.thr[i]) == (lane.lin, lane.thr)
+
+    def test_lane_search_is_line_search_in_every_lane(self, table):
+        # the descending lanes run out of steps in the same round
+        self.search_lanes(table, [1e-3, 1.0, 1e-3, 0.25, 1e-3, 1.0], [0, 2, 4])
+
+    def test_a_lane_runs_out_of_steps_while_others_search(self, monkeypatch,
+                                                          table):
+        # lane 0 runs out after three tries (4, 2 and 1 MIN_STEP), while
+        # lanes 2 and 4 (1.0: nine tries) still search and lane 1 (1e-10:
+        # 17 tries) runs out later
+        rounds, try_lanes = [], ascent._try_lanes
+
+        def recording(mm, rows, w, obj, g, slope, intercept, delta):
+            rounds.append(len(delta))
+            return try_lanes(mm, rows, w, obj, g, slope, intercept, delta)
+        monkeypatch.setattr(ascent, "_try_lanes", recording)
+        self.search_lanes(table, [4 * ascent.MIN_STEP, 1e-10, 1.0, 1e-3,
+                                  1.0, 0.25], [0, 1])
+        assert rounds[:4] == [6, 5, 5, 4]
+
+    def test_a_lane_leaves_once_it_accepts_or_runs_out_of_steps(
+            self, monkeypatch):
+        # a scripted _try_lanes: lane i, named by its slope, accepts at its
+        # accept_at[i]-th try only, and a try's beam and evaluation hold
+        # 100 i + the try's count; the old ones hold -1 - i
+        never, tiny = 10**6, ascent.MIN_STEP
+        accept_at = np.array([1, 3, never, 6, never])
+        count, rounds = np.zeros(5, dtype=int), []
+
+        def scripted(mm, rows, w, obj, g, slope, intercept, delta):
+            lanes = slope.astype(int)
+            count[lanes] += 1
+            rounds.append((lanes.tolist(), delta.tolist()))
+            mark = 100.0 * lanes + count[lanes]
+            return (np.outer(mark, [1, 1j]), ascent._Evaluation(
+                mark, np.outer(mark, [1j, 1, 1]), mark, -mark),
+                count[lanes] == accept_at[lanes])
+        monkeypatch.setattr(ascent, "_try_lanes", scripted)
+        old = -1.0 - np.arange(5)
+        w = np.outer(old, [1, 1j])
+        at = ascent._Evaluation(old, np.outer(old, [1j, 1, 1]), old, -old)
+        accepted, new_w, new_at = ascent._line_search_lanes(
+            None, np.zeros((5, 3, 2)), w, at, np.zeros_like(w),
+            np.arange(5.0), np.zeros(5),
+            np.array([1.0, 1.0, 4 * tiny, 1.0, 2 * tiny]))
+        # lane 4 runs out while lanes 1-3 search, lane 1 accepts, then lane
+        # 2 runs out while lane 3 searches; lane 3 accepts at its 6th try
+        assert rounds == [
+            ([0, 1, 2, 3, 4], [1.0, 1.0, 4 * tiny, 1.0, 2 * tiny]),
+            ([1, 2, 3, 4], [0.5, 2 * tiny, 0.5, tiny]),
+            ([1, 2, 3], [0.25, tiny, 0.25]),
+            ([3], [0.125]), ([3], [0.0625]), ([3], [0.03125])]
+        assert np.array_equal(accepted, [1.0, 0.25, np.nan, 0.03125, np.nan],
+                              equal_nan=True)
+        mark = np.array([1.0, 103.0, -3.0, 306.0, -5.0])
+        assert np.array_equal(new_w, np.outer(mark, [1, 1j]))
+        for got, want in zip(new_at, (mark, np.outer(mark, [1j, 1, 1]), mark,
+                                      -mark)):
+            assert np.array_equal(got, want)
 
     def test_stacked_margin_kernels_match_each_lane(self, table):
         cfg = preset("m-sweep")

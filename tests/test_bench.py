@@ -389,13 +389,15 @@ _PYTHON_SPEC_FAULTS = [
      "sweep spec schemes must be a list of names from ['MA_OB', "),
     ({"variable": "k", "grid": [1.0, math.nan]},
      "sweep spec grid value k=nan: ks must be finite"),
+    ({"grid": []}, "sweep spec grid must not be empty"),
+    ({"schemes": []}, "sweep spec schemes must not be empty"),
 ]
 
 
 class TestSweepSpec:
     @pytest.mark.parametrize("change, message", _PYTHON_SPEC_FAULTS, ids=[
         "no-restart", "negative-seed", "no-seed", "unknown-scheme",
-        "nan-grid-value"])
+        "nan-grid-value", "no-grid-value", "no-scheme"])
     def test_a_spec_built_in_python_is_checked_before_any_row(
             self, change, message, monkeypatch):
         monkeypatch.setattr(bench, "run_scheme", _no_solve)
@@ -959,6 +961,9 @@ class TestCli:
          "moment match out of the float range"),
         ("solve", {**_sweep_spec()["base"], **_THREE_HUGE_EVES},
          "summed Gamma moment match out of the float range"),
+        ("sweep", _sweep_spec(grid=[]), "sweep spec grid must not be empty"),
+        ("sweep", _sweep_spec(schemes=[]),
+         "sweep spec schemes must not be empty"),
     ])
     def test_malformed_json_is_error_exit(self, command, content, message,
                                           tmp_path, capsys):
@@ -1110,6 +1115,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {opened.value}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--table"), ("sweep", "--table"), ("sweep", "--spec"),
+        ("solve", "--config")])
+    def test_an_empty_input_path_fails_before_any_solve(
+            self, command, flag, monkeypatch, tmp_path, capsys):
+        # "" is given, not absent: it fails as opening "" would, neither as
+        # reading the directory "." nor by falling back to the shipped table
+        for name in ("run_scheme", "run_sweep"):
+            monkeypatch.setattr(bench, name, _no_solve)
+        with pytest.raises(OSError) as opened:
+            open("")
+        spec, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+        spec.write_text(json.dumps(_sweep_spec()))
+        args = {"solve": ["solve", "--scheme", "MA_MRT"]
+                + ([] if flag == "--config" else ["--preset", "ob-demo"]),
+                "sweep": ["sweep", "--out", str(out)]
+                + ([] if flag == "--spec" else ["--spec", str(spec)])}[command]
+        assert main(args + [flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {opened.value}\n"
+        assert "''" in captured.err and not out.exists()
 
     def test_an_output_in_the_working_directory(self, monkeypatch, tmp_path,
                                                capsys):
