@@ -63,12 +63,12 @@ bisection to the child its ``after`` table names.  ``_bisect`` walks it
 for a stack of lanes, the toy maximizer for one.  ``_bisect`` keeps each
 lane's node in an array over the lanes and probes all lanes still
 bisecting at once.  Once per bisection it computes the matched-filter
-start of every lane, the closed-form exit for certain outage, and the line
-and the screen's bound of every node.  A round takes one path for one lane
-and for a hundred: it gathers the live lanes' lines and bounds, hands the
-solve index gathers of the (w, x) of the lanes the screen passes, writes
-what the solve returned back into the bisection's own (w, x) arrays by
-index, takes the ``margin > 0`` verdict, writes the nodes, verdicts,
+start of every lane, and the line and the screen's bound of every node; at
+certain outage no lane enters the rounds.  A round takes one path for one
+lane and for a hundred: it gathers the live lanes' lines and bounds, hands
+the solve index gathers of the (w, x) of the lanes the screen passes,
+writes what the solve returned back into the bisection's own (w, x) arrays
+by index, takes the ``margin > 0`` verdict, writes the nodes, verdicts,
 margins and iteration counts into one row each and moves each lane to its
 next node.  At the end it writes each lane's (w, x) from its last feasible
 solve and takes one stacked closed-form outage for all lanes.  It returns
@@ -690,7 +690,7 @@ class LaneBisections:
     x: FloatArray
     rounds: NDArray[np.int_]
     screened: NDArray[np.int_]
-    source: NDArray[np.int_]      # the round of each lane's returned (w, x)
+    source: NDArray[np.int_]      # the round of each lane's (w, x), -1: none
     levels: FloatArray            # (R, B), as verdicts, margins, iterations
     verdicts: NDArray[np.bool_]
     margins: FloatArray
@@ -707,7 +707,7 @@ class LaneBisections:
     def __getitem__(self, b: int) -> BisectionResult:
         b = range(len(self))[b]         # IndexError past the last lane
         k, r, eps = int(self.rounds[b]), int(self.source[b]), float(self.eps[b])
-        n = int(self.iterations[r, b]) if k else 0
+        n = int(self.iterations[r, b])
         return BisectionResult(
             eps=eps, p_out=float(self.p_out[b]), w=self.w[b], x=self.x[b],
             feasible=eps > 0.0, rounds=k,
@@ -741,35 +741,29 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     level is feasible when the attained maximum is positive and so is the
     threshold there: at a threshold <= 0 the outage is certain.  Every
     lane walks ``_level_tree``'s ``after`` table over [0, table max] from
-    node 1 until its verdict leads to node 0.  Round r writes the nodes,
+    node 1 until its verdict leads to node 0.  The loop runs the tree's
+    depth rounds, so the records have depth rows: round r writes the nodes,
     verdicts, margins and iterations of the lanes still bisecting, ``live``,
-    at [r, live]; a lane that stopped reads node 0.  At the end the (w, x)
-    of each lane's last feasible solve are written into the bisection's
-    arrays, and one stacked closed-form outage covers all lanes; the
-    returned ``LaneBisections`` keeps these as arrays over the lanes and
-    builds a lane's ``BisectionResult``, with its trace, only when asked.
+    at [r, live], and a lane that stopped, or never started, reads node 0.
+    At the end the (w, x) of each lane's last feasible solve are written
+    into the bisection's arrays, and one stacked closed-form outage covers
+    all lanes; the returned ``LaneBisections`` keeps these as arrays over
+    the lanes and builds a lane's ``BisectionResult``, with its trace, only
+    when asked.
 
-    Before any probe, the closed form is checked for certain outage: a
-    unit-norm w gives |s_0 w|^2 <= N, so when even the legitimate gain N
-    leaves the outage threshold nonpositive, no (w, x) certifies any
-    level.  Every start is then returned at once with eps 0, no probes and
-    no iterations.  Past that exit, a lane whose level has a negative bound
-    at the same largest threshold is infeasible there for every (w, x), so
-    it keeps its (w, x), its probe carries the bound as margin, and
-    ``solve`` runs only for the other lanes (not at all when none is left).
+    Certain outage is the loop with no live lane: a unit-norm w gives
+    |s_0 w|^2 <= N, so when even the legitimate gain N leaves the outage
+    threshold nonpositive, no (w, x) certifies any level, and every start,
+    renormalized, is returned with eps 0, no probes and no iterations.
+    Otherwise a lane whose level has a negative bound at the same largest
+    threshold is infeasible there for every (w, x), so it keeps its (w, x),
+    its probe carries the bound as margin, and ``solve`` runs only for the
+    other lanes (not at all when none is left).
     """
     table, mm = table or default_table(), cfg.gain_model
     xs = np.array(xs)     # private, as w is: each round writes its lanes
     w = mrt_beamformer(xs, cfg)
     thr_max = mm.threshold(cfg.n_antennas)
-    if thr_max <= 0.0:
-        w, zeros, no_rounds = unit_norm(w), np.zeros(len(xs), dtype=int), \
-            np.zeros((0, len(xs)))
-        return LaneBisections(
-            eps=np.zeros(len(xs)), p_out=mm.outage(w, xs), w=w, x=xs,
-            rounds=zeros, screened=zeros, source=zeros, levels=no_rounds,
-            verdicts=no_rounds.astype(bool), margins=no_rounds,
-            iterations=no_rounds.astype(int), solves=[])
     tree, after, depth = _level_tree(table.max_eps)
     # the line and the bound of every node; node 0, no probe, is not screened
     slopes, intercepts = surrogate_lookup(table, tree)
@@ -782,6 +776,8 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
     iterations = np.zeros(nodes.shape, dtype=int)
     solves = []           # per round: the lanes solved and what solve returned
     live, node = np.arange(len(xs)), np.ones(len(xs), dtype=int)
+    if thr_max <= 0.0:    # certain outage: no lane probes
+        live, node, w = live[:0], node[:0], unit_norm(w)
     for r in range(depth):
         run, margin = solvable[node], bounds[node]
         lanes, at = live[run], node[run]
@@ -797,11 +793,7 @@ def _bisect(cfg: SystemConfig, table: LinearFitTable | None, xs,
             node, feasible, margin
         node = after[2 * node + feasible]
         stay = node.nonzero()[0]
-        if not stay.size:
-            break
         live, node = live[stay], node[stay]
-    nodes, verdicts, margins, iterations = (
-        a[:r + 1] for a in (nodes, verdicts, margins, iterations))
     levels = tree[nodes]
     # a lane's result: its last, so highest, feasible probe, else its last
     rounds = np.count_nonzero(nodes, axis=0)

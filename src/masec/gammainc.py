@@ -209,18 +209,17 @@ def _initial_guess(eps, a, log_gam):
     c = np.maximum(cube, 0.05)
     guess = np.maximum(a * (c * c * c), 1e-8)
     small = (a < 1.0) | (cube < 0.05)
-    if small.any():
-        eps_s, a_s = eps[small], a[small]
-        log_t = (_libm(math.log, eps_s) + log_gam[small]
-                 + _libm(math.log, a_s)) / a_s
-        under = log_t < _LOG_MIN
-        if under.any():
-            i = np.flatnonzero(under)[0]
-            raise ValueError(
-                f"quantile at eps={float(eps_s[i])!r}, a={float(a_s[i])!r} "
-                f"is about 1e{log_t[i] / math.log(10.0):.0f}, below the "
-                "float range")
-        guess[small] = _libm(math.exp, log_t)
+    eps_s, a_s = eps[small], a[small]
+    log_t = (_libm(math.log, eps_s) + log_gam[small]
+             + _libm(math.log, a_s)) / a_s
+    under = log_t < _LOG_MIN
+    if under.any():
+        i = np.flatnonzero(under)[0]
+        raise ValueError(
+            f"quantile at eps={float(eps_s[i])!r}, a={float(a_s[i])!r} "
+            f"is about 1e{log_t[i] / math.log(10.0):.0f}, below the "
+            "float range")
+    guess[small] = _libm(math.exp, log_t)
     return guess
 
 

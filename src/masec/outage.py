@@ -219,8 +219,6 @@ def gamma_moments(stats: list[EveLinkStats]) -> GammaMoments:
 
 def sum_power_cdf(t: float, moments: GammaMoments) -> float:
     """CDF of the approximated collusion power sum at threshold ``t``."""
-    if t <= 0.0:
-        return 0.0
     return float(lower_incomplete_gamma_reg(moments.shape, t / moments.scale))
 
 
@@ -268,8 +266,6 @@ def monte_carlo_outage(w, x, cfg: SystemConfig, n_trials: int, seed: int) -> flo
     mm = cfg.gain_model
     rows = mm.rows(x)
     thr = mm.statistics(power_gains(rows, w))[2]    # outage_threshold
-    if thr <= 0.0:
-        return 1.0
     hits = 0
     for powers in _collusion_power_stream(w, rows, cfg, n_trials, seed):
         hits += int(np.count_nonzero(powers >= thr))

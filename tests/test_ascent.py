@@ -654,6 +654,38 @@ class TestInfeasibilityExit:
         assert res.rounds == len(calls) == (0 if exits else 7)
 
 
+class TestCertainOutageRounds:
+    """At certain outage the bisection runs its rounds with no live lane."""
+
+    def test_returns_the_renormalized_start(self, monkeypatch, table):
+        cfg = base_config(pa=1e-3)
+        monkeypatch.setattr(ascent, "ascend", _no_probe)
+        monkeypatch.setattr(ascent, "_beam_lanes", _no_probe)
+        # placements whose matched filter changes bits when renormalized
+        _, x0 = rand_point(cfg, 5)
+        want = unit_norm(mrt_beamformer(x0, cfg))
+        assert want.tobytes() != mrt_beamformer(x0, cfg).tobytes()
+        assert bisection_outage_min(cfg, table, x0=x0).w.tobytes() \
+            == want.tobytes()
+        xs = lane_placements(cfg, 8)
+        assert any(unit_norm(mrt_beamformer(x, cfg)).tobytes()
+                   != mrt_beamformer(x, cfg).tobytes() for x in xs)
+        for lane, x in zip(ascent.bisect_beam_lanes(cfg, xs, table), xs):
+            assert lane.w.tobytes() == \
+                unit_norm(mrt_beamformer(x, cfg)).tobytes()
+
+    @pytest.mark.parametrize("scheme", ["MA_OB", "FPA_OB", "MA_MRT", "RAP_OB"])
+    def test_an_infinite_noise_term(self, table, scheme):
+        # sigma2 / pa overflows: the largest threshold, and the screen's
+        # bound of every level, is -inf, and no warning is raised
+        cfg = dataclasses.replace(preset("ob-demo"), sigma2=1e300, pa=1e-300)
+        assert cfg.gain_model.threshold(cfg.n_antennas) == -np.inf
+        res = run_scheme(scheme, cfg, table=table, restarts=3)
+        assert (res.eps, res.p_out, res.iterations) == (0.0, 1.0, 0)
+        assert (res.detail.rounds, res.detail.probes) == (0, [])
+        assert res.trace == []
+
+
 def level_bound(cfg, table, eps):
     """``_margin_bound`` of the surrogate lines at the levels eps, looked
     up as an array, as ``_bisect`` does."""
@@ -1688,6 +1720,17 @@ class TestShortTable:
         assert res.feasible
         assert res.eps == 0.4
         assert res.rounds == 1
+
+    def test_lanes_of_different_path_lengths(self, short_table):
+        # a lane that certifies 0.4 stops after one round, the others
+        # descend for up to seven, in one stack
+        cfg = apply_variable(preset("ob-demo"), "pa_db", 7.5)
+        xs = lane_placements(cfg, 8)
+        lanes = ascent.bisect_beam_lanes(cfg, xs, short_table)
+        assert {1, 7} <= set(lanes.rounds.tolist())
+        for lane, x in zip(lanes, xs):
+            assert_same_bisection(
+                lane, TestBeamLanes.reference(cfg, x, short_table))
 
     def test_toy_maximizer_runs(self, short_table):
         res = maximize_gamma_objective(

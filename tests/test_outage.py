@@ -15,6 +15,7 @@ from masec.model import (
     mrt_beamformer,
 )
 from masec.outage import (
+    GammaMoments,
     collusion_power_samples,
     gamma_moments,
     gamma_outage,
@@ -107,6 +108,15 @@ class TestCdf:
         mom = gamma_moments(link_stats(w, x, cfg))
         assert sum_power_cdf(0.0, mom) == 0.0
         assert sum_power_cdf(-3.0, mom) == 0.0
+
+    @pytest.mark.parametrize("shape", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("t", [0.0, -3.0, 2.0])
+    def test_invalid_shape_is_rejected_at_every_threshold(self, shape, t):
+        # P(a, t) checks its shape before it maps t <= 0 to 0
+        with pytest.raises(ValueError,
+                           match="^shape parameter must be positive and "
+                                 "finite$"):
+            sum_power_cdf(t, GammaMoments(shape=shape, scale=2.0))
 
     def test_monotone(self, case):
         cfg, x, w = case
